@@ -12,11 +12,20 @@
 //! `(load, instance)` entries and stale entries are discarded at pop time —
 //! the textbook approach that keeps both dispatch and completion
 //! `O(log n)` amortized, matching the paper's `O(L) + O(log(N/K))` bound.
+//! A stale entry that sorts *below* a live one never reaches the top, so
+//! a level also rebuilds its heap from the load table once stale entries
+//! outnumber live ones ([`STALE_SLACK`]); the live set, and with it every
+//! dispatch decision, is unchanged by a rebuild.
 
 use crate::request_scheduler::RequestSchedulerConfig;
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Stale heap entries a level tolerates, beyond one per instance, before it
+/// rebuilds its heap: large enough that a rebuild amortizes to O(1) per
+/// load update, small enough that a level's heap stays within a page or two.
+const STALE_SLACK: usize = 64;
 
 /// Identifies an instance as (queue level, index within level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,6 +85,31 @@ impl LevelInner {
         let next = raw.max(0) as u32;
         *load = next;
         self.heap.push(Reverse((next, idx)));
+        self.compact();
+    }
+
+    /// Rebuild the heap from `loads` once stale entries dominate it. Pop-time
+    /// discarding alone never reclaims an entry that sorts below a live one:
+    /// an instance whose load only ever alternates 0 → 1 → 0 (each request
+    /// completed before the next is dispatched) would otherwise leave two
+    /// dead entries behind per request, forever. Every admitted instance
+    /// keeps exactly its live entry, so `peek_head` answers as before.
+    fn compact(&mut self) {
+        if self.heap.len() <= 2 * self.loads.len() + STALE_SLACK {
+            return;
+        }
+        let LevelInner {
+            loads,
+            heap,
+            banned,
+            ..
+        } = self;
+        heap.clear();
+        heap.extend(
+            (0..loads.len())
+                .filter(|&i| !banned[i])
+                .map(|i| Reverse((loads[i], i))),
+        );
     }
 }
 
@@ -303,6 +337,30 @@ mod tests {
         assert_eq!(f.outstanding(h), 1);
         let h2 = f.dispatch(400).expect("dispatch");
         assert_eq!(h2.level, 1);
+    }
+
+    #[test]
+    fn alternating_dispatch_and_complete_keeps_the_heap_bounded() {
+        // Load 0 → 1 → 0 on every request: the live `(0, i)` entry always
+        // sits on top, so pop-time discarding never fires and, before
+        // compaction, the heap grew by two entries per request.
+        let f = frontend(&[(64, 10, 2), (512, 10, 1)]);
+        for _ in 0..10_000 {
+            let h = f.dispatch(50).expect("dispatch");
+            f.complete(h);
+        }
+        for level in &f.levels {
+            let inner = level.inner.lock();
+            assert!(
+                inner.heap.len() <= 2 * inner.loads.len() + STALE_SLACK + 1,
+                "heap holds {} entries for {} instances",
+                inner.heap.len(),
+                inner.loads.len()
+            );
+        }
+        // Rebuilds kept the live set: an idle level still balances.
+        let picks: Vec<usize> = (0..2).map(|_| f.dispatch(50).expect("ok").index).collect();
+        assert_eq!(picks, vec![0, 1]);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 use arlo_trace::Nanos;
 use std::time::{Duration, Instant};
 
+/// Real waits shorter than this are not worth a sleep: OS timer granularity
+/// would overshoot by more than the wait. Anything closer than this is
+/// "due now" ([`VirtualClock::is_due`]).
+pub const MIN_SLEEP_REAL_NS: u64 = 100_000;
+
 /// A monotonic clock whose virtual time advances `scale` times faster than
 /// real time. Cheap to clone-by-`Arc` and share across threads.
 #[derive(Debug)]
@@ -46,21 +51,25 @@ impl VirtualClock {
         Duration::from_nanos(virtual_ns / Nanos::from(self.scale))
     }
 
-    /// Sleep until virtual time `t`. Returns immediately if `t` is already
-    /// past. Sub-100 µs real remainders are not slept (OS timer granularity
-    /// would overshoot by more than the wait is worth).
+    /// Whether virtual instant `t` is **due now** as of the reading `now`:
+    /// already past, or less than [`MIN_SLEEP_REAL_NS`] of real time away.
+    /// The one rule behind both [`VirtualClock::sleep_until`] (which does
+    /// not sleep such a remainder) and the executor (which completes such
+    /// a batch on the thread that sealed it instead of parking it).
+    pub fn is_due(&self, t: Nanos, now: Nanos) -> bool {
+        t.saturating_sub(now) / Nanos::from(self.scale) < MIN_SLEEP_REAL_NS
+    }
+
+    /// Sleep until virtual time `t` is due ([`VirtualClock::is_due`]):
+    /// returns immediately if `t` is already past, and sub-100 µs real
+    /// remainders are not slept.
     pub fn sleep_until(&self, t: Nanos) {
-        const MIN_SLEEP_REAL_NS: u64 = 100_000;
         loop {
             let now = self.now();
-            if now >= t {
+            if self.is_due(t, now) {
                 return;
             }
-            let real_ns = (t - now) / Nanos::from(self.scale);
-            if real_ns < MIN_SLEEP_REAL_NS {
-                return;
-            }
-            std::thread::sleep(Duration::from_nanos(real_ns));
+            std::thread::sleep(self.to_real(t - now));
         }
     }
 }
@@ -89,6 +98,17 @@ mod tests {
         assert!(clock.now() + 10_000_000 >= target);
         // Past targets return immediately.
         clock.sleep_until(0);
+    }
+
+    #[test]
+    fn is_due_is_the_rule_sleep_until_applies() {
+        let clock = VirtualClock::new(1_000);
+        let granule = MIN_SLEEP_REAL_NS * 1_000; // 100 µs real, in virtual ns
+        let now = 5_000_000_000;
+        assert!(clock.is_due(0, now), "past instants are due");
+        assert!(clock.is_due(now, now));
+        assert!(clock.is_due(now + granule - 1, now), "inside the granule");
+        assert!(!clock.is_due(now + granule, now), "a sleepable remainder");
     }
 
     #[test]
@@ -136,7 +156,7 @@ mod tests {
         // Sub-quantum + sub-100µs remainders are abandoned, so now may sit
         // just short of target — but never by a full real-time granule.
         let now = clock.now();
-        let max_abandoned = 100_000u64 * u64::from(scale); // MIN_SLEEP_REAL_NS
+        let max_abandoned = MIN_SLEEP_REAL_NS * u64::from(scale);
         assert!(
             now + max_abandoned >= target,
             "stopped {} virtual ns short",

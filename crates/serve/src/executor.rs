@@ -1,9 +1,9 @@
-//! The worker-pool executor: a stand-in GPU fleet driven by the calibrated
-//! latency model, with per-instance batch coalescing.
+//! The deadline-ordered executor: a stand-in GPU fleet driven by the
+//! calibrated latency model, with per-instance batch coalescing.
 //!
 //! A real deployment hands each placement to a GPU instance that executes
 //! requests in batches at the profiled cost. This executor reproduces that
-//! timing over OS threads. Each admitted job lands in a per-instance
+//! timing on the virtual clock. Each admitted job lands in a per-instance
 //! [`Coalescer`] keyed by `(generation, runtime, instance)`; batches seal
 //! under the shared [`BatchPolicy`] — up to `max_batch` jobs, waiting at
 //! most `max_wait_ns` for co-batchable arrivals, same-runtime by
@@ -12,17 +12,29 @@
 //! `start = max(busy_until, arrival)`, `done = start + exec`, where `exec`
 //! comes from the same [`BatchSpec::exec_ns`] evaluation the simulator's
 //! cluster uses (padded to the longest member, jitter keyed off the first
-//! request id). A pool of worker threads sleeps until each batch's
-//! completion time and fires the completion callback once per batch.
+//! request id). The completion callback fires once per batch, when `done`
+//! is due.
 //!
 //! With [`BatchSpec::SINGLE`] under the greedy policy every job seals
 //! alone at push time and the schedule is identical to the historical
 //! per-job busy-until executor — pinned by the batch-1 parity test.
 //!
-//! Batches whose seal instant lies in the future (an open `max_wait`
-//! window, or a queue behind a busy instance) are armed on a dedicated
-//! flusher thread that sleeps on the virtual clock until the earliest
-//! deadline and re-advances that instance's coalescer.
+//! Scheduling follows one rule: **work that is due now runs on the thread
+//! that discovered it; work that is due later waits in one shared
+//! deadline heap serviced by one thread.** "Due now" is
+//! [`VirtualClock::is_due`] — the instant is past or closer than the
+//! 100 µs of real time an OS timer cannot resolve, the same rule
+//! [`VirtualClock::sleep_until`] applies. So a batch whose `finished_at`
+//! is due when it seals completes inline on the sealing thread (the
+//! submitter, or the heap's servicing thread), and everything else — a
+//! completion in the future, or a seal instant in the future (an open
+//! `max_wait` window, a queue behind a busy instance) — is one
+//! `(deadline, Seal(key) | Complete(batch))` entry in the heap. The
+//! servicing thread sleeps until the earliest deadline, fires everything
+//! due in deadline order, and is notified only when a new entry undercuts
+//! the current head. The heap lives in the executor's shared state, so it
+//! survives the death of the thread servicing it: a restarted servicer
+//! ([`Executor::run_flusher`]) simply carries on.
 //!
 //! Coalescer keys include the deployment generation, so a reallocation
 //! starts the new fleet idle while in-flight work on the old fleet still
@@ -34,16 +46,14 @@
 use crate::clock::VirtualClock;
 use crate::supervisor::SupervisedCtx;
 use arlo_core::engine::Placement;
-use arlo_runtime::batching::{BatchPolicy, Coalescer};
+use arlo_runtime::batching::{BatchPolicy, Coalescer, SealedBatch};
 use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar};
 
 /// An admitted request on its way to execution.
 #[derive(Debug, Clone, Copy)]
@@ -85,19 +95,17 @@ type BatchCallback = dyn Fn(CompletedBatch) + Send + Sync;
 
 struct KeyState {
     coalescer: Coalescer<Job>,
-    /// Deadline of the earliest flush armed on the flusher thread for this
-    /// key, if any — dedupes re-arming on every push.
+    /// Deadline of the earliest [`Due::Seal`] entry armed in the heap for
+    /// this key, if any — dedupes re-arming on every push.
     flush_at: Option<Nanos>,
 }
 
 /// One shard of the executor's coalescer state: a slice of the key space
 /// plus that slice's share of the occupancy histogram. Keeping the
 /// histogram *inside* the shard means a sealed batch updates it under the
-/// lock it already holds — one acquisition per advance instead of the old
-/// keys-then-occupancy pair — and concurrent dispatch workers touching
+/// lock it already holds, and concurrent dispatch workers touching
 /// different instances never serialize on a global histogram lock.
-/// Shares are merged only at read time ([`Executor::batch_occupancy`],
-/// [`Executor::shutdown`]).
+/// Shares are merged only at read time ([`Executor::batch_occupancy`]).
 #[derive(Default)]
 struct ExecShard {
     /// Per-instance batch-forming state, keyed by
@@ -108,31 +116,93 @@ struct ExecShard {
     occupancy: Vec<u64>,
 }
 
+/// What a heap entry does when its deadline arrives.
+enum Due {
+    /// Re-advance this key's coalescer: its head batch seals now.
+    Seal(Key),
+    /// Fire the completion callback of a batch sealed earlier.
+    Complete(CompletedBatch),
+}
+
+/// One deadline-heap entry, ordered earliest deadline first.
+struct Timer {
+    at: Nanos,
+    due: Due,
+}
+
+impl Timer {
+    /// Whether the entry fires at the clock reading `now`. A completion
+    /// fires as soon as it is due now; a seal waits out its exact instant,
+    /// because firing it early would seal nothing and re-arm it.
+    fn ripe(&self, clock: &VirtualClock, now: Nanos) -> bool {
+        match self.due {
+            Due::Seal(_) => self.at <= now,
+            Due::Complete(_) => clock.is_due(self.at, now),
+        }
+    }
+}
+
+impl Ord for Timer {
+    /// Reversed, so `BinaryHeap`'s max is the earliest deadline.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.at.cmp(&self.at)
+    }
+}
+
+impl PartialOrd for Timer {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Timer {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at
+    }
+}
+
+impl Eq for Timer {}
+
+/// The deadline heap and its servicing state, under one mutex.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Timer>,
+    /// Set by [`Executor::stop_flusher`]: the servicing loop returns once
+    /// the heap is empty instead of waiting for more.
+    stopping: bool,
+}
+
 struct ExecutorShared {
     clock: Arc<VirtualClock>,
     profiles: Vec<RuntimeProfile>,
     jitter: JitterSpec,
     policy: BatchPolicy,
     /// Coalescer state, lock-striped by `Key` hash (power-of-two count).
-    /// A key's entire lifecycle — submit, advance, flush, prune — happens
-    /// under its one shard, so per-instance batch forming stays exactly as
-    /// serial as it ever was; only *distinct* instances stop contending.
+    /// A key's entire lifecycle — submit, seal, prune — happens under its
+    /// one shard, so per-instance batch forming stays exactly as serial as
+    /// it ever was; only *distinct* instances stop contending.
     shards: Box<[Mutex<ExecShard>]>,
     shard_mask: usize,
-    /// Shard-lock acquisitions on the submit/advance hot path (contention
+    /// Shard-lock acquisitions on the submit/seal hot path (contention
     /// telemetry for `ext_hotpath`).
-    lock_ops: std::sync::atomic::AtomicU64,
-    /// Sender side of the flusher thread's deadline queue. `None` once
-    /// shutdown begins; taking it is what lets the flusher observe
-    /// disconnection and exit.
-    flush_tx: Mutex<Option<mpsc::Sender<(Nanos, Key)>>>,
+    lock_ops: AtomicU64,
+    /// Everything due later. Invariant: a key holding unsealed jobs has a
+    /// [`Due::Seal`] entry here at or before its head batch's seal
+    /// instant, and a sealed batch not yet completed has its
+    /// [`Due::Complete`] entry — so whoever services the heap to empty
+    /// (any incarnation of the servicing thread, or
+    /// [`Executor::shutdown`]) finishes all admitted work. A std mutex,
+    /// for the condvar.
+    timers: std::sync::Mutex<Timers>,
+    /// Signalled when a push undercuts the heap's head, and on stop.
+    timer_due: Condvar,
     on_done: Box<BatchCallback>,
     /// Invoked with the in-flight batch when `on_done` panics, so the
     /// embedder can account the batch as failed instead of losing it (see
     /// [`Executor::set_panic_handler`]). `None` = panics only count.
     on_panic: Mutex<Option<Box<BatchCallback>>>,
     /// Completion-callback panics caught and recovered so far.
-    panics: std::sync::atomic::AtomicU64,
+    panics: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -150,93 +220,163 @@ impl ExecutorShared {
         h ^= h >> 27;
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
-        self.lock_ops
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.lock_ops.fetch_add(1, Ordering::Relaxed);
         &self.shards[(h as usize) & self.shard_mask]
     }
 
-    /// Advance one key's coalescer at the current virtual time: seal every
-    /// batch whose seal instant has passed, send each to the worker pool,
-    /// and return the deadline of a flush to arm (if the head batch now
-    /// seals in the future and no earlier flush is armed).
-    ///
-    /// `fired` is the deadline of the flush that triggered this advance,
-    /// used to clear the dedupe marker.
-    fn advance(
+    /// Under the key's shard lock: seal every batch of `state` whose seal
+    /// instant has passed by `now`, count them into the shard's histogram,
+    /// and return them with the deadline of a [`Due::Seal`] to arm (if the
+    /// head batch now seals in the future and no earlier one is armed).
+    fn drain(
         &self,
-        key: Key,
-        fired: Option<Nanos>,
-        run_tx: &mpsc::Sender<CompletedBatch>,
-    ) -> Option<Nanos> {
-        let now = self.clock.now();
-        let (_, runtime_idx, _) = key;
-        let profile = &self.profiles[runtime_idx];
-        let spec = self.policy.spec;
-        let jitter = self.jitter;
-        let sealed;
-        let arm = {
-            let mut guard = self.shard_for(key).lock();
-            // Destructure so the keys and occupancy borrows split: the
-            // histogram updates under the *same* shard lock the seal
-            // already holds (the old layout paid a second, global lock).
-            let ExecShard { keys, occupancy } = &mut *guard;
-            let state = keys.get_mut(&key)?;
-            if fired.is_some() && state.flush_at == fired {
-                state.flush_at = None;
+        state: &mut KeyState,
+        occupancy: &mut Vec<u64>,
+        runtime_idx: usize,
+        now: Nanos,
+    ) -> (Vec<SealedBatch<Job>>, Option<Nanos>) {
+        let runtime = &self.profiles[runtime_idx].runtime;
+        // The batch→latency evaluation shared with the simulator's
+        // cluster: pad to the longest member, jitter keyed off the first
+        // request id, scale by the batch factor.
+        let sealed = state.coalescer.drain_ready(now, &mut |jobs: &[Job], b| {
+            let longest = jobs
+                .iter()
+                .map(|j| j.length)
+                .max()
+                .expect("non-empty batch");
+            let base = runtime.exec_nanos_jittered(longest, self.jitter, jobs[0].request_id);
+            self.policy.spec.exec_ns(base, b, 1.0, 1.0)
+        });
+        for batch in &sealed {
+            let slot = batch.items.len() - 1;
+            if occupancy.len() <= slot {
+                occupancy.resize(slot + 1, 0);
             }
-            // The batch→latency evaluation shared with the simulator's
-            // cluster: pad to the longest member, jitter keyed off the
-            // first request id, scale by the batch factor.
-            sealed = state.coalescer.drain_ready(now, &mut |jobs: &[Job], b| {
-                let longest = jobs
-                    .iter()
-                    .map(|j| j.length)
-                    .max()
-                    .expect("non-empty batch");
-                let base = profile
-                    .runtime
-                    .exec_nanos_jittered(longest, jitter, jobs[0].request_id);
-                spec.exec_ns(base, b, 1.0, 1.0)
-            });
-            let arm = match state.coalescer.next_deadline() {
-                Some(d) if state.flush_at.is_none_or(|f| f > d) => {
-                    state.flush_at = Some(d);
-                    Some(d)
-                }
-                _ => None,
-            };
-            if !sealed.is_empty() {
-                occ_update(occupancy, &sealed);
+            occupancy[slot] += 1;
+        }
+        let arm = match state.coalescer.next_deadline() {
+            Some(d) if state.flush_at.is_none_or(|f| f > d) => {
+                state.flush_at = Some(d);
+                Some(d)
             }
-            arm
+            _ => None,
         };
+        (sealed, arm)
+    }
+
+    /// After the shard lock is released: complete each sealed batch that
+    /// is due now on this thread, park the rest — and the seal deadline
+    /// `arm`, if any — in the heap.
+    fn settle(&self, key: Key, now: Nanos, sealed: Vec<SealedBatch<Job>>, arm: Option<Nanos>) {
         for batch in sealed {
-            let _ = run_tx.send(CompletedBatch {
+            let batch = CompletedBatch {
                 jobs: batch.items,
                 started_at: batch.started_at,
                 finished_at: batch.finished_at,
                 exec_ns: batch.exec_ns,
-            });
+            };
+            if self.clock.is_due(batch.finished_at, now) {
+                self.run_completion(batch);
+            } else {
+                self.park(batch.finished_at, Due::Complete(batch));
+            }
         }
-        arm
+        if let Some(deadline) = arm {
+            self.park(deadline, Due::Seal(key));
+        }
+    }
+
+    /// Push one entry; wake the servicing thread only if it now has to get
+    /// up earlier than it planned.
+    fn park(&self, at: Nanos, due: Due) {
+        let mut timers = self.timers.lock().expect("timer heap poisoned");
+        let undercuts = timers.heap.peek().is_none_or(|head| at < head.at);
+        timers.heap.push(Timer { at, due });
+        drop(timers);
+        if undercuts {
+            self.timer_due.notify_one();
+        }
+    }
+
+    /// A [`Due::Seal`] fired at its deadline `fired`: re-advance the key.
+    fn seal(&self, key: Key, fired: Nanos, now: Nanos) {
+        let (sealed, arm) = {
+            let mut guard = self.shard_for(key).lock();
+            let ExecShard { keys, occupancy } = &mut *guard;
+            let Some(state) = keys.get_mut(&key) else {
+                return; // pruned: the generation is gone and held no work
+            };
+            if state.flush_at == Some(fired) {
+                state.flush_at = None;
+            }
+            self.drain(state, occupancy, key.1, now)
+        };
+        self.settle(key, now, sealed, arm);
+    }
+
+    /// Service the heap on the calling thread: sleep until the earliest
+    /// deadline, fire everything ripe in deadline order, repeat. Returns
+    /// once stopped *and* empty — firing a seal can park new entries, so
+    /// the heap is drained to a fixed point, each entry at its own time.
+    ///
+    /// `ctx` (supervised runs only) carries the heartbeat and any injected
+    /// chaos: the beat sits between wake-ups, where no entry is popped but
+    /// unfired, so an induced panic there loses nothing.
+    fn service(&self, ctx: Option<&SupervisedCtx>) {
+        loop {
+            if let Some(ctx) = ctx {
+                ctx.beat();
+            }
+            let mut timers = self.timers.lock().expect("timer heap poisoned");
+            let wait = loop {
+                let now = self.clock.now();
+                match timers.heap.peek() {
+                    Some(head) if head.ripe(&self.clock, now) => {
+                        let timer = timers.heap.pop().expect("peeked");
+                        drop(timers);
+                        match timer.due {
+                            Due::Complete(batch) => self.run_completion(batch),
+                            Due::Seal(key) => self.seal(key, timer.at, now),
+                        }
+                        timers = self.timers.lock().expect("timer heap poisoned");
+                    }
+                    Some(head) => break Some(self.clock.to_real(head.at - now)),
+                    None if timers.stopping => return,
+                    None => break None,
+                }
+            };
+            if let Some(ctx) = ctx {
+                ctx.park();
+            }
+            // Either wait ends early on a notify; a spurious wake-up just
+            // re-reads the head.
+            match wait {
+                Some(real) => drop(
+                    self.timer_due
+                        .wait_timeout(timers, real)
+                        .expect("timer heap poisoned"),
+                ),
+                None => drop(self.timer_due.wait(timers).expect("timer heap poisoned")),
+            }
+        }
     }
 
     /// Fire the completion callback for one finished batch, surviving a
     /// panicking callback: the panic is caught, counted, and the batch is
     /// handed to the panic handler for failure accounting instead of being
-    /// silently lost. The worker thread then continues with the next batch
-    /// — the pool never shrinks and drain never deadlocks on a poisoned
-    /// worker.
+    /// silently lost. The calling thread — a submitter or the servicing
+    /// thread — then carries on with its next piece of work.
     fn run_completion(&self, batch: CompletedBatch) {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (self.on_done)(batch.clone());
         }));
         if attempt.is_err() {
-            self.panics
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.panics.fetch_add(1, Ordering::SeqCst);
             if let Some(handler) = self.on_panic.lock().as_ref() {
-                // A panicking *recovery* handler would poison the pool the
-                // same way; catch it too and settle for the counter.
+                // A panicking *recovery* handler would take the calling
+                // thread down the same way; catch it too and settle for
+                // the counter.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     handler(batch);
                 }));
@@ -245,121 +385,73 @@ impl ExecutorShared {
     }
 }
 
-/// Bump the batch-size histogram for a round of sealed batches.
-fn occ_update<T>(occ: &mut Vec<u64>, sealed: &[arlo_runtime::batching::SealedBatch<T>]) {
-    for batch in sealed {
-        let slot = batch.items.len() - 1;
-        if occ.len() <= slot {
-            occ.resize(slot + 1, 0);
-        }
-        occ[slot] += 1;
-    }
-}
-
-/// The worker pool. Dropping the executor without calling
-/// [`Executor::shutdown`] detaches the threads; shutdown drains every
-/// pending and scheduled batch and joins the pool.
+/// The executor handle. [`Executor::shutdown`] finishes every pending and
+/// parked batch and joins the servicing thread; dropping the executor
+/// without it detaches that thread.
 pub struct Executor {
     shared: Arc<ExecutorShared>,
-    run_tx: mpsc::Sender<CompletedBatch>,
-    /// The internal flusher thread. `None` when the caller supervises the
-    /// flusher externally via [`Executor::run_flusher`].
+    /// The internal servicing thread. `None` when the caller supervises it
+    /// externally via [`Executor::run_flusher`].
     flusher: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Executor {
-    /// Default coalescer-state shard count: comfortably above the worker
-    /// and dispatch parallelism any current config runs, cheap enough that
+    /// Default coalescer-state shard count: comfortably above the dispatch
+    /// parallelism any current config runs, cheap enough that
     /// merge-at-read stays trivial.
     pub const DEFAULT_SHARDS: usize = 8;
 
-    /// Spawn `workers` threads executing batches against `profiles` under
-    /// the shared virtual clock, coalescing per `policy`. `on_done` runs on
-    /// a worker thread once per sealed batch, after the batch's execution
-    /// time has elapsed. Uses [`Executor::DEFAULT_SHARDS`] state shards;
-    /// sharding is semantics-preserving (a key's lifecycle stays under one
-    /// lock), so callers that don't care never see it.
+    /// An executor running batches against `profiles` under the shared
+    /// virtual clock, coalescing per `policy`, with its own heap-servicing
+    /// thread. `on_done` runs once per sealed batch when the batch's
+    /// completion time is due — on the submitting thread if that is
+    /// already so at seal time, otherwise on the servicing thread.
+    ///
+    /// `_workers` is ignored: there is no worker pool any more. The
+    /// argument stays until the benchmark, which links this signature,
+    /// can be changed in a PR of its own. Uses
+    /// [`Executor::DEFAULT_SHARDS`] state shards; sharding is
+    /// semantics-preserving (a key's lifecycle stays under one lock), so
+    /// callers that don't care never see it.
     pub fn new(
         profiles: Vec<RuntimeProfile>,
-        workers: usize,
+        _workers: usize,
         clock: Arc<VirtualClock>,
         jitter: JitterSpec,
         policy: BatchPolicy,
         on_done: Box<BatchCallback>,
     ) -> Self {
-        Executor::new_sharded(
-            profiles,
-            workers,
-            clock,
-            jitter,
-            policy,
-            Executor::DEFAULT_SHARDS,
-            on_done,
-        )
+        let shards = Executor::DEFAULT_SHARDS;
+        let mut executor =
+            Executor::new_external_flusher(profiles, clock, jitter, policy, shards, on_done);
+        let shared = Arc::clone(&executor.shared);
+        executor.flusher = Some(
+            std::thread::Builder::new()
+                .name("arlo-flusher".into())
+                .spawn(move || shared.service(None))
+                .expect("spawn executor flusher"),
+        );
+        executor
     }
 
-    /// [`Executor::new`] with an explicit coalescer-state shard count
-    /// (min 1, rounded up to a power of two). 1 reproduces the historical
-    /// single-mutex layout — the `ext_hotpath` baseline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_sharded(
-        profiles: Vec<RuntimeProfile>,
-        workers: usize,
-        clock: Arc<VirtualClock>,
-        jitter: JitterSpec,
-        policy: BatchPolicy,
-        shards: usize,
-        on_done: Box<BatchCallback>,
-    ) -> Self {
-        Executor::build(
-            profiles, workers, clock, jitter, policy, shards, on_done, true,
-        )
-    }
-
-    /// [`Executor::new_sharded`] *without* the internal flusher thread: the
-    /// caller owns the flusher by running [`Executor::run_flusher`] on a
-    /// thread it controls — the supervision tree's restartable-flusher
-    /// arrangement. Until `run_flusher` first runs, no flush channel
-    /// exists, so future-sealing batches queue silently in their
-    /// coalescers (the rebuild on `run_flusher` entry recovers them);
-    /// start the flusher before traffic flows.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Executor::new`] *without* the internal servicing thread, and with
+    /// an explicit coalescer-state shard count (min 1, rounded up to a
+    /// power of two; 1 reproduces the historical single-mutex layout — the
+    /// `ext_hotpath` baseline). The caller services the heap by running
+    /// [`Executor::run_flusher`] on a thread it controls — the supervision
+    /// tree's restartable-flusher arrangement. Work that is due later
+    /// simply waits in the heap while no servicer is alive.
     pub fn new_external_flusher(
         profiles: Vec<RuntimeProfile>,
-        workers: usize,
         clock: Arc<VirtualClock>,
         jitter: JitterSpec,
         policy: BatchPolicy,
         shards: usize,
         on_done: Box<BatchCallback>,
     ) -> Self {
-        Executor::build(
-            profiles, workers, clock, jitter, policy, shards, on_done, false,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        profiles: Vec<RuntimeProfile>,
-        workers: usize,
-        clock: Arc<VirtualClock>,
-        jitter: JitterSpec,
-        policy: BatchPolicy,
-        shards: usize,
-        on_done: Box<BatchCallback>,
-        internal_flusher: bool,
-    ) -> Self {
-        assert!(workers >= 1, "need at least one worker");
         assert!(!profiles.is_empty(), "need at least one profile");
         policy.validate();
         let n = shards.max(1).next_power_of_two();
-        let (flush_tx, flush_rx) = if internal_flusher {
-            let (tx, rx) = mpsc::channel::<(Nanos, Key)>();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
         let shared = Arc::new(ExecutorShared {
             clock,
             profiles,
@@ -367,110 +459,71 @@ impl Executor {
             policy,
             shards: (0..n).map(|_| Mutex::new(ExecShard::default())).collect(),
             shard_mask: n - 1,
-            lock_ops: std::sync::atomic::AtomicU64::new(0),
-            flush_tx: Mutex::new(flush_tx),
+            lock_ops: AtomicU64::new(0),
+            timers: std::sync::Mutex::default(),
+            timer_due: Condvar::new(),
             on_done,
             on_panic: Mutex::new(None),
-            panics: std::sync::atomic::AtomicU64::new(0),
-        });
-        let (run_tx, run_rx) = mpsc::channel::<CompletedBatch>();
-        let run_rx = Arc::new(std::sync::Mutex::new(run_rx));
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let run_rx = Arc::clone(&run_rx);
-                std::thread::Builder::new()
-                    .name(format!("arlo-exec-{i}"))
-                    .spawn(move || loop {
-                        // Workers take turns holding the receiver lock while
-                        // blocked; processing happens outside the lock.
-                        let next = run_rx.lock().expect("executor queue lock").recv();
-                        let Ok(batch) = next else { return };
-                        shared.clock.sleep_until(batch.finished_at);
-                        shared.run_completion(batch);
-                    })
-                    .expect("spawn executor worker")
-            })
-            .collect();
-        let flusher = flush_rx.map(|flush_rx| {
-            let shared = Arc::clone(&shared);
-            let run_tx = run_tx.clone();
-            std::thread::Builder::new()
-                .name("arlo-exec-flush".into())
-                .spawn(move || flusher_loop(&shared, &flush_rx, &run_tx, Vec::new(), None))
-                .expect("spawn executor flusher")
+            panics: AtomicU64::new(0),
         });
         Executor {
             shared,
-            run_tx,
-            flusher,
-            workers,
+            flusher: None,
         }
     }
 
-    /// Run the flusher loop on the calling thread — the supervised-flusher
-    /// body (pair with [`Executor::new_external_flusher`]). Installs a
-    /// fresh flush channel (replacing any stale one from a dead
-    /// incarnation) and **rebuilds the deadline heap from live coalescer
-    /// state**: every key whose coalescer holds a pending seal deadline is
-    /// re-armed, so batches whose arm was lost with a panicked flusher —
-    /// or that were submitted while no flusher was alive — still seal and
-    /// complete. Returns when [`Executor::stop_flusher`] disconnects the
-    /// channel and every armed deadline has fired.
+    /// Service the deadline heap on the calling thread — the
+    /// supervised-flusher body (pair with
+    /// [`Executor::new_external_flusher`]). The heap is shared state, not
+    /// this thread's: an incarnation that dies leaves every entry where it
+    /// was and the next call carries on from there, including entries
+    /// parked while no servicer was alive. Returns when
+    /// [`Executor::stop_flusher`] has been called and every entry has
+    /// fired.
     pub fn run_flusher(&self, ctx: Option<&SupervisedCtx>) {
-        let (tx, rx) = mpsc::channel::<(Nanos, Key)>();
-        *self.shared.flush_tx.lock() = Some(tx);
-        let mut seeds: Vec<(Nanos, Key)> = Vec::new();
-        for shard in self.shared.shards.iter() {
-            let mut shard = shard.lock();
-            for (key, state) in shard.keys.iter_mut() {
-                match state.coalescer.next_deadline() {
-                    Some(d) => {
-                        state.flush_at = Some(d);
-                        seeds.push((d, *key));
-                    }
-                    None => state.flush_at = None,
-                }
-            }
-        }
-        flusher_loop(&self.shared, &rx, &self.run_tx, seeds, ctx);
+        self.shared.service(ctx);
     }
 
-    /// Disconnect the external flusher's channel; [`Executor::run_flusher`]
-    /// drains its armed deadlines and returns. Part of the supervised
-    /// drain sequence (the internal-flusher arrangement does this inside
-    /// [`Executor::shutdown`]).
+    /// Tell the servicing thread to finish: it fires what the heap still
+    /// holds, each entry at its own deadline, and returns. Part of the
+    /// supervised drain sequence ([`Executor::shutdown`] does this itself).
     pub fn stop_flusher(&self) {
-        *self.shared.flush_tx.lock() = None;
+        self.shared
+            .timers
+            .lock()
+            .expect("timer heap poisoned")
+            .stopping = true;
+        self.shared.timer_due.notify_all();
     }
 
     /// Submit a job: queue it on its instance's coalescer and seal whatever
-    /// batches the policy allows right now. A batch that must wait (for
-    /// co-batchable arrivals or for the instance to free) is armed on the
-    /// flusher thread instead.
+    /// batches the policy allows right now — one shard-lock acquisition and
+    /// one clock reading. A sealed batch that is already due completes on
+    /// this thread before `submit` returns; one that finishes later, and a
+    /// batch that must still wait to seal (for co-batchable arrivals or for
+    /// the instance to free), is parked in the deadline heap.
     pub fn submit(&self, job: Job) {
+        let shared = &*self.shared;
         let p = job.placement;
         let key = (p.generation, p.runtime_idx, p.instance_idx);
-        {
-            let mut shard = self.shared.shard_for(key).lock();
-            let state = shard.keys.entry(key).or_insert_with(|| KeyState {
-                coalescer: Coalescer::new(self.shared.policy),
+        let now = shared.clock.now();
+        let (sealed, arm) = {
+            let mut guard = shared.shard_for(key).lock();
+            let ExecShard { keys, occupancy } = &mut *guard;
+            let state = keys.entry(key).or_insert_with(|| KeyState {
+                coalescer: Coalescer::new(shared.policy),
                 flush_at: None,
             });
-            let arrival = job.submitted_at.max(self.shared.clock.now());
-            state.coalescer.push(arrival, job);
-        }
-        if let Some(due) = self.shared.advance(key, None, &self.run_tx) {
-            if let Some(tx) = self.shared.flush_tx.lock().as_ref() {
-                let _ = tx.send((due, key));
-            }
-        }
+            state.coalescer.push(job.submitted_at.max(now), job);
+            shared.drain(state, occupancy, p.runtime_idx, now)
+        };
+        shared.settle(key, now, sealed, arm);
     }
 
     /// Drop the coalescer state of every generation before `generation` —
     /// the old fleet no longer exists after a reallocation. In-flight
     /// batches keep their already-assigned completion times; a superseded
-    /// key still holding unsealed jobs survives until its flush drains it,
+    /// key still holding unsealed jobs survives until its seal drains it,
     /// so pruning never loses work.
     pub fn prune_before(&self, generation: u64) {
         for shard in self.shared.shards.iter() {
@@ -482,12 +535,12 @@ impl Executor {
     }
 
     /// Install the panic-recovery handler: when the completion callback
-    /// panics on a worker, the caught batch is handed here so the embedder
-    /// can account every member as failed (report it into the engine,
-    /// answer the clients) instead of silently losing the batch. The
-    /// worker itself survives — it catches the panic, recovers, and keeps
-    /// draining the queue, so the pool never shrinks and a drain never
-    /// deadlocks on a poisoned worker.
+    /// panics, the caught batch is handed here so the embedder can account
+    /// every member as failed (report it into the engine, answer the
+    /// clients) instead of silently losing the batch. The thread that ran
+    /// the callback survives — it catches the panic, recovers, and carries
+    /// on, so neither a dispatch worker nor the servicing thread is lost
+    /// to a poisoned callback and a drain never deadlocks on one.
     ///
     /// Install before traffic flows; a panic with no handler installed is
     /// still caught and counted, but the batch is not re-accounted.
@@ -497,7 +550,7 @@ impl Executor {
 
     /// Completion-callback panics caught (and recovered from) so far.
     pub fn panics_recovered(&self) -> u64 {
-        self.shared.panics.load(std::sync::atomic::Ordering::SeqCst)
+        self.shared.panics.load(Ordering::SeqCst)
     }
 
     /// Number of distinct instance coalescers currently tracked (tests and
@@ -527,103 +580,24 @@ impl Executor {
         self.shared.shard_mask + 1
     }
 
-    /// Shard-lock acquisitions on the submit/advance hot path so far.
+    /// Shard-lock acquisitions on the submit/seal hot path so far.
     pub fn lock_ops(&self) -> u64 {
-        self.shared
-            .lock_ops
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.shared.lock_ops.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting jobs, flush every open batch at its deadline, finish
-    /// everything scheduled, and join all threads. Returns the final
-    /// batch-occupancy histogram.
-    pub fn shutdown(self) -> Vec<u64> {
-        // Disconnect the flusher's queue; it drains its armed deadlines
-        // (sleeping each out on the virtual clock) and exits, dropping its
-        // clone of the run sender. An externally-run flusher has already
-        // been stopped and joined by its supervisor at this point.
-        *self.shared.flush_tx.lock() = None;
-        if let Some(flusher) = self.flusher {
+    /// Stop accepting jobs, seal every open batch at its deadline, fire
+    /// every completion still parked in the heap, and join the servicing
+    /// thread. Returns the final batch-occupancy histogram.
+    pub fn shutdown(mut self) -> Vec<u64> {
+        self.stop_flusher();
+        if let Some(flusher) = self.flusher.take() {
             flusher.join().expect("executor flusher panicked");
         }
-        drop(self.run_tx);
-        for handle in self.workers {
-            handle.join().expect("executor worker panicked");
-        }
-        let mut merged: Vec<u64> = Vec::new();
-        for shard in self.shared.shards.iter() {
-            let shard = shard.lock();
-            if shard.occupancy.len() > merged.len() {
-                merged.resize(shard.occupancy.len(), 0);
-            }
-            for (slot, count) in merged.iter_mut().zip(&shard.occupancy) {
-                *slot += count;
-            }
-        }
-        merged
-    }
-}
-
-/// The flusher thread: a min-heap of `(deadline, key)` wake-ups. Sleeps on
-/// the virtual clock until the earliest armed deadline, then re-advances
-/// that key's coalescer (which may seal batches and/or arm the next
-/// deadline). Exits once the executor disconnects the queue and every
-/// armed deadline has fired.
-///
-/// `seeds` pre-loads the heap — the supervised restart path's rebuilt
-/// deadlines. `ctx` (supervised runs only) carries the heartbeat and any
-/// injected chaos: beats land at loop-iteration boundaries, where an
-/// induced panic loses only the heap (rebuilt on restart from coalescer
-/// state), never a half-advanced key.
-fn flusher_loop(
-    shared: &ExecutorShared,
-    rx: &mpsc::Receiver<(Nanos, Key)>,
-    run_tx: &mpsc::Sender<CompletedBatch>,
-    seeds: Vec<(Nanos, Key)>,
-    ctx: Option<&SupervisedCtx>,
-) {
-    let mut heap: BinaryHeap<Reverse<(Nanos, Key)>> = seeds.into_iter().map(Reverse).collect();
-    let mut disconnected = false;
-    loop {
-        if let Some(ctx) = ctx {
-            ctx.beat();
-        }
-        while let Some(&Reverse((due, key))) = heap.peek() {
-            if shared.clock.now() < due {
-                break;
-            }
-            heap.pop();
-            if let Some(next) = shared.advance(key, Some(due), run_tx) {
-                heap.push(Reverse((next, key)));
-            }
-        }
-        if disconnected && heap.is_empty() {
-            return;
-        }
-        let wait = match heap.peek() {
-            Some(&Reverse((due, _))) => shared
-                .clock
-                .to_real(due.saturating_sub(shared.clock.now()))
-                .clamp(Duration::from_micros(100), Duration::from_millis(5)),
-            None => Duration::from_millis(5),
-        };
-        if let Some(ctx) = ctx {
-            ctx.park();
-        }
-        if disconnected {
-            std::thread::sleep(wait);
-            continue;
-        }
-        match rx.recv_timeout(wait) {
-            Ok(item) => {
-                heap.push(Reverse(item));
-                while let Ok(more) = rx.try_recv() {
-                    heap.push(Reverse(more));
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => disconnected = true,
-        }
+        // An externally-run servicer has been stopped and joined by its
+        // supervisor by now — or died for good, or never ran. Whatever it
+        // left in the heap fires here; an empty heap returns at once.
+        self.shared.service(None);
+        self.batch_occupancy()
     }
 }
 
@@ -634,6 +608,7 @@ mod tests {
     use arlo_runtime::latency::CompiledRuntime;
     use arlo_runtime::models::ModelSpec;
     use arlo_runtime::profile::profile_runtimes;
+    use std::time::{Duration, Instant};
 
     fn profiles() -> Vec<RuntimeProfile> {
         let model = ModelSpec::bert_base();
@@ -827,9 +802,8 @@ mod tests {
         let clock = Arc::new(VirtualClock::new(10_000));
         let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&done);
-        let exec = Executor::new_sharded(
+        let exec = Executor::new_external_flusher(
             profiles(),
-            2,
             Arc::clone(&clock),
             JitterSpec::NONE,
             BatchPolicy::greedy(BatchSpec::SINGLE),
@@ -882,9 +856,9 @@ mod tests {
         }
         // Wait for all 30 completions (20 normal + 10 recovered) before
         // shutdown consumes the executor, so the counter read is final.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while done.lock().len() + failed.lock().len() < 30 {
-            assert!(std::time::Instant::now() < deadline, "completions stalled");
+            assert!(Instant::now() < deadline, "completions stalled");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(
@@ -902,12 +876,12 @@ mod tests {
     }
 
     #[test]
-    fn external_flusher_rebuilds_deadlines_after_a_dead_window() {
-        // The supervised-restart scenario: jobs land while *no* flusher is
-        // alive (the previous incarnation is dead, the next not yet
-        // spawned). Their held-open batch cannot seal until a flusher
-        // exists — and the restarted flusher must recover the deadline
-        // from live coalescer state, not from the lost heap.
+    fn heap_entries_parked_in_a_dead_window_fire_on_the_next_servicer() {
+        // The supervised-restart scenario: jobs land while *no* servicer
+        // is alive (the previous incarnation is dead, the next not yet
+        // spawned). Their held-open batch cannot seal until one exists —
+        // and the next one must find the deadline where it was parked, in
+        // the shared heap.
         let spec = BatchSpec {
             max_batch: 8,
             marginal_cost: 0.5,
@@ -916,7 +890,7 @@ mod tests {
             spec,
             // 20 virtual s at 10_000× = 2 ms real: in the future when the
             // submits land (no eager seal on the submit path), overdue by
-            // the time the restarted flusher rebuilds.
+            // the time the servicer starts.
             max_wait_ns: 20_000_000_000,
         };
         let clock = Arc::new(VirtualClock::new(10_000));
@@ -924,7 +898,6 @@ mod tests {
         let sink = Arc::clone(&done);
         let exec = Arc::new(Executor::new_external_flusher(
             profiles(),
-            2,
             Arc::clone(&clock),
             JitterSpec::NONE,
             policy,
@@ -935,27 +908,153 @@ mod tests {
         exec.submit(job(0, 0, 0, t0));
         exec.submit(job(1, 0, 0, t0));
         // 20 ms real at 10_000× is 200 virtual s, far past the 20
-        // virtual-s window: the batch is overdue, but with no flusher
+        // virtual-s window: the batch is overdue, but with no servicer
         // nothing fires it.
         std::thread::sleep(Duration::from_millis(20));
-        assert!(done.lock().is_empty(), "no flusher alive, nothing seals");
+        assert!(done.lock().is_empty(), "no servicer alive, nothing seals");
         let flusher = {
             let exec = Arc::clone(&exec);
             std::thread::spawn(move || exec.run_flusher(None))
         };
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         while done.lock().iter().map(|b| b.jobs.len()).sum::<usize>() < 2 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "rebuild lost the overdue batch"
-            );
+            assert!(Instant::now() < deadline, "the overdue batch was lost");
             std::thread::sleep(Duration::from_millis(1));
         }
         exec.stop_flusher();
         flusher.join().unwrap();
         let exec = Arc::try_unwrap(exec).ok().expect("flusher joined");
         exec.shutdown();
-        assert_eq!(done.lock().len(), 1, "both jobs share the rebuilt batch");
+        assert_eq!(done.lock().len(), 1, "both jobs share the parked batch");
+    }
+
+    /// A short runtime next to one slow enough (Dolly, 38.7 ms per
+    /// execution) that at time scale 1 its batches really sleep.
+    fn short_and_long_profiles() -> Vec<RuntimeProfile> {
+        let rts = vec![
+            CompiledRuntime::new_static(ModelSpec::bert_base(), 64),
+            CompiledRuntime::new_static(ModelSpec::dolly(), 512),
+        ];
+        profile_runtimes(&rts, 150.0, 64)
+    }
+
+    #[test]
+    fn a_short_batch_is_not_stuck_behind_long_ones() {
+        // Head-of-line regression. The old pool slept one batch per worker
+        // thread: 12 long batches occupied all 8 workers (and 4 queue
+        // slots), and a short batch due first waited ~38 ms behind them.
+        // The heap fires completions in deadline order on one thread.
+        let clock = Arc::new(VirtualClock::new(1));
+        // (request id, real lag behind finished_at in ns), callback order.
+        let fired: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let exec = {
+            let (clock, fired) = (Arc::clone(&clock), Arc::clone(&fired));
+            Executor::new(
+                short_and_long_profiles(),
+                8,
+                Arc::clone(&clock),
+                JitterSpec::NONE,
+                BatchPolicy::greedy(BatchSpec::SINGLE),
+                Box::new(move |b: CompletedBatch| {
+                    let lag = clock.now().saturating_sub(b.finished_at);
+                    fired.lock().push((b.jobs[0].request_id, lag));
+                }),
+            )
+        };
+        let t0 = clock.now();
+        for inst in 0..12 {
+            exec.submit(job(inst as u64, 1, inst, t0));
+        }
+        const SHORT: u64 = 99;
+        exec.submit(job(SHORT, 0, 12, t0));
+        exec.shutdown();
+        let fired = fired.lock();
+        assert_eq!(fired.len(), 13, "every batch completed: {fired:?}");
+        let (first, lag) = fired[0];
+        assert_eq!(first, SHORT, "a long batch fired first: {fired:?}");
+        assert!(
+            lag < 10_000_000,
+            "short batch fired {lag} ns after its finished_at"
+        );
+    }
+
+    #[test]
+    fn a_due_now_batch_completes_on_the_submitting_thread() {
+        // At 10_000× a 1.1 virtual-ms execution spans 113 real ns: due now
+        // by the 100 µs rule, so no thread hop — the callback has run, on
+        // this thread, by the time submit returns.
+        let clock = Arc::new(VirtualClock::new(10_000));
+        let done: Arc<Mutex<Vec<(std::thread::ThreadId, CompletedBatch)>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&done);
+        let exec = Executor::new(
+            profiles(),
+            8,
+            Arc::clone(&clock),
+            JitterSpec::NONE,
+            BatchPolicy::greedy(BatchSpec::SINGLE),
+            Box::new(move |b| sink.lock().push((std::thread::current().id(), b))),
+        );
+        let before = clock.now();
+        exec.submit(job(7, 0, 0, before));
+        let after = clock.now();
+        {
+            let done = done.lock();
+            assert_eq!(done.len(), 1, "completed before submit returned");
+            let (thread, batch) = &done[0];
+            assert_eq!(*thread, std::thread::current().id());
+            // The schedule is the busy-until model's, untouched: an idle
+            // instance starts the job at its arrival (the submit's clock
+            // reading) and charges one profiled execution.
+            let exec_ns = profiles()[0]
+                .runtime
+                .exec_nanos_jittered(32, JitterSpec::NONE, 7);
+            assert!((before..=after).contains(&batch.started_at), "{batch:?}");
+            assert_eq!(batch.exec_ns, exec_ns);
+            assert_eq!(batch.finished_at, batch.started_at + exec_ns);
+        }
+        exec.shutdown();
+    }
+
+    #[test]
+    fn shutdown_fires_every_parked_entry() {
+        // No servicing thread ever runs here (external arrangement, never
+        // started), so everything that is due later sits in the heap:
+        // six completions ~39 ms out, plus on instance 0 a second job
+        // whose *seal* waits for the first to finish. shutdown() alone
+        // must fire them all, the chained seal → completion included.
+        let clock = Arc::new(VirtualClock::new(1));
+        let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
+        let exec = {
+            let sink = Arc::clone(&done);
+            Executor::new_external_flusher(
+                short_and_long_profiles(),
+                Arc::clone(&clock),
+                JitterSpec::NONE,
+                BatchPolicy::greedy(BatchSpec::SINGLE),
+                4,
+                Box::new(move |b| sink.lock().push(b)),
+            )
+        };
+        let t0 = clock.now();
+        for inst in 0..6 {
+            exec.submit(job(inst as u64, 1, inst, t0));
+        }
+        exec.submit(job(6, 1, 0, t0));
+        assert!(done.lock().is_empty(), "nothing is due yet");
+        exec.shutdown();
+        let finished_real = clock.now();
+        let done = done.lock();
+        let mut ids: Vec<u64> = done.iter().map(|b| b.jobs[0].request_id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..7).collect::<Vec<u64>>(), "none dropped");
+        // Fired at their deadlines, not flushed early: shutdown returned
+        // no sooner than the last completion was due.
+        let last = done.iter().map(|b| b.finished_at).max().expect("seven");
+        assert!(clock.is_due(last, finished_real), "shutdown returned early");
+        let chained = done.iter().find(|b| b.jobs[0].request_id == 6).unwrap();
+        let first = done.iter().find(|b| b.jobs[0].request_id == 0).unwrap();
+        assert_eq!(chained.started_at, first.finished_at);
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   sockets.
 //! - [`clock`] — the [`clock::VirtualClock`] that anchors the engine's
 //!   monotonic nanoseconds and scales them for accelerated runs.
-//! - [`executor`] — a worker pool that charges each placed request its
-//!   profiled execution cost on a per-instance serial clock, then reports
-//!   completion through the engine's health hooks.
+//! - [`executor`] — charges each placed request its profiled execution
+//!   cost on a per-instance serial clock and reports completion through
+//!   the engine's health hooks: inline when the completion is already
+//!   due, otherwise from one deadline heap serviced by one thread.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
 //!   over [`std::os::fd`], the readiness substrate for the event-loop
 //!   front door (and the high-connection-count load generator).

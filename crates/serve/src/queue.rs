@@ -9,7 +9,9 @@
 //! `Mutex<VecDeque>` + `Condvar`:
 //!
 //! - **Many consumers.** Any number of dispatch workers block in
-//!   [`BoundedQueue::pop_many`]; each push wakes one. This is what lets a
+//!   [`BoundedQueue::pop_many`]; a push wakes one if any is parked (the
+//!   queue counts them, so a push to a busy plane costs no
+//!   `futex_wake`). This is what lets a
 //!   tenant's dispatch plane scale from one thread to M without changing
 //!   the producer side at all.
 //! - **Shutdown is an event, not a poll.** [`BoundedQueue::close`] wakes
@@ -47,6 +49,10 @@ pub enum PushError {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers parked in [`BoundedQueue::pop_many`]'s condvar wait. A
+    /// std `notify_one` is a syscall even with nobody waiting; counting
+    /// the waiters under the mutex lets producers skip it.
+    parked: usize,
 }
 
 /// A bounded MPMC queue of `T`. See the module docs for the contract.
@@ -71,6 +77,7 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
@@ -83,9 +90,9 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueue without blocking: `Err(Full)` at capacity (caller sheds),
     /// `Err(Closed)` after [`BoundedQueue::close`]. A successful push wakes
-    /// one blocked consumer.
+    /// one blocked consumer, if there is one.
     pub fn try_push(&self, item: T) -> Result<(), PushError> {
-        let depth = {
+        let (depth, wake) = {
             let mut inner = self.inner.lock().expect("dispatch queue poisoned");
             if inner.closed {
                 return Err(PushError::Closed);
@@ -96,9 +103,11 @@ impl<T> BoundedQueue<T> {
                 return Err(PushError::Full);
             }
             inner.items.push_back(item);
-            inner.items.len() as u64
+            (inner.items.len() as u64, inner.parked > 0)
         };
-        self.available.notify_one();
+        if wake {
+            self.available.notify_one();
+        }
         self.depth_high_water.fetch_max(depth, Ordering::Relaxed);
         Ok(())
     }
@@ -118,11 +127,11 @@ impl<T> BoundedQueue<T> {
             if !inner.items.is_empty() {
                 let n = inner.items.len().min(max);
                 out.extend(inner.items.drain(..n));
-                let more = !inner.items.is_empty();
+                let chain = !inner.items.is_empty() && inner.parked > 0;
                 drop(inner);
-                if more {
+                if chain {
                     // We were capped below the backlog: hand the rest to
-                    // another consumer rather than waiting for a fresh
+                    // a parked consumer rather than waiting for a fresh
                     // push's notify.
                     self.available.notify_one();
                 }
@@ -130,7 +139,9 @@ impl<T> BoundedQueue<T> {
                 self.pop_items.fetch_add(n as u64, Ordering::Relaxed);
                 return n;
             }
+            inner.parked += 1;
             inner = self.available.wait(inner).expect("dispatch queue poisoned");
+            inner.parked -= 1;
         }
     }
 

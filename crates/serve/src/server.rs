@@ -7,19 +7,20 @@
 //! **Threaded** (the historical plane; one box per OS thread kind):
 //!
 //! ```text
-//!   clients ──TCP──► reader (1/conn) ──bounded MPSC──► dispatch ──► executor pool
+//!   clients ──TCP──► reader (1/conn) ──bounded MPSC──► dispatch ──► executor
 //!                        │                                │              │
-//!                        │ shed/drain errors              │ engine.submit│ sleeps exec,
-//!                        ▼                                ▼              ▼ reports health,
+//!                        │ shed/drain errors              │ engine.submit│ due now: completes
+//!                        ▼                                ▼              ▼ inline; else heap
 //!        writer (1/conn) ◄── bounded outbound queue ◄── responses ◄── completion
 //!
 //!   acceptor: accepts connections (admission-limited), spawns reader+writer
+//!   flusher:  services the executor's deadline heap (future seals + completions)
 //!   timer:    engine.health_tick + maybe_reallocate/apply_allocation,
 //!             joins finished connection threads
 //! ```
 //!
 //! **Epoll** ([`FrontDoor::Epoll`]; see `DESIGN.md` §12): the same
-//! acceptor/dispatch/executor/timer threads, but connections live as
+//! acceptor/dispatch/flusher/timer threads, but connections live as
 //! *non-blocking state machines* on `N` sharded event-loop threads —
 //! two OS threads per **shard** instead of two per **connection**, which
 //! is what makes 10k+ concurrent connections a configuration rather than
@@ -76,11 +77,11 @@
 //!   seeded fault schedules the client-side chaos harness uses.
 //! - The acceptor enforces `max_conns`: beyond it, a new connection is
 //!   answered with a single [`ErrorCode::Shed`] frame and closed.
-//! - A panicking executor completion callback is caught by the worker; the
-//!   in-flight batch is re-accounted as failed through
+//! - A panicking executor completion callback is caught on the thread that
+//!   ran it; the in-flight batch is re-accounted as failed through
 //!   [`ArloEngine::report_batch`] and every member's client is answered
 //!   with [`ErrorCode::Failed`], so drain can never deadlock on a poisoned
-//!   pool.
+//!   callback.
 //!
 //! Graceful drain stops the acceptor, refuses new submits with
 //! [`ErrorCode::Draining`], flushes every outstanding execution *and*
@@ -184,8 +185,6 @@ impl FrontDoor {
 pub struct ServeConfig {
     /// GPUs handed to the Runtime Scheduler at every decision.
     pub gpus: u32,
-    /// Executor worker threads (concurrent sleeping executions).
-    pub workers: usize,
     /// Virtual-time speed-up; 1 for production, 50–200 for tests/benches.
     pub time_scale: u32,
     /// Bound of the reader → dispatch channel; overflow sheds.
@@ -301,7 +300,6 @@ impl ServeConfig {
     pub fn new(gpus: u32) -> Self {
         ServeConfig {
             gpus,
-            workers: 8,
             time_scale: 1,
             queue_capacity: 4096,
             tick_interval: arlo_trace::NANOS_PER_SEC / 5,
@@ -828,8 +826,8 @@ impl Shared {
     /// blocks: a vanished connection drops the frame, and a *full* queue —
     /// a client that stopped reading while responses kept coming — dooms
     /// the connection (typed disconnect) instead of stalling the caller.
-    /// This is the only way frames reach sockets, so neither dispatch
-    /// workers nor executor workers can ever block on a slow client.
+    /// This is the only way frames reach sockets, so neither a dispatch
+    /// worker nor an executor's flusher can ever block on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
     /// clone the route's cheap ends (a channel sender, two `Arc`s); the
@@ -962,7 +960,7 @@ pub struct Server {
     /// Epoll plane only: one handle per shard (empty on the threaded
     /// plane).
     shard_handles: Vec<Arc<ShardHandle>>,
-    /// One executor pool per tenant (its own per-instance clocks).
+    /// One executor per tenant (its own per-instance clocks).
     executors: Vec<Arc<Executor>>,
 }
 
@@ -982,7 +980,7 @@ impl Server {
     }
 
     /// Bind `addr` and spawn a multi-tenant server: one engine, dispatch
-    /// queue, and executor pool per tenant (wire tenant id = position in
+    /// queue, and executor per tenant (wire tenant id = position in
     /// `tenants`; index 0 is the default tenant v1 connections address),
     /// plus the live coordinator thread that periodically re-partitions
     /// `config.gpus` across the tenant engines from their streaming
@@ -1110,13 +1108,13 @@ impl Server {
             });
         }
 
-        // One executor pool per tenant. A panicking completion callback
-        // must not lose its batch: the worker catches the panic and the
+        // One executor per tenant. A panicking completion callback must
+        // not lose its batch: the executor catches the panic and the
         // handler re-accounts every member as failed (engine report +
-        // typed client error). The deadline flusher runs as a supervised
-        // component (`flusher-{i}`): a restarted incarnation rebuilds its
-        // deadline heap from the live coalescer state, so armed batch
-        // windows survive a flusher death.
+        // typed client error). The deadline heap is serviced by a
+        // supervised component (`flusher-{i}`); the heap itself lives in
+        // the executor, so armed batch windows and parked completions
+        // survive a flusher death and the restarted incarnation fires them.
         let mut executors = Vec::with_capacity(shared.tenants.len());
         for (idx, tenant) in shared.tenants.iter().enumerate() {
             let on_done = {
@@ -1125,7 +1123,6 @@ impl Server {
             };
             let executor = Arc::new(Executor::new_external_flusher(
                 tenant.engine.profiles().to_vec(),
-                config.workers,
                 Arc::clone(&clock),
                 config.jitter,
                 config.batch,
@@ -1489,8 +1486,8 @@ impl Server {
         for handle in &self.shard_handles {
             handle.waker.wake();
         }
-        // Stop the monitor before tearing down flusher channels: a respawn
-        // scheduled moments ago must not re-attach to state mid-teardown.
+        // Stop the monitor before stopping the flushers: a respawn
+        // scheduled moments ago must not start servicing mid-teardown.
         self.supervisor.begin_shutdown();
         for executor in &self.executors {
             executor.stop_flusher();
@@ -1498,8 +1495,9 @@ impl Server {
         // Join every component — acceptor, timer, coordinator, dispatch
         // workers, shards (which close their owned connections, balancing
         // the flush counter for anything undeliverable, on the way out),
-        // and flushers — then drop their body closures, releasing the
-        // executor and shared-state clones they captured.
+        // and flushers (each fires what its heap still holds first) — then
+        // drop their body closures, releasing the executor and
+        // shared-state clones they captured.
         self.supervisor.shutdown_join();
         let mut panics_recovered = 0;
         for executor in self.executors {
@@ -1507,6 +1505,7 @@ impl Server {
                 .ok()
                 .expect("supervised components joined; executor has one owner");
             panics_recovered += executor.panics_recovered();
+            // Fires whatever a flusher that died for good left in its heap.
             let _occupancy = executor.shutdown();
         }
 
@@ -1717,7 +1716,9 @@ fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
 struct BurstGuard<'a> {
     shared: &'a Shared,
     tenant_id: u32,
-    msgs: Vec<DispatchMsg>,
+    /// The worker's burst buffer, on loan for one wake-up; handed back
+    /// empty when the guard drops.
+    msgs: &'a mut Vec<DispatchMsg>,
     /// Index of the first message not yet fully processed.
     next: usize,
 }
@@ -1728,6 +1729,7 @@ impl Drop for BurstGuard<'_> {
             let DispatchMsg::Submit { conn_id, id, .. } = *msg;
             fail_admitted(self.shared, self.tenant_id, conn_id, id);
         }
+        self.msgs.clear();
     }
 }
 
@@ -1740,8 +1742,9 @@ impl Drop for BurstGuard<'_> {
 /// re-accounts whatever a dying incarnation had popped but not placed.
 fn dispatch_loop(shared: &Shared, tenant_id: u32, executor: &Executor, ctx: &SupervisedCtx) {
     let tenant = &shared.tenants[tenant_id as usize];
+    // One burst buffer per worker, not one allocation per wake-up.
+    let mut burst: Vec<DispatchMsg> = Vec::with_capacity(DISPATCH_BURST);
     loop {
-        let mut burst: Vec<DispatchMsg> = Vec::with_capacity(DISPATCH_BURST);
         ctx.park();
         if tenant.dispatch.pop_many(&mut burst, DISPATCH_BURST) == 0 {
             return; // closed: shutdown observed as an event
@@ -1749,7 +1752,7 @@ fn dispatch_loop(shared: &Shared, tenant_id: u32, executor: &Executor, ctx: &Sup
         let mut guard = BurstGuard {
             shared,
             tenant_id,
-            msgs: burst,
+            msgs: &mut burst,
             next: 0,
         };
         // The beat is also the chaos injection point: an induced panic

@@ -24,9 +24,9 @@
 //!   workers, flusher, timer, coordinator) respawns a panicked component
 //!   after a backoff, up to a budget; the caller's body closure
 //!   re-attaches to surviving state (workers re-subscribe to the
-//!   [`crate::queue::BoundedQueue`], a restarted flusher rebuilds its
-//!   deadline heap from live coalescer state, a restarted timer resumes
-//!   health ticks). [`RestartPolicy::Escalate`] (the acceptor, epoll shard
+//!   [`crate::queue::BoundedQueue`], a restarted flusher carries on
+//!   servicing the executor's surviving deadline heap, a restarted timer
+//!   resumes health ticks). [`RestartPolicy::Escalate`] (the acceptor, epoll shard
 //!   loops) and budget exhaustion instead trigger the **escalation hook**
 //!   exactly once — the server installs a fail-fast tenant drain there, so
 //!   an unrecoverable component failure ends in a clean, conserving drain

@@ -2,7 +2,7 @@
 //!
 //! The big test drives 10k+ requests from four open-loop clients through
 //! the full stack — wire protocol, reader threads, bounded dispatch,
-//! executor pool, engine health hooks, the timer-driven Runtime Scheduler
+//! executor, engine health hooks, the timer-driven Runtime Scheduler
 //! — at 100× virtual time, then drains. It asserts the properties the
 //! stack exists to provide: every request answered exactly once, at least
 //! one reallocation applied mid-run, and a clean drain with nothing

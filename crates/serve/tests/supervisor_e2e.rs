@@ -310,11 +310,12 @@ fn epoll_shard_panic_escalates_and_drains_clean() {
     assert_server_conserves(&drain);
 }
 
-/// The flusher panics while batches are held open for stragglers: the
-/// restarted incarnation rebuilds its deadline heap from live coalescer
-/// state, so every held batch still seals and every answer still arrives.
+/// The flusher panics while batches are held open for stragglers: their
+/// seal deadlines sit in the executor's heap, not in the dead thread, so
+/// the restarted incarnation seals every held batch and every answer
+/// still arrives.
 #[test]
-fn flusher_restart_rebuilds_deadlines_and_loses_nothing() {
+fn flusher_restart_keeps_seal_deadlines_and_loses_nothing() {
     let cfg = ServeConfig {
         // A real coalescing window so the flusher owns live deadlines:
         // 50 virtual ms at 100× is 0.5 ms real.
@@ -348,6 +349,85 @@ fn flusher_restart_rebuilds_deadlines_and_loses_nothing() {
         "{events:?}"
     );
     assert_server_conserves(&server.drain());
+}
+
+/// Both connection planes, whatever `ARLO_FRONT_DOOR` says.
+const FRONT_DOORS: [FrontDoor; 2] = [FrontDoor::Threaded, FrontDoor::Epoll { shards: 2 }];
+
+/// The flusher dies while *completions* are parked in the executor's
+/// deadline heap. At 10× a 4.86 virtual-ms execution spans 486 µs of real
+/// time — past the 100 µs "due now" rule — so no batch completes inline:
+/// every answer of this run sits in the heap until the flusher fires it,
+/// and the closed loop stalls the moment one is lost. The heap outlives
+/// the thread, so each restarted incarnation fires what its predecessor
+/// left and every request is answered `Ok`.
+#[test]
+fn flusher_panic_with_parked_completions_loses_nothing() {
+    for door in FRONT_DOORS {
+        let cfg = config(4, 10)
+            .with_front_door(door)
+            .with_component_chaos(ComponentChaos::panics("flusher", 5, 47));
+        let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+
+        let mut rng = StdRng::seed_from_u64(53);
+        let trace = TraceSpec::twitter_stable(400.0, 6.0).generate(&mut rng);
+        let report =
+            replay(server.local_addr(), &trace, &LoadGenConfig::closed(4, 8)).expect("replay");
+        assert_eq!(report.sent, trace.len() as u64);
+        assert_eq!(report.lost, 0, "{door:?}: heap entry lost: {report:?}");
+        assert_eq!(report.accounted(), report.sent, "{door:?}: {report:?}");
+        assert_eq!(
+            report.ok, report.sent,
+            "{door:?}: a flusher death must not fail parked work: {report:?}"
+        );
+
+        assert!(
+            server.supervisor_restarts() >= 1,
+            "{door:?}: flusher never died"
+        );
+        let drain = server.drain();
+        assert_server_conserves(&drain);
+        assert_eq!(drain.served, report.sent, "{door:?}: {drain:?}");
+    }
+}
+
+/// `Server::drain` with completions still parked in the heap: at time
+/// scale 1, 100 requests queue 25 deep on 4 instances — ~120 ms of real
+/// execution ahead of them when drain begins. Drain waits the heap out;
+/// every admitted request is answered `Ok`, none `Draining` or `Failed`.
+#[test]
+fn drain_answers_parked_completions_ok() {
+    const N: u64 = 100;
+    for door in FRONT_DOORS {
+        let cfg = config(4, 1).with_front_door(door);
+        let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for id in 0..N {
+            Frame::Submit {
+                id,
+                length: 64,
+                tenant: 0,
+            }
+            .write_to(&mut conn)
+            .expect("submit");
+        }
+        wait_for("every submit to be admitted", || {
+            server.tenant_stats()[0].submits == N
+        });
+        let reader = std::thread::spawn(move || {
+            (0..N)
+                .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
+                .filter(|f| matches!(f, Frame::Response { .. }))
+                .count() as u64
+        });
+        let drain = server.drain();
+        assert_eq!(reader.join().unwrap(), N, "{door:?}: non-Ok answers");
+        assert_server_conserves(&drain);
+        assert_eq!(drain.served, N, "{door:?}: {drain:?}");
+        assert_eq!(drain.failed + drain.shed, 0, "{door:?}: {drain:?}");
+    }
 }
 
 /// Stall detection: a component that freezes (sleeps unparked past the

@@ -71,7 +71,7 @@ USAGE:
   arlo plan       --model <m> --gpus <n> [--slo-ms <ms>] --rate <r> --secs <s>
   arlo profile    --model <m> [--slo-ms <ms>]
   arlo serve      --model <m> --gpus <n> [--slo-ms <ms>] [--addr <ip:port>]
-                  [--time-scale <x>] [--workers <n>] [--period-secs <s>]
+                  [--time-scale <x>] [--period-secs <s>]
                   [--front-door <threaded|epoll|epoll:N>]
                   [--dispatch-workers <n>] [--conn-stripes <n>] [--executor-shards <n>]
                   [--tenants <name=class[:slo_ms],...>   class: interactive|standard|batch]
@@ -418,7 +418,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
     let addr = flags.get("addr").map_or("127.0.0.1:7077", String::as_str);
     let time_scale: u32 = num_or(flags, "time-scale", 1)?;
-    let workers: usize = num_or(flags, "workers", 8)?;
     let period_secs: u64 = num_or(flags, "period-secs", 120)?;
     let max_batch: u32 = num_or(flags, "max-batch", 1)?;
     let marginal_cost: f64 = num_or(flags, "marginal-cost", 0.6)?;
@@ -446,7 +445,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
 
     let mut serve_cfg = ServeConfig {
-        workers,
         time_scale,
         queue_capacity: 8192,
         tick_interval: NANOS_PER_SEC / 5,
