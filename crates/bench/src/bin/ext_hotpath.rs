@@ -10,9 +10,9 @@
 //! config knobs with the old shape as the `1` setting — so this benchmark
 //! can run the *same binary* in both shapes and hold them to each other.
 //!
-//! The grid: both front doors × {baseline: 1 dispatch worker, 1 registry
-//! stripe, 1 executor shard} vs {sharded: 4 workers, 64 stripes, 16
-//! shards}. Each cell drives a 10⁶-request closed-loop trace (8
+//! The grid: {baseline: 1 dispatch worker, 1 registry stripe, 1 executor
+//! shard} vs {sharded: 4 workers, 64 stripes, 16 shards}, both on 4
+//! connection shards. Each cell drives a 10⁶-request closed-loop trace (8
 //! connections, window 128) from a re-exec'd storm-client child process
 //! and asserts **exact conservation** on both sides of the wire:
 //! `ok + shed + unserviceable + draining == submitted`, nothing lost,
@@ -41,7 +41,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{connection_storm, StormConfig};
-use arlo_serve::server::{FrontDoor, HotpathStats, ServeConfig, Server};
+use arlo_serve::server::{HotpathStats, ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
 use std::collections::HashMap;
 use std::io::Read;
@@ -56,6 +56,9 @@ const GPUS: u32 = 8;
 const SCALE: u32 = 1_000;
 const CONNS: usize = 8;
 const WINDOW: u32 = 128;
+/// Connection shards, fixed (not the host-derived default) so cells stay
+/// comparable with the recorded ones.
+const CONN_SHARDS: usize = 4;
 /// 10⁶ requests split over [`CONNS`] connections.
 const FULL_TOTAL: u64 = 1_000_000;
 const SMOKE_TOTAL: u64 = 20_000;
@@ -108,7 +111,7 @@ const SHARDED: Shape = Shape {
     executor_shards: 16,
 };
 
-fn serve_config(shape: Shape, front_door: FrontDoor) -> ServeConfig {
+fn serve_config(shape: Shape) -> ServeConfig {
     let mut cfg = ServeConfig {
         time_scale: SCALE,
         // Far above the closed-loop in-flight ceiling (CONNS × WINDOW =
@@ -120,7 +123,7 @@ fn serve_config(shape: Shape, front_door: FrontDoor) -> ServeConfig {
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         ..ServeConfig::new(GPUS)
     };
-    cfg.front_door = front_door;
+    cfg.shards = CONN_SHARDS;
     cfg.max_conns = CONNS + 64;
     cfg.idle_timeout = Duration::from_secs(600);
     cfg.with_dispatch_workers(shape.dispatch_workers)
@@ -171,7 +174,6 @@ fn storm_child() {
 }
 
 struct Cell {
-    front_door: FrontDoor,
     shape: Shape,
     counts: HashMap<String, u64>,
     stats: HotpathStats,
@@ -181,10 +183,10 @@ struct Cell {
     throughput: f64,
 }
 
-fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
+fn run_cell(shape: Shape, total: u64) -> Cell {
     let submits_per_conn = total / CONNS as u64;
-    let server = Server::spawn(engine(), "127.0.0.1:0", serve_config(shape, front_door))
-        .expect("bind loopback");
+    let server =
+        Server::spawn(engine(), "127.0.0.1:0", serve_config(shape)).expect("bind loopback");
     let addr = server.local_addr();
 
     let mut child = Command::new(std::env::current_exe().expect("current_exe"))
@@ -217,7 +219,7 @@ fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
         })
         .collect();
     let g = |k: &str| counts[k];
-    let tag = format!("{}/{}", front_door.name(), shape.name);
+    let tag = shape.name;
 
     // Exact conservation, client side: every submit written terminates in
     // exactly one accounted outcome, nothing lost, nothing refused.
@@ -266,7 +268,6 @@ fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
 
     let wall_s = g("wall_ms") as f64 / 1e3;
     Cell {
-        front_door,
         shape,
         throughput: g("ok") as f64 / wall_s,
         counts,
@@ -288,18 +289,14 @@ fn main() {
         if smoke() { " [smoke]" } else { "" }
     );
 
-    let mut cells = Vec::new();
-    for front_door in [FrontDoor::Threaded, FrontDoor::Epoll { shards: 4 }] {
-        for shape in [BASELINE, SHARDED] {
-            cells.push(run_cell(front_door, shape, total));
-        }
-    }
+    let base = run_cell(BASELINE, total);
+    let shard = run_cell(SHARDED, total);
+    let cells = [&base, &shard];
 
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![
-                c.front_door.name().to_string(),
                 c.shape.name.to_string(),
                 format!("{}", c.counts["ok"]),
                 format!("{:.1}", c.wall_s),
@@ -317,7 +314,6 @@ fn main() {
     print_table(
         "hot path: baseline vs sharded",
         &[
-            "front door",
             "shape",
             "ok",
             "wall s",
@@ -330,39 +326,26 @@ fn main() {
         &rows,
     );
 
-    // The throughput gates, per front door.
-    let mut ratios = Vec::new();
-    for door in ["threaded", "epoll"] {
-        let find = |shape: &str| {
-            cells
-                .iter()
-                .find(|c| c.front_door.name() == door && c.shape.name == shape)
-                .expect("cell present")
-        };
-        let base = find("baseline");
-        let shard = find("sharded");
-        let ratio = shard.throughput / base.throughput;
-        println!(
-            "{door}: sharded/baseline throughput ratio {ratio:.3} \
-             ({:.0} vs {:.0} req/s)",
-            shard.throughput, base.throughput
-        );
-        // Hard floor: sharding must not regress the retained baseline
-        // (0.95 absorbs loopback scheduling noise at this request count).
+    // The throughput gates.
+    let ratio = shard.throughput / base.throughput;
+    println!(
+        "sharded/baseline throughput ratio {ratio:.3} ({:.0} vs {:.0} req/s)",
+        shard.throughput, base.throughput
+    );
+    // Hard floor: sharding must not regress the retained baseline (0.95
+    // absorbs loopback scheduling noise at this request count).
+    assert!(
+        ratio >= 0.95,
+        "sharded hot path regressed the baseline: ratio {ratio:.3}"
+    );
+    // The 1.5× gate needs hardware parallelism to exist: with ≥ 4 CPUs the
+    // dispatch workers and shard threads actually overlap. On smaller
+    // hosts the ratio is recorded, not asserted.
+    if cpus >= 4 && !smoke() {
         assert!(
-            ratio >= 0.95,
-            "{door}: sharded hot path regressed the baseline: ratio {ratio:.3}"
+            ratio >= 1.5,
+            "expected ≥ 1.5× on a {cpus}-cpu host, measured {ratio:.3}"
         );
-        // The 1.5× gate needs hardware parallelism to exist: with ≥ 4 CPUs
-        // the dispatch workers and shard threads actually overlap. On
-        // smaller hosts the ratio is recorded, not asserted.
-        if cpus >= 4 && !smoke() {
-            assert!(
-                ratio >= 1.5,
-                "{door}: expected ≥ 1.5× on a {cpus}-cpu host, measured {ratio:.3}"
-            );
-        }
-        ratios.push((door, ratio));
     }
 
     let json = serde_json::json!({
@@ -371,12 +354,12 @@ fn main() {
             "time_scale": SCALE,
             "conns": CONNS,
             "window": WINDOW,
+            "conn_shards": CONN_SHARDS,
             "cpus": cpus,
             "smoke": smoke(),
             "speedup_gate_active": cpus >= 4 && !smoke(),
         },
         "cells": cells.iter().map(|c| serde_json::json!({
-            "front_door": c.front_door.name(),
             "shape": c.shape.name,
             "dispatch_workers": c.shape.dispatch_workers,
             "conn_stripes": c.stats.conn_stripes,
@@ -399,12 +382,7 @@ fn main() {
             ),
             "executor_lock_ops": c.stats.executor_lock_ops,
         })).collect::<Vec<_>>(),
-        "speedup": serde_json::Value::Object(
-            ratios
-                .iter()
-                .map(|(door, r)| (door.to_string(), json_f64(*r)))
-                .collect(),
-        ),
+        "speedup": json_f64(ratio),
     });
     write_json("BENCH_hotpath", &json);
 }

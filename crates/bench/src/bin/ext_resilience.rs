@@ -1,12 +1,12 @@
 //! **Extension** — supervision-tree resilience benchmark: seeded component
 //! chaos against every supervised server thread, under closed-loop v2
-//! storm load, on both front doors.
+//! storm load.
 //!
 //! The grid crosses the supervised component classes with the two fault
-//! kinds and the two connection planes:
+//! kinds:
 //!
 //! - **Restartable components** (`dispatch`, `flusher`, `timer`,
-//!   `coordinator`) × {panic, stall} × {threaded, epoll}. Panic cells
+//!   `coordinator`) × {panic, stall}. Panic cells
 //!   assert the component died at least once, was restarted within its
 //!   budget, recovery was bounded (every `Panicked` is followed by a
 //!   `Restarted` within [`RECOVERY_BOUND_MS`]), and **exact zero-loss
@@ -16,10 +16,10 @@
 //!   heartbeat was detected (≥ 1 `Stalled` event) with no restart and the
 //!   same conservation.
 //! - **Escalation cells**: a dispatch pool whose every beat panics under a
-//!   2-restart budget (both doors) — the supervisor must give up cleanly,
-//!   run the fail-fast drain hook, and the final drain must conserve
-//!   instead of wedging; and an acceptor first-beat panic (both doors,
-//!   no load) — `Escalate` policy straight to a clean drain.
+//!   2-restart budget — the supervisor must give up cleanly, run the
+//!   fail-fast drain hook, and the final drain must conserve instead of
+//!   wedging; and an acceptor first-beat panic (no load) — `Escalate`
+//!   policy straight to a clean drain.
 //!
 //! Load is the closed-loop **v2 window storm** ([`StormConfig::wire`] =
 //! V2): refills leave as checksummed `BatchedSubmit` frames, so the
@@ -40,7 +40,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, StormConfig};
 use arlo_serve::protocol::WireVersion;
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_serve::supervisor::{SupervisorEvent, SupervisorEventKind};
 use arlo_trace::NANOS_PER_SEC;
 use std::collections::HashMap;
@@ -133,7 +133,7 @@ const TARGETS: [Target; 4] = [
     },
 ];
 
-fn serve_config(target: Target, front_door: FrontDoor, chaos: ComponentChaos) -> ServeConfig {
+fn serve_config(target: Target, chaos: ComponentChaos) -> ServeConfig {
     let batch = if target.batch_window {
         BatchPolicy {
             spec: BatchSpec {
@@ -152,7 +152,9 @@ fn serve_config(target: Target, front_door: FrontDoor, chaos: ComponentChaos) ->
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(60),
         batch,
-        front_door,
+        // Fixed (not the host-derived default) so cells stay comparable
+        // with the recorded ones.
+        shards: 2,
         ..ServeConfig::new(GPUS)
     }
     .with_component_chaos(chaos)
@@ -274,7 +276,6 @@ fn worst_recovery_ms(events: &[SupervisorEvent]) -> u64 {
 }
 
 struct Cell {
-    front_door: &'static str,
     component: &'static str,
     fault: &'static str,
     counts: HashMap<String, u64>,
@@ -288,10 +289,10 @@ struct Cell {
 
 /// One recovery cell: chaos against `target`, closed-loop v2 storm load,
 /// conservation and recovery asserted.
-fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total: u64) -> Cell {
-    let tag = format!("{}/{}/{}", front_door.name(), target.prefix, fault.name());
+fn run_recovery_cell(target: Target, fault: Fault, total: u64) -> Cell {
+    let tag = format!("{}/{}", target.prefix, fault.name());
     let seed = 0xA510 ^ arlo_seed(&tag);
-    let cfg = serve_config(target, front_door, chaos_for(&target, fault, seed));
+    let cfg = serve_config(target, chaos_for(&target, fault, seed));
     let server = if target.coordinator {
         Server::spawn_multi(
             vec![(
@@ -382,7 +383,6 @@ fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total:
     assert_eq!(drain.submits, g("submitted"), "{tag}: wire vs drain");
 
     Cell {
-        front_door: front_door.name(),
         component: target.prefix,
         fault: fault.name(),
         counts,
@@ -397,20 +397,19 @@ fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total:
 
 /// One escalation cell: a fault the supervisor must *not* absorb — give
 /// up, run the fail-fast drain, conserve, never wedge.
-fn run_escalation_cell(kind: &'static str, front_door: FrontDoor, total: u64) -> Cell {
-    let tag = format!("{}/{kind}/escalate", front_door.name());
+fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
+    let tag = format!("{kind}/escalate");
     let seed = 0xE5CA ^ arlo_seed(&tag);
     let target = TARGETS[0]; // plain single-tenant config
     let (chaos, budget, with_load) = match kind {
         // Every dispatch beat panics; two respawns also die instantly.
         "dispatch-budget" => (ComponentChaos::panics("dispatch", 1, seed), 2, true),
         // The acceptor is an Escalate component: first beat, straight to
-        // the fail-fast drain (no load — the front door is gone).
+        // the fail-fast drain (no load — nothing is accepting).
         "accept" => (ComponentChaos::panics("accept", 1, seed), 2, false),
         _ => unreachable!("unknown escalation kind"),
     };
-    let cfg = serve_config(target, front_door, chaos)
-        .with_restart_policy(Duration::from_millis(1), budget);
+    let cfg = serve_config(target, chaos).with_restart_policy(Duration::from_millis(1), budget);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let started = Instant::now();
     let counts = if with_load {
@@ -463,7 +462,6 @@ fn run_escalation_cell(kind: &'static str, front_door: FrontDoor, total: u64) ->
     assert!(drain.escalations >= 1, "{tag}: {drain:?}");
 
     Cell {
-        front_door: front_door.name(),
         component: kind,
         fault: "escalate",
         counts,
@@ -498,23 +496,19 @@ fn main() {
         if smoke() { " [smoke]" } else { "" }
     );
 
-    let doors = [FrontDoor::Threaded, FrontDoor::Epoll { shards: 2 }];
     let mut cells = Vec::new();
-    for front_door in doors {
-        for target in TARGETS {
-            for fault in [Fault::Panic, Fault::Stall] {
-                cells.push(run_recovery_cell(target, fault, front_door, total));
-            }
+    for target in TARGETS {
+        for fault in [Fault::Panic, Fault::Stall] {
+            cells.push(run_recovery_cell(target, fault, total));
         }
-        cells.push(run_escalation_cell("dispatch-budget", front_door, total));
-        cells.push(run_escalation_cell("accept", front_door, total));
     }
+    cells.push(run_escalation_cell("dispatch-budget", total));
+    cells.push(run_escalation_cell("accept", total));
 
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![
-                c.front_door.to_string(),
                 c.component.to_string(),
                 c.fault.to_string(),
                 format!("{}", c.counts.get("ok").copied().unwrap_or(0)),
@@ -530,7 +524,6 @@ fn main() {
     print_table(
         "supervision under component chaos",
         &[
-            "front door",
             "component",
             "fault",
             "ok",
@@ -559,7 +552,6 @@ fn main() {
             "smoke": smoke(),
         },
         "cells": cells.iter().map(|c| serde_json::json!({
-            "front_door": c.front_door,
             "component": c.component,
             "fault": c.fault,
             "counts": serde_json::Value::Object(

@@ -2,7 +2,7 @@
 //!
 //! Everything else in this harness measures the *simulated* system. This
 //! binary measures the *served* one: the `arlo-serve` stack — wire
-//! protocol, reader threads, bounded dispatch, batch-coalescing deadline-heap
+//! protocol, epoll shards, bounded dispatch, batch-coalescing deadline-heap
 //! executor, timer-driven Runtime Scheduler — under the paper's two
 //! workloads, replayed by a multi-connection load generator in scaled
 //! virtual time. Latency percentiles are virtual dispatch→completion times
@@ -32,9 +32,8 @@
 //!   instead of per request. Answers stay per-sub-request, so the
 //!   zero-loss accounting is unchanged; the cells record the goodput and
 //!   wire-side effect of batched framing.
-//! * **connection scaling** (front doors): a storm of concurrent
-//!   connections — 1k on both front doors, 10k on the epoll event loop —
-//!   each submitting once and holding its socket open. The storm client
+//! * **connection scaling**: a storm of concurrent connections — 1k and
+//!   10k — each submitting once and holding its socket open. The storm client
 //!   runs in a re-exec'd child process so parent and child each stay
 //!   under the host's per-process fd rlimit; the parent polls its own
 //!   connection registry to record peak concurrency and asserts exact
@@ -51,7 +50,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_sim::driver::{NoopAllocator, SimConfig, Simulation};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -373,25 +372,27 @@ fn storm_child() {
 }
 
 struct ConnCell {
-    front_door: FrontDoor,
     conns: usize,
     peak_active: u64,
     counts: HashMap<String, u64>,
     wall: Duration,
 }
 
-/// One connection-scaling cell: spawn the server on `front_door`, re-exec
-/// this binary as the storm client, record the server's peak concurrent
-/// connection count while the storm holds, and assert exact conservation
-/// on both sides of the wire.
-fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
+/// One connection-scaling cell: spawn the server, re-exec this binary as
+/// the storm client, record the server's peak concurrent connection count
+/// while the storm holds, and assert exact conservation on both sides of
+/// the wire.
+fn run_conn_cell(conns: usize) -> ConnCell {
     let mut cfg = serve_config(BatchPolicy::greedy(BatchSpec::SINGLE), SCALE);
-    cfg.front_door = front_door;
+    // Fixed (not the host-derived default) so the cells stay comparable
+    // with the recorded ones.
+    cfg.shards = 2;
     cfg.max_conns = conns + 256;
     cfg.queue_capacity = 16_384;
     // The storm holds sockets open deliberately; don't reap them under it.
     cfg.idle_timeout = Duration::from_secs(120);
-    // Reallocation off: the cell measures the front door, not the allocator.
+    // Reallocation off: the cell measures the connection plane, not the
+    // allocator.
     let server = Server::spawn(engine(100_000), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
     let hold_ms: u64 = if conns >= 10_000 { 3_000 } else { 1_500 };
@@ -441,7 +442,7 @@ fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
         })
         .collect();
     let g = |k: &str| counts[k];
-    let tag = format!("{}@{conns}", front_door.name());
+    let tag = format!("epoll@{conns}");
 
     assert_eq!(g("connect_errors"), 0, "{tag}: {line}");
     assert_eq!(g("connected"), conns as u64, "{tag}: {line}");
@@ -468,7 +469,6 @@ fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
         "{tag}: server-side conservation: {drain:?}"
     );
     ConnCell {
-        front_door,
         conns,
         peak_active,
         counts,
@@ -672,25 +672,14 @@ fn main() {
         &framing_rows,
     );
 
-    // Connection scaling: the readiness event loop vs the
-    // thread-per-connection plane. The threaded 10k cell is deliberately
-    // absent — at ~4 fds and 2 threads per connection it would need ~40k
-    // fds, past this host's 20k per-process rlimit — and its absence is
-    // recorded in the JSON rather than silently dropped.
-    let conn_cells = vec![
-        run_conn_cell(FrontDoor::Threaded, 1_000),
-        run_conn_cell(FrontDoor::epoll(), 1_000),
-        run_conn_cell(FrontDoor::epoll(), 10_000),
-    ];
-    let threaded_10k_skip = "thread-per-connection needs ~4 fds + 2 threads per conn; \
-                             10k conns exceeds the 20k fd rlimit";
-    eprintln!("  connection_scaling: threaded@10000 skipped — {threaded_10k_skip}");
+    // Connection scaling on the epoll shards: one fd and no thread per
+    // connection.
+    let conn_cells = [run_conn_cell(1_000), run_conn_cell(10_000)];
     let mut conn_rows = Vec::new();
     let mut conn_json = Vec::new();
     for cell in &conn_cells {
         let g = |k: &str| cell.counts[k];
         conn_rows.push(vec![
-            cell.front_door.name().to_string(),
             format!("{}", cell.conns),
             format!("{}", cell.peak_active),
             format!("{}", g("submitted")),
@@ -701,7 +690,6 @@ fn main() {
             format!("{:.1}", cell.wall.as_secs_f64()),
         ]);
         conn_json.push(serde_json::json!({
-            "front_door": cell.front_door.name(),
             "conns": cell.conns,
             "peak_active": cell.peak_active,
             "connected": g("connected"),
@@ -721,7 +709,6 @@ fn main() {
     print_table(
         "connection scaling (storm client in a child process, counts conserved)",
         &[
-            "front door",
             "conns",
             "peak",
             "submitted",
@@ -781,11 +768,6 @@ fn main() {
             },
             "connection_scaling": {
                 "cells": conn_json,
-                "skipped": [{
-                    "front_door": "threaded",
-                    "conns": 10_000,
-                    "reason": threaded_10k_skip,
-                }],
             },
         }),
     );

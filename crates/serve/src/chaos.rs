@@ -377,17 +377,17 @@ impl<S: Write> Write for FaultyStream<S> {
 /// The readiness-compatible twin of [`FaultyStream`]: the same
 /// [`ChaosPlan`] schedule applied to a *non-blocking* transport.
 ///
-/// [`FaultyStream`] serves the thread-per-connection world, where a
-/// [`Action::Delay`]/[`Action::Stall`] may simply `sleep` on the
-/// connection's own thread. An epoll event loop must never sleep on one
-/// connection, so this adapter converts every time-based action into a
+/// [`FaultyStream`] serves blocking transports (the load generator's
+/// clients), where a [`Action::Delay`]/[`Action::Stall`] may simply
+/// `sleep` on the connection's own thread. An epoll event loop must never
+/// sleep on one connection, so this adapter converts every time-based action into a
 /// **block window**: the first attempt arms the action with a `ready_at`
 /// deadline and returns [`io::ErrorKind::WouldBlock`]; attempts before the
 /// deadline keep returning `WouldBlock`; the first attempt at/after the
 /// deadline performs the armed action's I/O (a full read for `Delay`, the
 /// one-byte dribble for `Stall`). One `decide()` is consumed per *logical*
-/// I/O operation, exactly like `FaultyStream`, so the fault schedule for a
-/// given `(config, conn)` pair is the same on both front doors.
+/// I/O operation, exactly like `FaultyStream`, so a `(config, conn)` pair
+/// draws the same fault schedule through either adapter.
 ///
 /// The event loop uses [`NonBlockingChaos::ready_at`] to bound its poll
 /// timeout and drops the fd's epoll interest during a window, so a

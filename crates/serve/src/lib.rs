@@ -18,12 +18,12 @@
 //!   adds a CRC32C trailer to every frame (corruption becomes the typed,
 //!   retryable `ChecksumMismatch`/`Corrupt` pair instead of a misparse)
 //!   and the `BatchedSubmit` frame that amortizes framing over batches.
-//! - [`chaos`] — deterministic, seeded network-fault injection
-//!   ([`chaos::FaultyStream`] driven by a [`chaos::ChaosPlan`]): delays,
-//!   partial I/O, bit corruption, abrupt resets, slowloris stalls —
-//!   attachable on the client side (loadgen) and, via
+//! - [`chaos`] — deterministic, seeded network-fault injection driven by
+//!   a [`chaos::ChaosPlan`]: delays, partial I/O, bit corruption, abrupt
+//!   resets, slowloris stalls — attachable on the client side
+//!   ([`chaos::FaultyStream`], loadgen) and, via
 //!   [`server::ServeConfig::server_chaos`], to the server's accepted
-//!   sockets.
+//!   sockets ([`chaos::NonBlockingChaos`]).
 //! - [`clock`] — the [`clock::VirtualClock`] that anchors the engine's
 //!   monotonic nanoseconds and scales them for accelerated runs.
 //! - [`executor`] — charges each placed request its profiled execution
@@ -31,8 +31,8 @@
 //!   the engine's health hooks: inline when the completion is already
 //!   due, otherwise from one deadline heap serviced by one thread.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
-//!   over [`std::os::fd`], the readiness substrate for the event-loop
-//!   front door (and the high-connection-count load generator).
+//!   over [`std::os::fd`], the readiness substrate for the server's
+//!   connection shards (and the high-connection-count load generator).
 //! - [`queue`] — the bounded MPMC dispatch queue with shutdown-aware
 //!   wakeup that feeds each tenant's dispatch-worker pool.
 //! - [`supervisor`] — the supervision tree: every long-lived server
@@ -48,15 +48,13 @@
 //!   admission under overload), tenant specs, the sliding per-tenant
 //!   demand windows the GPU re-granting coordinator plans over, and the
 //!   deterministic weighted tenant-tagging the load generator uses.
-//! - [`server`] — the TCP front door: acceptor, a bounded dispatch queue
-//!   (overflow ⇒ explicit shed frames), a timer thread driving health
-//!   ticks and periodic reallocation, and a graceful drain that flushes
-//!   every outstanding request before closing. Two interchangeable
-//!   connection planes ([`server::FrontDoor`]): the historical
-//!   thread-per-connection reader/writer pairs, and N sharded epoll event
-//!   loops driving non-blocking per-connection state machines — same
-//!   doom/backpressure/chaos semantics, two OS threads *total* per shard
-//!   instead of two per connection.
+//! - [`server`] — the TCP server: an acceptor handing sockets to
+//!   [`server::ServeConfig::shards`] epoll event loops that drive
+//!   non-blocking per-connection state machines (a connection costs no
+//!   thread), a bounded dispatch queue (overflow ⇒ explicit shed frames),
+//!   a timer thread driving health ticks and periodic reallocation, and a
+//!   graceful drain that flushes every outstanding request before
+//!   closing.
 //! - [`loadgen`] — open- and closed-loop trace replay over real sockets,
 //!   for the `ext_serve` benchmark and the end-to-end tests, plus the
 //!   epoll-based [`loadgen::connection_storm`] client pool that holds tens
@@ -86,9 +84,7 @@ pub use loadgen::{
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
-pub use server::{
-    DrainReport, FrontDoor, HotpathStats, ServeConfig, Server, TenantDrainReport, TenantStats,
-};
+pub use server::{DrainReport, HotpathStats, ServeConfig, Server, TenantDrainReport, TenantStats};
 pub use supervisor::{
     RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent, SupervisorEventKind,
 };

@@ -622,7 +622,7 @@ impl Frame {
     }
 
     /// Append this frame, encoded at `version`, to `buf` — the reusable-
-    /// buffer encode path writer threads use to avoid a `Vec` per frame.
+    /// buffer encode path that avoids a `Vec` per frame.
     ///
     /// Panics if the frame cannot be expressed at `version`
     /// ([`Frame::BatchedSubmit`] below v2): that is a local programming
@@ -985,6 +985,12 @@ pub fn client_handshake<S: Read + Write>(stream: &mut S) -> std::io::Result<Wire
     }
 }
 
+/// Bytes [`FrameReader::fill`] asks its transport for per `read`. 32 KiB:
+/// small frames mean a reader doing one read per frame cannot keep up with
+/// a response storm; bulk fills keep consumption comfortably above any
+/// production rate. A fill that returns fewer found the transport drained.
+pub const FILL_CHUNK: usize = 32 * 1024;
+
 /// An incremental frame decoder for streams that deliver bytes in
 /// arbitrary fragments — short TCP segments, slowloris peers, chaos-mode
 /// partial reads — and possibly with a socket read timeout armed.
@@ -1030,10 +1036,7 @@ impl FrameReader {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        // 32 KiB per syscall: small frames mean a reader doing one read
-        // per frame cannot keep up with a response storm; bulk fills keep
-        // consumption comfortably above any production rate.
-        let mut chunk = [0u8; 32 * 1024];
+        let mut chunk = [0u8; FILL_CHUNK];
         let n = r.read(&mut chunk)?;
         self.buf.extend_from_slice(&chunk[..n]);
         Ok(n)
@@ -1069,8 +1072,8 @@ impl FrameReader {
 /// The write-side twin of [`FrameReader`]: an incremental frame *encoder*
 /// for non-blocking transports that accept bytes in arbitrary amounts.
 ///
-/// The thread-per-connection writer can loop `write_all` until a frame is
-/// out; an event loop cannot — a `WouldBlock` mid-frame must leave the
+/// A blocking writer can loop `write_all` until a frame is out; an event
+/// loop cannot — a `WouldBlock` mid-frame must leave the
 /// remaining bytes buffered and resume exactly where it stopped once the
 /// socket turns writable. A `FrameWriteBuf` owns that state:
 ///
@@ -1084,8 +1087,7 @@ impl FrameReader {
 ///   dead peer as an error, not an infinite loop.
 ///
 /// Consecutive pushes coalesce into one buffer, so a single syscall can
-/// carry hundreds of small frames — the same amortization the threaded
-/// writer gets from its vectored batch writes.
+/// carry hundreds of small frames.
 #[derive(Debug, Default)]
 pub struct FrameWriteBuf {
     buf: Vec<u8>,

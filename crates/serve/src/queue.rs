@@ -1,7 +1,7 @@
 //! The bounded multi-producer **multi-consumer** dispatch queue, with
 //! shutdown-aware wakeup.
 //!
-//! The reader → dispatch hand-off used to be an `mpsc::sync_channel`
+//! The shard → dispatch hand-off used to be an `mpsc::sync_channel`
 //! drained by a single thread polling `recv_timeout(2 ms)` — shutdown was
 //! only observed at the next timeout tick, every idle tick burned a
 //! spurious wakeup, and `Receiver` being `!Sync` pinned the consumer side

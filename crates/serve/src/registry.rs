@@ -7,17 +7,16 @@
 //! outbound-queue push. [`StripedMap`] splits the table into N
 //! independently-locked stripes selected by the low bits of the key, so
 //! two responders touching different connections never contend, and the
-//! epoll plane's round-robin shard assignment (`conn_id % shards`) maps
+//! acceptor's round-robin shard assignment (`conn_id % shards`) maps
 //! each shard's connections onto a disjoint set of stripes whenever the
 //! stripe count is a multiple of the shard count — the stripes are
-//! *aligned with the front door*, so a shard draining its own connections
+//! *aligned with the shards*, so a shard draining its own connections
 //! never collides with another shard's.
 //!
 //! The map intentionally exposes no guard: lookups happen inside
 //! [`StripedMap::with`], which scopes the stripe lock to the closure. The
-//! server's `respond` clones the cheap route ends (an `Arc`, a channel
-//! sender) inside the closure and performs the actual queue/socket write
-//! *after* the stripe is released — the registry invariant that replaces
+//! server's `respond` clones the handle's two `Arc`s inside the closure
+//! and performs the actual queue push *after* the stripe is released — the registry invariant that replaces
 //! the old "push under the registry lock" close-race protection (that
 //! race is now handled by the outbound queue's own `closed` flag; see
 //! `server::Outbound`).

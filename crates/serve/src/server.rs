@@ -1,63 +1,44 @@
-//! The multi-threaded TCP front door over [`ArloEngine`].
+//! The TCP front door over [`ArloEngine`].
 //!
-//! Two interchangeable connection planes share everything behind the
-//! accept socket — dispatch, executor, drain, error budgets, negotiation,
-//! chaos contract — selected by [`ServeConfig::front_door`]:
-//!
-//! **Threaded** (the historical plane; one box per OS thread kind):
-//!
-//! ```text
-//!   clients ──TCP──► reader (1/conn) ──bounded MPSC──► dispatch ──► executor
-//!                        │                                │              │
-//!                        │ shed/drain errors              │ engine.submit│ due now: completes
-//!                        ▼                                ▼              ▼ inline; else heap
-//!        writer (1/conn) ◄── bounded outbound queue ◄── responses ◄── completion
-//!
-//!   acceptor: accepts connections (admission-limited), spawns reader+writer
-//!   flusher:  services the executor's deadline heap (future seals + completions)
-//!   timer:    engine.health_tick + maybe_reallocate/apply_allocation,
-//!             joins finished connection threads
-//! ```
-//!
-//! **Epoll** ([`FrontDoor::Epoll`]; see `DESIGN.md` §12): the same
-//! acceptor/dispatch/flusher/timer threads, but connections live as
-//! *non-blocking state machines* on `N` sharded event-loop threads —
-//! two OS threads per **shard** instead of two per **connection**, which
-//! is what makes 10k+ concurrent connections a configuration rather than
-//! a thread-count incident:
+//! One connection plane (see `DESIGN.md` §12): accepted sockets live as
+//! *non-blocking state machines* on [`ServeConfig::shards`] epoll
+//! event-loop threads, which feed one batch scheduler. One box per OS
+//! thread kind:
 //!
 //! ```text
 //!   clients ──TCP──► acceptor ──hand-off──► shard 0..N (epoll event loops)
 //!                                             │  each owns its conns:
 //!                                             │  FrameReader ◄─ nonblocking reads
 //!                                             │  FrameWriteBuf ─► nonblocking writes
-//!                                             ├──bounded MPSC──► dispatch ──► executor
-//!                                             ◄── bounded outbound queues ◄── responses
+//!                                             ├──bounded MPMC──► dispatch ──► executor
+//!                                             │  (overflow: shed)   │ engine.submit │ due now: completes
+//!                                             │                     ▼               ▼ inline; else heap
+//!                                             ◄── bounded outbound queues ◄── responses ◄── completion
+//!
+//!   acceptor: accepts connections (admission-limited), hands each to a shard
+//!   flusher:  services the executor's deadline heap (future seals + completions)
+//!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
 //! ```
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
-//! eventfd [`Waker`](crate::epoll::Waker) when another thread queues a
-//! response or dooms a connection, or by its poll timeout (idle reaping,
-//! write-stall dooming, chaos block windows). Per-connection semantics —
-//! bounded outbound queue, doom-on-overflow, write-stall doom, idle reap,
-//! error budget, v1/v2 negotiation, server-side chaos — are identical on
-//! both planes; chaos merely swaps [`FaultyStream`] (which may sleep on
-//! the connection's own thread) for [`NonBlockingChaos`] (which turns the
-//! same schedule's delays into `WouldBlock` windows).
+//! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
+//! its connections' outbound queues non-empty or dooms a connection, or by
+//! its poll timeout (idle reaping, write-stall dooming, chaos block
+//! windows). A connection costs no thread: 10k+ concurrent connections are
+//! a configuration, not a thread-count incident.
 //!
 //! Backpressure and failure are explicit end to end:
 //!
-//! - The reader→dispatch channel is bounded; overflow (or an engine-level
+//! - The shard→dispatch queue is bounded; overflow (or an engine-level
 //!   refusal) answers a typed [`ErrorCode::Shed`] frame, never a stall.
 //! - Every response travels through a **bounded per-connection outbound
-//!   queue** drained by that connection's dedicated writer thread, so a
-//!   stalled or slow client can never block the dispatch thread or the
-//!   executor's completion path. A full queue (or a write timeout) dooms
-//!   only that connection — a typed disconnect, not shared-fate
-//!   backpressure.
-//! - Readers poll with a socket read timeout and **reap idle connections**:
-//!   a half-open or silent socket is closed after `idle_timeout` and its
-//!   thread joined by the timer, so reader threads cannot leak.
+//!   queue** drained by the connection's shard with non-blocking writes,
+//!   so a stalled or slow client can never block the dispatch thread or
+//!   the executor's completion path. A full queue (or a write stalled past
+//!   `write_timeout`) dooms only that connection — a typed disconnect, not
+//!   shared-fate backpressure.
+//! - The shard's periodic sweep **reaps idle connections**: a half-open or
+//!   silent socket is closed after `idle_timeout`.
 //! - Malformed frames with an intact header are *skipped* and charged
 //!   against a per-connection **weighted error budget** (see
 //!   [`ErrorBudget`]): a v2 checksum failure costs a single point and is
@@ -72,9 +53,9 @@
 //!   [`Frame::BatchedSubmit`]); a legacy client that never says hello
 //!   stays on v1 and everything keeps working.
 //! - With [`ServeConfig::server_chaos`] set (tests only), every accepted
-//!   socket is wrapped in a [`FaultyStream`] on both directions, so the
-//!   reader/writer/dispatch error paths run under the same deterministic
-//!   seeded fault schedules the client-side chaos harness uses.
+//!   socket reads and writes through a [`NonBlockingChaos`], which turns
+//!   the deterministic seeded fault schedules the client-side chaos
+//!   harness uses into `WouldBlock` windows instead of sleeps.
 //! - The acceptor enforces `max_conns`: beyond it, a new connection is
 //!   answered with a single [`ErrorCode::Shed`] frame and closed.
 //! - A panicking executor completion callback is caught on the thread that
@@ -88,13 +69,13 @@
 //! every queued response frame, then closes connections and joins all
 //! threads.
 
-use crate::chaos::{ChaosConfig, ComponentChaos, FaultyStream, NonBlockingChaos};
+use crate::chaos::{ChaosConfig, ComponentChaos, NonBlockingChaos};
 use crate::clock::VirtualClock;
 use crate::epoll::{Epoll, Interest, Waker, WAKER_TOKEN};
 use crate::executor::{CompletedBatch, Executor, Job};
 use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
-    WireVersion, CONN_ERROR_ID, UNKNOWN_TENANT_COST,
+    WireVersion, CONN_ERROR_ID, FILL_CHUNK, UNKNOWN_TENANT_COST,
 };
 use crate::queue::BoundedQueue;
 use crate::registry::StripedMap;
@@ -109,76 +90,11 @@ use arlo_trace::Nanos;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::io::{IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection plane the server runs its accepted sockets on.
-///
-/// Everything above the sockets — dispatch, executor, drain, counters,
-/// protocol — is identical; the choice is purely how many OS threads a
-/// connection costs (two each, vs. two per *shard*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontDoor {
-    /// One reader and one writer thread per connection (the historical
-    /// plane). Simple, blocking I/O; costs two OS threads per connection.
-    Threaded,
-    /// `shards` epoll event-loop threads, each owning a slice of the
-    /// connections as non-blocking state machines. Scales to tens of
-    /// thousands of connections on a handful of threads.
-    Epoll {
-        /// Event-loop threads (clamped to at least 1). Connections are
-        /// assigned round-robin at accept.
-        shards: usize,
-    },
-}
-
-impl FrontDoor {
-    /// Default shard count for [`FrontDoor::epoll`].
-    pub const DEFAULT_EPOLL_SHARDS: usize = 2;
-
-    /// The epoll plane with the default shard count.
-    pub fn epoll() -> FrontDoor {
-        FrontDoor::Epoll {
-            shards: FrontDoor::DEFAULT_EPOLL_SHARDS,
-        }
-    }
-
-    /// Read the plane from `ARLO_FRONT_DOOR`: `epoll` or `epoll:<shards>`
-    /// select the event loop, anything else (including unset) the
-    /// threaded plane. This is how the shared e2e suites run against both
-    /// planes in CI without duplicating tests.
-    pub fn from_env() -> FrontDoor {
-        match std::env::var("ARLO_FRONT_DOOR") {
-            Ok(v) => FrontDoor::parse(&v).unwrap_or(FrontDoor::Threaded),
-            Err(_) => FrontDoor::Threaded,
-        }
-    }
-
-    /// Parse `threaded`, `epoll`, or `epoll:<shards>`.
-    pub fn parse(s: &str) -> Option<FrontDoor> {
-        match s {
-            "threaded" => Some(FrontDoor::Threaded),
-            "epoll" => Some(FrontDoor::epoll()),
-            _ => {
-                let shards = s.strip_prefix("epoll:")?.parse::<usize>().ok()?;
-                Some(FrontDoor::Epoll {
-                    shards: shards.max(1),
-                })
-            }
-        }
-    }
-
-    /// Short name for logs and bench tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrontDoor::Threaded => "threaded",
-            FrontDoor::Epoll { .. } => "epoll",
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -187,7 +103,7 @@ pub struct ServeConfig {
     pub gpus: u32,
     /// Virtual-time speed-up; 1 for production, 50–200 for tests/benches.
     pub time_scale: u32,
-    /// Bound of the reader → dispatch channel; overflow sheds.
+    /// Bound of each tenant's shard → dispatch queue; overflow sheds.
     pub queue_capacity: usize,
     /// Virtual interval between timer ticks (health + reallocation check).
     pub tick_interval: Nanos,
@@ -207,21 +123,20 @@ pub struct ServeConfig {
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
     /// exactly (the paper's batch-1 setting).
     pub batch: BatchPolicy,
-    /// Socket read timeout per poll on connection readers. This is the
-    /// granularity at which readers notice shutdown, doom flags, and idle;
-    /// it does **not** bound frame size or rate (partial frames survive
-    /// timeouts via the incremental [`FrameReader`]).
-    pub read_timeout: Duration,
+    /// How often a shard sweeps its connections for idle, doomed, and
+    /// write-stalled ones — also the longest it sleeps in `epoll_wait`, so
+    /// the granularity at which those are noticed.
+    pub sweep_interval: Duration,
     /// Real-time silence window after which a connection is reaped: no
-    /// bytes from the client for this long closes the socket and retires
-    /// the reader thread. Half-open sockets die here instead of leaking.
+    /// bytes from the client for this long closes the socket. Half-open
+    /// sockets die here instead of leaking.
     pub idle_timeout: Duration,
     /// Bound of each connection's outbound response queue. A connection
     /// whose client stalls long enough to fill it is doomed (typed
     /// disconnect) rather than allowed to backpressure dispatch.
     pub outbound_queue: usize,
-    /// Socket write timeout for connection writer threads; a blocked write
-    /// past this dooms the connection.
+    /// How long a connection's socket may refuse bytes (a client that
+    /// stopped reading) before the connection is doomed.
     pub write_timeout: Duration,
     /// Malformed-frame tolerance per connection, in [`ErrorBudget`]
     /// *points*: a v2 checksum mismatch costs
@@ -236,15 +151,18 @@ pub struct ServeConfig {
     /// Admission limit on concurrent connections: beyond it the acceptor
     /// answers one [`ErrorCode::Shed`] frame and closes.
     pub max_conns: usize,
-    /// Test-only fault injection on *accepted* sockets: wrap each
-    /// connection's read and write halves in a [`FaultyStream`] driven by
-    /// deterministic per-connection schedules derived from this config
-    /// (reader plan `conn_id * 2`, writer plan `conn_id * 2 + 1`). `None`
+    /// Test-only fault injection on *accepted* sockets: run each
+    /// connection's reads and writes through a [`NonBlockingChaos`] driven
+    /// by deterministic per-connection schedules derived from this config
+    /// (read plan `conn_id * 2`, write plan `conn_id * 2 + 1`). `None`
     /// — the production setting — serves on bare sockets.
     pub server_chaos: Option<ChaosConfig>,
-    /// Connection plane: thread-per-connection or sharded epoll event
-    /// loops. See [`FrontDoor`].
-    pub front_door: FrontDoor,
+    /// Epoll event-loop threads (at least 1 is spawned). Connections are
+    /// assigned round-robin at accept. [`ServeConfig::new`] computes it:
+    /// half the available parallelism — the other half is the dispatch
+    /// and completion side — which is 1 on the 2-vCPU reference host, the
+    /// only shape measured (`EXPERIMENTS.md`).
+    pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
     /// windows, re-partitions the pool with
@@ -262,22 +180,14 @@ pub struct ServeConfig {
     /// insensitive to).
     pub dispatch_workers: usize,
     /// Stripes of the connection registry. 0 — the default — sizes it
-    /// automatically: at least 8 and at least the epoll shard count,
-    /// rounded to a power of two so stripes stay aligned with the front
-    /// door's round-robin shard assignment. 1 is the unsharded baseline
-    /// (a single global lock, as before).
+    /// automatically: at least 8 and at least the shard count, rounded to
+    /// a power of two so stripes stay aligned with the acceptor's
+    /// round-robin shard assignment. 1 is the unsharded baseline (a single
+    /// global lock, as before).
     pub conn_stripes: usize,
     /// Shards of each executor's coalescer state ([`Executor`] keys +
     /// occupancy). 1 is the unsharded baseline.
     pub executor_shards: usize,
-    /// Whether the supervision tree's monitor thread runs. `true` — the
-    /// default — detects panics and stalls in every long-lived serving
-    /// thread, restarts within budget, and escalates unrecoverable
-    /// failures to a fail-fast conserving drain. `false` spawns the same
-    /// components with no monitor: panics are swallowed silently — the
-    /// pre-supervision behavior, kept selectable so its failure mode
-    /// stays pinned by regression tests.
-    pub supervised: bool,
     /// Test-only in-process fault injection: a seeded
     /// [`ComponentChaos`] schedule targeting server components by name
     /// prefix (`dispatch`, `flusher`, `timer`, `coordinator`, `shard`,
@@ -308,7 +218,7 @@ impl ServeConfig {
             fail_one_in: None,
             panic_one_in: None,
             batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-            read_timeout: Duration::from_millis(100),
+            sweep_interval: Duration::from_millis(100),
             idle_timeout: Duration::from_secs(30),
             outbound_queue: 1024,
             write_timeout: Duration::from_secs(5),
@@ -317,13 +227,12 @@ impl ServeConfig {
             frame_error_budget: 32,
             max_conns: 4096,
             server_chaos: None,
-            front_door: FrontDoor::Threaded,
+            shards: std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).max(1)),
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
             coordinator_window: 2 * arlo_trace::NANOS_PER_SEC,
             dispatch_workers: 1,
             conn_stripes: 0,
             executor_shards: Executor::DEFAULT_SHARDS,
-            supervised: true,
             component_chaos: None,
             restart_backoff: Duration::from_millis(10),
             restart_budget: 8,
@@ -346,12 +255,6 @@ impl ServeConfig {
     /// Enable server-side fault injection on accepted sockets (tests).
     pub fn with_server_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.server_chaos = Some(chaos);
-        self
-    }
-
-    /// Select the connection plane.
-    pub fn with_front_door(mut self, front_door: FrontDoor) -> Self {
-        self.front_door = front_door;
         self
     }
 
@@ -381,12 +284,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enable or disable the supervision tree's monitor thread.
-    pub fn with_supervision(mut self, supervised: bool) -> Self {
-        self.supervised = supervised;
-        self
-    }
-
     /// Enable seeded in-process component fault injection (tests).
     pub fn with_component_chaos(mut self, chaos: ComponentChaos) -> Self {
         self.component_chaos = Some(chaos);
@@ -407,18 +304,14 @@ impl ServeConfig {
     }
 
     /// The registry stripe count this config resolves to: an explicit
-    /// setting verbatim, or — at 0 — at least 8 and at least the epoll
-    /// shard count, so every front-door shard gets its own disjoint set
-    /// of stripes ([`StripedMap`] rounds to a power of two either way).
+    /// setting verbatim, or — at 0 — at least 8 and at least the shard
+    /// count, so every shard gets its own disjoint set of stripes
+    /// ([`StripedMap`] rounds to a power of two either way).
     pub fn resolved_conn_stripes(&self) -> usize {
         if self.conn_stripes > 0 {
             return self.conn_stripes;
         }
-        let shards = match self.front_door {
-            FrontDoor::Threaded => 1,
-            FrontDoor::Epoll { shards } => shards.max(1),
-        };
-        shards.max(8)
+        self.shards.max(8)
     }
 }
 
@@ -601,11 +494,10 @@ pub struct HotpathStats {
     pub escalations: u64,
 }
 
-/// A connection's bounded outbound frame queue on the epoll plane — the
-/// event-loop analogue of the threaded plane's `mpsc::sync_channel`.
-/// Producers (`respond`) push under the queue's own lock — *not* the
-/// registry stripe, which they release before touching the queue — and
-/// the owning shard pops into the connection's [`FrameWriteBuf`].
+/// A connection's bounded outbound frame queue. Producers (`respond`)
+/// push under the queue's own lock — *not* the registry stripe, which they
+/// release before touching the queue — and the owning shard swaps the
+/// backlog out into the connection's [`FrameWriteBuf`].
 ///
 /// The `closed` latch is what makes that safe: `close_conn` sets it (and
 /// drains the backlog) under this lock after deregistering the handle, so
@@ -624,13 +516,12 @@ struct OutboundQueue {
     closed: bool,
 }
 
-/// One thread: an incoming connection handed from the acceptor to a shard.
+/// An accepted connection on its way from the acceptor to a shard.
 struct IncomingConn {
     conn_id: u64,
     stream: TcpStream,
     outbound: Arc<Outbound>,
     doomed: Arc<AtomicBool>,
-    negotiated: Arc<AtomicU8>,
 }
 
 /// The cross-thread face of one epoll shard: how the acceptor injects
@@ -638,7 +529,8 @@ struct IncomingConn {
 /// `epoll_wait`.
 struct ShardHandle {
     waker: Waker,
-    /// Connections with fresh outbound frames or a freshly-set doom flag.
+    /// Connections whose outbound queue went non-empty or whose doom flag
+    /// was freshly set.
     dirty: Mutex<Vec<u64>>,
     /// Accepted sockets awaiting adoption by the shard.
     incoming: Mutex<Vec<IncomingConn>>,
@@ -651,44 +543,22 @@ impl ShardHandle {
     }
 }
 
-/// How frames reach a connection's socket: through its writer thread's
-/// queue (threaded plane) or its shard's outbound queue (epoll plane).
-enum ConnRoute {
-    Threaded {
-        tx: mpsc::SyncSender<Frame>,
-        /// Clone of the connection's stream, used only to `shutdown` it —
-        /// the kick that unblocks a reader/writer thread parked in a
-        /// blocking syscall. The epoll route needs no such clone (its
-        /// shard closes the one real socket), which keeps the server at
-        /// one fd per connection — the difference between 10k and 20k
-        /// descriptors at storm scale.
-        stream: TcpStream,
-    },
-    Epoll {
-        outbound: Arc<Outbound>,
-        shard: Arc<ShardHandle>,
-    },
-}
-
+/// The registry's view of a connection: what `respond` and `doom` need to
+/// reach it from any thread.
 struct ConnHandle {
     conn_id: u64,
-    route: ConnRoute,
+    outbound: Arc<Outbound>,
+    shard: Arc<ShardHandle>,
     doomed: Arc<AtomicBool>,
 }
 
 impl ConnHandle {
-    /// Kill this connection: the reader/writer pair (threaded, kicked by
-    /// a socket shutdown) or the owning shard (epoll, kicked by a waker
-    /// notification) notices and closes it. Returns true only for the
-    /// transition (so dooming is counted once per connection).
+    /// Kill this connection: the owning shard, kicked by a waker
+    /// notification, notices the flag and closes it. Returns true only for
+    /// the transition (so dooming is counted once per connection).
     fn doom(&self) -> bool {
         let first = !self.doomed.swap(true, Ordering::SeqCst);
-        match &self.route {
-            ConnRoute::Threaded { stream, .. } => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            ConnRoute::Epoll { shard, .. } => shard.notify(self.conn_id),
-        }
+        self.shard.notify(self.conn_id);
         first
     }
 }
@@ -706,8 +576,8 @@ struct Tenant {
     /// Largest length this tenant's runtime family can serve (0 when the
     /// family is empty — every submit is then unserviceable).
     max_length: u32,
-    /// This tenant's bounded reader → dispatch queue; overflow sheds.
-    /// MPMC: any number of readers push, `dispatch_workers` workers drain
+    /// This tenant's bounded shard → dispatch queue; overflow sheds.
+    /// MPMC: any number of shards push, `dispatch_workers` workers drain
     /// in bursts, and [`BoundedQueue::close`] wakes them at shutdown
     /// without a timeout tick.
     dispatch: Arc<BoundedQueue<DispatchMsg>>,
@@ -748,8 +618,6 @@ struct Tenant {
 ///   thread.
 /// - `doomed` (per connection): a once-only `swap` — dooming must be
 ///   counted exactly once per connection.
-/// - `negotiated` (per connection): orders the version flip against
-///   frames already queued.
 ///
 /// The statistics counters (`submits`, `served`, `shed`, `unserviceable`,
 /// `failed`, `reallocations`, `reaped_idle`, `slow_disconnects`,
@@ -776,7 +644,7 @@ struct Shared {
     failed: AtomicU64,
     outstanding: AtomicU64,
     reallocations: AtomicU64,
-    /// Response frames enqueued on writer queues and not yet written;
+    /// Response frames enqueued on outbound queues and not yet written;
     /// drain flushes this to zero before closing sockets.
     queued_frames: AtomicU64,
     reaped_idle: AtomicU64,
@@ -797,9 +665,6 @@ struct Shared {
     /// under one stripe (never a process-global lock) and never holds the
     /// stripe across a socket/queue write. See [`StripedMap`].
     conns: StripedMap<ConnHandle>,
-    /// Reader + writer thread handles; finished ones are joined by the
-    /// timer thread so reaped connections don't leak threads.
-    conn_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -830,84 +695,78 @@ impl Shared {
     /// worker nor an executor's flusher can ever block on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
-    /// clone the route's cheap ends (a channel sender, two `Arc`s); the
-    /// actual queue push happens **after the stripe is released**, so a
-    /// responder never holds any registry lock across a socket/queue
-    /// write. The close race this reopens on the epoll plane — a shard
-    /// tearing the connection down between our lookup and our push — is
-    /// handled by the outbound queue's own `closed` latch (see
+    /// clone the handle's two `Arc`s; the actual queue push happens
+    /// **after the stripe is released**, so a responder never holds any
+    /// registry lock across a queue write. The close race this opens — a
+    /// shard tearing the connection down between our lookup and our push —
+    /// is handled by the outbound queue's own `closed` latch (see
     /// [`Outbound`]).
+    ///
+    /// The shard is notified (a `dirty` push and an eventfd write) only by
+    /// the push that takes the queue from empty to non-empty. That loses
+    /// no frame:
+    ///
+    /// - A frame pushed onto a non-empty queue sits behind one whose
+    ///   pusher found the queue empty and notifies after releasing the
+    ///   lock. The drive that notification causes takes the queue lock
+    ///   after it, and so after both pushes — had any drive emptied the
+    ///   queue in between, the later pusher would have found it empty and
+    ///   notified itself.
+    /// - A queue the shard itself leaves non-empty (the socket refused
+    ///   bytes, or a chaos block window is armed) is re-driven without any
+    ///   notification: by `EPOLLOUT`, by the sweep, or at the window's
+    ///   deadline (see [`FramedConn::desired_interest`], [`sweep`]).
+    /// - A connection is driven once when its shard adopts it, so a frame
+    ///   queued before adoption is not stranded behind a notification the
+    ///   shard could not yet match to a connection.
     fn respond(&self, conn_id: u64, frame: &Frame) {
-        enum Route {
-            Threaded(mpsc::SyncSender<Frame>),
-            Epoll(Arc<Outbound>, Arc<ShardHandle>),
-        }
         let route = self.conns.with(conn_id, |handle| {
-            handle.map(|h| match &h.route {
-                ConnRoute::Threaded { tx, .. } => Route::Threaded(tx.clone()),
-                ConnRoute::Epoll { outbound, shard } => {
-                    Route::Epoll(Arc::clone(outbound), Arc::clone(shard))
-                }
-            })
+            handle.map(|h| (Arc::clone(&h.outbound), Arc::clone(&h.shard)))
         });
-        let Some(route) = route else {
+        let Some((outbound, shard)) = route else {
             self.dropped_responses.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        // Count the frame *before* sending it: the consumer decrements
-        // after handling, so incrementing afterwards could race the counter
-        // below zero (u64 wrap) and wedge drain's flush wait.
+        // Count the frame *before* queueing it: the shard decrements after
+        // writing, so incrementing afterwards could race the counter below
+        // zero (u64 wrap) and wedge drain's flush wait.
         self.queued_frames.fetch_add(1, Ordering::SeqCst);
-        match route {
-            Route::Threaded(tx) => match tx.try_send(frame.clone()) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                    self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                    self.doom_conn(conn_id);
+        enum Push {
+            First,
+            Behind,
+            Overflowed,
+            Closed,
+        }
+        let outcome = {
+            let mut queue = outbound.queue.lock();
+            if queue.closed {
+                Push::Closed
+            } else if queue.frames.len() >= outbound.capacity {
+                Push::Overflowed
+            } else {
+                let first = queue.frames.is_empty();
+                queue.frames.push_back(frame.clone());
+                if first {
+                    Push::First
+                } else {
+                    Push::Behind
                 }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    // The writer is gone (reader removed the handle after
-                    // our lookup); it drained the queue before exiting, so
-                    // only this undelivered frame needs balancing.
-                    self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                    self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Route::Epoll(outbound, shard) => {
-                enum Push {
-                    Queued,
-                    Overflowed,
-                    Closed,
-                }
-                let outcome = {
-                    let mut queue = outbound.queue.lock();
-                    if queue.closed {
-                        Push::Closed
-                    } else if queue.frames.len() >= outbound.capacity {
-                        Push::Overflowed
-                    } else {
-                        queue.frames.push_back(frame.clone());
-                        Push::Queued
-                    }
-                };
-                match outcome {
-                    Push::Queued => shard.notify(conn_id),
-                    Push::Overflowed => {
-                        // Same bounded-queue/doom contract as the threaded
-                        // plane's sync_channel.
-                        self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                        self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                        self.doom_conn(conn_id);
-                    }
-                    Push::Closed => {
-                        // close_conn won between our stripe lookup and this
-                        // push; it already drained the backlog, so balance
-                        // our own frame and move on.
-                        self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                        self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            }
+        };
+        match outcome {
+            Push::First => shard.notify(conn_id),
+            Push::Behind => {}
+            Push::Overflowed => {
+                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
+                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
+                self.doom_conn(conn_id);
+            }
+            Push::Closed => {
+                // close_conn won between our stripe lookup and this push;
+                // it already drained the backlog, so balance our own frame
+                // and move on.
+                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
+                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -920,21 +779,6 @@ impl Shared {
         let first = self.conns.with(conn_id, |h| h.map(ConnHandle::doom));
         if first == Some(true) {
             self.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Join every connection thread that has already exited (reaped or
-    /// disconnected); live ones stay. Called by the timer so reader/writer
-    /// threads are reclaimed within roughly one tick of finishing.
-    fn join_finished_conn_threads(&self) {
-        let mut registry = self.conn_threads.lock();
-        let handles = std::mem::take(&mut *registry);
-        for handle in handles {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                registry.push(handle);
-            }
         }
     }
 }
@@ -950,15 +794,13 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     drain_timeout: Duration,
-    front_door: FrontDoor,
     dispatch_workers: usize,
     /// The supervision tree owning every long-lived serving thread —
     /// acceptor, epoll shards, dispatch workers, timer, coordinator, and
     /// executor flushers all live in its registry (their `JoinHandle`s
     /// are the supervisor's, not the server's).
     supervisor: Supervisor,
-    /// Epoll plane only: one handle per shard (empty on the threaded
-    /// plane).
+    /// One handle per shard.
     shard_handles: Vec<Arc<ShardHandle>>,
     /// One executor per tenant (its own per-instance clocks).
     executors: Vec<Arc<Executor>>,
@@ -1072,18 +914,11 @@ impl Server {
             unknown_tenants: AtomicU64::new(0),
             regrants: Mutex::new(Vec::new()),
             conns: StripedMap::new(config.resolved_conn_stripes()),
-            conn_threads: Mutex::new(Vec::new()),
         });
 
         // The supervision tree every long-lived serving thread spawns
-        // under. With `supervised = false` the same spawn path runs with
-        // no monitor: panics are swallowed silently — the pre-supervision
-        // failure mode, pinned by regression tests.
-        let supervisor = Supervisor::new(
-            config.component_chaos.clone(),
-            config.supervised,
-            config.stall_grace,
-        );
+        // under.
+        let supervisor = Supervisor::new(config.component_chaos.clone(), config.stall_grace);
         let restart = RestartPolicy::Restart {
             backoff: config.restart_backoff,
             budget: config.restart_budget,
@@ -1169,7 +1004,7 @@ impl Server {
             // single-tenant server without a coordinator. Multi-tenant:
             // either the coordinator is the sole apply_allocation caller,
             // or (static partition) nobody reallocates at all — the timer
-            // health-ticks and reaps connection threads either way.
+            // health-ticks either way.
             // Restartable: the loop body is stateless between ticks, so a
             // respawned timer resumes health ticks within one interval.
             let reallocate = !coordinate && shared.tenants.len() == 1;
@@ -1193,46 +1028,40 @@ impl Server {
             });
         }
 
-        // Epoll plane: spawn the shard event loops before accepting, so
-        // the acceptor always has somewhere to hand a socket. A shard owns
-        // live connection state machines that cannot be re-attached, so
-        // its policy is Escalate; the epoll instance is taken by the first
+        // Spawn the shard event loops before accepting, so the acceptor
+        // always has somewhere to hand a socket. A shard owns live
+        // connection state machines that cannot be re-attached, so its
+        // policy is Escalate; the epoll instance is taken by the first
         // (and only) incarnation.
-        let shard_handles = match config.front_door {
-            FrontDoor::Threaded => Vec::new(),
-            FrontDoor::Epoll { shards } => {
-                let n = shards.max(1);
-                let mut handles = Vec::with_capacity(n);
-                for i in 0..n {
-                    let epoll = Epoll::new()?;
-                    let waker = Waker::new(&epoll)?;
-                    let handle = Arc::new(ShardHandle {
-                        waker,
-                        dirty: Mutex::new(Vec::new()),
-                        incoming: Mutex::new(Vec::new()),
-                    });
-                    let shard_cfg = ShardConfig {
-                        tick: config.read_timeout,
-                        idle_timeout: config.idle_timeout,
-                        write_timeout: config.write_timeout,
-                        frame_error_budget: config.frame_error_budget,
-                        server_chaos: config.server_chaos,
-                    };
-                    let shared = Arc::clone(&shared);
-                    let handle2 = Arc::clone(&handle);
-                    let cell = Mutex::new(Some(epoll));
-                    supervisor.supervise(&format!("shard-{i}"), RestartPolicy::Escalate, {
-                        move |ctx| {
-                            if let Some(epoll) = cell.lock().take() {
-                                shard_loop(&shared, &handle2, &epoll, &shard_cfg, ctx);
-                            }
-                        }
-                    });
-                    handles.push(handle);
+        let shard_count = config.shards.max(1);
+        let mut shard_handles = Vec::with_capacity(shard_count);
+        for i in 0..shard_count {
+            let epoll = Epoll::new()?;
+            let waker = Waker::new(&epoll)?;
+            let handle = Arc::new(ShardHandle {
+                waker,
+                dirty: Mutex::new(Vec::new()),
+                incoming: Mutex::new(Vec::new()),
+            });
+            let shard_cfg = ShardConfig {
+                sweep_interval: config.sweep_interval,
+                idle_timeout: config.idle_timeout,
+                write_timeout: config.write_timeout,
+                frame_error_budget: config.frame_error_budget,
+                server_chaos: config.server_chaos,
+            };
+            let shared = Arc::clone(&shared);
+            let handle2 = Arc::clone(&handle);
+            let cell = Mutex::new(Some(epoll));
+            supervisor.supervise(&format!("shard-{i}"), RestartPolicy::Escalate, {
+                move |ctx| {
+                    if let Some(epoll) = cell.lock().take() {
+                        shard_loop(&shared, &handle2, &epoll, &shard_cfg, ctx);
+                    }
                 }
-                handles
-            }
-        };
+            });
+            shard_handles.push(handle);
+        }
 
         {
             // The acceptor owns the listener (taken by the only
@@ -1253,17 +1082,11 @@ impl Server {
             shared,
             local_addr,
             drain_timeout: config.drain_timeout,
-            front_door: config.front_door,
             dispatch_workers,
             supervisor,
             shard_handles,
             executors,
         })
-    }
-
-    /// The connection plane this server is running.
-    pub fn front_door(&self) -> FrontDoor {
-        self.front_door
     }
 
     /// The bound address (useful with port 0).
@@ -1349,12 +1172,6 @@ impl Server {
     /// fail-fast conserving drain.
     pub fn is_escalated(&self) -> bool {
         self.supervisor.is_escalated()
-    }
-
-    /// Connection reader/writer threads not yet joined (finished threads
-    /// are reclaimed by the timer within about one tick).
-    pub fn live_conn_threads(&self) -> usize {
-        self.shared.conn_threads.lock().len()
     }
 
     /// Connections reaped for idling past the configured window.
@@ -1461,7 +1278,7 @@ impl Server {
         shared.draining.store(true, Ordering::SeqCst);
 
         // Flush: every admitted request completes, and its response frame
-        // leaves the writer queue for the socket, before anything closes.
+        // leaves its outbound queue for the socket, before anything closes.
         let deadline = Instant::now() + self.drain_timeout;
         while (shared.outstanding.load(Ordering::SeqCst) > 0
             || shared.queued_frames.load(Ordering::SeqCst) > 0)
@@ -1476,12 +1293,11 @@ impl Server {
         // 2 ms timeout tick. Anything still queued is abandoned by design:
         // those messages were admitted (counted `outstanding`), and a
         // timed-out flush wait above means they will never complete — the
-        // report carries them as `outstanding_at_close`, exactly as the
-        // old plane abandoned its channel backlog.
+        // report carries them as `outstanding_at_close`.
         for tenant in &shared.tenants {
             tenant.dispatch.close();
         }
-        // Epoll shards sleep in epoll_wait: nudge them so they observe the
+        // Shards sleep in epoll_wait: nudge them so they observe the
         // shutdown flag now rather than at their next poll timeout.
         for handle in &self.shard_handles {
             handle.waker.wake();
@@ -1493,9 +1309,9 @@ impl Server {
             executor.stop_flusher();
         }
         // Join every component — acceptor, timer, coordinator, dispatch
-        // workers, shards (which close their owned connections, balancing
-        // the flush counter for anything undeliverable, on the way out),
-        // and flushers (each fires what its heap still holds first) — then
+        // workers, shards (which close every connection, balancing the
+        // flush counter for anything undeliverable, on the way out), and
+        // flushers (each fires what its heap still holds first) — then
         // drop their body closures, releasing the executor and
         // shared-state clones they captured.
         self.supervisor.shutdown_join();
@@ -1507,19 +1323,6 @@ impl Server {
             panics_recovered += executor.panics_recovered();
             // Fires whatever a flusher that died for good left in its heap.
             let _occupancy = executor.shutdown();
-        }
-
-        // Close every connection: dropping the handles disconnects the
-        // writer queues (writers drain and exit) and the socket shutdown
-        // unblocks readers.
-        let handles: Vec<ConnHandle> = shared.conns.drain_all();
-        for handle in &handles {
-            handle.doom();
-        }
-        drop(handles);
-        let threads = std::mem::take(&mut *shared.conn_threads.lock());
-        for thread in threads {
-            thread.join().expect("connection thread panicked");
         }
 
         let tenants: Vec<TenantDrainReport> = shared
@@ -1834,8 +1637,6 @@ fn timer_loop(
                 shared.reallocations.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Reclaim reader/writer threads of reaped or closed connections.
-        shared.join_finished_conn_threads();
     }
 }
 
@@ -1961,17 +1762,10 @@ fn accept_loop(
                 }
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
-                let registered = if shards.is_empty() {
-                    spawn_connection(shared, stream, conn_id, config)
-                } else {
-                    let shard = &shards[(conn_id as usize) % shards.len()];
-                    register_epoll_conn(shared, stream, conn_id, shard, config)
-                };
-                if registered.is_err() {
-                    // Stream clone, thread spawn, or nonblocking setup
-                    // failed: drop the socket.
-                    shared.conns.remove(conn_id);
-                }
+                let shard = &shards[(conn_id as usize) % shards.len()];
+                // A socket that cannot be made non-blocking is dropped
+                // before anything was registered for it.
+                let _ = register_conn(shared, stream, conn_id, shard, config);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -1981,11 +1775,11 @@ fn accept_loop(
     }
 }
 
-/// Hand an accepted socket to its epoll shard: make it non-blocking,
-/// publish the [`ConnHandle`] (so `respond`/doom work immediately), and
-/// inject it into the shard's adoption queue. The shard wires up chaos
-/// plans and epoll registration when it adopts the connection.
-fn register_epoll_conn(
+/// Hand an accepted socket to its shard: make it non-blocking, publish the
+/// [`ConnHandle`] (so `respond`/doom work immediately), and inject it into
+/// the shard's adoption queue. The shard wires up chaos plans and epoll
+/// registration when it adopts the connection.
+fn register_conn(
     shared: &Arc<Shared>,
     stream: TcpStream,
     conn_id: u64,
@@ -1998,15 +1792,12 @@ fn register_epoll_conn(
         queue: Mutex::new(OutboundQueue::default()),
     });
     let doomed = Arc::new(AtomicBool::new(false));
-    let negotiated = Arc::new(AtomicU8::new(WireVersion::V1.byte()));
     shared.conns.insert(
         conn_id,
         ConnHandle {
             conn_id,
-            route: ConnRoute::Epoll {
-                outbound: Arc::clone(&outbound),
-                shard: Arc::clone(shard),
-            },
+            outbound: Arc::clone(&outbound),
+            shard: Arc::clone(shard),
             doomed: Arc::clone(&doomed),
         },
     );
@@ -2015,316 +1806,34 @@ fn register_epoll_conn(
         stream,
         outbound,
         doomed,
-        negotiated,
     });
     shard.waker.wake();
     Ok(())
 }
 
-/// Register a new connection: one bounded outbound queue, one writer
-/// thread draining it to the socket, one reader thread decoding frames.
-/// Both halves share the connection's negotiated [`WireVersion`] (v1
-/// until a `Hello` upgrades it), and — with server-side chaos enabled —
-/// each half runs behind its own deterministically-scheduled
-/// [`FaultyStream`].
-fn spawn_connection(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    conn_id: u64,
-    config: &ServeConfig,
-) -> io::Result<()> {
-    let writer_stream = stream.try_clone()?;
-    let writer_shutdown = stream.try_clone()?;
-    let shutdown_stream = stream.try_clone()?;
-    let (out_tx, out_rx) = mpsc::sync_channel::<Frame>(config.outbound_queue);
-    let doomed = Arc::new(AtomicBool::new(false));
-    // Socket-level timeouts must land on the raw TcpStream before the
-    // halves disappear behind chaos wrappers (`dyn Read`/`dyn Write`).
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = writer_stream.set_write_timeout(Some(config.write_timeout));
-    let negotiated = Arc::new(AtomicU8::new(WireVersion::V1.byte()));
-    shared.conns.insert(
-        conn_id,
-        ConnHandle {
-            conn_id,
-            route: ConnRoute::Threaded {
-                tx: out_tx,
-                stream: shutdown_stream,
-            },
-            doomed: Arc::clone(&doomed),
-        },
-    );
-
-    let (read_half, write_half): (Box<dyn Read + Send>, Box<dyn Write + Send>) =
-        match &config.server_chaos {
-            Some(chaos) => (
-                Box::new(FaultyStream::new(stream, chaos.plan_for(conn_id * 2))),
-                Box::new(FaultyStream::new(
-                    writer_stream,
-                    chaos.plan_for(conn_id * 2 + 1),
-                )),
-            ),
-            None => (Box::new(stream), Box::new(writer_stream)),
-        };
-
-    let writer = {
-        let shared = Arc::clone(shared);
-        let doomed = Arc::clone(&doomed);
-        let negotiated = Arc::clone(&negotiated);
-        std::thread::Builder::new()
-            .name(format!("arlo-conn-{conn_id}-wr"))
-            .spawn(move || {
-                writer_loop(
-                    &shared,
-                    write_half,
-                    &writer_shutdown,
-                    &out_rx,
-                    &doomed,
-                    &negotiated,
-                )
-            })?
-    };
-    let reader = {
-        let shared = Arc::clone(shared);
-        let doomed = Arc::clone(&doomed);
-        let config = ReaderConfig {
-            idle_timeout: config.idle_timeout,
-            frame_error_budget: config.frame_error_budget,
-        };
-        std::thread::Builder::new()
-            .name(format!("arlo-conn-{conn_id}"))
-            .spawn(move || {
-                reader_loop(&shared, read_half, conn_id, &doomed, &negotiated, &config);
-                // Removing the handle drops the queue's long-lived sender;
-                // once any respond-cloned senders drop too, the writer
-                // drains whatever is left (balancing the flush counter per
-                // batch) and exits.
-                if let Some(handle) = shared.conns.remove(conn_id) {
-                    if let ConnRoute::Threaded { stream, .. } = &handle.route {
-                        // Half-close: stop reading; the writer still
-                        // flushes.
-                        let _ = stream.shutdown(Shutdown::Read);
-                    }
-                }
-            })?
-    };
-    shared.conn_threads.lock().extend([writer, reader]);
-    Ok(())
-}
-
-/// Write every buffer in `bufs` to `w`, as few syscalls as the kernel
-/// allows: one gathered `write_vectored` per iteration, advancing past
-/// partially-written slices by hand (std's `write_all_vectored` is
-/// unstable). Kept total: short writes resume mid-buffer, `Interrupted`
-/// retries, and a zero-length write is the `WriteZero` error it is.
-fn write_all_vectored(w: &mut (impl Write + ?Sized), bufs: &[Vec<u8>]) -> io::Result<()> {
-    let mut idx = 0; // first buffer with unwritten bytes
-    let mut offset = 0; // bytes of bufs[idx] already written
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
-    while idx < bufs.len() {
-        slices.clear();
-        slices.push(IoSlice::new(&bufs[idx][offset..]));
-        slices.extend(bufs[idx + 1..].iter().map(|b| IoSlice::new(b)));
-        let mut n = match w.write_vectored(&slices) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while idx < bufs.len() && n >= bufs[idx].len() - offset {
-            n -= bufs[idx].len() - offset;
-            idx += 1;
-            offset = 0;
-        }
-        offset += n;
-    }
-    Ok(())
-}
-
-/// Drain one connection's outbound queue onto its socket. Exits when every
-/// sender is gone (connection removed from the registry) and the queue is
-/// empty. A write failure or timeout dooms the connection; remaining
-/// frames are then discarded (still decrementing the flush counter, so
-/// drain never hangs on a dead client) rather than written to a dead
-/// socket.
-///
-/// Frames encode at the connection's negotiated version into a pool of
-/// **reusable per-slot buffers** (no allocation per frame once the pool
-/// warms up) and leave in one gathered [`write_all_vectored`] call per
-/// coalesced batch. The lone exception is [`Frame::HelloAck`], which
-/// always travels v1-framed: it is the bootstrap dialect's answer, and
-/// may race the version flip it announces.
-fn writer_loop(
-    shared: &Shared,
-    mut sink: Box<dyn Write + Send>,
-    shutdown: &TcpStream,
-    rx: &mpsc::Receiver<Frame>,
-    doomed: &AtomicBool,
-    negotiated: &AtomicU8,
-) {
-    let mut dead = false;
-    let mut pending: Vec<Frame> = Vec::with_capacity(64);
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // Coalesce everything already queued into one syscall: the shed
-        // path can produce error frames far faster than per-frame writes
-        // can drain them, and without batching that alone would overflow
-        // the bounded queue even with a healthy, fast-reading client.
-        pending.clear();
-        pending.push(first);
-        while pending.len() < 1024 {
-            match rx.try_recv() {
-                Ok(frame) => pending.push(frame),
-                Err(_) => break,
-            }
-        }
-        let batch = pending.len() as u64;
-        if !dead && doomed.load(Ordering::SeqCst) {
-            dead = true;
-        }
-        if !dead {
-            while bufs.len() < pending.len() {
-                bufs.push(Vec::with_capacity(64));
-            }
-            let version = WireVersion::from_byte(negotiated.load(Ordering::SeqCst))
-                .unwrap_or(WireVersion::V1);
-            for (frame, buf) in pending.iter().zip(bufs.iter_mut()) {
-                buf.clear();
-                let frame_version = if matches!(frame, Frame::HelloAck { .. }) {
-                    WireVersion::V1
-                } else {
-                    version
-                };
-                frame.encode_into(frame_version, buf);
-            }
-            match write_all_vectored(&mut *sink, &bufs[..pending.len()]) {
-                Ok(()) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // The client stalled a single write past the timeout:
-                    // same fate as overflowing the queue.
-                    if !doomed.swap(true, Ordering::SeqCst) {
-                        shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = shutdown.shutdown(Shutdown::Both);
-                    dead = true;
-                }
-                Err(_) => {
-                    doomed.store(true, Ordering::SeqCst);
-                    dead = true;
-                }
-            }
-        }
-        shared.queued_frames.fetch_sub(batch, Ordering::SeqCst);
-    }
-}
-
-struct ReaderConfig {
-    idle_timeout: Duration,
-    frame_error_budget: u32,
-}
-
-fn reader_loop(
-    shared: &Shared,
-    mut stream: Box<dyn Read + Send>,
-    conn_id: u64,
-    doomed: &AtomicBool,
-    negotiated: &AtomicU8,
-    config: &ReaderConfig,
-) {
-    let mut frames = FrameReader::new();
-    let mut budget = ErrorBudget::new(config.frame_error_budget);
-    let mut last_activity = Instant::now();
-    loop {
-        // Decode everything already buffered before touching the socket.
-        loop {
-            match frames.next_frame() {
-                Ok(Some(frame)) => {
-                    budget.credit();
-                    if !handle_frame(shared, conn_id, negotiated, &mut budget, &frame) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) if budget.charge(&e) => {
-                    // Malformed but skippable, and within budget: the bad
-                    // frame's bytes are consumed and the stream continues.
-                    // A checksum mismatch additionally earns the client a
-                    // retryable verdict — the line mangled the frame, so
-                    // the server cannot know which request it carried, but
-                    // it *can* say "resend whatever you have in flight".
-                    if matches!(e, DecodeError::ChecksumMismatch { .. }) {
-                        shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        shared.respond(
-                            conn_id,
-                            &Frame::Error {
-                                id: CONN_ERROR_ID,
-                                code: ErrorCode::Corrupt,
-                            },
-                        );
-                    }
-                }
-                Err(_) => {
-                    // Budget exhausted or framing lost: typed disconnect.
-                    shared.protocol_disconnects.fetch_add(1, Ordering::Relaxed);
-                    shared.respond(
-                        conn_id,
-                        &Frame::Error {
-                            id: CONN_ERROR_ID,
-                            code: ErrorCode::Protocol,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) || doomed.load(Ordering::SeqCst) {
-            return;
-        }
-        match frames.fill(&mut stream) {
-            Ok(0) => return, // EOF (clean or mid-frame; nothing more comes)
-            Ok(_) => last_activity = Instant::now(),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Poll tick: no bytes. Reap the connection if the client
-                // has been silent past the idle window — this is the
-                // half-open-socket defence; without it this thread would
-                // block forever on a peer that will never speak again.
-                if last_activity.elapsed() >= config.idle_timeout {
-                    shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Err(_) => return, // reset or broken pipe
-        }
-    }
-}
-
 /// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs.
 struct ShardConfig {
-    /// Poll granularity: how often a sleeping shard wakes to sweep for
-    /// idle, doomed, or write-stalled connections. Reuses `read_timeout`
-    /// — the same knob that paces the threaded reader's poll tick.
-    tick: Duration,
+    sweep_interval: Duration,
     idle_timeout: Duration,
     write_timeout: Duration,
     frame_error_budget: u32,
     server_chaos: Option<ChaosConfig>,
 }
 
-/// One connection's state machine on an epoll shard: the incremental
+/// One connection's state machine on a shard: the incremental
 /// [`FrameReader`] on the way in, the [`FrameWriteBuf`] fed from the
 /// bounded outbound queue on the way out, plus doom/idle/chaos state.
-/// This is the non-blocking equivalent of a reader+writer thread pair.
 struct FramedConn {
     stream: TcpStream,
     frames: FrameReader,
     budget: ErrorBudget,
-    negotiated: Arc<AtomicU8>,
+    /// The wire version frames leave at: v1 until a `Hello` upgrades it.
+    version: WireVersion,
     outbound: Arc<Outbound>,
+    /// Frames swapped out of `outbound` and about to be encoded; empty
+    /// between drives. Trades places with the queue's own `VecDeque`, so
+    /// neither side reallocates once both have grown to the burst size.
+    swapped: VecDeque<Frame>,
     doomed: Arc<AtomicBool>,
     wbuf: FrameWriteBuf,
     last_activity: Instant,
@@ -2336,16 +1845,12 @@ struct FramedConn {
     /// writes make progress).
     write_blocked_since: Option<Instant>,
     /// Read side finished (EOF, protocol disconnect, idle reap): flush
-    /// the remaining outbound frames, then close — mirroring the threaded
-    /// plane, where the writer drains after the reader exits.
+    /// the remaining outbound frames, then close.
     closing: bool,
 }
 
 impl FramedConn {
     fn adopt(inc: IncomingConn, cfg: &ShardConfig) -> FramedConn {
-        // Chaos plans use the same per-connection derivation as the
-        // threaded plane (reader `conn_id * 2`, writer `conn_id * 2 + 1`),
-        // so a seeded schedule reproduces identically on both front doors.
         let (read_chaos, write_chaos) = match &cfg.server_chaos {
             Some(chaos) => (
                 Some(NonBlockingChaos::new(chaos.plan_for(inc.conn_id * 2))),
@@ -2357,8 +1862,9 @@ impl FramedConn {
             stream: inc.stream,
             frames: FrameReader::new(),
             budget: ErrorBudget::new(cfg.frame_error_budget),
-            negotiated: inc.negotiated,
+            version: WireVersion::V1,
             outbound: inc.outbound,
+            swapped: VecDeque::new(),
             doomed: inc.doomed,
             wbuf: FrameWriteBuf::new(),
             last_activity: Instant::now(),
@@ -2393,9 +1899,11 @@ impl FramedConn {
     fn desired_interest(&self) -> Interest {
         Interest {
             readable: !self.closing && self.read_blocked_until().is_none(),
-            writable: self.has_pending_writes()
+            // Cheapest test first: `has_pending_writes` takes the queue
+            // lock, and writes are rarely blocked.
+            writable: self.write_blocked_since.is_some()
                 && self.write_blocked_until().is_none()
-                && self.write_blocked_since.is_some(),
+                && self.has_pending_writes(),
         }
     }
 }
@@ -2427,12 +1935,13 @@ impl Write for ChaosWrite<'_> {
     }
 }
 
-/// How long the shard may sleep in `epoll_wait`: the sweep tick, shortened
-/// to the nearest chaos block-window deadline so armed delays resume on
-/// time. The scan only runs under server-side chaos (a test-only mode with
-/// a handful of connections); production shards sleep the full tick.
+/// How long the shard may sleep in `epoll_wait`: the sweep interval,
+/// shortened to the nearest chaos block-window deadline so armed delays
+/// resume on time. The scan only runs under server-side chaos (a test-only
+/// mode with a handful of connections); production shards sleep the full
+/// interval.
 fn poll_timeout(conns: &HashMap<u64, FramedConn>, cfg: &ShardConfig) -> Duration {
-    let mut timeout = cfg.tick;
+    let mut timeout = cfg.sweep_interval;
     if cfg.server_chaos.is_some() {
         let now = Instant::now();
         for conn in conns.values() {
@@ -2489,11 +1998,20 @@ fn shard_loop(
     let mut events = Vec::new();
     let mut last_sweep = Instant::now();
     loop {
-        ctx.beat();
         let timeout = poll_timeout(&owned.conns, cfg);
         ctx.park();
         let _ = epoll.wait(&mut events, Some(timeout));
-        handle.waker.drain();
+        // Park, block, beat, work: everything below runs unparked, so a
+        // wedge anywhere in this wake-up's work freezes the heartbeat where
+        // the monitor looks. Also the chaos injection point — `owned` is
+        // armed, so an induced panic here still closes every connection.
+        ctx.beat();
+        // Reset the eventfd *before* taking the lists it announces: a
+        // notification landing after the takes then leaves it readable for
+        // the next wait instead of being swallowed by this drain.
+        if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
+            handle.waker.drain();
+        }
 
         if shared.shutdown.load(Ordering::SeqCst) {
             // Bind the drained queue before iterating: a `for` loop keeps
@@ -2520,14 +2038,16 @@ fn shard_loop(
             }
             conn.interest = Interest::READ;
             owned.conns.insert(conn_id, conn);
+            // The adoption drive `Shared::respond`'s notify rule relies on.
+            drive_conn(shared, epoll, &mut owned.conns, conn_id, cfg, false);
         }
 
-        // Connections with fresh outbound frames or fresh doom flags. The
-        // drained list MUST be bound before the loop: iterating the
-        // `mem::take` expression directly keeps the `dirty` guard alive for
-        // the whole body, and `drive_conn` reaches `Shared::respond`, whose
-        // successful push `notify`s this same shard — re-locking `dirty`
-        // on this very thread. Holding the guard across the body is
+        // Connections whose outbound queue went non-empty or that were
+        // doomed. The drained list MUST be bound before the loop: iterating
+        // the `mem::take` expression directly keeps the `dirty` guard alive
+        // for the whole body, and `drive_conn` reaches `Shared::respond`,
+        // whose push may `notify` this same shard — re-locking `dirty` on
+        // this very thread. Holding the guard across the body is
         // self-deadlock (and would also serialize every responder against
         // this shard's event-handling).
         let dirty = std::mem::take(&mut *handle.dirty.lock());
@@ -2552,7 +2072,7 @@ fn shard_loop(
 
         // Periodic sweep; under server chaos every wakeup sweeps, so armed
         // block windows resume as soon as their deadline passes.
-        if cfg.server_chaos.is_some() || last_sweep.elapsed() >= cfg.tick {
+        if cfg.server_chaos.is_some() || last_sweep.elapsed() >= cfg.sweep_interval {
             last_sweep = Instant::now();
             sweep(shared, epoll, &mut owned.conns, cfg);
         }
@@ -2600,26 +2120,34 @@ fn drive_conn(
 }
 
 /// Non-blocking read pump: decode everything buffered, fill from the
-/// socket (through the chaos plan when armed), repeat — bounded per call
-/// so one firehose connection cannot starve its shard (level-triggered
-/// epoll re-reports leftover readiness). Sets `closing` on EOF, protocol
-/// disconnect, or a hard error; the flush-then-close mirrors the threaded
-/// plane, where the writer drains after the reader exits.
+/// socket (through the chaos plan when armed), repeat — until a fill comes
+/// back short of its chunk (the socket is drained, or chaos cut the read;
+/// level-triggered epoll re-reports anything left, so no second `read` is
+/// spent on a `WouldBlock`), and at most four fills per call so one
+/// firehose connection cannot starve its shard. Sets `closing` on EOF,
+/// protocol disconnect, or a hard error: queued responses still flush
+/// before the close.
 fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
     let mut fills = 0;
+    let mut drained = false;
     loop {
         loop {
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => {
                     conn.budget.credit();
-                    if !handle_frame(shared, conn_id, &conn.negotiated, &mut conn.budget, &frame) {
+                    if !handle_frame(shared, conn_id, &mut conn.version, &mut conn.budget, &frame) {
                         conn.closing = true;
                         return;
                     }
                 }
                 Ok(None) => break,
                 Err(e) if conn.budget.charge(&e) => {
-                    // Same budgeted-resync semantics as reader_loop.
+                    // Malformed but skippable, and within budget: the bad
+                    // frame's bytes are consumed and the stream continues.
+                    // A checksum mismatch additionally earns the client a
+                    // retryable verdict — the line mangled the frame, so
+                    // the server cannot know which request it carried, but
+                    // it *can* say "resend whatever you have in flight".
                     if matches!(e, DecodeError::ChecksumMismatch { .. }) {
                         shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                         shared.respond(
@@ -2632,6 +2160,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
                     }
                 }
                 Err(_) => {
+                    // Budget exhausted or framing lost: typed disconnect.
                     shared.protocol_disconnects.fetch_add(1, Ordering::Relaxed);
                     shared.respond(
                         conn_id,
@@ -2645,7 +2174,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
                 }
             }
         }
-        if fills >= 4 {
+        if drained || fills >= 4 {
             return;
         }
         fills += 1;
@@ -2661,11 +2190,14 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
                 conn.closing = true;
                 return;
             }
-            Ok(_) => conn.last_activity = Instant::now(),
+            Ok(n) => {
+                conn.last_activity = Instant::now();
+                drained = n < FILL_CHUNK;
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(_) => {
-                // Reset or broken pipe: like the threaded reader, stop
-                // reading but still flush queued responses before closing.
+                // Reset or broken pipe: stop reading, but still flush
+                // queued responses before closing.
                 conn.closing = true;
                 return;
             }
@@ -2674,29 +2206,32 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
 }
 
 /// Non-blocking write pump: refill the [`FrameWriteBuf`] from the bounded
-/// outbound queue (≤1024-frame coalescing, HelloAck pinned v1 — both as on
-/// the threaded plane), write until empty or blocked. Returns `false` when
-/// the connection doomed itself (write stall past the timeout, or a hard
+/// outbound queue (the whole backlog in one coalesced buffer, HelloAck
+/// pinned v1), write until empty or blocked. Returns `false` when the
+/// connection doomed itself (write stall past the timeout, or a hard
 /// error).
 fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> bool {
     loop {
         if conn.wbuf.is_empty() {
-            let mut queue = conn.outbound.queue.lock();
-            if queue.frames.is_empty() {
-                break;
-            }
-            let version = WireVersion::from_byte(conn.negotiated.load(Ordering::SeqCst))
-                .unwrap_or(WireVersion::V1);
-            for _ in 0..1024 {
-                let Some(frame) = queue.frames.pop_front() else {
+            {
+                // Swap, don't pop: responders contend on this lock, so it
+                // is held for two pointer moves and the encoding below
+                // runs outside it.
+                let mut queue = conn.outbound.queue.lock();
+                if queue.frames.is_empty() {
                     break;
-                };
-                let frame_version = if matches!(frame, Frame::HelloAck { .. }) {
+                }
+                std::mem::swap(&mut queue.frames, &mut conn.swapped);
+            }
+            for frame in conn.swapped.drain(..) {
+                // The HelloAck is the bootstrap dialect's answer: the
+                // client decodes it before it knows the agreed version.
+                let version = if matches!(frame, Frame::HelloAck { .. }) {
                     WireVersion::V1
                 } else {
-                    version
+                    conn.version
                 };
-                conn.wbuf.push(&frame, frame_version);
+                conn.wbuf.push(&frame, version);
             }
         }
         let wrote = match &mut conn.write_chaos {
@@ -2742,11 +2277,11 @@ fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> boo
     true
 }
 
-/// Close one epoll connection: deregister the public handle, then latch
-/// the outbound queue `closed` under its own lock while draining it.
-/// `respond` no longer pushes under any registry lock — it resolves its
-/// route under a stripe, releases it, then pushes under the queue lock —
-/// so the latch is what closes the race: a responder that looked the
+/// Close one connection: deregister the public handle, then latch the
+/// outbound queue `closed` under its own lock while draining it. `respond`
+/// pushes under no registry lock — it resolves its route under a stripe,
+/// releases it, then pushes under the queue lock — so the latch is what
+/// closes the race: a responder that looked the
 /// handle up before our removal observes `closed` at its push and
 /// balances the flush counter for its own frame; every frame we drain
 /// here we balance ourselves. Exactly one side accounts each frame.
@@ -2907,7 +2442,7 @@ fn unknown_tenant(shared: &Shared, conn_id: u64, id: u64, budget: &mut ErrorBudg
 fn handle_frame(
     shared: &Shared,
     conn_id: u64,
-    negotiated: &AtomicU8,
+    version: &mut WireVersion,
     budget: &mut ErrorBudget,
     frame: &Frame,
 ) -> bool {
@@ -2939,11 +2474,10 @@ fn handle_frame(
         Frame::Hello { max_version } => {
             // Version negotiation: agree on the best common version, flip
             // the connection to it, and ack. The ack itself always leaves
-            // v1-framed (the writer pins HelloAck to the bootstrap
-            // dialect), so the client decodes it regardless of when the
-            // writer observes the flip.
+            // v1-framed (`drive_write` pins HelloAck to the bootstrap
+            // dialect).
             let agreed = WireVersion::negotiate(max_version);
-            negotiated.store(agreed.byte(), Ordering::SeqCst);
+            *version = agreed;
             if agreed >= WireVersion::V2 {
                 shared.v2_conns.fetch_add(1, Ordering::Relaxed);
             }
@@ -3022,29 +2556,5 @@ mod tests {
         assert_eq!(refusal_code(10, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(512, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(513, 512), ErrorCode::Unserviceable);
-    }
-
-    // --- Front-door selection ---
-
-    #[test]
-    fn front_door_parses() {
-        assert_eq!(FrontDoor::parse("threaded"), Some(FrontDoor::Threaded));
-        assert_eq!(
-            FrontDoor::parse("epoll"),
-            Some(FrontDoor::Epoll {
-                shards: FrontDoor::DEFAULT_EPOLL_SHARDS
-            })
-        );
-        assert_eq!(
-            FrontDoor::parse("epoll:4"),
-            Some(FrontDoor::Epoll { shards: 4 })
-        );
-        // Zero shards is nonsense; clamp rather than divide by zero later.
-        assert_eq!(
-            FrontDoor::parse("epoll:0"),
-            Some(FrontDoor::Epoll { shards: 1 })
-        );
-        assert_eq!(FrontDoor::parse("kqueue"), None);
-        assert_eq!(FrontDoor::parse("epoll:x"), None);
     }
 }

@@ -14,12 +14,13 @@
 //!   `coordinator`, `flusher-{i}`) and spawned through a wrapper that
 //!   catches panics and reports exit.
 //! - **Heartbeats.** The component body receives a [`SupervisedCtx`] and
-//!   calls [`SupervisedCtx::beat`] once per loop iteration and
-//!   [`SupervisedCtx::park`] immediately before any *intentional* blocking
-//!   wait. The monitor flags a component **stalled** when its beat counter
-//!   freezes while unparked for longer than the stall grace — a live
-//!   thread that has stopped making progress. (Threads cannot be killed,
-//!   so stalls are detected and logged, not preempted.)
+//!   calls [`SupervisedCtx::park`] immediately before any *intentional*
+//!   blocking wait and [`SupervisedCtx::beat`] once per loop iteration,
+//!   right after that wait returns. The monitor flags a component
+//!   **stalled** when its beat counter freezes while unparked for longer
+//!   than the stall grace — a live thread that has stopped making
+//!   progress. (Threads cannot be killed, so stalls are detected and
+//!   logged, not preempted.)
 //! - **Typed restart policies.** [`RestartPolicy::Restart`] (dispatch
 //!   workers, flusher, timer, coordinator) respawns a panicked component
 //!   after a backoff, up to a budget; the caller's body closure
@@ -136,6 +137,12 @@ impl SupervisedCtx {
     /// About to block intentionally (queue pop, epoll wait, sleep); the
     /// monitor will not count the wait as a stall. The next
     /// [`SupervisedCtx::beat`] unparks.
+    ///
+    /// The required order in a loop body is **park, block, beat, work**:
+    /// the beat comes directly after the blocking call returns, before the
+    /// wake-up's work. A body that beats first and works while still
+    /// marked parked hides every wedge in that work from the monitor,
+    /// which skips parked components.
     pub fn park(&self) {
         self.hb.park();
     }
@@ -375,16 +382,11 @@ fn monitor_loop(inner: &Inner) {
 pub struct Supervisor {
     inner: Arc<Inner>,
     monitor: Mutex<Option<JoinHandle<()>>>,
-    monitoring: bool,
 }
 
 impl Supervisor {
-    /// A supervisor with optional component chaos. `monitoring = false`
-    /// spawns components through the same panic-catching wrapper but runs
-    /// no monitor thread: panics are swallowed and nothing restarts — the
-    /// pre-supervision behavior, kept selectable so its failure mode
-    /// stays pinned by regression tests.
-    pub fn new(chaos: Option<ComponentChaos>, monitoring: bool, stall_grace: Duration) -> Self {
+    /// A supervisor with optional component chaos.
+    pub fn new(chaos: Option<ComponentChaos>, stall_grace: Duration) -> Self {
         Supervisor {
             inner: Arc::new(Inner {
                 components: Mutex::new(Vec::new()),
@@ -400,7 +402,6 @@ impl Supervisor {
                 started: Instant::now(),
             }),
             monitor: Mutex::new(None),
-            monitoring,
         }
     }
 
@@ -448,11 +449,8 @@ impl Supervisor {
             .push(comp);
     }
 
-    /// Start the monitor thread (no-op when monitoring is off).
+    /// Start the monitor thread.
     pub fn start(&self) {
-        if !self.monitoring {
-            return;
-        }
         let inner = Arc::clone(&self.inner);
         let handle = std::thread::Builder::new()
             .name("arlo-supervisor".into())
@@ -519,8 +517,8 @@ impl Supervisor {
                 let _ = h.join();
             }
             if comp.panicked.load(Ordering::SeqCst) {
-                // Died after the monitor stopped looking (or monitoring
-                // was off): the drain report still deserves the truth.
+                // Died after the monitor stopped looking: the drain report
+                // still deserves the truth.
                 self.inner
                     .push_event(&comp.name, SupervisorEventKind::Panicked);
             }
@@ -550,7 +548,7 @@ mod tests {
 
     #[test]
     fn panicking_component_restarts_and_reattaches() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(200));
+        let sup = Supervisor::new(None, Duration::from_millis(200));
         let runs = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         {
@@ -589,7 +587,7 @@ mod tests {
 
     #[test]
     fn escalate_policy_fires_hook_once_and_never_restarts() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(200));
+        let sup = Supervisor::new(None, Duration::from_millis(200));
         let hook_fired = Arc::new(AtomicU64::new(0));
         {
             let hook_fired = Arc::clone(&hook_fired);
@@ -616,7 +614,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_escalates_instead_of_looping() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(200));
+        let sup = Supervisor::new(None, Duration::from_millis(200));
         let hook_fired = Arc::new(AtomicBool::new(false));
         {
             let hook_fired = Arc::clone(&hook_fired);
@@ -632,7 +630,7 @@ mod tests {
 
     #[test]
     fn frozen_unparked_heartbeat_is_one_stall_episode() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(50));
+        let sup = Supervisor::new(None, Duration::from_millis(50));
         let stop = Arc::new(AtomicBool::new(false));
         {
             let stop = Arc::clone(&stop);
@@ -657,7 +655,7 @@ mod tests {
 
     #[test]
     fn parked_idle_component_is_never_stalled() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(20));
+        let sup = Supervisor::new(None, Duration::from_millis(20));
         let stop = Arc::new(AtomicBool::new(false));
         {
             let stop = Arc::clone(&stop);
@@ -678,41 +676,57 @@ mod tests {
         sup.shutdown_join();
     }
 
+    /// A body shaped like `server::shard_loop` — park, block, beat, then
+    /// the wake-up's work — that wedges in that work. The beat after the
+    /// wait is what unparks it, so the monitor sees the freeze. (Beating
+    /// before the park instead leaves the work marked parked, and this
+    /// wedge is never flagged.)
     #[test]
-    fn unmonitored_supervisor_swallows_panics_silently() {
-        // The pre-supervision failure mode, pinned: no monitor, so a
-        // panicked component just stays dead — no restart, no escalation.
-        // The panic itself is still recorded at shutdown_join for the
-        // drain report.
-        let sup = Supervisor::new(None, false, Duration::from_millis(200));
-        let runs = Arc::new(AtomicU64::new(0));
+    fn wedge_after_the_wait_is_flagged_within_the_grace() {
+        let grace = Duration::from_millis(50);
+        let sup = Supervisor::new(None, grace);
+        let stop = Arc::new(AtomicBool::new(false));
+        let wedged_at = Arc::new(Mutex::new(None));
         {
-            let runs = Arc::clone(&runs);
-            sup.supervise("timer", quick_restart(8), move |_ctx| {
-                runs.fetch_add(1, Ordering::SeqCst);
-                panic!("induced");
+            let stop = Arc::clone(&stop);
+            let wedged_at = Arc::clone(&wedged_at);
+            sup.supervise("shard-0", RestartPolicy::Escalate, move |ctx| {
+                for wakeup in 0.. {
+                    ctx.park();
+                    std::thread::sleep(Duration::from_millis(1)); // epoll_wait
+                    ctx.beat();
+                    if wakeup == 3 {
+                        *wedged_at.lock().unwrap() = Some(Instant::now());
+                        // drive_conn deadlocks: alive, silent, unparked.
+                        while !stop.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        return;
+                    }
+                }
             });
         }
         sup.start();
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(sup.restarts(), 0);
-        assert_eq!(sup.escalations(), 0);
-        assert!(sup.events().is_empty(), "nothing watches, nothing logs");
+        wait_for("stall detection", || sup.stalls_detected() >= 1);
+        let flagged_after = wedged_at.lock().unwrap().expect("wedged").elapsed();
+        stop.store(true, Ordering::SeqCst);
         sup.shutdown_join();
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            sup.events()
-                .iter()
-                .filter(|e| e.kind == SupervisorEventKind::Panicked)
-                .count(),
-            1,
-            "the death still surfaces in the drain report"
+        // Grace plus monitor-poll and scheduling slack, far under the 5 s
+        // `wait_for` allows.
+        assert!(
+            flagged_after < grace + Duration::from_millis(500),
+            "flagged {flagged_after:?} after the wedge"
         );
+        assert!(sup
+            .events()
+            .iter()
+            .any(|e| { e.component == "shard-0" && e.kind == SupervisorEventKind::Stalled }));
+        assert_eq!(sup.stalls_detected(), 1);
     }
 
     #[test]
     fn clean_exit_is_final() {
-        let sup = Supervisor::new(None, true, Duration::from_millis(200));
+        let sup = Supervisor::new(None, Duration::from_millis(200));
         let runs = Arc::new(AtomicU64::new(0));
         {
             let runs = Arc::clone(&runs);
@@ -731,7 +745,7 @@ mod tests {
     #[test]
     fn injected_component_chaos_panics_are_deterministic_and_targeted() {
         let chaos = ComponentChaos::panics("worker", 1, 42);
-        let sup = Supervisor::new(Some(chaos), true, Duration::from_millis(200));
+        let sup = Supervisor::new(Some(chaos), Duration::from_millis(200));
         let stop = Arc::new(AtomicBool::new(false));
         let timer_runs = Arc::new(AtomicU64::new(0));
         {

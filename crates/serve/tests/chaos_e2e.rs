@@ -1,16 +1,17 @@
 //! End-to-end robustness tests: the server under deliberately hostile
 //! clients and injected faults.
 //!
-//! Seven properties, each the regression test for one hardening layer:
+//! Eight properties, each the regression test for one hardening layer:
 //!
-//! 1. **Idle reaping** — a connection that never speaks is closed after
-//!    the idle window and its reader/writer threads are *joined*, not
-//!    leaked (the pre-hardening server blocked forever in `read_frame` on
-//!    half-open sockets).
+//! 1. **Idle reaping** — a connection that never speaks is closed by its
+//!    shard's sweep after the idle window and deregistered (the
+//!    pre-hardening server blocked forever in `read_frame` on half-open
+//!    sockets).
 //! 2. **Slow-client isolation** — one client that stops reading
 //!    mid-response-stream is doomed with a bounded delay while healthy
 //!    connections' latencies stay within 2× of the same load without the
-//!    stall; dispatch and executor completion never block on its socket.
+//!    stall; dispatch and executor completion never block on its socket,
+//!    and the event loop keeps admitting and serving new connections.
 //! 3. **Drain under chaos** — with fault-injected clients (corruption,
 //!    resets), the client-side conservation invariant and the server-side
 //!    drain equation both balance exactly: nothing is silently lost on
@@ -29,6 +30,11 @@
 //!    plausibility bound still fires on legacy connections but is
 //!    structurally off on negotiated v2 connections, where the CRC
 //!    subsumes it.
+//! 8. **A paused reader loses nothing** — a client that stops reading
+//!    until the server's send buffer is full, then resumes, gets every
+//!    answer exactly once: frames queued behind a blocked socket are not
+//!    announced to the shard one by one, so `EPOLLOUT` alone must bring
+//!    the shard back to them.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -39,13 +45,13 @@ use arlo_serve::chaos::{ChaosConfig, FaultClass};
 use arlo_serve::loadgen::{
     chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, LoadGenReport, ProtocolMode,
 };
-use arlo_serve::protocol::{read_frame, Frame, WireVersion, DEFAULT_TENANT};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::protocol::{read_frame, Frame, FrameReader, WireVersion, DEFAULT_TENANT};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -70,10 +76,6 @@ fn config() -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        // Both suites run against both connection planes: plain `cargo
-        // test` exercises the threaded default, and CI's serve-epoll job
-        // re-runs them with ARLO_FRONT_DOOR=epoll.
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(GPUS)
     }
 }
@@ -91,9 +93,9 @@ fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 #[test]
-fn idle_connections_are_reaped_and_their_threads_joined() {
+fn idle_connections_are_reaped() {
     let mut cfg = config();
-    cfg.read_timeout = Duration::from_millis(25);
+    cfg.sweep_interval = Duration::from_millis(25);
     cfg.idle_timeout = Duration::from_millis(250);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
@@ -107,22 +109,18 @@ fn idle_connections_are_reaped_and_their_threads_joined() {
         "connections never registered"
     );
 
-    // Both idle out within the window (plus poll slack)…
+    // Both idle out within the window (plus sweep slack)…
     assert!(
         eventually(Duration::from_secs(5), || server.reaped_idle() >= 2),
         "idle connections were not reaped: {} reaped, {} active",
         server.reaped_idle(),
         server.active_connections()
     );
-    // …and the regression claim: their reader *and* writer threads are
-    // joined by the timer, not leaked. Pre-hardening, readers blocked
-    // forever in `read_frame` and drain hung on the join.
+    // …and are gone from the registry, not merely counted.
     assert!(
-        eventually(Duration::from_secs(5), || server.live_conn_threads() == 0),
-        "connection threads leaked after reaping: {}",
-        server.live_conn_threads()
+        eventually(Duration::from_secs(2), || server.active_connections() == 0),
+        "reaped connections still registered"
     );
-    assert_eq!(server.active_connections(), 0);
     drop(held);
     drop(held2);
 
@@ -224,6 +222,26 @@ fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
     let report = replay(addr, &trace, &LoadGenConfig::open(2, SCALE)).expect("replay");
     bulk.join().expect("bulk client panicked");
 
+    // The event loop is still serving: a connection made now — after the
+    // stalled one was doomed, when `stall` — is admitted and answered.
+    let mut fresh = TcpStream::connect(addr).expect("connect");
+    let _ = fresh.set_nodelay(true);
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    Frame::Submit {
+        id: 1,
+        length: 64,
+        tenant: DEFAULT_TENANT,
+    }
+    .write_to(&mut fresh)
+    .expect("submit");
+    match read_frame(&mut fresh).expect("read answer") {
+        Some(Frame::Response { id, .. }) => assert_eq!(id, 1),
+        other => panic!("fresh client got {other:?}"),
+    }
+    drop(fresh);
+
     let slow = server.slow_disconnects();
     let drain = server.drain();
     (report, drain, slow)
@@ -263,6 +281,86 @@ fn stalled_client_is_doomed_without_hurting_healthy_connections() {
         "server-side accounting leaked: {drain:?}"
     );
     assert_eq!(drain.outstanding_at_close, 0);
+}
+
+/// The path where `respond` does *not* wake the shard: while the client is
+/// not reading, the socket refuses bytes, the shard leaves the outbound
+/// queue non-empty, and every further answer is pushed behind it without a
+/// notification. Once every answer is queued nothing will ever notify
+/// again, and the sweep is configured out of reach — only `EPOLLOUT` can
+/// bring the shard back when the client resumes.
+#[test]
+fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
+    // 17 B per error frame: 10 MB of answers against a send buffer that
+    // autotunes to at most 4 MB plus a receive buffer that stays near its
+    // 128 KB initial size while nobody reads.
+    const N: u64 = 600_000;
+    let mut cfg = config();
+    cfg.outbound_queue = 2 * N as usize; // the backlog stays well under it
+    cfg.write_timeout = Duration::from_secs(120); // and the pause well under this
+    cfg.sweep_interval = Duration::from_secs(120);
+    cfg.idle_timeout = Duration::from_secs(300);
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let _ = conn.set_nodelay(true);
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let mut burst = Vec::new();
+    for id in 0..N {
+        // Unserviceable: answered by the dispatch worker, a thread that
+        // is not the connection's shard. (Past the dispatch queue's bound
+        // the shard itself answers `Shed`; either way one answer per id.)
+        Frame::Submit {
+            id,
+            length: 1_000_000,
+            tenant: DEFAULT_TENANT,
+        }
+        .encode_into(WireVersion::V1, &mut burst);
+        if burst.len() >= 64 * 1024 || id == N - 1 {
+            conn.write_all(&burst).expect("submit burst");
+            burst.clear();
+        }
+    }
+    assert!(
+        eventually(Duration::from_secs(30), || {
+            let t = &server.tenant_stats()[0];
+            t.submits == N && t.outstanding == 0
+        }),
+        "server never finished answering: {:?}",
+        server.tenant_stats()[0]
+    );
+
+    // Resume. Every id is answered exactly once, by a typed refusal.
+    let mut answers = vec![0u8; N as usize];
+    let mut frames = FrameReader::new();
+    let mut seen = 0;
+    while seen < N {
+        match frames.next_frame().expect("decode answer") {
+            Some(Frame::Error { id, .. }) => {
+                answers[id as usize] += 1;
+                seen += 1;
+            }
+            Some(other) => panic!("expected a refusal, got {other:?}"),
+            None => {
+                let n = frames.fill(&mut conn).expect("read answers");
+                assert!(n > 0, "server closed after {seen} of {N} answers");
+            }
+        }
+    }
+    assert!(
+        answers.iter().all(|&n| n == 1),
+        "{} ids unanswered, {} answered twice",
+        answers.iter().filter(|&&n| n == 0).count(),
+        answers.iter().filter(|&&n| n > 1).count()
+    );
+    drop(conn);
+
+    let drain = server.drain();
+    assert_eq!(drain.slow_disconnects, 0, "{drain:?}");
+    assert_eq!(drain.submits, N, "{drain:?}");
+    assert_eq!(drain.submits, drain.shed + drain.unserviceable, "{drain:?}");
+    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
 }
 
 #[test]

@@ -1,13 +1,7 @@
-//! End-to-end tests pinned to the epoll front door (plus the acceptor
-//! regression, which runs on both planes).
-//!
-//! `chaos_e2e` and `e2e_loopback` exercise whichever plane
-//! `ARLO_FRONT_DOOR` selects; this suite instead *hard-codes*
-//! [`FrontDoor::Epoll`] for the hazards whose mechanics changed most in
-//! the move off per-connection threads — idle reaping and
-//! doom-on-overflow are now sweep- and readiness-driven instead of
-//! thread-timeout-driven, so they get their own regressions on the new
-//! path regardless of how the shared suites are launched.
+//! End-to-end tests of the acceptor and of connection scale: admission
+//! refusals never stall accepting, and a few hundred concurrent
+//! connections held by the epoll client pool conserve every submit. (Idle
+//! reaping and doom-on-overflow live in `chaos_e2e`.)
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -16,7 +10,7 @@ use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{connection_storm, StormConfig};
 use arlo_serve::protocol::{read_frame, ErrorCode, Frame, CONN_ERROR_ID, DEFAULT_TENANT};
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -35,14 +29,13 @@ fn engine() -> ArloEngine {
     ArloEngine::new(profiles, counts, cfg)
 }
 
-fn config(front_door: FrontDoor) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         time_scale: SCALE,
         queue_capacity: 8192,
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door,
         ..ServeConfig::new(GPUS)
     }
 }
@@ -59,114 +52,15 @@ fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// Port of the half-open-socket defence to the event loop: silent
-/// connections are reaped by the shard *sweep* (there is no per-connection
-/// reader thread to time out any more), and the epoll plane never
-/// registers connection threads at all.
+/// The acceptor regression: admission refusals are fire-and-forget. A
+/// wave of refused connectors that never read — the peers that used to
+/// hold the acceptor hostage for a 1-second write timeout each — must
+/// neither delay admission of a healthy connection nor lose their typed
+/// refusal frame.
 #[test]
-fn idle_connections_are_reaped_on_the_event_loop() {
-    let mut cfg = config(FrontDoor::epoll());
-    cfg.read_timeout = Duration::from_millis(25);
-    cfg.idle_timeout = Duration::from_millis(250);
-    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr();
-
-    let held = TcpStream::connect(addr).expect("connect");
-    let held2 = TcpStream::connect(addr).expect("connect");
-    assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 2),
-        "connections never registered"
-    );
-    // No reader/writer pairs exist on this plane — ever.
-    assert_eq!(server.live_conn_threads(), 0);
-
-    assert!(
-        eventually(Duration::from_secs(5), || server.reaped_idle() >= 2),
-        "idle connections were not reaped: {} reaped, {} active",
-        server.reaped_idle(),
-        server.active_connections()
-    );
-    assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 0),
-        "reaped connections still registered"
-    );
-    drop(held);
-    drop(held2);
-
-    let drain = server.drain();
-    assert_eq!(drain.reaped_idle, 2);
-    assert_eq!(drain.outstanding_at_close, 0);
-}
-
-/// Port of doom-on-overflow: a client that floods submits and never reads
-/// a byte must overflow its bounded outbound queue and be doomed by its
-/// shard — without wedging the event loop for anyone else.
-#[test]
-fn stalled_client_is_doomed_on_the_event_loop() {
-    let mut cfg = config(FrontDoor::epoll());
-    // Tiny outbound bound + tight write timeout: the stall is detected by
-    // queue overflow (respond-side) or a blocked socket write (shard-side)
-    // — both must count exactly one slow disconnect.
-    cfg.outbound_queue = 256;
-    cfg.write_timeout = Duration::from_millis(150);
-    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr();
-
-    let mut stalled = TcpStream::connect(addr).expect("connect");
-    let _ = stalled.set_nodelay(true);
-    // Unserviceable lengths are answered straight from the dispatch
-    // thread, so the error-frame storm outpaces any reader — except this
-    // client never reads, so it backs up through the kernel into the
-    // bounded queue.
-    'burst: for i in 0..400_000u64 {
-        let frame = Frame::Submit {
-            id: 10_000_000 + i,
-            length: 1_000_000,
-            tenant: DEFAULT_TENANT,
-        };
-        if frame.write_to(&mut stalled).is_err() {
-            break 'burst; // doomed mid-burst — expected
-        }
-    }
-    assert!(
-        eventually(Duration::from_secs(10), || server.slow_disconnects() >= 1),
-        "stalled client was never doomed"
-    );
-
-    // The event loop is still serving: a healthy connection submits and
-    // gets its answer while the stalled one is being torn down.
-    let mut healthy = TcpStream::connect(addr).expect("connect");
-    let _ = healthy.set_nodelay(true);
-    healthy
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("timeout");
-    Frame::Submit {
-        id: 1,
-        length: 64,
-        tenant: DEFAULT_TENANT,
-    }
-    .write_to(&mut healthy)
-    .expect("submit");
-    match read_frame(&mut healthy).expect("read answer") {
-        Some(Frame::Response { id, .. }) => assert_eq!(id, 1),
-        other => panic!("healthy client got {other:?}"),
-    }
-    drop(healthy);
-    drop(stalled);
-
-    let drain = server.drain();
-    assert!(drain.slow_disconnects >= 1, "{drain:?}");
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
-}
-
-/// The acceptor regression (both planes): admission refusals are
-/// fire-and-forget. A wave of refused connectors that never read — the
-/// peers that used to hold the acceptor hostage for a 1-second write
-/// timeout each — must neither delay admission of a healthy connection
-/// nor lose their typed refusal frame.
-fn refusals_never_stall_the_acceptor(front_door: FrontDoor) {
+fn refusals_never_stall_the_epoll_acceptor() {
     const WAVE: usize = 20;
-    let mut cfg = config(front_door);
+    let mut cfg = config();
     cfg.max_conns = 1;
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
@@ -249,23 +143,13 @@ fn refusals_never_stall_the_acceptor(front_door: FrontDoor) {
     assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
 }
 
-#[test]
-fn refusals_never_stall_the_threaded_acceptor() {
-    refusals_never_stall_the_acceptor(FrontDoor::Threaded);
-}
-
-#[test]
-fn refusals_never_stall_the_epoll_acceptor() {
-    refusals_never_stall_the_acceptor(FrontDoor::epoll());
-}
-
 /// Smoke-scale run of the benchmark's connection-scaling cell: a few
-/// hundred concurrent connections held by the epoll client pool against
-/// the epoll front door, every submit conserved, nothing lost.
+/// hundred concurrent connections held by the epoll client pool, every
+/// submit conserved, nothing lost.
 #[test]
 fn connection_storm_conserves_at_smoke_scale() {
     const CONNS: usize = 400;
-    let mut cfg = config(FrontDoor::epoll());
+    let mut cfg = config();
     cfg.max_conns = CONNS + 64;
     cfg.idle_timeout = Duration::from_secs(60);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");

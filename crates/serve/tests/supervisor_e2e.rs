@@ -2,9 +2,9 @@
 //!
 //! Every long-lived server thread runs as a supervised component; these
 //! tests inject deterministic panics and stalls into named components
-//! (timer, dispatch workers, flusher, epoll shards) through a real front
-//! door under real client load, and assert the two properties the
-//! supervision tree exists for:
+//! (timer, dispatch workers, flusher, epoll shards) through real sockets
+//! under real client load, and assert the two properties the supervision
+//! tree exists for:
 //!
 //! 1. **Self-healing**: a panicked restartable component is respawned
 //!    within its budget, re-attaches to surviving state, and service
@@ -13,10 +13,6 @@
 //!    a restart, or an escalation. Mid-flight work is re-accounted as
 //!    `Failed`, so `ok + shed + unserviceable + draining + failed` stays
 //!    exactly equal to everything submitted, on both sides of the wire.
-//!
-//! The first test pins the *pre-supervision* failure mode (chaos with the
-//! monitor disabled): a dead timer silently stops reaping connection
-//! threads forever, and nothing records that anything went wrong.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -26,7 +22,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
 use arlo_serve::protocol::{read_frame, Frame, WireVersion};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -55,7 +51,6 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(gpus)
     }
     .with_restart_policy(Duration::from_millis(1), 10_000)
@@ -87,81 +82,42 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// One connection-thread pair left behind by a closed connection: connect,
-/// submit once, read the answer, hang up.
-fn touch_and_close(addr: std::net::SocketAddr) {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    Frame::Submit {
-        id: 1,
-        length: 64,
-        tenant: 0,
-    }
-    .write_to(&mut conn)
-    .expect("submit");
-    let frame = read_frame(&mut conn).expect("read").expect("frame");
-    assert!(matches!(frame, Frame::Response { .. }), "{frame:?}");
-}
-
-/// The pinned pre-supervision failure: with the monitor disabled, a timer
-/// panic silently stops connection-thread reaping *forever* — the exact
-/// wedge the supervision tree exists to close. Chaos panics the timer on
-/// its first beat; a connection then opened and closed leaves its
-/// reader/writer threads unreaped no matter how long we wait, and no
-/// counter anywhere records that the timer died.
+/// Under supervision a panicked timer is respawned within one backoff and
+/// resumes the work it owns: periodic reallocation still lands *after* a
+/// recorded death and restart (unsupervised, a dead timer stops
+/// reallocating silently and forever), and the structured event log
+/// records both.
 #[test]
-fn unsupervised_timer_panic_stops_reaping_forever() {
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Threaded)
-        .with_supervision(false)
-        .with_component_chaos(ComponentChaos::panics("timer", 1, 7));
-    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
-    // Give the timer time to take (and die on) its first beat.
-    std::thread::sleep(Duration::from_millis(50));
-
-    touch_and_close(server.local_addr());
-    wait_for("connection to deregister", || {
-        server.active_connections() == 0
-    });
-    // Many ticks' worth of real time: a live timer reaps finished conn
-    // threads within about one 2 ms tick. The dead one never does.
-    std::thread::sleep(Duration::from_millis(200));
-    assert!(
-        server.live_conn_threads() > 0,
-        "conn threads were reaped — the timer should be dead"
-    );
-    assert_eq!(
-        server.supervisor_restarts(),
-        0,
-        "nothing restarts unsupervised"
-    );
-    assert!(
-        server.supervisor_events().is_empty(),
-        "and nothing is recorded"
-    );
-
-    // Drain still completes (it joins conn threads itself) and conserves.
-    assert_server_conserves(&server.drain());
-}
-
-/// The tentpole fix for the wedge above: under supervision the panicked
-/// timer is respawned within one backoff and resumes reaping — the same
-/// observable that stayed wedged forever now goes to zero — and the
-/// structured event log records the panic and the restart.
-#[test]
-fn supervised_timer_restarts_and_resumes_reaping() {
+fn supervised_timer_restarts_and_resumes_reallocating() {
+    // A lopsided deployment (everything but one GPU on the largest
+    // runtime) and a 3-virtual-second decision period (30 ms real at
+    // 100×): short-request load gives the Runtime Scheduler a standing
+    // reason to reshape the fleet at its next decision.
+    let family = RuntimeSet::natural(ModelSpec::bert_base());
+    let profiles = profile_runtimes(&family.compile(), SLO_MS, 512);
+    let mut counts = vec![0u32; profiles.len()];
+    counts[0] = 1;
+    *counts.last_mut().expect("non-empty") = 7;
+    let mut engine_cfg = EngineConfig::paper_default(SLO_MS);
+    engine_cfg.allocation_period = 3 * NANOS_PER_SEC;
+    engine_cfg.sub_window = NANOS_PER_SEC / 2;
+    let engine = ArloEngine::new(profiles, counts, engine_cfg);
     // One beat in 4 panics: the timer keeps dying and keeps coming back,
     // doing real work between deaths.
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Threaded)
-        .with_component_chaos(ComponentChaos::panics("timer", 4, 11));
-    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let cfg = config(8, 100).with_component_chaos(ComponentChaos::panics("timer", 4, 11));
+    let server = Server::spawn(engine, "127.0.0.1:0", cfg).expect("bind loopback");
 
+    // No demand yet, so nothing has been decided: whatever reallocation
+    // follows is the work of a restarted incarnation.
     wait_for("a timer restart", || server.supervisor_restarts() >= 1);
-    touch_and_close(server.local_addr());
-    wait_for("restarted timer to reap conn threads", || {
-        server.live_conn_threads() == 0
+    let at_restart = server.reallocations();
+    let mut rng = StdRng::seed_from_u64(59);
+    let trace = TraceSpec::twitter_stable(900.0, 12.0).generate(&mut rng);
+    let report = replay(server.local_addr(), &trace, &LoadGenConfig::open(4, 100)).expect("replay");
+    assert_eq!(report.lost, 0, "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    wait_for("the restarted timer to reallocate", || {
+        server.reallocations() > at_restart
     });
 
     let events = server.supervisor_events();
@@ -261,9 +217,11 @@ fn budget_exhaustion_escalates_to_a_clean_conserving_drain() {
 /// conserving drain. Clients on the dead shard see EOF, not silence.
 #[test]
 fn epoll_shard_panic_escalates_and_drains_clean() {
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Epoll { shards: 1 })
-        .with_component_chaos(ComponentChaos::panics("shard", 10, 29));
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::panics("shard", 10, 29));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
 
@@ -351,9 +309,6 @@ fn flusher_restart_keeps_seal_deadlines_and_loses_nothing() {
     assert_server_conserves(&server.drain());
 }
 
-/// Both connection planes, whatever `ARLO_FRONT_DOOR` says.
-const FRONT_DOORS: [FrontDoor; 2] = [FrontDoor::Threaded, FrontDoor::Epoll { shards: 2 }];
-
 /// The flusher dies while *completions* are parked in the executor's
 /// deadline heap. At 10× a 4.86 virtual-ms execution spans 486 µs of real
 /// time — past the 100 µs "due now" rule — so no batch completes inline:
@@ -363,32 +318,24 @@ const FRONT_DOORS: [FrontDoor; 2] = [FrontDoor::Threaded, FrontDoor::Epoll { sha
 /// left and every request is answered `Ok`.
 #[test]
 fn flusher_panic_with_parked_completions_loses_nothing() {
-    for door in FRONT_DOORS {
-        let cfg = config(4, 10)
-            .with_front_door(door)
-            .with_component_chaos(ComponentChaos::panics("flusher", 5, 47));
-        let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let cfg = config(4, 10).with_component_chaos(ComponentChaos::panics("flusher", 5, 47));
+    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
 
-        let mut rng = StdRng::seed_from_u64(53);
-        let trace = TraceSpec::twitter_stable(400.0, 6.0).generate(&mut rng);
-        let report =
-            replay(server.local_addr(), &trace, &LoadGenConfig::closed(4, 8)).expect("replay");
-        assert_eq!(report.sent, trace.len() as u64);
-        assert_eq!(report.lost, 0, "{door:?}: heap entry lost: {report:?}");
-        assert_eq!(report.accounted(), report.sent, "{door:?}: {report:?}");
-        assert_eq!(
-            report.ok, report.sent,
-            "{door:?}: a flusher death must not fail parked work: {report:?}"
-        );
+    let mut rng = StdRng::seed_from_u64(53);
+    let trace = TraceSpec::twitter_stable(400.0, 6.0).generate(&mut rng);
+    let report = replay(server.local_addr(), &trace, &LoadGenConfig::closed(4, 8)).expect("replay");
+    assert_eq!(report.sent, trace.len() as u64);
+    assert_eq!(report.lost, 0, "heap entry lost: {report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert_eq!(
+        report.ok, report.sent,
+        "a flusher death must not fail parked work: {report:?}"
+    );
 
-        assert!(
-            server.supervisor_restarts() >= 1,
-            "{door:?}: flusher never died"
-        );
-        let drain = server.drain();
-        assert_server_conserves(&drain);
-        assert_eq!(drain.served, report.sent, "{door:?}: {drain:?}");
-    }
+    assert!(server.supervisor_restarts() >= 1, "flusher never died");
+    let drain = server.drain();
+    assert_server_conserves(&drain);
+    assert_eq!(drain.served, report.sent, "{drain:?}");
 }
 
 /// `Server::drain` with completions still parked in the heap: at time
@@ -398,36 +345,33 @@ fn flusher_panic_with_parked_completions_loses_nothing() {
 #[test]
 fn drain_answers_parked_completions_ok() {
     const N: u64 = 100;
-    for door in FRONT_DOORS {
-        let cfg = config(4, 1).with_front_door(door);
-        let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
-        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
-        conn.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for id in 0..N {
-            Frame::Submit {
-                id,
-                length: 64,
-                tenant: 0,
-            }
-            .write_to(&mut conn)
-            .expect("submit");
+    let server = Server::spawn(engine(4), "127.0.0.1:0", config(4, 1)).expect("bind loopback");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for id in 0..N {
+        Frame::Submit {
+            id,
+            length: 64,
+            tenant: 0,
         }
-        wait_for("every submit to be admitted", || {
-            server.tenant_stats()[0].submits == N
-        });
-        let reader = std::thread::spawn(move || {
-            (0..N)
-                .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
-                .filter(|f| matches!(f, Frame::Response { .. }))
-                .count() as u64
-        });
-        let drain = server.drain();
-        assert_eq!(reader.join().unwrap(), N, "{door:?}: non-Ok answers");
-        assert_server_conserves(&drain);
-        assert_eq!(drain.served, N, "{door:?}: {drain:?}");
-        assert_eq!(drain.failed + drain.shed, 0, "{door:?}: {drain:?}");
+        .write_to(&mut conn)
+        .expect("submit");
     }
+    wait_for("every submit to be admitted", || {
+        server.tenant_stats()[0].submits == N
+    });
+    let reader = std::thread::spawn(move || {
+        (0..N)
+            .map(|_| read_frame(&mut conn).expect("read").expect("frame"))
+            .filter(|f| matches!(f, Frame::Response { .. }))
+            .count() as u64
+    });
+    let drain = server.drain();
+    assert_eq!(reader.join().unwrap(), N, "non-Ok answers");
+    assert_server_conserves(&drain);
+    assert_eq!(drain.served, N, "{drain:?}");
+    assert_eq!(drain.failed + drain.shed, 0, "{drain:?}");
 }
 
 /// Stall detection: a component that freezes (sleeps unparked past the
@@ -436,7 +380,6 @@ fn drain_answers_parked_completions_ok() {
 #[test]
 fn stalled_timer_is_detected_not_restarted() {
     let cfg = config(4, 100)
-        .with_front_door(FrontDoor::from_env())
         .with_component_chaos(ComponentChaos::stalls("timer", 2, 100, 41))
         .with_stall_grace(Duration::from_millis(10));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
@@ -485,12 +428,14 @@ fn v2_window_storm_batches_refills_and_conserves() {
 /// Component chaos against a supervised server under a v2 window storm:
 /// the cross product the resilience bench sweeps, pinned here at its
 /// hairiest single cell — dispatch panics while batched v2 refills are in
-/// flight on the epoll plane — with both conservation laws exact.
+/// flight across two shards — with both conservation laws exact.
 #[test]
 fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Epoll { shards: 2 })
-        .with_component_chaos(ComponentChaos::panics("dispatch", 3, 43));
+    let cfg = ServeConfig {
+        shards: 2,
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::panics("dispatch", 3, 43));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let storm = StormConfig {
         conns: 16,

@@ -5,9 +5,7 @@
 //! tenant routing (v2 tagged submits, v1 defaulting), the typed
 //! unknown-tenant refusal and its error-budget escalation, SLO-class
 //! admission ordering under a synchronized overload burst, and the live
-//! GPU re-granting coordinator. Every test runs against whichever
-//! connection plane `ARLO_FRONT_DOOR` selects, so CI covers both the
-//! threaded and the epoll front doors.
+//! GPU re-granting coordinator.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -18,7 +16,7 @@ use arlo_serve::loadgen::{replay, LoadGenConfig, ProtocolMode};
 use arlo_serve::protocol::{
     client_handshake, read_frame, ErrorCode, Frame, WireVersion, CONN_ERROR_ID,
 };
-use arlo_serve::server::{FrontDoor, ServeConfig, Server, TenantDrainReport};
+use arlo_serve::server::{ServeConfig, Server, TenantDrainReport};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -50,7 +48,6 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(gpus)
     }
 }

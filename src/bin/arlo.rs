@@ -12,7 +12,6 @@
 //! arlo plan        --model bert-base --gpus 10 --rate 1500 --secs 30
 //! arlo profile     --model bert-large [--slo-ms 450]
 //! arlo serve       --model bert-base --gpus 8 [--addr 127.0.0.1:7077] [--time-scale 1]
-//!                  [--front-door threaded|epoll|epoll:N]
 //! arlo loadgen     --addr 127.0.0.1:7077 --rate 900 --secs 30 [--clients 4] [--drain]
 //! ```
 
@@ -20,7 +19,7 @@ use arlo::prelude::*;
 use arlo::serve::chaos::{ChaosConfig, ComponentChaos, FaultClass};
 use arlo::serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, ProtocolMode};
 use arlo::serve::protocol::Frame;
-use arlo::serve::server::{FrontDoor, ServeConfig, Server};
+use arlo::serve::server::{ServeConfig, Server};
 use arlo::serve::tenants::{parse_mix, SloClass, TenantSpec};
 use arlo::trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -72,7 +71,6 @@ USAGE:
   arlo profile    --model <m> [--slo-ms <ms>]
   arlo serve      --model <m> --gpus <n> [--slo-ms <ms>] [--addr <ip:port>]
                   [--time-scale <x>] [--period-secs <s>]
-                  [--front-door <threaded|epoll|epoll:N>]
                   [--dispatch-workers <n>] [--conn-stripes <n>] [--executor-shards <n>]
                   [--tenants <name=class[:slo_ms],...>   class: interactive|standard|batch]
                   [--max-batch <n> [--marginal-cost <f>] [--max-wait-ms <ms>]]
@@ -453,13 +451,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         batch,
         ..ServeConfig::new(gpus)
     };
-    // Connection plane: --front-door wins, ARLO_FRONT_DOOR is the
-    // fallback, threaded the default.
-    serve_cfg.front_door = match flags.get("front-door") {
-        Some(v) => FrontDoor::parse(v)
-            .ok_or_else(|| format!("unknown --front-door `{v}` (threaded | epoll | epoll:N)"))?,
-        None => FrontDoor::from_env(),
-    };
     // Hot-path sharding knobs (PR 9). Defaults keep the sharded executor
     // and auto-sized registry stripes; `--dispatch-workers 1` (the
     // default) retains the single-dispatch baseline exactly.
@@ -520,6 +511,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         serve_cfg = serve_cfg.with_component_chaos(chaos);
         println!("component chaos: {fault} in `{target}*` one beat in {one_in}, seed {chaos_seed}");
     }
+    let shards = serve_cfg.shards;
     // `--tenants` switches on the multi-tenant registry: one engine per
     // tenant, GPUs seeded evenly, then live re-granting by the coordinator.
     let server = match flags.get("tenants") {
@@ -556,10 +548,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "serving {} on {} — {gpus} GPUs, SLO {slo} ms, {time_scale}× virtual time, batch \
-         {max_batch}, {} front door",
+         {max_batch}, {shards} connection shard(s)",
         model.name,
-        server.local_addr(),
-        server.front_door().name()
+        server.local_addr()
     );
     println!("(send a Drain frame — e.g. `arlo loadgen --drain` — to stop)");
     while !server.is_draining() {

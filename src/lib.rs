@@ -22,7 +22,7 @@
 //! | [`solver`] | the Eq. 1–7 allocation problem, exact DP, simplex + B&B MILP |
 //! | [`sim`] | discrete-event GPU-cluster simulator with auto-scaling |
 //! | [`core`] | the Arlo schedulers, baselines (ST/DT/INFaaS/ILB/IG), system presets |
-//! | [`serve`] | live TCP serving stack: wire protocol, threaded server, load generator |
+//! | [`serve`] | live TCP serving stack: wire protocol, epoll server, load generator |
 //!
 //! ## Quickstart
 //!
