@@ -4,24 +4,20 @@
 //! Two families of cells, written to `results/BENCH_chaos.json`:
 //!
 //! * **fault grid** — every [`FaultClass`] at each grid intensity, plus a
-//!   quiet (intensity 0) baseline, replayed by retrying chaos clients.
-//!   The grid carries a protocol dimension: cells run under negotiated v2
-//!   (the default), with v1-compat cells replaying the corruption column
-//!   through `ProtocolMode::Legacy` clients, and server-side-chaos cells
-//!   injecting the same faults on the *server's* accepted sockets via
-//!   [`ServeConfig::server_chaos`]. Each cell asserts the client-side
-//!   conservation invariant (`ok + unserviceable + draining + exhausted
-//!   == requests` — a request that vanished without a terminal state
-//!   breaks the equality) and the server-side drain equation (`submits ==
-//!   served + shed + unserviceable + failed`). Every **v2** cell
-//!   additionally asserts zero `unserviceable` verdicts and zero
-//!   credibility rejects: with a CRC32C trailer on every frame, a
+//!   quiet (intensity 0) baseline, replayed by retrying chaos clients, and
+//!   a server-side-chaos cell injecting corruption on the *server's*
+//!   accepted sockets via [`ServeConfig::server_chaos`]. Each cell asserts
+//!   the client-side conservation invariant (`ok + unserviceable +
+//!   draining + exhausted == requests` — a request that vanished without a
+//!   terminal state breaks the equality), the server-side drain equation
+//!   (`submits == served + shed + unserviceable + failed`), and zero
+//!   `unserviceable` verdicts: with a CRC32C trailer on every frame, a
 //!   bit-flip can no longer forge a well-formed terminal refusal (the
-//!   ~1.7% phantom-unserviceable rate of the v1 stack at corrupt@0.75),
-//!   and the v1 latency-plausibility heuristic is retired. The recorded
-//!   columns show *degradation*, not loss: retries, reconnects, exhausted
-//!   requests, corrupt resend signals, and the p98 inflation over the
-//!   quiet baseline.
+//!   unchecksummed v1 dialect showed ~1.7% phantom-unserviceable verdicts
+//!   at corrupt@0.75 before it was retired). The recorded columns show
+//!   *degradation*, not loss: retries, reconnects, exhausted requests,
+//!   corrupt resend signals, and the p98 inflation over the quiet
+//!   baseline.
 //! * **slow-client isolation** — the same healthy load twice, once with a
 //!   bulk client that stops reading mid-response-storm. The stalled
 //!   connection must be doomed (bounded outbound queue / write timeout)
@@ -29,8 +25,8 @@
 //!   stall-free run.
 //!
 //! `EXT_CHAOS_SMOKE=1` shrinks the grid and trace for CI: two classes,
-//! one intensity, a short trace — same invariants (including one
-//! v1-compat and one server-side-chaos cell), small wall clock.
+//! one intensity, a short trace — same invariants (including the
+//! server-side-chaos cell), small wall clock.
 
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
@@ -39,7 +35,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::{ChaosConfig, FaultClass};
-use arlo_serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, ProtocolMode};
+use arlo_serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig};
 use arlo_serve::protocol::{Frame, DEFAULT_TENANT};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::workload::{Trace, TraceSpec};
@@ -84,32 +80,20 @@ struct GridCell {
     label: String,
     class: FaultClass,
     intensity: f64,
-    proto: ProtocolMode,
     server_chaos: bool,
     report: arlo_serve::loadgen::ChaosReport,
     drain: DrainReport,
 }
 
-fn proto_name(proto: ProtocolMode) -> &'static str {
-    match proto {
-        ProtocolMode::Negotiate => "v2",
-        ProtocolMode::Legacy => "v1",
-    }
-}
-
 /// One grid cell: spawn a fresh server (with `server_chaos` attached to
 /// its accepted sockets when given), replay `trace` through retrying
-/// chaos clients speaking `proto` under `(class, intensity)`, assert both
-/// conservation equations, return the measurements.
-///
-/// v2 cells carry two extra assertions — the protocol revision's headline
-/// claims: corruption never forges an `Unserviceable` verdict through the
-/// checksum, and the retired v1 credibility heuristic never fires.
+/// chaos clients under `(class, intensity)`, assert both conservation
+/// equations and that corruption never forged an `Unserviceable` verdict
+/// through the checksum, return the measurements.
 fn run_grid_cell(
     trace: &Trace,
     class: FaultClass,
     intensity: f64,
-    proto: ProtocolMode,
     server_chaos: Option<ChaosConfig>,
 ) -> GridCell {
     let mut server_cfg = config();
@@ -117,8 +101,7 @@ fn run_grid_cell(
         server_cfg = server_cfg.with_server_chaos(chaos);
     }
     let server = Server::spawn(engine(), "127.0.0.1:0", server_cfg).expect("bind loopback");
-    let mut cfg = ChaosReplayConfig::new(CLIENTS, ChaosConfig::new(class, intensity, CHAOS_SEED))
-        .with_protocol(proto);
+    let mut cfg = ChaosReplayConfig::new(CLIENTS, ChaosConfig::new(class, intensity, CHAOS_SEED));
     cfg.max_attempts = 8;
     cfg.attempt_timeout = Duration::from_millis(400);
     cfg.backoff_base = Duration::from_millis(1);
@@ -126,9 +109,8 @@ fn run_grid_cell(
     let drain = server.drain();
 
     let cell = format!(
-        "{}@{intensity}/{}{}",
+        "{}@{intensity}{}",
         class.name(),
-        proto_name(proto),
         if server_chaos.is_some() { "+srv" } else { "" }
     );
     assert!(
@@ -145,21 +127,14 @@ fn run_grid_cell(
         drain.outstanding_at_close, 0,
         "{cell}: drain left work behind: {drain:?}"
     );
-    if proto == ProtocolMode::Negotiate {
-        assert_eq!(
-            report.unserviceable, 0,
-            "{cell}: corruption forged an Unserviceable verdict through the checksum: {report:?}"
-        );
-        assert_eq!(
-            report.credibility_rejects, 0,
-            "{cell}: retired v1 heuristic fired on a v2 connection: {report:?}"
-        );
-    }
+    assert_eq!(
+        report.unserviceable, 0,
+        "{cell}: corruption forged an Unserviceable verdict through the checksum: {report:?}"
+    );
     GridCell {
         label: cell,
         class,
         intensity,
-        proto,
         server_chaos: server_chaos.is_some(),
         report,
         drain,
@@ -169,8 +144,8 @@ fn run_grid_cell(
 /// The healthy mix with (`stall` = true) or without a bulk client that
 /// stops reading mid-stream. Mirrors the regression test's design: the
 /// bulk requests are unserviceable (answered in the dispatch thread, no
-/// executor occupancy), their 17-byte error-frame backlog exceeds what
-/// the kernel absorbs for a never-reading peer (~250k frames), and the
+/// executor occupancy), their 21-byte error-frame backlog exceeds what
+/// the kernel absorbs for a never-reading peer (~200k frames), and the
 /// healthy load sits below saturation so its p98 measures transport
 /// leakage, not queueing behind the flood.
 fn run_isolation(stall: bool) -> (arlo_serve::loadgen::LoadGenReport, DrainReport, u64) {
@@ -261,48 +236,22 @@ fn main() {
     // Quiet baseline first: the degradation reference. Intensity 0 means
     // the chaos machinery is live (same client, same retry budget) but
     // never fires.
-    let baseline = run_grid_cell(
-        &trace,
-        FaultClass::Delay,
-        0.0,
-        ProtocolMode::Negotiate,
-        None,
-    );
+    let baseline = run_grid_cell(&trace, FaultClass::Delay, 0.0, None);
     let base_p98 = baseline.report.latency_summary().p98.max(1.0);
 
     let mut cells = vec![baseline];
     for &class in classes {
         for &intensity in intensities {
-            cells.push(run_grid_cell(
-                &trace,
-                class,
-                intensity,
-                ProtocolMode::Negotiate,
-                None,
-            ));
+            cells.push(run_grid_cell(&trace, class, intensity, None));
         }
-    }
-    // v1-compat column: the pre-v2 client against the same server, on the
-    // corruption class — the one whose phantom verdicts v2 retires. These
-    // cells are the "before" side of the unserviceable-rate comparison.
-    let compat: &[f64] = if smoke { &[0.5] } else { &[0.25, 0.75] };
-    for &intensity in compat {
-        cells.push(run_grid_cell(
-            &trace,
-            FaultClass::Corrupt,
-            intensity,
-            ProtocolMode::Legacy,
-            None,
-        ));
     }
     // Server-side chaos: faults on the server's accepted sockets (reads
     // and writes both), layered over corrupting clients. Conservation and
-    // the v2 zero-phantom claims must hold with the injection point moved.
+    // the zero-phantom claim must hold with the injection point moved.
     cells.push(run_grid_cell(
         &trace,
         FaultClass::Corrupt,
         0.25,
-        ProtocolMode::Negotiate,
         Some(ChaosConfig::new(FaultClass::Corrupt, 0.5, CHAOS_SEED ^ 1)),
     ));
 
@@ -326,7 +275,6 @@ fn main() {
         json_cells.push(serde_json::json!({
             "class": cell.class.name(),
             "intensity": json_f64(cell.intensity),
-            "proto": proto_name(cell.proto),
             "server_chaos": cell.server_chaos,
             "requests": cell.report.requests,
             "ok": cell.report.ok,
@@ -335,7 +283,6 @@ fn main() {
             "exhausted": cell.report.exhausted,
             "retries": cell.report.retries,
             "connects": cell.report.connects,
-            "credibility_rejects": cell.report.credibility_rejects,
             "corrupt_signals": cell.report.corrupt_signals,
             "conserved": cell.report.conserved(),
             "latency_mean_ms": json_f64(s.mean),
@@ -352,7 +299,6 @@ fn main() {
                 "protocol_disconnects": cell.drain.protocol_disconnects,
                 "slow_disconnects": cell.drain.slow_disconnects,
                 "corrupt_frames": cell.drain.corrupt_frames,
-                "v2_conns": cell.drain.v2_conns,
                 "outstanding_at_close": cell.drain.outstanding_at_close,
             },
             "wall_secs": json_f64(cell.report.wall.as_secs_f64()),
@@ -374,49 +320,6 @@ fn main() {
         ],
         &rows,
     );
-
-    // The headline v1-vs-v2 comparison: phantom-unserviceable rate on the
-    // hottest corruption cell each protocol ran.
-    let hottest = |proto: ProtocolMode| {
-        cells
-            .iter()
-            .filter(|c| c.class == FaultClass::Corrupt && c.proto == proto && !c.server_chaos)
-            .max_by(|a, b| a.intensity.total_cmp(&b.intensity))
-    };
-    let phantoms = match (
-        hottest(ProtocolMode::Legacy),
-        hottest(ProtocolMode::Negotiate),
-    ) {
-        (Some(v1), Some(v2)) => {
-            let rate =
-                |c: &GridCell| c.report.unserviceable as f64 / c.report.requests.max(1) as f64;
-            print_table(
-                "phantom unserviceable verdicts: v1 vs v2 at the hottest corruption cell",
-                &["cell", "unserviceable", "rate"],
-                &[
-                    vec![
-                        v1.label.clone(),
-                        format!("{}", v1.report.unserviceable),
-                        format!("{:.4}", rate(v1)),
-                    ],
-                    vec![
-                        v2.label.clone(),
-                        format!("{}", v2.report.unserviceable),
-                        format!("{:.4}", rate(v2)),
-                    ],
-                ],
-            );
-            Some(serde_json::json!({
-                "v1_cell": v1.label,
-                "v1_unserviceable": v1.report.unserviceable,
-                "v1_rate": json_f64(rate(v1)),
-                "v2_cell": v2.label,
-                "v2_unserviceable": v2.report.unserviceable,
-                "v2_rate": json_f64(rate(v2)),
-            }))
-        }
-        _ => None,
-    };
 
     // Slow-client isolation: healthy latency with and without one stalled
     // bulk connection. Three runs per variant, median p98: one run's p98
@@ -489,7 +392,6 @@ fn main() {
             "chaos_seed": CHAOS_SEED,
             "trace_requests": trace.len(),
             "grid": json_cells,
-            "phantom_unserviceable": phantoms,
             "isolation": {
                 "tolerance": ISOLATION_TOL,
                 "baseline_p98_ms": json_f64(healthy_base_p98),

@@ -21,10 +21,9 @@
 //!   wedging; and an acceptor first-beat panic (no load) — `Escalate`
 //!   policy straight to a clean drain.
 //!
-//! Load is the closed-loop **v2 window storm** ([`StormConfig::wire`] =
-//! V2): refills leave as checksummed `BatchedSubmit` frames, so the
-//! resilience sweep doubles as an integration test of the batched v2
-//! replay path. The storm runs in a re-exec'd child process, same as
+//! Load is the closed-loop **window storm**: refills leave as checksummed
+//! `BatchedSubmit` frames, so the resilience sweep doubles as an
+//! integration test of the batched replay path. The storm runs in a re-exec'd child process, same as
 //! `ext_hotpath`, keeping client fds and CPU out of the server process.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
@@ -39,7 +38,6 @@ use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, StormConfig};
-use arlo_serve::protocol::WireVersion;
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_serve::supervisor::{SupervisorEvent, SupervisorEventKind};
 use arlo_trace::NANOS_PER_SEC;
@@ -179,7 +177,7 @@ fn chaos_for(target: &Target, fault: Fault, seed: u64) -> ComponentChaos {
     }
 }
 
-/// Re-exec'd storm-client role (`ARLO_RESIL_ADDR` set): run the v2
+/// Re-exec'd storm-client role (`ARLO_RESIL_ADDR` set): run the
 /// closed-loop window storm and print one machine-readable line.
 fn storm_child() {
     let addr: SocketAddr = std::env::var("ARLO_RESIL_ADDR")
@@ -193,8 +191,7 @@ fn storm_child() {
             .unwrap_or(default)
     };
     let mut cfg = StormConfig::new(env_u64("ARLO_RESIL_CONNS", CONNS as u64) as usize)
-        .with_window(env_u64("ARLO_RESIL_WINDOW", u64::from(WINDOW)) as u32)
-        .with_wire(WireVersion::V2);
+        .with_window(env_u64("ARLO_RESIL_WINDOW", u64::from(WINDOW)) as u32);
     cfg.threads = 2;
     cfg.submits_per_conn = env_u64("ARLO_RESIL_SUBMITS", 1) as u32;
     cfg.hold = Duration::from_millis(20);

@@ -26,10 +26,9 @@
 //!   here (best of up to 3 live samples, since host scheduling noise only
 //!   inflates a loopback tail), recorded in the JSON along with the live
 //!   executor's batch-occupancy histogram.
-//! * **framing amortization** (protocol v2): the same open replay with
-//!   per-request `Submit` frames versus 32-way `BatchedSubmit` coalescing
-//!   on negotiated v2 connections — one header and one CRC per chunk
-//!   instead of per request. Answers stay per-sub-request, so the
+//! * **framing amortization**: the same open replay with per-request
+//!   `Submit` frames versus 32-way `BatchedSubmit` coalescing — one header
+//!   and one CRC per chunk instead of per request. Answers stay per-sub-request, so the
 //!   zero-loss accounting is unchanged; the cells record the goodput and
 //!   wire-side effect of batched framing.
 //! * **connection scaling**: a storm of concurrent connections — 1k and
@@ -292,7 +291,7 @@ struct FramingCell {
     drain: arlo_serve::server::DrainReport,
 }
 
-/// Open replay with `submit_batch`-way framing on v2 connections;
+/// Open replay with `submit_batch`-way framing;
 /// reallocation disabled so the two framing cells differ only on the wire.
 fn run_framing_cell(spec: &TraceSpec, seed: u64, submit_batch: usize) -> FramingCell {
     let trace = spec.generate(&mut StdRng::seed_from_u64(seed));
@@ -313,10 +312,6 @@ fn run_framing_cell(spec: &TraceSpec, seed: u64, submit_batch: usize) -> Framing
     assert_eq!(
         drain.outstanding_at_close, 0,
         "framing/batch{submit_batch} drain left work behind"
-    );
-    assert_eq!(
-        drain.v2_conns, CLIENTS as u64,
-        "framing cells must negotiate v2 on every connection: {drain:?}"
     );
     FramingCell {
         submit_batch,
@@ -634,7 +629,7 @@ fn main() {
     );
 
     // Framing amortization: identical load, per-request frames vs 32-way
-    // BatchedSubmit chunks on v2 connections.
+    // BatchedSubmit chunks.
     let framing_cells = vec![
         run_framing_cell(&TraceSpec::twitter_stable(rate, DURATION_SECS), 4246, 1),
         run_framing_cell(&TraceSpec::twitter_stable(rate, DURATION_SECS), 4246, 32),
@@ -662,12 +657,11 @@ fn main() {
             "goodput_rps": json_f64(goodput),
             "latency_p50_ms": json_f64(s.p50),
             "latency_p98_ms": json_f64(s.p98),
-            "v2_conns": cell.drain.v2_conns,
             "wall_secs": json_f64(cell.report.wall.as_secs_f64()),
         }));
     }
     print_table(
-        "framing amortization: per-request Submit vs 32-way BatchedSubmit (v2)",
+        "framing amortization: per-request Submit vs 32-way BatchedSubmit",
         &["framing", "sent", "ok", "shed", "goodput", "p50", "p98"],
         &framing_rows,
     );

@@ -10,14 +10,15 @@
 //!
 //! The stack, bottom to top:
 //!
-//! - [`protocol`] — a versioned, length-prefixed binary wire format with
-//!   total (never-panicking) decoding, plus the incremental
+//! - [`protocol`] — a length-prefixed binary wire format with total
+//!   (never-panicking) decoding, plus the incremental
 //!   [`protocol::FrameReader`] that reassembles frames from arbitrary
-//!   fragments and resyncs past malformed ones. Protocol v2 — negotiated
-//!   per connection via `Hello`/`HelloAck`, with transparent v1 fallback —
-//!   adds a CRC32C trailer to every frame (corruption becomes the typed,
+//!   fragments and resyncs past malformed ones. One data dialect, v2: a
+//!   CRC32C trailer on every frame (corruption becomes the typed,
 //!   retryable `ChecksumMismatch`/`Corrupt` pair instead of a misparse)
-//!   and the `BatchedSubmit` frame that amortizes framing over batches.
+//!   and the `BatchedSubmit` frame that amortizes framing over batches;
+//!   the unchecksummed v1 framing survives only as the `Hello`/`HelloAck`
+//!   version check.
 //! - [`chaos`] — deterministic, seeded network-fault injection driven by
 //!   a [`chaos::ChaosPlan`]: delays, partial I/O, bit corruption, abrupt
 //!   resets, slowloris stalls — attachable on the client side
@@ -79,7 +80,7 @@ pub use chaos::{
 pub use clock::VirtualClock;
 pub use loadgen::{
     chaos_replay, connection_storm, replay, ChaosReplayConfig, ChaosReport, LoadGenConfig,
-    LoadGenReport, LoadMode, ProtocolMode, StormConfig, StormReport,
+    LoadGenReport, LoadMode, StormConfig, StormReport,
 };
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};

@@ -53,19 +53,6 @@ pub enum LoadMode {
     },
 }
 
-/// Which protocol dialect a client speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProtocolMode {
-    /// Negotiate at connect (`Hello`/`HelloAck`): v2 against a current
-    /// server, transparently v1 against an old one.
-    #[default]
-    Negotiate,
-    /// Behave exactly like a pre-v2 client: no handshake, unchecksummed
-    /// v1 frames throughout. Exists so compatibility keeps getting tested
-    /// after the default moves on.
-    Legacy,
-}
-
 /// Load generator configuration.
 #[derive(Debug, Clone)]
 pub struct LoadGenConfig {
@@ -76,22 +63,17 @@ pub struct LoadGenConfig {
     /// Socket read timeout: a client that hears nothing for this long
     /// counts its unanswered requests as lost rather than hanging.
     pub read_timeout: Duration,
-    /// Protocol dialect (negotiated v2 by default; [`ProtocolMode::Legacy`]
-    /// replays as an old v1 client).
-    pub protocol: ProtocolMode,
     /// Coalesce up to this many submits into one
     /// [`Frame::BatchedSubmit`] (capped at [`MAX_BATCH`]; `1` disables).
-    /// Requires a negotiated v2 connection — on v1 the knob is ignored
-    /// and submits go out one frame each. Open-loop batching sends each
-    /// chunk at its *last* member's arrival time, trading a bounded
-    /// arrival-fidelity delay for framing/checksum amortization.
+    /// Open-loop batching sends each chunk at its *last* member's arrival
+    /// time, trading a bounded arrival-fidelity delay for
+    /// framing/checksum amortization.
     pub submit_batch: usize,
     /// Per-tenant submit weights: request `id` is tagged with the tenant
     /// [`weighted_tenant`] assigns it, so an `N`-entry mix spreads the
     /// trace across `N` tenants deterministically (all-ones = round
     /// robin). Empty means every submit carries [`DEFAULT_TENANT`] — the
-    /// pre-multi-tenant behavior, and the only mix a
-    /// [`ProtocolMode::Legacy`] (v1) replay can express on the wire.
+    /// pre-multi-tenant behavior.
     pub tenant_weights: Vec<u32>,
 }
 
@@ -102,7 +84,6 @@ impl LoadGenConfig {
             clients,
             mode: LoadMode::Open { time_scale },
             read_timeout: Duration::from_secs(10),
-            protocol: ProtocolMode::Negotiate,
             submit_batch: 1,
             tenant_weights: Vec::new(),
         }
@@ -114,19 +95,12 @@ impl LoadGenConfig {
             clients,
             mode: LoadMode::Closed { window },
             read_timeout: Duration::from_secs(10),
-            protocol: ProtocolMode::Negotiate,
             submit_batch: 1,
             tenant_weights: Vec::new(),
         }
     }
 
-    /// Select the protocol dialect.
-    pub fn with_protocol(mut self, protocol: ProtocolMode) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Coalesce submits into batches of up to `n` (v2 connections only).
+    /// Coalesce submits into batches of up to `n`.
     pub fn with_submit_batch(mut self, n: usize) -> Self {
         self.submit_batch = n.clamp(1, MAX_BATCH);
         self
@@ -306,14 +280,6 @@ pub fn replay(
     config: &LoadGenConfig,
 ) -> io::Result<LoadGenReport> {
     assert!(config.clients >= 1, "need at least one client");
-    // v1 frames have no tenant field: a Legacy replay can only ever speak
-    // for the default tenant, so a mix that would tag anything else is a
-    // configuration error, not something to silently drop on the wire.
-    assert!(
-        config.protocol != ProtocolMode::Legacy
-            || config.tenant_weights.iter().skip(1).all(|&w| w == 0),
-        "legacy (v1) replay cannot tag non-default tenants; drop --tenant-mix or negotiate v2"
-    );
     let parts = trace.partition(config.clients);
     let started = Instant::now();
     let mut handles = Vec::with_capacity(config.clients);
@@ -359,16 +325,6 @@ fn pace_deadline(arrival_ns: u64, time_scale: u32) -> Duration {
     Duration::from_nanos(arrival_ns.div_ceil(u64::from(time_scale)))
 }
 
-/// Negotiate (or skip negotiating) the connection's wire version per the
-/// configured [`ProtocolMode`]. Runs before any reader thread exists, so
-/// the handshake's blocking read cannot race request traffic.
-fn negotiate(stream: &mut TcpStream, protocol: ProtocolMode) -> io::Result<WireVersion> {
-    match protocol {
-        ProtocolMode::Legacy => Ok(WireVersion::V1),
-        ProtocolMode::Negotiate => client_handshake(stream),
-    }
-}
-
 /// Read frames until `expected` answers arrive, EOF, or the read timeout.
 fn reader_until(stream: &mut TcpStream, tally: &Tally, expected: &AtomicU64) {
     loop {
@@ -398,7 +354,9 @@ fn open_client(
     let mut stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(config.read_timeout))?;
-    let version = negotiate(&mut stream, config.protocol)?;
+    // Before the reader thread exists, so the handshake's blocking read
+    // cannot race request traffic.
+    client_handshake(&mut stream)?;
     let mut reader = stream.try_clone()?;
 
     let tally = Arc::new(Tally::default());
@@ -416,11 +374,7 @@ fn open_client(
     let mut writer = stream;
     let start = Instant::now();
     let mut sent: u64 = 0;
-    let batch = if version >= WireVersion::V2 {
-        config.submit_batch.clamp(1, MAX_BATCH)
-    } else {
-        1
-    };
+    let batch = config.submit_batch.clamp(1, MAX_BATCH);
     if batch > 1 {
         // Batched replay: chunks of up to `batch` requests leave as one
         // BatchedSubmit frame at the chunk's last arrival time — one
@@ -444,7 +398,7 @@ fn open_client(
                 })
                 .collect();
             sent += subs.len() as u64;
-            Frame::BatchedSubmit { subs }.write_to_v(&mut writer, version)?;
+            Frame::BatchedSubmit { subs }.write_to(&mut writer)?;
         }
     } else {
         for r in part.requests() {
@@ -459,7 +413,7 @@ fn open_client(
                 length: r.length,
                 tenant: weighted_tenant(r.id, &config.tenant_weights),
             }
-            .write_to_v(&mut writer, version)?;
+            .write_to(&mut writer)?;
             sent += 1;
         }
     }
@@ -480,19 +434,15 @@ fn closed_client(
     let mut stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(config.read_timeout))?;
-    let version = negotiate(&mut stream, config.protocol)?;
+    client_handshake(&mut stream)?;
 
     let tally = Tally::default();
     let mut sent: u64 = 0;
     let mut next = part.requests().iter();
     // Prime the window, then one-for-one: each answer releases one send.
-    // With batching on a v2 connection the priming window leaves as
-    // BatchedSubmit chunks; the steady state is one-at-a-time by nature.
-    let batch = if version >= WireVersion::V2 {
-        config.submit_batch.clamp(1, MAX_BATCH)
-    } else {
-        1
-    };
+    // With batching the priming window leaves as BatchedSubmit chunks;
+    // the steady state is one-at-a-time by nature.
+    let batch = config.submit_batch.clamp(1, MAX_BATCH);
     if batch > 1 {
         let prime: Vec<_> = next.by_ref().take(window).collect();
         for chunk in prime.chunks(batch) {
@@ -505,7 +455,7 @@ fn closed_client(
                 })
                 .collect();
             sent += subs.len() as u64;
-            Frame::BatchedSubmit { subs }.write_to_v(&mut stream, version)?;
+            Frame::BatchedSubmit { subs }.write_to(&mut stream)?;
         }
     } else {
         for r in next.by_ref().take(window) {
@@ -514,7 +464,7 @@ fn closed_client(
                 length: r.length,
                 tenant: weighted_tenant(r.id, &config.tenant_weights),
             }
-            .write_to_v(&mut stream, version)?;
+            .write_to(&mut stream)?;
             sent += 1;
         }
     }
@@ -528,7 +478,7 @@ fn closed_client(
                         length: r.length,
                         tenant: weighted_tenant(r.id, &config.tenant_weights),
                     }
-                    .write_to_v(&mut stream, version)?;
+                    .write_to(&mut stream)?;
                     sent += 1;
                 }
             }
@@ -564,25 +514,6 @@ pub struct ChaosReplayConfig {
     pub attempt_timeout: Duration,
     /// Base of the jittered exponential reconnect/retry backoff.
     pub backoff_base: Duration,
-    /// Largest virtual `latency_ns` in a `Response` a **v1** connection
-    /// will believe. v1 frames carry no checksum, so a bit-flip in the
-    /// latency field of an otherwise well-formed `Response` decodes
-    /// cleanly; a value beyond this bound is treated as frame corruption —
-    /// the connection is dropped and the attempt retried — instead of
-    /// being folded into the latency statistics. A false positive only
-    /// costs a retry on a fresh connection, never a lost request — raise
-    /// the bound for saturated closed-loop runs where multi-second virtual
-    /// latencies are legitimate.
-    ///
-    /// On a negotiated **v2** connection the heuristic is retired: the
-    /// CRC32C trailer subsumes it (a flipped latency can no longer decode
-    /// as a well-formed frame), so every latency that decodes is believed.
-    /// [`ChaosReport::credibility_rejects`] staying zero under v2
-    /// corruption chaos is the regression that proves the retirement.
-    pub max_credible_latency: Duration,
-    /// Protocol dialect ([`ProtocolMode::Negotiate`] by default;
-    /// [`ProtocolMode::Legacy`] reproduces the pre-v2 client exactly).
-    pub protocol: ProtocolMode,
 }
 
 impl ChaosReplayConfig {
@@ -595,18 +526,7 @@ impl ChaosReplayConfig {
             max_attempts: 6,
             attempt_timeout: Duration::from_secs(2),
             backoff_base: Duration::from_millis(2),
-            // Two virtual seconds: >10× any SLO this repo models, yet low
-            // enough that a single surviving bit-flip (necessarily below
-            // the bound) biases a mean by at most a few ms.
-            max_credible_latency: Duration::from_secs(2),
-            protocol: ProtocolMode::Negotiate,
         }
-    }
-
-    /// Select the protocol dialect.
-    pub fn with_protocol(mut self, protocol: ProtocolMode) -> Self {
-        self.protocol = protocol;
-        self
     }
 }
 
@@ -635,13 +555,8 @@ pub struct ChaosReport {
     pub retries: u64,
     /// Connections (re)established, including each client's first.
     pub connects: u64,
-    /// Times the v1 `max_credible_latency` heuristic rejected a decoded
-    /// `Response` as corrupt. Structurally zero on v2 connections (the
-    /// heuristic is retired there — checksums subsume it).
-    pub credibility_rejects: u64,
     /// Retryable [`ErrorCode::Corrupt`] verdicts received: frames the
-    /// server refused by checksum and invited the client to resend. Only
-    /// a v2 server emits these.
+    /// server refused by checksum and invited the client to resend.
     pub corrupt_signals: u64,
     /// Virtual dispatch→completion latencies (ms) of the `ok` responses
     /// (final successful attempt only).
@@ -670,7 +585,6 @@ impl ChaosReport {
         self.exhausted += other.exhausted;
         self.retries += other.retries;
         self.connects += other.connects;
-        self.credibility_rejects += other.credibility_rejects;
         self.corrupt_signals += other.corrupt_signals;
         self.latencies_ms.extend(other.latencies_ms);
     }
@@ -717,8 +631,6 @@ pub fn chaos_replay(
 struct ChaosConn {
     stream: FaultyStream<TcpStream>,
     frames: FrameReader,
-    /// Version agreed at connect ([`WireVersion::V1`] for legacy mode).
-    version: WireVersion,
 }
 
 /// How one attempt at one request ended.
@@ -730,12 +642,9 @@ enum Attempt {
     /// Transient failure (fault, timeout, shed, failed execution): retry
     /// with backoff. `true` means the connection must be replaced.
     Retry { reconnect: bool },
-    /// The v1 credibility heuristic rejected a decoded `Response` as
-    /// corrupt: counted, then retried on a fresh connection.
-    Incredible,
     /// The server answered [`ErrorCode::Corrupt`] — a checksummed frame
-    /// failed verification in flight. The connection is fine (v2 resyncs
-    /// exactly); resend on the same socket.
+    /// failed verification in flight. The connection is fine (the stream
+    /// resyncs exactly); resend on the same socket.
     Corrupt,
 }
 
@@ -800,10 +709,6 @@ fn chaos_client(
                         conn = None;
                     }
                 }
-                Attempt::Incredible => {
-                    report.credibility_rejects += 1;
-                    conn = None;
-                }
                 Attempt::Corrupt => {
                     report.corrupt_signals += 1;
                 }
@@ -816,10 +721,10 @@ fn chaos_client(
 /// Establish one fault-wrapped connection; `None` if even the TCP connect
 /// failed (the caller backs off and retries).
 ///
-/// In [`ProtocolMode::Negotiate`] the `Hello`/`HelloAck` exchange runs
-/// *through the faulty stream* — chaos may eat or mangle either frame, in
-/// which case the handshake times out and the whole connection is retried
-/// (a connect that cannot even negotiate is not worth keeping).
+/// The `Hello`/`HelloAck` exchange runs *through the faulty stream* —
+/// chaos may eat or mangle either frame, in which case the handshake times
+/// out and the whole connection is retried (a connect that cannot even
+/// complete the version check is not worth keeping).
 fn connect_chaos(
     addr: SocketAddr,
     config: &ChaosReplayConfig,
@@ -839,11 +744,7 @@ fn connect_chaos(
     let mut conn = ChaosConn {
         stream: FaultyStream::new(stream, plan),
         frames: FrameReader::new(),
-        version: WireVersion::V1,
     };
-    if config.protocol == ProtocolMode::Legacy {
-        return Some(conn);
-    }
     Frame::Hello {
         max_version: WireVersion::MAX.byte(),
     }
@@ -853,10 +754,7 @@ fn connect_chaos(
     loop {
         loop {
             match conn.frames.next_frame() {
-                Ok(Some(Frame::HelloAck { version })) => {
-                    conn.version = WireVersion::from_byte(version)?.min(WireVersion::MAX);
-                    return Some(conn);
-                }
+                Ok(Some(Frame::HelloAck { .. })) => return Some(conn),
                 Ok(Some(_)) => {} // stray frames ahead of the ack
                 Ok(None) => break,
                 // A mangled ack is skippable but will never be resent:
@@ -897,39 +795,23 @@ fn drive_attempt(
         length,
         tenant: DEFAULT_TENANT,
     })
-    .write_to_v(&mut conn.stream, conn.version)
+    .write_to(&mut conn.stream)
     .is_err()
     {
         return Attempt::Retry { reconnect: true };
     }
-    // The credibility bound guards v1 connections only: a v2 Response that
-    // decodes has survived its CRC32C, so whatever latency it carries is
-    // what the server wrote.
-    let credible_ns = if conn.version >= WireVersion::V2 {
-        u64::MAX
-    } else {
-        u64::try_from(config.max_credible_latency.as_nanos()).unwrap_or(u64::MAX)
-    };
     let deadline = Instant::now() + config.attempt_timeout;
     loop {
         // Drain everything decodable before touching the socket again.
         loop {
             match conn.frames.next_frame() {
+                // A Response that decodes has survived its CRC32C, so the
+                // latency it carries is what the server wrote.
                 Ok(Some(Frame::Response {
                     id: rid,
                     latency_ns,
                     ..
-                })) if rid == id => {
-                    if latency_ns > credible_ns {
-                        // A bit-flip inside the latency field decodes as a
-                        // perfectly well-formed v1 Response. An incredible
-                        // value means the stream mangled *our* answer, so
-                        // the connection is untrustworthy: reconnect and
-                        // retry instead of poisoning the statistics.
-                        return Attempt::Incredible;
-                    }
-                    return Attempt::Ok(latency_ns);
-                }
+                })) if rid == id => return Attempt::Ok(latency_ns),
                 Ok(Some(Frame::Error { id: rid, code })) if rid == id => {
                     return match code {
                         // Refusals that cannot change on retry (an unknown
@@ -1024,15 +906,6 @@ pub struct StormConfig {
     /// queue-drain instead of a serving loop. The id scheme is identical in
     /// both modes (`conn_base + k` in submission order).
     pub window: u32,
-    /// Wire dialect the storm speaks. [`WireVersion::V1`] (the default)
-    /// reproduces the legacy storm byte-for-byte: no handshake,
-    /// unchecksummed frames. [`WireVersion::V2`] negotiates per connection
-    /// (`Hello`/`HelloAck` before the socket goes non-blocking) and sends
-    /// refills as checksummed [`Frame::BatchedSubmit`] chunks — every
-    /// refill accumulated during one readiness pass leaves as a single
-    /// frame, so a deep window amortizes framing the way the v2 replay
-    /// path does.
-    pub wire: WireVersion,
 }
 
 impl StormConfig {
@@ -1047,7 +920,6 @@ impl StormConfig {
             connect_timeout: Duration::from_secs(10),
             deadline: Duration::from_secs(60),
             window: 0,
-            wire: WireVersion::V1,
         }
     }
 
@@ -1055,12 +927,6 @@ impl StormConfig {
     /// connection (0 restores open-loop queue-everything).
     pub fn with_window(mut self, window: u32) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Select the wire dialect (see [`StormConfig::wire`]).
-    pub fn with_wire(mut self, wire: WireVersion) -> Self {
-        self.wire = wire;
         self
     }
 }
@@ -1076,7 +942,8 @@ pub struct StormReport {
     /// the TCP connect itself succeeded).
     pub connected: u64,
     /// Connections the server refused at admission
-    /// ([`ErrorCode::Shed`] on the connection sentinel id).
+    /// ([`ErrorCode::Shed`] on the connection sentinel id, in place of the
+    /// `HelloAck`).
     pub refused: u64,
     /// TCP connects that failed outright.
     pub connect_errors: u64,
@@ -1135,60 +1002,43 @@ struct StormConn {
     quota: u64,
     /// Request length for refills (closed-loop mode).
     length: u32,
-    /// Version agreed at connect ([`WireVersion::V1`] unless the storm
-    /// negotiated v2).
-    version: WireVersion,
-    /// Refills accumulated during the current readiness pass, awaiting a
-    /// [`Frame::BatchedSubmit`] flush (v2 connections only — v1 refills go
-    /// straight to the write buffer one frame each).
+    /// Submits queued during the current readiness pass, awaiting a
+    /// [`Frame::BatchedSubmit`] flush.
     refills: Vec<Sub>,
     interest: Interest,
-    refused: bool,
     dead: bool,
 }
 
 impl StormConn {
     /// Queue one more submit if the quota allows; returns whether one was
     /// queued. The closed-loop refill path — called per accounted answer.
-    /// On v2 the submit is staged in [`StormConn::refills`] so everything
-    /// queued during one readiness pass coalesces into one batched frame;
+    /// The submit is staged in [`StormConn::refills`] so everything queued
+    /// during one readiness pass coalesces into one batched frame;
     /// [`StormConn::flush_refills`] turns the stage into wire bytes.
     fn refill_one(&mut self, report: &mut StormReport) -> bool {
         if self.next_k >= self.quota {
             return false;
         }
-        let id = self.id_base + self.next_k;
-        if self.version >= WireVersion::V2 {
-            self.refills.push(Sub {
-                id,
-                length: self.length,
-                tenant: DEFAULT_TENANT,
-            });
-        } else {
-            self.wbuf.push(
-                &Frame::Submit {
-                    id,
-                    length: self.length,
-                    tenant: DEFAULT_TENANT,
-                },
-                WireVersion::V1,
-            );
-        }
+        self.refills.push(Sub {
+            id: self.id_base + self.next_k,
+            length: self.length,
+            tenant: DEFAULT_TENANT,
+        });
         self.next_k += 1;
         self.pending += 1;
         report.submitted += 1;
         true
     }
 
-    /// Move staged v2 refills into the write buffer as
+    /// Move staged refills into the write buffer as
     /// [`Frame::BatchedSubmit`] chunks of up to [`MAX_BATCH`]: one header,
-    /// one checksum per chunk instead of per submit. No-op on v1 (nothing
-    /// is ever staged).
+    /// one checksum per chunk instead of per submit.
     fn flush_refills(&mut self) {
         while !self.refills.is_empty() {
             let n = self.refills.len().min(MAX_BATCH);
             let subs: Vec<Sub> = self.refills.drain(..n).collect();
-            self.wbuf.push(&Frame::BatchedSubmit { subs }, self.version);
+            self.wbuf
+                .push(&Frame::BatchedSubmit { subs }, WireVersion::V2);
         }
     }
 }
@@ -1196,10 +1046,10 @@ impl StormConn {
 /// Open `config.conns` connections against `addr` from
 /// `config.threads` epoll-driven threads, hold them all concurrently,
 /// push `submits_per_conn` requests down each, and account every answer.
-/// Speaks v1 by default (a storm measures the front door, not the
-/// dialect); [`StormConfig::wire`] = [`WireVersion::V2`] negotiates each
-/// connection and sends closed-loop refills as batched, checksummed
-/// [`Frame::BatchedSubmit`] frames.
+/// Each connection does the `Hello`/`HelloAck` version check while still
+/// blocking, and every submit leaves in a [`Frame::BatchedSubmit`]: the
+/// submits staged during one readiness pass share one frame, so a deep
+/// window amortizes framing the way batched replay does.
 ///
 /// Unlike [`replay`] (two OS threads per connection), the storm costs one
 /// fd per connection and a fixed handful of threads, which is what makes
@@ -1251,28 +1101,43 @@ fn storm_worker(
     let epoll = Epoll::new()?;
     let mut conns: Vec<Option<StormConn>> = Vec::with_capacity(share);
 
-    // Phase 1: connect everything (blocking — including the v2 handshake,
-    // which must finish before request traffic — then flip non-blocking).
+    // Phase 1: connect everything (blocking — including the version
+    // check, which must finish before request traffic — then flip
+    // non-blocking).
     for i in 0..share {
         match TcpStream::connect_timeout(&addr, config.connect_timeout) {
             Ok(mut stream) => {
                 let _ = stream.set_nodelay(true);
-                let version = if config.wire >= WireVersion::V2 {
-                    stream.set_read_timeout(Some(config.connect_timeout))?;
-                    match client_handshake(&mut stream) {
-                        Ok(v) => v,
-                        Err(_) => {
-                            // A connection that cannot even negotiate is
-                            // indistinguishable from one that never
-                            // connected.
-                            report.connect_errors += 1;
-                            conns.push(None);
-                            continue;
-                        }
+                stream.set_read_timeout(Some(config.connect_timeout))?;
+                let hello = Frame::Hello {
+                    max_version: WireVersion::MAX.byte(),
+                }
+                .write_to(&mut stream);
+                match hello
+                    .map_err(ReadFrameError::Io)
+                    .and_then(|()| read_frame(&mut stream))
+                {
+                    Ok(Some(Frame::HelloAck { .. })) => {}
+                    // The acceptor answers an over-limit connection with a
+                    // typed Shed before reading anything.
+                    Ok(Some(Frame::Error {
+                        id: CONN_ERROR_ID,
+                        code: ErrorCode::Shed,
+                    })) => {
+                        report.connected += 1;
+                        report.refused += 1;
+                        conns.push(None);
+                        continue;
                     }
-                } else {
-                    WireVersion::V1
-                };
+                    _ => {
+                        // A connection that cannot even complete the
+                        // version check is indistinguishable from one that
+                        // never connected.
+                        report.connect_errors += 1;
+                        conns.push(None);
+                        continue;
+                    }
+                }
                 stream.set_nonblocking(true)?;
                 epoll.add(&stream, i as u64, Interest::READ)?;
                 report.connected += 1;
@@ -1285,10 +1150,8 @@ fn storm_worker(
                     next_k: 0,
                     quota: u64::from(config.submits_per_conn),
                     length: config.length,
-                    version,
                     refills: Vec::new(),
                     interest: Interest::READ,
-                    refused: false,
                     dead: false,
                 }));
             }
@@ -1363,7 +1226,7 @@ fn drive_storm_conn(
     }
     let had_pending = conn.pending > 0;
     // Writes first: submits still queued locally cannot be answered. Any
-    // refills staged since the last pass (v2) batch into the buffer now.
+    // refills staged since the last pass batch into the buffer now.
     conn.flush_refills();
     while !conn.wbuf.is_empty() {
         match conn.wbuf.write_some(&mut conn.stream) {
@@ -1381,7 +1244,7 @@ fn drive_storm_conn(
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => storm_account(conn, &frame, report),
                 Ok(None) => break,
-                // v1 answers from a correct server never fail to decode;
+                // Answers from a correct server never fail to decode;
                 // treat any junk as a dead connection.
                 Err(_) => {
                     storm_conn_died(conn, epoll, report, open, had_pending);
@@ -1402,8 +1265,8 @@ fn drive_storm_conn(
             }
         }
     }
-    // Closed-loop refills were queued during the read pass above — on v2
-    // the whole pass coalesces into one BatchedSubmit here. Flush now
+    // Closed-loop refills were queued during the read pass above — the
+    // whole pass coalesces into one BatchedSubmit here. Flush now
     // rather than waiting for an EPOLLOUT round-trip (loopback is almost
     // always writable — the interest arm below is only the
     // genuinely-backpressured fallback).
@@ -1437,16 +1300,9 @@ fn storm_account(conn: &mut StormConn, frame: &Frame, report: &mut StormReport) 
             conn.pending = conn.pending.saturating_sub(1);
             conn.refill_one(report);
         }
-        // Connection-scoped verdicts: an admission refusal (Shed before
-        // anything was served) or a protocol disconnect. The socket is
-        // about to close; EOF handling accounts the pending rest.
-        Frame::Error {
-            id: CONN_ERROR_ID,
-            code: ErrorCode::Shed,
-        } if !conn.refused => {
-            conn.refused = true;
-            report.refused += 1;
-        }
+        // Connection-scoped verdicts (a protocol disconnect, a corrupt
+        // frame): not the answer to any submit. On a disconnect the socket
+        // is about to close; EOF handling accounts the pending rest.
         Frame::Error {
             id: CONN_ERROR_ID, ..
         } => {}

@@ -1,85 +1,82 @@
-//! The `arlo-serve` wire protocol: length-prefixed binary frames, in two
-//! negotiated versions.
+//! The `arlo-serve` wire protocol: length-prefixed, checksummed binary
+//! frames.
 //!
 //! Every message on an `arlo-serve` TCP connection is one **frame**: an
-//! 8-byte header followed by a fixed-layout payload, and — in protocol v2
-//! — a 4-byte CRC32C trailer. The header carries a two-byte magic (so a
-//! stray HTTP request fails fast instead of being misparsed), a protocol
-//! version, the frame type, and the payload length:
+//! 8-byte header followed by a fixed-layout payload and a 4-byte CRC32C
+//! trailer. The header carries a two-byte magic (so a stray HTTP request
+//! fails fast instead of being misparsed), a version byte, the frame type,
+//! and the payload length:
 //!
 //! ```text
 //! offset  0        2        3        4               8
 //!         +--------+--------+--------+---------------+-- payload … --+----------+
 //!         | magic  | version| type   | payload_len   |               | crc32c   |
-//!         | 0xA770 | 1 or 2 | u8     | u32 LE        |               | (v2 only)|
+//!         | 0xA770 | 2      | u8     | u32 LE        |               |          |
 //!         +--------+--------+--------+---------------+---------------+----------+
 //! ```
 //!
-//! All multi-byte integers are little-endian. Payloads are fixed-size per
-//! frame type; a length mismatch is a [`DecodeError::PayloadLength`], never
-//! a silent truncation. Decoding is total: any byte sequence either yields a
-//! frame or a typed [`DecodeError`] — it must never panic, which the
-//! protocol test suite enforces over arbitrary inputs.
+//! All multi-byte integers are little-endian. Every frame type has exactly
+//! one payload layout, fixed-size per type; a length mismatch is a
+//! [`DecodeError::PayloadLength`], never a silent truncation. Decoding is
+//! total: any byte sequence either yields a frame or a typed
+//! [`DecodeError`] — it must never panic, which the protocol test suite
+//! enforces over arbitrary inputs.
 //!
 //! | type | frame | direction | payload |
 //! |---|---|---|---|
-//! | 1 | [`Frame::Submit`] | client → server | v1: `id: u64, length: u32` — v2 appends `tenant: u32` |
+//! | 1 | [`Frame::Submit`] | client → server | `id: u64, length: u32, tenant: u32` |
 //! | 2 | [`Frame::Response`] | server → client | `id, generation: u64, runtime_idx, instance_idx: u16, latency_ns: u64` |
 //! | 3 | [`Frame::Error`] | server → client | `id: u64, code: u8` |
 //! | 4 | [`Frame::StatsRequest`] | client → server | empty |
 //! | 5 | [`Frame::Stats`] | server → client | five `u64` counters |
 //! | 6 | [`Frame::Drain`] | client → server | empty |
-//! | 7 | [`Frame::BatchedSubmit`] | client → server | *(v2 only)* `count: u32, count × (id: u64, length: u32, tenant: u32)` |
+//! | 7 | [`Frame::BatchedSubmit`] | client → server | `count: u32, count × (id: u64, length: u32, tenant: u32)` |
 //! | 8 | [`Frame::Hello`] | client → server | `max_version: u8` |
 //! | 9 | [`Frame::HelloAck`] | server → client | `version: u8` |
 //!
-//! ## Tenant routing (v2)
+//! ## One data dialect
 //!
-//! A v2 `Submit` (and every `BatchedSubmit` sub-request) names the tenant
-//! stream it belongs to: a trailing `tenant: u32`. The v1 layouts carry no
-//! tenant field — a v1 connection can only ever address the default tenant
-//! ([`DEFAULT_TENANT`]), which every server hosts, so a legacy client keeps
-//! working unchanged. Decoding a v1 `Submit` therefore yields
-//! `tenant == DEFAULT_TENANT`, and *encoding* a nonzero tenant at v1 is a
-//! local programming error (panics, like a v1 `BatchedSubmit`): the frame's
-//! [`Frame::min_version`] is v2. A submit naming a tenant the server does
-//! not host is answered with the typed, terminal
-//! [`ErrorCode::UnknownTenant`] and charged [`UNKNOWN_TENANT_COST`] points
-//! against the connection's [`ErrorBudget`] — it is a peer bug, not line
-//! weather, but unlike malformed framing the stream itself is intact.
+//! The version byte decides only whether a trailer follows. Version 2 is
+//! the one data dialect: every frame carries the CRC32C trailer.
+//! Version 1 (no trailer) is legal **only** for [`Frame::Hello`] and
+//! [`Frame::HelloAck`] — the bootstrap every build decodes, so a future
+//! client's `Hello` stays readable here. Any other frame under version
+//! byte 1 is [`DecodeError::BadVersion`]`(1)`, which is framing-fatal: the
+//! server answers a typed [`ErrorCode::Protocol`] and hangs up. Each frame
+//! encodes at its [`Frame::dialect`], which is what [`Frame::encode`] and
+//! [`Frame::write_to`] use.
 //!
-//! ## Protocol v2: integrity, negotiation, batching
+//! **Handshake.** A client may open with [`Frame::Hello`]`{max_version}`;
+//! a server answers [`Frame::HelloAck`]`{version: 2}` when `max_version`
+//! is at least 2, and a typed [`ErrorCode::Protocol`] disconnect
+//! otherwise. The handshake is a version check, not a state machine: a
+//! v2 frame describes itself, so a client that skips `Hello` is served
+//! all the same.
 //!
-//! **Checksums.** A v2 frame ends in the CRC32C (Castagnoli, the iSCSI /
-//! NVMe polynomial — chosen for its guaranteed detection of *every*
-//! single-bit and double-bit error at these frame sizes, with a
-//! dependency-free 256-entry table implementation) of everything after the
-//! magic: version byte, type byte, payload length, and payload. A frame
-//! whose trailer disagrees decodes to the typed, *resynchronizable*
+//! **Tenant routing.** A `Submit` (and every `BatchedSubmit` sub-request)
+//! names the tenant stream it belongs to; single-tenant clients send
+//! [`DEFAULT_TENANT`]. A submit naming a tenant the server does not host
+//! is answered with the typed, terminal [`ErrorCode::UnknownTenant`] and
+//! charged [`UNKNOWN_TENANT_COST`] points against the connection's
+//! [`ErrorBudget`] — it is a peer bug, not line weather, but unlike
+//! malformed framing the stream itself is intact.
+//!
+//! **Checksums.** The trailer is the CRC32C (Castagnoli, the iSCSI / NVMe
+//! polynomial — chosen for its guaranteed detection of *every* single-bit
+//! and double-bit error at these frame sizes, with a dependency-free
+//! 256-entry table implementation) of everything after the magic: version
+//! byte, type byte, payload length, and payload. A frame whose trailer
+//! disagrees decodes to the typed, *resynchronizable*
 //! [`DecodeError::ChecksumMismatch`] — the header's declared extent is
 //! skipped and the stream continues. This is what makes line corruption
-//! *nameable*: a v1 receiver cannot distinguish a bit-flipped length field
-//! from client intent, so it answers the corrupted question; a v2 receiver
-//! refuses the frame and the server answers a retryable
+//! *nameable*: the receiver refuses the frame instead of answering a
+//! bit-flipped question, and the server answers a retryable
 //! [`ErrorCode::Corrupt`] so the client resends.
 //!
-//! **Negotiation.** Version is per-connection, agreed at connect: a
-//! v2-capable client opens with [`Frame::Hello`]`{max_version}` and the
-//! server answers [`Frame::HelloAck`]`{version}` with the highest version
-//! both sides speak; both ends then encode at that version. The handshake
-//! frames themselves travel v1-framed (the bootstrap dialect every peer
-//! decodes). A legacy v1 client sends no `Hello` at all and simply starts
-//! submitting — the server treats the connection as v1 and everything
-//! keeps working. Decoding is version-*aware* rather than version-pinned:
-//! each frame names its own version byte, so a mixed stream (the ack of a
-//! v1-framed `Hello` racing the first v2 frame) is never ambiguous.
-//!
-//! **Batching.** [`Frame::BatchedSubmit`] (type 7, reserved since v1)
-//! carries up to [`MAX_BATCH`] submits in one frame, amortizing header,
-//! checksum, and syscall cost; the server answers each sub-request with
-//! its own [`Frame::Response`]/[`Frame::Error`]. A v1 decoder still
-//! rejects type 7 as [`DecodeError::BadFrameType`] — pinned by a
-//! regression test.
+//! **Batching.** [`Frame::BatchedSubmit`] carries up to [`MAX_BATCH`]
+//! submits in one frame, amortizing header, checksum, and syscall cost;
+//! the server answers each sub-request with its own
+//! [`Frame::Response`]/[`Frame::Error`].
 
 use std::io::{Read, Write};
 
@@ -102,17 +99,17 @@ pub const MAX_PAYLOAD: u32 = 8192;
 /// (`4 + 16 · MAX_BATCH` payload bytes stay under [`MAX_PAYLOAD`]).
 pub const MAX_BATCH: usize = 256;
 
-/// The tenant every v1 connection addresses (v1 frames carry no tenant
-/// field), and the tenant a single-tenant server hosts. Tenant ids are
-/// dense indices into the server's tenant registry.
+/// The tenant a single-tenant server hosts, and the one every server
+/// hosts: submits from clients that know nothing of tenancy name it.
+/// Tenant ids are dense indices into the server's tenant registry.
 pub const DEFAULT_TENANT: u32 = 0;
 
-/// A wire-protocol version this build can speak.
+/// A version byte this build can decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WireVersion {
-    /// The original unchecksummed format.
+    /// The unchecksummed bootstrap: legal only for `Hello`/`HelloAck`.
     V1,
-    /// Checksummed frames + `BatchedSubmit`; negotiated via `Hello`.
+    /// Checksummed frames — the one data dialect.
     V2,
 }
 
@@ -142,19 +139,6 @@ impl WireVersion {
         match self {
             WireVersion::V1 => 0,
             WireVersion::V2 => CHECKSUM_LEN,
-        }
-    }
-
-    /// Version negotiation: the best version both peers speak. `Hello`
-    /// carries the client's raw `max_version` byte, which may be from a
-    /// future build — anything newer than [`WireVersion::MAX`] negotiates
-    /// down to `MAX`, anything older (or unparseable, e.g. a zero from a
-    /// hostile peer) lands on v1.
-    pub fn negotiate(client_max: u8) -> WireVersion {
-        if client_max >= WireVersion::MAX.byte() {
-            WireVersion::MAX
-        } else {
-            WireVersion::from_byte(client_max).unwrap_or(WireVersion::V1)
         }
     }
 }
@@ -217,18 +201,16 @@ pub enum ErrorCode {
     /// [`CONN_ERROR_ID`] because it concerns the connection, not any one
     /// request. The client should reconnect before retrying.
     Protocol = 5,
-    /// A v2 frame arrived whose checksum did not match: the line (not the
+    /// A frame arrived whose checksum did not match: the line (not the
     /// peer) mangled it, so the server cannot know which request it
     /// carried. Sent with [`CONN_ERROR_ID`]; the connection stays open and
-    /// the client should retry whatever it has in flight. This is the
-    /// retryable verdict that v1 could never give — there, a corrupted
-    /// submit was indistinguishable from intent.
+    /// the client should retry whatever it has in flight — a corrupted
+    /// submit is refused, never answered as if it were intent.
     Corrupt = 6,
     /// The submit named a tenant this server does not host. Terminal for
     /// the request — retrying cannot conjure the tenant — and a peer bug,
     /// so the server also charges [`UNKNOWN_TENANT_COST`] points against
-    /// the connection's [`ErrorBudget`]. Never sent on a v1 connection:
-    /// v1 frames carry no tenant field, so they always address
+    /// the connection's [`ErrorBudget`]. Never sent for
     /// [`DEFAULT_TENANT`], which every server hosts.
     UnknownTenant = 7,
 }
@@ -291,10 +273,8 @@ pub enum Frame {
         id: u64,
         /// Input sequence length in tokens.
         length: u32,
-        /// Tenant stream to route to. Only expressible on the wire at v2;
-        /// a v1 frame decodes with `tenant == DEFAULT_TENANT`, and
-        /// encoding a nonzero tenant at v1 panics (see
-        /// [`Frame::min_version`]).
+        /// Tenant stream to route to ([`DEFAULT_TENANT`] on a
+        /// single-tenant server).
         tenant: u32,
     },
     /// Server reports a completed execution.
@@ -324,23 +304,22 @@ pub enum Frame {
     /// Client asks the server to drain gracefully: stop accepting, flush
     /// outstanding work, then close.
     Drain,
-    /// Up to [`MAX_BATCH`] submits in one frame (v2 only): one header,
-    /// one checksum, one syscall. Each sub-request is answered
-    /// individually.
+    /// Up to [`MAX_BATCH`] submits in one frame: one header, one
+    /// checksum, one syscall. Each sub-request is answered individually.
     BatchedSubmit {
         /// The batched sub-requests, in submission order.
         subs: Vec<Sub>,
     },
-    /// Version negotiation opener (client → server): the newest version
-    /// byte the client speaks. Always v1-framed (the bootstrap dialect).
+    /// Version check opener (client → server): the newest version byte
+    /// the client speaks. v1-framed (the bootstrap every build decodes).
     Hello {
         /// The client's [`WireVersion::byte`] ceiling.
         max_version: u8,
     },
-    /// Negotiation answer (server → client): the agreed version, the
-    /// highest both peers speak. The connection uses it from here on.
+    /// Version check answer (server → client): always 2 from this build.
+    /// v1-framed, like `Hello`.
     HelloAck {
-        /// The negotiated [`WireVersion::byte`].
+        /// The [`WireVersion::byte`] the server speaks.
         version: u8,
     },
 }
@@ -352,7 +331,8 @@ pub enum Frame {
 pub enum DecodeError {
     /// The first two bytes were not [`MAGIC`].
     BadMagic([u8; 2]),
-    /// The version byte named a version this build cannot speak.
+    /// The version byte named a version this build cannot speak, or
+    /// version 1 on a frame other than `Hello`/`HelloAck`.
     BadVersion(u8),
     /// Unknown frame-type byte.
     BadFrameType(u8),
@@ -521,7 +501,8 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (this build speaks 1..={})",
+                    "unsupported protocol version {v} (data frames are v{}; v1 carries only \
+                     Hello/HelloAck)",
                     WireVersion::MAX.byte()
                 )
             }
@@ -560,9 +541,7 @@ const TYPE_ERROR: u8 = 3;
 const TYPE_STATS_REQUEST: u8 = 4;
 const TYPE_STATS: u8 = 5;
 const TYPE_DRAIN: u8 = 6;
-/// `BatchedSubmit` — reserved through v1 (where decoding it must stay a
-/// [`DecodeError::BadFrameType`], pinned by a regression test), defined in
-/// v2.
+/// `BatchedSubmit`'s frame-type byte.
 pub const TYPE_BATCHED_SUBMIT: u8 = 7;
 const TYPE_HELLO: u8 = 8;
 const TYPE_HELLO_ACK: u8 = 9;
@@ -610,30 +589,21 @@ impl Frame {
         }
     }
 
-    /// The oldest protocol version that can carry this frame. A `Submit`
-    /// addressing a non-default tenant needs the v2 layout — the v1 frame
-    /// has no field to carry the tenant in.
-    pub fn min_version(&self) -> WireVersion {
+    /// The version this frame travels at: the v1 bootstrap for
+    /// `Hello`/`HelloAck`, v2 for everything else.
+    pub fn dialect(&self) -> WireVersion {
         match self {
-            Frame::BatchedSubmit { .. } => WireVersion::V2,
-            Frame::Submit { tenant, .. } if *tenant != DEFAULT_TENANT => WireVersion::V2,
-            _ => WireVersion::V1,
+            Frame::Hello { .. } | Frame::HelloAck { .. } => WireVersion::V1,
+            _ => WireVersion::V2,
         }
     }
 
     /// Append this frame, encoded at `version`, to `buf` — the reusable-
-    /// buffer encode path that avoids a `Vec` per frame.
-    ///
-    /// Panics if the frame cannot be expressed at `version`
-    /// ([`Frame::BatchedSubmit`] below v2): that is a local programming
-    /// error, not remote input.
+    /// buffer encode path that avoids a `Vec` per frame. The payload
+    /// layout is the frame type's one layout; `version` only decides the
+    /// version byte and whether the trailer follows, so a data frame
+    /// written at v1 is one every decoder refuses.
     pub fn encode_into(&self, version: WireVersion, buf: &mut Vec<u8>) {
-        assert!(
-            self.min_version() <= version,
-            "frame type {} requires protocol v{} or newer",
-            self.frame_type(),
-            self.min_version().byte()
-        );
         let start = buf.len();
         buf.extend_from_slice(&MAGIC);
         buf.push(version.byte());
@@ -644,11 +614,7 @@ impl Frame {
             Frame::Submit { id, length, tenant } => {
                 put_u64(buf, id);
                 put_u32(buf, length);
-                // The tenant field exists only in the v2 layout; at v1 the
-                // min_version assert above guarantees it is the default.
-                if version >= WireVersion::V2 {
-                    put_u32(buf, tenant);
-                }
+                put_u32(buf, tenant);
             }
             Frame::Response {
                 id,
@@ -702,21 +668,19 @@ impl Frame {
         buf
     }
 
-    /// Serialize at v1 — the pre-negotiation dialect. Kept as the simple
-    /// spelling for handshake frames and v1-era callers; negotiated paths
-    /// use [`Frame::encode_v`]/[`Frame::encode_into`].
+    /// Serialize at the frame's [`Frame::dialect`].
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_v(WireVersion::V1)
+        self.encode_v(self.dialect())
     }
 
     /// Decode one frame from the front of `buf`. On success returns the
     /// frame and the number of bytes consumed. [`DecodeError::Truncated`]
     /// means the buffer does not yet hold the whole frame.
     ///
-    /// Decoding is version-aware: the frame's own version byte selects the
-    /// layout (v2 frames carry — and must pass — their checksum trailer),
-    /// so v1 and v2 frames may interleave on one stream during
-    /// negotiation.
+    /// The frame's own version byte says whether a trailer follows: v2
+    /// frames carry — and must pass — their checksum; v1 is accepted for
+    /// `Hello`/`HelloAck` only, and is [`DecodeError::BadVersion`]`(1)` on
+    /// every other type, decided from the header alone.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
         if buf.len() < HEADER_LEN {
             return Err(DecodeError::Truncated {
@@ -731,6 +695,9 @@ impl Frame {
             return Err(DecodeError::BadVersion(buf[2]));
         };
         let frame_type = buf[3];
+        if version == WireVersion::V1 && !matches!(frame_type, TYPE_HELLO | TYPE_HELLO_ACK) {
+            return Err(DecodeError::BadVersion(buf[2]));
+        }
         let payload_len = get_u32(buf, 4);
         if payload_len > MAX_PAYLOAD {
             return Err(DecodeError::Oversized { len: payload_len });
@@ -767,23 +734,11 @@ impl Frame {
         };
         let frame = match frame_type {
             TYPE_SUBMIT => {
-                // Layouts differ by the frame's own version byte: v1 has
-                // no tenant field (the default tenant is implied), v2
-                // appends one.
-                if version >= WireVersion::V2 {
-                    expect(16)?;
-                    Frame::Submit {
-                        id: get_u64(p, 0),
-                        length: get_u32(p, 8),
-                        tenant: get_u32(p, 12),
-                    }
-                } else {
-                    expect(12)?;
-                    Frame::Submit {
-                        id: get_u64(p, 0),
-                        length: get_u32(p, 8),
-                        tenant: DEFAULT_TENANT,
-                    }
+                expect(16)?;
+                Frame::Submit {
+                    id: get_u64(p, 0),
+                    length: get_u32(p, 8),
+                    tenant: get_u32(p, 12),
                 }
             }
             TYPE_RESPONSE => {
@@ -821,7 +776,7 @@ impl Frame {
                 expect(0)?;
                 Frame::Drain
             }
-            TYPE_BATCHED_SUBMIT if version >= WireVersion::V2 => {
+            TYPE_BATCHED_SUBMIT => {
                 if p.len() < 4 {
                     return Err(DecodeError::PayloadLength {
                         frame_type,
@@ -863,9 +818,10 @@ impl Frame {
         w.write_all(&self.encode_v(version))
     }
 
-    /// Write the v1-encoded frame to `w` in one `write_all`.
+    /// Write the frame, encoded at its [`Frame::dialect`], to `w` in one
+    /// `write_all`.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        self.write_to_v(w, WireVersion::V1)
+        self.write_to_v(w, self.dialect())
     }
 }
 
@@ -920,7 +876,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadFrameError> {
     // Validate the header before reading the payload so oversized or
     // corrupt lengths never drive allocation or a long blocking read.
     match Frame::decode(&header) {
-        // Header alone decoded: an empty-payload v1 frame.
+        // Header alone decoded (no frame type is that short today; kept so
+        // reading stays total over every decode outcome).
         Ok((frame, consumed)) => {
             debug_assert_eq!(consumed, HEADER_LEN);
             Ok(Some(frame))
@@ -950,10 +907,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ReadFrameError> {
     }
 }
 
-/// Open a client connection's protocol negotiation: send
-/// [`Frame::Hello`] offering [`WireVersion::MAX`], block for the
-/// [`Frame::HelloAck`], and return the agreed version. Any other reply is
-/// a protocol violation reported as [`std::io::ErrorKind::InvalidData`].
+/// Check versions with the server: send [`Frame::Hello`] offering
+/// [`WireVersion::MAX`], block for the [`Frame::HelloAck`], and return the
+/// version it names. Any other reply (a server refusing the connection
+/// answers a typed error instead) is reported as
+/// [`std::io::ErrorKind::InvalidData`].
 ///
 /// Blocking reads honour the stream's read timeout; callers that need a
 /// finer-grained deadline (the chaos client) hand-roll the same exchange
@@ -1078,7 +1036,8 @@ impl FrameReader {
 /// socket turns writable. A `FrameWriteBuf` owns that state:
 ///
 /// - [`FrameWriteBuf::push`] appends a frame's full encoding (at the
-///   connection's negotiated version) and remembers its end offset.
+///   version the caller names — the frame's [`Frame::dialect`] for a
+///   conforming peer) and remembers its end offset.
 /// - [`FrameWriteBuf::write_some`] performs **one** `write` of everything
 ///   still pending and returns how many whole frames that attempt
 ///   completed — the unit the server's `queued_frames` accounting is kept
@@ -1117,7 +1076,9 @@ impl FrameWriteBuf {
         self.buf.len() - self.written
     }
 
-    /// Append `frame`'s encoding at `version`.
+    /// Append `frame`'s encoding at `version` (see
+    /// [`Frame::encode_into`]; a peer of this build decodes only
+    /// `frame.dialect()`).
     pub fn push(&mut self, frame: &Frame, version: WireVersion) {
         frame.encode_into(version, &mut self.buf);
         self.ends.push_back(self.buf.len());
@@ -1217,60 +1178,81 @@ mod tests {
             }),
             Frame::Drain,
             Frame::Hello { max_version: 2 },
-            Frame::HelloAck { version: 1 },
+            Frame::HelloAck { version: 2 },
+            Frame::Submit {
+                id: 42,
+                length: 128,
+                tenant: 3,
+            },
+            Frame::Submit {
+                id: 43,
+                length: 1,
+                tenant: u32::MAX,
+            },
+            Frame::BatchedSubmit { subs: Vec::new() },
+            Frame::BatchedSubmit {
+                subs: vec![
+                    Sub {
+                        id: 1,
+                        length: 64,
+                        tenant: DEFAULT_TENANT,
+                    },
+                    Sub {
+                        id: u64::MAX - 1,
+                        length: u32::MAX,
+                        tenant: 7,
+                    },
+                ],
+            },
         ]
     }
 
-    /// Every frame expressible at v2: the v2-only batch and tenant-tagged
-    /// submits.
-    fn all_v2_frames() -> Vec<Frame> {
-        let mut frames = all_frames();
-        frames.push(Frame::Submit {
-            id: 42,
-            length: 128,
-            tenant: 3,
-        });
-        frames.push(Frame::Submit {
-            id: 43,
-            length: 1,
-            tenant: u32::MAX,
-        });
-        frames.push(Frame::BatchedSubmit { subs: Vec::new() });
-        frames.push(Frame::BatchedSubmit {
-            subs: vec![
-                Sub {
-                    id: 1,
-                    length: 64,
-                    tenant: DEFAULT_TENANT,
-                },
-                Sub {
-                    id: u64::MAX - 1,
-                    length: u32::MAX,
-                    tenant: 7,
-                },
-            ],
-        });
-        frames
+    /// Recompute the trailer of a v2 frame a test tampered with, so the
+    /// decoder gets past the checksum to the field under test.
+    fn reseal(bytes: &mut [u8]) {
+        let body_end = bytes.len() - CHECKSUM_LEN;
+        let crc = crc32c(&bytes[2..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
-    fn every_frame_round_trips_at_both_versions() {
+    fn every_frame_round_trips_at_its_dialect() {
         for frame in all_frames() {
             let bytes = frame.encode();
-            let (decoded, consumed) = Frame::decode(&bytes).expect("v1 round-trip");
+            let (decoded, consumed) = Frame::decode(&bytes).expect("round-trip");
             assert_eq!(decoded, frame);
             assert_eq!(consumed, bytes.len());
+            assert_eq!(bytes[2], frame.dialect().byte());
         }
-        for frame in all_v2_frames() {
-            let bytes = frame.encode_v(WireVersion::V2);
-            let (decoded, consumed) = Frame::decode(&bytes).expect("v2 round-trip");
-            assert_eq!(decoded, frame);
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(
-                bytes.len(),
-                HEADER_LEN + (bytes.len() - HEADER_LEN - CHECKSUM_LEN) + CHECKSUM_LEN
-            );
+    }
+
+    #[test]
+    fn version_byte_1_carries_only_the_handshake() {
+        // The bootstrap decodes under either version byte; every other
+        // type — defined or not — under version byte 1 is framing-fatal.
+        for frame in [
+            Frame::Hello { max_version: 9 },
+            Frame::HelloAck { version: 2 },
+        ] {
+            assert_eq!(frame.dialect(), WireVersion::V1);
+            for version in [WireVersion::V1, WireVersion::V2] {
+                let bytes = frame.encode_v(version);
+                assert_eq!(Frame::decode(&bytes), Ok((frame.clone(), bytes.len())));
+            }
         }
+        for frame_type in (0..=u8::MAX).filter(|&t| t != TYPE_HELLO && t != TYPE_HELLO_ACK) {
+            let mut bytes = Frame::Drain.encode_v(WireVersion::V1);
+            bytes[3] = frame_type;
+            let err = Frame::decode(&bytes).expect_err("v1 data frame");
+            assert_eq!(err, DecodeError::BadVersion(1), "type {frame_type}");
+            assert!(!err.resynchronizable());
+        }
+        // Including the old 12-byte Submit layout a v1 client would send.
+        let mut v1_submit = Frame::Drain.encode_v(WireVersion::V1);
+        v1_submit[3] = TYPE_SUBMIT;
+        v1_submit[4..8].copy_from_slice(&12u32.to_le_bytes());
+        v1_submit.extend_from_slice(&[0u8; 12]);
+        assert_eq!(Frame::decode(&v1_submit), Err(DecodeError::BadVersion(1)));
     }
 
     #[test]
@@ -1297,17 +1279,15 @@ mod tests {
 
     #[test]
     fn truncated_frames_error_at_every_prefix() {
-        for version in [WireVersion::V1, WireVersion::V2] {
-            for frame in all_frames() {
-                let bytes = frame.encode_v(version);
-                for cut in 0..bytes.len() {
-                    match Frame::decode(&bytes[..cut]) {
-                        Err(DecodeError::Truncated { needed, got }) => {
-                            assert_eq!(got, cut);
-                            assert!(needed > cut);
-                        }
-                        other => panic!("prefix {cut} of {frame:?} at {version:?}: {other:?}"),
+        for frame in all_frames() {
+            let bytes = frame.encode();
+            for cut in 0..bytes.len() {
+                match Frame::decode(&bytes[..cut]) {
+                    Err(DecodeError::Truncated { needed, got }) => {
+                        assert_eq!(got, cut);
+                        assert!(needed > cut);
                     }
+                    other => panic!("prefix {cut} of {frame:?}: {other:?}"),
                 }
             }
         }
@@ -1320,25 +1300,6 @@ mod tests {
         assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadVersion(3)));
         bytes[2] = 0;
         assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadVersion(0)));
-    }
-
-    #[test]
-    fn batched_submit_type_is_still_not_a_valid_v1_frame() {
-        // The v1 reservation holds even now that v2 defines type 7: a
-        // batch tagged with version byte 1 stays a typed BadFrameType.
-        let batch = Frame::BatchedSubmit {
-            subs: vec![Sub {
-                id: 1,
-                length: 8,
-                tenant: DEFAULT_TENANT,
-            }],
-        };
-        let mut bytes = batch.encode_v(WireVersion::V2);
-        bytes[2] = WireVersion::V1.byte();
-        assert_eq!(
-            Frame::decode(&bytes),
-            Err(DecodeError::BadFrameType(TYPE_BATCHED_SUBMIT))
-        );
     }
 
     #[test]
@@ -1451,16 +1412,6 @@ mod tests {
         );
         assert_eq!(fr.next_frame(), Ok(None));
         assert_eq!(fr.buffered(), 0);
-    }
-
-    #[test]
-    fn negotiation_picks_the_best_common_version() {
-        assert_eq!(WireVersion::negotiate(1), WireVersion::V1);
-        assert_eq!(WireVersion::negotiate(2), WireVersion::V2);
-        // A future client negotiates down to what this build speaks…
-        assert_eq!(WireVersion::negotiate(9), WireVersion::V2);
-        // …and a nonsense version byte lands on the universal baseline.
-        assert_eq!(WireVersion::negotiate(0), WireVersion::V1);
     }
 
     /// An in-memory duplex: reads come from a pre-loaded script, writes
@@ -1584,6 +1535,7 @@ mod tests {
     fn unknown_frame_type_is_rejected() {
         let mut bytes = Frame::Drain.encode();
         bytes[3] = 0xEE;
+        reseal(&mut bytes);
         assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadFrameType(0xEE)));
     }
 
@@ -1591,12 +1543,13 @@ mod tests {
     fn wrong_payload_length_is_rejected() {
         // A Submit header claiming a Drain-sized (empty) payload.
         let mut bytes = Frame::Drain.encode();
-        bytes[3] = 1; // Submit
+        bytes[3] = TYPE_SUBMIT;
+        reseal(&mut bytes);
         assert_eq!(
             Frame::decode(&bytes),
             Err(DecodeError::PayloadLength {
-                frame_type: 1,
-                expected: 12,
+                frame_type: TYPE_SUBMIT,
+                expected: 16,
                 got: 0
             })
         );
@@ -1609,61 +1562,50 @@ mod tests {
             code: ErrorCode::Shed,
         }
         .encode();
-        let last = bytes.len() - 1;
-        bytes[last] = 77;
+        bytes[HEADER_LEN + 8] = 77;
+        reseal(&mut bytes);
         assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadErrorCode(77)));
     }
 
     #[test]
-    fn read_frame_streams_both_versions_and_reports_clean_eof() {
+    fn read_frame_streams_every_frame_and_reports_clean_eof() {
         let mut wire = Vec::new();
         for frame in all_frames() {
             wire.extend_from_slice(&frame.encode());
-        }
-        for frame in all_v2_frames() {
-            wire.extend_from_slice(&frame.encode_v(WireVersion::V2));
         }
         let mut cursor = std::io::Cursor::new(wire);
         let mut seen = Vec::new();
         while let Some(frame) = read_frame(&mut cursor).expect("stream decodes") {
             seen.push(frame);
         }
-        let mut expected = all_frames();
-        expected.extend(all_v2_frames());
-        assert_eq!(seen, expected);
+        assert_eq!(seen, all_frames());
     }
 
     #[test]
     fn read_frame_reports_mid_frame_eof_as_truncated() {
-        for version in [WireVersion::V1, WireVersion::V2] {
-            let bytes = Frame::Submit {
-                id: 3,
-                length: 9,
-                tenant: DEFAULT_TENANT,
-            }
-            .encode_v(version);
+        let submit = Frame::Submit {
+            id: 3,
+            length: 9,
+            tenant: DEFAULT_TENANT,
+        };
+        for frame in [submit, Frame::Hello { max_version: 2 }] {
+            let bytes = frame.encode();
             let mut cursor = std::io::Cursor::new(bytes[..bytes.len() - 1].to_vec());
             match read_frame(&mut cursor) {
                 Err(ReadFrameError::Decode(DecodeError::Truncated { .. })) => {}
-                other => panic!("expected truncation at {version:?}, got {other:?}"),
+                other => panic!("expected truncation of {frame:?}, got {other:?}"),
             }
         }
     }
 
     #[test]
-    fn frame_reader_reassembles_one_byte_fragments_across_versions() {
+    fn frame_reader_reassembles_one_byte_fragments() {
+        // Each frame at its dialect, so the stream mixes the v1 handshake
+        // bootstrap with v2 data frames, as a real connection's does.
+        let expected = all_frames();
         let mut wire = Vec::new();
-        let mut expected = Vec::new();
-        for (i, frame) in all_v2_frames().into_iter().enumerate() {
-            // Alternate versions so reassembly proves version-awareness;
-            // v2-only frames stay v2.
-            let version = if i % 2 == 0 || frame.min_version() == WireVersion::V2 {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
-            wire.extend_from_slice(&frame.encode_v(version));
-            expected.push(frame);
+        for frame in &expected {
+            wire.extend_from_slice(&frame.encode());
         }
         let mut fr = FrameReader::new();
         let mut seen = Vec::new();
@@ -1688,7 +1630,8 @@ mod tests {
             tenant: DEFAULT_TENANT,
         };
         let mut bad = Frame::Drain.encode();
-        bad[3] = 0xEE; // unknown frame type, intact header
+        bad[3] = 0xEE; // unknown frame type, intact header and checksum
+        reseal(&mut bad);
         let mut wire = good.encode();
         wire.extend_from_slice(&bad);
         wire.extend_from_slice(&good.encode());
@@ -1793,53 +1736,51 @@ mod tests {
 
     #[test]
     fn frame_write_buf_survives_trickle_and_wouldblock() {
-        for version in [WireVersion::V1, WireVersion::V2] {
-            let frames = all_frames();
-            let mut wbuf = FrameWriteBuf::new();
-            for f in &frames {
-                wbuf.push(f, version);
-            }
-            assert_eq!(wbuf.pending_frames(), frames.len());
-            let mut sink = Trickle {
-                out: Vec::new(),
-                cap: 3,
-                block_next: false,
-            };
-            let mut completed = 0;
-            let mut attempts = 0;
-            while !wbuf.is_empty() {
-                // Inject a WouldBlock every few attempts: pending state
-                // must survive it untouched.
-                sink.block_next = attempts % 5 == 4;
-                match wbuf.write_some(&mut sink) {
-                    Ok(n) => completed += n,
-                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
-                }
-                attempts += 1;
-            }
-            assert_eq!(completed, frames.len());
-            assert_eq!(wbuf.pending_frames(), 0);
-            // The byte stream decodes back to the exact frame sequence.
-            let mut reader = FrameReader::new();
-            let mut cursor = std::io::Cursor::new(sink.out);
-            let mut decoded = Vec::new();
-            loop {
-                while let Some(f) = reader.next_frame().expect("clean stream") {
-                    decoded.push(f);
-                }
-                if reader.fill(&mut cursor).expect("cursor read") == 0 {
-                    break;
-                }
-            }
-            assert_eq!(decoded, frames, "v{} trickle round-trip", version.byte());
+        let frames = all_frames();
+        let mut wbuf = FrameWriteBuf::new();
+        for f in &frames {
+            wbuf.push(f, f.dialect());
         }
+        assert_eq!(wbuf.pending_frames(), frames.len());
+        let mut sink = Trickle {
+            out: Vec::new(),
+            cap: 3,
+            block_next: false,
+        };
+        let mut completed = 0;
+        let mut attempts = 0;
+        while !wbuf.is_empty() {
+            // Inject a WouldBlock every few attempts: pending state must
+            // survive it untouched.
+            sink.block_next = attempts % 5 == 4;
+            match wbuf.write_some(&mut sink) {
+                Ok(n) => completed += n,
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+            attempts += 1;
+        }
+        assert_eq!(completed, frames.len());
+        assert_eq!(wbuf.pending_frames(), 0);
+        // The byte stream decodes back to the exact frame sequence.
+        let mut reader = FrameReader::new();
+        let mut cursor = std::io::Cursor::new(sink.out);
+        let mut decoded = Vec::new();
+        loop {
+            while let Some(f) = reader.next_frame().expect("clean stream") {
+                decoded.push(f);
+            }
+            if reader.fill(&mut cursor).expect("cursor read") == 0 {
+                break;
+            }
+        }
+        assert_eq!(decoded, frames, "trickle round-trip");
     }
 
     #[test]
     fn frame_write_buf_counts_whole_frames_only() {
         let mut wbuf = FrameWriteBuf::new();
-        wbuf.push(&Frame::StatsRequest, WireVersion::V1);
-        wbuf.push(&Frame::Drain, WireVersion::V1);
+        wbuf.push(&Frame::StatsRequest, WireVersion::V2);
+        wbuf.push(&Frame::Drain, WireVersion::V2);
         let total = wbuf.pending_bytes();
         // A write that stops one byte short of the second frame completes
         // exactly one.
@@ -1859,7 +1800,7 @@ mod tests {
     #[test]
     fn frame_write_buf_reports_write_zero() {
         let mut wbuf = FrameWriteBuf::new();
-        wbuf.push(&Frame::Drain, WireVersion::V1);
+        wbuf.push(&Frame::Drain, WireVersion::V2);
         struct Dead;
         impl Write for Dead {
             fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
@@ -1871,38 +1812,6 @@ mod tests {
         }
         let e = wbuf.write_some(&mut Dead).expect_err("zero-byte sink");
         assert_eq!(e.kind(), std::io::ErrorKind::WriteZero);
-    }
-
-    #[test]
-    fn v1_submit_layout_has_no_tenant_field() {
-        // The v1 payload stays the pre-tenant 12 bytes, and decoding maps
-        // the connection onto the default tenant; v2 appends the tenant
-        // word. Both pin the layout split legacy interop depends on.
-        let frame = Frame::Submit {
-            id: 9,
-            length: 77,
-            tenant: DEFAULT_TENANT,
-        };
-        let v1 = frame.encode();
-        assert_eq!(v1.len(), HEADER_LEN + 12);
-        let (decoded, consumed) = Frame::decode(&v1).expect("v1 submit");
-        assert_eq!(decoded, frame);
-        assert_eq!(consumed, v1.len());
-        let v2 = frame.encode_v(WireVersion::V2);
-        assert_eq!(v2.len(), HEADER_LEN + 16 + CHECKSUM_LEN);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires protocol v2")]
-    fn nonzero_tenant_cannot_encode_at_v1() {
-        // A v1 frame has nowhere to put the tenant; silently dropping it
-        // would misroute the request, so encoding must refuse loudly.
-        let _ = Frame::Submit {
-            id: 1,
-            length: 2,
-            tenant: 1,
-        }
-        .encode();
     }
 
     #[test]
@@ -1922,26 +1831,18 @@ mod tests {
 
     #[test]
     fn unknown_tenant_code_round_trips_and_is_bounded() {
-        for version in [WireVersion::V1, WireVersion::V2] {
-            let frame = Frame::Error {
-                id: 4,
-                code: ErrorCode::UnknownTenant,
-            };
-            let bytes = frame.encode_v(version);
-            let (decoded, consumed) = Frame::decode(&bytes).expect("round-trip");
-            assert_eq!(decoded, frame);
-            assert_eq!(consumed, bytes.len());
-        }
+        let frame = Frame::Error {
+            id: 4,
+            code: ErrorCode::UnknownTenant,
+        };
+        let mut bytes = frame.encode();
+        assert_eq!(Frame::decode(&bytes), Ok((frame, bytes.len())));
         // 7 is the last defined code: the next byte up must stay a typed
         // decode error, not silently alias the new variant.
-        let mut bytes = Frame::Error {
-            id: 1,
-            code: ErrorCode::UnknownTenant,
-        }
-        .encode();
-        let last = bytes.len() - 1;
-        assert_eq!(bytes[last], 7, "UnknownTenant wires as code 7");
-        bytes[last] = 8;
+        let code_at = HEADER_LEN + 8;
+        assert_eq!(bytes[code_at], 7, "UnknownTenant wires as code 7");
+        bytes[code_at] = 8;
+        reseal(&mut bytes);
         assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadErrorCode(8)));
     }
 

@@ -47,11 +47,11 @@
 //!   to a connection-level [`ErrorCode::Protocol`] disconnect requires
 //!   *sustained* corruption, not one noisy burst. Losing framing entirely
 //!   (bad magic/version, absurd length) disconnects immediately.
-//! - Connections negotiate their protocol version at connect: a
-//!   [`Frame::Hello`] earns a [`Frame::HelloAck`] and flips the
-//!   connection to the agreed version (v2 preferred — checksummed frames,
-//!   [`Frame::BatchedSubmit`]); a legacy client that never says hello
-//!   stays on v1 and everything keeps working.
+//! - One data dialect: every frame leaves at its [`Frame::dialect`] (v2,
+//!   checksummed; the v1 bootstrap only for [`Frame::HelloAck`]), so a
+//!   connection keeps no version state. A [`Frame::Hello`] offering v2 or
+//!   newer earns a `HelloAck`, an older one a typed [`ErrorCode::Protocol`]
+//!   disconnect, and a v1 data frame is framing lost like bad magic.
 //! - With [`ServeConfig::server_chaos`] set (tests only), every accepted
 //!   socket reads and writes through a [`NonBlockingChaos`], which turns
 //!   the deterministic seeded fault schedules the client-side chaos
@@ -423,13 +423,10 @@ pub struct DrainReport {
     /// Connections closed with a typed [`ErrorCode::Protocol`] error
     /// (malformed-frame budget exhausted or framing lost).
     pub protocol_disconnects: u64,
-    /// v2 frames refused for a checksum mismatch and answered with a
+    /// Frames refused for a checksum mismatch and answered with a
     /// retryable [`ErrorCode::Corrupt`] — line corruption the protocol
     /// *named* instead of misparsing.
     pub corrupt_frames: u64,
-    /// Connections that negotiated protocol v2 via `Hello`/`HelloAck`
-    /// (the remainder stayed on the v1 fallback).
-    pub v2_conns: u64,
     /// Connections refused at the admission limit with a typed
     /// [`ErrorCode::Shed`].
     pub refused_conns: u64,
@@ -566,8 +563,7 @@ impl ConnHandle {
 /// One tenant stream's live server-side state: its engine, its bounded
 /// dispatch queue, its SLO-class admission gate, its streaming demand
 /// window, and its slice of the accounting. Tenant id is the index into
-/// [`Shared::tenants`]; v1 connections (no tenant field on the wire)
-/// always address index 0, the default tenant.
+/// [`Shared::tenants`]; index 0 is the default tenant.
 struct Tenant {
     name: String,
     class: SloClass,
@@ -621,7 +617,7 @@ struct Tenant {
 ///
 /// The statistics counters (`submits`, `served`, `shed`, `unserviceable`,
 /// `failed`, `reallocations`, `reaped_idle`, `slow_disconnects`,
-/// `protocol_disconnects`, `corrupt_frames`, `v2_conns`, `refused_conns`,
+/// `protocol_disconnects`, `corrupt_frames`, `refused_conns`,
 /// `dropped_responses`, `unknown_tenants`, `granted`, and the per-tenant
 /// mirrors) are only *read exactly* after the writing threads are joined
 /// — the join is the happens-before edge that makes the drain report's
@@ -630,7 +626,7 @@ struct Tenant {
 /// and remain so.
 struct Shared {
     /// Tenant streams, indexed by wire tenant id. Never empty; index 0 is
-    /// the default tenant every v1 connection addresses.
+    /// the default tenant.
     tenants: Vec<Tenant>,
     clock: Arc<VirtualClock>,
     fail_one_in: Option<u64>,
@@ -651,7 +647,6 @@ struct Shared {
     slow_disconnects: AtomicU64,
     protocol_disconnects: AtomicU64,
     corrupt_frames: AtomicU64,
-    v2_conns: AtomicU64,
     refused_conns: AtomicU64,
     /// Response frames dropped because their connection was gone or
     /// doomed (the client's loss — chaos clients retry).
@@ -823,7 +818,7 @@ impl Server {
 
     /// Bind `addr` and spawn a multi-tenant server: one engine, dispatch
     /// queue, and executor per tenant (wire tenant id = position in
-    /// `tenants`; index 0 is the default tenant v1 connections address),
+    /// `tenants`; index 0 is the default tenant),
     /// plus the live coordinator thread that periodically re-partitions
     /// `config.gpus` across the tenant engines from their streaming
     /// demand windows. In this mode the coordinator is the **sole** caller
@@ -908,7 +903,6 @@ impl Server {
             slow_disconnects: AtomicU64::new(0),
             protocol_disconnects: AtomicU64::new(0),
             corrupt_frames: AtomicU64::new(0),
-            v2_conns: AtomicU64::new(0),
             refused_conns: AtomicU64::new(0),
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
@@ -1195,15 +1189,10 @@ impl Server {
         self.shared.protocol_disconnects.load(Ordering::Relaxed)
     }
 
-    /// v2 frames refused for a checksum mismatch (each answered with a
+    /// Frames refused for a checksum mismatch (each answered with a
     /// retryable [`ErrorCode::Corrupt`]).
     pub fn corrupt_frames(&self) -> u64 {
         self.shared.corrupt_frames.load(Ordering::Relaxed)
-    }
-
-    /// Connections that negotiated protocol v2.
-    pub fn v2_conns(&self) -> u64 {
-        self.shared.v2_conns.load(Ordering::Relaxed)
     }
 
     /// Executor completion panics caught and re-accounted so far (summed
@@ -1355,7 +1344,6 @@ impl Server {
             slow_disconnects: shared.slow_disconnects.load(Ordering::Relaxed),
             protocol_disconnects: shared.protocol_disconnects.load(Ordering::Relaxed),
             corrupt_frames: shared.corrupt_frames.load(Ordering::Relaxed),
-            v2_conns: shared.v2_conns.load(Ordering::Relaxed),
             refused_conns: shared.refused_conns.load(Ordering::Relaxed),
             panics_recovered,
             unknown_tenants: shared.unknown_tenants.load(Ordering::Relaxed),
@@ -1729,17 +1717,12 @@ fn accept_loop(
     ctx: &SupervisedCtx,
 ) {
     let mut next_conn_id: u64 = 0;
-    // Pre-encoded admission refusal (always v1: the peer has not
-    // negotiated anything yet).
-    let refusal = {
-        let mut buf = Vec::new();
-        Frame::Error {
-            id: CONN_ERROR_ID,
-            code: ErrorCode::Shed,
-        }
-        .encode_into(WireVersion::V1, &mut buf);
-        buf
-    };
+    // Pre-encoded admission refusal (v2, like every data frame).
+    let refusal = Frame::Error {
+        id: CONN_ERROR_ID,
+        code: ErrorCode::Shed,
+    }
+    .encode();
     while !shared.draining.load(Ordering::SeqCst) && !shared.shutdown.load(Ordering::SeqCst) {
         ctx.beat();
         match listener.accept() {
@@ -1827,8 +1810,6 @@ struct FramedConn {
     stream: TcpStream,
     frames: FrameReader,
     budget: ErrorBudget,
-    /// The wire version frames leave at: v1 until a `Hello` upgrades it.
-    version: WireVersion,
     outbound: Arc<Outbound>,
     /// Frames swapped out of `outbound` and about to be encoded; empty
     /// between drives. Trades places with the queue's own `VecDeque`, so
@@ -1862,7 +1843,6 @@ impl FramedConn {
             stream: inc.stream,
             frames: FrameReader::new(),
             budget: ErrorBudget::new(cfg.frame_error_budget),
-            version: WireVersion::V1,
             outbound: inc.outbound,
             swapped: VecDeque::new(),
             doomed: inc.doomed,
@@ -2135,7 +2115,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => {
                     conn.budget.credit();
-                    if !handle_frame(shared, conn_id, &mut conn.version, &mut conn.budget, &frame) {
+                    if !handle_frame(shared, conn_id, &mut conn.budget, &frame) {
                         conn.closing = true;
                         return;
                     }
@@ -2206,8 +2186,8 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
 }
 
 /// Non-blocking write pump: refill the [`FrameWriteBuf`] from the bounded
-/// outbound queue (the whole backlog in one coalesced buffer, HelloAck
-/// pinned v1), write until empty or blocked. Returns `false` when the
+/// outbound queue (the whole backlog in one coalesced buffer, each frame at
+/// its dialect), write until empty or blocked. Returns `false` when the
 /// connection doomed itself (write stall past the timeout, or a hard
 /// error).
 fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> bool {
@@ -2224,14 +2204,7 @@ fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> boo
                 std::mem::swap(&mut queue.frames, &mut conn.swapped);
             }
             for frame in conn.swapped.drain(..) {
-                // The HelloAck is the bootstrap dialect's answer: the
-                // client decodes it before it knows the agreed version.
-                let version = if matches!(frame, Frame::HelloAck { .. }) {
-                    WireVersion::V1
-                } else {
-                    conn.version
-                };
-                conn.wbuf.push(&frame, version);
+                conn.wbuf.push(&frame, frame.dialect());
             }
         }
         let wrote = match &mut conn.write_chaos {
@@ -2411,9 +2384,7 @@ fn submit_one(shared: &Shared, conn_id: u64, tenant_id: u32, id: u64, length: u3
 /// connection's error budget at [`UNKNOWN_TENANT_COST`] (a peer bug, like
 /// other malformed traffic — sustained spraying escalates to a
 /// [`ErrorCode::Protocol`] disconnect). Returns `false` when the budget is
-/// exhausted and the connection must close. v1 connections can never land
-/// here: their decode always addresses the default tenant, which always
-/// exists.
+/// exhausted and the connection must close.
 fn unknown_tenant(shared: &Shared, conn_id: u64, id: u64, budget: &mut ErrorBudget) -> bool {
     shared.unknown_tenants.fetch_add(1, Ordering::Relaxed);
     shared.respond(
@@ -2439,13 +2410,7 @@ fn unknown_tenant(shared: &Shared, conn_id: u64, id: u64, budget: &mut ErrorBudg
 }
 
 /// React to one decoded frame; `false` means "close the connection".
-fn handle_frame(
-    shared: &Shared,
-    conn_id: u64,
-    version: &mut WireVersion,
-    budget: &mut ErrorBudget,
-    frame: &Frame,
-) -> bool {
+fn handle_frame(shared: &Shared, conn_id: u64, budget: &mut ErrorBudget, frame: &Frame) -> bool {
     match *frame {
         Frame::Submit { id, length, tenant } => {
             if shared.tenant(tenant).is_none() {
@@ -2471,20 +2436,14 @@ fn handle_frame(
             }
             true
         }
-        Frame::Hello { max_version } => {
-            // Version negotiation: agree on the best common version, flip
-            // the connection to it, and ack. The ack itself always leaves
-            // v1-framed (`drive_write` pins HelloAck to the bootstrap
-            // dialect).
-            let agreed = WireVersion::negotiate(max_version);
-            *version = agreed;
-            if agreed >= WireVersion::V2 {
-                shared.v2_conns.fetch_add(1, Ordering::Relaxed);
-            }
+        Frame::Hello { max_version } if max_version >= WireVersion::V2.byte() => {
+            // A version check, not a negotiation: v2 is the one data
+            // dialect, so it is the one answer. Nothing about the
+            // connection changes.
             shared.respond(
                 conn_id,
                 &Frame::HelloAck {
-                    version: agreed.byte(),
+                    version: WireVersion::V2.byte(),
                 },
             );
             true
@@ -2498,9 +2457,14 @@ fn handle_frame(
             shared.respond(conn_id, &Frame::Stats(shared.stats()));
             true
         }
-        // A client sending server-only frames is violating the protocol;
-        // answer a typed connection error and close.
-        Frame::Response { .. } | Frame::Error { .. } | Frame::Stats(_) | Frame::HelloAck { .. } => {
+        // A client that cannot speak v2 (its `Hello` offers less) or that
+        // sends server-only frames is violating the protocol; answer a
+        // typed connection error and close.
+        Frame::Hello { .. }
+        | Frame::Response { .. }
+        | Frame::Error { .. }
+        | Frame::Stats(_)
+        | Frame::HelloAck { .. } => {
             shared.protocol_disconnects.fetch_add(1, Ordering::Relaxed);
             shared.respond(
                 conn_id,

@@ -1,7 +1,7 @@
 //! End-to-end robustness tests: the server under deliberately hostile
 //! clients and injected faults.
 //!
-//! Eight properties, each the regression test for one hardening layer:
+//! Seven properties, each the regression test for one hardening layer:
 //!
 //! 1. **Idle reaping** — a connection that never speaks is closed by its
 //!    shard's sweep after the idle window and deregistered (the
@@ -22,15 +22,12 @@
 //! 5. **Server-side chaos** — the same conservation laws hold when the
 //!    faults are injected on the *server's* accepted sockets
 //!    ([`ServeConfig::server_chaos`]), not just the clients'.
-//! 6. **Checksums end phantom terminal states** — under heavy corruption a
-//!    v2 pool records zero `unserviceable` verdicts: a bit-flipped frame
+//! 6. **Checksums end phantom terminal states** — under heavy corruption
+//!    the pool records zero `unserviceable` verdicts: a bit-flipped frame
 //!    can no longer decode into a well-formed refusal that kills a healthy
-//!    request (the ~1.7% phantom-unserviceable rate of the v1 stack).
-//! 7. **Credibility heuristic retired on v2** — the v1 `latency_ns`
-//!    plausibility bound still fires on legacy connections but is
-//!    structurally off on negotiated v2 connections, where the CRC
-//!    subsumes it.
-//! 8. **A paused reader loses nothing** — a client that stops reading
+//!    request (the ~1.7% phantom-unserviceable rate the unchecksummed v1
+//!    dialect had).
+//! 7. **A paused reader loses nothing** — a client that stops reading
 //!    until the server's send buffer is full, then resumes, gets every
 //!    answer exactly once: frames queued behind a blocked socket are not
 //!    announced to the shard one by one, so `EPOLLOUT` alone must bring
@@ -42,9 +39,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::{ChaosConfig, FaultClass};
-use arlo_serve::loadgen::{
-    chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, LoadGenReport, ProtocolMode,
-};
+use arlo_serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, LoadGenReport};
 use arlo_serve::protocol::{read_frame, Frame, FrameReader, WireVersion, DEFAULT_TENANT};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
@@ -139,10 +134,10 @@ fn idle_connections_are_reaped() {
 /// measure only transport leakage — the hazard under test — not queueing
 /// behind the flood's execution.
 fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
-    // Sized so the stalled client's answer backlog (17 B/error frame)
+    // Sized so the stalled client's answer backlog (21 B/error frame)
     // exceeds what the kernel can absorb for a never-reading peer (sndbuf
     // autotunes to at most 4 MB here, rcvbuf stays at its 128 KB initial
-    // without reads, ~250k frames together), guaranteeing the writer
+    // without reads, ~200k frames together), guaranteeing the writer
     // blocks and the bounded queue fills.
     const BULK: u64 = 400_000;
     let mut cfg = config();
@@ -291,7 +286,7 @@ fn stalled_client_is_doomed_without_hurting_healthy_connections() {
 /// bring the shard back when the client resumes.
 #[test]
 fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
-    // 17 B per error frame: 10 MB of answers against a send buffer that
+    // 21 B per error frame: 12.6 MB of answers against a send buffer that
     // autotunes to at most 4 MB plus a receive buffer that stays near its
     // 128 KB initial size while nobody reads.
     const N: u64 = 600_000;
@@ -316,7 +311,7 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
             length: 1_000_000,
             tenant: DEFAULT_TENANT,
         }
-        .encode_into(WireVersion::V1, &mut burst);
+        .encode_into(WireVersion::V2, &mut burst);
         if burst.len() >= 64 * 1024 || id == N - 1 {
             conn.write_all(&burst).expect("submit burst");
             burst.clear();
@@ -448,12 +443,11 @@ fn server_side_chaos_conserves_every_request() {
 
 #[test]
 fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
-    // The headline v1 failure mode this protocol revision retires: at
-    // Corrupt@0.75 a bit-flipped frame occasionally decodes as a
-    // well-formed `Error { Unserviceable }`, terminally killing a healthy
-    // request (~1.7% of the trace on the v1 stack). On a negotiated v2
-    // pool every flip dies at the CRC, so the phantom rate is exactly
-    // zero — and the credibility heuristic, retired on v2, never fires.
+    // The failure mode the checksummed dialect retired: at Corrupt@0.75 an
+    // unchecksummed bit-flipped frame occasionally decoded as a well-formed
+    // `Error { Unserviceable }`, terminally killing a healthy request
+    // (~1.7% of the trace on the old v1 stack). With a CRC on every frame
+    // each flip dies at the checksum, so the phantom rate is exactly zero.
     let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
     let addr = server.local_addr();
 
@@ -471,10 +465,6 @@ fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
         report.unserviceable, 0,
         "corruption forged an Unserviceable verdict through the checksum: {report:?}"
     );
-    assert_eq!(
-        report.credibility_rejects, 0,
-        "retired v1 heuristic fired on a v2 connection: {report:?}"
-    );
     assert!(
         report.corrupt_signals > 0,
         "at 0.75 intensity the server should have checksummed away submits: {report:?}"
@@ -490,98 +480,6 @@ fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
         drain.served + drain.shed + drain.unserviceable + drain.failed
     );
     assert_eq!(drain.outstanding_at_close, 0);
-}
-
-/// A hand-rolled server that negotiates honestly but reports an absurd
-/// virtual latency (one hour) in every `Response` — the decoded-but-wrong
-/// shape the v1 credibility heuristic exists to catch.
-fn absurd_latency_server() -> std::net::SocketAddr {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut conn) = conn else { break };
-            std::thread::spawn(move || {
-                let _ = conn.set_nodelay(true);
-                let mut version = WireVersion::V1;
-                loop {
-                    match read_frame(&mut conn) {
-                        Ok(Some(Frame::Hello { max_version })) => {
-                            version = WireVersion::negotiate(max_version);
-                            let ack = Frame::HelloAck {
-                                version: version.byte(),
-                            };
-                            if ack.write_to(&mut conn).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(Some(Frame::Submit { id, .. })) => {
-                            let absurd = Frame::Response {
-                                id,
-                                generation: 0,
-                                runtime_idx: 0,
-                                instance_idx: 0,
-                                latency_ns: 3_600 * NANOS_PER_SEC,
-                            };
-                            if absurd.write_to_v(&mut conn, version).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(Some(_)) => {}
-                        Ok(None) | Err(_) => break,
-                    }
-                }
-            });
-        }
-    });
-    addr
-}
-
-#[test]
-fn credibility_heuristic_fires_on_v1_and_is_retired_on_v2() {
-    let addr = absurd_latency_server();
-    let mut rng = StdRng::seed_from_u64(77);
-    let trace = TraceSpec::twitter_stable(60.0, 1.0).generate(&mut rng);
-
-    // Zero-intensity chaos: the full retry/credibility machinery with a
-    // clean wire, so every verdict below is the heuristic's alone.
-    let base = || {
-        let mut cfg = ChaosReplayConfig::new(2, ChaosConfig::new(FaultClass::Corrupt, 0.0, 9));
-        cfg.max_attempts = 3;
-        cfg.attempt_timeout = Duration::from_millis(250);
-        cfg.backoff_base = Duration::from_millis(1);
-        cfg
-    };
-
-    // Legacy (v1) connections: the unchecksummed latency field cannot be
-    // trusted, so the absurd value is rejected as presumed corruption on
-    // every attempt and each request exhausts its budget.
-    let legacy =
-        chaos_replay(addr, &trace, &base().with_protocol(ProtocolMode::Legacy)).expect("legacy");
-    assert!(legacy.conserved(), "legacy conservation: {legacy:?}");
-    assert!(
-        legacy.credibility_rejects > 0,
-        "v1 heuristic never fired on an absurd latency: {legacy:?}"
-    );
-    assert_eq!(
-        legacy.ok, 0,
-        "v1 believed a latency beyond the credibility bound: {legacy:?}"
-    );
-    assert_eq!(legacy.exhausted, legacy.requests, "{legacy:?}");
-
-    // Negotiated v2 connections: the frame survived its CRC, so whatever
-    // latency it carries is what the server wrote — believed verbatim,
-    // heuristic structurally off.
-    let modern = chaos_replay(addr, &trace, &base()).expect("negotiate");
-    assert!(modern.conserved(), "v2 conservation: {modern:?}");
-    assert_eq!(
-        modern.credibility_rejects, 0,
-        "retired heuristic fired on v2: {modern:?}"
-    );
-    assert_eq!(
-        modern.ok, modern.requests,
-        "v2 rejected checksummed responses: {modern:?}"
-    );
 }
 
 #[test]

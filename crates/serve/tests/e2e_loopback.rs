@@ -14,15 +14,17 @@ use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{replay, LoadGenConfig, ProtocolMode};
+use arlo_serve::loadgen::{replay, LoadGenConfig};
 use arlo_serve::protocol::{
-    client_handshake, read_frame, ErrorCode, Frame, Sub, WireVersion, DEFAULT_TENANT,
+    client_handshake, read_frame, ErrorCode, Frame, Sub, WireVersion, CONN_ERROR_ID,
+    DEFAULT_TENANT, MAGIC,
 };
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -192,51 +194,97 @@ fn injected_failures_flow_through_health_hooks() {
     assert_eq!(drain.outstanding_at_close, 0);
 }
 
+/// Read the typed `Protocol` verdict on the connection sentinel, then EOF.
+fn expect_protocol_disconnect(conn: &mut TcpStream) {
+    match read_frame(conn).expect("read verdict") {
+        Some(Frame::Error { id, code }) => {
+            assert_eq!(id, CONN_ERROR_ID);
+            assert_eq!(code, ErrorCode::Protocol);
+        }
+        other => panic!("expected a Protocol disconnect, got {other:?}"),
+    }
+    assert!(
+        matches!(read_frame(conn), Ok(None)),
+        "connection not closed"
+    );
+}
+
 #[test]
-fn mixed_v1_and_v2_connection_pools_drain_cleanly() {
-    // The interop acceptance test: legacy v1 clients (no handshake,
-    // unchecksummed frames) and negotiated v2 clients (checksummed,
-    // batched submits) share one server concurrently; both pools get
-    // exactly-once answers and the drain equation still balances.
+fn v1_submit_gets_a_protocol_disconnect_and_is_never_counted() {
     let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
     let addr = server.local_addr();
 
+    // A pre-v2 client's Submit, encoded by hand: version byte 1, the old
+    // 12-byte `id, length` payload, no trailer.
+    let mut legacy = TcpStream::connect(addr).expect("connect");
+    legacy
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut v1_submit = MAGIC.to_vec();
+    v1_submit.extend_from_slice(&[1, 1]); // version 1, type Submit
+    v1_submit.extend_from_slice(&12u32.to_le_bytes());
+    v1_submit.extend_from_slice(&7u64.to_le_bytes());
+    v1_submit.extend_from_slice(&64u32.to_le_bytes());
+    legacy.write_all(&v1_submit).unwrap();
+    expect_protocol_disconnect(&mut legacy);
+
+    // The server is unharmed: a v2 pool on it is served in full.
     let mut rng = StdRng::seed_from_u64(11);
-    let trace_v1 = TraceSpec::twitter_stable(400.0, 4.0).generate(&mut rng);
-    let trace_v2 = TraceSpec::twitter_stable(400.0, 4.0).generate(&mut rng);
-    let sent_total = (trace_v1.len() + trace_v2.len()) as u64;
-
-    let legacy = std::thread::spawn({
-        let cfg = LoadGenConfig::open(2, SCALE).with_protocol(ProtocolMode::Legacy);
-        move || replay(addr, &trace_v1, &cfg).expect("legacy replay")
-    });
-    let modern = std::thread::spawn({
-        let cfg = LoadGenConfig::open(2, SCALE).with_submit_batch(8);
-        move || replay(addr, &trace_v2, &cfg).expect("v2 replay")
-    });
-    let legacy = legacy.join().expect("legacy clients");
-    let modern = modern.join().expect("v2 clients");
-
-    for (name, report) in [("v1", &legacy), ("v2", &modern)] {
-        assert_eq!(report.lost, 0, "{name} pool lost answers: {report:?}");
-        assert_eq!(report.accounted(), report.sent, "{name}: {report:?}");
-        assert!(report.ok > 0, "{name} pool served nothing: {report:?}");
-    }
-    assert_eq!(
-        server.v2_conns(),
-        2,
-        "exactly the negotiating pool's connections should be v2"
-    );
+    let trace = TraceSpec::twitter_stable(200.0, 3.0).generate(&mut rng);
+    let report = replay(addr, &trace, &LoadGenConfig::open(2, SCALE)).expect("replay");
+    assert_eq!(report.sent, trace.len() as u64);
+    assert_eq!(report.ok, report.sent, "{report:?}");
 
     let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0);
-    assert_eq!(drain.submits, sent_total);
+    assert_eq!(drain.protocol_disconnects, 1, "{drain:?}");
     assert_eq!(
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
-        sent_total,
-        "mixed-pool accounting disagrees: {drain:?}"
+        drain.submits, report.sent,
+        "the v1 submit was counted: {drain:?}"
     );
-    assert_eq!(drain.served, legacy.ok + modern.ok);
+    assert_eq!(drain.served, report.ok);
+    assert_eq!(drain.outstanding_at_close, 0);
+}
+
+#[test]
+fn hello_is_a_version_check() {
+    let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
+    let connect = || {
+        let conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn
+    };
+
+    // A client that can only speak v1 is turned away with a typed verdict.
+    let mut old = connect();
+    Frame::Hello { max_version: 1 }.write_to(&mut old).unwrap();
+    expect_protocol_disconnect(&mut old);
+
+    // A client from a future build is told v2, and served.
+    let mut future = connect();
+    Frame::Hello { max_version: 9 }
+        .write_to(&mut future)
+        .unwrap();
+    assert_eq!(
+        read_frame(&mut future).expect("read").expect("frame"),
+        Frame::HelloAck { version: 2 }
+    );
+    Frame::Submit {
+        id: 1,
+        length: 64,
+        tenant: DEFAULT_TENANT,
+    }
+    .write_to(&mut future)
+    .unwrap();
+    match read_frame(&mut future).expect("read").expect("frame") {
+        Frame::Response { id, .. } => assert_eq!(id, 1),
+        other => panic!("expected a response, got {other:?}"),
+    }
+
+    let drain = server.drain();
+    assert_eq!(drain.protocol_disconnects, 1, "{drain:?}");
+    assert_eq!(drain.submits, 1, "{drain:?}");
+    assert_eq!(drain.served, 1, "{drain:?}");
 }
 
 #[test]

@@ -4,21 +4,20 @@
 
 use arlo_serve::chaos::{ChaosConfig, FaultClass, FaultyStream};
 use arlo_serve::protocol::{
-    read_frame, DecodeError, ErrorCode, Frame, FrameReader, StatsPayload, Sub, WireVersion,
-    DEFAULT_TENANT, HEADER_LEN, MAX_BATCH, MAX_PAYLOAD,
+    read_frame, DecodeError, ErrorCode, Frame, FrameReader, ReadFrameError, StatsPayload, Sub,
+    WireVersion, DEFAULT_TENANT, HEADER_LEN, MAGIC, MAX_BATCH, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 use std::io::Read;
 
 /// Build a frame from raw generated scalars; `kind` selects the variant.
-/// Covers every v1-expressible type, handshake frames included.
+/// Covers every frame type, handshake frames included.
 fn frame_from(kind: u8, a: u64, b: u64, c: u64, d: u32) -> Frame {
-    match kind % 8 {
-        // Default tenant only: these frames must stay v1-encodable.
+    match kind % 9 {
         0 => Frame::Submit {
             id: a,
             length: d,
-            tenant: DEFAULT_TENANT,
+            tenant: c as u32,
         },
         1 => Frame::Response {
             id: a,
@@ -29,12 +28,13 @@ fn frame_from(kind: u8, a: u64, b: u64, c: u64, d: u32) -> Frame {
         },
         2 => Frame::Error {
             id: a,
-            code: match b % 6 {
+            code: match b % 7 {
                 0 => ErrorCode::Shed,
                 1 => ErrorCode::Unserviceable,
                 2 => ErrorCode::Draining,
                 3 => ErrorCode::Protocol,
                 4 => ErrorCode::UnknownTenant,
+                5 => ErrorCode::Corrupt,
                 _ => ErrorCode::Failed,
             },
         },
@@ -50,7 +50,16 @@ fn frame_from(kind: u8, a: u64, b: u64, c: u64, d: u32) -> Frame {
         6 => Frame::Hello {
             max_version: b as u8,
         },
-        _ => Frame::HelloAck { version: c as u8 },
+        7 => Frame::HelloAck { version: c as u8 },
+        _ => Frame::BatchedSubmit {
+            subs: (0..u64::from(d % 4))
+                .map(|i| Sub {
+                    id: a.wrapping_add(i),
+                    length: d,
+                    tenant: (c >> i) as u32,
+                })
+                .collect(),
+        },
     }
 }
 
@@ -178,30 +187,57 @@ proptest! {
         }
     }
 
-    fn v1_v2_downgrade_round_trips_all_frame_types(
+    fn every_frame_round_trips_at_its_dialect(
         kind in 0u8..=255,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u64..u64::MAX,
         d in 0u32..=u32::MAX,
     ) {
-        // Negotiation downgrade safety: every v1-expressible frame type
-        // encodes and decodes identically at both wire versions, so a pool
-        // downgraded to v1 (or a mixed v1/v2 stream, each frame tagged
-        // with its own version byte) never changes meaning.
+        // One dialect per frame: the handshake travels at the v1
+        // bootstrap (no trailer), everything else at v2 (trailer always),
+        // and each decodes back to itself at exactly that version.
         let frame = frame_from(kind, a, b, c, d);
-        for version in [WireVersion::V1, WireVersion::V2] {
-            let bytes = frame.encode_v(version);
-            let (decoded, consumed) = match Frame::decode(&bytes) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    return Err(TestCaseError(format!(
-                        "{frame:?} at v{} failed to decode: {e}", version.byte()
-                    )));
-                }
-            };
-            prop_assert_eq!(decoded, frame.clone());
-            prop_assert_eq!(consumed, bytes.len());
+        let version = frame.dialect();
+        let handshake = matches!(frame, Frame::Hello { .. } | Frame::HelloAck { .. });
+        prop_assert_eq!(version == WireVersion::V1, handshake);
+        let bytes = frame.encode_v(version);
+        prop_assert_eq!(&bytes, &frame.encode());
+        prop_assert_eq!(bytes[2], version.byte());
+        let payload = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        prop_assert_eq!(bytes.len(), HEADER_LEN + payload + version.trailer_len());
+        match Frame::decode(&bytes) {
+            Ok((decoded, consumed)) => {
+                prop_assert_eq!(decoded, frame);
+                prop_assert_eq!(consumed, bytes.len());
+            }
+            Err(e) => prop_assert!(false, "{:?} at its dialect failed to decode: {}", frame, e),
+        }
+    }
+
+    fn version_byte_1_is_bad_version_for_every_data_type(
+        raw_type in 0u8..=255,
+        declared in 0u32..=u32::MAX,
+        tail in proptest::collection::vec(0u8..=255, 0..48),
+    ) {
+        // Whatever follows the header — a well-formed old v1 payload, a
+        // v2 one, garbage, or nothing yet — a non-handshake type under
+        // version byte 1 is refused from the header alone, fatally.
+        let frame_type = if matches!(raw_type, 8 | 9) { raw_type + 2 } else { raw_type };
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[1, frame_type]);
+        bytes.extend_from_slice(&declared.to_le_bytes());
+        bytes.extend_from_slice(&tail);
+        match Frame::decode(&bytes) {
+            Err(e) => {
+                prop_assert_eq!(e, DecodeError::BadVersion(1));
+                prop_assert!(!e.resynchronizable());
+            }
+            Ok(ok) => prop_assert!(false, "v1 type {} decoded: {:?}", frame_type, ok),
+        }
+        match read_frame(&mut std::io::Cursor::new(bytes)) {
+            Err(ReadFrameError::Decode(DecodeError::BadVersion(1))) => {}
+            other => prop_assert!(false, "streaming read of v1 type {}: {:?}", frame_type, other),
         }
     }
 
@@ -212,9 +248,7 @@ proptest! {
         ),
     ) {
         // BatchedSubmit round-trips any batch the protocol admits — empty
-        // through MAX_BATCH, arbitrary tenant tags included — and stays
-        // v2-only: the identical payload under a v1 version byte is
-        // rejected as an unknown frame type.
+        // through MAX_BATCH, arbitrary tenant tags included.
         let frame = Frame::BatchedSubmit {
             subs: subs
                 .iter()

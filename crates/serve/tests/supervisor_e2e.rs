@@ -21,7 +21,7 @@ use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::protocol::{read_frame, Frame, WireVersion};
+use arlo_serve::protocol::{read_frame, Frame};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_trace::workload::TraceSpec;
@@ -396,10 +396,9 @@ fn stalled_timer_is_detected_not_restarted() {
     assert_server_conserves(&server.drain());
 }
 
-/// The v2 storm speaks `BatchedSubmit`: a closed-loop window storm over
-/// negotiated v2 connections conserves exactly like the v1 storm, the
-/// server sees the connections as v2, and nothing is lost. (The port of
-/// the window mode to the v2 replay path.)
+/// The storm speaks `BatchedSubmit`: a closed-loop window storm batches
+/// its refills, every connection passes the version check, and nothing is
+/// lost.
 #[test]
 fn v2_window_storm_batches_refills_and_conserves() {
     let server = Server::spawn(engine(4), "127.0.0.1:0", config(4, 100)).expect("bind loopback");
@@ -410,15 +409,17 @@ fn v2_window_storm_batches_refills_and_conserves() {
         hold: Duration::from_millis(10),
         ..StormConfig::new(32)
     }
-    .with_window(4)
-    .with_wire(WireVersion::V2);
+    .with_window(4);
     let report = connection_storm(server.local_addr(), &storm).expect("storm");
 
     assert_eq!(report.connected, 32, "{report:?}");
+    assert_eq!(
+        report.connect_errors, 0,
+        "a version check failed: {report:?}"
+    );
     assert_eq!(report.submitted, 32 * 24, "{report:?}");
     assert_eq!(report.lost, 0, "{report:?}");
     assert!(report.conserved(), "{report:?}");
-    assert_eq!(server.v2_conns(), 32, "storm never negotiated v2");
 
     let drain = server.drain();
     assert_server_conserves(&drain);
@@ -427,7 +428,7 @@ fn v2_window_storm_batches_refills_and_conserves() {
 
 /// Component chaos against a supervised server under a v2 window storm:
 /// the cross product the resilience bench sweeps, pinned here at its
-/// hairiest single cell — dispatch panics while batched v2 refills are in
+/// hairiest single cell — dispatch panics while batched refills are in
 /// flight across two shards — with both conservation laws exact.
 #[test]
 fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
@@ -444,8 +445,7 @@ fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
         hold: Duration::from_millis(10),
         ..StormConfig::new(16)
     }
-    .with_window(4)
-    .with_wire(WireVersion::V2);
+    .with_window(4);
     let report = connection_storm(server.local_addr(), &storm).expect("storm");
 
     assert_eq!(report.lost, 0, "{report:?}");

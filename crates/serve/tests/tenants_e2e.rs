@@ -2,7 +2,7 @@
 //!
 //! Exercises the tenant layer the way a deployment would hit it: several
 //! tenants with distinct SLO classes behind one front door, wire-level
-//! tenant routing (v2 tagged submits, v1 defaulting), the typed
+//! tenant routing (tenant-tagged submits), the typed
 //! unknown-tenant refusal and its error-budget escalation, SLO-class
 //! admission ordering under a synchronized overload burst, and the live
 //! GPU re-granting coordinator.
@@ -12,7 +12,7 @@ use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{replay, LoadGenConfig, ProtocolMode};
+use arlo_serve::loadgen::{replay, LoadGenConfig};
 use arlo_serve::protocol::{
     client_handshake, read_frame, ErrorCode, Frame, WireVersion, CONN_ERROR_ID,
 };
@@ -134,40 +134,6 @@ fn three_tenants_route_and_conserve() {
         drain.tenants.iter().map(|t| t.shed).sum::<u64>(),
         drain.shed
     );
-}
-
-/// v1 connections carry no tenant field; every submit they send must land
-/// on the default tenant (index 0) — the compatibility contract.
-#[test]
-fn v1_connections_map_to_the_default_tenant() {
-    let tenants = vec![
-        (
-            TenantSpec::new("default", SloClass::Interactive, SLO_MS),
-            engine(4),
-        ),
-        (
-            TenantSpec::new("other", SloClass::Standard, SLO_MS),
-            engine(4),
-        ),
-    ];
-    let server =
-        Server::spawn_multi(tenants, "127.0.0.1:0", config(8, 100)).expect("bind loopback");
-    let addr = server.local_addr();
-
-    let mut rng = StdRng::seed_from_u64(11);
-    let trace = TraceSpec::twitter_stable(300.0, 4.0).generate(&mut rng);
-    let report = replay(
-        addr,
-        &trace,
-        &LoadGenConfig::open(2, 100).with_protocol(ProtocolMode::Legacy),
-    )
-    .expect("replay");
-    assert_eq!(report.lost, 0, "{report:?}");
-
-    let drain = server.drain();
-    assert_eq!(drain.tenants[0].submits, report.sent, "{drain:?}");
-    assert_eq!(drain.tenants[1].submits, 0, "{drain:?}");
-    assert_conserved(&drain.tenants[0]);
 }
 
 /// A submit naming a tenant the server never registered gets the typed

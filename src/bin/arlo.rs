@@ -17,8 +17,8 @@
 
 use arlo::prelude::*;
 use arlo::serve::chaos::{ChaosConfig, ComponentChaos, FaultClass};
-use arlo::serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, ProtocolMode};
-use arlo::serve::protocol::Frame;
+use arlo::serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig};
+use arlo::serve::protocol::{client_handshake, read_frame, Frame};
 use arlo::serve::server::{ServeConfig, Server};
 use arlo::serve::tenants::{parse_mix, SloClass, TenantSpec};
 use arlo::trace::NANOS_PER_SEC;
@@ -82,8 +82,7 @@ USAGE:
                    [--component-chaos-stall-ms <ms>] [--component-chaos-seed <n>]]
                   (runs until a client sends a Drain frame, then flushes and exits)
   arlo loadgen    --addr <ip:port> (--trace <file> | --rate <r> --secs <s>) [--bursty]
-                  [--seed <n>] [--clients <n>] [--time-scale <x>]
-                  [--proto <v1|v2>] [--submit-batch <n>]
+                  [--seed <n>] [--clients <n>] [--time-scale <x>] [--submit-batch <n>]
                   [--tenants <n> [--tenant-mix <w:w:...>]]
                   [--closed [--window <n>]] [--drain]
                   [--chaos <delay|partial|corrupt|reset|stall>
@@ -142,16 +141,6 @@ fn model_of(flags: &Flags) -> Result<ModelSpec, String> {
         other => Err(format!(
             "unknown model {other:?} (bert-base | bert-large | dolly)"
         )),
-    }
-}
-
-fn proto_of(flags: &Flags) -> Result<ProtocolMode, String> {
-    // v2 negotiates at connect and falls back transparently, so it is the
-    // default; `--proto v1` reproduces the pre-v2 client exactly.
-    match flags.get("proto").map(String::as_str) {
-        None | Some("v2") => Ok(ProtocolMode::Negotiate),
-        Some("v1") => Ok(ProtocolMode::Legacy),
-        Some(other) => Err(format!("unknown --proto {other:?} (v1 | v2)")),
     }
 }
 
@@ -626,8 +615,7 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         let intensity: f64 = num_or(flags, "chaos-intensity", 0.5)?;
         let seed: u64 = num_or(flags, "chaos-seed", 42)?;
         let trace = build_trace(flags)?;
-        let mut config = ChaosReplayConfig::new(clients, ChaosConfig::new(class, intensity, seed))
-            .with_protocol(proto_of(flags)?);
+        let mut config = ChaosReplayConfig::new(clients, ChaosConfig::new(class, intensity, seed));
         config.max_attempts = num_or(flags, "retries", 6)?;
         println!(
             "chaos-replaying {} requests against {addr}: {} @ intensity {intensity}, seed {seed}…",
@@ -638,7 +626,7 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         let s = report.latency_summary();
         println!(
             "requests {} / ok {} / unserviceable {} / draining {} / exhausted {}  \
-             (retries {}, connects {}, corrupt signals {}, credibility rejects {})",
+             (retries {}, connects {}, corrupt signals {})",
             report.requests,
             report.ok,
             report.unserviceable,
@@ -646,8 +634,7 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
             report.exhausted,
             report.retries,
             report.connects,
-            report.corrupt_signals,
-            report.credibility_rejects
+            report.corrupt_signals
         );
         println!(
             "latency (virtual): mean {:.2} ms  p50 {:.2}  p98 {:.2}  p99 {:.2}  max {:.2}",
@@ -681,7 +668,6 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         } else {
             LoadGenConfig::open(clients, time_scale)
         }
-        .with_protocol(proto_of(flags)?)
         .with_submit_batch(num_or(flags, "submit-batch", 1)?)
         .with_tenants(weights);
         println!(
@@ -716,12 +702,21 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     }
 
     if flags.contains_key("drain") {
-        let mut conn =
-            std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        Frame::Drain
-            .write_to(&mut conn)
-            .map_err(|e| format!("send drain: {e}"))?;
-        println!("drain requested at {addr}");
+        // Wait for the Stats acknowledgement: it is what tells a decoded
+        // drain from a dropped socket.
+        let ack = std::net::TcpStream::connect(addr).and_then(|mut conn| {
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+            client_handshake(&mut conn)?;
+            Frame::Drain.write_to(&mut conn)?;
+            Ok(read_frame(&mut conn))
+        });
+        match ack.map_err(|e| format!("drain {addr}: {e}"))? {
+            Ok(Some(Frame::Stats(s))) => println!(
+                "drain acknowledged by {addr}: served {} / shed {} / outstanding {}",
+                s.served, s.shed, s.outstanding
+            ),
+            other => return Err(format!("drain {addr}: expected a Stats ack, got {other:?}")),
+        }
     }
     Ok(())
 }

@@ -142,6 +142,103 @@ fn plan_shows_per_runtime_allocation() {
     );
 }
 
+/// Kills the child on drop, so a failing assertion never leaks a server.
+struct Reaped(std::process::Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `arlo loadgen --drain` is how `arlo serve` tells operators to stop it:
+/// the drain must be decoded and acknowledged, and the server must flush,
+/// print its final accounting and exit cleanly.
+#[test]
+fn loadgen_drain_stops_a_running_server() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let mut server = Reaped(
+        arlo()
+            .args([
+                "serve",
+                "--model",
+                "bert-base",
+                "--gpus",
+                "4",
+                "--addr",
+                "127.0.0.1:0",
+                "--time-scale",
+                "50",
+            ])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn arlo serve"),
+    );
+    // Lines arrive over a channel so a wedged server fails the test on a
+    // timeout instead of hanging it on a read.
+    let stdout = server.0.stdout.take().expect("piped stdout");
+    let (tx, lines) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                break;
+            }
+        }
+    });
+    let next_line = |what: &str| {
+        lines
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("arlo serve printed no {what}"))
+    };
+    let addr = loop {
+        let line = next_line("address");
+        if line.starts_with("serving ") {
+            let addr = line.split_whitespace().skip_while(|w| *w != "on").nth(1);
+            break addr.expect("address after `on`").to_string();
+        }
+    };
+
+    let text = stdout_of(arlo().args([
+        "loadgen",
+        "--addr",
+        &addr,
+        "--rate",
+        "200",
+        "--secs",
+        "1",
+        "--time-scale",
+        "50",
+        "--drain",
+    ]));
+    assert!(text.contains("lost 0"), "{text}");
+    assert!(text.contains("drain acknowledged"), "{text}");
+
+    let served = loop {
+        let line = next_line("final accounting");
+        if line.starts_with("served ") {
+            break line;
+        }
+    };
+    assert!(served.contains(" / shed "), "{served}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("poll arlo serve") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "arlo serve still running after drain"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "arlo serve exited with {status}");
+}
+
 #[test]
 fn deterministic_across_invocations() {
     let run = || {
