@@ -143,8 +143,8 @@ fn run_grid_cell(
 
 /// The healthy mix with (`stall` = true) or without a bulk client that
 /// stops reading mid-stream. Mirrors the regression test's design: the
-/// bulk requests are unserviceable (answered in the dispatch thread, no
-/// executor occupancy), their 21-byte error-frame backlog exceeds what
+/// bulk requests are unserviceable (answered at placement, no executor
+/// occupancy), their 21-byte error-frame backlog exceeds what
 /// the kernel absorbs for a never-reading peer (~200k frames), and the
 /// healthy load sits below saturation so its p98 measures transport
 /// leakage, not queueing behind the flood.

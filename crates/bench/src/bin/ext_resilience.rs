@@ -23,8 +23,12 @@
 //!
 //! Load is the closed-loop **window storm**: refills leave as checksummed
 //! `BatchedSubmit` frames, so the resilience sweep doubles as an
-//! integration test of the batched replay path. The storm runs in a re-exec'd child process, same as
-//! `ext_hotpath`, keeping client fds and CPU out of the server process.
+//! integration test of the batched replay path. Shards place what they
+//! decode inline and spill only what one readiness pass will not run, so
+//! the cells aimed at the dispatch workers storm with a window deeper than
+//! that ([`SPILLING_WINDOW`]); the rest keep [`WINDOW`]. The storm runs in
+//! a re-exec'd child process, same as `ext_hotpath`, keeping client fds and
+//! CPU out of the server process.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
 //!
@@ -52,6 +56,11 @@ const GPUS: u32 = 4;
 const SCALE: u32 = 100;
 const CONNS: usize = 8;
 const WINDOW: u32 = 8;
+/// The dispatch cells' window: deeper than one readiness pass places
+/// inline on its shard, so refills spill to the dispatch workers the chaos
+/// targets (at [`WINDOW`] every request would run inline and no worker
+/// would ever beat).
+const SPILLING_WINDOW: u32 = 128;
 const FULL_TOTAL: u64 = 10_000;
 const SMOKE_TOTAL: u64 = 1_600;
 /// Every `Panicked` in a recovery cell must be answered by a `Restarted`
@@ -106,6 +115,8 @@ struct Target {
     coordinator: bool,
     /// Serve with a real coalescing window so the flusher owns deadlines.
     batch_window: bool,
+    /// Closed-loop window of the storm driving the cell.
+    window: u32,
 }
 
 const TARGETS: [Target; 4] = [
@@ -113,21 +124,25 @@ const TARGETS: [Target; 4] = [
         prefix: "dispatch",
         coordinator: false,
         batch_window: false,
+        window: SPILLING_WINDOW,
     },
     Target {
         prefix: "flusher",
         coordinator: false,
         batch_window: true,
+        window: WINDOW,
     },
     Target {
         prefix: "timer",
         coordinator: false,
         batch_window: false,
+        window: WINDOW,
     },
     Target {
         prefix: "coordinator",
         coordinator: true,
         batch_window: false,
+        window: WINDOW,
     },
 ];
 
@@ -218,12 +233,12 @@ fn storm_child() {
 }
 
 /// Drive one storm child against `addr` and parse its result line.
-fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> HashMap<String, u64> {
+fn run_storm(addr: SocketAddr, submits_per_conn: u64, window: u32) -> HashMap<String, u64> {
     let mut child = Command::new(std::env::current_exe().expect("current_exe"))
         .env("ARLO_RESIL_ADDR", addr.to_string())
         .env("ARLO_RESIL_CONNS", CONNS.to_string())
         .env("ARLO_RESIL_SUBMITS", submits_per_conn.to_string())
-        .env("ARLO_RESIL_WINDOW", WINDOW.to_string())
+        .env("ARLO_RESIL_WINDOW", window.to_string())
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn storm child");
@@ -310,7 +325,7 @@ fn run_recovery_cell(target: Target, fault: Fault, total: u64) -> Cell {
     let addr = server.local_addr();
     let submits_per_conn = total / CONNS as u64;
     let started = Instant::now();
-    let counts = run_storm(addr, submits_per_conn);
+    let counts = run_storm(addr, submits_per_conn, target.window);
     let wall_s = started.elapsed().as_secs_f64();
     let g = |k: &str| counts[k];
 
@@ -410,7 +425,7 @@ fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let started = Instant::now();
     let counts = if with_load {
-        let c = run_storm(server.local_addr(), total / CONNS as u64);
+        let c = run_storm(server.local_addr(), total / CONNS as u64, target.window);
         assert_eq!(
             c["lost"], 0,
             "{tag}: escalation must answer, not drop: {c:?}"
@@ -489,7 +504,8 @@ fn main() {
     }
     let total = if smoke() { SMOKE_TOTAL } else { FULL_TOTAL };
     println!(
-        "ext_resilience: {total} requests/cell, scale {SCALE}, {CONNS} conns, window {WINDOW}{}",
+        "ext_resilience: {total} requests/cell, scale {SCALE}, {CONNS} conns, window {WINDOW} \
+         ({SPILLING_WINDOW} on dispatch cells){}",
         if smoke() { " [smoke]" } else { "" }
     );
 
@@ -544,6 +560,7 @@ fn main() {
             "time_scale": SCALE,
             "conns": CONNS,
             "window": WINDOW,
+            "dispatch_window": SPILLING_WINDOW,
             "wire": "v2",
             "recovery_bound_ms": RECOVERY_BOUND_MS,
             "smoke": smoke(),

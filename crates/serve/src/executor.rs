@@ -362,17 +362,24 @@ impl ExecutorShared {
         }
     }
 
+    /// The executor's panic boundary: run `work` on the calling thread,
+    /// catching and counting a panic. Returns whether `work` finished; on
+    /// `false` the caller re-accounts whatever `work` was carrying.
+    fn recover(&self, work: impl FnOnce()) -> bool {
+        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).is_ok();
+        if !finished {
+            self.panics.fetch_add(1, Ordering::SeqCst);
+        }
+        finished
+    }
+
     /// Fire the completion callback for one finished batch, surviving a
     /// panicking callback: the panic is caught, counted, and the batch is
     /// handed to the panic handler for failure accounting instead of being
     /// silently lost. The calling thread — a submitter or the servicing
     /// thread — then carries on with its next piece of work.
     fn run_completion(&self, batch: CompletedBatch) {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (self.on_done)(batch.clone());
-        }));
-        if attempt.is_err() {
-            self.panics.fetch_add(1, Ordering::SeqCst);
+        if !self.recover(|| (self.on_done)(batch.clone())) {
             if let Some(handler) = self.on_panic.lock().as_ref() {
                 // A panicking *recovery* handler would take the calling
                 // thread down the same way; catch it too and settle for
@@ -539,8 +546,9 @@ impl Executor {
     /// every member as failed (report it into the engine, answer the
     /// clients) instead of silently losing the batch. The thread that ran
     /// the callback survives — it catches the panic, recovers, and carries
-    /// on, so neither a dispatch worker nor the servicing thread is lost
-    /// to a poisoned callback and a drain never deadlocks on one.
+    /// on, so no submitting thread (an epoll shard, a dispatch worker) nor
+    /// the servicing thread is lost to a poisoned callback and a drain
+    /// never deadlocks on one.
     ///
     /// Install before traffic flows; a panic with no handler installed is
     /// still caught and counted, but the batch is not re-accounted.
@@ -548,9 +556,20 @@ impl Executor {
         *self.shared.on_panic.lock() = Some(handler);
     }
 
-    /// Completion-callback panics caught (and recovered from) so far.
+    /// Panics caught (and recovered from) so far: completion callbacks, and
+    /// work run through [`Executor::recover`].
     pub fn panics_recovered(&self) -> u64 {
         self.shared.panics.load(Ordering::SeqCst)
+    }
+
+    /// Run `work` on the calling thread behind the boundary completion
+    /// callbacks run behind: a panic is caught and counted in
+    /// [`Executor::panics_recovered`], and `false` tells the caller to
+    /// re-account whatever `work` was carrying. The server places requests
+    /// inline on its epoll shards through this, so one bad placement costs
+    /// one request, not the shard.
+    pub fn recover(&self, work: impl FnOnce()) -> bool {
+        self.shared.recover(work)
     }
 
     /// Number of distinct instance coalescers currently tracked (tests and

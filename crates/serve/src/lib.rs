@@ -35,7 +35,8 @@
 //!   over [`std::os::fd`], the readiness substrate for the server's
 //!   connection shards (and the high-connection-count load generator).
 //! - [`queue`] — the bounded MPMC dispatch queue with shutdown-aware
-//!   wakeup that feeds each tenant's dispatch-worker pool.
+//!   wakeup that feeds each tenant's dispatch-worker pool the requests the
+//!   shards do not place themselves.
 //! - [`supervisor`] — the supervision tree: every long-lived server
 //!   thread runs as a named, heartbeat-monitored component with a typed
 //!   restart policy; panics restart within budget (state re-attached,
@@ -52,7 +53,9 @@
 //! - [`server`] — the TCP server: an acceptor handing sockets to
 //!   [`server::ServeConfig::shards`] epoll event loops that drive
 //!   non-blocking per-connection state machines (a connection costs no
-//!   thread), a bounded dispatch queue (overflow ⇒ explicit shed frames),
+//!   thread) and run each decoded request to completion on the shard, a
+//!   bounded dispatch queue for what a shard spills (overflow ⇒ explicit
+//!   shed frames),
 //!   a timer thread driving health ticks and periodic reallocation, and a
 //!   graceful drain that flushes every outstanding request before
 //!   closing.

@@ -1,8 +1,9 @@
 //! The lock-striped connection registry.
 //!
 //! The server's connection table used to be one process-global
-//! `Mutex<HashMap<u64, ConnHandle>>`: every response (executor workers,
-//! dispatch refusals, reader error frames), every accept, and every close
+//! `Mutex<HashMap<u64, ConnHandle>>`: every response (completions and
+//! refusals from whichever thread placed or completed the request, a
+//! shard's own error frames), every accept, and every close
 //! serialized on a single lock — and `respond` *held* it across the
 //! outbound-queue push. [`StripedMap`] splits the table into N
 //! independently-locked stripes selected by the low bits of the key, so

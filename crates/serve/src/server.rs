@@ -10,15 +10,29 @@
 //!                                             │  each owns its conns:
 //!                                             │  FrameReader ◄─ nonblocking reads
 //!                                             │  FrameWriteBuf ─► nonblocking writes
-//!                                             ├──bounded MPMC──► dispatch ──► executor
-//!                                             │  (overflow: shed)   │ engine.submit │ due now: completes
-//!                                             │                     ▼               ▼ inline; else heap
-//!                                             ◄── bounded outbound queues ◄── responses ◄── completion
+//!                                             │
+//!                                             ├─ run to completion (≤ INLINE_BURST per pass):
+//!                                             │  place ─► engine.submit ─► executor ─► due now:
+//!                                             │  completes inline, answer written by this drive
+//!                                             │
+//!                                             ├─ overflow ──bounded MPMC──► dispatch ─► place
+//!                                             │  (full: shed)                (same function)
+//!                                             ◄── bounded outbound queues ◄── responses from other threads
 //!
 //!   acceptor: accepts connections (admission-limited), hands each to a shard
+//!   dispatch: places the bursts a shard spilled (the overflow path)
 //!   flusher:  services the executor's deadline heap (future seals + completions)
 //!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
 //! ```
+//!
+//! A shard that decodes a submit finishes it on its own thread — admission,
+//! [`ArloEngine::submit`], [`Executor::submit`], the completion if it is
+//! due now, and the answer into the connection's own outbound queue, which
+//! the same drive writes out before the shard returns to `epoll_wait`. It
+//! spills to the tenant's dispatch queue only what it will not run inline:
+//! the part of one readiness pass beyond [`INLINE_BURST`] requests or
+//! after its first spill, and anything arriving while that queue still
+//! holds work, so an inline placement never overtakes a queued one.
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
 //! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
@@ -33,8 +47,8 @@
 //!   refusal) answers a typed [`ErrorCode::Shed`] frame, never a stall.
 //! - Every response travels through a **bounded per-connection outbound
 //!   queue** drained by the connection's shard with non-blocking writes,
-//!   so a stalled or slow client can never block the dispatch thread or
-//!   the executor's completion path. A full queue (or a write stalled past
+//!   so a stalled or slow client can never block a placing thread or the
+//!   executor's completion path. A full queue (or a write stalled past
 //!   `write_timeout`) dooms only that connection — a typed disconnect, not
 //!   shared-fate backpressure.
 //! - The shard's periodic sweep **reaps idle connections**: a half-open or
@@ -62,7 +76,9 @@
 //!   ran it; the in-flight batch is re-accounted as failed through
 //!   [`ArloEngine::report_batch`] and every member's client is answered
 //!   with [`ErrorCode::Failed`], so drain can never deadlock on a poisoned
-//!   callback.
+//!   callback. A placement that panics on a shard is caught behind the
+//!   same boundary ([`Executor::recover`]): that one request is answered
+//!   `Failed` and the shard carries on.
 //!
 //! Graceful drain stops the acceptor, refuses new submits with
 //! [`ErrorCode::Draining`], flushes every outstanding execution *and*
@@ -88,12 +104,13 @@ use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
@@ -103,7 +120,8 @@ pub struct ServeConfig {
     pub gpus: u32,
     /// Virtual-time speed-up; 1 for production, 50–200 for tests/benches.
     pub time_scale: u32,
-    /// Bound of each tenant's shard → dispatch queue; overflow sheds.
+    /// Bound of each tenant's shard → dispatch queue (the overflow path
+    /// for what a shard does not place inline); overflow sheds.
     pub queue_capacity: usize,
     /// Virtual interval between timer ticks (health + reallocation check).
     pub tick_interval: Nanos,
@@ -117,7 +135,9 @@ pub struct ServeConfig {
     pub fail_one_in: Option<u64>,
     /// Chaos injection: panic the executor's completion callback whenever a
     /// batch contains a request id hitting one-in-`n` — exercises the
-    /// worker's catch/re-account/respawn path. `None` disables injection.
+    /// executor's catch/re-account path on whichever thread completes the
+    /// batch (a shard, a dispatch worker, or the flusher). `None` disables
+    /// injection.
     pub panic_one_in: Option<u64>,
     /// Batch coalescing policy for the executor. The default —
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
@@ -173,7 +193,8 @@ pub struct ServeConfig {
     /// coordinator plans over.
     pub coordinator_window: Nanos,
     /// Dispatch workers per tenant draining that tenant's shared bounded
-    /// queue. 1 — the default and the retained unsharded baseline —
+    /// queue, which carries only what the shards spill (see the module
+    /// docs). 1 — the default and the retained unsharded baseline —
     /// reproduces the historical single-dispatch placement order exactly;
     /// M > 1 lets placements proceed concurrently (order across requests
     /// then depends on scheduling, which per-request accounting is
@@ -430,7 +451,8 @@ pub struct DrainReport {
     /// Connections refused at the admission limit with a typed
     /// [`ErrorCode::Shed`].
     pub refused_conns: u64,
-    /// Executor completion panics caught and re-accounted as failures.
+    /// Panics caught and re-accounted as failures: executor completion
+    /// callbacks, and placements a shard ran inline.
     pub panics_recovered: u64,
     /// Submits addressed to tenants this server does not host, each
     /// answered with a typed [`ErrorCode::UnknownTenant`]. Excluded from
@@ -474,10 +496,16 @@ pub struct HotpathStats {
     pub dispatch_depth_high_water: u64,
     /// Dispatch wakeups that drained at least one message.
     pub dispatch_pop_batches: u64,
-    /// Messages drained across all dispatch wakeups; divided by
-    /// `dispatch_pop_batches` this is the mean dispatch occupancy — how
-    /// many placements each wakeup amortizes over.
+    /// Messages drained across all dispatch wakeups — the requests the
+    /// shards spilled; divided by `dispatch_pop_batches` this is the mean
+    /// dispatch occupancy — how many placements each wakeup amortizes over.
     pub dispatch_pop_msgs: u64,
+    /// Requests the shards placed inline, on the thread that decoded them.
+    pub inline_placements: u64,
+    /// Shard notifications issued (a `dirty` push plus an eventfd write):
+    /// a response pushed by a thread other than the shard driving its
+    /// connection, or a doom.
+    pub shard_notifies: u64,
     /// Shards of each executor's coalescer state (1 = baseline).
     pub executor_shards: usize,
     /// Executor shard-lock acquisitions (submits + batch flushes), summed
@@ -507,6 +535,15 @@ struct Outbound {
     queue: Mutex<OutboundQueue>,
 }
 
+impl Outbound {
+    fn new(capacity: usize) -> Outbound {
+        Outbound {
+            capacity,
+            queue: Mutex::new(OutboundQueue::default()),
+        }
+    }
+}
+
 #[derive(Default)]
 struct OutboundQueue {
     frames: VecDeque<Frame>,
@@ -531,12 +568,50 @@ struct ShardHandle {
     dirty: Mutex<Vec<u64>>,
     /// Accepted sockets awaiting adoption by the shard.
     incoming: Mutex<Vec<IncomingConn>>,
+    /// `notify` calls so far ([`HotpathStats::shard_notifies`]).
+    notifies: AtomicU64,
 }
 
 impl ShardHandle {
+    fn new(epoll: &Epoll) -> io::Result<ShardHandle> {
+        Ok(ShardHandle {
+            waker: Waker::new(epoll)?,
+            dirty: Mutex::new(Vec::new()),
+            incoming: Mutex::new(Vec::new()),
+            notifies: AtomicU64::new(0),
+        })
+    }
+
     fn notify(&self, conn_id: u64) {
+        self.notifies.fetch_add(1, Ordering::Relaxed);
         self.dirty.lock().push(conn_id);
         self.waker.wake();
+    }
+}
+
+thread_local! {
+    /// The connection whose `drive_read` the calling thread is inside, if
+    /// any — set only through [`Driving`].
+    static DRIVING: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Marks the calling shard as inside `drive_read` for one connection, for
+/// exactly as long as the guard lives. [`Shared::respond`] reads the mark
+/// to skip notifying a shard about a frame that shard's own drive is about
+/// to write. Reset on drop, unwinding included: a stale mark would
+/// silently suppress a later notification.
+struct Driving;
+
+impl Driving {
+    fn enter(conn_id: u64) -> Driving {
+        DRIVING.set(Some(conn_id));
+        Driving
+    }
+}
+
+impl Drop for Driving {
+    fn drop(&mut self) {
+        DRIVING.set(None);
     }
 }
 
@@ -572,7 +647,8 @@ struct Tenant {
     /// Largest length this tenant's runtime family can serve (0 when the
     /// family is empty — every submit is then unserviceable).
     max_length: u32,
-    /// This tenant's bounded shard → dispatch queue; overflow sheds.
+    /// This tenant's bounded shard → dispatch queue, carrying what the
+    /// shards spill instead of placing inline; overflow sheds.
     /// MPMC: any number of shards push, `dispatch_workers` workers drain
     /// in bursts, and [`BoundedQueue::close`] wakes them at shutdown
     /// without a timeout tick.
@@ -597,6 +673,43 @@ struct Tenant {
     outstanding: AtomicU64,
 }
 
+/// The server's shutdown flag: a plain atomic for the loops that check it
+/// on every wake-up, and an event for the threads that sleep out a tick
+/// between checks — [`Shutdown::set`] ends every [`Shutdown::sleep`] at
+/// once, so drain never waits out a timer or coordinator interval.
+#[derive(Default)]
+struct Shutdown {
+    flag: AtomicBool,
+    lock: std::sync::Mutex<()>,
+    woken: Condvar,
+}
+
+impl Shutdown {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    fn set(&self) {
+        // Under the lock: a sleeper between its flag check and its wait
+        // holds it, so this notify cannot fall into that gap.
+        let _guard = self.lock.lock().expect("shutdown lock poisoned");
+        self.flag.store(true, Ordering::SeqCst);
+        self.woken.notify_all();
+    }
+
+    /// Sleep for `timeout`, or until [`Shutdown::set`] if that comes
+    /// first. Returns whether the server is shutting down.
+    fn sleep(&self, timeout: Duration) -> bool {
+        let guard = self.lock.lock().expect("shutdown lock poisoned");
+        drop(
+            self.woken
+                .wait_timeout_while(guard, timeout, |()| !self.is_set())
+                .expect("shutdown lock poisoned"),
+        );
+        self.is_set()
+    }
+}
+
 /// Everything the serving threads share.
 ///
 /// # Atomic-ordering contract
@@ -618,10 +731,11 @@ struct Tenant {
 /// The statistics counters (`submits`, `served`, `shed`, `unserviceable`,
 /// `failed`, `reallocations`, `reaped_idle`, `slow_disconnects`,
 /// `protocol_disconnects`, `corrupt_frames`, `refused_conns`,
-/// `dropped_responses`, `unknown_tenants`, `granted`, and the per-tenant
-/// mirrors) are only *read exactly* after the writing threads are joined
-/// — the join is the happens-before edge that makes the drain report's
-/// conservation law hold — so their increments need no ordering at all.
+/// `dropped_responses`, `unknown_tenants`, `inline_placements`, `granted`,
+/// and the per-tenant mirrors) are only *read exactly* after the writing
+/// threads are joined — the join is the happens-before edge that makes the
+/// drain report's conservation law hold — so their increments need no
+/// ordering at all.
 /// Live snapshots (`stats`, `tenant_stats`) were always racy-approximate
 /// and remain so.
 struct Shared {
@@ -632,7 +746,9 @@ struct Shared {
     fail_one_in: Option<u64>,
     panic_one_in: Option<u64>,
     draining: AtomicBool,
-    shutdown: AtomicBool,
+    shutdown: Shutdown,
+    /// Requests the shards placed inline ([`HotpathStats::inline_placements`]).
+    inline_placements: AtomicU64,
     submits: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
@@ -663,6 +779,60 @@ struct Shared {
 }
 
 impl Shared {
+    /// One stream per tenant, a clock starting at zero now, and zeroed
+    /// accounting.
+    fn new(tenants: Vec<(TenantSpec, ArloEngine)>, config: &ServeConfig) -> Shared {
+        let tenants = tenants
+            .into_iter()
+            .map(|(spec, engine)| Tenant {
+                max_length: family_max_length(engine.profiles()),
+                admit_limit: spec.class.admit_limit(config.queue_capacity),
+                name: spec.name,
+                class: spec.class,
+                slo_ms: spec.slo_ms,
+                dispatch: Arc::new(BoundedQueue::new(config.queue_capacity)),
+                granted: AtomicU32::new(engine.deployment().1.iter().sum()),
+                engine,
+                window: ShardedTenantWindow::new(
+                    config.coordinator_window,
+                    config.resolved_conn_stripes(),
+                ),
+                submits: AtomicU64::new(0),
+                served: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                unserviceable: AtomicU64::new(0),
+                failed: AtomicU64::new(0),
+                outstanding: AtomicU64::new(0),
+            })
+            .collect();
+        Shared {
+            tenants,
+            clock: Arc::new(VirtualClock::new(config.time_scale)),
+            fail_one_in: config.fail_one_in,
+            panic_one_in: config.panic_one_in,
+            draining: AtomicBool::new(false),
+            shutdown: Shutdown::default(),
+            inline_placements: AtomicU64::new(0),
+            submits: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            unserviceable: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+            outstanding: AtomicU64::new(0),
+            reallocations: AtomicU64::new(0),
+            queued_frames: AtomicU64::new(0),
+            reaped_idle: AtomicU64::new(0),
+            slow_disconnects: AtomicU64::new(0),
+            protocol_disconnects: AtomicU64::new(0),
+            corrupt_frames: AtomicU64::new(0),
+            refused_conns: AtomicU64::new(0),
+            dropped_responses: AtomicU64::new(0),
+            unknown_tenants: AtomicU64::new(0),
+            regrants: Mutex::new(Vec::new()),
+            conns: StripedMap::new(config.resolved_conn_stripes()),
+        }
+    }
+
     /// The tenant a wire tenant id addresses, if this server hosts it.
     fn tenant(&self, id: u32) -> Option<&Tenant> {
         self.tenants.get(id as usize)
@@ -686,8 +856,9 @@ impl Shared {
     /// blocks: a vanished connection drops the frame, and a *full* queue —
     /// a client that stopped reading while responses kept coming — dooms
     /// the connection (typed disconnect) instead of stalling the caller.
-    /// This is the only way frames reach sockets, so neither a dispatch
-    /// worker nor an executor's flusher can ever block on a slow client.
+    /// This is the only way frames reach sockets, so no placing thread (a
+    /// shard, a dispatch worker) nor an executor's flusher can ever block
+    /// on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
     /// clone the handle's two `Arc`s; the actual queue push happens
@@ -714,6 +885,10 @@ impl Shared {
     /// - A connection is driven once when its shard adopts it, so a frame
     ///   queued before adoption is not stranded behind a notification the
     ///   shard could not yet match to a connection.
+    /// - A push by the shard that is inside `drive_read` for this very
+    ///   connection (the [`Driving`] mark) notifies nobody: `drive_conn`
+    ///   always runs `drive_write` right after `drive_read`, and that write
+    ///   takes the queue lock after the push.
     fn respond(&self, conn_id: u64, frame: &Frame) {
         let route = self.conns.with(conn_id, |handle| {
             handle.map(|h| (Arc::clone(&h.outbound), Arc::clone(&h.shard)))
@@ -749,8 +924,8 @@ impl Shared {
             }
         };
         match outcome {
-            Push::First => shard.notify(conn_id),
-            Push::Behind => {}
+            Push::First if DRIVING.get() != Some(conn_id) => shard.notify(conn_id),
+            Push::First | Push::Behind => {}
             Push::Overflowed => {
                 self.queued_frames.fetch_sub(1, Ordering::SeqCst);
                 self.dropped_responses.fetch_add(1, Ordering::Relaxed);
@@ -858,57 +1033,8 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let clock = Arc::new(VirtualClock::new(config.time_scale));
-        let mut tenant_states = Vec::with_capacity(tenants.len());
-        for (spec, engine) in tenants {
-            let queue = Arc::new(BoundedQueue::<DispatchMsg>::new(config.queue_capacity));
-            let granted: u32 = engine.deployment().1.iter().sum();
-            tenant_states.push(Tenant {
-                max_length: family_max_length(engine.profiles()),
-                admit_limit: spec.class.admit_limit(config.queue_capacity),
-                name: spec.name,
-                class: spec.class,
-                slo_ms: spec.slo_ms,
-                engine,
-                dispatch: queue,
-                granted: AtomicU32::new(granted),
-                window: ShardedTenantWindow::new(
-                    config.coordinator_window,
-                    config.resolved_conn_stripes(),
-                ),
-                submits: AtomicU64::new(0),
-                served: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                unserviceable: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-                outstanding: AtomicU64::new(0),
-            });
-        }
-        let shared = Arc::new(Shared {
-            tenants: tenant_states,
-            clock: Arc::clone(&clock),
-            fail_one_in: config.fail_one_in,
-            panic_one_in: config.panic_one_in,
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            submits: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            unserviceable: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
-            reallocations: AtomicU64::new(0),
-            queued_frames: AtomicU64::new(0),
-            reaped_idle: AtomicU64::new(0),
-            slow_disconnects: AtomicU64::new(0),
-            protocol_disconnects: AtomicU64::new(0),
-            corrupt_frames: AtomicU64::new(0),
-            refused_conns: AtomicU64::new(0),
-            dropped_responses: AtomicU64::new(0),
-            unknown_tenants: AtomicU64::new(0),
-            regrants: Mutex::new(Vec::new()),
-            conns: StripedMap::new(config.resolved_conn_stripes()),
-        });
+        let shared = Arc::new(Shared::new(tenants, &config));
+        let clock = Arc::clone(&shared.clock);
 
         // The supervision tree every long-lived serving thread spawns
         // under.
@@ -972,8 +1098,9 @@ impl Server {
         }
 
         // M dispatch workers per tenant, all draining that tenant's shared
-        // bounded queue. M = 1 (the default) keeps the historical strictly
-        // sequential placement order. Restartable: a respawned worker
+        // bounded queue — the overflow path for what the shards spill. M =
+        // 1 (the default) keeps spilled placements in queue order.
+        // Restartable: a respawned worker
         // re-subscribes to the surviving queue; mid-burst messages a dying
         // incarnation held are re-accounted by its burst guard.
         let dispatch_workers = config.dispatch_workers.max(1);
@@ -1026,23 +1153,20 @@ impl Server {
         // always has somewhere to hand a socket. A shard owns live
         // connection state machines that cannot be re-attached, so its
         // policy is Escalate; the epoll instance is taken by the first
-        // (and only) incarnation.
+        // (and only) incarnation. Each shard holds the executors, which it
+        // places inline on.
         let shard_count = config.shards.max(1);
         let mut shard_handles = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let epoll = Epoll::new()?;
-            let waker = Waker::new(&epoll)?;
-            let handle = Arc::new(ShardHandle {
-                waker,
-                dirty: Mutex::new(Vec::new()),
-                incoming: Mutex::new(Vec::new()),
-            });
+            let handle = Arc::new(ShardHandle::new(&epoll)?);
             let shard_cfg = ShardConfig {
                 sweep_interval: config.sweep_interval,
                 idle_timeout: config.idle_timeout,
                 write_timeout: config.write_timeout,
                 frame_error_budget: config.frame_error_budget,
                 server_chaos: config.server_chaos,
+                executors: executors.clone(),
             };
             let shared = Arc::clone(&shared);
             let handle2 = Arc::clone(&handle);
@@ -1110,9 +1234,10 @@ impl Server {
     }
 
     /// Contention telemetry for the sharded hot path: registry stripes and
-    /// lock traffic, dispatch-queue pressure and burst occupancy, executor
-    /// shard lock traffic — the per-structure counters `ext_hotpath`
-    /// records. Cheap (atomic loads only); exact once traffic stops.
+    /// lock traffic, the inline/spilled split, dispatch-queue pressure and
+    /// burst occupancy, shard notifications, executor shard lock traffic —
+    /// the per-structure counters `ext_hotpath` records. Cheap (atomic
+    /// loads only); exact once traffic stops.
     pub fn hotpath_stats(&self) -> HotpathStats {
         let mut dispatch_queue_full = 0;
         let mut dispatch_depth_high_water = 0;
@@ -1133,6 +1258,12 @@ impl Server {
             dispatch_depth_high_water,
             dispatch_pop_batches,
             dispatch_pop_msgs,
+            inline_placements: self.shared.inline_placements.load(Ordering::Relaxed),
+            shard_notifies: self
+                .shard_handles
+                .iter()
+                .map(|h| h.notifies.load(Ordering::Relaxed))
+                .sum(),
             executor_shards: self.executors[0].shard_count(),
             executor_lock_ops: self.executors.iter().map(|e| e.lock_ops()).sum(),
             supervisor_restarts: self.supervisor.restarts(),
@@ -1195,8 +1326,8 @@ impl Server {
         self.shared.corrupt_frames.load(Ordering::Relaxed)
     }
 
-    /// Executor completion panics caught and re-accounted so far (summed
-    /// across tenant pools).
+    /// Panics caught and re-accounted so far — completion callbacks and
+    /// inline placements (summed across tenant pools).
     pub fn panics_recovered(&self) -> u64 {
         self.executors.iter().map(|e| e.panics_recovered()).sum()
     }
@@ -1276,7 +1407,9 @@ impl Server {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        shared.shutdown.store(true, Ordering::SeqCst);
+        // The timer and coordinator sleep out their intervals on this
+        // flag: setting it ends those sleeps now.
+        shared.shutdown.set();
         // Dispatch workers block in `pop_many`: closing each tenant's
         // queue wakes every worker *now* — shutdown is an event, not a
         // 2 ms timeout tick. Anything still queued is abandoned by design:
@@ -1476,10 +1609,11 @@ fn fail_batch(shared: &Shared, done: &CompletedBatch) {
 const DISPATCH_BURST: usize = 256;
 
 /// Terminate one admitted-but-unplaced request as a typed failure:
-/// failure counters, outstanding release, client answer. The two paths
-/// where admitted work can no longer reach an executor — a dispatch
-/// worker dying mid-burst ([`BurstGuard`]) and the escalation hook's
-/// queue re-accounting — both land here, so the conservation law
+/// failure counters, outstanding release, client answer. The three paths
+/// where admitted work can no longer reach an executor — an inline
+/// placement that panicked ([`submit_one`]), a dispatch worker dying
+/// mid-burst ([`BurstGuard`]) and the escalation hook's queue
+/// re-accounting — all land here, so the conservation law
 /// (`submits == served + shed + unserviceable + failed + outstanding`)
 /// holds through component failures too.
 fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
@@ -1524,9 +1658,48 @@ impl Drop for BurstGuard<'_> {
     }
 }
 
-/// One dispatch worker: drain its tenant's shared bounded queue in bursts
-/// into the engine (placement) and executor (execution). A tenant runs
-/// [`ServeConfig::dispatch_workers`] of these over one queue; exits —
+/// Place one admitted request: engine placement at its own clock reading,
+/// then execution, or a typed refusal. The one placement body — a shard
+/// runs it inline for what it decoded, a dispatch worker for what a shard
+/// spilled.
+fn place(shared: &Shared, tenant_id: u32, executor: &Executor, conn_id: u64, id: u64, length: u32) {
+    let tenant = &shared.tenants[tenant_id as usize];
+    // Per-message timestamp (not per-burst): arrival times feed the
+    // engine's demand windows and the executor's virtual-time
+    // serialization, so draining a burst must not batch time.
+    let now = shared.clock.now();
+    match tenant.engine.submit(length, now) {
+        Some(placement) => executor.submit(Job {
+            placement,
+            request_id: id,
+            conn_id,
+            tenant: tenant_id,
+            length,
+            submitted_at: now,
+        }),
+        None => {
+            // The admission layer refused: either nothing can ever serve
+            // this length — including the degenerate zero-runtime family,
+            // max_length 0 — or every candidate level is masked/empty
+            // (overload, quarantine).
+            let code = refusal_code(length, tenant.max_length);
+            if code == ErrorCode::Unserviceable {
+                shared.unserviceable.fetch_add(1, Ordering::Relaxed);
+                tenant.unserviceable.fetch_add(1, Ordering::Relaxed);
+            } else {
+                shared.shed.fetch_add(1, Ordering::Relaxed);
+                tenant.shed.fetch_add(1, Ordering::Relaxed);
+            }
+            tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
+            shared.outstanding.fetch_sub(1, Ordering::SeqCst);
+            shared.respond(conn_id, &Frame::Error { id, code });
+        }
+    }
+}
+
+/// One dispatch worker: drain its tenant's shared bounded queue — the
+/// requests the shards spilled — in bursts through [`place`]. A tenant
+/// runs [`ServeConfig::dispatch_workers`] of these over one queue; exits —
 /// immediately, no timeout tick — when [`Server::drain`] closes the queue.
 /// Supervised: a respawned incarnation re-subscribes to the surviving
 /// queue simply by calling `pop_many` again, and the [`BurstGuard`]
@@ -1555,38 +1728,7 @@ fn dispatch_loop(shared: &Shared, tenant_id: u32, executor: &Executor, ctx: &Sup
                 id,
                 length,
             } = guard.msgs[guard.next];
-            // Per-message timestamp (not per-burst): arrival times feed the
-            // engine's demand windows and the executor's virtual-time
-            // serialization, so batching the drain must not batch time.
-            let now = shared.clock.now();
-            match tenant.engine.submit(length, now) {
-                Some(placement) => executor.submit(Job {
-                    placement,
-                    request_id: id,
-                    conn_id,
-                    tenant: tenant_id,
-                    length,
-                    submitted_at: now,
-                }),
-                None => {
-                    // The admission layer refused: either nothing can
-                    // ever serve this length — including the degenerate
-                    // zero-runtime family, max_length 0 — or every
-                    // candidate level is masked/empty (overload,
-                    // quarantine).
-                    let code = refusal_code(length, tenant.max_length);
-                    if code == ErrorCode::Unserviceable {
-                        shared.unserviceable.fetch_add(1, Ordering::Relaxed);
-                        tenant.unserviceable.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.shed.fetch_add(1, Ordering::Relaxed);
-                        tenant.shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-                    shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-                    shared.respond(conn_id, &Frame::Error { id, code });
-                }
-            }
+            place(shared, tenant_id, executor, conn_id, id, length);
             guard.next += 1;
         }
     }
@@ -1600,9 +1742,11 @@ fn timer_loop(
     reallocate: bool,
     ctx: &SupervisedCtx,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
         ctx.park();
-        std::thread::sleep(real_tick);
+        if shared.shutdown.sleep(real_tick) {
+            return;
+        }
         ctx.beat();
         let now = shared.clock.now();
         for tenant in &shared.tenants {
@@ -1641,13 +1785,12 @@ fn coordinator_loop(
     total_gpus: u32,
     ctx: &SupervisedCtx,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    loop {
         ctx.park();
-        std::thread::sleep(real_interval);
-        ctx.beat();
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.sleep(real_interval) {
             return;
         }
+        ctx.beat();
         coordinate_once(shared, executors, total_gpus);
     }
 }
@@ -1723,7 +1866,7 @@ fn accept_loop(
         code: ErrorCode::Shed,
     }
     .encode();
-    while !shared.draining.load(Ordering::SeqCst) && !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.draining.load(Ordering::SeqCst) && !shared.shutdown.is_set() {
         ctx.beat();
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -1770,10 +1913,7 @@ fn register_conn(
     config: &ServeConfig,
 ) -> io::Result<()> {
     stream.set_nonblocking(true)?;
-    let outbound = Arc::new(Outbound {
-        capacity: config.outbound_queue,
-        queue: Mutex::new(OutboundQueue::default()),
-    });
+    let outbound = Arc::new(Outbound::new(config.outbound_queue));
     let doomed = Arc::new(AtomicBool::new(false));
     shared.conns.insert(
         conn_id,
@@ -1794,13 +1934,16 @@ fn register_conn(
     Ok(())
 }
 
-/// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs.
+/// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs, plus the
+/// tenants' executors it places inline on.
 struct ShardConfig {
     sweep_interval: Duration,
     idle_timeout: Duration,
     write_timeout: Duration,
     frame_error_budget: u32,
     server_chaos: Option<ChaosConfig>,
+    /// One per tenant, indexed by tenant id.
+    executors: Vec<Arc<Executor>>,
 }
 
 /// One connection's state machine on a shard: the incremental
@@ -1993,7 +2136,7 @@ fn shard_loop(
             handle.waker.drain();
         }
 
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.is_set() {
             // Bind the drained queue before iterating: a `for` loop keeps
             // temporaries in its iterator expression alive for the whole
             // body, and `close_conn` takes the shared registry lock.
@@ -2061,6 +2204,8 @@ fn shard_loop(
 
 /// Drive one connection's state machine: read if readable, then flush
 /// writes, then close or refresh epoll interest as the new state demands.
+/// The write always follows the read: it is what delivers the answers the
+/// read pass produced without notifying anyone (see [`Driving`]).
 fn drive_conn(
     shared: &Shared,
     epoll: &Epoll,
@@ -2077,7 +2222,20 @@ fn drive_conn(
             true
         } else {
             if readable && !conn.closing {
-                drive_read(shared, conn, conn_id);
+                let mut pass = Pass {
+                    executors: &cfg.executors,
+                    placed: 0,
+                    spilled: false,
+                };
+                {
+                    let _driving = Driving::enter(conn_id);
+                    drive_read(shared, conn, conn_id, &mut pass);
+                }
+                if pass.placed > 0 {
+                    shared
+                        .inline_placements
+                        .fetch_add(pass.placed as u64, Ordering::Relaxed);
+                }
             }
             let alive = drive_write(shared, conn, cfg);
             if !alive || (conn.closing && !conn.has_pending_writes()) {
@@ -2106,8 +2264,9 @@ fn drive_conn(
 /// spent on a `WouldBlock`), and at most four fills per call so one
 /// firehose connection cannot starve its shard. Sets `closing` on EOF,
 /// protocol disconnect, or a hard error: queued responses still flush
-/// before the close.
-fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
+/// before the close. One call is one readiness pass: `pass` holds what it
+/// may still place inline.
+fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, pass: &mut Pass) {
     let mut fills = 0;
     let mut drained = false;
     loop {
@@ -2115,7 +2274,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => {
                     conn.budget.credit();
-                    if !handle_frame(shared, conn_id, &mut conn.budget, &frame) {
+                    if !handle_frame(shared, conn_id, &mut conn.budget, pass, &frame) {
                         conn.closing = true;
                         return;
                     }
@@ -2308,12 +2467,65 @@ fn sweep(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, FramedConn>, c
     }
 }
 
+/// How many requests one readiness pass of a connection (one `drive_read`
+/// call) places inline on its shard. Past it the pass spills to the
+/// dispatch queue, so a connection that brings hundreds of requests per
+/// pass (a deep closed-loop window) keeps the dispatch worker placing in
+/// parallel with the shard, while one that brings a few — a single
+/// `Submit`, or a `BatchedSubmit` of up to this many — crosses no thread.
+const INLINE_BURST: usize = 64;
+
+/// What one readiness pass of a connection carries into frame handling.
+struct Pass<'a> {
+    /// The tenants' executors, indexed by tenant id.
+    executors: &'a [Arc<Executor>],
+    /// Requests this pass placed inline so far (at most [`INLINE_BURST`]).
+    placed: usize,
+    /// Whether this pass spilled a frame; everything after it spills too.
+    spilled: bool,
+}
+
+/// The selection rule, decided per frame for the requests it addresses
+/// (one per `Submit`, every sub of a `BatchedSubmit`): all of them run
+/// inline when they fit under [`INLINE_BURST`] with what the pass already
+/// placed, the pass has not spilled yet, and none of their tenants'
+/// dispatch queues holds work an inline placement would overtake;
+/// otherwise all of them spill. A frame is never split — a split frame
+/// pays both the inline cost and the worker's wake-up. A spill also ends
+/// the pass's inline placements: what follows it in the pass would queue
+/// behind it anyway, and need not probe the queue to find that out.
+fn runs_inline(
+    shared: &Shared,
+    pass: &mut Pass,
+    mut tenants: impl ExactSizeIterator<Item = u32>,
+) -> bool {
+    let inline = !pass.spilled
+        && pass.placed + tenants.len() <= INLINE_BURST
+        && tenants.all(|t| shared.tenant(t).is_none_or(|t| t.dispatch.is_empty()));
+    pass.spilled = !inline;
+    inline
+}
+
 /// Admit one submit for a (validated) tenant: shed under drain, shed when
-/// the tenant's SLO class has its admission share in flight, enqueue for
-/// dispatch, shed on queue overflow. Shared by [`Frame::Submit`] and every
-/// sub-request of a [`Frame::BatchedSubmit`] — batching amortizes framing,
-/// never accounting.
-fn submit_one(shared: &Shared, conn_id: u64, tenant_id: u32, id: u64, length: u32) {
+/// the tenant's SLO class has its admission share in flight, then either
+/// place it on this thread (`inline`, see [`runs_inline`]) or enqueue it
+/// for dispatch, shedding on queue overflow. Shared by [`Frame::Submit`]
+/// and every sub-request of a [`Frame::BatchedSubmit`] — batching
+/// amortizes framing, never accounting.
+///
+/// An inline placement runs behind the executor's panic boundary
+/// ([`Executor::recover`]): if it panics, that one request is answered
+/// [`ErrorCode::Failed`] through [`fail_admitted`] — treated as never
+/// placed — and counted in `panics_recovered`, and the shard carries on.
+fn submit_one(
+    shared: &Shared,
+    pass: &mut Pass,
+    conn_id: u64,
+    tenant_id: u32,
+    id: u64,
+    length: u32,
+    inline: bool,
+) {
     let tenant = &shared.tenants[tenant_id as usize]; // caller validated
     shared.submits.fetch_add(1, Ordering::Relaxed);
     tenant.submits.fetch_add(1, Ordering::Relaxed);
@@ -2357,6 +2569,14 @@ fn submit_one(shared: &Shared, conn_id: u64, tenant_id: u32, id: u64, length: u3
     // executing requests, so drain flushes both.
     shared.outstanding.fetch_add(1, Ordering::SeqCst);
     tenant.outstanding.fetch_add(1, Ordering::SeqCst);
+    if inline {
+        pass.placed += 1;
+        let executor = &pass.executors[tenant_id as usize];
+        if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length)) {
+            fail_admitted(shared, tenant_id, conn_id, id);
+        }
+        return;
+    }
     let msg = DispatchMsg::Submit {
         conn_id,
         id,
@@ -2410,13 +2630,20 @@ fn unknown_tenant(shared: &Shared, conn_id: u64, id: u64, budget: &mut ErrorBudg
 }
 
 /// React to one decoded frame; `false` means "close the connection".
-fn handle_frame(shared: &Shared, conn_id: u64, budget: &mut ErrorBudget, frame: &Frame) -> bool {
+fn handle_frame(
+    shared: &Shared,
+    conn_id: u64,
+    budget: &mut ErrorBudget,
+    pass: &mut Pass,
+    frame: &Frame,
+) -> bool {
     match *frame {
         Frame::Submit { id, length, tenant } => {
             if shared.tenant(tenant).is_none() {
                 return unknown_tenant(shared, conn_id, id, budget);
             }
-            submit_one(shared, conn_id, tenant, id, length);
+            let inline = runs_inline(shared, pass, std::iter::once(tenant));
+            submit_one(shared, pass, conn_id, tenant, id, length, inline);
             true
         }
         Frame::BatchedSubmit { ref subs } => {
@@ -2425,6 +2652,7 @@ fn handle_frame(shared: &Shared, conn_id: u64, budget: &mut ErrorBudget, frame: 
             // per-sub unknown-tenant errors. Exhausting the error budget
             // mid-batch closes the connection; the remaining subs die with
             // it (the client already has a terminal Protocol error).
+            let inline = runs_inline(shared, pass, subs.iter().map(|s| s.tenant));
             for sub in subs {
                 if shared.tenant(sub.tenant).is_none() {
                     if !unknown_tenant(shared, conn_id, sub.id, budget) {
@@ -2432,7 +2660,9 @@ fn handle_frame(shared: &Shared, conn_id: u64, budget: &mut ErrorBudget, frame: 
                     }
                     continue;
                 }
-                submit_one(shared, conn_id, sub.tenant, sub.id, sub.length);
+                submit_one(
+                    shared, pass, conn_id, sub.tenant, sub.id, sub.length, inline,
+                );
             }
             true
         }
@@ -2520,5 +2750,71 @@ mod tests {
         assert_eq!(refusal_code(10, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(512, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(513, 512), ErrorCode::Unserviceable);
+    }
+
+    // --- The inline panic boundary ---
+
+    #[test]
+    fn a_panicking_inline_placement_is_one_failed_answer() {
+        let model = ModelSpec::bert_base();
+        let rts = vec![
+            CompiledRuntime::new_static(model.clone(), 64),
+            CompiledRuntime::new_static(model, 512),
+        ];
+        let profiles = profile_runtimes(&rts, 150.0, 64);
+        // Every instance on the 512 runtime: the engine places there.
+        let engine = ArloEngine::new(
+            profiles.clone(),
+            vec![0, 2],
+            arlo_core::engine::EngineConfig::paper_default(150.0),
+        );
+        let config = ServeConfig::new(2);
+        let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
+        let shared = Shared::new(vec![(spec, engine)], &config);
+        // An executor that knows only the 64 runtime: `Executor::submit`
+        // indexes past its profiles for that placement and panics.
+        let executor = Arc::new(Executor::new_external_flusher(
+            profiles[..1].to_vec(),
+            Arc::clone(&shared.clock),
+            JitterSpec::NONE,
+            config.batch,
+            1,
+            Box::new(|_| {}),
+        ));
+        let epoll = Epoll::new().expect("epoll");
+        let outbound = Arc::new(Outbound::new(8));
+        let conn_id = 7;
+        shared.conns.insert(
+            conn_id,
+            ConnHandle {
+                conn_id,
+                outbound: Arc::clone(&outbound),
+                shard: Arc::new(ShardHandle::new(&epoll).expect("waker")),
+                doomed: Arc::new(AtomicBool::new(false)),
+            },
+        );
+        let mut pass = Pass {
+            executors: std::slice::from_ref(&executor),
+            placed: 0,
+            spilled: false,
+        };
+
+        submit_one(&shared, &mut pass, conn_id, 0, 42, 100, true);
+
+        let answers: Vec<Frame> = outbound.queue.lock().frames.iter().cloned().collect();
+        assert_eq!(
+            answers,
+            vec![Frame::Error {
+                id: 42,
+                code: ErrorCode::Failed
+            }],
+            "exactly one Failed answer"
+        );
+        assert_eq!(executor.panics_recovered(), 1);
+        assert_eq!(shared.outstanding.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.tenants[0].outstanding.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.submits.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.failed.load(Ordering::Relaxed), 1);
+        assert_eq!(pass.placed, 1, "the placement was inline");
     }
 }

@@ -10,7 +10,7 @@
 //! 2. **Slow-client isolation** — one client that stops reading
 //!    mid-response-stream is doomed with a bounded delay while healthy
 //!    connections' latencies stay within 2× of the same load without the
-//!    stall; dispatch and executor completion never block on its socket,
+//!    stall; placement and executor completion never block on its socket,
 //!    and the event loop keeps admitting and serving new connections.
 //! 3. **Drain under chaos** — with fault-injected clients (corruption,
 //!    resets), the client-side conservation invariant and the server-side
@@ -129,8 +129,9 @@ fn idle_connections_are_reaped() {
 /// kernel buffers into the server's bounded outbound queue.
 ///
 /// The bulk requests are *unserviceable* (length beyond the compiled
-/// maximum), so their answers are synthesized in the dispatch thread and
-/// never occupy the executor: the healthy connections' latencies then
+/// maximum), so their answers are synthesized at placement (on the shard,
+/// or on the dispatch worker for what a pass spills) and never occupy the
+/// executor: the healthy connections' latencies then
 /// measure only transport leakage — the hazard under test — not queueing
 /// behind the flood's execution.
 fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
@@ -303,9 +304,11 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
         .expect("timeout");
     let mut burst = Vec::new();
     for id in 0..N {
-        // Unserviceable: answered by the dispatch worker, a thread that
-        // is not the connection's shard. (Past the dispatch queue's bound
-        // the shard itself answers `Shed`; either way one answer per id.)
+        // Unserviceable: answered at placement — by the shard for the
+        // first requests of each readiness pass, by the dispatch worker
+        // (not the connection's shard) for what the pass spills. (Past the
+        // dispatch queue's bound the shard answers `Shed`; either way one
+        // answer per id.)
         Frame::Submit {
             id,
             length: 1_000_000,

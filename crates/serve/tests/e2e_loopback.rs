@@ -1,8 +1,8 @@
 //! End-to-end serving over real loopback sockets.
 //!
 //! The big test drives 10k+ requests from four open-loop clients through
-//! the full stack — wire protocol, reader threads, bounded dispatch,
-//! executor, engine health hooks, the timer-driven Runtime Scheduler
+//! the full stack — wire protocol, epoll shards placing inline, executor,
+//! engine health hooks, the timer-driven Runtime Scheduler
 //! — at 100× virtual time, then drains. It asserts the properties the
 //! stack exists to provide: every request answered exactly once, at least
 //! one reallocation applied mid-run, and a clean drain with nothing

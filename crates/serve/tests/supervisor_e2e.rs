@@ -139,10 +139,16 @@ fn supervised_timer_restarts_and_resumes_reallocating() {
     assert_server_conserves(&drain);
 }
 
+/// Submits per `BatchedSubmit` frame for the dispatch-chaos tests: more
+/// than a shard places inline in one readiness pass (64), so every frame
+/// spills whole to the dispatch workers under test.
+const SPILLING_BATCH: usize = 128;
+
 /// Dispatch workers panic mid-burst under live replay load: every
 /// mid-flight message is re-accounted as `Failed` (answered, not leaked),
 /// restarted workers re-subscribe to the surviving queue, and both sides
-/// of the wire conserve exactly.
+/// of the wire conserve exactly. The replay sends batched frames too big
+/// to run inline, so the workers carry all of it.
 #[test]
 fn dispatch_panics_under_load_conserve_and_restart() {
     let cfg = config(4, 100).with_component_chaos(ComponentChaos::panics("dispatch", 3, 13));
@@ -151,7 +157,8 @@ fn dispatch_panics_under_load_conserve_and_restart() {
 
     let mut rng = StdRng::seed_from_u64(17);
     let trace = TraceSpec::twitter_stable(400.0, 6.0).generate(&mut rng);
-    let report = replay(addr, &trace, &LoadGenConfig::open(4, 100)).expect("replay");
+    let load = LoadGenConfig::open(4, 100).with_submit_batch(SPILLING_BATCH);
+    let report = replay(addr, &trace, &load).expect("replay");
 
     assert_eq!(report.sent, trace.len() as u64);
     assert_eq!(report.lost, 0, "panics must never lose answers: {report:?}");
@@ -178,7 +185,8 @@ fn dispatch_panics_under_load_conserve_and_restart() {
 /// restart budget and escalates: the hook runs exactly once, flips the
 /// server into a fail-fast drain (new submits refused as `Draining`,
 /// queued work answered as `Failed`), and the final drain is clean and
-/// conserving instead of a wedge.
+/// conserving instead of a wedge. Batched frames too big to run inline
+/// keep the dispatch workers — and so the chaos — busy.
 #[test]
 fn budget_exhaustion_escalates_to_a_clean_conserving_drain() {
     let cfg = config(4, 100)
@@ -189,7 +197,8 @@ fn budget_exhaustion_escalates_to_a_clean_conserving_drain() {
 
     let mut rng = StdRng::seed_from_u64(23);
     let trace = TraceSpec::twitter_stable(200.0, 4.0).generate(&mut rng);
-    let report = replay(addr, &trace, &LoadGenConfig::open(2, 100)).expect("replay");
+    let load = LoadGenConfig::open(2, 100).with_submit_batch(SPILLING_BATCH);
+    let report = replay(addr, &trace, &load).expect("replay");
 
     // Every submit was still answered: re-accounted Failed, refused
     // Draining after escalation, or served before the first panic.
@@ -429,7 +438,9 @@ fn v2_window_storm_batches_refills_and_conserves() {
 /// Component chaos against a supervised server under a v2 window storm:
 /// the cross product the resilience bench sweeps, pinned here at its
 /// hairiest single cell — dispatch panics while batched refills are in
-/// flight across two shards — with both conservation laws exact.
+/// flight across two shards — with both conservation laws exact. The
+/// window is deeper than one pass places inline, so the priming frames and
+/// the larger refills spill to the dispatch workers.
 #[test]
 fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
     let cfg = ServeConfig {
@@ -441,11 +452,11 @@ fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
     let storm = StormConfig {
         conns: 16,
         threads: 2,
-        submits_per_conn: 32,
+        submits_per_conn: 256,
         hold: Duration::from_millis(10),
         ..StormConfig::new(16)
     }
-    .with_window(4);
+    .with_window(128);
     let report = connection_storm(server.local_addr(), &storm).expect("storm");
 
     assert_eq!(report.lost, 0, "{report:?}");

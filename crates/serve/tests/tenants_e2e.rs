@@ -23,7 +23,7 @@ use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
 
@@ -372,4 +372,28 @@ fn coordinator_regrants_gpus_live() {
         idle.granted_gpus
     );
     assert_eq!(busy.granted_gpus + idle.granted_gpus, 8, "pool leaked");
+}
+
+/// Shutdown is an event for the threads that sleep between ticks, too: at
+/// time scale 1 the timer sleeps 200 ms and the coordinator 1 s between
+/// passes, and an idle drain must not wait either of them out.
+#[test]
+fn idle_drain_does_not_wait_out_the_timer_or_the_coordinator() {
+    let tenants = vec![
+        (
+            TenantSpec::new("interactive", SloClass::Interactive, SLO_MS),
+            engine(2),
+        ),
+        (TenantSpec::new("batch", SloClass::Batch, SLO_MS), engine(2)),
+    ];
+    let server = Server::spawn_multi(tenants, "127.0.0.1:0", config(4, 1)).expect("bind loopback");
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    let drain = server.drain();
+    let took = started.elapsed();
+    assert_eq!(drain.submits, 0, "{drain:?}");
+    assert!(
+        took < Duration::from_millis(100),
+        "idle drain took {took:?}"
+    );
 }
