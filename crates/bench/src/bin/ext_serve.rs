@@ -2,7 +2,7 @@
 //!
 //! Everything else in this harness measures the *simulated* system. This
 //! binary measures the *served* one: the `arlo-serve` stack — wire
-//! protocol, epoll shards, bounded dispatch, batch-coalescing deadline-heap
+//! protocol, epoll shards placing every request, batch-coalescing deadline-heap
 //! executor, timer-driven Runtime Scheduler — under the paper's two
 //! workloads, replayed by a multi-connection load generator in scaled
 //! virtual time. Latency percentiles are virtual dispatch→completion times

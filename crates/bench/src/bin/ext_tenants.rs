@@ -116,8 +116,8 @@ fn config(time_scale: u32) -> ServeConfig {
         time_scale,
         // Small enough that the overload phase drives outstanding work
         // through the class gates (standard refuses at 1536 outstanding,
-        // batch at 1024) before the 2048-slot dispatch channel binds; the
-        // 512-request gap between tiers is the assertion margin.
+        // batch at 1024; interactive is ungated); the 512-request gap
+        // between tiers is the assertion margin.
         queue_capacity: 2048,
         // The overload phase answers in bursts (gate refusals are
         // synchronous); don't let a momentary client-reader stall trip

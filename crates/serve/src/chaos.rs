@@ -531,8 +531,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct ComponentChaos {
     /// Root seed; the whole schedule is a pure function of it.
     pub seed: u64,
-    /// Component-name prefix to target (`"dispatch"` hits every dispatch
-    /// worker, `"dispatch-a-0"` exactly one).
+    /// Component-name prefix to target (`"flusher"` hits every tenant's
+    /// flusher, `"flusher-0"` exactly one).
     pub target: String,
     /// Panic on roughly one beat in `n` (deterministic draw). `None` or
     /// `Some(0)` disables panics.

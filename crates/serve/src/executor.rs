@@ -103,8 +103,9 @@ struct KeyState {
 /// One shard of the executor's coalescer state: a slice of the key space
 /// plus that slice's share of the occupancy histogram. Keeping the
 /// histogram *inside* the shard means a sealed batch updates it under the
-/// lock it already holds, and concurrent dispatch workers touching
-/// different instances never serialize on a global histogram lock.
+/// lock it already holds, and concurrent submitters (shards, the flusher)
+/// touching different instances never serialize on a global histogram
+/// lock.
 /// Shares are merged only at read time ([`Executor::batch_occupancy`]).
 #[derive(Default)]
 struct ExecShard {
@@ -177,15 +178,12 @@ struct ExecutorShared {
     profiles: Vec<RuntimeProfile>,
     jitter: JitterSpec,
     policy: BatchPolicy,
-    /// Coalescer state, lock-striped by `Key` hash (power-of-two count).
-    /// A key's entire lifecycle — submit, seal, prune — happens under its
-    /// one shard, so per-instance batch forming stays exactly as serial as
-    /// it ever was; only *distinct* instances stop contending.
+    /// Coalescer state, lock-striped by `Key` hash
+    /// ([`Executor::DEFAULT_SHARDS`] of them). A key's entire lifecycle —
+    /// submit, seal, prune — happens under its one shard, so per-instance
+    /// batch forming stays exactly as serial as it ever was; only
+    /// *distinct* instances stop contending.
     shards: Box<[Mutex<ExecShard>]>,
-    shard_mask: usize,
-    /// Shard-lock acquisitions on the submit/seal hot path (contention
-    /// telemetry for `ext_hotpath`).
-    lock_ops: AtomicU64,
     /// Everything due later. Invariant: a key holding unsealed jobs has a
     /// [`Due::Seal`] entry here at or before its head batch's seal
     /// instant, and a sealed batch not yet completed has its
@@ -220,8 +218,7 @@ impl ExecutorShared {
         h ^= h >> 27;
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^= h >> 31;
-        self.lock_ops.fetch_add(1, Ordering::Relaxed);
-        &self.shards[(h as usize) & self.shard_mask]
+        &self.shards[(h as usize) % Executor::DEFAULT_SHARDS]
     }
 
     /// Under the key's shard lock: seal every batch of `state` whose seal
@@ -403,8 +400,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Default coalescer-state shard count: comfortably above the dispatch
-    /// parallelism any current config runs, cheap enough that
+    /// Coalescer-state shard count of every executor: comfortably above
+    /// the placing parallelism any current config runs, cheap enough that
     /// merge-at-read stays trivial.
     pub const DEFAULT_SHARDS: usize = 8;
 
@@ -419,7 +416,7 @@ impl Executor {
     /// can be changed in a PR of its own. Uses
     /// [`Executor::DEFAULT_SHARDS`] state shards; sharding is
     /// semantics-preserving (a key's lifecycle stays under one lock), so
-    /// callers that don't care never see it.
+    /// callers never see it.
     pub fn new(
         profiles: Vec<RuntimeProfile>,
         _workers: usize,
@@ -428,9 +425,7 @@ impl Executor {
         policy: BatchPolicy,
         on_done: Box<BatchCallback>,
     ) -> Self {
-        let shards = Executor::DEFAULT_SHARDS;
-        let mut executor =
-            Executor::new_external_flusher(profiles, clock, jitter, policy, shards, on_done);
+        let mut executor = Executor::new_external_flusher(profiles, clock, jitter, policy, on_done);
         let shared = Arc::clone(&executor.shared);
         executor.flusher = Some(
             std::thread::Builder::new()
@@ -441,32 +436,28 @@ impl Executor {
         executor
     }
 
-    /// [`Executor::new`] *without* the internal servicing thread, and with
-    /// an explicit coalescer-state shard count (min 1, rounded up to a
-    /// power of two; 1 reproduces the historical single-mutex layout — the
-    /// `ext_hotpath` baseline). The caller services the heap by running
-    /// [`Executor::run_flusher`] on a thread it controls — the supervision
-    /// tree's restartable-flusher arrangement. Work that is due later
-    /// simply waits in the heap while no servicer is alive.
+    /// [`Executor::new`] *without* the internal servicing thread. The
+    /// caller services the heap by running [`Executor::run_flusher`] on a
+    /// thread it controls — the supervision tree's restartable-flusher
+    /// arrangement. Work that is due later simply waits in the heap while
+    /// no servicer is alive.
     pub fn new_external_flusher(
         profiles: Vec<RuntimeProfile>,
         clock: Arc<VirtualClock>,
         jitter: JitterSpec,
         policy: BatchPolicy,
-        shards: usize,
         on_done: Box<BatchCallback>,
     ) -> Self {
         assert!(!profiles.is_empty(), "need at least one profile");
         policy.validate();
-        let n = shards.max(1).next_power_of_two();
         let shared = Arc::new(ExecutorShared {
             clock,
             profiles,
             jitter,
             policy,
-            shards: (0..n).map(|_| Mutex::new(ExecShard::default())).collect(),
-            shard_mask: n - 1,
-            lock_ops: AtomicU64::new(0),
+            shards: (0..Executor::DEFAULT_SHARDS)
+                .map(|_| Mutex::new(ExecShard::default()))
+                .collect(),
             timers: std::sync::Mutex::default(),
             timer_due: Condvar::new(),
             on_done,
@@ -546,9 +537,9 @@ impl Executor {
     /// every member as failed (report it into the engine, answer the
     /// clients) instead of silently losing the batch. The thread that ran
     /// the callback survives — it catches the panic, recovers, and carries
-    /// on, so no submitting thread (an epoll shard, a dispatch worker) nor
-    /// the servicing thread is lost to a poisoned callback and a drain
-    /// never deadlocks on one.
+    /// on, so neither a submitting thread (an epoll shard) nor the
+    /// servicing thread is lost to a poisoned callback and a drain never
+    /// deadlocks on one.
     ///
     /// Install before traffic flows; a panic with no handler installed is
     /// still caught and counted, but the batch is not re-accounted.
@@ -566,8 +557,8 @@ impl Executor {
     /// callbacks run behind: a panic is caught and counted in
     /// [`Executor::panics_recovered`], and `false` tells the caller to
     /// re-account whatever `work` was carrying. The server places requests
-    /// inline on its epoll shards through this, so one bad placement costs
-    /// one request, not the shard.
+    /// on its epoll shards through this, so one bad placement costs one
+    /// request, not the shard.
     pub fn recover(&self, work: impl FnOnce()) -> bool {
         self.shared.recover(work)
     }
@@ -592,16 +583,6 @@ impl Executor {
             }
         }
         merged
-    }
-
-    /// Coalescer-state shards (post power-of-two rounding).
-    pub fn shard_count(&self) -> usize {
-        self.shared.shard_mask + 1
-    }
-
-    /// Shard-lock acquisitions on the submit/seal hot path so far.
-    pub fn lock_ops(&self) -> u64 {
-        self.shared.lock_ops.load(Ordering::Relaxed)
     }
 
     /// Stop accepting jobs, seal every open batch at its deadline, fire
@@ -804,39 +785,12 @@ mod tests {
         // each singleton batch bumps its own shard's accumulator, and the
         // read-time merge must see every one exactly once.
         let (exec, clock, _done) = executor(4, 10_000, BatchPolicy::greedy(BatchSpec::SINGLE));
-        assert_eq!(exec.shard_count(), Executor::DEFAULT_SHARDS);
         let t0 = clock.now();
         for id in 0..32 {
             exec.submit(job(id, 0, (id % 16) as usize, t0));
         }
-        assert!(exec.lock_ops() > 0, "hot-path lock telemetry counts");
         let occ = exec.shutdown();
         assert_eq!(occ, vec![32], "32 singletons merged from all shards");
-    }
-
-    #[test]
-    fn single_shard_reproduces_the_unsharded_layout() {
-        // shards = 1 is the ext_hotpath baseline: everything lands on one
-        // shard and the semantics (and histogram) are unchanged.
-        let clock = Arc::new(VirtualClock::new(10_000));
-        let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&done);
-        let exec = Executor::new_external_flusher(
-            profiles(),
-            Arc::clone(&clock),
-            JitterSpec::NONE,
-            BatchPolicy::greedy(BatchSpec::SINGLE),
-            1,
-            Box::new(move |b| sink.lock().push(b)),
-        );
-        assert_eq!(exec.shard_count(), 1);
-        let t0 = clock.now();
-        for id in 0..8 {
-            exec.submit(job(id, 0, (id % 4) as usize, t0));
-        }
-        let occ = exec.shutdown();
-        assert_eq!(occ, vec![8]);
-        assert_eq!(done.lock().len(), 8);
     }
 
     #[test]
@@ -920,7 +874,6 @@ mod tests {
             Arc::clone(&clock),
             JitterSpec::NONE,
             policy,
-            4,
             Box::new(move |b| sink.lock().push(b)),
         ));
         let t0 = clock.now();
@@ -1051,7 +1004,6 @@ mod tests {
                 Arc::clone(&clock),
                 JitterSpec::NONE,
                 BatchPolicy::greedy(BatchSpec::SINGLE),
-                4,
                 Box::new(move |b| sink.lock().push(b)),
             )
         };

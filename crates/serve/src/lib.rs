@@ -34,9 +34,9 @@
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
 //!   over [`std::os::fd`], the readiness substrate for the server's
 //!   connection shards (and the high-connection-count load generator).
-//! - [`queue`] — the bounded MPMC dispatch queue with shutdown-aware
-//!   wakeup that feeds each tenant's dispatch-worker pool the requests the
-//!   shards do not place themselves.
+//! - [`queue`] — a bounded MPMC queue with shutdown-aware wakeup. The
+//!   server no longer uses it (its shards place every request
+//!   themselves); the benchmark's layer walk and probes still link it.
 //! - [`supervisor`] — the supervision tree: every long-lived server
 //!   thread runs as a named, heartbeat-monitored component with a typed
 //!   restart policy; panics restart within budget (state re-attached,
@@ -53,12 +53,10 @@
 //! - [`server`] — the TCP server: an acceptor handing sockets to
 //!   [`server::ServeConfig::shards`] epoll event loops that drive
 //!   non-blocking per-connection state machines (a connection costs no
-//!   thread) and run each decoded request to completion on the shard, a
-//!   bounded dispatch queue for what a shard spills (overflow ⇒ explicit
-//!   shed frames),
-//!   a timer thread driving health ticks and periodic reallocation, and a
-//!   graceful drain that flushes every outstanding request before
-//!   closing.
+//!   thread) and run each decoded request to completion on the shard
+//!   (refusals ⇒ explicit shed frames), a timer thread driving health
+//!   ticks and periodic reallocation, and a graceful drain that flushes
+//!   every outstanding request before closing.
 //! - [`loadgen`] — open- and closed-loop trace replay over real sockets,
 //!   for the `ext_serve` benchmark and the end-to-end tests, plus the
 //!   epoll-based [`loadgen::connection_storm`] client pool that holds tens
@@ -88,7 +86,7 @@ pub use loadgen::{
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
-pub use server::{DrainReport, HotpathStats, ServeConfig, Server, TenantDrainReport, TenantStats};
+pub use server::{DrainReport, ServeConfig, Server, TenantDrainReport, TenantStats};
 pub use supervisor::{
     RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent, SupervisorEventKind,
 };

@@ -184,8 +184,9 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The admission/shedding layer refused the request under overload —
-    /// every candidate instance was congestion-gated or the dispatch queue
-    /// was full. The client may retry elsewhere or later.
+    /// every candidate instance was congestion-gated or the tenant's SLO
+    /// class had its admission share in flight. The client may retry
+    /// elsewhere or later.
     Shed = 1,
     /// No compiled runtime can serve the request's length; retrying is
     /// pointless.

@@ -28,10 +28,14 @@
 //!   capacity (the caller sheds — explicit backpressure, identical to the
 //!   old `try_send` contract) and after close.
 //!
-//! The queue also keeps the contention telemetry the `ext_hotpath` bench
-//! reports: refused-at-capacity events, the depth high-water mark, and the
-//! pop-burst histogram numerator/denominator (`pop_items / pop_batches` =
-//! mean dispatch occupancy per wakeup).
+//! The queue also keeps contention telemetry: refused-at-capacity events,
+//! the depth high-water mark, and the pop-burst histogram
+//! numerator/denominator (`pop_items / pop_batches` = mean occupancy per
+//! wakeup).
+//!
+//! The server's shards now place every request themselves, so no server
+//! thread uses this queue any more; the benchmark's layer walk and probes
+//! still measure it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

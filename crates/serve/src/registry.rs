@@ -23,13 +23,11 @@
 //! `server::Outbound`).
 //!
 //! `len` is an atomic maintained on insert/remove, so the acceptor's
-//! admission check stays O(1) instead of summing stripes. Lock
-//! acquisitions are counted (relaxed) for the `ext_hotpath` contention
-//! report.
+//! admission check stays O(1) instead of summing stripes.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An N-way lock-striped `u64 → V` map. N is rounded up to a power of two
 /// so stripe selection is a mask, and keys map to stripes by their low
@@ -39,7 +37,6 @@ pub struct StripedMap<V> {
     stripes: Box<[Mutex<HashMap<u64, V>>]>,
     mask: usize,
     len: AtomicUsize,
-    lock_ops: AtomicU64,
 }
 
 impl<V> StripedMap<V> {
@@ -50,12 +47,10 @@ impl<V> StripedMap<V> {
             stripes: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
             mask: n - 1,
             len: AtomicUsize::new(0),
-            lock_ops: AtomicU64::new(0),
         }
     }
 
     fn stripe(&self, key: u64) -> &Mutex<HashMap<u64, V>> {
-        self.lock_ops.fetch_add(1, Ordering::Relaxed);
         &self.stripes[(key as usize) & self.mask]
     }
 
@@ -99,7 +94,6 @@ impl<V> StripedMap<V> {
     pub fn drain_all(&self) -> Vec<V> {
         let mut out = Vec::new();
         for stripe in self.stripes.iter() {
-            self.lock_ops.fetch_add(1, Ordering::Relaxed);
             let mut guard = stripe.lock();
             let taken = guard.len();
             out.extend(guard.drain().map(|(_, v)| v));
@@ -111,11 +105,6 @@ impl<V> StripedMap<V> {
     /// Number of stripes (post power-of-two rounding).
     pub fn stripe_count(&self) -> usize {
         self.mask + 1
-    }
-
-    /// Stripe-lock acquisitions so far (contention telemetry).
-    pub fn lock_ops(&self) -> u64 {
-        self.lock_ops.load(Ordering::Relaxed)
     }
 }
 
@@ -191,6 +180,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(map.len(), 4 * 1_000);
-        assert!(map.lock_ops() > 0);
     }
 }

@@ -11,16 +11,13 @@
 //!                                             │  FrameReader ◄─ nonblocking reads
 //!                                             │  FrameWriteBuf ─► nonblocking writes
 //!                                             │
-//!                                             ├─ run to completion (≤ INLINE_BURST per pass):
+//!                                             ├─ run to completion, every request:
 //!                                             │  place ─► engine.submit ─► executor ─► due now:
 //!                                             │  completes inline, answer written by this drive
 //!                                             │
-//!                                             ├─ overflow ──bounded MPMC──► dispatch ─► place
-//!                                             │  (full: shed)                (same function)
 //!                                             ◄── bounded outbound queues ◄── responses from other threads
 //!
 //!   acceptor: accepts connections (admission-limited), hands each to a shard
-//!   dispatch: places the bursts a shard spilled (the overflow path)
 //!   flusher:  services the executor's deadline heap (future seals + completions)
 //!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
 //! ```
@@ -28,11 +25,9 @@
 //! A shard that decodes a submit finishes it on its own thread — admission,
 //! [`ArloEngine::submit`], [`Executor::submit`], the completion if it is
 //! due now, and the answer into the connection's own outbound queue, which
-//! the same drive writes out before the shard returns to `epoll_wait`. It
-//! spills to the tenant's dispatch queue only what it will not run inline:
-//! the part of one readiness pass beyond [`INLINE_BURST`] requests or
-//! after its first spill, and anything arriving while that queue still
-//! holds work, so an inline placement never overtakes a queued one.
+//! the same drive writes out before the shard returns to `epoll_wait`. The
+//! shard is the only thread that places a request; only work that is due
+//! later (a future seal or completion) leaves it, for the flusher.
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
 //! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
@@ -43,8 +38,9 @@
 //!
 //! Backpressure and failure are explicit end to end:
 //!
-//! - The shard→dispatch queue is bounded; overflow (or an engine-level
-//!   refusal) answers a typed [`ErrorCode::Shed`] frame, never a stall.
+//! - A submit the SLO-class gate or the engine refuses is answered with a
+//!   typed [`ErrorCode::Shed`] (or [`ErrorCode::Unserviceable`]) frame,
+//!   never a stall.
 //! - Every response travels through a **bounded per-connection outbound
 //!   queue** drained by the connection's shard with non-blocking writes,
 //!   so a stalled or slow client can never block a placing thread or the
@@ -93,7 +89,6 @@ use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
     WireVersion, CONN_ERROR_ID, FILL_CHUNK, UNKNOWN_TENANT_COST,
 };
-use crate::queue::BoundedQueue;
 use crate::registry::StripedMap;
 use crate::supervisor::{RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent};
 use crate::tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
@@ -120,8 +115,10 @@ pub struct ServeConfig {
     pub gpus: u32,
     /// Virtual-time speed-up; 1 for production, 50–200 for tests/benches.
     pub time_scale: u32,
-    /// Bound of each tenant's shard → dispatch queue (the overflow path
-    /// for what a shard does not place inline); overflow sheds.
+    /// Base of the SLO-class admission caps: a `Standard` tenant may hold
+    /// 3/4 of this many requests outstanding, a `Batch` tenant 1/2, before
+    /// its submits shed ([`SloClass::admit_limit`]). `Interactive` is
+    /// ungated.
     pub queue_capacity: usize,
     /// Virtual interval between timer ticks (health + reallocation check).
     pub tick_interval: Nanos,
@@ -136,8 +133,7 @@ pub struct ServeConfig {
     /// Chaos injection: panic the executor's completion callback whenever a
     /// batch contains a request id hitting one-in-`n` — exercises the
     /// executor's catch/re-account path on whichever thread completes the
-    /// batch (a shard, a dispatch worker, or the flusher). `None` disables
-    /// injection.
+    /// batch (a shard or the flusher). `None` disables injection.
     pub panic_one_in: Option<u64>,
     /// Batch coalescing policy for the executor. The default —
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
@@ -153,7 +149,7 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Bound of each connection's outbound response queue. A connection
     /// whose client stalls long enough to fill it is doomed (typed
-    /// disconnect) rather than allowed to backpressure dispatch.
+    /// disconnect) rather than allowed to backpressure placement.
     pub outbound_queue: usize,
     /// How long a connection's socket may refuse bytes (a client that
     /// stopped reading) before the connection is doomed.
@@ -179,9 +175,11 @@ pub struct ServeConfig {
     pub server_chaos: Option<ChaosConfig>,
     /// Epoll event-loop threads (at least 1 is spawned). Connections are
     /// assigned round-robin at accept. [`ServeConfig::new`] computes it:
-    /// half the available parallelism — the other half is the dispatch
-    /// and completion side — which is 1 on the 2-vCPU reference host, the
-    /// only shape measured (`EXPERIMENTS.md`).
+    /// half the available parallelism — the other half is left to the
+    /// flusher, timer and clients — which is 1 on the 2-vCPU reference
+    /// host, the only shape measured (`EXPERIMENTS.md`). The connection
+    /// registry gets `max(8, shards)` stripes, so every shard owns a
+    /// disjoint set of them.
     pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
@@ -192,27 +190,10 @@ pub struct ServeConfig {
     /// Multi-tenant only: span of the sliding per-tenant demand window the
     /// coordinator plans over.
     pub coordinator_window: Nanos,
-    /// Dispatch workers per tenant draining that tenant's shared bounded
-    /// queue, which carries only what the shards spill (see the module
-    /// docs). 1 — the default and the retained unsharded baseline —
-    /// reproduces the historical single-dispatch placement order exactly;
-    /// M > 1 lets placements proceed concurrently (order across requests
-    /// then depends on scheduling, which per-request accounting is
-    /// insensitive to).
-    pub dispatch_workers: usize,
-    /// Stripes of the connection registry. 0 — the default — sizes it
-    /// automatically: at least 8 and at least the shard count, rounded to
-    /// a power of two so stripes stay aligned with the acceptor's
-    /// round-robin shard assignment. 1 is the unsharded baseline (a single
-    /// global lock, as before).
-    pub conn_stripes: usize,
-    /// Shards of each executor's coalescer state ([`Executor`] keys +
-    /// occupancy). 1 is the unsharded baseline.
-    pub executor_shards: usize,
     /// Test-only in-process fault injection: a seeded
     /// [`ComponentChaos`] schedule targeting server components by name
-    /// prefix (`dispatch`, `flusher`, `timer`, `coordinator`, `shard`,
-    /// `accept`), consulted on every component heartbeat. `None` — the
+    /// prefix (`flusher`, `timer`, `coordinator`, `shard`, `accept`),
+    /// consulted on every component heartbeat. `None` — the
     /// production setting — injects nothing.
     pub component_chaos: Option<ComponentChaos>,
     /// Backoff before the supervisor respawns a panicked restartable
@@ -251,9 +232,6 @@ impl ServeConfig {
             shards: std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).max(1)),
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
             coordinator_window: 2 * arlo_trace::NANOS_PER_SEC,
-            dispatch_workers: 1,
-            conn_stripes: 0,
-            executor_shards: Executor::DEFAULT_SHARDS,
             component_chaos: None,
             restart_backoff: Duration::from_millis(10),
             restart_budget: 8,
@@ -287,24 +265,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the per-tenant dispatch-worker count (min 1).
-    pub fn with_dispatch_workers(mut self, workers: usize) -> Self {
-        self.dispatch_workers = workers.max(1);
-        self
-    }
-
-    /// Set the connection-registry stripe count (0 = auto-size).
-    pub fn with_conn_stripes(mut self, stripes: usize) -> Self {
-        self.conn_stripes = stripes;
-        self
-    }
-
-    /// Set the executor coalescer-state shard count (min 1).
-    pub fn with_executor_shards(mut self, shards: usize) -> Self {
-        self.executor_shards = shards.max(1);
-        self
-    }
-
     /// Enable seeded in-process component fault injection (tests).
     pub fn with_component_chaos(mut self, chaos: ComponentChaos) -> Self {
         self.component_chaos = Some(chaos);
@@ -322,17 +282,6 @@ impl ServeConfig {
     pub fn with_stall_grace(mut self, grace: Duration) -> Self {
         self.stall_grace = grace;
         self
-    }
-
-    /// The registry stripe count this config resolves to: an explicit
-    /// setting verbatim, or — at 0 — at least 8 and at least the shard
-    /// count, so every shard gets its own disjoint set of stripes
-    /// ([`StripedMap`] rounds to a power of two either way).
-    pub fn resolved_conn_stripes(&self) -> usize {
-        if self.conn_stripes > 0 {
-            return self.conn_stripes;
-        }
-        self.shards.max(8)
     }
 }
 
@@ -370,7 +319,7 @@ pub struct TenantStats {
     pub submits: u64,
     /// Requests completed.
     pub served: u64,
-    /// Requests shed (admission gate, queue overflow, or drain).
+    /// Requests shed (admission gate, engine refusal, or drain).
     pub shed: u64,
     /// Requests no runtime could serve.
     pub unserviceable: u64,
@@ -452,7 +401,7 @@ pub struct DrainReport {
     /// [`ErrorCode::Shed`].
     pub refused_conns: u64,
     /// Panics caught and re-accounted as failures: executor completion
-    /// callbacks, and placements a shard ran inline.
+    /// callbacks and placements.
     pub panics_recovered: u64,
     /// Submits addressed to tenants this server does not host, each
     /// answered with a typed [`ErrorCode::UnknownTenant`]. Excluded from
@@ -476,47 +425,6 @@ pub struct DrainReport {
     /// The supervisor's structured event log: every component panic,
     /// restart, stall, and escalation, in order, with timestamps.
     pub supervisor_events: Vec<SupervisorEvent>,
-}
-
-/// Per-structure contention telemetry for the sharded hot path (see
-/// [`Server::hotpath_stats`]): how hard each formerly-global structure is
-/// actually being hit, so `ext_hotpath` can report *why* a configuration
-/// is faster, not just that it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotpathStats {
-    /// Stripes of the connection registry (1 = the unsharded baseline).
-    pub conn_stripes: usize,
-    /// Registry stripe-lock acquisitions (lookups, inserts, removals).
-    pub registry_lock_ops: u64,
-    /// Dispatch workers per tenant.
-    pub dispatch_workers: usize,
-    /// Submits refused because a tenant's dispatch queue was at capacity.
-    pub dispatch_queue_full: u64,
-    /// Deepest any tenant's dispatch queue has been.
-    pub dispatch_depth_high_water: u64,
-    /// Dispatch wakeups that drained at least one message.
-    pub dispatch_pop_batches: u64,
-    /// Messages drained across all dispatch wakeups — the requests the
-    /// shards spilled; divided by `dispatch_pop_batches` this is the mean
-    /// dispatch occupancy — how many placements each wakeup amortizes over.
-    pub dispatch_pop_msgs: u64,
-    /// Requests the shards placed inline, on the thread that decoded them.
-    pub inline_placements: u64,
-    /// Shard notifications issued (a `dirty` push plus an eventfd write):
-    /// a response pushed by a thread other than the shard driving its
-    /// connection, or a doom.
-    pub shard_notifies: u64,
-    /// Shards of each executor's coalescer state (1 = baseline).
-    pub executor_shards: usize,
-    /// Executor shard-lock acquisitions (submits + batch flushes), summed
-    /// across tenant pools.
-    pub executor_lock_ops: u64,
-    /// Supervised component respawns so far.
-    pub supervisor_restarts: u64,
-    /// Heartbeat stall episodes detected so far.
-    pub stalls_detected: u64,
-    /// Unrecoverable component failures so far.
-    pub escalations: u64,
 }
 
 /// A connection's bounded outbound frame queue. Producers (`respond`)
@@ -568,7 +476,7 @@ struct ShardHandle {
     dirty: Mutex<Vec<u64>>,
     /// Accepted sockets awaiting adoption by the shard.
     incoming: Mutex<Vec<IncomingConn>>,
-    /// `notify` calls so far ([`HotpathStats::shard_notifies`]).
+    /// `notify` calls so far ([`Server::shard_notifies`]).
     notifies: AtomicU64,
 }
 
@@ -635,10 +543,10 @@ impl ConnHandle {
     }
 }
 
-/// One tenant stream's live server-side state: its engine, its bounded
-/// dispatch queue, its SLO-class admission gate, its streaming demand
-/// window, and its slice of the accounting. Tenant id is the index into
-/// [`Shared::tenants`]; index 0 is the default tenant.
+/// One tenant stream's live server-side state: its engine, its SLO-class
+/// admission gate, its streaming demand window, and its slice of the
+/// accounting. Tenant id is the index into [`Shared::tenants`]; index 0 is
+/// the default tenant.
 struct Tenant {
     name: String,
     class: SloClass,
@@ -647,12 +555,6 @@ struct Tenant {
     /// Largest length this tenant's runtime family can serve (0 when the
     /// family is empty — every submit is then unserviceable).
     max_length: u32,
-    /// This tenant's bounded shard → dispatch queue, carrying what the
-    /// shards spill instead of placing inline; overflow sheds.
-    /// MPMC: any number of shards push, `dispatch_workers` workers drain
-    /// in bursts, and [`BoundedQueue::close`] wakes them at shutdown
-    /// without a timeout tick.
-    dispatch: Arc<BoundedQueue<DispatchMsg>>,
     /// SLO-class admission gate: the most requests this tenant may hold
     /// outstanding before the class sheds. `None` — the `Interactive`
     /// tier — is ungated, reproducing single-tenant admission exactly.
@@ -731,11 +633,10 @@ impl Shutdown {
 /// The statistics counters (`submits`, `served`, `shed`, `unserviceable`,
 /// `failed`, `reallocations`, `reaped_idle`, `slow_disconnects`,
 /// `protocol_disconnects`, `corrupt_frames`, `refused_conns`,
-/// `dropped_responses`, `unknown_tenants`, `inline_placements`, `granted`,
-/// and the per-tenant mirrors) are only *read exactly* after the writing
-/// threads are joined — the join is the happens-before edge that makes the
-/// drain report's conservation law hold — so their increments need no
-/// ordering at all.
+/// `dropped_responses`, `unknown_tenants`, `granted`, and the per-tenant
+/// mirrors) are only *read exactly* after the writing threads are joined —
+/// the join is the happens-before edge that makes the drain report's
+/// conservation law hold — so their increments need no ordering at all.
 /// Live snapshots (`stats`, `tenant_stats`) were always racy-approximate
 /// and remain so.
 struct Shared {
@@ -747,8 +648,6 @@ struct Shared {
     panic_one_in: Option<u64>,
     draining: AtomicBool,
     shutdown: Shutdown,
-    /// Requests the shards placed inline ([`HotpathStats::inline_placements`]).
-    inline_placements: AtomicU64,
     submits: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
@@ -782,6 +681,9 @@ impl Shared {
     /// One stream per tenant, a clock starting at zero now, and zeroed
     /// accounting.
     fn new(tenants: Vec<(TenantSpec, ArloEngine)>, config: &ServeConfig) -> Shared {
+        // Every shard gets its own disjoint set of stripes (see
+        // `ServeConfig::shards`).
+        let stripes = config.shards.max(8);
         let tenants = tenants
             .into_iter()
             .map(|(spec, engine)| Tenant {
@@ -790,13 +692,9 @@ impl Shared {
                 name: spec.name,
                 class: spec.class,
                 slo_ms: spec.slo_ms,
-                dispatch: Arc::new(BoundedQueue::new(config.queue_capacity)),
                 granted: AtomicU32::new(engine.deployment().1.iter().sum()),
                 engine,
-                window: ShardedTenantWindow::new(
-                    config.coordinator_window,
-                    config.resolved_conn_stripes(),
-                ),
+                window: ShardedTenantWindow::new(config.coordinator_window, stripes),
                 submits: AtomicU64::new(0),
                 served: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
@@ -812,7 +710,6 @@ impl Shared {
             panic_one_in: config.panic_one_in,
             draining: AtomicBool::new(false),
             shutdown: Shutdown::default(),
-            inline_placements: AtomicU64::new(0),
             submits: AtomicU64::new(0),
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -829,7 +726,7 @@ impl Shared {
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
             regrants: Mutex::new(Vec::new()),
-            conns: StripedMap::new(config.resolved_conn_stripes()),
+            conns: StripedMap::new(stripes),
         }
     }
 
@@ -856,9 +753,8 @@ impl Shared {
     /// blocks: a vanished connection drops the frame, and a *full* queue —
     /// a client that stopped reading while responses kept coming — dooms
     /// the connection (typed disconnect) instead of stalling the caller.
-    /// This is the only way frames reach sockets, so no placing thread (a
-    /// shard, a dispatch worker) nor an executor's flusher can ever block
-    /// on a slow client.
+    /// This is the only way frames reach sockets, so neither a placing
+    /// shard nor an executor's flusher can ever block on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
     /// clone the handle's two `Arc`s; the actual queue push happens
@@ -953,10 +849,6 @@ impl Shared {
     }
 }
 
-enum DispatchMsg {
-    Submit { conn_id: u64, id: u64, length: u32 },
-}
-
 /// A running serve instance. Obtain one with [`Server::spawn`] (single
 /// tenant) or [`Server::spawn_multi`] (per-tenant engines plus the GPU
 /// re-granting coordinator); stop it with [`Server::drain`].
@@ -964,11 +856,10 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     drain_timeout: Duration,
-    dispatch_workers: usize,
     /// The supervision tree owning every long-lived serving thread —
-    /// acceptor, epoll shards, dispatch workers, timer, coordinator, and
-    /// executor flushers all live in its registry (their `JoinHandle`s
-    /// are the supervisor's, not the server's).
+    /// acceptor, epoll shards, timer, coordinator, and executor flushers
+    /// all live in its registry (their `JoinHandle`s are the supervisor's,
+    /// not the server's).
     supervisor: Supervisor,
     /// One handle per shard.
     shard_handles: Vec<Arc<ShardHandle>>,
@@ -991,12 +882,11 @@ impl Server {
         Server::spawn_inner(vec![(spec, engine)], addr, config, false)
     }
 
-    /// Bind `addr` and spawn a multi-tenant server: one engine, dispatch
-    /// queue, and executor per tenant (wire tenant id = position in
-    /// `tenants`; index 0 is the default tenant),
-    /// plus the live coordinator thread that periodically re-partitions
-    /// `config.gpus` across the tenant engines from their streaming
-    /// demand windows. In this mode the coordinator is the **sole** caller
+    /// Bind `addr` and spawn a multi-tenant server: one engine and
+    /// executor per tenant (wire tenant id = position in `tenants`; index
+    /// 0 is the default tenant), plus the live coordinator thread that
+    /// periodically re-partitions `config.gpus` across the tenant engines
+    /// from their streaming demand windows. In this mode the coordinator is the **sole** caller
     /// of [`ArloEngine::apply_allocation`] (the timer only health-ticks),
     /// so generation-successor ordering can never race.
     pub fn spawn_multi(
@@ -1046,21 +936,10 @@ impl Server {
         {
             // Unrecoverable component failure (an Escalate-policy death or
             // a spent restart budget): fail fast into a conserving drain.
-            // Refuse new work, close every dispatch queue, and re-account
-            // each admitted-but-undispatched message as a typed failure so
-            // per-tenant conservation stays exact — the server ends in a
-            // clean drain, never a wedge.
+            // Refusing new work is all it takes — every admitted request is
+            // already placed, so the normal drain flushes the rest.
             let shared = Arc::clone(&shared);
-            supervisor.set_escalate_hook(move || {
-                shared.draining.store(true, Ordering::SeqCst);
-                for (tenant_id, tenant) in shared.tenants.iter().enumerate() {
-                    tenant.dispatch.close();
-                    for msg in tenant.dispatch.drain_remaining() {
-                        let DispatchMsg::Submit { conn_id, id, .. } = msg;
-                        fail_admitted(&shared, tenant_id as u32, conn_id, id);
-                    }
-                }
-            });
+            supervisor.set_escalate_hook(move || shared.draining.store(true, Ordering::SeqCst));
         }
 
         // One executor per tenant. A panicking completion callback must
@@ -1081,7 +960,6 @@ impl Server {
                 Arc::clone(&clock),
                 config.jitter,
                 config.batch,
-                config.executor_shards,
                 on_done,
             ));
             {
@@ -1095,23 +973,6 @@ impl Server {
                 });
             }
             executors.push(executor);
-        }
-
-        // M dispatch workers per tenant, all draining that tenant's shared
-        // bounded queue — the overflow path for what the shards spill. M =
-        // 1 (the default) keeps spilled placements in queue order.
-        // Restartable: a respawned worker
-        // re-subscribes to the surviving queue; mid-burst messages a dying
-        // incarnation held are re-accounted by its burst guard.
-        let dispatch_workers = config.dispatch_workers.max(1);
-        for (idx, tenant_executor) in executors.iter().enumerate() {
-            for w in 0..dispatch_workers {
-                let shared = Arc::clone(&shared);
-                let executor = Arc::clone(tenant_executor);
-                supervisor.supervise(&format!("dispatch-{idx}-{w}"), restart, move |ctx| {
-                    dispatch_loop(&shared, idx as u32, &executor, ctx);
-                });
-            }
         }
 
         {
@@ -1154,7 +1015,7 @@ impl Server {
         // connection state machines that cannot be re-attached, so its
         // policy is Escalate; the epoll instance is taken by the first
         // (and only) incarnation. Each shard holds the executors, which it
-        // places inline on.
+        // places on.
         let shard_count = config.shards.max(1);
         let mut shard_handles = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
@@ -1200,7 +1061,6 @@ impl Server {
             shared,
             local_addr,
             drain_timeout: config.drain_timeout,
-            dispatch_workers,
             supervisor,
             shard_handles,
             executors,
@@ -1233,43 +1093,14 @@ impl Server {
         self.shared.conns.len()
     }
 
-    /// Contention telemetry for the sharded hot path: registry stripes and
-    /// lock traffic, the inline/spilled split, dispatch-queue pressure and
-    /// burst occupancy, shard notifications, executor shard lock traffic —
-    /// the per-structure counters `ext_hotpath` records. Cheap (atomic
-    /// loads only); exact once traffic stops.
-    pub fn hotpath_stats(&self) -> HotpathStats {
-        let mut dispatch_queue_full = 0;
-        let mut dispatch_depth_high_water = 0;
-        let mut dispatch_pop_batches = 0;
-        let mut dispatch_pop_msgs = 0;
-        for tenant in &self.shared.tenants {
-            dispatch_queue_full += tenant.dispatch.full_events();
-            dispatch_depth_high_water =
-                dispatch_depth_high_water.max(tenant.dispatch.depth_high_water());
-            dispatch_pop_batches += tenant.dispatch.pop_batches();
-            dispatch_pop_msgs += tenant.dispatch.pop_items();
-        }
-        HotpathStats {
-            conn_stripes: self.shared.conns.stripe_count(),
-            registry_lock_ops: self.shared.conns.lock_ops(),
-            dispatch_workers: self.dispatch_workers,
-            dispatch_queue_full,
-            dispatch_depth_high_water,
-            dispatch_pop_batches,
-            dispatch_pop_msgs,
-            inline_placements: self.shared.inline_placements.load(Ordering::Relaxed),
-            shard_notifies: self
-                .shard_handles
-                .iter()
-                .map(|h| h.notifies.load(Ordering::Relaxed))
-                .sum(),
-            executor_shards: self.executors[0].shard_count(),
-            executor_lock_ops: self.executors.iter().map(|e| e.lock_ops()).sum(),
-            supervisor_restarts: self.supervisor.restarts(),
-            stalls_detected: self.supervisor.stalls_detected(),
-            escalations: self.supervisor.escalations(),
-        }
+    /// Shard notifications issued so far (a `dirty` push plus an eventfd
+    /// write): a response pushed by a thread other than the shard driving
+    /// its connection, or a doom.
+    pub fn shard_notifies(&self) -> u64 {
+        self.shard_handles
+            .iter()
+            .map(|h| h.notifies.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// The supervisor's structured event log so far (component panics,
@@ -1327,7 +1158,7 @@ impl Server {
     }
 
     /// Panics caught and re-accounted so far — completion callbacks and
-    /// inline placements (summed across tenant pools).
+    /// placements (summed across tenant pools).
     pub fn panics_recovered(&self) -> u64 {
         self.executors.iter().map(|e| e.panics_recovered()).sum()
     }
@@ -1410,15 +1241,6 @@ impl Server {
         // The timer and coordinator sleep out their intervals on this
         // flag: setting it ends those sleeps now.
         shared.shutdown.set();
-        // Dispatch workers block in `pop_many`: closing each tenant's
-        // queue wakes every worker *now* — shutdown is an event, not a
-        // 2 ms timeout tick. Anything still queued is abandoned by design:
-        // those messages were admitted (counted `outstanding`), and a
-        // timed-out flush wait above means they will never complete — the
-        // report carries them as `outstanding_at_close`.
-        for tenant in &shared.tenants {
-            tenant.dispatch.close();
-        }
         // Shards sleep in epoll_wait: nudge them so they observe the
         // shutdown flag now rather than at their next poll timeout.
         for handle in &self.shard_handles {
@@ -1430,12 +1252,12 @@ impl Server {
         for executor in &self.executors {
             executor.stop_flusher();
         }
-        // Join every component — acceptor, timer, coordinator, dispatch
-        // workers, shards (which close every connection, balancing the
-        // flush counter for anything undeliverable, on the way out), and
-        // flushers (each fires what its heap still holds first) — then
-        // drop their body closures, releasing the executor and
-        // shared-state clones they captured.
+        // Join every component — acceptor, timer, coordinator, shards
+        // (which close every connection, balancing the flush counter for
+        // anything undeliverable, on the way out), and flushers (each
+        // fires what its heap still holds first) — then drop their body
+        // closures, releasing the executor and shared-state clones they
+        // captured.
         self.supervisor.shutdown_join();
         let mut panics_recovered = 0;
         for executor in self.executors {
@@ -1603,19 +1425,11 @@ fn fail_batch(shared: &Shared, done: &CompletedBatch) {
         .fetch_sub(done.jobs.len() as u64, Ordering::SeqCst);
 }
 
-/// How many dispatch messages one worker wakeup drains at most: deep
-/// enough to amortize the lock + wakeup over a burst, shallow enough that
-/// a multi-worker pool still spreads a large backlog across workers.
-const DISPATCH_BURST: usize = 256;
-
-/// Terminate one admitted-but-unplaced request as a typed failure:
-/// failure counters, outstanding release, client answer. The three paths
-/// where admitted work can no longer reach an executor — an inline
-/// placement that panicked ([`submit_one`]), a dispatch worker dying
-/// mid-burst ([`BurstGuard`]) and the escalation hook's queue
-/// re-accounting — all land here, so the conservation law
-/// (`submits == served + shed + unserviceable + failed + outstanding`)
-/// holds through component failures too.
+/// Terminate one admitted request whose placement panicked (see
+/// [`submit_one`]) as a typed failure: failure counters, outstanding
+/// release, client answer — so the conservation law (`submits == served +
+/// shed + unserviceable + failed + outstanding`) holds through a bad
+/// placement too.
 fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
     let tenant = &shared.tenants[tenant_id as usize];
     shared.failed.fetch_add(1, Ordering::Relaxed);
@@ -1631,42 +1445,13 @@ fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
     shared.outstanding.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Mid-flight conservation guard for one dispatch burst. Messages popped
-/// off the queue are this worker's sole responsibility; if the worker
-/// panics before placing them (the chaos injection point is the beat
-/// between pop and placement), `Drop` re-accounts every unprocessed
-/// message as [`ErrorCode::Failed`] — popped work cannot be re-queued
-/// behind traffic that already jumped it, but it must still terminate in
-/// exactly one counted bucket.
-struct BurstGuard<'a> {
-    shared: &'a Shared,
-    tenant_id: u32,
-    /// The worker's burst buffer, on loan for one wake-up; handed back
-    /// empty when the guard drops.
-    msgs: &'a mut Vec<DispatchMsg>,
-    /// Index of the first message not yet fully processed.
-    next: usize,
-}
-
-impl Drop for BurstGuard<'_> {
-    fn drop(&mut self) {
-        for msg in &self.msgs[self.next..] {
-            let DispatchMsg::Submit { conn_id, id, .. } = *msg;
-            fail_admitted(self.shared, self.tenant_id, conn_id, id);
-        }
-        self.msgs.clear();
-    }
-}
-
 /// Place one admitted request: engine placement at its own clock reading,
-/// then execution, or a typed refusal. The one placement body — a shard
-/// runs it inline for what it decoded, a dispatch worker for what a shard
-/// spilled.
+/// then execution, or a typed refusal.
 fn place(shared: &Shared, tenant_id: u32, executor: &Executor, conn_id: u64, id: u64, length: u32) {
     let tenant = &shared.tenants[tenant_id as usize];
-    // Per-message timestamp (not per-burst): arrival times feed the
+    // Per-request timestamp (not per-frame): arrival times feed the
     // engine's demand windows and the executor's virtual-time
-    // serialization, so draining a burst must not batch time.
+    // serialization, so a batched frame must not batch time.
     let now = shared.clock.now();
     match tenant.engine.submit(length, now) {
         Some(placement) => executor.submit(Job {
@@ -1693,43 +1478,6 @@ fn place(shared: &Shared, tenant_id: u32, executor: &Executor, conn_id: u64, id:
             tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
             shared.outstanding.fetch_sub(1, Ordering::SeqCst);
             shared.respond(conn_id, &Frame::Error { id, code });
-        }
-    }
-}
-
-/// One dispatch worker: drain its tenant's shared bounded queue — the
-/// requests the shards spilled — in bursts through [`place`]. A tenant
-/// runs [`ServeConfig::dispatch_workers`] of these over one queue; exits —
-/// immediately, no timeout tick — when [`Server::drain`] closes the queue.
-/// Supervised: a respawned incarnation re-subscribes to the surviving
-/// queue simply by calling `pop_many` again, and the [`BurstGuard`]
-/// re-accounts whatever a dying incarnation had popped but not placed.
-fn dispatch_loop(shared: &Shared, tenant_id: u32, executor: &Executor, ctx: &SupervisedCtx) {
-    let tenant = &shared.tenants[tenant_id as usize];
-    // One burst buffer per worker, not one allocation per wake-up.
-    let mut burst: Vec<DispatchMsg> = Vec::with_capacity(DISPATCH_BURST);
-    loop {
-        ctx.park();
-        if tenant.dispatch.pop_many(&mut burst, DISPATCH_BURST) == 0 {
-            return; // closed: shutdown observed as an event
-        }
-        let mut guard = BurstGuard {
-            shared,
-            tenant_id,
-            msgs: &mut burst,
-            next: 0,
-        };
-        // The beat is also the chaos injection point: an induced panic
-        // fires here, with the guard armed over the whole burst.
-        ctx.beat();
-        while guard.next < guard.msgs.len() {
-            let DispatchMsg::Submit {
-                conn_id,
-                id,
-                length,
-            } = guard.msgs[guard.next];
-            place(shared, tenant_id, executor, conn_id, id, length);
-            guard.next += 1;
         }
     }
 }
@@ -1935,7 +1683,7 @@ fn register_conn(
 }
 
 /// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs, plus the
-/// tenants' executors it places inline on.
+/// tenants' executors it places on.
 struct ShardConfig {
     sweep_interval: Duration,
     idle_timeout: Duration,
@@ -2222,20 +1970,8 @@ fn drive_conn(
             true
         } else {
             if readable && !conn.closing {
-                let mut pass = Pass {
-                    executors: &cfg.executors,
-                    placed: 0,
-                    spilled: false,
-                };
-                {
-                    let _driving = Driving::enter(conn_id);
-                    drive_read(shared, conn, conn_id, &mut pass);
-                }
-                if pass.placed > 0 {
-                    shared
-                        .inline_placements
-                        .fetch_add(pass.placed as u64, Ordering::Relaxed);
-                }
+                let _driving = Driving::enter(conn_id);
+                drive_read(shared, conn, conn_id, &cfg.executors);
             }
             let alive = drive_write(shared, conn, cfg);
             if !alive || (conn.closing && !conn.has_pending_writes()) {
@@ -2264,9 +2000,8 @@ fn drive_conn(
 /// spent on a `WouldBlock`), and at most four fills per call so one
 /// firehose connection cannot starve its shard. Sets `closing` on EOF,
 /// protocol disconnect, or a hard error: queued responses still flush
-/// before the close. One call is one readiness pass: `pass` holds what it
-/// may still place inline.
-fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, pass: &mut Pass) {
+/// before the close. `executors` (one per tenant) place what it decodes.
+fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, executors: &[Arc<Executor>]) {
     let mut fills = 0;
     let mut drained = false;
     loop {
@@ -2274,7 +2009,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, pass: &mut P
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => {
                     conn.budget.credit();
-                    if !handle_frame(shared, conn_id, &mut conn.budget, pass, &frame) {
+                    if !handle_frame(shared, conn_id, &mut conn.budget, executors, &frame) {
                         conn.closing = true;
                         return;
                     }
@@ -2467,64 +2202,24 @@ fn sweep(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, FramedConn>, c
     }
 }
 
-/// How many requests one readiness pass of a connection (one `drive_read`
-/// call) places inline on its shard. Past it the pass spills to the
-/// dispatch queue, so a connection that brings hundreds of requests per
-/// pass (a deep closed-loop window) keeps the dispatch worker placing in
-/// parallel with the shard, while one that brings a few — a single
-/// `Submit`, or a `BatchedSubmit` of up to this many — crosses no thread.
-const INLINE_BURST: usize = 64;
-
-/// What one readiness pass of a connection carries into frame handling.
-struct Pass<'a> {
-    /// The tenants' executors, indexed by tenant id.
-    executors: &'a [Arc<Executor>],
-    /// Requests this pass placed inline so far (at most [`INLINE_BURST`]).
-    placed: usize,
-    /// Whether this pass spilled a frame; everything after it spills too.
-    spilled: bool,
-}
-
-/// The selection rule, decided per frame for the requests it addresses
-/// (one per `Submit`, every sub of a `BatchedSubmit`): all of them run
-/// inline when they fit under [`INLINE_BURST`] with what the pass already
-/// placed, the pass has not spilled yet, and none of their tenants'
-/// dispatch queues holds work an inline placement would overtake;
-/// otherwise all of them spill. A frame is never split — a split frame
-/// pays both the inline cost and the worker's wake-up. A spill also ends
-/// the pass's inline placements: what follows it in the pass would queue
-/// behind it anyway, and need not probe the queue to find that out.
-fn runs_inline(
-    shared: &Shared,
-    pass: &mut Pass,
-    mut tenants: impl ExactSizeIterator<Item = u32>,
-) -> bool {
-    let inline = !pass.spilled
-        && pass.placed + tenants.len() <= INLINE_BURST
-        && tenants.all(|t| shared.tenant(t).is_none_or(|t| t.dispatch.is_empty()));
-    pass.spilled = !inline;
-    inline
-}
-
-/// Admit one submit for a (validated) tenant: shed under drain, shed when
-/// the tenant's SLO class has its admission share in flight, then either
-/// place it on this thread (`inline`, see [`runs_inline`]) or enqueue it
-/// for dispatch, shedding on queue overflow. Shared by [`Frame::Submit`]
-/// and every sub-request of a [`Frame::BatchedSubmit`] — batching
-/// amortizes framing, never accounting.
+/// Admit one submit for a (validated) tenant and place it on this thread:
+/// shed under drain, shed when the tenant's SLO class has its admission
+/// share in flight, otherwise [`place`] it on the tenant's executor (one
+/// per tenant in `executors`). Shared by [`Frame::Submit`] and every
+/// sub-request of a [`Frame::BatchedSubmit`] — batching amortizes framing,
+/// never accounting.
 ///
-/// An inline placement runs behind the executor's panic boundary
+/// The placement runs behind the executor's panic boundary
 /// ([`Executor::recover`]): if it panics, that one request is answered
 /// [`ErrorCode::Failed`] through [`fail_admitted`] — treated as never
 /// placed — and counted in `panics_recovered`, and the shard carries on.
 fn submit_one(
     shared: &Shared,
-    pass: &mut Pass,
+    executors: &[Arc<Executor>],
     conn_id: u64,
     tenant_id: u32,
     id: u64,
     length: u32,
-    inline: bool,
 ) {
     let tenant = &shared.tenants[tenant_id as usize]; // caller validated
     shared.submits.fetch_add(1, Ordering::Relaxed);
@@ -2549,8 +2244,8 @@ fn submit_one(
         .window
         .record(conn_id, shared.clock.now(), length.max(1));
     // SLO-class admission gate: under overload, lower classes hit their
-    // outstanding share and shed here before the queue itself fills —
-    // weighted shedding, Interactive last.
+    // outstanding share and shed here — weighted shedding; Interactive is
+    // never gated.
     if let Some(limit) = tenant.admit_limit {
         if tenant.outstanding.load(Ordering::SeqCst) >= limit {
             shared.shed.fetch_add(1, Ordering::Relaxed);
@@ -2565,37 +2260,13 @@ fn submit_one(
             return;
         }
     }
-    // `outstanding` covers queued-for-dispatch as well as
-    // executing requests, so drain flushes both.
+    // `outstanding` covers every admitted request until its answer (a
+    // batch parked in the deadline heap included), so drain flushes it.
     shared.outstanding.fetch_add(1, Ordering::SeqCst);
     tenant.outstanding.fetch_add(1, Ordering::SeqCst);
-    if inline {
-        pass.placed += 1;
-        let executor = &pass.executors[tenant_id as usize];
-        if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length)) {
-            fail_admitted(shared, tenant_id, conn_id, id);
-        }
-        return;
-    }
-    let msg = DispatchMsg::Submit {
-        conn_id,
-        id,
-        length,
-    };
-    if tenant.dispatch.try_push(msg).is_err() {
-        // Bounded-queue overflow (or a post-shutdown straggler hitting the
-        // closed queue): explicit shed, not a stall.
-        tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-        shared.outstanding.fetch_sub(1, Ordering::SeqCst);
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        tenant.shed.fetch_add(1, Ordering::Relaxed);
-        shared.respond(
-            conn_id,
-            &Frame::Error {
-                id,
-                code: ErrorCode::Shed,
-            },
-        );
+    let executor = &executors[tenant_id as usize];
+    if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length)) {
+        fail_admitted(shared, tenant_id, conn_id, id);
     }
 }
 
@@ -2634,7 +2305,7 @@ fn handle_frame(
     shared: &Shared,
     conn_id: u64,
     budget: &mut ErrorBudget,
-    pass: &mut Pass,
+    executors: &[Arc<Executor>],
     frame: &Frame,
 ) -> bool {
     match *frame {
@@ -2642,8 +2313,7 @@ fn handle_frame(
             if shared.tenant(tenant).is_none() {
                 return unknown_tenant(shared, conn_id, id, budget);
             }
-            let inline = runs_inline(shared, pass, std::iter::once(tenant));
-            submit_one(shared, pass, conn_id, tenant, id, length, inline);
+            submit_one(shared, executors, conn_id, tenant, id, length);
             true
         }
         Frame::BatchedSubmit { ref subs } => {
@@ -2652,7 +2322,6 @@ fn handle_frame(
             // per-sub unknown-tenant errors. Exhausting the error budget
             // mid-batch closes the connection; the remaining subs die with
             // it (the client already has a terminal Protocol error).
-            let inline = runs_inline(shared, pass, subs.iter().map(|s| s.tenant));
             for sub in subs {
                 if shared.tenant(sub.tenant).is_none() {
                     if !unknown_tenant(shared, conn_id, sub.id, budget) {
@@ -2660,9 +2329,7 @@ fn handle_frame(
                     }
                     continue;
                 }
-                submit_one(
-                    shared, pass, conn_id, sub.tenant, sub.id, sub.length, inline,
-                );
+                submit_one(shared, executors, conn_id, sub.tenant, sub.id, sub.length);
             }
             true
         }
@@ -2752,7 +2419,7 @@ mod tests {
         assert_eq!(refusal_code(513, 512), ErrorCode::Unserviceable);
     }
 
-    // --- The inline panic boundary ---
+    // --- The placement panic boundary ---
 
     #[test]
     fn a_panicking_inline_placement_is_one_failed_answer() {
@@ -2778,7 +2445,6 @@ mod tests {
             Arc::clone(&shared.clock),
             JitterSpec::NONE,
             config.batch,
-            1,
             Box::new(|_| {}),
         ));
         let epoll = Epoll::new().expect("epoll");
@@ -2793,13 +2459,14 @@ mod tests {
                 doomed: Arc::new(AtomicBool::new(false)),
             },
         );
-        let mut pass = Pass {
-            executors: std::slice::from_ref(&executor),
-            placed: 0,
-            spilled: false,
-        };
-
-        submit_one(&shared, &mut pass, conn_id, 0, 42, 100, true);
+        submit_one(
+            &shared,
+            std::slice::from_ref(&executor),
+            conn_id,
+            0,
+            42,
+            100,
+        );
 
         let answers: Vec<Frame> = outbound.queue.lock().frames.iter().cloned().collect();
         assert_eq!(
@@ -2815,6 +2482,5 @@ mod tests {
         assert_eq!(shared.tenants[0].outstanding.load(Ordering::SeqCst), 0);
         assert_eq!(shared.submits.load(Ordering::Relaxed), 1);
         assert_eq!(shared.failed.load(Ordering::Relaxed), 1);
-        assert_eq!(pass.placed, 1, "the placement was inline");
     }
 }

@@ -4,15 +4,14 @@
 //! The serving stack survives hostile networks (the chaos grid) and faulty
 //! GPU instances (the health circuit), but before this module the server's
 //! *own* threads had no failure story: a panic in the timer silently
-//! stopped health ticks and GPU re-granting forever, a dead dispatch
-//! worker shrank a tenant's dispatch plane permanently, and a wedged
-//! flusher let armed batch deadlines rot in the heap. The supervisor
-//! closes that gap with the classic supervision-tree contract:
+//! stopped health ticks and GPU re-granting forever, and a wedged flusher
+//! let armed batch deadlines rot in the heap. The supervisor closes that
+//! gap with the classic supervision-tree contract:
 //!
 //! - **Named components.** Each long-lived thread is registered under a
-//!   stable name (`accept`, `shard-3`, `dispatch-{tenant}-{w}`, `timer`,
-//!   `coordinator`, `flusher-{i}`) and spawned through a wrapper that
-//!   catches panics and reports exit.
+//!   stable name (`accept`, `shard-3`, `timer`, `coordinator`,
+//!   `flusher-{i}`) and spawned through a wrapper that catches panics and
+//!   reports exit.
 //! - **Heartbeats.** The component body receives a [`SupervisedCtx`] and
 //!   calls [`SupervisedCtx::park`] immediately before any *intentional*
 //!   blocking wait and [`SupervisedCtx::beat`] once per loop iteration,
@@ -21,21 +20,19 @@
 //!   than the stall grace — a live thread that has stopped making
 //!   progress. (Threads cannot be killed, so stalls are detected and
 //!   logged, not preempted.)
-//! - **Typed restart policies.** [`RestartPolicy::Restart`] (dispatch
-//!   workers, flusher, timer, coordinator) respawns a panicked component
-//!   after a backoff, up to a budget; the caller's body closure
-//!   re-attaches to surviving state (workers re-subscribe to the
-//!   [`crate::queue::BoundedQueue`], a restarted flusher carries on
-//!   servicing the executor's surviving deadline heap, a restarted timer
-//!   resumes health ticks). [`RestartPolicy::Escalate`] (the acceptor, epoll shard
+//! - **Typed restart policies.** [`RestartPolicy::Restart`] (flusher,
+//!   timer, coordinator) respawns a panicked component after a backoff, up
+//!   to a budget; the caller's body closure re-attaches to surviving state
+//!   (a restarted flusher carries on servicing the executor's surviving
+//!   deadline heap, a restarted timer resumes health ticks). [`RestartPolicy::Escalate`] (the acceptor, epoll shard
 //!   loops) and budget exhaustion instead trigger the **escalation hook**
 //!   exactly once — the server installs a fail-fast tenant drain there, so
 //!   an unrecoverable component failure ends in a clean, conserving drain
 //!   rather than a wedge.
 //! - **Structured events.** Every panic, restart, stall, and escalation
 //!   is appended to a [`SupervisorEvent`] log with a millisecond
-//!   timestamp, surfaced through `DrainReport` and `hotpath_stats` so
-//!   benches can assert bounded recovery.
+//!   timestamp, surfaced through `DrainReport` and
+//!   `Server::supervisor_events` so benches can assert bounded recovery.
 //!
 //! Deterministic fault injection lives in
 //! [`crate::chaos::ComponentChaos`]: a seeded per-component schedule
@@ -238,8 +235,7 @@ impl Inner {
 
     /// Latch escalation and run the hook exactly once, ever. Called
     /// without the components lock held — the hook touches server state
-    /// (closes dispatch queues, re-accounts messages), never the
-    /// supervisor's own registry.
+    /// (flips it into draining), never the supervisor's own registry.
     fn escalate(&self) {
         if self.escalated.swap(true, Ordering::SeqCst) {
             return;
@@ -503,8 +499,8 @@ impl Supervisor {
     /// Stop the monitor, join every component (panics tolerated and
     /// recorded), and drop the registry — releasing the body closures'
     /// captured state (executor handles, shared server state). Callers
-    /// must first make components exit: set the server shutdown flag,
-    /// close the dispatch queues, wake the shard wakers.
+    /// must first make components exit: set the server shutdown flag, wake
+    /// the shard wakers, stop the flushers.
     pub fn shutdown_join(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(m) = self.monitor.lock().expect("supervisor poisoned").take() {

@@ -3,7 +3,7 @@
 //! and the deterministic weighted tenant-tagging used by the load
 //! generator.
 //!
-//! The live pieces — per-tenant engines, dispatch queues, admission
+//! The live pieces — per-tenant engines and executors, admission
 //! counters, and the coordinator thread itself — are wired in
 //! [`crate::server`]; this module holds the pure, unit-testable logic:
 //!
@@ -30,25 +30,24 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Service tier of one tenant stream. Classes order admission under
-/// overload: a tenant may only hold a fraction of the server's dispatch
-/// capacity in flight, so when the pool saturates, `Batch` submits shed
-/// before `Standard`, and `Standard` before `Interactive`.
+/// overload: a gated tenant may only hold a fraction of the server's
+/// `queue_capacity` in flight, so when the pool saturates, `Batch` submits
+/// shed before `Standard`, and `Interactive` ones not at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SloClass {
-    /// Latency-sensitive traffic: admitted up to the full dispatch bound
-    /// (no class gate — identical to the single-tenant server's
-    /// behaviour).
+    /// Latency-sensitive traffic: no class gate — identical to the
+    /// single-tenant server's behaviour.
     Interactive,
-    /// Default tier: admitted up to 3/4 of the dispatch bound.
+    /// Default tier: admitted up to 3/4 of `queue_capacity` outstanding.
     Standard,
-    /// Throughput traffic: admitted up to 1/2 of the dispatch bound —
-    /// first to shed, last to starve anyone else.
+    /// Throughput traffic: admitted up to 1/2 of `queue_capacity`
+    /// outstanding — first to shed, last to starve anyone else.
     Batch,
 }
 
 impl SloClass {
-    /// Fraction of the dispatch queue capacity this class may hold in
-    /// flight. `1.0` means "no class gate".
+    /// Fraction of `queue_capacity` this class may hold in flight. `1.0`
+    /// means "no class gate".
     pub fn admit_fraction(self) -> f64 {
         match self {
             SloClass::Interactive => 1.0,
@@ -57,10 +56,9 @@ impl SloClass {
         }
     }
 
-    /// The concrete per-tenant outstanding limit for a dispatch queue of
+    /// The concrete per-tenant outstanding limit for a server's
     /// `queue_capacity`, or `None` for the ungated `Interactive` class
-    /// (whose only bound is the queue itself, exactly as in single-tenant
-    /// mode).
+    /// (admitted exactly as in single-tenant mode).
     pub fn admit_limit(self, queue_capacity: usize) -> Option<u64> {
         let fraction = self.admit_fraction();
         if fraction >= 1.0 {
@@ -272,9 +270,9 @@ fn plan_from_samples(
 
 /// Lock-striped [`TenantWindow`]: the fix for the `record_demand`
 /// per-submit mutex the hot-path audit flagged. Every submit used to take
-/// one tenant-wide lock to append its `(arrival, length)` sample; with M
-/// dispatch workers (and supervisor restarts re-subscribing more), that
-/// lock serialized the admission path. Here recorders stripe by a caller
+/// one tenant-wide lock to append its `(arrival, length)` sample; with
+/// several admitting threads that lock serialized the admission path.
+/// Here recorders stripe by a caller
 /// key (the connection id), so concurrent connections append to disjoint
 /// stripes, and only the coordinator — a few times a second — pays the
 /// merge across all stripes at plan time.

@@ -129,9 +129,8 @@ fn idle_connections_are_reaped() {
 /// kernel buffers into the server's bounded outbound queue.
 ///
 /// The bulk requests are *unserviceable* (length beyond the compiled
-/// maximum), so their answers are synthesized at placement (on the shard,
-/// or on the dispatch worker for what a pass spills) and never occupy the
-/// executor: the healthy connections' latencies then
+/// maximum), so their answers are synthesized at placement on the shard
+/// and never occupy the executor: the healthy connections' latencies then
 /// measure only transport leakage — the hazard under test — not queueing
 /// behind the flood's execution.
 fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
@@ -304,11 +303,8 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
         .expect("timeout");
     let mut burst = Vec::new();
     for id in 0..N {
-        // Unserviceable: answered at placement — by the shard for the
-        // first requests of each readiness pass, by the dispatch worker
-        // (not the connection's shard) for what the pass spills. (Past the
-        // dispatch queue's bound the shard answers `Shed`; either way one
-        // answer per id.)
+        // Unserviceable: answered at placement, by the connection's own
+        // shard, one answer per id.
         Frame::Submit {
             id,
             length: 1_000_000,

@@ -1,32 +1,25 @@
 //! Run to completion on the epoll shard: the shard that decodes a submit
-//! places, executes and answers it itself, and the dispatch queue only
-//! carries what a readiness pass will not run inline.
-//!
-//! Each test reads the split from [`Server::hotpath_stats`]:
-//! `inline_placements` (placed by a shard), `dispatch_pop_msgs` (spilled
-//! to, and placed by, a dispatch worker) and `shard_notifies` (responses
-//! that had to wake a shard from another thread).
+//! places, executes and answers it itself, however many requests one
+//! readiness pass brings — no other thread places a request.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
+use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::protocol::{client_handshake, read_frame, Frame, Sub, DEFAULT_TENANT};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write;
-use std::net::TcpStream;
 use std::time::Duration;
 
 const SLO_MS: f64 = 150.0;
 const GPUS: u32 = 8;
-/// At 1000× every batch-1 execution is due the moment it seals, so an
-/// inline placement also completes inline.
+/// At 1000× every batch-1 execution is due the moment it seals, so a
+/// placement on the shard also completes there.
 const SCALE: u32 = 1_000;
 
 fn engine() -> ArloEngine {
@@ -65,7 +58,7 @@ fn assert_conserves(drain: &DrainReport) {
 
 /// A one-connection stream of single `Submit`s, one in flight at a time:
 /// every request is placed, executed and answered on the shard, so no
-/// dispatch worker ever wakes and no response ever notifies a shard.
+/// response ever notifies a shard.
 #[test]
 fn single_submit_stream_never_leaves_the_shard() {
     let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
@@ -75,25 +68,19 @@ fn single_submit_stream_never_leaves_the_shard() {
     assert_eq!(report.sent, trace.len() as u64);
     assert_eq!(report.ok, report.sent, "{report:?}");
 
-    let stats = server.hotpath_stats();
-    assert_eq!(stats.dispatch_pop_batches, 0, "{stats:?}");
-    assert_eq!(stats.shard_notifies, 0, "{stats:?}");
-    assert_eq!(stats.inline_placements, report.sent, "{stats:?}");
+    assert_eq!(server.shard_notifies(), 0);
     let drain = server.drain();
     assert_conserves(&drain);
     assert_eq!(drain.served, report.sent, "{drain:?}");
 }
 
-/// A closed-loop storm with a window of 512 brings hundreds of submits per
-/// readiness pass: the pass places its first few inline and spills the
-/// rest, so the dispatch worker carries load — with exact conservation,
-/// every admitted request placed on exactly one of the two paths, and
-/// nothing shed.
-#[test]
-fn deep_window_spills_to_the_dispatch_worker_and_conserves() {
+/// Two connections storming with a window of 512 — hundreds of submits
+/// per readiness pass, all placed by the one shard — against `server`:
+/// every request is answered `Ok`, nothing is shed, and both sides of the
+/// wire conserve exactly. Returns the drain report.
+fn deep_window_storm_is_served_in_full(server: Server) -> DrainReport {
     const CONNS: usize = 2;
     const SUBMITS: u32 = 4_096;
-    let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
     let mut storm = StormConfig::new(CONNS).with_window(512);
     storm.threads = 2;
     storm.submits_per_conn = SUBMITS;
@@ -107,78 +94,28 @@ fn deep_window_spills_to_the_dispatch_worker_and_conserves() {
     assert_eq!(report.shed, 0, "{report:?}");
     assert_eq!(report.ok, total, "{report:?}");
 
-    let stats = server.hotpath_stats();
-    assert!(stats.dispatch_pop_msgs > 0, "nothing spilled: {stats:?}");
-    assert_eq!(stats.dispatch_queue_full, 0, "{stats:?}");
-    assert_eq!(
-        stats.inline_placements + stats.dispatch_pop_msgs,
-        total,
-        "every request placed exactly once: {stats:?}"
-    );
     let drain = server.drain();
     assert_conserves(&drain);
     assert_eq!(drain.shed, 0, "{drain:?}");
     assert_eq!(drain.served, total, "{drain:?}");
+    drain
 }
 
-fn batch(first_id: u64, n: usize) -> Frame {
-    Frame::BatchedSubmit {
-        subs: (0..n as u64)
-            .map(|k| Sub {
-                id: first_id + k,
-                length: 64,
-                tenant: DEFAULT_TENANT,
-            })
-            .collect(),
-    }
-}
-
-/// Send `frames` in one write (so one readiness pass decodes them all) and
-/// read back one answer per sub.
-fn send_and_answer(conn: &mut TcpStream, frames: &[Frame]) {
-    let bytes: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
-    conn.write_all(&bytes).expect("write");
-    let subs: usize = frames
-        .iter()
-        .map(|f| match f {
-            Frame::BatchedSubmit { subs } => subs.len(),
-            _ => unreachable!("batches only"),
-        })
-        .sum();
-    for _ in 0..subs {
-        match read_frame(conn).expect("read").expect("frame") {
-            Frame::Response { .. } => {}
-            other => panic!("non-Ok answer: {other:?}"),
-        }
-    }
-}
-
-/// A `BatchedSubmit` goes inline or spills as a whole. Two 40-sub frames
-/// in one pass: the first fits the pass's room of 64 and runs inline, the
-/// second no longer fits and spills entirely — not 24 inline and 16
-/// spilled. A lone 100-sub frame spills; a lone 64-sub frame fits exactly.
 #[test]
-fn a_batched_submit_is_never_split_across_the_two_paths() {
+fn deep_window_storm_is_served_on_the_shard_and_conserves() {
     let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
-    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
-    let _ = conn.set_nodelay(true);
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    client_handshake(&mut conn).expect("handshake");
-    let split = |server: &Server| {
-        let stats = server.hotpath_stats();
-        (stats.inline_placements, stats.dispatch_pop_msgs)
-    };
+    deep_window_storm_is_served_in_full(server);
+}
 
-    send_and_answer(&mut conn, &[batch(0, 40), batch(40, 40)]);
-    assert_eq!(split(&server), (40, 40));
-    send_and_answer(&mut conn, &[batch(80, 100)]);
-    assert_eq!(split(&server), (40, 140));
-    send_and_answer(&mut conn, &[batch(180, 64)]);
-    assert_eq!(split(&server), (104, 140));
-
-    drop(conn);
-    let drain = server.drain();
-    assert_conserves(&drain);
-    assert_eq!(drain.served, 244, "{drain:?}");
+/// No thread but the shard places a request, so component chaos aimed at
+/// dispatch workers finds nothing to kill: the same deep-window storm under
+/// a panic on every `dispatch*` beat is served in full, with no restart
+/// and no escalation.
+#[test]
+fn dispatch_chaos_finds_no_component_under_a_deep_window_storm() {
+    let cfg = config().with_component_chaos(ComponentChaos::panics("dispatch", 1, 67));
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+    let drain = deep_window_storm_is_served_in_full(server);
+    assert_eq!(drain.supervisor_restarts, 0, "{drain:?}");
+    assert_eq!(drain.escalations, 0, "{drain:?}");
 }

@@ -2,7 +2,7 @@
 //!
 //! Every long-lived server thread runs as a supervised component; these
 //! tests inject deterministic panics and stalls into named components
-//! (timer, dispatch workers, flusher, epoll shards) through real sockets
+//! (timer, flusher, epoll shards) through real sockets
 //! under real client load, and assert the two properties the supervision
 //! tree exists for:
 //!
@@ -139,69 +139,26 @@ fn supervised_timer_restarts_and_resumes_reallocating() {
     assert_server_conserves(&drain);
 }
 
-/// Submits per `BatchedSubmit` frame for the dispatch-chaos tests: more
-/// than a shard places inline in one readiness pass (64), so every frame
-/// spills whole to the dispatch workers under test.
-const SPILLING_BATCH: usize = 128;
-
-/// Dispatch workers panic mid-burst under live replay load: every
-/// mid-flight message is re-accounted as `Failed` (answered, not leaked),
-/// restarted workers re-subscribe to the surviving queue, and both sides
-/// of the wire conserve exactly. The replay sends batched frames too big
-/// to run inline, so the workers carry all of it.
-#[test]
-fn dispatch_panics_under_load_conserve_and_restart() {
-    let cfg = config(4, 100).with_component_chaos(ComponentChaos::panics("dispatch", 3, 13));
-    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr();
-
-    let mut rng = StdRng::seed_from_u64(17);
-    let trace = TraceSpec::twitter_stable(400.0, 6.0).generate(&mut rng);
-    let load = LoadGenConfig::open(4, 100).with_submit_batch(SPILLING_BATCH);
-    let report = replay(addr, &trace, &load).expect("replay");
-
-    assert_eq!(report.sent, trace.len() as u64);
-    assert_eq!(report.lost, 0, "panics must never lose answers: {report:?}");
-    assert_eq!(report.accounted(), report.sent, "{report:?}");
-
-    assert!(
-        server.supervisor_restarts() >= 1,
-        "one-in-3 beat panics never killed a dispatch worker"
-    );
-    let events = server.supervisor_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.component.starts_with("dispatch")
-                && e.kind == SupervisorEventKind::Panicked),
-        "{events:?}"
-    );
-    let drain = server.drain();
-    assert_server_conserves(&drain);
-    assert!(drain.supervisor_restarts >= 1);
-}
-
 /// A component that cannot stay up — every beat panics — exhausts its
 /// restart budget and escalates: the hook runs exactly once, flips the
 /// server into a fail-fast drain (new submits refused as `Draining`,
-/// queued work answered as `Failed`), and the final drain is clean and
-/// conserving instead of a wedge. Batched frames too big to run inline
-/// keep the dispatch workers — and so the chaos — busy.
+/// admitted work still answered), and the final drain is clean and
+/// conserving instead of a wedge. The timer beats every 2 ms of real time
+/// here, so its three deaths land while the replay is running.
 #[test]
 fn budget_exhaustion_escalates_to_a_clean_conserving_drain() {
     let cfg = config(4, 100)
-        .with_component_chaos(ComponentChaos::panics("dispatch", 1, 19))
+        .with_component_chaos(ComponentChaos::panics("timer", 1, 19))
         .with_restart_policy(Duration::from_millis(1), 2);
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
 
     let mut rng = StdRng::seed_from_u64(23);
     let trace = TraceSpec::twitter_stable(200.0, 4.0).generate(&mut rng);
-    let load = LoadGenConfig::open(2, 100).with_submit_batch(SPILLING_BATCH);
-    let report = replay(addr, &trace, &load).expect("replay");
+    let report = replay(addr, &trace, &LoadGenConfig::open(2, 100)).expect("replay");
 
-    // Every submit was still answered: re-accounted Failed, refused
-    // Draining after escalation, or served before the first panic.
+    // Every submit was still answered: served before the escalation, or
+    // refused Draining after it.
     assert_eq!(report.lost, 0, "{report:?}");
     assert_eq!(report.accounted(), report.sent, "{report:?}");
 
@@ -437,17 +394,24 @@ fn v2_window_storm_batches_refills_and_conserves() {
 
 /// Component chaos against a supervised server under a v2 window storm:
 /// the cross product the resilience bench sweeps, pinned here at its
-/// hairiest single cell — dispatch panics while batched refills are in
-/// flight across two shards — with both conservation laws exact. The
-/// window is deeper than one pass places inline, so the priming frames and
-/// the larger refills spill to the dispatch workers.
+/// hairiest single cell — flusher panics while batched refills are in
+/// flight across two shards and a coalescing window keeps seal deadlines
+/// in the flusher's heap — with both conservation laws exact.
 #[test]
-fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
+fn v2_storm_survives_flusher_panics_on_the_epoll_plane() {
     let cfg = ServeConfig {
         shards: 2,
+        // 50 virtual ms at 100× is 0.5 ms real.
+        batch: BatchPolicy {
+            spec: BatchSpec {
+                max_batch: 8,
+                marginal_cost: 0.5,
+            },
+            max_wait_ns: 50_000_000,
+        },
         ..config(4, 100)
     }
-    .with_component_chaos(ComponentChaos::panics("dispatch", 3, 43));
+    .with_component_chaos(ComponentChaos::panics("flusher", 3, 43));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let storm = StormConfig {
         conns: 16,
@@ -461,9 +425,9 @@ fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
 
     assert_eq!(report.lost, 0, "{report:?}");
     assert!(report.conserved(), "{report:?}");
-    assert!(server.supervisor_restarts() >= 1, "no dispatch worker died");
+    assert!(server.supervisor_restarts() >= 1, "no flusher died");
     let mut err_budget: u64 = 0;
-    err_budget += report.failed; // re-accounted mid-flight bursts
+    err_budget += report.failed;
     assert!(
         report.ok + err_budget + report.shed + report.unserviceable + report.draining
             == report.submitted,

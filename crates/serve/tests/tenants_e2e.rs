@@ -240,10 +240,10 @@ fn flood(addr: std::net::SocketAddr, tenant: u32, n: u64) -> (u64, u64) {
 
 /// Under identical bursts, admission sheds in SLO-class order. The only
 /// thing that differs between the three tenants is the class gate —
-/// Interactive ungated (it sheds only when the bounded dispatch queue
-/// itself overflows), Standard capped at 3/4 of the queue outstanding,
-/// Batch at half — so shed counts must order Interactive ≤ Standard ≤
-/// Batch, strictly between the extremes.
+/// Interactive ungated (it sheds only if the engine refuses), Standard
+/// capped at 3/4 of `queue_capacity` outstanding, Batch at half — so shed
+/// counts must order Interactive ≤ Standard ≤ Batch, strictly between the
+/// extremes.
 #[test]
 fn slo_classes_shed_in_order_under_overload() {
     let tenants = vec![

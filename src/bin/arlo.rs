@@ -71,13 +71,12 @@ USAGE:
   arlo profile    --model <m> [--slo-ms <ms>]
   arlo serve      --model <m> --gpus <n> [--slo-ms <ms>] [--addr <ip:port>]
                   [--time-scale <x>] [--period-secs <s>]
-                  [--dispatch-workers <n>] [--conn-stripes <n>] [--executor-shards <n>]
                   [--tenants <name=class[:slo_ms],...>   class: interactive|standard|batch]
                   [--max-batch <n> [--marginal-cost <f>] [--max-wait-ms <ms>]]
                   [--server-chaos <delay|partial|corrupt|reset|stall>
                    [--server-chaos-intensity <0..1>] [--server-chaos-seed <n>]]
                   [--restart-backoff-ms <ms>] [--restart-budget <n>] [--stall-grace-ms <ms>]
-                  [--component-chaos <accept|shard|dispatch|flusher|timer|coordinator>
+                  [--component-chaos <accept|shard|flusher|timer|coordinator>
                    [--component-chaos-fault <panic|stall>] [--component-chaos-one-in <n>]
                    [--component-chaos-stall-ms <ms>] [--component-chaos-seed <n>]]
                   (runs until a client sends a Drain frame, then flushes and exits)
@@ -440,19 +439,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         batch,
         ..ServeConfig::new(gpus)
     };
-    // Hot-path sharding knobs (PR 9). Defaults keep the sharded executor
-    // and auto-sized registry stripes; `--dispatch-workers 1` (the
-    // default) retains the single-dispatch baseline exactly.
-    let dispatch_workers: usize = num_or(flags, "dispatch-workers", 1)?;
-    let conn_stripes: usize = num_or(flags, "conn-stripes", 0)?;
-    let executor_shards: usize = num_or(flags, "executor-shards", 8)?;
-    if dispatch_workers == 0 || executor_shards == 0 {
-        return Err("--dispatch-workers and --executor-shards must be >= 1".into());
-    }
-    serve_cfg = serve_cfg
-        .with_dispatch_workers(dispatch_workers)
-        .with_conn_stripes(conn_stripes)
-        .with_executor_shards(executor_shards);
     if let Some(class_name) = flags.get("server-chaos") {
         // Test-only: wrap every accepted socket in a seeded FaultyStream so
         // the server's own error paths can be driven from the CLI.
@@ -478,7 +464,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(target) = flags.get("component-chaos") {
         // Test-only: seeded in-process fault injection against a
         // supervised component class, matched by name prefix (accept,
-        // shard, dispatch, flusher, timer, coordinator).
+        // shard, flusher, timer, coordinator).
         let fault = flags
             .get("component-chaos-fault")
             .map(String::as_str)
