@@ -127,9 +127,10 @@ struct Pending<T> {
     item: T,
 }
 
-/// One instance's batch-forming queue: items arrive, batches seal when the
+/// One instance's batch-forming queue: items arrive, a batch starts when the
 /// instance is free and either the batch is full or the oldest item has
-/// waited `max_wait_ns`.
+/// waited `max_wait_ns`. A full batch is sealed the moment it is full, even
+/// if it starts later; a partial one is sealed at its start instant.
 ///
 /// The coalescer is a pure state machine over explicit timestamps — it
 /// never reads a clock — so both a discrete-event simulator and a
@@ -138,6 +139,12 @@ pub struct Coalescer<T> {
     policy: BatchPolicy,
     pending: VecDeque<Pending<T>>,
     busy_until: u64,
+    /// The (clamped) arrival of the last pushed item while it is still
+    /// queued: pending, or in a full batch that had not started by the
+    /// last drain's `now`. `None` once everything pushed has started.
+    queued_tail: Option<u64>,
+    /// `started_at` of the last sealed batch.
+    last_start: u64,
 }
 
 impl<T> Coalescer<T> {
@@ -148,18 +155,20 @@ impl<T> Coalescer<T> {
             policy,
             pending: VecDeque::new(),
             busy_until: 0,
+            queued_tail: None,
+            last_start: 0,
         }
     }
 
     /// Queue an item. The queue is FIFO: an item stamped earlier than the
-    /// current tail clamps up to the tail's arrival, since it cannot start
-    /// ahead of work queued before it anyway (matching the serial
-    /// busy-until model this replaces).
+    /// last pushed one clamps up to that arrival while that one is still
+    /// queued, since it cannot start ahead of work queued before it anyway
+    /// (matching the serial busy-until model this replaces). A full batch
+    /// that has sealed but not yet started still counts as queued, though
+    /// it has left `pending`.
     pub fn push(&mut self, arrival: u64, item: T) {
-        let arrival = self
-            .pending
-            .back()
-            .map_or(arrival, |p| p.arrival.max(arrival));
+        let arrival = self.queued_tail.map_or(arrival, |tail| tail.max(arrival));
+        self.queued_tail = Some(arrival);
         self.pending.push_back(Pending { arrival, item });
     }
 
@@ -173,9 +182,10 @@ impl<T> Coalescer<T> {
         self.busy_until
     }
 
-    /// The seal instant of the head batch, were no further items to arrive:
-    /// when the instance is free and the batch is full, or when the oldest
-    /// pending item's wait budget expires — whichever bound binds.
+    /// The start instant of the head batch, were no further items to
+    /// arrive: when the instance is free and the batch is full, or when the
+    /// oldest pending item's wait budget expires — whichever bound binds. A
+    /// partial batch seals at this instant.
     fn head_seal_at(&self) -> Option<u64> {
         let head = self.pending.front()?;
         let ready = self.busy_until.max(head.arrival);
@@ -191,24 +201,33 @@ impl<T> Coalescer<T> {
 
     /// The future instant at which the head batch will seal absent new
     /// arrivals — the deadline a driver must wake the coalescer at via
-    /// [`Coalescer::drain_ready`]. `None` when nothing is pending.
+    /// [`Coalescer::drain_ready`]. `None` when nothing is pending. After a
+    /// drain the head batch is always partial: full ones have sealed.
     pub fn next_deadline(&self) -> Option<u64> {
         self.head_seal_at()
     }
 
-    /// Seal every batch whose seal instant has passed by `now`, charging
-    /// each through `exec_of(items, batch_size) -> exec_ns` (the caller
-    /// binds [`BatchSpec::exec_ns`] to its latency oracle). Returns the
-    /// sealed batches in execution order; the instance's busy-until clock
+    /// Seal every full head batch, whatever `now` is, and every partial
+    /// one whose seal instant has passed by `now`, charging each through
+    /// `exec_of(items, batch_size) -> exec_ns` (the caller binds
+    /// [`BatchSpec::exec_ns`] to its latency oracle). Returns the sealed
+    /// batches in execution order; the instance's busy-until clock
     /// advances through each.
+    ///
+    /// A full batch's members (the first `max_batch` pending, FIFO) and
+    /// start instant can no longer change, so sealing it before that
+    /// instant yields exactly the batch sealing at it would; its
+    /// `started_at` may then lie after `now`. A partial batch waits for
+    /// its instant, because a later arrival could still join it.
     pub fn drain_ready(
         &mut self,
         now: u64,
         exec_of: &mut dyn FnMut(&[T], usize) -> u64,
     ) -> Vec<SealedBatch<T>> {
         let mut sealed = Vec::new();
+        let full = self.policy.spec.max_batch as usize;
         while let Some(seal_at) = self.head_seal_at() {
-            if seal_at > now {
+            if seal_at > now && self.pending.len() < full {
                 break;
             }
             let take = self.policy.spec.take(self.pending.len());
@@ -217,12 +236,16 @@ impl<T> Coalescer<T> {
             let started_at = seal_at;
             let finished_at = started_at + exec_ns;
             self.busy_until = finished_at;
+            self.last_start = started_at;
             sealed.push(SealedBatch {
                 items,
                 started_at,
                 finished_at,
                 exec_ns,
             });
+        }
+        if self.pending.is_empty() && self.last_start <= now {
+            self.queued_tail = None;
         }
         sealed
     }
@@ -288,20 +311,38 @@ mod tests {
             c.push(0, id);
         }
         let cost = spec.exec_ns(E, 4, 1.0, 1.0);
-        let first = c.drain_ready(0, &mut flat_exec(spec));
-        assert_eq!(first.len(), 1, "second batch waits for the instance");
-        assert_eq!(first[0].started_at, 0);
-        assert_eq!(first[0].finished_at, cost);
-        assert_eq!(first[0].items, vec![0, 1, 2, 3]);
-        // The completion instant is the next seal point, as in the
+        let batches = c.drain_ready(0, &mut flat_exec(spec));
+        assert_eq!(batches.len(), 2, "both batches are full, so both seal");
+        assert_eq!(batches[0].started_at, 0);
+        assert_eq!(batches[0].finished_at, cost);
+        assert_eq!(batches[0].items, vec![0, 1, 2, 3]);
+        // The second starts when the first frees the instance, as in the
         // simulator's completion-event-driven start_next.
-        assert_eq!(c.next_deadline(), Some(cost));
-        let second = c.drain_ready(cost, &mut flat_exec(spec));
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].started_at, cost);
-        assert_eq!(second[0].finished_at, 2 * cost);
-        assert_eq!(second[0].items, vec![4, 5, 6, 7]);
+        assert_eq!(batches[1].started_at, cost);
+        assert_eq!(batches[1].finished_at, 2 * cost);
+        assert_eq!(batches[1].items, vec![4, 5, 6, 7]);
         assert_eq!(c.pending_len(), 0);
+        assert_eq!(c.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_full_batch_behind_a_busy_instance_seals_at_once() {
+        let spec = BatchSpec {
+            max_batch: 2,
+            marginal_cost: 0.5,
+        };
+        let mut c = Coalescer::new(BatchPolicy::greedy(spec));
+        c.push(0, 0u64);
+        c.push(0, 1u64);
+        let busy_until = c.drain_ready(0, &mut flat_exec(spec))[0].finished_at;
+        let now = busy_until / 2;
+        c.push(now, 2u64);
+        c.push(now, 3u64);
+        let batches = c.drain_ready(now, &mut flat_exec(spec));
+        assert_eq!(batches.len(), 1, "a full batch does not wait to start");
+        assert_eq!(batches[0].items, vec![2, 3]);
+        assert_eq!(batches[0].started_at, busy_until);
+        assert!(batches[0].started_at > now);
         assert_eq!(c.next_deadline(), None);
     }
 
@@ -400,6 +441,123 @@ mod tests {
         assert_eq!(batches.len(), 3);
         for w in batches.windows(2) {
             assert_eq!(w[1].started_at, w[0].finished_at, "back-to-back");
+        }
+    }
+
+    /// The rule `drain_ready` had before full batches sealed at once: every
+    /// batch, full or partial, seals only when its start instant has passed,
+    /// and an arrival clamps against the pending tail. Kept as the
+    /// differential reference.
+    struct SealAtInstant {
+        policy: BatchPolicy,
+        pending: VecDeque<(u64, u64)>,
+        busy_until: u64,
+    }
+
+    impl SealAtInstant {
+        fn push(&mut self, arrival: u64, item: u64) {
+            let arrival = self.pending.back().map_or(arrival, |p| p.0.max(arrival));
+            self.pending.push_back((arrival, item));
+        }
+
+        fn drain_ready(
+            &mut self,
+            now: u64,
+            exec_of: &mut dyn FnMut(&[u64], usize) -> u64,
+        ) -> Vec<SealedBatch<u64>> {
+            let mut sealed = Vec::new();
+            while let Some(&(head, _)) = self.pending.front() {
+                let ready = self.busy_until.max(head);
+                let take = self.policy.spec.take(self.pending.len());
+                let seal_at = if take == self.policy.spec.max_batch as usize {
+                    ready.max(self.pending[take - 1].0)
+                } else {
+                    ready.max(head.saturating_add(self.policy.max_wait_ns))
+                };
+                if seal_at > now {
+                    break;
+                }
+                let items: Vec<u64> = self.pending.drain(..take).map(|p| p.1).collect();
+                let exec_ns = exec_of(&items, items.len());
+                self.busy_until = seal_at + exec_ns;
+                sealed.push(SealedBatch {
+                    items,
+                    started_at: seal_at,
+                    finished_at: seal_at + exec_ns,
+                    exec_ns,
+                });
+            }
+            sealed
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step: advance the clock by `dt`, then drain (`op == 0`),
+        /// push an arrival stamped now (`op` 1–2) or up to `E` ahead
+        /// (`op == 3`, as a request carrying a later `submitted_at`).
+        type Step = (u8, u64, u64);
+
+        /// Run `steps` through both rules under `policy` and compare every
+        /// batch either produced, after a final drain far in the future.
+        fn both_rules_agree(policy: BatchPolicy, steps: &[Step]) -> Result<(), TestCaseError> {
+            // Cost depends on the members, so a batch that formed
+            // differently cannot hide behind an equal size.
+            let spec = policy.spec;
+            let mut exec =
+                |items: &[u64], b: usize| spec.exec_ns(E + items[0] % 1_000, b, 1.0, 1.0);
+            let mut early = Coalescer::new(policy);
+            let mut reference = SealAtInstant {
+                policy,
+                pending: VecDeque::new(),
+                busy_until: 0,
+            };
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = 0;
+            for (id, &(op, dt, ahead)) in steps.iter().enumerate() {
+                now += dt;
+                match op {
+                    0 => {
+                        got.extend(early.drain_ready(now, &mut exec));
+                        want.extend(reference.drain_ready(now, &mut exec));
+                    }
+                    _ => {
+                        // The executor's contract: an arrival is never
+                        // earlier than the previous drain's `now`.
+                        let arrival = if op == 3 { now + ahead } else { now };
+                        early.push(arrival, id as u64);
+                        reference.push(arrival, id as u64);
+                    }
+                }
+            }
+            got.extend(early.drain_ready(u64::MAX / 2, &mut exec));
+            want.extend(reference.drain_ready(u64::MAX / 2, &mut exec));
+            prop_assert_eq!(got, want);
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            fn sealing_full_batches_early_changes_no_batch(
+                steps in proptest::collection::vec((0u8..4, 0..E, 0..E), 1..80)
+            ) {
+                let batch4 = BatchSpec {
+                    max_batch: 4,
+                    marginal_cost: 0.5,
+                };
+                both_rules_agree(BatchPolicy::greedy(BatchSpec::SINGLE), &steps)?;
+                both_rules_agree(BatchPolicy::greedy(batch4), &steps)?;
+                both_rules_agree(
+                    BatchPolicy {
+                        spec: batch4,
+                        max_wait_ns: E / 2,
+                    },
+                    &steps,
+                )?;
+            }
         }
     }
 }

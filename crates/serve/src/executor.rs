@@ -15,9 +15,13 @@
 //! request id). The completion callback fires once per batch, when `done`
 //! is due.
 //!
-//! With [`BatchSpec::SINGLE`] under the greedy policy every job seals
-//! alone at push time and the schedule is identical to the historical
-//! per-job busy-until executor — pinned by the batch-1 parity test.
+//! A full batch seals the moment it is full, even behind a busy instance
+//! (its members and start instant can no longer change); only a partial
+//! batch waits for its start instant, since a later arrival could still
+//! join it. With [`BatchSpec::SINGLE`] under the greedy policy every job
+//! is a full batch, seals alone at push time, and the schedule is
+//! identical to the historical per-job busy-until executor — pinned by the
+//! batch-1 parity test.
 //!
 //! Scheduling follows one rule: **work that is due now runs on the thread
 //! that discovered it; work that is due later waits in one shared
@@ -26,15 +30,18 @@
 //! 100 µs of real time an OS timer cannot resolve, the same rule
 //! [`VirtualClock::sleep_until`] applies. So a batch whose `finished_at`
 //! is due when it seals completes inline on the sealing thread (the
-//! submitter, or the heap's servicing thread), and everything else — a
-//! completion in the future, or a seal instant in the future (an open
-//! `max_wait` window, a queue behind a busy instance) — is one
-//! `(deadline, Seal(key) | Complete(batch))` entry in the heap. The
-//! servicing thread sleeps until the earliest deadline, fires everything
-//! due in deadline order, and is notified only when a new entry undercuts
-//! the current head. The heap lives in the executor's shared state, so it
-//! survives the death of the thread servicing it: a restarted servicer
-//! ([`Executor::run_flusher`]) simply carries on.
+//! submitter, or the heap's servicing thread), even one queued behind a
+//! busy instance, as long as it finishes within that window. Everything
+//! else — a completion in the future, or the seal instant of a partial
+//! batch (an open `max_wait` window, or a partial batch behind a busy
+//! instance) — is one `(deadline, Seal(key) | Complete(batch))` entry in
+//! the heap. The servicing thread sleeps until the earliest deadline,
+//! fires everything due in deadline order, and is notified only when a
+//! new entry undercuts the current head. The heap lives in the executor's
+//! shared state, so it survives the death of the thread servicing it: a
+//! restarted servicer ([`Executor::run_flusher`]) simply carries on, and
+//! [`Executor::fire_ripe`] lets any other thread fire what is ripe when no
+//! servicer is left.
 //!
 //! Coalescer keys include the deployment generation, so a reallocation
 //! starts the new fleet idle while in-flight work on the old fleet still
@@ -119,7 +126,7 @@ struct ExecShard {
 
 /// What a heap entry does when its deadline arrives.
 enum Due {
-    /// Re-advance this key's coalescer: its head batch seals now.
+    /// Re-advance this key's coalescer: its partial head batch seals now.
     Seal(Key),
     /// Fire the completion callback of a batch sealed earlier.
     Complete(CompletedBatch),
@@ -133,8 +140,9 @@ struct Timer {
 
 impl Timer {
     /// Whether the entry fires at the clock reading `now`. A completion
-    /// fires as soon as it is due now; a seal waits out its exact instant,
-    /// because firing it early would seal nothing and re-arm it.
+    /// fires as soon as it is due now; a seal — only ever armed for a
+    /// partial batch, a full one seals at push — waits out its exact
+    /// instant, because firing it early would seal nothing and re-arm it.
     fn ripe(&self, clock: &VirtualClock, now: Nanos) -> bool {
         match self.due {
             Due::Seal(_) => self.at <= now,
@@ -221,10 +229,11 @@ impl ExecutorShared {
         &self.shards[(h as usize) % Executor::DEFAULT_SHARDS]
     }
 
-    /// Under the key's shard lock: seal every batch of `state` whose seal
-    /// instant has passed by `now`, count them into the shard's histogram,
-    /// and return them with the deadline of a [`Due::Seal`] to arm (if the
-    /// head batch now seals in the future and no earlier one is armed).
+    /// Under the key's shard lock: seal every full batch of `state` and
+    /// every partial one whose seal instant has passed by `now`, count them
+    /// into the shard's histogram, and return them with the deadline of a
+    /// [`Due::Seal`] to arm (if a partial head batch now seals in the
+    /// future and no earlier one is armed).
     fn drain(
         &self,
         state: &mut KeyState,
@@ -312,6 +321,29 @@ impl ExecutorShared {
         self.settle(key, now, sealed, arm);
     }
 
+    /// Fire every heap entry ripe now, in deadline order, on the calling
+    /// thread; return the re-locked heap, whose head (if any) is not ripe
+    /// at the returned clock reading. Each entry pops under the heap
+    /// mutex, so callers on several threads never fire one twice.
+    fn fire_ripe(&self) -> (std::sync::MutexGuard<'_, Timers>, Nanos) {
+        let mut timers = self.timers.lock().expect("timer heap poisoned");
+        loop {
+            let now = self.clock.now();
+            match timers.heap.peek() {
+                Some(head) if head.ripe(&self.clock, now) => {
+                    let timer = timers.heap.pop().expect("peeked");
+                    drop(timers);
+                    match timer.due {
+                        Due::Complete(batch) => self.run_completion(batch),
+                        Due::Seal(key) => self.seal(key, timer.at, now),
+                    }
+                    timers = self.timers.lock().expect("timer heap poisoned");
+                }
+                _ => return (timers, now),
+            }
+        }
+    }
+
     /// Service the heap on the calling thread: sleep until the earliest
     /// deadline, fire everything ripe in deadline order, repeat. Returns
     /// once stopped *and* empty — firing a seal can park new entries, so
@@ -325,23 +357,11 @@ impl ExecutorShared {
             if let Some(ctx) = ctx {
                 ctx.beat();
             }
-            let mut timers = self.timers.lock().expect("timer heap poisoned");
-            let wait = loop {
-                let now = self.clock.now();
-                match timers.heap.peek() {
-                    Some(head) if head.ripe(&self.clock, now) => {
-                        let timer = timers.heap.pop().expect("peeked");
-                        drop(timers);
-                        match timer.due {
-                            Due::Complete(batch) => self.run_completion(batch),
-                            Due::Seal(key) => self.seal(key, timer.at, now),
-                        }
-                        timers = self.timers.lock().expect("timer heap poisoned");
-                    }
-                    Some(head) => break Some(self.clock.to_real(head.at - now)),
-                    None if timers.stopping => return,
-                    None => break None,
-                }
+            let (timers, now) = self.fire_ripe();
+            let wait = match timers.heap.peek() {
+                Some(head) => Some(self.clock.to_real(head.at - now)),
+                None if timers.stopping => return,
+                None => None,
             };
             if let Some(ctx) = ctx {
                 ctx.park();
@@ -482,6 +502,15 @@ impl Executor {
         self.shared.service(ctx);
     }
 
+    /// Fire every heap entry ripe now on the calling thread and return: one
+    /// pass of the servicing loop without its wait. Safe beside a live
+    /// servicer — entries pop under the heap mutex — so a thread that
+    /// cannot tell whether one is still alive (the server's drain, after a
+    /// flusher was given up on) can call it periodically.
+    pub fn fire_ripe(&self) {
+        drop(self.shared.fire_ripe());
+    }
+
     /// Tell the servicing thread to finish: it fires what the heap still
     /// holds, each entry at its own deadline, and returns. Part of the
     /// supervised drain sequence ([`Executor::shutdown`] does this itself).
@@ -495,9 +524,10 @@ impl Executor {
     }
 
     /// Submit a job: queue it on its instance's coalescer and seal whatever
-    /// batches the policy allows right now — one shard-lock acquisition and
-    /// one clock reading. A sealed batch that is already due completes on
-    /// this thread before `submit` returns; one that finishes later, and a
+    /// batches the policy allows right now — every full one, even behind a
+    /// busy instance — with one shard-lock acquisition and one clock
+    /// reading. A sealed batch that is already due completes on this thread
+    /// before `submit` returns; one that finishes later, and a partial
     /// batch that must still wait to seal (for co-batchable arrivals or for
     /// the instance to free), is parked in the deadline heap.
     pub fn submit(&self, job: Job) {
@@ -707,8 +737,8 @@ mod tests {
         };
         let (exec, clock, done) = executor(4, 1_000, BatchPolicy::greedy(spec));
         // Eight jobs stamped 2 virtual seconds out (2 ms real at 1000×) on
-        // one instance: all are pending when the seal instant arrives, so
-        // they form 4+4.
+        // one instance: every fourth arrival fills a batch, which seals at
+        // once though it starts later, so they form 4+4.
         let t0 = clock.now() + 2_000_000_000;
         for id in 0..8 {
             exec.submit(job(id, 0, 0, t0));
@@ -989,12 +1019,46 @@ mod tests {
     }
 
     #[test]
+    fn a_job_queued_behind_a_busy_instance_completes_on_the_submitting_thread() {
+        // At 1000× a 38.7 virtual-ms execution spans 38.7 real µs, so the
+        // second job queues behind the first and its batch starts in the
+        // future. It is a full batch, so it seals at push, and it finishes
+        // inside the 100 µs due-now window: no heap entry, no flusher hop.
+        let clock = Arc::new(VirtualClock::new(1_000));
+        let fired: Arc<Mutex<Vec<(std::thread::ThreadId, bool)>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let exec = {
+            let (clock, fired) = (Arc::clone(&clock), Arc::clone(&fired));
+            Executor::new_external_flusher(
+                short_and_long_profiles(),
+                Arc::clone(&clock),
+                JitterSpec::NONE,
+                BatchPolicy::greedy(BatchSpec::SINGLE),
+                Box::new(move |b: CompletedBatch| {
+                    let due = clock.is_due(b.finished_at, clock.now());
+                    fired.lock().push((std::thread::current().id(), due));
+                }),
+            )
+        };
+        let t0 = clock.now();
+        exec.submit(job(0, 1, 0, t0));
+        exec.submit(job(1, 1, 0, t0));
+        let me = std::thread::current().id();
+        assert_eq!(
+            *fired.lock(),
+            vec![(me, true), (me, true)],
+            "both completed, due, on this thread before the second submit returned"
+        );
+        exec.shutdown();
+    }
+
+    #[test]
     fn shutdown_fires_every_parked_entry() {
         // No servicing thread ever runs here (external arrangement, never
         // started), so everything that is due later sits in the heap:
-        // six completions ~39 ms out, plus on instance 0 a second job
-        // whose *seal* waits for the first to finish. shutdown() alone
-        // must fire them all, the chained seal → completion included.
+        // six completions ~39 ms out, plus on instance 0 the completion of
+        // a second job queued behind the first (sealed at push, since a
+        // batch-1 batch is full). shutdown() alone must fire them all.
         let clock = Arc::new(VirtualClock::new(1));
         let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
         let exec = {
@@ -1023,9 +1087,9 @@ mod tests {
         // no sooner than the last completion was due.
         let last = done.iter().map(|b| b.finished_at).max().expect("seven");
         assert!(clock.is_due(last, finished_real), "shutdown returned early");
-        let chained = done.iter().find(|b| b.jobs[0].request_id == 6).unwrap();
+        let queued = done.iter().find(|b| b.jobs[0].request_id == 6).unwrap();
         let first = done.iter().find(|b| b.jobs[0].request_id == 0).unwrap();
-        assert_eq!(chained.started_at, first.finished_at);
+        assert_eq!(queued.started_at, first.finished_at);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!                                             ◄── bounded outbound queues ◄── responses from other threads
 //!
 //!   acceptor: accepts connections (admission-limited), hands each to a shard
-//!   flusher:  services the executor's deadline heap (future seals + completions)
+//!   flusher:  services the executor's deadline heap (partial-batch seals + future completions)
 //!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
 //! ```
 //!
@@ -27,7 +27,10 @@
 //! due now, and the answer into the connection's own outbound queue, which
 //! the same drive writes out before the shard returns to `epoll_wait`. The
 //! shard is the only thread that places a request; only work that is due
-//! later (a future seal or completion) leaves it, for the flusher.
+//! later (a partial batch's future seal, or a future completion) leaves
+//! it, for the flusher. A request queued behind a busy instance is not
+//! such work when its batch is full: the batch seals at once, and its
+//! completion is inline whenever it is due now.
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
 //! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
@@ -1230,11 +1233,17 @@ impl Server {
 
         // Flush: every admitted request completes, and its response frame
         // leaves its outbound queue for the socket, before anything closes.
+        // A flusher given up on (restart budget spent) leaves its heap to
+        // nobody, so this thread fires whatever is ripe there too; beside
+        // a live flusher that is harmless.
         let deadline = Instant::now() + self.drain_timeout;
         while (shared.outstanding.load(Ordering::SeqCst) > 0
             || shared.queued_frames.load(Ordering::SeqCst) > 0)
             && Instant::now() < deadline
         {
+            for executor in &self.executors {
+                executor.fire_ripe();
+            }
             std::thread::sleep(Duration::from_millis(1));
         }
 
@@ -1445,14 +1454,18 @@ fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
     shared.outstanding.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Place one admitted request: engine placement at its own clock reading,
+/// Place one admitted request that arrived at `now`: engine placement,
 /// then execution, or a typed refusal.
-fn place(shared: &Shared, tenant_id: u32, executor: &Executor, conn_id: u64, id: u64, length: u32) {
+fn place(
+    shared: &Shared,
+    tenant_id: u32,
+    executor: &Executor,
+    conn_id: u64,
+    id: u64,
+    length: u32,
+    now: Nanos,
+) {
     let tenant = &shared.tenants[tenant_id as usize];
-    // Per-request timestamp (not per-frame): arrival times feed the
-    // engine's demand windows and the executor's virtual-time
-    // serialization, so a batched frame must not batch time.
-    let now = shared.clock.now();
     match tenant.engine.submit(length, now) {
         Some(placement) => executor.submit(Job {
             placement,
@@ -2236,13 +2249,16 @@ fn submit_one(
         );
         return;
     }
+    // One reading per request (not per frame), shared by the demand window
+    // and the placement: arrival times feed the engine's demand windows
+    // and the executor's virtual-time serialization, so a batched frame
+    // must not batch time.
+    let now = shared.clock.now();
     // Feed the coordinator's demand window with *offered* load (shed
     // submits included): the re-granting decision should see what the
     // tenant asked for, not just what the gate admitted. Striped by
     // connection id, so concurrent submitters hit disjoint locks.
-    tenant
-        .window
-        .record(conn_id, shared.clock.now(), length.max(1));
+    tenant.window.record(conn_id, now, length.max(1));
     // SLO-class admission gate: under overload, lower classes hit their
     // outstanding share and shed here — weighted shedding; Interactive is
     // never gated.
@@ -2265,7 +2281,7 @@ fn submit_one(
     shared.outstanding.fetch_add(1, Ordering::SeqCst);
     tenant.outstanding.fetch_add(1, Ordering::SeqCst);
     let executor = &executors[tenant_id as usize];
-    if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length)) {
+    if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length, now)) {
         fail_admitted(shared, tenant_id, conn_id, id);
     }
 }

@@ -1,6 +1,7 @@
 //! Run to completion on the epoll shard: the shard that decodes a submit
 //! places, executes and answers it itself, however many requests one
-//! readiness pass brings — no other thread places a request.
+//! readiness pass brings and however many wait ahead of it on its
+//! instance — no other thread places a request.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -69,6 +70,52 @@ fn single_submit_stream_never_leaves_the_shard() {
     assert_eq!(report.ok, report.sent, "{report:?}");
 
     assert_eq!(server.shard_notifies(), 0);
+    let drain = server.drain();
+    assert_conserves(&drain);
+    assert_eq!(drain.served, report.sent, "{drain:?}");
+}
+
+/// A request queued behind a busy instance is answered by the shard that
+/// placed it too. One instance fed by a closed loop of 8 in flight, so
+/// most requests queue behind the ones ahead of it. Each is a full batch-1
+/// batch and seals at push; at 2000× an execution spans 2.4 real µs, so
+/// eight of them finish well inside the 100 µs due-now window and every
+/// answer is written by the shard — none crosses from the flusher.
+///
+/// The loop, not a rate, sets the load: the instance is busy about a third
+/// of the time on a 2-vCPU host. An open loop at that load is not
+/// deterministic enough here: a host stall lets its backlog queue past the
+/// due-now window.
+#[test]
+fn requests_queued_behind_a_busy_instance_never_leave_the_shard() {
+    let family = RuntimeSet::natural(ModelSpec::bert_base());
+    let profiles = profile_runtimes(&family.compile(), SLO_MS, 512);
+    let exec_ms = profiles.last().expect("a runtime").runtime.exec_ms(512);
+    let mut counts = vec![0u32; profiles.len()];
+    *counts.last_mut().expect("a runtime") = 1;
+    let mut cfg = EngineConfig::paper_default(SLO_MS);
+    cfg.allocation_period = 100_000 * NANOS_PER_SEC;
+    let engine = ArloEngine::new(profiles, counts, cfg);
+    let config = ServeConfig {
+        time_scale: 2_000,
+        ..config()
+    };
+    let server = Server::spawn(engine, "127.0.0.1:0", config).expect("bind loopback");
+
+    let mut rng = StdRng::seed_from_u64(67);
+    let trace = TraceSpec::twitter_stable(400.0, 5.0).generate(&mut rng);
+    let report = replay(server.local_addr(), &trace, &LoadGenConfig::closed(1, 8)).expect("replay");
+    assert_eq!(report.sent, trace.len() as u64);
+    assert_eq!(report.ok, report.sent, "{report:?}");
+    // Waited at least half an execution for the instance.
+    let queued = report
+        .latencies_ms
+        .iter()
+        .filter(|&&ms| ms > 1.5 * exec_ms)
+        .count();
+    assert!(queued as u64 > report.sent / 4, "{queued} queued");
+
+    assert_eq!(server.shard_notifies(), 0, "{queued} queued requests");
     let drain = server.drain();
     assert_conserves(&drain);
     assert_eq!(drain.served, report.sent, "{drain:?}");

@@ -304,6 +304,79 @@ fn flusher_panic_with_parked_completions_loses_nothing() {
     assert_eq!(drain.served, report.sent, "{drain:?}");
 }
 
+/// A flusher given up on under load strands nothing. With a restart budget
+/// of 0 the flusher's first death escalates, and it dies on its first
+/// wake-up after start-up — a wake-up that only an entry parked in its
+/// heap causes — so the server escalates with seals and completions parked
+/// and no thread left to fire them. `drain` fires them itself: every
+/// admitted request is answered, none is lost to the client, and the
+/// drain takes nowhere near its timeout (it used to wait the timeout out,
+/// then fire the heap into closed connections).
+#[test]
+fn a_flusher_given_up_on_under_load_strands_nothing() {
+    // A schedule for `flusher-0` that survives the start-up beat and
+    // panics on the next one.
+    let seed = (0..)
+        .find(|&seed| {
+            let plan = ComponentChaos::panics("flusher", 2, seed)
+                .plan_for("flusher-0", 0)
+                .expect("targeted");
+            !plan.panics_within(1) && plan.panics_within(2)
+        })
+        .expect("a seed");
+    let drain_timeout = Duration::from_secs(5);
+    let cfg = ServeConfig {
+        // A coalescing window, so a partial batch parks its seal: 50
+        // virtual ms at 100× is 0.5 ms real.
+        batch: BatchPolicy {
+            spec: BatchSpec {
+                max_batch: 8,
+                marginal_cost: 0.5,
+            },
+            max_wait_ns: 50_000_000,
+        },
+        drain_timeout,
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::panics("flusher", 2, seed))
+    .with_restart_policy(Duration::from_millis(1), 0);
+    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+
+    // One closed-loop client whose window holds the whole trace: every
+    // request is sent up front, so none is sent while the drain closes
+    // connections, and the client waits for every answer.
+    let mut rng = StdRng::seed_from_u64(71);
+    let trace = TraceSpec::twitter_stable(400.0, 0.5).generate(&mut rng);
+    let mut load = LoadGenConfig::closed(1, trace.len());
+    load.read_timeout = Duration::from_secs(60);
+    let client = std::thread::spawn(move || replay(addr, &trace, &load));
+
+    wait_for("the flusher to be given up on", || {
+        server.escalations() >= 1
+    });
+    let events = server.supervisor_events();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.component == "flusher-0" && e.kind == SupervisorEventKind::Escalated),
+        "{events:?}"
+    );
+    let started = Instant::now();
+    let drain = server.drain();
+    let took = started.elapsed();
+    let report = client.join().expect("client").expect("replay");
+
+    assert_eq!(report.lost, 0, "answers stranded in the heap: {report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert!(report.ok > 0, "nothing was admitted before the escalation");
+    assert_server_conserves(&drain);
+    assert!(
+        took < drain_timeout / 5,
+        "drain took {took:?} of its {drain_timeout:?}"
+    );
+}
+
 /// `Server::drain` with completions still parked in the heap: at time
 /// scale 1, 100 requests queue 25 deep on 4 instances — ~120 ms of real
 /// execution ahead of them when drain begins. Drain waits the heap out;
