@@ -4,9 +4,10 @@
 //! Two families of cells, written to `results/BENCH_chaos.json`:
 //!
 //! * **fault grid** — every [`FaultClass`] at each grid intensity, plus a
-//!   quiet (intensity 0) baseline, replayed by retrying chaos clients, and
-//!   a server-side-chaos cell injecting corruption on the *server's*
-//!   accepted sockets via [`ServeConfig::server_chaos`]. Each cell asserts
+//!   quiet (intensity 0) baseline, replayed by retrying chaos clients
+//!   whose fault plans cover both directions of each connection (the
+//!   server reads corrupted frames and its answers are corrupted on the
+//!   way back; its own sockets carry no injection). Each cell asserts
 //!   the client-side conservation invariant (`ok + unserviceable +
 //!   draining + exhausted == requests` — a request that vanished without a
 //!   terminal state breaks the equality), the server-side drain equation
@@ -25,8 +26,7 @@
 //!   stall-free run.
 //!
 //! `EXT_CHAOS_SMOKE=1` shrinks the grid and trace for CI: two classes,
-//! one intensity, a short trace — same invariants (including the
-//! server-side-chaos cell), small wall clock.
+//! one intensity, a short trace — same invariants, small wall clock.
 
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
@@ -80,27 +80,16 @@ struct GridCell {
     label: String,
     class: FaultClass,
     intensity: f64,
-    server_chaos: bool,
     report: arlo_serve::loadgen::ChaosReport,
     drain: DrainReport,
 }
 
-/// One grid cell: spawn a fresh server (with `server_chaos` attached to
-/// its accepted sockets when given), replay `trace` through retrying
+/// One grid cell: spawn a fresh server, replay `trace` through retrying
 /// chaos clients under `(class, intensity)`, assert both conservation
 /// equations and that corruption never forged an `Unserviceable` verdict
 /// through the checksum, return the measurements.
-fn run_grid_cell(
-    trace: &Trace,
-    class: FaultClass,
-    intensity: f64,
-    server_chaos: Option<ChaosConfig>,
-) -> GridCell {
-    let mut server_cfg = config();
-    if let Some(chaos) = server_chaos {
-        server_cfg = server_cfg.with_server_chaos(chaos);
-    }
-    let server = Server::spawn(engine(), "127.0.0.1:0", server_cfg).expect("bind loopback");
+fn run_grid_cell(trace: &Trace, class: FaultClass, intensity: f64) -> GridCell {
+    let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
     let mut cfg = ChaosReplayConfig::new(CLIENTS, ChaosConfig::new(class, intensity, CHAOS_SEED));
     cfg.max_attempts = 8;
     cfg.attempt_timeout = Duration::from_millis(400);
@@ -108,11 +97,7 @@ fn run_grid_cell(
     let report = chaos_replay(server.local_addr(), trace, &cfg).expect("chaos replay");
     let drain = server.drain();
 
-    let cell = format!(
-        "{}@{intensity}{}",
-        class.name(),
-        if server_chaos.is_some() { "+srv" } else { "" }
-    );
+    let cell = format!("{}@{intensity}", class.name());
     assert!(
         report.conserved(),
         "{cell}: client conservation violated: {report:?}"
@@ -135,7 +120,6 @@ fn run_grid_cell(
         label: cell,
         class,
         intensity,
-        server_chaos: server_chaos.is_some(),
         report,
         drain,
     }
@@ -236,24 +220,15 @@ fn main() {
     // Quiet baseline first: the degradation reference. Intensity 0 means
     // the chaos machinery is live (same client, same retry budget) but
     // never fires.
-    let baseline = run_grid_cell(&trace, FaultClass::Delay, 0.0, None);
+    let baseline = run_grid_cell(&trace, FaultClass::Delay, 0.0);
     let base_p98 = baseline.report.latency_summary().p98.max(1.0);
 
     let mut cells = vec![baseline];
     for &class in classes {
         for &intensity in intensities {
-            cells.push(run_grid_cell(&trace, class, intensity, None));
+            cells.push(run_grid_cell(&trace, class, intensity));
         }
     }
-    // Server-side chaos: faults on the server's accepted sockets (reads
-    // and writes both), layered over corrupting clients. Conservation and
-    // the zero-phantom claim must hold with the injection point moved.
-    cells.push(run_grid_cell(
-        &trace,
-        FaultClass::Corrupt,
-        0.25,
-        Some(ChaosConfig::new(FaultClass::Corrupt, 0.5, CHAOS_SEED ^ 1)),
-    ));
 
     let mut rows = Vec::new();
     let mut json_cells = Vec::new();
@@ -275,7 +250,6 @@ fn main() {
         json_cells.push(serde_json::json!({
             "class": cell.class.name(),
             "intensity": json_f64(cell.intensity),
-            "server_chaos": cell.server_chaos,
             "requests": cell.report.requests,
             "ok": cell.report.ok,
             "unserviceable": cell.report.unserviceable,

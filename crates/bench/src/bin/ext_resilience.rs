@@ -15,18 +15,22 @@
 //!   lost, drain leaves zero outstanding. Stall cells assert the frozen
 //!   heartbeat was detected (≥ 1 `Stalled` event) with no restart and the
 //!   same conservation.
-//! - **Escalation cells** (no load): a flusher whose every beat panics
-//!   under a 2-restart budget — the supervisor must give up cleanly, run
-//!   the fail-fast drain hook, and the final drain must conserve instead
-//!   of wedging; and an acceptor first-beat panic — `Escalate` policy
-//!   straight to a clean drain. Both fire at start-up: the flusher beats
-//!   before its first wait, and the acceptor on its first poll.
+//! - **Escalation cells**: a flusher given up on under load — it survives
+//!   its start-up beat, dies on its first wake-up (which only a request
+//!   parked in its heap causes, so the death lands inside the storm), and
+//!   both respawns die on their first beat, spending a 2-restart budget.
+//!   The supervisor must give up cleanly and run the fail-fast drain hook;
+//!   the final drain must fire the answers stranded in the dead flusher's
+//!   heap, lose none of them to the client, and conserve. And an acceptor
+//!   first-beat panic (no load) — `Escalate` policy straight to a clean
+//!   drain.
 //!
 //! Load is the closed-loop **window storm**: refills leave as checksummed
 //! `BatchedSubmit` frames, so the resilience sweep doubles as an
-//! integration test of the batched replay path. The storm runs in a
-//! re-exec'd child process, keeping client fds and CPU out of the server
-//! process.
+//! integration test of the batched replay path. The recovery cells' storm
+//! runs in a re-exec'd child process, keeping client fds and CPU out of
+//! the server process; the flusher-budget cell's open-loop storm runs on
+//! a thread of this one.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
 //!
@@ -39,7 +43,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
-use arlo_serve::loadgen::{connection_storm, StormConfig};
+use arlo_serve::loadgen::{connection_storm, StormConfig, StormReport};
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_serve::supervisor::{SupervisorEvent, SupervisorEventKind};
 use arlo_trace::NANOS_PER_SEC;
@@ -174,6 +178,37 @@ fn chaos_for(target: &Target, fault: Fault, seed: u64) -> ComponentChaos {
     }
 }
 
+/// The storm every loaded cell drives: `conns` connections from two
+/// client threads, `submits_per_conn` each, at most `window` in flight per
+/// connection (0 queues every submit up front).
+fn storm_config(conns: usize, submits_per_conn: u32, window: u32) -> StormConfig {
+    let mut cfg = StormConfig::new(conns).with_window(window);
+    cfg.threads = 2;
+    cfg.submits_per_conn = submits_per_conn;
+    cfg.hold = Duration::from_millis(20);
+    cfg.connect_timeout = Duration::from_secs(20);
+    cfg.deadline = Duration::from_secs(300);
+    cfg
+}
+
+/// A storm's outcome by name, as a cell records it.
+fn storm_counts(report: &StormReport) -> Vec<(&'static str, u64)> {
+    vec![
+        ("connected", report.connected),
+        ("refused", report.refused),
+        ("connect_errors", report.connect_errors),
+        ("submitted", report.submitted),
+        ("ok", report.ok),
+        ("shed", report.shed),
+        ("unserviceable", report.unserviceable),
+        ("draining", report.draining),
+        ("failed", report.failed),
+        ("lost", report.lost),
+        ("conserved", u64::from(report.conserved())),
+        ("wall_ms", report.wall.as_millis() as u64),
+    ]
+}
+
 /// Re-exec'd storm-client role (`ARLO_RESIL_ADDR` set): run the
 /// closed-loop window storm and print one machine-readable line.
 fn storm_child() {
@@ -187,31 +222,18 @@ fn storm_child() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
-    let mut cfg =
-        StormConfig::new(env_u64("ARLO_RESIL_CONNS", CONNS as u64) as usize).with_window(WINDOW);
-    cfg.threads = 2;
-    cfg.submits_per_conn = env_u64("ARLO_RESIL_SUBMITS", 1) as u32;
-    cfg.hold = Duration::from_millis(20);
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(env_u64("ARLO_RESIL_DEADLINE_S", 300));
-    let started = Instant::now();
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    println!(
-        "RESIL_RESULT connected={} refused={} connect_errors={} submitted={} ok={} \
-         shed={} unserviceable={} draining={} failed={} lost={} conserved={} wall_ms={}",
-        report.connected,
-        report.refused,
-        report.connect_errors,
-        report.submitted,
-        report.ok,
-        report.shed,
-        report.unserviceable,
-        report.draining,
-        report.failed,
-        report.lost,
-        u64::from(report.conserved()),
-        started.elapsed().as_millis(),
+    let mut cfg = storm_config(
+        env_u64("ARLO_RESIL_CONNS", CONNS as u64) as usize,
+        env_u64("ARLO_RESIL_SUBMITS", 1) as u32,
+        WINDOW,
     );
+    cfg.deadline = Duration::from_secs(env_u64("ARLO_RESIL_DEADLINE_S", 300));
+    let report = connection_storm(addr, &cfg).expect("connection storm");
+    let line: Vec<String> = storm_counts(&report)
+        .into_iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    println!("RESIL_RESULT {}", line.join(" "));
 }
 
 /// Drive one storm child against `addr` and parse its result line.
@@ -388,31 +410,74 @@ fn run_recovery_cell(target: Target, fault: Fault, total: u64) -> Cell {
     }
 }
 
-/// One escalation cell: a fault the supervisor must *not* absorb — give
-/// up, run the fail-fast drain, conserve, never wedge. No load: both
-/// faults fire at start-up, and once the server drains nothing accepts.
-fn run_escalation_cell(kind: &'static str) -> Cell {
-    let tag = format!("{kind}/escalate");
-    let seed = 0xE5CA ^ arlo_seed(&tag);
-    let target = TARGETS[0]; // the flusher's config: a coalescing window on
-    let chaos = match kind {
-        // Every flusher beat panics, the first one before any wait; two
-        // respawns also die instantly.
-        "flusher-budget" => ComponentChaos::panics("flusher", 1, seed),
-        // The acceptor is an Escalate component: first beat, straight to
-        // the fail-fast drain.
-        "accept" => ComponentChaos::panics("accept", 1, seed),
-        _ => unreachable!("unknown escalation kind"),
-    };
-    let cfg = serve_config(target, chaos).with_restart_policy(Duration::from_millis(1), 2);
-    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
-    let started = Instant::now();
-
+/// Poll `cond` every 2 ms; fail the cell if it does not hold within 30 s.
+fn wait_until(tag: &str, what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.escalations() == 0 {
-        assert!(Instant::now() < deadline, "{tag}: escalation never fired");
+    while !cond() {
+        assert!(Instant::now() < deadline, "{tag}: {what} never happened");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// A chaos seed, from `base` on, under which `flusher-0` survives its
+/// start-up beat and panics on its next one — its first wake-up, which
+/// only an entry parked in its heap causes — and both respawns panic on
+/// their first beat.
+fn flusher_budget_seed(base: u64) -> u64 {
+    (0..)
+        .map(|k| base ^ k)
+        .find(|&seed| {
+            let chaos = ComponentChaos::panics("flusher", 2, seed);
+            let plan = |incarnation| chaos.plan_for("flusher-0", incarnation).expect("targeted");
+            !plan(0).panics_within(1)
+                && plan(0).panics_within(2)
+                && plan(1).panics_within(1)
+                && plan(2).panics_within(1)
+        })
+        .expect("a seed")
+}
+
+/// One escalation cell: a fault the supervisor must *not* absorb — give
+/// up, run the fail-fast drain, conserve, never wedge.
+///
+/// `flusher-budget` runs under the storm: the flusher dies on its first
+/// wake-up after start-up and both respawns die at once, so the server
+/// escalates with seals and completions parked and no flusher left, and
+/// the drain must answer them itself. The storm queues every submit up
+/// front, so all of them are on the wire before the drain closes
+/// connections — a closed loop would hold refills back behind the stranded
+/// answers. It runs on a thread of this process because its window is not
+/// the child's. `accept` runs without load: the acceptor panics on its
+/// first poll, and once the server drains nothing accepts.
+fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
+    let tag = format!("{kind}/escalate");
+    let base = 0xE5CA ^ arlo_seed(&tag);
+    let target = TARGETS[0]; // the flusher's config: a coalescing window on
+    let (chaos, submits_per_conn) = match kind {
+        "flusher-budget" => (
+            ComponentChaos::panics("flusher", 2, flusher_budget_seed(base)),
+            total / CONNS as u64,
+        ),
+        // The acceptor is an Escalate component: first beat, straight to
+        // the fail-fast drain.
+        "accept" => (ComponentChaos::panics("accept", 1, base), 0),
+        _ => unreachable!("unknown escalation kind"),
+    };
+    let mut cfg = serve_config(target, chaos).with_restart_policy(Duration::from_millis(1), 2);
+    // The drain fires the dead flusher's whole heap in one pass, so a
+    // connection's answers reach its outbound queue faster than the shard
+    // writes them; a queue shorter than the quota dooms a client that is
+    // reading (at 1 250 per connection the 1 024 default doomed one).
+    cfg.outbound_queue = cfg.outbound_queue.max(submits_per_conn as usize);
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+    let started = Instant::now();
+    let storm = (submits_per_conn > 0).then(|| {
+        let cfg = storm_config(CONNS, submits_per_conn as u32, 0);
+        std::thread::spawn(move || connection_storm(addr, &cfg))
+    });
+
+    wait_until(&tag, "escalation", || server.escalations() > 0);
     assert!(server.is_escalated(), "{tag}");
     assert!(
         server.is_draining(),
@@ -425,15 +490,26 @@ fn run_escalation_cell(kind: &'static str) -> Cell {
             .any(|e| e.kind == SupervisorEventKind::Escalated),
         "{tag}: {events:?}"
     );
+    // Under load: once every submit is decoded nothing but the drain can
+    // answer what the dead flusher's heap holds.
+    let expected = submits_per_conn * CONNS as u64;
+    let stranded = storm.as_ref().map(|_| {
+        wait_until(&tag, "every submit decoded", || {
+            server.tenant_stats()[0].submits == expected
+        });
+        let stranded = server.stats().outstanding;
+        assert!(stranded > 0, "{tag}: the dead flusher's heap held nothing");
+        stranded
+    });
     let (restarts, stalls, escalations) = (
         server.supervisor_restarts(),
         server.stalls_detected(),
         server.escalations(),
     );
     let n_events = events.len();
-    let wall_s = started.elapsed().as_secs_f64();
     // The non-negotiable: an escalated server still drains clean.
     let drain = server.drain();
+    let wall_s = started.elapsed().as_secs_f64();
     assert_eq!(
         drain.outstanding_at_close, 0,
         "{tag}: wedged drain: {drain:?}"
@@ -445,10 +521,37 @@ fn run_escalation_cell(kind: &'static str) -> Cell {
     );
     assert!(drain.escalations >= 1, "{tag}: {drain:?}");
 
+    let mut counts = HashMap::new();
+    if let Some(storm) = storm {
+        let report = storm
+            .join()
+            .expect("storm thread panicked")
+            .expect("connection storm");
+        counts = storm_counts(&report)
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        counts.insert("stranded".into(), stranded.expect("loaded cell"));
+        // Client-side conservation: every answer the dead flusher's heap
+        // held reached its client, nothing lost.
+        let g = |k: &str| counts[k];
+        assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
+        assert_eq!(g("connected"), CONNS as u64, "{tag}: {counts:?}");
+        assert_eq!(
+            g("lost"),
+            0,
+            "{tag}: answers stranded: {counts:?} {drain:?}"
+        );
+        assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
+        assert_eq!(g("submitted"), expected, "{tag}: {counts:?}");
+        assert!(g("ok") > 0, "{tag}: nothing served: {counts:?}");
+        assert_eq!(drain.submits, expected, "{tag}: wire vs drain");
+    }
+
     Cell {
         component: kind,
         fault: "escalate",
-        counts: HashMap::new(),
+        counts,
         restarts,
         stalls,
         escalations,
@@ -486,8 +589,8 @@ fn main() {
             cells.push(run_recovery_cell(target, fault, total));
         }
     }
-    cells.push(run_escalation_cell("flusher-budget"));
-    cells.push(run_escalation_cell("accept"));
+    cells.push(run_escalation_cell("flusher-budget", total));
+    cells.push(run_escalation_cell("accept", total));
 
     let rows: Vec<Vec<String>> = cells
         .iter()

@@ -20,15 +20,17 @@
 //!   `--chaos` mode over real sockets and by in-process loopback tests over
 //!   `Cursor`s.
 //!
-//! The wrapper attaches on either side of the wire. Client-side (the load
-//! generator's `--chaos` mode), the server under test sees genuine network
+//! The wrapper attaches on the client side of the wire only (the load
+//! generator's `--chaos` mode): the server under test sees genuine network
 //! weather — fragmented frames, flipped bits, vanished peers — through an
-//! unmodified `TcpStream`. Server-side
-//! ([`crate::server::ServeConfig::server_chaos`], tests only), each
-//! accepted socket's read and write halves get their own deterministic
-//! plans (`conn_id * 2` and `conn_id * 2 + 1`), so the server's reader,
-//! writer, and dispatch error paths run under the same seeded schedules
-//! without any client cooperation.
+//! unmodified `TcpStream`, and it reads and writes its sockets the one way
+//! production does. A client's plan governs both directions of its
+//! connection, so corruption reaches the server (the client's writes) and
+//! the server's answers reach the client corrupted (the client's reads).
+//!
+//! [`ComponentChaos`] is the other half: seeded panics and stalls for the
+//! server's own supervised threads, reachable only through
+//! [`crate::server::ServeConfig::with_component_chaos`].
 
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -374,135 +376,6 @@ impl<S: Write> Write for FaultyStream<S> {
     }
 }
 
-/// The readiness-compatible twin of [`FaultyStream`]: the same
-/// [`ChaosPlan`] schedule applied to a *non-blocking* transport.
-///
-/// [`FaultyStream`] serves blocking transports (the load generator's
-/// clients), where a [`Action::Delay`]/[`Action::Stall`] may simply
-/// `sleep` on the connection's own thread. An epoll event loop must never
-/// sleep on one connection, so this adapter converts every time-based action into a
-/// **block window**: the first attempt arms the action with a `ready_at`
-/// deadline and returns [`io::ErrorKind::WouldBlock`]; attempts before the
-/// deadline keep returning `WouldBlock`; the first attempt at/after the
-/// deadline performs the armed action's I/O (a full read for `Delay`, the
-/// one-byte dribble for `Stall`). One `decide()` is consumed per *logical*
-/// I/O operation, exactly like `FaultyStream`, so a `(config, conn)` pair
-/// draws the same fault schedule through either adapter.
-///
-/// The event loop uses [`NonBlockingChaos::ready_at`] to bound its poll
-/// timeout and drops the fd's epoll interest during a window, so a
-/// level-triggered ready socket does not busy-spin against an armed delay.
-#[derive(Debug)]
-pub struct NonBlockingChaos {
-    plan: ChaosPlan,
-    pending: Option<(Action, std::time::Instant)>,
-}
-
-impl NonBlockingChaos {
-    /// Apply `plan` to one direction (read *or* write) of a non-blocking
-    /// transport.
-    pub fn new(plan: ChaosPlan) -> Self {
-        NonBlockingChaos {
-            plan,
-            pending: None,
-        }
-    }
-
-    /// Whether an injected reset has killed this direction.
-    pub fn is_dead(&self) -> bool {
-        self.plan.is_dead()
-    }
-
-    /// The deadline of the currently armed block window, if any.
-    pub fn ready_at(&self) -> Option<std::time::Instant> {
-        self.pending.as_ref().map(|&(_, at)| at)
-    }
-
-    fn would_block() -> io::Error {
-        io::Error::new(io::ErrorKind::WouldBlock, "chaos: armed block window")
-    }
-
-    /// Take the armed action if its window has elapsed; `Err` means the
-    /// caller must keep waiting.
-    fn take_ready(&mut self) -> Result<Option<Action>, io::Error> {
-        match self.pending {
-            Some((_, at)) if std::time::Instant::now() < at => Err(Self::would_block()),
-            Some((action, _)) => {
-                self.pending = None;
-                Ok(Some(action))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn arm(&mut self, action: Action, window: Duration) -> io::Error {
-        self.pending = Some((action, std::time::Instant::now() + window));
-        Self::would_block()
-    }
-
-    /// One read attempt against `inner` under the plan. `WouldBlock` may be
-    /// the transport's own (socket not readable) or an armed chaos window —
-    /// callers treat both as "try again when ready".
-    pub fn read(&mut self, inner: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return inner.read(buf);
-        }
-        if let Some(armed) = self.take_ready()? {
-            return match armed {
-                Action::Stall(_) => inner.read(&mut buf[..1]),
-                _ => inner.read(buf),
-            };
-        }
-        match self.plan.decide() {
-            Action::None => inner.read(buf),
-            Action::Delay(d) => Err(self.arm(Action::Delay(d), d)),
-            Action::Partial(n) => {
-                let cap = n.min(buf.len());
-                inner.read(&mut buf[..cap])
-            }
-            Action::CorruptBit => {
-                let got = inner.read(buf)?;
-                if got > 0 {
-                    let (byte, bit) = self.plan.corrupt_site(got);
-                    buf[byte] ^= 1 << bit;
-                }
-                Ok(got)
-            }
-            Action::Reset => Err(reset_err()),
-            Action::Stall(d) => Err(self.arm(Action::Stall(d), d)),
-        }
-    }
-
-    /// One write attempt against `inner` under the plan; the `WouldBlock`
-    /// convention matches [`NonBlockingChaos::read`].
-    pub fn write(&mut self, inner: &mut impl Write, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return inner.write(buf);
-        }
-        if let Some(armed) = self.take_ready()? {
-            return match armed {
-                Action::Stall(_) => inner.write(&buf[..1]),
-                _ => inner.write(buf),
-            };
-        }
-        match self.plan.decide() {
-            Action::None => inner.write(buf),
-            Action::Delay(d) => Err(self.arm(Action::Delay(d), d)),
-            Action::Partial(n) => inner.write(&buf[..n.min(buf.len())]),
-            Action::CorruptBit => {
-                let mut scratch = [0u8; 64];
-                let n = buf.len().min(scratch.len());
-                scratch[..n].copy_from_slice(&buf[..n]);
-                let (byte, bit) = self.plan.corrupt_site(n);
-                scratch[byte] ^= 1 << bit;
-                inner.write(&scratch[..n])
-            }
-            Action::Reset => Err(reset_err()),
-            Action::Stall(d) => Err(self.arm(Action::Stall(d), d)),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Component chaos: deterministic in-process faults for the server's own
 // threads (the supervision tree's injection substrate).
@@ -782,125 +655,18 @@ mod tests {
         assert_eq!(FaultClass::parse("nope"), None);
     }
 
-    /// Find a `(config, conn)` whose first decision is the wanted
-    /// time-based action, so non-blocking tests can exercise a window
-    /// deterministically.
-    fn plan_opening_with(class: FaultClass, want_stall: bool) -> ChaosPlan {
-        let config = ChaosConfig::new(class, 1.0, 999);
-        for conn in 0..4096 {
-            let first = config.plan_for(conn).decide();
-            let hit = matches!(
-                (want_stall, first),
-                (false, Action::Delay(_)) | (true, Action::Stall(_))
-            );
-            if hit {
-                return config.plan_for(conn);
-            }
-        }
-        panic!("no plan opens with the wanted action");
-    }
-
-    #[test]
-    fn nonblocking_delay_arms_a_window_then_delivers() {
-        let mut chaos = NonBlockingChaos::new(plan_opening_with(FaultClass::Delay, false));
-        let mut inner = Cursor::new(vec![7u8; 64]);
-        let mut buf = [0u8; 16];
-        let e = chaos.read(&mut inner, &mut buf).expect_err("window arms");
-        assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-        let ready = chaos.ready_at().expect("deadline recorded");
-        // Before the deadline: still blocked, and the armed action is not
-        // re-decided (the cursor is untouched).
-        let e = chaos.read(&mut inner, &mut buf).expect_err("still armed");
-        assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-        assert_eq!(inner.position(), 0);
-        std::thread::sleep(ready.saturating_duration_since(std::time::Instant::now()));
-        let got = chaos.read(&mut inner, &mut buf).expect("window elapsed");
-        assert_eq!(got, buf.len(), "a delayed read completes in full");
-        assert!(chaos.ready_at().is_none());
-    }
-
-    #[test]
-    fn nonblocking_stall_dribbles_one_byte_after_the_window() {
-        let mut chaos = NonBlockingChaos::new(plan_opening_with(FaultClass::Stall, true));
-        let mut inner = Cursor::new(vec![9u8; 64]);
-        let mut buf = [0u8; 16];
-        let e = chaos.read(&mut inner, &mut buf).expect_err("window arms");
-        assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
-        let ready = chaos.ready_at().expect("deadline recorded");
-        std::thread::sleep(ready.saturating_duration_since(std::time::Instant::now()));
-        let got = chaos.read(&mut inner, &mut buf).expect("window elapsed");
-        assert_eq!(got, 1, "a stall dribbles exactly one byte");
-    }
-
-    #[test]
-    fn nonblocking_consumes_the_same_schedule_as_faulty_stream() {
-        // Drive both adapters through the same logical op sequence (block
-        // windows retried to completion) and require identical payload
-        // effects: PartialIo caps must match byte for byte.
-        let config = ChaosConfig::new(FaultClass::PartialIo, 0.9, 4242);
-        let data = vec![0xA5u8; 256];
-        let mut blocking = FaultyStream::new(Cursor::new(data.clone()), config.plan_for(11));
-        let mut chaos = NonBlockingChaos::new(config.plan_for(11));
-        let mut inner = Cursor::new(data);
-        for _ in 0..64 {
-            let mut a = [0u8; 8];
-            let mut b = [0u8; 8];
-            let got_blocking = blocking.read(&mut a).expect("cursor never fails");
-            let got_nonblocking = loop {
-                match chaos.read(&mut inner, &mut b) {
-                    Ok(n) => break n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => panic!("unexpected: {e}"),
-                }
-            };
-            assert_eq!(got_blocking, got_nonblocking);
-            assert_eq!(a[..got_blocking], b[..got_nonblocking]);
-        }
-    }
-
-    #[test]
-    fn nonblocking_reset_is_permanent() {
-        let config = ChaosConfig::new(FaultClass::Reset, 1.0, 31);
-        let mut chaos = None;
-        for conn in 0..256 {
-            let mut plan = config.plan_for(conn);
-            if (0..512).any(|_| plan.decide() == Action::Reset) {
-                chaos = Some(NonBlockingChaos::new(config.plan_for(conn)));
-                break;
-            }
-        }
-        let mut chaos = chaos.expect("some plan resets within 512 ops");
-        let mut inner = Cursor::new(vec![0u8; 1 << 16]);
-        let mut buf = [0u8; 32];
-        let mut saw_reset = false;
-        for _ in 0..1024 {
-            match chaos.read(&mut inner, &mut buf) {
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => {
-                    assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
-                    saw_reset = true;
-                    break;
-                }
-            }
-        }
-        assert!(saw_reset);
-        assert!(chaos.is_dead());
-        let e = chaos.read(&mut inner, &mut buf).expect_err("dead forever");
-        assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
-    }
-
     #[test]
     fn component_chaos_targets_by_name_prefix() {
-        let chaos = ComponentChaos::panics("dispatch", 4, 7);
-        assert!(chaos.plan_for("dispatch-a-0", 0).is_some());
-        assert!(chaos.plan_for("dispatch-b-3", 0).is_some());
-        assert!(chaos.plan_for("timer", 0).is_none());
-        assert!(chaos.plan_for("accept", 0).is_none());
+        let flushers = ComponentChaos::panics("flusher", 4, 7);
+        assert!(flushers.plan_for("flusher-0", 0).is_some());
+        assert!(flushers.plan_for("flusher-2", 0).is_some());
+        assert!(flushers.plan_for("shard-1", 0).is_none());
+        assert!(flushers.plan_for("timer", 0).is_none());
+        assert!(flushers.plan_for("accept", 0).is_none());
+        let one_shard = ComponentChaos::panics("shard-1", 4, 7);
+        assert!(one_shard.plan_for("shard-1", 0).is_some());
+        assert!(one_shard.plan_for("shard-0", 0).is_none());
+        assert!(one_shard.plan_for("flusher-0", 0).is_none());
     }
 
     #[test]

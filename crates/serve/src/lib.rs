@@ -21,10 +21,9 @@
 //!   version check.
 //! - [`chaos`] — deterministic, seeded network-fault injection driven by
 //!   a [`chaos::ChaosPlan`]: delays, partial I/O, bit corruption, abrupt
-//!   resets, slowloris stalls — attachable on the client side
-//!   ([`chaos::FaultyStream`], loadgen) and, via
-//!   [`server::ServeConfig::server_chaos`], to the server's accepted
-//!   sockets ([`chaos::NonBlockingChaos`]).
+//!   resets, slowloris stalls — attached on the client side of the wire
+//!   ([`chaos::FaultyStream`], loadgen); the server's sockets carry no
+//!   injection.
 //! - [`clock`] — the [`clock::VirtualClock`] that anchors the engine's
 //!   monotonic nanoseconds and scales them for accelerated runs.
 //! - [`executor`] — charges each placed request its profiled execution
@@ -76,7 +75,6 @@ pub mod tenants;
 
 pub use chaos::{
     ChaosConfig, ChaosPlan, ComponentChaos, ComponentChaosPlan, FaultClass, FaultyStream,
-    NonBlockingChaos,
 };
 pub use clock::VirtualClock;
 pub use loadgen::{

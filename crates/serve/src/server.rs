@@ -34,10 +34,12 @@
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
 //! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
-//! its connections' outbound queues non-empty or dooms a connection, or by
-//! its poll timeout (idle reaping, write-stall dooming, chaos block
-//! windows). A connection costs no thread: 10k+ concurrent connections are
-//! a configuration, not a thread-count incident.
+//! its connections' outbound queues non-empty or dooms a connection, or
+//! once per sweep interval (idle reaping, write-stall dooming). A
+//! connection costs no thread: 10k+ concurrent connections are a
+//! configuration, not a thread-count incident. Every socket read and write
+//! goes straight to the socket: network faults are injected on the client
+//! side of the wire ([`crate::chaos::FaultyStream`]), never in the shard.
 //!
 //! Backpressure and failure are explicit end to end:
 //!
@@ -65,10 +67,6 @@
 //!   connection keeps no version state. A [`Frame::Hello`] offering v2 or
 //!   newer earns a `HelloAck`, an older one a typed [`ErrorCode::Protocol`]
 //!   disconnect, and a v1 data frame is framing lost like bad magic.
-//! - With [`ServeConfig::server_chaos`] set (tests only), every accepted
-//!   socket reads and writes through a [`NonBlockingChaos`], which turns
-//!   the deterministic seeded fault schedules the client-side chaos
-//!   harness uses into `WouldBlock` windows instead of sleeps.
 //! - The acceptor enforces `max_conns`: beyond it, a new connection is
 //!   answered with a single [`ErrorCode::Shed`] frame and closed.
 //! - A panicking executor completion callback is caught on the thread that
@@ -84,7 +82,7 @@
 //! every queued response frame, then closes connections and joins all
 //! threads.
 
-use crate::chaos::{ChaosConfig, ComponentChaos, NonBlockingChaos};
+use crate::chaos::ComponentChaos;
 use crate::clock::VirtualClock;
 use crate::epoll::{Epoll, Interest, Waker, WAKER_TOKEN};
 use crate::executor::{CompletedBatch, Executor, Job};
@@ -105,7 +103,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -170,12 +168,6 @@ pub struct ServeConfig {
     /// Admission limit on concurrent connections: beyond it the acceptor
     /// answers one [`ErrorCode::Shed`] frame and closes.
     pub max_conns: usize,
-    /// Test-only fault injection on *accepted* sockets: run each
-    /// connection's reads and writes through a [`NonBlockingChaos`] driven
-    /// by deterministic per-connection schedules derived from this config
-    /// (read plan `conn_id * 2`, write plan `conn_id * 2 + 1`). `None`
-    /// — the production setting — serves on bare sockets.
-    pub server_chaos: Option<ChaosConfig>,
     /// Epoll event-loop threads (at least 1 is spawned). Connections are
     /// assigned round-robin at accept. [`ServeConfig::new`] computes it:
     /// half the available parallelism — the other half is left to the
@@ -231,7 +223,6 @@ impl ServeConfig {
             // GARBAGE_ERROR_COST, or 32 isolated checksum failures.
             frame_error_budget: 32,
             max_conns: 4096,
-            server_chaos: None,
             shards: std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).max(1)),
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
             coordinator_window: 2 * arlo_trace::NANOS_PER_SEC,
@@ -251,12 +242,6 @@ impl ServeConfig {
     /// Set the executor's batch coalescing policy.
     pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Enable server-side fault injection on accepted sockets (tests).
-    pub fn with_server_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.server_chaos = Some(chaos);
         self
     }
 
@@ -364,7 +349,9 @@ pub struct TenantDrainReport {
     pub generation: u64,
 }
 
-/// Final accounting returned by [`Server::drain`].
+/// Final accounting returned by [`Server::drain`]. The request totals
+/// (`submits` through `outstanding_at_close`) are the sums of the
+/// `tenants` rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainReport {
     /// Submit frames decoded off the wire over the server's lifetime.
@@ -570,6 +557,8 @@ struct Tenant {
     /// connection id ([`ShardedTenantWindow`]) so the per-submit record
     /// on the hot path never funnels every connection through one mutex.
     window: ShardedTenantWindow,
+    /// The request counters. The server keeps no other copy: a
+    /// server-wide figure is the sum over the tenants ([`Shared::total`]).
     submits: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
@@ -622,9 +611,10 @@ impl Shutdown {
 /// Only a handful of the atomics here are **load-bearing for gates** and
 /// keep `SeqCst`; everything else is a pure statistic and uses `Relaxed`:
 ///
-/// - `outstanding` (global and per-tenant): gates drain's flush wait
-///   *and* the SLO-class admission limit — an increment must be globally
-///   visible before the submit it admits can complete.
+/// - `outstanding` (per tenant): gates the tenant's SLO-class admission
+///   limit *and*, summed over the tenants, drain's flush wait — an
+///   increment must be globally visible before the submit it admits can
+///   complete.
 /// - `queued_frames`: gates drain's flush wait; incremented *before* the
 ///   send and decremented after delivery/drop, so it can never dip below
 ///   zero and wedge the wait.
@@ -633,15 +623,17 @@ impl Shutdown {
 /// - `doomed` (per connection): a once-only `swap` — dooming must be
 ///   counted exactly once per connection.
 ///
-/// The statistics counters (`submits`, `served`, `shed`, `unserviceable`,
-/// `failed`, `reallocations`, `reaped_idle`, `slow_disconnects`,
+/// The request counters live only in the tenant rows — `submits`,
+/// `served`, `shed`, `unserviceable`, `failed` and `outstanding` per
+/// [`Tenant`] — and a server-wide figure is their sum, so a request
+/// touches one set of counters. They and the other statistics
+/// (`reallocations`, `reaped_idle`, `slow_disconnects`,
 /// `protocol_disconnects`, `corrupt_frames`, `refused_conns`,
-/// `dropped_responses`, `unknown_tenants`, `granted`, and the per-tenant
-/// mirrors) are only *read exactly* after the writing threads are joined —
-/// the join is the happens-before edge that makes the drain report's
-/// conservation law hold — so their increments need no ordering at all.
-/// Live snapshots (`stats`, `tenant_stats`) were always racy-approximate
-/// and remain so.
+/// `dropped_responses`, `unknown_tenants`, `granted`) are only *read
+/// exactly* after the writing threads are joined — the join is the
+/// happens-before edge that makes the drain report's conservation law hold
+/// — so their increments need no ordering at all. Live snapshots (`stats`,
+/// `tenant_stats`) were always racy-approximate and remain so.
 struct Shared {
     /// Tenant streams, indexed by wire tenant id. Never empty; index 0 is
     /// the default tenant.
@@ -651,12 +643,6 @@ struct Shared {
     panic_one_in: Option<u64>,
     draining: AtomicBool,
     shutdown: Shutdown,
-    submits: AtomicU64,
-    served: AtomicU64,
-    shed: AtomicU64,
-    unserviceable: AtomicU64,
-    failed: AtomicU64,
-    outstanding: AtomicU64,
     reallocations: AtomicU64,
     /// Response frames enqueued on outbound queues and not yet written;
     /// drain flushes this to zero before closing sockets.
@@ -713,12 +699,6 @@ impl Shared {
             panic_one_in: config.panic_one_in,
             draining: AtomicBool::new(false),
             shutdown: Shutdown::default(),
-            submits: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            unserviceable: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            outstanding: AtomicU64::new(0),
             reallocations: AtomicU64::new(0),
             queued_frames: AtomicU64::new(0),
             reaped_idle: AtomicU64::new(0),
@@ -738,16 +718,21 @@ impl Shared {
         self.tenants.get(id as usize)
     }
 
+    /// A server-wide request counter: the sum of one counter over the
+    /// tenant rows.
+    fn total(&self, counter: impl Fn(&Tenant) -> &AtomicU64, order: Ordering) -> u64 {
+        self.tenants.iter().map(|t| counter(t).load(order)).sum()
+    }
+
     fn stats(&self) -> StatsPayload {
+        let relaxed = |counter: fn(&Tenant) -> &AtomicU64| self.total(counter, Ordering::Relaxed);
         StatsPayload {
             // The wire stats frame predates tenancy and carries a single
             // generation: the default tenant's.
             generation: self.tenants[0].engine.deployment().0,
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed)
-                + self.unserviceable.load(Ordering::Relaxed)
-                + self.failed.load(Ordering::Relaxed),
-            outstanding: self.outstanding.load(Ordering::Relaxed),
+            served: relaxed(|t| &t.served),
+            shed: relaxed(|t| &t.shed) + relaxed(|t| &t.unserviceable) + relaxed(|t| &t.failed),
+            outstanding: relaxed(|t| &t.outstanding),
             reallocations: self.reallocations.load(Ordering::Relaxed),
         }
     }
@@ -778,9 +763,8 @@ impl Shared {
     ///   queue in between, the later pusher would have found it empty and
     ///   notified itself.
     /// - A queue the shard itself leaves non-empty (the socket refused
-    ///   bytes, or a chaos block window is armed) is re-driven without any
-    ///   notification: by `EPOLLOUT`, by the sweep, or at the window's
-    ///   deadline (see [`FramedConn::desired_interest`], [`sweep`]).
+    ///   bytes) is re-driven without any notification: by `EPOLLOUT` or by
+    ///   the sweep (see [`FramedConn::desired_interest`], [`sweep`]).
     /// - A connection is driven once when its shard adopts it, so a frame
     ///   queued before adoption is not stranded behind a notification the
     ///   shard could not yet match to a connection.
@@ -1029,7 +1013,6 @@ impl Server {
                 idle_timeout: config.idle_timeout,
                 write_timeout: config.write_timeout,
                 frame_error_budget: config.frame_error_budget,
-                server_chaos: config.server_chaos,
                 executors: executors.clone(),
             };
             let shared = Arc::clone(&shared);
@@ -1237,7 +1220,7 @@ impl Server {
         // nobody, so this thread fires whatever is ripe there too; beside
         // a live flusher that is harmless.
         let deadline = Instant::now() + self.drain_timeout;
-        while (shared.outstanding.load(Ordering::SeqCst) > 0
+        while (shared.total(|t| &t.outstanding, Ordering::SeqCst) > 0
             || shared.queued_frames.load(Ordering::SeqCst) > 0)
             && Instant::now() < deadline
         {
@@ -1295,13 +1278,14 @@ impl Server {
             })
             .collect();
 
+        let total = |counter: fn(&TenantDrainReport) -> u64| tenants.iter().map(counter).sum();
         DrainReport {
-            submits: shared.submits.load(Ordering::Relaxed),
-            served: shared.served.load(Ordering::Relaxed),
-            shed: shared.shed.load(Ordering::Relaxed),
-            unserviceable: shared.unserviceable.load(Ordering::Relaxed),
-            failed: shared.failed.load(Ordering::Relaxed),
-            outstanding_at_close: shared.outstanding.load(Ordering::SeqCst),
+            submits: total(|t| t.submits),
+            served: total(|t| t.served),
+            shed: total(|t| t.shed),
+            unserviceable: total(|t| t.unserviceable),
+            failed: total(|t| t.failed),
+            outstanding_at_close: total(|t| t.outstanding_at_close),
             reallocations: shared.reallocations.load(Ordering::Relaxed),
             generation: shared.tenants[0].engine.deployment().0,
             reaped_idle: shared.reaped_idle.load(Ordering::Relaxed),
@@ -1359,11 +1343,7 @@ fn complete_batch(shared: &Shared, done: &CompletedBatch) {
         done.finished_at,
         observed_per_request,
     );
-    shared.served.fetch_add(u64::from(ok), Ordering::Relaxed);
     tenant.served.fetch_add(u64::from(ok), Ordering::Relaxed);
-    shared
-        .failed
-        .fetch_add(u64::from(failed), Ordering::Relaxed);
     tenant
         .failed
         .fetch_add(u64::from(failed), Ordering::Relaxed);
@@ -1390,9 +1370,6 @@ fn complete_batch(shared: &Shared, done: &CompletedBatch) {
     tenant
         .outstanding
         .fetch_sub(done.jobs.len() as u64, Ordering::SeqCst);
-    shared
-        .outstanding
-        .fetch_sub(done.jobs.len() as u64, Ordering::SeqCst);
 }
 
 /// Panic-recovery accounting: the completion callback died before touching
@@ -1411,9 +1388,6 @@ fn fail_batch(shared: &Shared, done: &CompletedBatch) {
         done.finished_at,
         observed_per_request,
     );
-    shared
-        .failed
-        .fetch_add(done.jobs.len() as u64, Ordering::Relaxed);
     tenant
         .failed
         .fetch_add(done.jobs.len() as u64, Ordering::Relaxed);
@@ -1429,9 +1403,6 @@ fn fail_batch(shared: &Shared, done: &CompletedBatch) {
     tenant
         .outstanding
         .fetch_sub(done.jobs.len() as u64, Ordering::SeqCst);
-    shared
-        .outstanding
-        .fetch_sub(done.jobs.len() as u64, Ordering::SeqCst);
 }
 
 /// Terminate one admitted request whose placement panicked (see
@@ -1441,7 +1412,6 @@ fn fail_batch(shared: &Shared, done: &CompletedBatch) {
 /// placement too.
 fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
     let tenant = &shared.tenants[tenant_id as usize];
-    shared.failed.fetch_add(1, Ordering::Relaxed);
     tenant.failed.fetch_add(1, Ordering::Relaxed);
     shared.respond(
         conn_id,
@@ -1451,7 +1421,6 @@ fn fail_admitted(shared: &Shared, tenant_id: u32, conn_id: u64, id: u64) {
         },
     );
     tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-    shared.outstanding.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Place one admitted request that arrived at `now`: engine placement,
@@ -1482,14 +1451,11 @@ fn place(
             // (overload, quarantine).
             let code = refusal_code(length, tenant.max_length);
             if code == ErrorCode::Unserviceable {
-                shared.unserviceable.fetch_add(1, Ordering::Relaxed);
                 tenant.unserviceable.fetch_add(1, Ordering::Relaxed);
             } else {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
                 tenant.shed.fetch_add(1, Ordering::Relaxed);
             }
             tenant.outstanding.fetch_sub(1, Ordering::SeqCst);
-            shared.outstanding.fetch_sub(1, Ordering::SeqCst);
             shared.respond(conn_id, &Frame::Error { id, code });
         }
     }
@@ -1664,8 +1630,8 @@ fn accept_loop(
 
 /// Hand an accepted socket to its shard: make it non-blocking, publish the
 /// [`ConnHandle`] (so `respond`/doom work immediately), and inject it into
-/// the shard's adoption queue. The shard wires up chaos plans and epoll
-/// registration when it adopts the connection.
+/// the shard's adoption queue. The shard registers the socket with its
+/// epoll when it adopts the connection.
 fn register_conn(
     shared: &Arc<Shared>,
     stream: TcpStream,
@@ -1702,14 +1668,13 @@ struct ShardConfig {
     idle_timeout: Duration,
     write_timeout: Duration,
     frame_error_budget: u32,
-    server_chaos: Option<ChaosConfig>,
     /// One per tenant, indexed by tenant id.
     executors: Vec<Arc<Executor>>,
 }
 
 /// One connection's state machine on a shard: the incremental
 /// [`FrameReader`] on the way in, the [`FrameWriteBuf`] fed from the
-/// bounded outbound queue on the way out, plus doom/idle/chaos state.
+/// bounded outbound queue on the way out, plus doom/idle/stall state.
 struct FramedConn {
     stream: TcpStream,
     frames: FrameReader,
@@ -1722,8 +1687,6 @@ struct FramedConn {
     doomed: Arc<AtomicBool>,
     wbuf: FrameWriteBuf,
     last_activity: Instant,
-    read_chaos: Option<NonBlockingChaos>,
-    write_chaos: Option<NonBlockingChaos>,
     /// Interest currently registered with the shard's epoll.
     interest: Interest,
     /// When the current socket-level write stall began (`None` while
@@ -1736,13 +1699,6 @@ struct FramedConn {
 
 impl FramedConn {
     fn adopt(inc: IncomingConn, cfg: &ShardConfig) -> FramedConn {
-        let (read_chaos, write_chaos) = match &cfg.server_chaos {
-            Some(chaos) => (
-                Some(NonBlockingChaos::new(chaos.plan_for(inc.conn_id * 2))),
-                Some(NonBlockingChaos::new(chaos.plan_for(inc.conn_id * 2 + 1))),
-            ),
-            None => (None, None),
-        };
         FramedConn {
             stream: inc.stream,
             frames: FrameReader::new(),
@@ -1752,8 +1708,6 @@ impl FramedConn {
             doomed: inc.doomed,
             wbuf: FrameWriteBuf::new(),
             last_activity: Instant::now(),
-            read_chaos,
-            write_chaos,
             interest: Interest::NONE,
             write_blocked_since: None,
             closing: false,
@@ -1764,81 +1718,17 @@ impl FramedConn {
         !self.wbuf.is_empty() || !self.outbound.queue.lock().frames.is_empty()
     }
 
-    fn read_blocked_until(&self) -> Option<Instant> {
-        self.read_chaos
-            .as_ref()
-            .and_then(NonBlockingChaos::ready_at)
-    }
-
-    fn write_blocked_until(&self) -> Option<Instant> {
-        self.write_chaos
-            .as_ref()
-            .and_then(NonBlockingChaos::ready_at)
-    }
-
     /// The epoll interest this connection should be registered with right
-    /// now. Chaos block windows *drop* the corresponding interest — a
-    /// level-triggered ready socket would otherwise busy-spin against an
-    /// armed delay; the shard's poll timeout retries them instead.
+    /// now: readable unless closing, writable only while a write is
+    /// blocked with frames still to send.
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.closing && self.read_blocked_until().is_none(),
+            readable: !self.closing,
             // Cheapest test first: `has_pending_writes` takes the queue
             // lock, and writes are rarely blocked.
-            writable: self.write_blocked_since.is_some()
-                && self.write_blocked_until().is_none()
-                && self.has_pending_writes(),
+            writable: self.write_blocked_since.is_some() && self.has_pending_writes(),
         }
     }
-}
-
-/// Read adapter pairing a non-blocking socket with its chaos plan.
-struct ChaosRead<'a> {
-    stream: &'a mut TcpStream,
-    chaos: &'a mut NonBlockingChaos,
-}
-
-impl Read for ChaosRead<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.chaos.read(self.stream, buf)
-    }
-}
-
-/// Write adapter pairing a non-blocking socket with its chaos plan.
-struct ChaosWrite<'a> {
-    stream: &'a mut TcpStream,
-    chaos: &'a mut NonBlockingChaos,
-}
-
-impl Write for ChaosWrite<'_> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.chaos.write(self.stream, buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.stream.flush()
-    }
-}
-
-/// How long the shard may sleep in `epoll_wait`: the sweep interval,
-/// shortened to the nearest chaos block-window deadline so armed delays
-/// resume on time. The scan only runs under server-side chaos (a test-only
-/// mode with a handful of connections); production shards sleep the full
-/// interval.
-fn poll_timeout(conns: &HashMap<u64, FramedConn>, cfg: &ShardConfig) -> Duration {
-    let mut timeout = cfg.sweep_interval;
-    if cfg.server_chaos.is_some() {
-        let now = Instant::now();
-        for conn in conns.values() {
-            for at in [conn.read_blocked_until(), conn.write_blocked_until()]
-                .into_iter()
-                .flatten()
-            {
-                let remaining = at.saturating_duration_since(now);
-                timeout = timeout.min(remaining.max(Duration::from_micros(200)));
-            }
-        }
-    }
-    timeout
 }
 
 /// Panic-conservation guard for one shard's owned connections. A shard's
@@ -1882,9 +1772,8 @@ fn shard_loop(
     let mut events = Vec::new();
     let mut last_sweep = Instant::now();
     loop {
-        let timeout = poll_timeout(&owned.conns, cfg);
         ctx.park();
-        let _ = epoll.wait(&mut events, Some(timeout));
+        let _ = epoll.wait(&mut events, Some(cfg.sweep_interval));
         // Park, block, beat, work: everything below runs unparked, so a
         // wedge anywhere in this wake-up's work freezes the heartbeat where
         // the monitor looks. Also the chaos injection point — `owned` is
@@ -1954,9 +1843,8 @@ fn shard_loop(
             );
         }
 
-        // Periodic sweep; under server chaos every wakeup sweeps, so armed
-        // block windows resume as soon as their deadline passes.
-        if cfg.server_chaos.is_some() || last_sweep.elapsed() >= cfg.sweep_interval {
+        // Periodic sweep.
+        if last_sweep.elapsed() >= cfg.sweep_interval {
             last_sweep = Instant::now();
             sweep(shared, epoll, &mut owned.conns, cfg);
         }
@@ -2007,10 +1895,10 @@ fn drive_conn(
 }
 
 /// Non-blocking read pump: decode everything buffered, fill from the
-/// socket (through the chaos plan when armed), repeat — until a fill comes
-/// back short of its chunk (the socket is drained, or chaos cut the read;
-/// level-triggered epoll re-reports anything left, so no second `read` is
-/// spent on a `WouldBlock`), and at most four fills per call so one
+/// socket, repeat — until a fill comes back short of its chunk (the socket
+/// is drained; level-triggered epoll re-reports anything left, so no
+/// second `read` is spent on a `WouldBlock`), and at most four fills per
+/// call so one
 /// firehose connection cannot starve its shard. Sets `closing` on EOF,
 /// protocol disconnect, or a hard error: queued responses still flush
 /// before the close. `executors` (one per tenant) place what it decodes.
@@ -2065,14 +1953,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, executors: &
             return;
         }
         fills += 1;
-        let filled = match &mut conn.read_chaos {
-            Some(chaos) => conn.frames.fill(&mut ChaosRead {
-                stream: &mut conn.stream,
-                chaos,
-            }),
-            None => conn.frames.fill(&mut conn.stream),
-        };
-        match filled {
+        match conn.frames.fill(&mut conn.stream) {
             Ok(0) => {
                 conn.closing = true;
                 return;
@@ -2114,14 +1995,7 @@ fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> boo
                 conn.wbuf.push(&frame, frame.dialect());
             }
         }
-        let wrote = match &mut conn.write_chaos {
-            Some(chaos) => conn.wbuf.write_some(&mut ChaosWrite {
-                stream: &mut conn.stream,
-                chaos,
-            }),
-            None => conn.wbuf.write_some(&mut conn.stream),
-        };
-        match wrote {
+        match conn.wbuf.write_some(&mut conn.stream) {
             Ok(completed) => {
                 if completed > 0 {
                     shared
@@ -2131,11 +2005,6 @@ fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> boo
                 conn.write_blocked_since = None;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if conn.write_blocked_until().is_some() {
-                    // Chaos block window, not a stalled peer: the shard's
-                    // poll timeout retries at the deadline.
-                    return true;
-                }
                 let since = *conn.write_blocked_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= cfg.write_timeout {
                     // The client stalled a write past the timeout: same
@@ -2185,25 +2054,18 @@ fn close_conn(shared: &Shared, epoll: &Epoll, conn_id: u64, conn: FramedConn) {
     }
 }
 
-/// Time-driven connection maintenance: idle reaping, write-stall dooming,
-/// and resuming connections whose chaos block windows elapsed.
+/// Time-driven connection maintenance: idle reaping and write-stall
+/// dooming.
 fn sweep(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, FramedConn>, cfg: &ShardConfig) {
     let now = Instant::now();
-    let mut due: Vec<(u64, bool, bool)> = Vec::new();
+    let mut due: Vec<(u64, bool)> = Vec::new();
     for (&conn_id, conn) in conns.iter() {
-        let read_window_over = conn.read_blocked_until().is_some_and(|at| now >= at);
-        let write_window_over = conn.write_blocked_until().is_some_and(|at| now >= at);
         let idle = !conn.closing && now.duration_since(conn.last_activity) >= cfg.idle_timeout;
-        if conn.doomed.load(Ordering::SeqCst)
-            || read_window_over
-            || write_window_over
-            || conn.write_blocked_since.is_some()
-            || idle
-        {
-            due.push((conn_id, read_window_over, idle));
+        if conn.doomed.load(Ordering::SeqCst) || conn.write_blocked_since.is_some() || idle {
+            due.push((conn_id, idle));
         }
     }
-    for (conn_id, read_ready, idle) in due {
+    for (conn_id, idle) in due {
         if idle {
             if let Some(conn) = conns.get_mut(&conn_id) {
                 // Counted exactly once: `closing` guards re-entry.
@@ -2211,7 +2073,7 @@ fn sweep(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, FramedConn>, c
                 conn.closing = true;
             }
         }
-        drive_conn(shared, epoll, conns, conn_id, cfg, read_ready);
+        drive_conn(shared, epoll, conns, conn_id, cfg, false);
     }
 }
 
@@ -2235,10 +2097,8 @@ fn submit_one(
     length: u32,
 ) {
     let tenant = &shared.tenants[tenant_id as usize]; // caller validated
-    shared.submits.fetch_add(1, Ordering::Relaxed);
     tenant.submits.fetch_add(1, Ordering::Relaxed);
     if shared.draining.load(Ordering::SeqCst) {
-        shared.shed.fetch_add(1, Ordering::Relaxed);
         tenant.shed.fetch_add(1, Ordering::Relaxed);
         shared.respond(
             conn_id,
@@ -2264,7 +2124,6 @@ fn submit_one(
     // never gated.
     if let Some(limit) = tenant.admit_limit {
         if tenant.outstanding.load(Ordering::SeqCst) >= limit {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
             tenant.shed.fetch_add(1, Ordering::Relaxed);
             shared.respond(
                 conn_id,
@@ -2278,7 +2137,6 @@ fn submit_one(
     }
     // `outstanding` covers every admitted request until its answer (a
     // batch parked in the deadline heap included), so drain flushes it.
-    shared.outstanding.fetch_add(1, Ordering::SeqCst);
     tenant.outstanding.fetch_add(1, Ordering::SeqCst);
     let executor = &executors[tenant_id as usize];
     if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length, now)) {
@@ -2494,9 +2352,11 @@ mod tests {
             "exactly one Failed answer"
         );
         assert_eq!(executor.panics_recovered(), 1);
-        assert_eq!(shared.outstanding.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.tenants[0].outstanding.load(Ordering::SeqCst), 0);
-        assert_eq!(shared.submits.load(Ordering::Relaxed), 1);
-        assert_eq!(shared.failed.load(Ordering::Relaxed), 1);
+        let tenant = &shared.tenants[0];
+        assert_eq!(tenant.outstanding.load(Ordering::SeqCst), 0);
+        assert_eq!(tenant.submits.load(Ordering::Relaxed), 1);
+        assert_eq!(tenant.failed.load(Ordering::Relaxed), 1);
+        let stats = shared.stats();
+        assert_eq!((stats.served, stats.shed, stats.outstanding), (0, 1, 0));
     }
 }

@@ -16,7 +16,7 @@
 //! ```
 
 use arlo::prelude::*;
-use arlo::serve::chaos::{ChaosConfig, ComponentChaos, FaultClass};
+use arlo::serve::chaos::{ChaosConfig, FaultClass};
 use arlo::serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig};
 use arlo::serve::protocol::{client_handshake, read_frame, Frame};
 use arlo::serve::server::{ServeConfig, Server};
@@ -73,12 +73,6 @@ USAGE:
                   [--time-scale <x>] [--period-secs <s>]
                   [--tenants <name=class[:slo_ms],...>   class: interactive|standard|batch]
                   [--max-batch <n> [--marginal-cost <f>] [--max-wait-ms <ms>]]
-                  [--server-chaos <delay|partial|corrupt|reset|stall>
-                   [--server-chaos-intensity <0..1>] [--server-chaos-seed <n>]]
-                  [--restart-backoff-ms <ms>] [--restart-budget <n>] [--stall-grace-ms <ms>]
-                  [--component-chaos <accept|shard|flusher|timer|coordinator>
-                   [--component-chaos-fault <panic|stall>] [--component-chaos-one-in <n>]
-                   [--component-chaos-stall-ms <ms>] [--component-chaos-seed <n>]]
                   (runs until a client sends a Drain frame, then flushes and exits)
   arlo loadgen    --addr <ip:port> (--trace <file> | --rate <r> --secs <s>) [--bursty]
                   [--seed <n>] [--clients <n>] [--time-scale <x>] [--submit-batch <n>]
@@ -110,6 +104,23 @@ fn parse(args: &[String]) -> Option<(String, Flags)> {
         flags.insert(k, "true".into());
     }
     Some((command, flags))
+}
+
+/// The flags [`build_trace`] reads.
+const TRACE_FLAGS: &[&str] = &["trace", "rate", "secs", "seed", "bursty"];
+
+/// Reject any flag outside the `known` lists, before the command binds
+/// anything: a typo, or a flag this version no longer has, fails loudly
+/// instead of being ignored.
+fn only(flags: &Flags, known: &[&[&str]]) -> Result<(), String> {
+    let unknown = flags
+        .keys()
+        .filter(|k| !known.iter().any(|list| list.contains(&k.as_str())))
+        .min();
+    match unknown {
+        Some(flag) => Err(format!("unknown flag --{flag}")),
+        None => Ok(()),
+    }
 }
 
 fn req<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -176,6 +187,7 @@ fn build_trace(flags: &Flags) -> Result<Trace, String> {
 }
 
 fn cmd_gen_trace(flags: &Flags) -> Result<(), String> {
+    only(flags, &[TRACE_FLAGS, &["out"]])?;
     let trace = build_trace(flags)?;
     match flags.get("out") {
         Some(path) => {
@@ -193,6 +205,7 @@ fn cmd_gen_trace(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_analyze(flags: &Flags) -> Result<(), String> {
+    only(flags, &[TRACE_FLAGS])?;
     let trace = build_trace(flags)?;
     let p = TraceProfile::of(&trace);
     println!("requests            {}", trace.len());
@@ -249,6 +262,10 @@ fn print_report(name: &str, report: &arlo::sim::metrics::SimReport, slo: f64) {
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
+    only(
+        flags,
+        &[TRACE_FLAGS, &["scheme", "model", "gpus", "slo-ms", "csv"]],
+    )?;
     let model = model_of(flags)?;
     let gpus: u32 = num(flags, "gpus")?;
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
@@ -273,6 +290,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_compare(flags: &Flags) -> Result<(), String> {
+    only(flags, &[TRACE_FLAGS, &["model", "gpus", "slo-ms"]])?;
     let model = model_of(flags)?;
     let gpus: u32 = num(flags, "gpus")?;
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
@@ -294,6 +312,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_plan(flags: &Flags) -> Result<(), String> {
+    only(flags, &[TRACE_FLAGS, &["model", "gpus", "slo-ms"]])?;
     let model = model_of(flags)?;
     let gpus: u32 = num(flags, "gpus")?;
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
@@ -320,6 +339,7 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
+    only(flags, &[&["model", "slo-ms"]])?;
     let model = model_of(flags)?;
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
     let set = RuntimeSet::natural(model.clone());
@@ -399,6 +419,21 @@ fn tenants_of(spec: &str, default_slo_ms: f64) -> Result<Vec<TenantSpec>, String
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    only(
+        flags,
+        &[&[
+            "model",
+            "gpus",
+            "slo-ms",
+            "addr",
+            "time-scale",
+            "period-secs",
+            "tenants",
+            "max-batch",
+            "marginal-cost",
+            "max-wait-ms",
+        ]],
+    )?;
     let model = model_of(flags)?;
     let gpus: u32 = num(flags, "gpus")?;
     let slo: f64 = num_or(flags, "slo-ms", default_slo(&model))?;
@@ -430,7 +465,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         ArloEngine::new(profiles, counts, cfg)
     };
 
-    let mut serve_cfg = ServeConfig {
+    let serve_cfg = ServeConfig {
         time_scale,
         queue_capacity: 8192,
         tick_interval: NANOS_PER_SEC / 5,
@@ -439,53 +474,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         batch,
         ..ServeConfig::new(gpus)
     };
-    if let Some(class_name) = flags.get("server-chaos") {
-        // Test-only: wrap every accepted socket in a seeded FaultyStream so
-        // the server's own error paths can be driven from the CLI.
-        let class = FaultClass::parse(class_name).ok_or_else(|| {
-            format!("unknown fault class `{class_name}` (delay, partial, corrupt, reset, stall)")
-        })?;
-        let intensity: f64 = num_or(flags, "server-chaos-intensity", 0.5)?;
-        let chaos_seed: u64 = num_or(flags, "server-chaos-seed", 42)?;
-        serve_cfg = serve_cfg.with_server_chaos(ChaosConfig::new(class, intensity, chaos_seed));
-        println!(
-            "server-side chaos: {} @ intensity {intensity}, seed {chaos_seed}",
-            class.name()
-        );
-    }
-    // Supervision-tree knobs: restart policy for the restartable
-    // components and the heartbeat stall grace.
-    let backoff_ms: u64 = num_or(flags, "restart-backoff-ms", 10)?;
-    let budget: u32 = num_or(flags, "restart-budget", 8)?;
-    let grace_ms: u64 = num_or(flags, "stall-grace-ms", 500)?;
-    serve_cfg = serve_cfg
-        .with_restart_policy(std::time::Duration::from_millis(backoff_ms), budget)
-        .with_stall_grace(std::time::Duration::from_millis(grace_ms));
-    if let Some(target) = flags.get("component-chaos") {
-        // Test-only: seeded in-process fault injection against a
-        // supervised component class, matched by name prefix (accept,
-        // shard, flusher, timer, coordinator).
-        let fault = flags
-            .get("component-chaos-fault")
-            .map(String::as_str)
-            .unwrap_or("panic");
-        let one_in: u64 = num_or(flags, "component-chaos-one-in", 100)?;
-        let chaos_seed: u64 = num_or(flags, "component-chaos-seed", 42)?;
-        let chaos = match fault {
-            "panic" => ComponentChaos::panics(target, one_in, chaos_seed),
-            "stall" => {
-                let stall_ms: u64 = num_or(flags, "component-chaos-stall-ms", 50)?;
-                ComponentChaos::stalls(target, one_in, stall_ms, chaos_seed)
-            }
-            other => {
-                return Err(format!(
-                    "unknown --component-chaos-fault `{other}` (panic | stall)"
-                ))
-            }
-        };
-        serve_cfg = serve_cfg.with_component_chaos(chaos);
-        println!("component chaos: {fault} in `{target}*` one beat in {one_in}, seed {chaos_seed}");
-    }
     let shards = serve_cfg.shards;
     // `--tenants` switches on the multi-tenant registry: one engine per
     // tenant, GPUs seeded evenly, then live re-granting by the coordinator.
@@ -582,6 +570,27 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 
 fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     use std::net::ToSocketAddrs;
+    only(
+        flags,
+        &[
+            TRACE_FLAGS,
+            &[
+                "addr",
+                "clients",
+                "time-scale",
+                "submit-batch",
+                "tenants",
+                "tenant-mix",
+                "closed",
+                "window",
+                "drain",
+                "chaos",
+                "chaos-intensity",
+                "chaos-seed",
+                "retries",
+            ],
+        ],
+    )?;
     let addr_str = req(flags, "addr")?;
     let addr = addr_str
         .to_socket_addrs()
@@ -749,6 +758,20 @@ mod tests {
         assert_eq!(num_or::<f64>(&flags, "slo-ms", 150.0).expect("ok"), 150.0);
         flags.insert("bad".into(), "x".into());
         assert!(num::<u32>(&flags, "bad").is_err());
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_flag() {
+        let mut flags = Flags::new();
+        flags.insert("model".into(), "bert-base".into());
+        assert!(only(&flags, &[&["model", "slo-ms"]]).is_ok());
+        flags.insert("workers".into(), "8".into());
+        flags.insert("front-door".into(), "epoll".into());
+        assert_eq!(
+            only(&flags, &[&["model", "slo-ms"]]),
+            Err("unknown flag --front-door".to_string())
+        );
+        assert!(only(&flags, &[&["model"], &["workers", "front-door"]]).is_ok());
     }
 
     #[test]

@@ -239,6 +239,55 @@ fn loadgen_drain_stops_a_running_server() {
     assert!(status.success(), "arlo serve exited with {status}");
 }
 
+/// A flag `arlo serve` does not read — one an earlier version had, or one
+/// it never had — stops the command before it binds anything, with a
+/// non-zero exit that names the flag. A server still running after the
+/// grace period accepted the flag: it is killed and the test fails.
+#[test]
+fn serve_rejects_flags_it_does_not_read() {
+    use std::time::{Duration, Instant};
+
+    let base = [
+        "serve",
+        "--model",
+        "bert-base",
+        "--gpus",
+        "2",
+        "--addr",
+        "127.0.0.1:0",
+    ];
+    for (flag, value) in [("--front-door", "epoll"), ("--server-chaos", "corrupt")] {
+        let mut child = Reaped(
+            arlo()
+                .args(base)
+                .args([flag, value])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("spawn arlo serve"),
+        );
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.0.try_wait().expect("poll arlo serve") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "arlo serve accepted {flag} and is serving"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(child.0.stderr.as_mut().expect("piped stderr"), &mut stderr)
+            .expect("read stderr");
+        assert!(!status.success(), "{flag}: exited {status}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn deterministic_across_invocations() {
     let run = || {
