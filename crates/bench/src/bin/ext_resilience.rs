@@ -1,36 +1,32 @@
-//! **Extension** — supervision-tree resilience benchmark: seeded component
-//! chaos against every supervised server thread, under closed-loop v2
-//! storm load.
+//! **Extension** — supervision resilience benchmark: seeded component
+//! chaos against the server's threads — the epoll shards and the planner —
+//! under v2 storm load.
 //!
-//! The grid crosses the supervised component classes with the two fault
-//! kinds:
+//! Four cells:
 //!
-//! - **Restartable components** (`flusher`, `timer`, `coordinator`) ×
-//!   {panic, stall}. Panic cells
-//!   assert the component died at least once, was restarted within its
-//!   budget, recovery was bounded (every `Panicked` is followed by a
-//!   `Restarted` within [`RECOVERY_BOUND_MS`]), and **exact zero-loss
-//!   conservation** held on both sides of the wire regardless:
-//!   `ok + shed + unserviceable + draining + failed == submitted`, nothing
-//!   lost, drain leaves zero outstanding. Stall cells assert the frozen
-//!   heartbeat was detected (≥ 1 `Stalled` event) with no restart and the
-//!   same conservation.
-//! - **Escalation cells**: a flusher given up on under load — it survives
-//!   its start-up beat, dies on its first wake-up (which only a request
-//!   parked in its heap causes, so the death lands inside the storm), and
-//!   both respawns die on their first beat, spending a 2-restart budget.
-//!   The supervisor must give up cleanly and run the fail-fast drain hook;
-//!   the final drain must fire the answers stranded in the dead flusher's
-//!   heap, lose none of them to the client, and conserve. And an acceptor
-//!   first-beat panic (no load) — `Escalate` policy straight to a clean
-//!   drain.
+//! - **shard/panic**: a shard dies under a closed-loop storm. It must
+//!   escalate into the fail-fast drain, and the drain must come out clean
+//!   and conserving — nothing outstanding at close, `submits == served +
+//!   shed + unserviceable + failed` on the server, every client submit
+//!   accounted for (answers in flight on the dead shard's connections are
+//!   `lost` to the client, which sees EOF).
+//! - **shard/stall**: a shard freezes while unparked, again and again; the
+//!   server's stall check (polled here as `arlo serve` polls it) must flag
+//!   it, with zero loss and exact conservation on both sides of the wire.
+//! - **planner/panic**: planner ticks panic under the multi-tenant
+//!   coordinator; each panic is caught at its tick, the planner ticks on,
+//!   nothing escalates, nothing is lost.
+//! - **shard/burst**: one connection queues 4 096 submits up front, at the
+//!   default 1 024-frame outbound queue, and every shard pass stalls long
+//!   enough for all of its parked completions to ripen. The shard must
+//!   catch up without outrunning the reading client: zero
+//!   `slow_disconnects`, zero lost.
 //!
-//! Load is the closed-loop **window storm**: refills leave as checksummed
-//! `BatchedSubmit` frames, so the resilience sweep doubles as an
-//! integration test of the batched replay path. The recovery cells' storm
-//! runs in a re-exec'd child process, keeping client fds and CPU out of
-//! the server process; the flusher-budget cell's open-loop storm runs on
-//! a thread of this one.
+//! Load is the **window storm**: refills leave as checksummed
+//! `BatchedSubmit` frames, so the sweep doubles as an integration test of
+//! the batched replay path. The closed-loop cells' storm runs in a
+//! re-exec'd child process, keeping client fds and CPU out of the server
+//! process; the burst cell's open-loop storm runs on a thread of this one.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
 //!
@@ -45,12 +41,14 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, StormConfig, StormReport};
 use arlo_serve::server::{ServeConfig, Server};
-use arlo_serve::supervisor::{SupervisorEvent, SupervisorEventKind};
+use arlo_serve::supervisor::SupervisorEventKind;
+use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::NANOS_PER_SEC;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -60,10 +58,9 @@ const CONNS: usize = 8;
 const WINDOW: u32 = 8;
 const FULL_TOTAL: u64 = 10_000;
 const SMOKE_TOTAL: u64 = 1_600;
-/// Every `Panicked` in a recovery cell must be answered by a `Restarted`
-/// within this many milliseconds (configured backoff is 1 ms; the bound
-/// absorbs monitor polling and scheduler noise, not retry storms).
-const RECOVERY_BOUND_MS: u64 = 5_000;
+/// The burst cell's one connection: four outbound queues' worth of
+/// submits, all up front.
+const BURST: u32 = 4_096;
 
 fn smoke() -> bool {
     std::env::var("EXT_RESILIENCE_SMOKE")
@@ -86,96 +83,31 @@ fn engine() -> ArloEngine {
     ArloEngine::new(profiles, counts, cfg)
 }
 
-/// Which fault a cell injects.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Fault {
-    Panic,
-    Stall,
-}
-
-impl Fault {
-    fn name(self) -> &'static str {
-        match self {
-            Fault::Panic => "panic",
-            Fault::Stall => "stall",
-        }
-    }
-}
-
-/// One recovery-grid target: the component-name prefix the chaos recipe
-/// aims at, plus per-component knobs.
-#[derive(Clone, Copy)]
-struct Target {
-    prefix: &'static str,
-    /// Spawn the server with the multi-tenant coordinator running (the
-    /// `coordinator` component only exists then).
-    coordinator: bool,
-    /// Serve with a real coalescing window so the flusher owns deadlines.
-    batch_window: bool,
-}
-
-const TARGETS: [Target; 3] = [
-    Target {
-        prefix: "flusher",
-        coordinator: false,
-        batch_window: true,
-    },
-    Target {
-        prefix: "timer",
-        coordinator: false,
-        batch_window: false,
-    },
-    Target {
-        prefix: "coordinator",
-        coordinator: true,
-        batch_window: false,
-    },
-];
-
-fn serve_config(target: Target, chaos: ComponentChaos) -> ServeConfig {
-    let batch = if target.batch_window {
-        BatchPolicy {
+/// Every cell's server: two shards (fixed, not the host-derived default,
+/// so cells stay comparable with the recorded ones), a 10 ms stall grace,
+/// and a coalescing window, so the shards' heaps hold seal deadlines as
+/// well as completions.
+fn serve_config(chaos: ComponentChaos) -> ServeConfig {
+    let mut cfg = ServeConfig {
+        time_scale: SCALE,
+        queue_capacity: 8_192,
+        tick_interval: NANOS_PER_SEC / 5,
+        drain_timeout: Duration::from_secs(60),
+        batch: BatchPolicy {
             spec: BatchSpec {
                 max_batch: 8,
                 marginal_cost: 0.5,
             },
             // 50 virtual ms at 100× = 0.5 ms real.
             max_wait_ns: 50_000_000,
-        }
-    } else {
-        BatchPolicy::greedy(BatchSpec::SINGLE)
-    };
-    let mut cfg = ServeConfig {
-        time_scale: SCALE,
-        queue_capacity: 8_192,
-        tick_interval: NANOS_PER_SEC / 5,
-        drain_timeout: Duration::from_secs(60),
-        batch,
-        // Fixed (not the host-derived default) so cells stay comparable
-        // with the recorded ones.
+        },
         shards: 2,
         ..ServeConfig::new(GPUS)
     }
     .with_component_chaos(chaos)
-    .with_restart_policy(Duration::from_millis(1), 10_000)
     .with_stall_grace(Duration::from_millis(10));
-    if target.coordinator {
-        // A fast coordinator pass (2 ms real) so its heartbeat is dense
-        // enough for chaos to hit inside a bench-sized run.
-        cfg = cfg.with_coordinator(NANOS_PER_SEC / 5, 30 * NANOS_PER_SEC);
-    }
     cfg.max_conns = CONNS + 64;
     cfg
-}
-
-fn chaos_for(target: &Target, fault: Fault, seed: u64) -> ComponentChaos {
-    match fault {
-        // One beat in 3: the component keeps dying and keeps coming back,
-        // doing real work between deaths.
-        Fault::Panic => ComponentChaos::panics(target.prefix, 3, seed),
-        // One beat in 3 freezes for 60 ms against a 10 ms stall grace.
-        Fault::Stall => ComponentChaos::stalls(target.prefix, 3, 60, seed),
-    }
 }
 
 /// The storm every loaded cell drives: `conns` connections from two
@@ -238,13 +170,22 @@ fn storm_child() {
 
 /// Drive one storm child against `addr` and parse its result line.
 fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> HashMap<String, u64> {
-    let mut child = Command::new(std::env::current_exe().expect("current_exe"))
+    storm_result(spawn_storm(addr, submits_per_conn))
+}
+
+/// Start one storm child against `addr`.
+fn spawn_storm(addr: SocketAddr, submits_per_conn: u64) -> Child {
+    Command::new(std::env::current_exe().expect("current_exe"))
         .env("ARLO_RESIL_ADDR", addr.to_string())
         .env("ARLO_RESIL_CONNS", CONNS.to_string())
         .env("ARLO_RESIL_SUBMITS", submits_per_conn.to_string())
         .stdout(Stdio::piped())
         .spawn()
-        .expect("spawn storm child");
+        .expect("spawn storm child")
+}
+
+/// Wait for a storm child and parse its result line.
+fn storm_result(mut child: Child) -> HashMap<String, u64> {
     let status = child.wait().expect("wait storm child");
     assert!(status.success(), "storm child failed: {status}");
     let mut out = String::new();
@@ -267,147 +208,33 @@ fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> HashMap<String, u64> {
         .collect()
 }
 
-/// Longest Panicked→Restarted gap (ms) over the answered pairs in the
-/// event log. A trailing unanswered panic is normal — chaos keeps firing
-/// and the snapshot can land mid-restart — so only completed cycles are
-/// bounded; that at least one restart happened is asserted separately.
-fn worst_recovery_ms(events: &[SupervisorEvent]) -> u64 {
-    let mut worst: u64 = 0;
-    let mut open: HashMap<&str, u64> = HashMap::new();
-    for ev in events {
-        match ev.kind {
-            SupervisorEventKind::Panicked => {
-                open.entry(ev.component.as_str()).or_insert(ev.at_ms);
-            }
-            SupervisorEventKind::Restarted { .. } => {
-                if let Some(at) = open.remove(ev.component.as_str()) {
-                    worst = worst.max(ev.at_ms.saturating_sub(at));
-                }
-            }
-            _ => {}
-        }
-    }
-    worst
-}
-
 struct Cell {
     component: &'static str,
     fault: &'static str,
     counts: HashMap<String, u64>,
-    restarts: u64,
+    panics: u64,
     stalls: u64,
     escalations: u64,
+    slow_disconnects: u64,
     events: usize,
-    recovery_ms: u64,
     wall_s: f64,
 }
 
-/// One recovery cell: chaos against `target`, closed-loop v2 storm load,
-/// conservation and recovery asserted.
-fn run_recovery_cell(target: Target, fault: Fault, total: u64) -> Cell {
-    let tag = format!("{}/{}", target.prefix, fault.name());
-    let seed = 0xA510 ^ arlo_seed(&tag);
-    let cfg = serve_config(target, chaos_for(&target, fault, seed));
-    let server = if target.coordinator {
-        Server::spawn_multi(
-            vec![(
-                arlo_serve::tenants::TenantSpec::new(
-                    "bench",
-                    arlo_serve::tenants::SloClass::Interactive,
-                    SLO_MS,
-                ),
-                engine(),
-            )],
-            "127.0.0.1:0",
-            cfg,
-        )
-        .expect("bind loopback")
-    } else {
-        Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback")
-    };
-    let addr = server.local_addr();
-    let submits_per_conn = total / CONNS as u64;
-    let started = Instant::now();
-    let counts = run_storm(addr, submits_per_conn);
-    let wall_s = started.elapsed().as_secs_f64();
-    let g = |k: &str| counts[k];
-
-    // Client-side conservation: every submit written reached exactly one
-    // terminal outcome; zero loss even while the target kept faulting.
-    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
-    assert_eq!(g("connected"), CONNS as u64, "{tag}: {counts:?}");
-    assert_eq!(
-        g("lost"),
-        0,
-        "{tag}: faults must never lose answers: {counts:?}"
-    );
-    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
-    assert_eq!(g("submitted"), submits_per_conn * CONNS as u64, "{tag}");
-
-    // The fault actually landed, and was recorded structurally.
-    let events = server.supervisor_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.component.starts_with(target.prefix)),
-        "{tag}: no supervisor event for the target: {events:?}"
-    );
-    let recovery_ms = match fault {
-        Fault::Panic => {
-            assert!(
-                server.supervisor_restarts() >= 1,
-                "{tag}: target never restarted"
-            );
-            let worst = worst_recovery_ms(&events);
-            assert!(
-                worst <= RECOVERY_BOUND_MS,
-                "{tag}: recovery took {worst} ms (> {RECOVERY_BOUND_MS})"
-            );
-            worst
-        }
-        Fault::Stall => {
-            assert!(
-                server.stalls_detected() >= 1,
-                "{tag}: frozen heartbeat never detected"
-            );
-            assert_eq!(
-                server.supervisor_restarts(),
-                0,
-                "{tag}: stalls are detected, not preempted"
-            );
-            0
-        }
-    };
-
-    // Server-side conservation: the drain flushes everything, restart
-    // re-accounting included.
-    let (restarts, stalls, escalations) = (
-        server.supervisor_restarts(),
-        server.stalls_detected(),
-        server.escalations(),
-    );
-    assert_eq!(escalations, 0, "{tag}: recovery cell escalated");
-    let n_events = events.len();
-    let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0, "{tag}: {drain:?}");
-    assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
-        "{tag}: server-side conservation: {drain:?}"
-    );
-    assert_eq!(drain.submits, g("submitted"), "{tag}: wire vs drain");
-
-    Cell {
-        component: target.prefix,
-        fault: fault.name(),
-        counts,
-        restarts,
-        stalls,
-        escalations,
-        events: n_events,
-        recovery_ms,
-        wall_s,
-    }
+/// Call the server's stall check every 2 ms while `load` runs, as `arlo
+/// serve`'s main loop does (every 50 ms), and return what `load` returns.
+fn with_stall_checks<T>(server: &Server, load: impl FnOnce() -> T) -> T {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                server.check_stalls();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let out = load();
+        done.store(true, Ordering::SeqCst);
+        out
+    })
 }
 
 /// Poll `cond` every 2 ms; fail the cell if it does not hold within 30 s.
@@ -419,97 +246,34 @@ fn wait_until(tag: &str, what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// A chaos seed, from `base` on, under which `flusher-0` survives its
-/// start-up beat and panics on its next one — its first wake-up, which
-/// only an entry parked in its heap causes — and both respawns panic on
-/// their first beat.
-fn flusher_budget_seed(base: u64) -> u64 {
+/// A chaos seed, from `base` on, under which `shard-0` survives its first
+/// `calm` beats — start-up, the storm's connects and handshakes — and
+/// panics within the next `calm`, under load.
+fn shard_panic_seed(base: u64, one_in: u64, calm: u64) -> u64 {
     (0..)
         .map(|k| base ^ k)
         .find(|&seed| {
-            let chaos = ComponentChaos::panics("flusher", 2, seed);
-            let plan = |incarnation| chaos.plan_for("flusher-0", incarnation).expect("targeted");
-            !plan(0).panics_within(1)
-                && plan(0).panics_within(2)
-                && plan(1).panics_within(1)
-                && plan(2).panics_within(1)
+            let plan = ComponentChaos::panics("shard-0", one_in, seed)
+                .plan_for("shard-0")
+                .expect("targeted");
+            !plan.panics_within(calm) && plan.panics_within(2 * calm)
         })
         .expect("a seed")
 }
 
-/// One escalation cell: a fault the supervisor must *not* absorb — give
-/// up, run the fail-fast drain, conserve, never wedge.
-///
-/// `flusher-budget` runs under the storm: the flusher dies on its first
-/// wake-up after start-up and both respawns die at once, so the server
-/// escalates with seals and completions parked and no flusher left, and
-/// the drain must answer them itself. The storm queues every submit up
-/// front, so all of them are on the wire before the drain closes
-/// connections — a closed loop would hold refills back behind the stranded
-/// answers. It runs on a thread of this process because its window is not
-/// the child's. `accept` runs without load: the acceptor panics on its
-/// first poll, and once the server drains nothing accepts.
-fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
-    let tag = format!("{kind}/escalate");
-    let base = 0xE5CA ^ arlo_seed(&tag);
-    let target = TARGETS[0]; // the flusher's config: a coalescing window on
-    let (chaos, submits_per_conn) = match kind {
-        "flusher-budget" => (
-            ComponentChaos::panics("flusher", 2, flusher_budget_seed(base)),
-            total / CONNS as u64,
-        ),
-        // The acceptor is an Escalate component: first beat, straight to
-        // the fail-fast drain.
-        "accept" => (ComponentChaos::panics("accept", 1, base), 0),
-        _ => unreachable!("unknown escalation kind"),
-    };
-    let mut cfg = serve_config(target, chaos).with_restart_policy(Duration::from_millis(1), 2);
-    // The drain fires the dead flusher's whole heap in one pass, so a
-    // connection's answers reach its outbound queue faster than the shard
-    // writes them; a queue shorter than the quota dooms a client that is
-    // reading (at 1 250 per connection the 1 024 default doomed one).
-    cfg.outbound_queue = cfg.outbound_queue.max(submits_per_conn as usize);
-    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = server.local_addr();
-    let started = Instant::now();
-    let storm = (submits_per_conn > 0).then(|| {
-        let cfg = storm_config(CONNS, submits_per_conn as u32, 0);
-        std::thread::spawn(move || connection_storm(addr, &cfg))
-    });
+/// Count `component`'s events of `kind` in the server's log.
+fn count_events(server: &Server, component: &str, kind: SupervisorEventKind) -> u64 {
+    server
+        .supervisor_events()
+        .iter()
+        .filter(|e| e.component.starts_with(component) && e.kind == kind)
+        .count() as u64
+}
 
-    wait_until(&tag, "escalation", || server.escalations() > 0);
-    assert!(server.is_escalated(), "{tag}");
-    assert!(
-        server.is_draining(),
-        "{tag}: escalation must fail fast into drain"
-    );
-    let events = server.supervisor_events();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.kind == SupervisorEventKind::Escalated),
-        "{tag}: {events:?}"
-    );
-    // Under load: once every submit is decoded nothing but the drain can
-    // answer what the dead flusher's heap holds.
-    let expected = submits_per_conn * CONNS as u64;
-    let stranded = storm.as_ref().map(|_| {
-        wait_until(&tag, "every submit decoded", || {
-            server.tenant_stats()[0].submits == expected
-        });
-        let stranded = server.stats().outstanding;
-        assert!(stranded > 0, "{tag}: the dead flusher's heap held nothing");
-        stranded
-    });
-    let (restarts, stalls, escalations) = (
-        server.supervisor_restarts(),
-        server.stalls_detected(),
-        server.escalations(),
-    );
-    let n_events = events.len();
-    // The non-negotiable: an escalated server still drains clean.
+/// Drain `server` and check the server-side law every cell shares: a
+/// clean drain, and every submit in exactly one terminal bucket.
+fn drain_conserving(tag: &str, server: Server) -> arlo_serve::server::DrainReport {
     let drain = server.drain();
-    let wall_s = started.elapsed().as_secs_f64();
     assert_eq!(
         drain.outstanding_at_close, 0,
         "{tag}: wedged drain: {drain:?}"
@@ -517,46 +281,185 @@ fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
     assert_eq!(
         drain.submits,
         drain.served + drain.shed + drain.unserviceable + drain.failed,
-        "{tag}: {drain:?}"
+        "{tag}: server-side conservation: {drain:?}"
     );
-    assert!(drain.escalations >= 1, "{tag}: {drain:?}");
+    drain
+}
 
-    let mut counts = HashMap::new();
-    if let Some(storm) = storm {
-        let report = storm
-            .join()
-            .expect("storm thread panicked")
-            .expect("connection storm");
-        counts = storm_counts(&report)
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        counts.insert("stranded".into(), stranded.expect("loaded cell"));
-        // Client-side conservation: every answer the dead flusher's heap
-        // held reached its client, nothing lost.
-        let g = |k: &str| counts[k];
-        assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
-        assert_eq!(g("connected"), CONNS as u64, "{tag}: {counts:?}");
-        assert_eq!(
-            g("lost"),
-            0,
-            "{tag}: answers stranded: {counts:?} {drain:?}"
-        );
-        assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
-        assert_eq!(g("submitted"), expected, "{tag}: {counts:?}");
-        assert!(g("ok") > 0, "{tag}: nothing served: {counts:?}");
-        assert_eq!(drain.submits, expected, "{tag}: wire vs drain");
-    }
+/// Client-side law: every connection up, every submit written reached
+/// exactly one terminal outcome.
+fn assert_client_conserves(tag: &str, counts: &HashMap<String, u64>, submitted: u64) {
+    let g = |k: &str| counts[k];
+    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
+    assert_eq!(g("submitted"), submitted, "{tag}: {counts:?}");
+}
 
+/// `shard/panic`: `shard-0` dies under the closed-loop storm and escalates.
+/// The harness then drains at once, as `arlo serve` does when it sees the
+/// server draining: the drain must fire what the dead shard's heap held —
+/// answers that shard 1's live connections are waiting for — and come out
+/// clean.
+fn shard_panic_cell(total: u64) -> Cell {
+    let tag = "shard/panic";
+    let seed = shard_panic_seed(0xA510 ^ arlo_seed(tag), 20, 20);
+    let cfg = serve_config(ComponentChaos::panics("shard-0", 20, seed));
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+    let started = Instant::now();
+    let child = spawn_storm(server.local_addr(), total / CONNS as u64);
+    wait_until(tag, "escalation", || server.is_draining());
+    assert_eq!(
+        count_events(&server, "shard-0", SupervisorEventKind::Escalated),
+        1,
+        "{tag}"
+    );
+    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let drain = drain_conserving(tag, server);
+    assert_eq!(drain.escalations, 1, "{tag}: {drain:?}");
+    let counts = storm_result(child);
+    let wall_s = started.elapsed().as_secs_f64();
+    // The dead shard's clients stop refilling at EOF; everything they did
+    // submit is accounted for, `lost` included.
+    let g = |k: &str| counts[k];
+    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
+    assert!(g("ok") > 0, "{tag}: died before serving: {counts:?}");
+    // Submits still in a dead connection's socket never reached the server.
+    assert!(drain.submits <= g("submitted"), "{tag}: wire vs drain");
     Cell {
-        component: kind,
-        fault: "escalate",
+        component: "shard",
+        fault: "panic",
         counts,
-        restarts,
+        panics: 1,
         stalls,
-        escalations,
-        events: n_events,
-        recovery_ms: 0,
+        escalations: drain.escalations,
+        slow_disconnects: drain.slow_disconnects,
+        events,
+        wall_s,
+    }
+}
+
+/// `shard/stall`: a shard freezes for 60 ms on one pass in three against a
+/// 10 ms grace, under the closed-loop storm; the stall check must flag it,
+/// and nothing may be lost.
+fn shard_stall_cell(total: u64) -> Cell {
+    let tag = "shard/stall";
+    let chaos = ComponentChaos::stalls("shard", 3, 60, 0xA510 ^ arlo_seed(tag));
+    let server =
+        Server::spawn(engine(), "127.0.0.1:0", serve_config(chaos)).expect("bind loopback");
+    let submits_per_conn = total / CONNS as u64;
+    let started = Instant::now();
+    let counts = with_stall_checks(&server, || run_storm(server.local_addr(), submits_per_conn));
+    let wall_s = started.elapsed().as_secs_f64();
+    let submitted = submits_per_conn * CONNS as u64;
+    assert_client_conserves(tag, &counts, submitted);
+    assert_eq!(
+        counts["lost"], 0,
+        "{tag}: stalls must never lose answers: {counts:?}"
+    );
+    assert!(
+        server.stalls_detected() >= 1,
+        "{tag}: frozen heartbeat never flagged"
+    );
+    assert_eq!(server.escalations(), 0, "{tag}: a stall is not a death");
+    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let drain = drain_conserving(tag, server);
+    assert_eq!(drain.submits, submitted, "{tag}: wire vs drain");
+    Cell {
+        component: "shard",
+        fault: "stall",
+        counts,
+        panics: 0,
+        stalls,
+        escalations: 0,
+        slow_disconnects: drain.slow_disconnects,
+        events,
+        wall_s,
+    }
+}
+
+/// `planner/panic`: one planner tick in three panics while the
+/// multi-tenant coordinator re-plans every 2 ms of real time; every panic
+/// is caught at its tick and the planner ticks on.
+fn planner_panic_cell(total: u64) -> Cell {
+    let tag = "planner/panic";
+    let chaos = ComponentChaos::panics("planner", 3, 0xA510 ^ arlo_seed(tag));
+    let cfg = serve_config(chaos).with_coordinator(NANOS_PER_SEC / 5, 30 * NANOS_PER_SEC);
+    let tenant = TenantSpec::new("bench", SloClass::Interactive, SLO_MS);
+    let server =
+        Server::spawn_multi(vec![(tenant, engine())], "127.0.0.1:0", cfg).expect("bind loopback");
+    let submits_per_conn = total / CONNS as u64;
+    let started = Instant::now();
+    let counts = run_storm(server.local_addr(), submits_per_conn);
+    let wall_s = started.elapsed().as_secs_f64();
+    let submitted = submits_per_conn * CONNS as u64;
+    assert_client_conserves(tag, &counts, submitted);
+    assert_eq!(counts["lost"], 0, "{tag}: {counts:?}");
+    // More than one panic: the planner outlived the first.
+    wait_until(tag, "a second planner panic", || {
+        count_events(&server, "planner", SupervisorEventKind::Panicked) >= 2
+    });
+    assert_eq!(server.escalations(), 0, "{tag}: a tick panic escalated");
+    let panics = count_events(&server, "planner", SupervisorEventKind::Panicked);
+    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let drain = drain_conserving(tag, server);
+    assert_eq!(drain.submits, submitted, "{tag}: wire vs drain");
+    Cell {
+        component: "planner",
+        fault: "panic",
+        counts,
+        panics,
+        stalls,
+        escalations: 0,
+        slow_disconnects: drain.slow_disconnects,
+        events,
+        wall_s,
+    }
+}
+
+/// `shard/burst`: one connection queues [`BURST`] submits up front at the
+/// default outbound queue, and every shard pass stalls 200 ms. The shard
+/// reads the burst, parks ~50 ms of completions on four instances, and
+/// stalls again: every one of them ripens during the stall, far more than
+/// the 1 024 frames the connection's queue holds. Fired in one go they
+/// would overflow it and doom a client that is reading; fired in slices of
+/// half a queue with the socket written between slices, nothing is lost.
+fn shard_burst_cell() -> Cell {
+    let tag = "shard/burst";
+    let chaos = ComponentChaos::stalls("shard", 1, 200, 0xA510 ^ arlo_seed(tag));
+    let cfg = serve_config(chaos);
+    assert_eq!(cfg.outbound_queue, 1_024, "{tag}: the default queue");
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+    let started = Instant::now();
+    let report = with_stall_checks(&server, || {
+        connection_storm(addr, &storm_config(1, BURST, 0)).expect("connection storm")
+    });
+    let wall_s = started.elapsed().as_secs_f64();
+    let counts: HashMap<String, u64> = storm_counts(&report)
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    assert_client_conserves(tag, &counts, u64::from(BURST));
+    assert_eq!(
+        report.lost, 0,
+        "{tag}: the catch-up outran the client: {report:?}"
+    );
+    assert_eq!(report.ok, u64::from(BURST), "{tag}: {report:?}");
+    assert!(server.stalls_detected() >= 1, "{tag}: no stall flagged");
+    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let drain = drain_conserving(tag, server);
+    assert_eq!(drain.slow_disconnects, 0, "{tag}: {drain:?}");
+    assert_eq!(drain.served, u64::from(BURST), "{tag}: {drain:?}");
+    Cell {
+        component: "shard",
+        fault: "burst",
+        counts,
+        panics: 0,
+        stalls,
+        escalations: 0,
+        slow_disconnects: drain.slow_disconnects,
+        events,
         wall_s,
     }
 }
@@ -583,27 +486,27 @@ fn main() {
         if smoke() { " [smoke]" } else { "" }
     );
 
-    let mut cells = Vec::new();
-    for target in TARGETS {
-        for fault in [Fault::Panic, Fault::Stall] {
-            cells.push(run_recovery_cell(target, fault, total));
-        }
-    }
-    cells.push(run_escalation_cell("flusher-budget", total));
-    cells.push(run_escalation_cell("accept", total));
+    let cells = [
+        shard_panic_cell(total),
+        shard_stall_cell(total),
+        planner_panic_cell(total),
+        shard_burst_cell(),
+    ];
 
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
+            let count = |k: &str| format!("{}", c.counts.get(k).copied().unwrap_or(0));
             vec![
                 c.component.to_string(),
                 c.fault.to_string(),
-                format!("{}", c.counts.get("ok").copied().unwrap_or(0)),
-                format!("{}", c.counts.get("failed").copied().unwrap_or(0)),
-                format!("{}", c.restarts),
+                count("ok"),
+                count("draining"),
+                count("lost"),
+                format!("{}", c.panics),
                 format!("{}", c.stalls),
                 format!("{}", c.escalations),
-                format!("{}", c.recovery_ms),
+                format!("{}", c.slow_disconnects),
                 format!("{:.1}", c.wall_s),
             ]
         })
@@ -614,17 +517,18 @@ fn main() {
             "component",
             "fault",
             "ok",
-            "failed",
-            "restarts",
+            "draining",
+            "lost",
+            "panics",
             "stalls",
             "escalations",
-            "worst rec ms",
+            "slow disc",
             "wall s",
         ],
         &rows,
     );
     println!(
-        "all {} cells conserved exactly (client and server side), zero lost",
+        "all {} cells conserved exactly (client and server side)",
         cells.len()
     );
 
@@ -635,7 +539,7 @@ fn main() {
             "conns": CONNS,
             "window": WINDOW,
             "wire": "v2",
-            "recovery_bound_ms": RECOVERY_BOUND_MS,
+            "burst": BURST,
             "smoke": smoke(),
         },
         "cells": cells.iter().map(|c| serde_json::json!({
@@ -647,11 +551,11 @@ fn main() {
                     .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
                     .collect(),
             ),
-            "supervisor_restarts": c.restarts,
+            "panics": c.panics,
             "stalls_detected": c.stalls,
             "escalations": c.escalations,
+            "slow_disconnects": c.slow_disconnects,
             "supervisor_events": c.events,
-            "worst_recovery_ms": c.recovery_ms,
             "wall_s": json_f64(c.wall_s),
         })).collect::<Vec<_>>(),
     });

@@ -29,7 +29,7 @@
 //! the server's answers reach the client corrupted (the client's reads).
 //!
 //! [`ComponentChaos`] is the other half: seeded panics and stalls for the
-//! server's own supervised threads, reachable only through
+//! server's own threads, reachable only through
 //! [`crate::server::ServeConfig::with_component_chaos`].
 
 use std::io::{self, Read, Write};
@@ -395,17 +395,17 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A recipe for in-process component faults, reproducible from a single
 /// seed. Where [`ChaosConfig`] attacks the *wire*, `ComponentChaos`
-/// attacks the server's own long-lived threads: a supervised component
+/// attacks the server's own threads: a component (`shard-{i}`, `planner`)
 /// whose name starts with `target` draws from a deterministic schedule on
-/// every heartbeat and may panic (killing the thread mid-loop) or stall
-/// (sleeping unparked long enough for the supervisor's stall detector to
-/// fire).
+/// every heartbeat and may panic (a shard dies and escalates; a planner
+/// tick is caught and skipped) or stall (sleeping unparked long enough
+/// for the server's stall check to flag it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentChaos {
     /// Root seed; the whole schedule is a pure function of it.
     pub seed: u64,
-    /// Component-name prefix to target (`"flusher"` hits every tenant's
-    /// flusher, `"flusher-0"` exactly one).
+    /// Component-name prefix to target (`"shard"` hits every epoll shard,
+    /// `"shard-0"` exactly one).
     pub target: String,
     /// Panic on roughly one beat in `n` (deterministic draw). `None` or
     /// `Some(0)` disables panics.
@@ -413,8 +413,8 @@ pub struct ComponentChaos {
     /// Stall on roughly one beat in `n`. `None` or `Some(0)` disables
     /// stalls.
     pub stall_one_in: Option<u64>,
-    /// How long a stall sleeps, in milliseconds. Must exceed the
-    /// supervisor's stall grace to be detectable.
+    /// How long a stall sleeps, in milliseconds. Must exceed the stall
+    /// grace to be detectable.
     pub stall_ms: u64,
 }
 
@@ -441,20 +441,13 @@ impl ComponentChaos {
         }
     }
 
-    /// The deterministic fault schedule for one incarnation of a named
-    /// component, or `None` if the name is not targeted. Mixing the
-    /// incarnation in means a restarted component draws a *different* (but
-    /// still reproducible) schedule — so a restart under `panic_one_in: N`
-    /// is not doomed to re-panic at the identical beat.
-    pub fn plan_for(&self, component: &str, incarnation: u32) -> Option<ComponentChaosPlan> {
+    /// The deterministic fault schedule for a named component, or `None`
+    /// if the name is not targeted.
+    pub fn plan_for(&self, component: &str) -> Option<ComponentChaosPlan> {
         if !component.starts_with(self.target.as_str()) {
             return None;
         }
-        let mut mixer = SplitMix64::new(
-            self.seed
-                ^ fnv1a(component.as_bytes())
-                ^ u64::from(incarnation).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
+        let mut mixer = SplitMix64::new(self.seed ^ fnv1a(component.as_bytes()));
         Some(ComponentChaosPlan {
             component: component.to_string(),
             rng: SplitMix64::new(mixer.next_u64()),
@@ -465,8 +458,8 @@ impl ComponentChaos {
     }
 }
 
-/// One component incarnation's fault schedule: consulted once per
-/// heartbeat by `SupervisedCtx::beat`.
+/// One component's fault schedule: consulted once per heartbeat by
+/// `SupervisedCtx::beat`.
 #[derive(Debug, Clone)]
 pub struct ComponentChaosPlan {
     component: String,
@@ -477,9 +470,9 @@ pub struct ComponentChaosPlan {
 }
 
 impl ComponentChaosPlan {
-    /// Draw the next beat's fate: possibly panic (the supervised wrapper
-    /// catches it at the loop boundary, where conservation guards are
-    /// armed), possibly sleep out a stall window.
+    /// Draw the next beat's fate: possibly panic (at the loop boundary,
+    /// where conservation guards are armed), possibly sleep out a stall
+    /// window.
     pub fn on_beat(&mut self) {
         if let Some(n) = self.panic_one_in {
             if self.rng.next_u64().is_multiple_of(n) {
@@ -657,40 +650,29 @@ mod tests {
 
     #[test]
     fn component_chaos_targets_by_name_prefix() {
-        let flushers = ComponentChaos::panics("flusher", 4, 7);
-        assert!(flushers.plan_for("flusher-0", 0).is_some());
-        assert!(flushers.plan_for("flusher-2", 0).is_some());
-        assert!(flushers.plan_for("shard-1", 0).is_none());
-        assert!(flushers.plan_for("timer", 0).is_none());
-        assert!(flushers.plan_for("accept", 0).is_none());
+        let shards = ComponentChaos::panics("shard", 4, 7);
+        assert!(shards.plan_for("shard-0").is_some());
+        assert!(shards.plan_for("shard-2").is_some());
+        assert!(shards.plan_for("planner").is_none());
         let one_shard = ComponentChaos::panics("shard-1", 4, 7);
-        assert!(one_shard.plan_for("shard-1", 0).is_some());
-        assert!(one_shard.plan_for("shard-0", 0).is_none());
-        assert!(one_shard.plan_for("flusher-0", 0).is_none());
+        assert!(one_shard.plan_for("shard-1").is_some());
+        assert!(one_shard.plan_for("shard-0").is_none());
+        assert!(one_shard.plan_for("planner").is_none());
     }
 
     #[test]
     fn component_chaos_is_deterministic_and_decorrelated() {
         let chaos = ComponentChaos::panics("d", 64, 1234);
-        let horizon = |name: &str, inc: u32| -> Vec<bool> {
+        let horizon = |name: &str| -> Vec<bool> {
             (1..=512u64)
-                .map(|k| chaos.plan_for(name, inc).unwrap().panics_within(k))
+                .map(|k| chaos.plan_for(name).unwrap().panics_within(k))
                 .collect()
         };
-        // Same (name, incarnation) ⇒ the identical schedule.
-        assert_eq!(horizon("d-0", 0), horizon("d-0", 0));
-        // Sibling components and restarted incarnations draw different
-        // schedules from the same root seed.
-        assert_ne!(horizon("d-0", 0), horizon("d-1", 0));
-        assert_ne!(horizon("d-0", 0), horizon("d-0", 1));
-    }
-
-    #[test]
-    fn component_chaos_panic_one_in_one_panics_on_first_beat() {
-        let chaos = ComponentChaos::panics("timer", 1, 9);
-        let mut plan = chaos.plan_for("timer", 0).unwrap();
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.on_beat()));
-        assert!(died.is_err(), "one-in-one chaos fires immediately");
+        // Same name ⇒ the identical schedule.
+        assert_eq!(horizon("d-0"), horizon("d-0"));
+        // Sibling components draw different schedules from the same root
+        // seed.
+        assert_ne!(horizon("d-0"), horizon("d-1"));
     }
 
     #[test]
@@ -702,10 +684,10 @@ mod tests {
             stall_one_in: Some(0),
             stall_ms: 50,
         };
-        let mut plan = chaos.plan_for("x-1", 0).unwrap();
+        let mut plan = chaos.plan_for("x-1").unwrap();
         for _ in 0..256 {
             plan.on_beat(); // must neither panic nor sleep
         }
-        assert!(!chaos.plan_for("x-1", 0).unwrap().panics_within(1024));
+        assert!(!chaos.plan_for("x-1").unwrap().panics_within(1024));
     }
 }

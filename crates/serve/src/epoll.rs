@@ -3,7 +3,7 @@
 //!
 //! The workspace is hermetic (no `libc` crate, no `mio`), so this module
 //! declares the four syscall wrappers it needs — `epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd` — as raw `extern "C"` bindings
+//! `epoll_ctl`, `epoll_pwait2`, `eventfd` — as raw `extern "C"` bindings
 //! against the C library `std` already links on Linux, and owns the file
 //! descriptors through [`std::os::fd::OwnedFd`] so they close on drop.
 //!
@@ -16,10 +16,14 @@
 //! * **One `u64` token per registration** — the connection id. The wrapper
 //!   never dereferences it.
 //! * **[`Waker`]** is an `eventfd` registered like any other fd; writing 1
-//!   to it makes `epoll_wait` return, and [`Waker::drain`] resets it. This
-//!   is how other threads (the acceptor handing over a socket, `respond`
-//!   queuing a frame, `drain` broadcasting shutdown) interrupt a sleeping
-//!   shard.
+//!   to it makes a wait return, and [`Waker::drain`] resets it. This is
+//!   how other threads (shard 0 handing over a socket, `respond` queuing a
+//!   frame, a deadline parked in another shard's heap, `drain`
+//!   broadcasting shutdown) interrupt a sleeping shard.
+//! * **Nanosecond timeouts**: [`Epoll::wait`] passes its `Duration` to
+//!   `epoll_pwait2` as a `timespec`, so a shard can sleep until a deadline
+//!   a few hundred microseconds out instead of rounding it up to a whole
+//!   millisecond.
 //!
 //! Everything unsafe is confined to this module; the rest of the crate
 //! (and workspace) keeps `unsafe_code = "deny"`/`forbid`.
@@ -33,7 +37,14 @@ use std::time::Duration;
 pub const WAKER_TOKEN: u64 = u64::MAX;
 
 mod ffi {
-    use std::os::raw::{c_int, c_uint, c_void};
+    use std::os::raw::{c_int, c_long, c_uint, c_void};
+
+    /// `struct timespec`: `time_t` is a C `long` on Linux.
+    #[repr(C)]
+    pub struct Timespec {
+        pub tv_sec: c_long,
+        pub tv_nsec: c_long,
+    }
 
     /// `struct epoll_event`. On x86/x86-64 the kernel ABI packs it (the
     /// `u64` payload is unaligned); other architectures use natural
@@ -63,11 +74,12 @@ mod ffi {
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
+        pub fn epoll_pwait2(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
-            timeout: c_int,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
         ) -> c_int;
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -104,8 +116,9 @@ impl Interest {
         readable: true,
         writable: true,
     };
-    /// No events at all (the registration stays; useful to mute a
-    /// connection during a chaos block window without churning add/del).
+    /// No events at all: the registration stays, muted, without churning
+    /// add/del (shard 0 mutes its listener this way after an accept error
+    /// until its next sweep).
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
@@ -144,13 +157,17 @@ pub struct Epoll {
 }
 
 impl Epoll {
-    /// Create a new epoll instance (close-on-exec).
+    /// Create a new epoll instance (close-on-exec). A zero-timeout wait
+    /// probes `epoll_pwait2`, so a kernel without it (before 5.11) or a
+    /// seccomp filter that forbids it fails here, not in every later wait.
     pub fn new() -> io::Result<Epoll> {
         let fd = cvt(unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) })?;
         // SAFETY: epoll_create1 returned a fresh fd we now own.
-        Ok(Epoll {
+        let epoll = Epoll {
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        };
+        epoll.wait(&mut Vec::new(), Some(Duration::ZERO))?;
+        Ok(epoll)
     }
 
     fn ctl(&self, op: i32, fd: RawFd, event: Option<ffi::EpollEvent>) -> io::Result<()> {
@@ -189,23 +206,31 @@ impl Epoll {
     }
 
     /// Block for up to `timeout` (`None` = forever) and fill `events` with
-    /// readiness reports. Returns the number of events. `EINTR` retries.
+    /// readiness reports. Returns the number of events. `EINTR` retries;
+    /// any other error leaves `events` empty.
+    /// The timeout keeps its full precision: a 300 µs wait is a 300 µs
+    /// wait, not a millisecond.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         const CAPACITY: usize = 1024;
+        events.clear();
         let mut raw = [ffi::EpollEvent { events: 0, data: 0 }; CAPACITY];
-        let timeout_ms: i32 = match timeout {
-            None => -1,
-            // Round up so a 100 µs timeout does not spin at 0 ms.
-            Some(d) => i32::try_from(d.as_millis().max(u128::from(u32::from(!d.is_zero()))))
-                .unwrap_or(i32::MAX),
-        };
+        let timespec = timeout.map(|d| ffi::Timespec {
+            tv_sec: d.as_secs().try_into().unwrap_or(std::os::raw::c_long::MAX),
+            tv_nsec: d.subsec_nanos().into(),
+        });
+        let timeout_ptr = timespec
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const ffi::Timespec);
         let n = loop {
+            // SAFETY: `raw` holds CAPACITY events; `timeout_ptr` is null or
+            // points at `timespec`, alive across the call; no signal mask.
             let r = unsafe {
-                ffi::epoll_wait(
+                ffi::epoll_pwait2(
                     self.fd.as_raw_fd(),
                     raw.as_mut_ptr(),
                     CAPACITY as i32,
-                    timeout_ms,
+                    timeout_ptr,
+                    std::ptr::null(),
                 )
             };
             match cvt(r) {
@@ -214,7 +239,6 @@ impl Epoll {
                 Err(e) => return Err(e),
             }
         };
-        events.clear();
         for ev in &raw[..n] {
             let bits = ev.events;
             events.push(Event {
@@ -352,6 +376,28 @@ mod tests {
         assert_eq!(n, 0);
         // Deregister cleanly.
         ep.delete(&server).unwrap();
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_are_not_rounded_up() {
+        let ep = Epoll::new().unwrap();
+        let mut events = Vec::new();
+        let mut waits: Vec<Duration> = (0..20)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let n = ep
+                    .wait(&mut events, Some(Duration::from_micros(300)))
+                    .unwrap();
+                assert_eq!(n, 0);
+                start.elapsed()
+            })
+            .collect();
+        waits.sort_unstable();
+        assert!(
+            waits[10] < Duration::from_millis(1),
+            "median 300 µs wait took {:?}",
+            waits[10]
+        );
     }
 
     #[test]

@@ -25,23 +25,19 @@
 //!
 //! Scheduling follows one rule: **work that is due now runs on the thread
 //! that discovered it; work that is due later waits in one shared
-//! deadline heap serviced by one thread.** "Due now" is
-//! [`VirtualClock::is_due`] — the instant is past or closer than the
-//! 100 µs of real time an OS timer cannot resolve, the same rule
-//! [`VirtualClock::sleep_until`] applies. So a batch whose `finished_at`
-//! is due when it seals completes inline on the sealing thread (the
-//! submitter, or the heap's servicing thread), even one queued behind a
-//! busy instance, as long as it finishes within that window. Everything
-//! else — a completion in the future, or the seal instant of a partial
-//! batch (an open `max_wait` window, or a partial batch behind a busy
-//! instance) — is one `(deadline, Seal(key) | Complete(batch))` entry in
-//! the heap. The servicing thread sleeps until the earliest deadline,
-//! fires everything due in deadline order, and is notified only when a
-//! new entry undercuts the current head. The heap lives in the executor's
-//! shared state, so it survives the death of the thread servicing it: a
-//! restarted servicer ([`Executor::run_flusher`]) simply carries on, and
-//! [`Executor::fire_ripe`] lets any other thread fire what is ripe when no
-//! servicer is left.
+//! deadline heap.** "Due now" is [`VirtualClock::is_due`] — the instant is
+//! past or closer than the 100 µs of real time an OS timer cannot resolve.
+//! So a batch whose `finished_at` is due when it seals completes inline on
+//! the sealing thread, even one queued behind a busy instance. Everything
+//! else — a future completion, or the seal instant of a partial batch — is
+//! one `(deadline, Seal(key) | Complete(batch))` heap entry. Whoever
+//! services the heap sleeps until the earliest deadline, fires what is due
+//! in deadline order, and is woken only when a new entry undercuts the
+//! head: [`Executor::new`]'s own thread, or — [`Executor::serviced_by_caller`]
+//! — the server's epoll shard that owns the heap, through
+//! [`Executor::fire_ripe`] in slices. Entries pop under the heap mutex, so
+//! any thread may fire what is ripe: the server's drain does, for a shard
+//! that died.
 //!
 //! Coalescer keys include the deployment generation, so a reallocation
 //! starts the new fleet idle while in-flight work on the old fleet still
@@ -51,7 +47,6 @@
 //! servers.
 
 use crate::clock::VirtualClock;
-use crate::supervisor::SupervisedCtx;
 use arlo_core::engine::Placement;
 use arlo_runtime::batching::{BatchPolicy, Coalescer, SealedBatch};
 use arlo_runtime::latency::JitterSpec;
@@ -100,6 +95,10 @@ type Key = (u64, usize, usize);
 /// Completion/panic callback: receives each finished batch exactly once.
 type BatchCallback = dyn Fn(CompletedBatch) + Send + Sync;
 
+/// Run when a parked entry undercuts the heap's head (see
+/// [`Executor::serviced_by_caller`]).
+type WakeCallback = dyn Fn() + Send + Sync;
+
 struct KeyState {
     coalescer: Coalescer<Job>,
     /// Deadline of the earliest [`Due::Seal`] entry armed in the heap for
@@ -110,9 +109,8 @@ struct KeyState {
 /// One shard of the executor's coalescer state: a slice of the key space
 /// plus that slice's share of the occupancy histogram. Keeping the
 /// histogram *inside* the shard means a sealed batch updates it under the
-/// lock it already holds, and concurrent submitters (shards, the flusher)
-/// touching different instances never serialize on a global histogram
-/// lock.
+/// lock it already holds, and concurrent submitters touching different
+/// instances never serialize on a global histogram lock.
 /// Shares are merged only at read time ([`Executor::batch_occupancy`]).
 #[derive(Default)]
 struct ExecShard {
@@ -176,8 +174,8 @@ impl Eq for Timer {}
 #[derive(Default)]
 struct Timers {
     heap: BinaryHeap<Timer>,
-    /// Set by [`Executor::stop_flusher`]: the servicing loop returns once
-    /// the heap is empty instead of waiting for more.
+    /// Set by [`Executor::shutdown`]: the servicing loop returns once the
+    /// heap is empty instead of waiting for more.
     stopping: bool,
 }
 
@@ -196,12 +194,14 @@ struct ExecutorShared {
     /// [`Due::Seal`] entry here at or before its head batch's seal
     /// instant, and a sealed batch not yet completed has its
     /// [`Due::Complete`] entry — so whoever services the heap to empty
-    /// (any incarnation of the servicing thread, or
-    /// [`Executor::shutdown`]) finishes all admitted work. A std mutex,
-    /// for the condvar.
+    /// (its servicer, or [`Executor::shutdown`]) finishes all admitted
+    /// work. A std mutex, for the condvar.
     timers: std::sync::Mutex<Timers>,
-    /// Signalled when a push undercuts the heap's head, and on stop.
+    /// Signalled when a push undercuts the heap's head, and on stop —
+    /// unless `wake` is set, which then replaces the signal on push.
     timer_due: Condvar,
+    /// The caller-serviced executor's undercut hook.
+    wake: Option<Box<WakeCallback>>,
     on_done: Box<BatchCallback>,
     /// Invoked with the in-flight batch when `on_done` panics, so the
     /// embedder can account the batch as failed instead of losing it (see
@@ -273,8 +273,15 @@ impl ExecutorShared {
 
     /// After the shard lock is released: complete each sealed batch that
     /// is due now on this thread, park the rest — and the seal deadline
-    /// `arm`, if any — in the heap.
-    fn settle(&self, key: Key, now: Nanos, sealed: Vec<SealedBatch<Job>>, arm: Option<Nanos>) {
+    /// `arm`, if any — in the heap. Returns the jobs completed here.
+    fn settle(
+        &self,
+        key: Key,
+        now: Nanos,
+        sealed: Vec<SealedBatch<Job>>,
+        arm: Option<Nanos>,
+    ) -> usize {
+        let mut completed = 0;
         for batch in sealed {
             let batch = CompletedBatch {
                 jobs: batch.items,
@@ -283,6 +290,7 @@ impl ExecutorShared {
                 exec_ns: batch.exec_ns,
             };
             if self.clock.is_due(batch.finished_at, now) {
+                completed += batch.jobs.len();
                 self.run_completion(batch);
             } else {
                 self.park(batch.finished_at, Due::Complete(batch));
@@ -291,55 +299,66 @@ impl ExecutorShared {
         if let Some(deadline) = arm {
             self.park(deadline, Due::Seal(key));
         }
+        completed
     }
 
-    /// Push one entry; wake the servicing thread only if it now has to get
-    /// up earlier than it planned.
+    /// Push one entry; wake the servicer only if it now has to get up
+    /// earlier than it planned.
     fn park(&self, at: Nanos, due: Due) {
         let mut timers = self.timers.lock().expect("timer heap poisoned");
         let undercuts = timers.heap.peek().is_none_or(|head| at < head.at);
         timers.heap.push(Timer { at, due });
         drop(timers);
         if undercuts {
-            self.timer_due.notify_one();
+            match &self.wake {
+                Some(wake) => wake(),
+                None => self.timer_due.notify_one(),
+            }
         }
     }
 
     /// A [`Due::Seal`] fired at its deadline `fired`: re-advance the key.
-    fn seal(&self, key: Key, fired: Nanos, now: Nanos) {
+    /// Returns the jobs it completed inline.
+    fn seal(&self, key: Key, fired: Nanos, now: Nanos) -> usize {
         let (sealed, arm) = {
             let mut guard = self.shard_for(key).lock();
             let ExecShard { keys, occupancy } = &mut *guard;
             let Some(state) = keys.get_mut(&key) else {
-                return; // pruned: the generation is gone and held no work
+                return 0; // pruned: the generation is gone and held no work
             };
             if state.flush_at == Some(fired) {
                 state.flush_at = None;
             }
             self.drain(state, occupancy, key.1, now)
         };
-        self.settle(key, now, sealed, arm);
+        self.settle(key, now, sealed, arm)
     }
 
-    /// Fire every heap entry ripe now, in deadline order, on the calling
-    /// thread; return the re-locked heap, whose head (if any) is not ripe
-    /// at the returned clock reading. Each entry pops under the heap
-    /// mutex, so callers on several threads never fire one twice.
-    fn fire_ripe(&self) -> (std::sync::MutexGuard<'_, Timers>, Nanos) {
+    /// Fire heap entries ripe now, in deadline order, on the calling
+    /// thread, until none is ripe or `limit` jobs have been completed;
+    /// return the re-locked heap, the clock reading its head was last
+    /// checked against, and the jobs completed. Each entry pops under the
+    /// heap mutex, so callers on several threads never fire one twice.
+    fn fire_ripe(&self, limit: usize) -> (std::sync::MutexGuard<'_, Timers>, Nanos, usize) {
+        let mut fired = 0;
         let mut timers = self.timers.lock().expect("timer heap poisoned");
         loop {
             let now = self.clock.now();
             match timers.heap.peek() {
-                Some(head) if head.ripe(&self.clock, now) => {
+                Some(head) if fired < limit && head.ripe(&self.clock, now) => {
                     let timer = timers.heap.pop().expect("peeked");
                     drop(timers);
-                    match timer.due {
-                        Due::Complete(batch) => self.run_completion(batch),
+                    fired += match timer.due {
+                        Due::Complete(batch) => {
+                            let jobs = batch.jobs.len();
+                            self.run_completion(batch);
+                            jobs
+                        }
                         Due::Seal(key) => self.seal(key, timer.at, now),
-                    }
+                    };
                     timers = self.timers.lock().expect("timer heap poisoned");
                 }
-                _ => return (timers, now),
+                _ => return (timers, now, fired),
             }
         }
     }
@@ -348,24 +367,14 @@ impl ExecutorShared {
     /// deadline, fire everything ripe in deadline order, repeat. Returns
     /// once stopped *and* empty — firing a seal can park new entries, so
     /// the heap is drained to a fixed point, each entry at its own time.
-    ///
-    /// `ctx` (supervised runs only) carries the heartbeat and any injected
-    /// chaos: the beat sits between wake-ups, where no entry is popped but
-    /// unfired, so an induced panic there loses nothing.
-    fn service(&self, ctx: Option<&SupervisedCtx>) {
+    fn service(&self) {
         loop {
-            if let Some(ctx) = ctx {
-                ctx.beat();
-            }
-            let (timers, now) = self.fire_ripe();
+            let (timers, now, _) = self.fire_ripe(usize::MAX);
             let wait = match timers.heap.peek() {
                 Some(head) => Some(self.clock.to_real(head.at - now)),
                 None if timers.stopping => return,
                 None => None,
             };
-            if let Some(ctx) = ctx {
-                ctx.park();
-            }
             // Either wait ends early on a notify; a spurious wake-up just
             // re-reads the head.
             match wait {
@@ -393,8 +402,8 @@ impl ExecutorShared {
     /// Fire the completion callback for one finished batch, surviving a
     /// panicking callback: the panic is caught, counted, and the batch is
     /// handed to the panic handler for failure accounting instead of being
-    /// silently lost. The calling thread — a submitter or the servicing
-    /// thread — then carries on with its next piece of work.
+    /// silently lost. The calling thread — a submitter or the heap's
+    /// servicer — then carries on with its next piece of work.
     fn run_completion(&self, batch: CompletedBatch) {
         if !self.recover(|| (self.on_done)(batch.clone())) {
             if let Some(handler) = self.on_panic.lock().as_ref() {
@@ -414,8 +423,8 @@ impl ExecutorShared {
 /// without it detaches that thread.
 pub struct Executor {
     shared: Arc<ExecutorShared>,
-    /// The internal servicing thread. `None` when the caller supervises it
-    /// externally via [`Executor::run_flusher`].
+    /// The internal servicing thread. `None` when the caller services the
+    /// heap ([`Executor::serviced_by_caller`]).
     flusher: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -445,28 +454,40 @@ impl Executor {
         policy: BatchPolicy,
         on_done: Box<BatchCallback>,
     ) -> Self {
-        let mut executor = Executor::new_external_flusher(profiles, clock, jitter, policy, on_done);
+        let mut executor = Executor::build(profiles, clock, jitter, policy, on_done, None);
         let shared = Arc::clone(&executor.shared);
         executor.flusher = Some(
             std::thread::Builder::new()
                 .name("arlo-flusher".into())
-                .spawn(move || shared.service(None))
+                .spawn(move || shared.service())
                 .expect("spawn executor flusher"),
         );
         executor
     }
 
-    /// [`Executor::new`] *without* the internal servicing thread. The
-    /// caller services the heap by running [`Executor::run_flusher`] on a
-    /// thread it controls — the supervision tree's restartable-flusher
-    /// arrangement. Work that is due later simply waits in the heap while
-    /// no servicer is alive.
-    pub fn new_external_flusher(
+    /// [`Executor::new`] *without* the servicing thread: the caller fires
+    /// the deadline heap with [`Executor::fire_ripe`], and `wake` runs on
+    /// the parking thread whenever a new entry undercuts the heap's head,
+    /// so the caller can move its next fire earlier. Work that is due
+    /// later simply waits in the heap until someone fires it.
+    pub fn serviced_by_caller(
         profiles: Vec<RuntimeProfile>,
         clock: Arc<VirtualClock>,
         jitter: JitterSpec,
         policy: BatchPolicy,
         on_done: Box<BatchCallback>,
+        wake: Box<WakeCallback>,
+    ) -> Self {
+        Executor::build(profiles, clock, jitter, policy, on_done, Some(wake))
+    }
+
+    fn build(
+        profiles: Vec<RuntimeProfile>,
+        clock: Arc<VirtualClock>,
+        jitter: JitterSpec,
+        policy: BatchPolicy,
+        on_done: Box<BatchCallback>,
+        wake: Option<Box<WakeCallback>>,
     ) -> Self {
         assert!(!profiles.is_empty(), "need at least one profile");
         policy.validate();
@@ -480,6 +501,7 @@ impl Executor {
                 .collect(),
             timers: std::sync::Mutex::default(),
             timer_due: Condvar::new(),
+            wake,
             on_done,
             on_panic: Mutex::new(None),
             panics: AtomicU64::new(0),
@@ -490,37 +512,15 @@ impl Executor {
         }
     }
 
-    /// Service the deadline heap on the calling thread — the
-    /// supervised-flusher body (pair with
-    /// [`Executor::new_external_flusher`]). The heap is shared state, not
-    /// this thread's: an incarnation that dies leaves every entry where it
-    /// was and the next call carries on from there, including entries
-    /// parked while no servicer was alive. Returns when
-    /// [`Executor::stop_flusher`] has been called and every entry has
-    /// fired.
-    pub fn run_flusher(&self, ctx: Option<&SupervisedCtx>) {
-        self.shared.service(ctx);
-    }
-
-    /// Fire every heap entry ripe now on the calling thread and return: one
-    /// pass of the servicing loop without its wait. Safe beside a live
-    /// servicer — entries pop under the heap mutex — so a thread that
-    /// cannot tell whether one is still alive (the server's drain, after a
-    /// flusher was given up on) can call it periodically.
-    pub fn fire_ripe(&self) {
-        drop(self.shared.fire_ripe());
-    }
-
-    /// Tell the servicing thread to finish: it fires what the heap still
-    /// holds, each entry at its own deadline, and returns. Part of the
-    /// supervised drain sequence ([`Executor::shutdown`] does this itself).
-    pub fn stop_flusher(&self) {
-        self.shared
-            .timers
-            .lock()
-            .expect("timer heap poisoned")
-            .stopping = true;
-        self.shared.timer_due.notify_all();
+    /// Fire heap entries ripe now on the calling thread, in deadline order,
+    /// until none is ripe or entries completing at least `limit` jobs have
+    /// fired: one slice of the servicing loop, without its wait. Returns
+    /// the jobs completed and the deadline of the heap's head, if any —
+    /// which, when the limit stopped the slice, may already be ripe. Safe
+    /// from any thread: entries pop under the heap mutex.
+    pub fn fire_ripe(&self, limit: usize) -> (usize, Option<Nanos>) {
+        let (timers, _, fired) = self.shared.fire_ripe(limit);
+        (fired, timers.heap.peek().map(|head| head.at))
     }
 
     /// Submit a job: queue it on its instance's coalescer and seal whatever
@@ -567,9 +567,8 @@ impl Executor {
     /// every member as failed (report it into the engine, answer the
     /// clients) instead of silently losing the batch. The thread that ran
     /// the callback survives — it catches the panic, recovers, and carries
-    /// on, so neither a submitting thread (an epoll shard) nor the
-    /// servicing thread is lost to a poisoned callback and a drain never
-    /// deadlocks on one.
+    /// on, so no thread submitting to or servicing the heap is lost to a
+    /// poisoned callback and a drain never deadlocks on one.
     ///
     /// Install before traffic flows; a panic with no handler installed is
     /// still caught and counted, but the batch is not re-accounted.
@@ -619,14 +618,18 @@ impl Executor {
     /// every completion still parked in the heap, and join the servicing
     /// thread. Returns the final batch-occupancy histogram.
     pub fn shutdown(mut self) -> Vec<u64> {
-        self.stop_flusher();
+        self.shared
+            .timers
+            .lock()
+            .expect("timer heap poisoned")
+            .stopping = true;
+        self.shared.timer_due.notify_all();
         if let Some(flusher) = self.flusher.take() {
             flusher.join().expect("executor flusher panicked");
         }
-        // An externally-run servicer has been stopped and joined by its
-        // supervisor by now — or died for good, or never ran. Whatever it
-        // left in the heap fires here; an empty heap returns at once.
-        self.shared.service(None);
+        // A caller-serviced heap fires what it still holds here, each entry
+        // at its own deadline; an empty heap returns at once.
+        self.shared.service();
         self.batch_occupancy()
     }
 }
@@ -879,55 +882,79 @@ mod tests {
     }
 
     #[test]
-    fn heap_entries_parked_in_a_dead_window_fire_on_the_next_servicer() {
-        // The supervised-restart scenario: jobs land while *no* servicer
-        // is alive (the previous incarnation is dead, the next not yet
-        // spawned). Their held-open batch cannot seal until one exists —
-        // and the next one must find the deadline where it was parked, in
-        // the shared heap.
-        let spec = BatchSpec {
-            max_batch: 8,
-            marginal_cost: 0.5,
-        };
+    fn a_caller_serviced_heap_wakes_on_undercut_and_fires_on_demand() {
+        // 20 virtual s at 10_000× = 2 ms real: in the future when the
+        // submits land (no eager seal on the submit path).
         let policy = BatchPolicy {
-            spec,
-            // 20 virtual s at 10_000× = 2 ms real: in the future when the
-            // submits land (no eager seal on the submit path), overdue by
-            // the time the servicer starts.
+            spec: BatchSpec {
+                max_batch: 8,
+                marginal_cost: 0.5,
+            },
             max_wait_ns: 20_000_000_000,
         };
         let clock = Arc::new(VirtualClock::new(10_000));
         let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&done);
-        let exec = Arc::new(Executor::new_external_flusher(
+        let wakes = Arc::new(AtomicU64::new(0));
+        let (sink, wakes2) = (Arc::clone(&done), Arc::clone(&wakes));
+        let exec = Executor::serviced_by_caller(
             profiles(),
             Arc::clone(&clock),
             JitterSpec::NONE,
             policy,
             Box::new(move |b| sink.lock().push(b)),
-        ));
+            Box::new(move || _ = wakes2.fetch_add(1, Ordering::SeqCst)),
+        );
         let t0 = clock.now();
         exec.submit(job(0, 0, 0, t0));
         exec.submit(job(1, 0, 0, t0));
-        // 20 ms real at 10_000× is 200 virtual s, far past the 20
-        // virtual-s window: the batch is overdue, but with no servicer
-        // nothing fires it.
+        // One seal armed for the shared window: the first park undercut an
+        // empty heap, the second submit joined the armed window.
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        // Not ripe yet: the window opened at the first push's clock reading.
+        let (fired, head) = exec.fire_ripe(usize::MAX);
+        assert!(
+            fired == 0 && head >= Some(t0 + policy.max_wait_ns),
+            "{head:?}"
+        );
+        // 20 ms real at 10_000× is 200 virtual s, far past the window: the
+        // batch is overdue, but nothing fires it until the caller does.
         std::thread::sleep(Duration::from_millis(20));
-        assert!(done.lock().is_empty(), "no servicer alive, nothing seals");
-        let flusher = {
-            let exec = Arc::clone(&exec);
-            std::thread::spawn(move || exec.run_flusher(None))
-        };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while done.lock().iter().map(|b| b.jobs.len()).sum::<usize>() < 2 {
-            assert!(Instant::now() < deadline, "the overdue batch was lost");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        exec.stop_flusher();
-        flusher.join().unwrap();
-        let exec = Arc::try_unwrap(exec).ok().expect("flusher joined");
-        exec.shutdown();
+        assert!(done.lock().is_empty(), "no servicer, nothing seals");
+        let (fired, head) = exec.fire_ripe(usize::MAX);
+        assert_eq!((fired, head), (2, None), "both jobs completed at the seal");
         assert_eq!(done.lock().len(), 1, "both jobs share the parked batch");
+        exec.shutdown();
+    }
+
+    #[test]
+    fn fire_ripe_stops_after_its_limit_of_jobs() {
+        // Five completions parked ~39 ms out (time scale 1), all ripe by
+        // the time the caller fires: a limit of 2 fires two, and the head
+        // it reports is ripe already.
+        let clock = Arc::new(VirtualClock::new(1));
+        let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
+        let exec = {
+            let sink = Arc::clone(&done);
+            Executor::serviced_by_caller(
+                short_and_long_profiles(),
+                Arc::clone(&clock),
+                JitterSpec::NONE,
+                BatchPolicy::greedy(BatchSpec::SINGLE),
+                Box::new(move |b| sink.lock().push(b)),
+                Box::new(|| {}),
+            )
+        };
+        let t0 = clock.now();
+        for inst in 0..5 {
+            exec.submit(job(inst as u64, 1, inst, t0));
+        }
+        std::thread::sleep(Duration::from_millis(60));
+        let (fired, head) = exec.fire_ripe(2);
+        assert_eq!(fired, 2);
+        assert!(head.is_some_and(|at| at <= clock.now()), "{head:?}");
+        assert_eq!(exec.fire_ripe(usize::MAX), (3, None));
+        assert_eq!(done.lock().len(), 5);
+        exec.shutdown();
     }
 
     /// A short runtime next to one slow enough (Dolly, 38.7 ms per
@@ -1023,13 +1050,13 @@ mod tests {
         // At 1000× a 38.7 virtual-ms execution spans 38.7 real µs, so the
         // second job queues behind the first and its batch starts in the
         // future. It is a full batch, so it seals at push, and it finishes
-        // inside the 100 µs due-now window: no heap entry, no flusher hop.
+        // inside the 100 µs due-now window: no heap entry, no thread hop.
         let clock = Arc::new(VirtualClock::new(1_000));
         let fired: Arc<Mutex<Vec<(std::thread::ThreadId, bool)>>> =
             Arc::new(Mutex::new(Vec::new()));
         let exec = {
             let (clock, fired) = (Arc::clone(&clock), Arc::clone(&fired));
-            Executor::new_external_flusher(
+            Executor::serviced_by_caller(
                 short_and_long_profiles(),
                 Arc::clone(&clock),
                 JitterSpec::NONE,
@@ -1038,6 +1065,7 @@ mod tests {
                     let due = clock.is_due(b.finished_at, clock.now());
                     fired.lock().push((std::thread::current().id(), due));
                 }),
+                Box::new(|| {}),
             )
         };
         let t0 = clock.now();
@@ -1054,8 +1082,8 @@ mod tests {
 
     #[test]
     fn shutdown_fires_every_parked_entry() {
-        // No servicing thread ever runs here (external arrangement, never
-        // started), so everything that is due later sits in the heap:
+        // Nobody fires this caller-serviced heap, so everything that is
+        // due later sits in it:
         // six completions ~39 ms out, plus on instance 0 the completion of
         // a second job queued behind the first (sealed at push, since a
         // batch-1 batch is full). shutdown() alone must fire them all.
@@ -1063,12 +1091,13 @@ mod tests {
         let done: Arc<Mutex<Vec<CompletedBatch>>> = Arc::new(Mutex::new(Vec::new()));
         let exec = {
             let sink = Arc::clone(&done);
-            Executor::new_external_flusher(
+            Executor::serviced_by_caller(
                 short_and_long_profiles(),
                 Arc::clone(&clock),
                 JitterSpec::NONE,
                 BatchPolicy::greedy(BatchSpec::SINGLE),
                 Box::new(move |b| sink.lock().push(b)),
+                Box::new(|| {}),
             )
         };
         let t0 = clock.now();

@@ -29,19 +29,20 @@
 //! - [`executor`] — charges each placed request its profiled execution
 //!   cost on a per-instance serial clock and reports completion through
 //!   the engine's health hooks: inline when the completion is already
-//!   due, otherwise from one deadline heap serviced by one thread.
+//!   due, otherwise from a deadline heap that, in the server, the shard
+//!   owning it fires.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
 //!   over [`std::os::fd`], the readiness substrate for the server's
 //!   connection shards (and the high-connection-count load generator).
 //! - [`queue`] — a bounded MPMC queue with shutdown-aware wakeup. The
 //!   server no longer uses it (its shards place every request
 //!   themselves); the benchmark's layer walk and probes still link it.
-//! - [`supervisor`] — the supervision tree: every long-lived server
-//!   thread runs as a named, heartbeat-monitored component with a typed
-//!   restart policy; panics restart within budget (state re-attached,
-//!   mid-flight work re-accounted), stalls are detected, unrecoverable
-//!   failures escalate to a fail-fast conserving drain. Seeded in-process
-//!   fault injection via [`chaos::ComponentChaos`].
+//! - [`supervisor`] — escalation plus a stall check: every server thread
+//!   runs as a named component with a heartbeat; a shard that dies
+//!   escalates to a fail-fast conserving drain, a panicking planner tick
+//!   is logged and skipped, and a frozen heartbeat is flagged by a check
+//!   the embedder calls (no monitor thread). Seeded in-process fault
+//!   injection via [`chaos::ComponentChaos`].
 //! - [`registry`] — the lock-striped connection registry
 //!   ([`registry::StripedMap`]) that replaced the process-global conns
 //!   mutex on the response hot path.
@@ -49,12 +50,13 @@
 //!   admission under overload), tenant specs, the sliding per-tenant
 //!   demand windows the GPU re-granting coordinator plans over, and the
 //!   deterministic weighted tenant-tagging the load generator uses.
-//! - [`server`] — the TCP server: an acceptor handing sockets to
-//!   [`server::ServeConfig::shards`] epoll event loops that drive
+//! - [`server`] — the TCP server: [`server::ServeConfig::shards`] epoll
+//!   event loops — shard 0 also owns the listener — that drive
 //!   non-blocking per-connection state machines (a connection costs no
-//!   thread) and run each decoded request to completion on the shard
-//!   (refusals ⇒ explicit shed frames), a timer thread driving health
-//!   ticks and periodic reallocation, and a graceful drain that flushes
+//!   thread), run each decoded request to completion on the shard
+//!   (refusals ⇒ explicit shed frames) and fire their executors'
+//!   deadlines; one planner thread driving health ticks, periodic
+//!   reallocation and GPU re-granting; and a graceful drain that flushes
 //!   every outstanding request before closing.
 //! - [`loadgen`] — open- and closed-loop trace replay over real sockets,
 //!   for the `ext_serve` benchmark and the end-to-end tests, plus the
@@ -85,7 +87,5 @@ pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, S
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
 pub use server::{DrainReport, ServeConfig, Server, TenantDrainReport, TenantStats};
-pub use supervisor::{
-    RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent, SupervisorEventKind,
-};
+pub use supervisor::{SupervisorEvent, SupervisorEventKind};
 pub use tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec, TenantWindow};

@@ -1118,7 +1118,7 @@ fn storm_worker(
                     .and_then(|()| read_frame(&mut stream))
                 {
                     Ok(Some(Frame::HelloAck { .. })) => {}
-                    // The acceptor answers an over-limit connection with a
+                    // Shard 0 answers an over-limit connection with a
                     // typed Shed before reading anything.
                     Ok(Some(Frame::Error {
                         id: CONN_ERROR_ID,

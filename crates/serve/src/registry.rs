@@ -8,7 +8,7 @@
 //! outbound-queue push. [`StripedMap`] splits the table into N
 //! independently-locked stripes selected by the low bits of the key, so
 //! two responders touching different connections never contend, and the
-//! acceptor's round-robin shard assignment (`conn_id % shards`) maps
+//! accept path's round-robin shard assignment (`conn_id % shards`) maps
 //! each shard's connections onto a disjoint set of stripes whenever the
 //! stripe count is a multiple of the shard count — the stripes are
 //! *aligned with the shards*, so a shard draining its own connections
@@ -22,7 +22,7 @@
 //! race is now handled by the outbound queue's own `closed` flag; see
 //! `server::Outbound`).
 //!
-//! `len` is an atomic maintained on insert/remove, so the acceptor's
+//! `len` is an atomic maintained on insert/remove, so the accept path's
 //! admission check stays O(1) instead of summing stripes.
 
 use parking_lot::Mutex;

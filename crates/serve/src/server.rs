@@ -6,40 +6,31 @@
 //! thread kind:
 //!
 //! ```text
-//!   clients ──TCP──► acceptor ──hand-off──► shard 0..N (epoll event loops)
-//!                                             │  each owns its conns:
-//!                                             │  FrameReader ◄─ nonblocking reads
-//!                                             │  FrameWriteBuf ─► nonblocking writes
-//!                                             │
-//!                                             ├─ run to completion, every request:
-//!                                             │  place ─► engine.submit ─► executor ─► due now:
-//!                                             │  completes inline, answer written by this drive
-//!                                             │
-//!                                             ◄── bounded outbound queues ◄── responses from other threads
+//!   clients ──TCP──► shard 0 (listener) ──hand-off──► shard 1..N
+//!                      │  each owns its conns and its executors' heaps:
+//!                      │  FrameReader ◄─ nonblocking reads
+//!                      │  FrameWriteBuf ─► nonblocking writes
+//!                      │
+//!                      ├─ run to completion: place ─► engine.submit ─►
+//!                      │  executor ─► due now: completes inline
+//!                      ├─ due later: parked in the executor's heap,
+//!                      │  fired when this shard's epoll_wait times out
+//!                      │
+//!                      ◄── bounded outbound queues ◄── responses from other threads
 //!
-//!   acceptor: accepts connections (admission-limited), hands each to a shard
-//!   flusher:  services the executor's deadline heap (partial-batch seals + future completions)
-//!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
+//!   planner: health ticks + reallocation, or the coordinator's re-grants
 //! ```
 //!
-//! A shard that decodes a submit finishes it on its own thread — admission,
-//! [`ArloEngine::submit`], [`Executor::submit`], the completion if it is
-//! due now, and the answer into the connection's own outbound queue, which
-//! the same drive writes out before the shard returns to `epoll_wait`. The
-//! shard is the only thread that places a request; only work that is due
-//! later (a partial batch's future seal, or a future completion) leaves
-//! it, for the flusher. A request queued behind a busy instance is not
-//! such work when its batch is full: the batch seals at once, and its
-//! completion is inline whenever it is due now.
-//!
-//! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
-//! eventfd [`Waker`](crate::epoll::Waker) when another thread makes one of
-//! its connections' outbound queues non-empty or dooms a connection, or
-//! once per sweep interval (idle reaping, write-stall dooming). A
-//! connection costs no thread: 10k+ concurrent connections are a
-//! configuration, not a thread-count incident. Every socket read and write
-//! goes straight to the socket: network faults are injected on the client
-//! side of the wire ([`crate::chaos::FaultyStream`]), never in the shard.
+//! The shard is the only thread that places a request, and executor `i`'s
+//! deadline heap belongs to shard `i % shards`, which sleeps no longer
+//! than until the heap's head, fires what is ripe and writes the answers
+//! out itself. Otherwise a shard wakes for socket readiness, for its
+//! eventfd [`Waker`](crate::epoll::Waker) — another thread queued a frame
+//! on one of its connections, doomed one, or parked a deadline ahead of
+//! one of its heaps — or once per sweep interval (idle reaping,
+//! write-stall dooming). A connection costs no thread. Every socket read
+//! and write goes straight to the socket: network faults are injected on
+//! the client side of the wire ([`crate::chaos::FaultyStream`]).
 //!
 //! Backpressure and failure are explicit end to end:
 //!
@@ -51,7 +42,9 @@
 //!   so a stalled or slow client can never block a placing thread or the
 //!   executor's completion path. A full queue (or a write stalled past
 //!   `write_timeout`) dooms only that connection — a typed disconnect, not
-//!   shared-fate backpressure.
+//!   shared-fate backpressure. A shard catching up on ripe deadlines fires
+//!   them in slices of half a queue, writing out between slices, so it
+//!   cannot outrun a client that is reading.
 //! - The shard's periodic sweep **reaps idle connections**: a half-open or
 //!   silent socket is closed after `idle_timeout`.
 //! - Malformed frames with an intact header are *skipped* and charged
@@ -67,8 +60,10 @@
 //!   connection keeps no version state. A [`Frame::Hello`] offering v2 or
 //!   newer earns a `HelloAck`, an older one a typed [`ErrorCode::Protocol`]
 //!   disconnect, and a v1 data frame is framing lost like bad magic.
-//! - The acceptor enforces `max_conns`: beyond it, a new connection is
-//!   answered with a single [`ErrorCode::Shed`] frame and closed.
+//! - Shard 0 enforces `max_conns` at accept: beyond it, a new connection
+//!   is answered with a single [`ErrorCode::Shed`] frame and closed. An
+//!   accept error other than `WouldBlock` (out of file descriptors, say)
+//!   mutes the listener until the next sweep instead of spinning on it.
 //! - A panicking executor completion callback is caught on the thread that
 //!   ran it; the in-flight batch is re-accounted as failed through
 //!   [`ArloEngine::report_batch`] and every member's client is answered
@@ -77,7 +72,7 @@
 //!   same boundary ([`Executor::recover`]): that one request is answered
 //!   `Failed` and the shard carries on.
 //!
-//! Graceful drain stops the acceptor, refuses new submits with
+//! Graceful drain closes the listener, refuses new submits with
 //! [`ErrorCode::Draining`], flushes every outstanding execution *and*
 //! every queued response frame, then closes connections and joins all
 //! threads.
@@ -91,7 +86,7 @@ use crate::protocol::{
     WireVersion, CONN_ERROR_ID, FILL_CHUNK, UNKNOWN_TENANT_COST,
 };
 use crate::registry::StripedMap;
-use crate::supervisor::{RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent};
+use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
 use crate::tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
 use arlo_core::engine::{ArloEngine, ReplacementPlan};
 use arlo_core::multistream::{PoolCoordinator, StreamPlan};
@@ -100,13 +95,14 @@ use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
@@ -121,7 +117,8 @@ pub struct ServeConfig {
     /// its submits shed ([`SloClass::admit_limit`]). `Interactive` is
     /// ungated.
     pub queue_capacity: usize,
-    /// Virtual interval between timer ticks (health + reallocation check).
+    /// Virtual interval between planner ticks (health + reallocation
+    /// check).
     pub tick_interval: Nanos,
     /// Execution-time jitter applied by the executor.
     pub jitter: JitterSpec,
@@ -133,16 +130,17 @@ pub struct ServeConfig {
     pub fail_one_in: Option<u64>,
     /// Chaos injection: panic the executor's completion callback whenever a
     /// batch contains a request id hitting one-in-`n` — exercises the
-    /// executor's catch/re-account path on whichever thread completes the
-    /// batch (a shard or the flusher). `None` disables injection.
+    /// executor's catch/re-account path on the shard that completes the
+    /// batch. `None` disables injection.
     pub panic_one_in: Option<u64>,
     /// Batch coalescing policy for the executor. The default —
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
     /// exactly (the paper's batch-1 setting).
     pub batch: BatchPolicy,
     /// How often a shard sweeps its connections for idle, doomed, and
-    /// write-stalled ones — also the longest it sleeps in `epoll_wait`, so
-    /// the granularity at which those are noticed.
+    /// write-stalled ones (and shard 0 re-arms a listener muted by an
+    /// accept error) — also the longest it sleeps in `epoll_wait`, so the
+    /// granularity at which those are noticed.
     pub sweep_interval: Duration,
     /// Real-time silence window after which a connection is reaped: no
     /// bytes from the client for this long closes the socket. Half-open
@@ -165,16 +163,17 @@ pub struct ServeConfig {
     /// (intact header, known extent) are budgetable; losing framing is an
     /// immediate typed disconnect.
     pub frame_error_budget: u32,
-    /// Admission limit on concurrent connections: beyond it the acceptor
+    /// Admission limit on concurrent connections: beyond it shard 0
     /// answers one [`ErrorCode::Shed`] frame and closes.
     pub max_conns: usize,
-    /// Epoll event-loop threads (at least 1 is spawned). Connections are
-    /// assigned round-robin at accept. [`ServeConfig::new`] computes it:
+    /// Epoll event-loop threads (at least 1 is spawned). Shard 0 accepts
+    /// and assigns connections round-robin; tenant `i`'s executor heap
+    /// belongs to shard `i % shards`. [`ServeConfig::new`] computes it:
     /// half the available parallelism — the other half is left to the
-    /// flusher, timer and clients — which is 1 on the 2-vCPU reference
-    /// host, the only shape measured (`EXPERIMENTS.md`). The connection
-    /// registry gets `max(8, shards)` stripes, so every shard owns a
-    /// disjoint set of them.
+    /// planner and clients — which is 1 on the 2-vCPU reference host, the
+    /// only shape measured (`EXPERIMENTS.md`). The connection registry
+    /// gets `max(8, shards)` stripes, so every shard owns a disjoint set of
+    /// them.
     pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
@@ -187,18 +186,11 @@ pub struct ServeConfig {
     pub coordinator_window: Nanos,
     /// Test-only in-process fault injection: a seeded
     /// [`ComponentChaos`] schedule targeting server components by name
-    /// prefix (`flusher`, `timer`, `coordinator`, `shard`, `accept`),
-    /// consulted on every component heartbeat. `None` — the
-    /// production setting — injects nothing.
+    /// prefix (`shard`, `planner`), consulted on every component
+    /// heartbeat. `None` — the production setting — injects nothing.
     pub component_chaos: Option<ComponentChaos>,
-    /// Backoff before the supervisor respawns a panicked restartable
-    /// component.
-    pub restart_backoff: Duration,
-    /// Lifetime respawns allowed per restartable component; exhausting
-    /// the budget escalates to the fail-fast drain.
-    pub restart_budget: u32,
     /// How long a component's heartbeat may freeze while unparked before
-    /// the supervisor flags it stalled.
+    /// [`Server::check_stalls`] flags it stalled.
     pub stall_grace: Duration,
 }
 
@@ -227,8 +219,6 @@ impl ServeConfig {
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
             coordinator_window: 2 * arlo_trace::NANOS_PER_SEC,
             component_chaos: None,
-            restart_backoff: Duration::from_millis(10),
-            restart_budget: 8,
             stall_grace: Duration::from_millis(500),
         }
     }
@@ -259,14 +249,7 @@ impl ServeConfig {
         self
     }
 
-    /// Set the supervisor's restart backoff and per-component budget.
-    pub fn with_restart_policy(mut self, backoff: Duration, budget: u32) -> Self {
-        self.restart_backoff = backoff;
-        self.restart_budget = budget;
-        self
-    }
-
-    /// Set the supervisor's stall-detection grace window.
+    /// Set the stall check's grace window.
     pub fn with_stall_grace(mut self, grace: Duration) -> Self {
         self.stall_grace = grace;
         self
@@ -403,17 +386,14 @@ pub struct DrainReport {
     /// report exactly one entry (the default tenant), whose counters match
     /// the global ones.
     pub tenants: Vec<TenantDrainReport>,
-    /// Supervised component respawns over the server's lifetime (panics
-    /// recovered by the supervision tree's restart policies).
-    pub supervisor_restarts: u64,
-    /// Heartbeat stall episodes the supervisor detected (a component
-    /// alive but frozen while unparked past the stall grace).
+    /// Heartbeat stall episodes [`Server::check_stalls`] detected (a
+    /// component alive but frozen while unparked past the stall grace).
     pub stalls_detected: u64,
-    /// Unrecoverable component failures ([`RestartPolicy::Escalate`] or
-    /// a spent restart budget) that triggered the fail-fast drain.
+    /// Components that died of a panic; the first triggered the
+    /// fail-fast drain.
     pub escalations: u64,
     /// The supervisor's structured event log: every component panic,
-    /// restart, stall, and escalation, in order, with timestamps.
+    /// stall, and escalation, in order, with timestamps.
     pub supervisor_events: Vec<SupervisorEvent>,
 }
 
@@ -448,7 +428,7 @@ struct OutboundQueue {
     closed: bool,
 }
 
-/// An accepted connection on its way from the acceptor to a shard.
+/// An accepted connection on its way from shard 0's accept to its shard.
 struct IncomingConn {
     conn_id: u64,
     stream: TcpStream,
@@ -456,23 +436,26 @@ struct IncomingConn {
     doomed: Arc<AtomicBool>,
 }
 
-/// The cross-thread face of one epoll shard: how the acceptor injects
-/// connections and how `respond`/`doom`/`drain` nudge a sleeping
+/// The cross-thread face of one epoll shard: how shard 0 hands it
+/// connections and how `respond`/`doom`/`park`/`drain` nudge a sleeping
 /// `epoll_wait`.
 struct ShardHandle {
+    /// The shard's index ([`ON_SHARD`] on its own thread).
+    id: usize,
     waker: Waker,
     /// Connections whose outbound queue went non-empty or whose doom flag
     /// was freshly set.
     dirty: Mutex<Vec<u64>>,
     /// Accepted sockets awaiting adoption by the shard.
     incoming: Mutex<Vec<IncomingConn>>,
-    /// `notify` calls so far ([`Server::shard_notifies`]).
+    /// `wake` calls so far ([`Server::shard_notifies`]).
     notifies: AtomicU64,
 }
 
 impl ShardHandle {
-    fn new(epoll: &Epoll) -> io::Result<ShardHandle> {
+    fn new(epoll: &Epoll, id: usize) -> io::Result<ShardHandle> {
         Ok(ShardHandle {
+            id,
             waker: Waker::new(epoll)?,
             dirty: Mutex::new(Vec::new()),
             incoming: Mutex::new(Vec::new()),
@@ -480,37 +463,25 @@ impl ShardHandle {
         })
     }
 
-    fn notify(&self, conn_id: u64) {
+    /// Wake the shard from another thread.
+    fn wake(&self) {
         self.notifies.fetch_add(1, Ordering::Relaxed);
-        self.dirty.lock().push(conn_id);
         self.waker.wake();
+    }
+
+    fn notify(&self, conn_id: u64) {
+        self.dirty.lock().push(conn_id);
+        self.wake();
     }
 }
 
 thread_local! {
-    /// The connection whose `drive_read` the calling thread is inside, if
-    /// any — set only through [`Driving`].
-    static DRIVING: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Marks the calling shard as inside `drive_read` for one connection, for
-/// exactly as long as the guard lives. [`Shared::respond`] reads the mark
-/// to skip notifying a shard about a frame that shard's own drive is about
-/// to write. Reset on drop, unwinding included: a stale mark would
-/// silently suppress a later notification.
-struct Driving;
-
-impl Driving {
-    fn enter(conn_id: u64) -> Driving {
-        DRIVING.set(Some(conn_id));
-        Driving
-    }
-}
-
-impl Drop for Driving {
-    fn drop(&mut self) {
-        DRIVING.set(None);
-    }
+    /// The shard this thread runs, if it is one.
+    static ON_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
+    /// This shard's own dirty list: connections whose outbound queue it
+    /// made non-empty itself. It writes them out before it waits again, so
+    /// they cost no eventfd write.
+    static LOCAL_DIRTY: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The registry's view of a connection: what `respond` and `doom` need to
@@ -567,43 +538,6 @@ struct Tenant {
     outstanding: AtomicU64,
 }
 
-/// The server's shutdown flag: a plain atomic for the loops that check it
-/// on every wake-up, and an event for the threads that sleep out a tick
-/// between checks — [`Shutdown::set`] ends every [`Shutdown::sleep`] at
-/// once, so drain never waits out a timer or coordinator interval.
-#[derive(Default)]
-struct Shutdown {
-    flag: AtomicBool,
-    lock: std::sync::Mutex<()>,
-    woken: Condvar,
-}
-
-impl Shutdown {
-    fn is_set(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
-    }
-
-    fn set(&self) {
-        // Under the lock: a sleeper between its flag check and its wait
-        // holds it, so this notify cannot fall into that gap.
-        let _guard = self.lock.lock().expect("shutdown lock poisoned");
-        self.flag.store(true, Ordering::SeqCst);
-        self.woken.notify_all();
-    }
-
-    /// Sleep for `timeout`, or until [`Shutdown::set`] if that comes
-    /// first. Returns whether the server is shutting down.
-    fn sleep(&self, timeout: Duration) -> bool {
-        let guard = self.lock.lock().expect("shutdown lock poisoned");
-        drop(
-            self.woken
-                .wait_timeout_while(guard, timeout, |()| !self.is_set())
-                .expect("shutdown lock poisoned"),
-        );
-        self.is_set()
-    }
-}
-
 /// Everything the serving threads share.
 ///
 /// # Atomic-ordering contract
@@ -642,7 +576,9 @@ struct Shared {
     fail_one_in: Option<u64>,
     panic_one_in: Option<u64>,
     draining: AtomicBool,
-    shutdown: Shutdown,
+    /// Set once drain has flushed: the shards close up and return, and
+    /// the planner, unparked, returns too.
+    shutdown: AtomicBool,
     reallocations: AtomicU64,
     /// Response frames enqueued on outbound queues and not yet written;
     /// drain flushes this to zero before closing sockets.
@@ -698,7 +634,7 @@ impl Shared {
             fail_one_in: config.fail_one_in,
             panic_one_in: config.panic_one_in,
             draining: AtomicBool::new(false),
-            shutdown: Shutdown::default(),
+            shutdown: AtomicBool::new(false),
             reallocations: AtomicU64::new(0),
             queued_frames: AtomicU64::new(0),
             reaped_idle: AtomicU64::new(0),
@@ -741,8 +677,8 @@ impl Shared {
     /// blocks: a vanished connection drops the frame, and a *full* queue —
     /// a client that stopped reading while responses kept coming — dooms
     /// the connection (typed disconnect) instead of stalling the caller.
-    /// This is the only way frames reach sockets, so neither a placing
-    /// shard nor an executor's flusher can ever block on a slow client.
+    /// This is the only way frames reach sockets, so no thread placing or
+    /// completing a request can ever block on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
     /// clone the handle's two `Arc`s; the actual queue push happens
@@ -768,10 +704,10 @@ impl Shared {
     /// - A connection is driven once when its shard adopts it, so a frame
     ///   queued before adoption is not stranded behind a notification the
     ///   shard could not yet match to a connection.
-    /// - A push by the shard that is inside `drive_read` for this very
-    ///   connection (the [`Driving`] mark) notifies nobody: `drive_conn`
-    ///   always runs `drive_write` right after `drive_read`, and that write
-    ///   takes the queue lock after the push.
+    /// - A push by the connection's own shard — answering a request it
+    ///   placed, or firing a heap it owns — notifies nobody: it goes on that
+    ///   shard's [`LOCAL_DIRTY`] list, which the shard drives before it
+    ///   waits again (see [`fire_heaps`]).
     fn respond(&self, conn_id: u64, frame: &Frame) {
         let route = self.conns.with(conn_id, |handle| {
             handle.map(|h| (Arc::clone(&h.outbound), Arc::clone(&h.shard)))
@@ -807,8 +743,11 @@ impl Shared {
             }
         };
         match outcome {
-            Push::First if DRIVING.get() != Some(conn_id) => shard.notify(conn_id),
-            Push::First | Push::Behind => {}
+            Push::First if ON_SHARD.get() == Some(shard.id) => {
+                LOCAL_DIRTY.with_borrow_mut(|dirty| dirty.push(conn_id));
+            }
+            Push::First => shard.notify(conn_id),
+            Push::Behind => {}
             Push::Overflowed => {
                 self.queued_frames.fetch_sub(1, Ordering::SeqCst);
                 self.dropped_responses.fetch_add(1, Ordering::Relaxed);
@@ -843,15 +782,20 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     drain_timeout: Duration,
-    /// The supervision tree owning every long-lived serving thread —
-    /// acceptor, epoll shards, timer, coordinator, and executor flushers
-    /// all live in its registry (their `JoinHandle`s are the supervisor's,
-    /// not the server's).
+    /// Logs component failures and checks their heartbeats.
     supervisor: Supervisor,
     /// One handle per shard.
     shard_handles: Vec<Arc<ShardHandle>>,
-    /// One executor per tenant (its own per-instance clocks).
+    /// One thread per shard, in shard order.
+    shards: Vec<JoinHandle<()>>,
+    /// The planner thread.
+    planner: JoinHandle<()>,
+    /// One executor per tenant (its own per-instance clocks); executor
+    /// `i`'s deadline heap belongs to shard `i % shards`.
     executors: Vec<Arc<Executor>>,
+    /// Most jobs one slice of heap firing completes (half an outbound
+    /// queue).
+    fire_slice: usize,
 }
 
 impl Server {
@@ -862,8 +806,7 @@ impl Server {
     ///
     /// Single-tenant: the engine becomes the default tenant (id 0,
     /// ungated `Interactive` admission), no coordinator runs, and the
-    /// timer thread owns periodic reallocation — exactly the historical
-    /// behaviour.
+    /// planner owns periodic reallocation.
     pub fn spawn(engine: ArloEngine, addr: &str, config: ServeConfig) -> io::Result<Server> {
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
         Server::spawn_inner(vec![(spec, engine)], addr, config, false)
@@ -871,17 +814,17 @@ impl Server {
 
     /// Bind `addr` and spawn a multi-tenant server: one engine and
     /// executor per tenant (wire tenant id = position in `tenants`; index
-    /// 0 is the default tenant), plus the live coordinator thread that
-    /// periodically re-partitions `config.gpus` across the tenant engines
-    /// from their streaming demand windows. In this mode the coordinator is the **sole** caller
-    /// of [`ArloEngine::apply_allocation`] (the timer only health-ticks),
-    /// so generation-successor ordering can never race.
+    /// 0 is the default tenant), plus the live coordinator pass, run by the
+    /// planner, that periodically re-partitions `config.gpus` across the
+    /// tenant engines from their streaming demand windows. In this mode the
+    /// coordinator pass is the **sole** caller of
+    /// [`ArloEngine::apply_allocation`], so generation-successor ordering
+    /// can never race.
     pub fn spawn_multi(
         tenants: Vec<(TenantSpec, ArloEngine)>,
         addr: &str,
         config: ServeConfig,
     ) -> io::Result<Server> {
-        assert!(!tenants.is_empty(), "need at least one tenant");
         Server::spawn_inner(tenants, addr, config, true)
     }
 
@@ -889,7 +832,7 @@ impl Server {
     /// wire routing, SLO-class admission, and accounting exactly as
     /// [`Server::spawn_multi`], but no re-granting coordinator — every
     /// tenant keeps its seed deployment for the server's lifetime (the
-    /// timer still health-ticks each engine). For deployments that pin
+    /// planner still health-ticks each engine). For deployments that pin
     /// capacity per tenant, and for controlled experiments that measure
     /// admission behavior at fixed capacity.
     pub fn spawn_multi_static(
@@ -897,7 +840,6 @@ impl Server {
         addr: &str,
         config: ServeConfig,
     ) -> io::Result<Server> {
-        assert!(!tenants.is_empty(), "need at least one tenant");
         Server::spawn_inner(tenants, addr, config, false)
     }
 
@@ -907,141 +849,132 @@ impl Server {
         config: ServeConfig,
         coordinate: bool,
     ) -> io::Result<Server> {
+        assert!(!tenants.is_empty(), "need at least one tenant");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(tenants, &config));
-        let clock = Arc::clone(&shared.clock);
 
-        // The supervision tree every long-lived serving thread spawns
-        // under.
-        let supervisor = Supervisor::new(config.component_chaos.clone(), config.stall_grace);
-        let restart = RestartPolicy::Restart {
-            backoff: config.restart_backoff,
-            budget: config.restart_budget,
-        };
-        {
-            // Unrecoverable component failure (an Escalate-policy death or
-            // a spent restart budget): fail fast into a conserving drain.
-            // Refusing new work is all it takes — every admitted request is
-            // already placed, so the normal drain flushes the rest.
-            let shared = Arc::clone(&shared);
-            supervisor.set_escalate_hook(move || shared.draining.store(true, Ordering::SeqCst));
+        // The shards' epoll sets first: the executors wake their heaps'
+        // owners through these handles, and shard 0 listens.
+        let shard_count = config.shards.max(1);
+        let mut epolls = Vec::with_capacity(shard_count);
+        let mut shard_handles = Vec::with_capacity(shard_count);
+        for id in 0..shard_count {
+            let epoll = Epoll::new()?;
+            shard_handles.push(Arc::new(ShardHandle::new(&epoll, id)?));
+            epolls.push(epoll);
         }
+        epolls[0].add(&listener, LISTENER_TOKEN, Interest::READ)?;
 
-        // One executor per tenant. A panicking completion callback must
+        // A component that dies fails fast into a conserving drain. Refusing
+        // new work is all it takes — every admitted request is already
+        // placed, so the normal drain flushes the rest — and waking shard 0
+        // makes it close the listener now, not at its next sweep.
+        let escalate = {
+            let shared = Arc::clone(&shared);
+            let listening = Arc::clone(&shard_handles[0]);
+            move || {
+                shared.draining.store(true, Ordering::SeqCst);
+                listening.waker.wake();
+            }
+        };
+        let supervisor =
+            Supervisor::new(config.component_chaos.clone(), config.stall_grace, escalate);
+
+        // One executor per tenant, its deadline heap fired by shard
+        // `i % shards`. A park that undercuts the heap's head wakes that
+        // shard — unless the shard parked it itself, and will read the new
+        // head before it waits again. A panicking completion callback must
         // not lose its batch: the executor catches the panic and the
         // handler re-accounts every member as failed (engine report +
-        // typed client error). The deadline heap is serviced by a
-        // supervised component (`flusher-{i}`); the heap itself lives in
-        // the executor, so armed batch windows and parked completions
-        // survive a flusher death and the restarted incarnation fires them.
+        // typed client error).
         let mut executors = Vec::with_capacity(shared.tenants.len());
         for (idx, tenant) in shared.tenants.iter().enumerate() {
             let on_done = {
                 let shared = Arc::clone(&shared);
                 Box::new(move |done: CompletedBatch| complete_batch(&shared, &done))
             };
-            let executor = Arc::new(Executor::new_external_flusher(
+            let owner = Arc::clone(&shard_handles[idx % shard_count]);
+            let executor = Arc::new(Executor::serviced_by_caller(
                 tenant.engine.profiles().to_vec(),
-                Arc::clone(&clock),
+                Arc::clone(&shared.clock),
                 config.jitter,
                 config.batch,
                 on_done,
+                Box::new(move || {
+                    if ON_SHARD.get() != Some(owner.id) {
+                        owner.wake();
+                    }
+                }),
             ));
             {
                 let shared = Arc::clone(&shared);
                 executor.set_panic_handler(Box::new(move |done| fail_batch(&shared, &done)));
             }
-            {
-                let executor = Arc::clone(&executor);
-                supervisor.supervise(&format!("flusher-{idx}"), restart, move |ctx| {
-                    executor.run_flusher(Some(ctx));
-                });
-            }
             executors.push(executor);
         }
 
-        {
-            let shared = Arc::clone(&shared);
-            let executors = executors.clone();
-            let real_tick = Duration::from_nanos(
-                (config.tick_interval / Nanos::from(config.time_scale)).max(1_000_000),
-            );
-            let gpus = config.gpus;
-            // The timer owns periodic reallocation only on a
-            // single-tenant server without a coordinator. Multi-tenant:
-            // either the coordinator is the sole apply_allocation caller,
-            // or (static partition) nobody reallocates at all — the timer
-            // health-ticks either way.
-            // Restartable: the loop body is stateless between ticks, so a
-            // respawned timer resumes health ticks within one interval.
-            let reallocate = !coordinate && shared.tenants.len() == 1;
-            supervisor.supervise("timer", restart, move |ctx| {
-                timer_loop(&shared, &executors, real_tick, gpus, reallocate, ctx);
-            });
-        }
-
-        if coordinate {
-            let shared = Arc::clone(&shared);
-            let executors = executors.clone();
-            let real_interval = Duration::from_nanos(
-                (config.coordinator_interval / Nanos::from(config.time_scale)).max(1_000_000),
-            );
-            let gpus = config.gpus;
-            // Restartable: demand lives in the tenants' sliding windows,
-            // so a respawned coordinator resumes re-granting within one
-            // interval with no lost samples.
-            supervisor.supervise("coordinator", restart, move |ctx| {
-                coordinator_loop(&shared, &executors, real_interval, gpus, ctx);
-            });
-        }
-
-        // Spawn the shard event loops before accepting, so the acceptor
-        // always has somewhere to hand a socket. A shard owns live
-        // connection state machines that cannot be re-attached, so its
-        // policy is Escalate; the epoll instance is taken by the first
-        // (and only) incarnation. Each shard holds the executors, which it
-        // places on.
-        let shard_count = config.shards.max(1);
-        let mut shard_handles = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
-            let epoll = Epoll::new()?;
-            let handle = Arc::new(ShardHandle::new(&epoll)?);
+        let fire_slice = (config.outbound_queue / 2).max(1);
+        let mut front_door = Some(FrontDoor {
+            listener,
+            shards: shard_handles.clone(),
+            next_conn_id: 0,
+            max_conns: config.max_conns,
+            outbound_queue: config.outbound_queue,
+        });
+        let mut shards = Vec::with_capacity(shard_count);
+        for (id, epoll) in epolls.into_iter().enumerate() {
             let shard_cfg = ShardConfig {
                 sweep_interval: config.sweep_interval,
                 idle_timeout: config.idle_timeout,
                 write_timeout: config.write_timeout,
                 frame_error_budget: config.frame_error_budget,
+                fire_slice,
                 executors: executors.clone(),
+                heaps: (id..executors.len()).step_by(shard_count).collect(),
             };
-            let shared = Arc::clone(&shared);
-            let handle2 = Arc::clone(&handle);
-            let cell = Mutex::new(Some(epoll));
-            supervisor.supervise(&format!("shard-{i}"), RestartPolicy::Escalate, {
-                move |ctx| {
-                    if let Some(epoll) = cell.lock().take() {
-                        shard_loop(&shared, &handle2, &epoll, &shard_cfg, ctx);
-                    }
+            let spawned = {
+                let shared = Arc::clone(&shared);
+                let handle = Arc::clone(&shard_handles[id]);
+                let door = front_door.take();
+                supervisor.spawn(&format!("shard-{id}"), move |ctx| {
+                    shard_loop(&shared, &handle, &epoll, door, &shard_cfg, ctx);
+                })
+            };
+            match spawned {
+                Ok(thread) => shards.push(thread),
+                Err(e) => {
+                    stop_threads(&shared, &shard_handles, shards, None);
+                    return Err(e);
                 }
-            });
-            shard_handles.push(handle);
+            }
         }
 
-        {
-            // The acceptor owns the listener (taken by the only
-            // incarnation); losing it is unrecoverable — Escalate.
+        let planner = {
             let shared = Arc::clone(&shared);
-            let accept_config = config.clone();
-            let shards = shard_handles.clone();
-            let cell = Mutex::new(Some(listener));
-            supervisor.supervise("accept", RestartPolicy::Escalate, move |ctx| {
-                if let Some(listener) = cell.lock().take() {
-                    accept_loop(&shared, &listener, &accept_config, &shards, ctx);
-                }
-            });
-        }
-        supervisor.start();
+            let executors = executors.clone();
+            let real = |interval: Nanos| {
+                Duration::from_nanos((interval / Nanos::from(config.time_scale)).max(1_000_000))
+            };
+            let plan = Plan {
+                tick: real(config.tick_interval),
+                coordinate: coordinate.then(|| real(config.coordinator_interval)),
+                reallocate: !coordinate && shared.tenants.len() == 1,
+                gpus: config.gpus,
+            };
+            let sup = supervisor.clone();
+            supervisor.spawn("planner", move |ctx| {
+                planner_loop(&shared, &executors, &plan, &sup, ctx);
+            })
+        };
+        let planner = match planner {
+            Ok(thread) => thread,
+            Err(e) => {
+                stop_threads(&shared, &shard_handles, shards, None);
+                return Err(e);
+            }
+        };
 
         Ok(Server {
             shared,
@@ -1049,7 +982,10 @@ impl Server {
             drain_timeout: config.drain_timeout,
             supervisor,
             shard_handles,
+            shards,
+            planner,
             executors,
+            fire_slice,
         })
     }
 
@@ -1079,9 +1015,11 @@ impl Server {
         self.shared.conns.len()
     }
 
-    /// Shard notifications issued so far (a `dirty` push plus an eventfd
-    /// write): a response pushed by a thread other than the shard driving
-    /// its connection, or a doom.
+    /// Cross-thread shard wake-ups so far (eventfd writes): a response
+    /// pushed by a thread other than its connection's shard, a doom, or a
+    /// deadline parked ahead of the head of a heap another shard owns. A
+    /// shard answering its own connections — inline or from its own heaps
+    /// — wakes nobody.
     pub fn shard_notifies(&self) -> u64 {
         self.shard_handles
             .iter()
@@ -1090,30 +1028,30 @@ impl Server {
     }
 
     /// The supervisor's structured event log so far (component panics,
-    /// restarts, stalls, escalations).
+    /// stalls, escalations).
     pub fn supervisor_events(&self) -> Vec<SupervisorEvent> {
         self.supervisor.events()
     }
 
-    /// Supervised component respawns so far.
-    pub fn supervisor_restarts(&self) -> u64 {
-        self.supervisor.restarts()
+    /// The stall check: compare every component's heartbeat (each shard's,
+    /// the planner's) with its reading at the previous call, and log a
+    /// `Stalled` event for one frozen while unparked for at least
+    /// [`ServeConfig::stall_grace`] — once per freeze episode. No thread
+    /// runs it; call it periodically (`arlo serve` does, every 50 ms).
+    /// Returns the episodes this call found.
+    pub fn check_stalls(&self) -> u64 {
+        self.supervisor.check_stalls()
     }
 
-    /// Heartbeat stall episodes the supervisor has detected so far.
+    /// Heartbeat stall episodes [`Server::check_stalls`] has found so far.
     pub fn stalls_detected(&self) -> u64 {
         self.supervisor.stalls_detected()
     }
 
-    /// Unrecoverable component failures so far.
+    /// Components that died of a panic so far; the first triggered the
+    /// fail-fast conserving drain.
     pub fn escalations(&self) -> u64 {
         self.supervisor.escalations()
-    }
-
-    /// Whether an unrecoverable component failure has triggered the
-    /// fail-fast conserving drain.
-    pub fn is_escalated(&self) -> bool {
-        self.supervisor.is_escalated()
     }
 
     /// Connections reaped for idling past the configured window.
@@ -1211,53 +1149,51 @@ impl Server {
     /// the configured drain timeout), then close all connections and join
     /// every thread.
     pub fn drain(self) -> DrainReport {
-        let shared = &self.shared;
+        let Server {
+            shared,
+            drain_timeout,
+            supervisor,
+            shard_handles,
+            shards,
+            planner,
+            executors,
+            fire_slice,
+            ..
+        } = self;
         shared.draining.store(true, Ordering::SeqCst);
+        // Shard 0 closes its listener as soon as it sees the flag.
+        for handle in &shard_handles {
+            handle.waker.wake();
+        }
 
         // Flush: every admitted request completes, and its response frame
         // leaves its outbound queue for the socket, before anything closes.
-        // A flusher given up on (restart budget spent) leaves its heap to
-        // nobody, so this thread fires whatever is ripe there too; beside
-        // a live flusher that is harmless.
-        let deadline = Instant::now() + self.drain_timeout;
+        // Live shards fire their own heaps; a shard that died left its
+        // heaps to nobody, so this thread fires what is ripe there, a slice
+        // per millisecond.
+        let deadline = Instant::now() + drain_timeout;
         while (shared.total(|t| &t.outstanding, Ordering::SeqCst) > 0
             || shared.queued_frames.load(Ordering::SeqCst) > 0)
             && Instant::now() < deadline
         {
-            for executor in &self.executors {
-                executor.fire_ripe();
+            for (idx, executor) in executors.iter().enumerate() {
+                if shards[idx % shards.len()].is_finished() {
+                    executor.fire_ripe(fire_slice);
+                }
             }
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        // The timer and coordinator sleep out their intervals on this
-        // flag: setting it ends those sleeps now.
-        shared.shutdown.set();
-        // Shards sleep in epoll_wait: nudge them so they observe the
-        // shutdown flag now rather than at their next poll timeout.
-        for handle in &self.shard_handles {
-            handle.waker.wake();
-        }
-        // Stop the monitor before stopping the flushers: a respawn
-        // scheduled moments ago must not start servicing mid-teardown.
-        self.supervisor.begin_shutdown();
-        for executor in &self.executors {
-            executor.stop_flusher();
-        }
-        // Join every component — acceptor, timer, coordinator, shards
-        // (which close every connection, balancing the flush counter for
-        // anything undeliverable, on the way out), and flushers (each
-        // fires what its heap still holds first) — then drop their body
-        // closures, releasing the executor and shared-state clones they
-        // captured.
-        self.supervisor.shutdown_join();
+        // Joining every thread drops their closures' executor and
+        // shared-state clones.
+        stop_threads(&shared, &shard_handles, shards, Some(planner));
         let mut panics_recovered = 0;
-        for executor in self.executors {
+        for executor in executors {
             let executor = Arc::try_unwrap(executor)
                 .ok()
-                .expect("supervised components joined; executor has one owner");
+                .expect("every thread joined; executor has one owner");
             panics_recovered += executor.panics_recovered();
-            // Fires whatever a flusher that died for good left in its heap.
+            // Fires whatever the heap still holds (a drain that timed out).
             let _occupancy = executor.shutdown();
         }
 
@@ -1296,10 +1232,9 @@ impl Server {
             panics_recovered,
             unknown_tenants: shared.unknown_tenants.load(Ordering::Relaxed),
             tenants,
-            supervisor_restarts: self.supervisor.restarts(),
-            stalls_detected: self.supervisor.stalls_detected(),
-            escalations: self.supervisor.escalations(),
-            supervisor_events: self.supervisor.events(),
+            stalls_detected: supervisor.stalls_detected(),
+            escalations: supervisor.escalations(),
+            supervisor_events: supervisor.events(),
         }
     }
 }
@@ -1461,69 +1396,120 @@ fn place(
     }
 }
 
-fn timer_loop(
+/// What the planner runs, and how often (real time).
+struct Plan {
+    /// Health ticks every `tick`.
+    tick: Duration,
+    /// Multi-tenant coordinator passes, if this server re-grants GPUs (it
+    /// is then the sole `apply_allocation` caller; a static partition has
+    /// neither).
+    coordinate: Option<Duration>,
+    /// Single-tenant reallocation check at every tick.
+    reallocate: bool,
+    gpus: u32,
+}
+
+/// Set `shutdown` and join the server's threads. Each is woken so it sees
+/// the flag now rather than at its next timeout: the shards through their
+/// eventfds, the planner out of its park (an unpark that lands first makes
+/// the park return). The shards close every connection on the way out,
+/// balancing the flush counter for anything undeliverable.
+fn stop_threads(
+    shared: &Shared,
+    shard_handles: &[Arc<ShardHandle>],
+    shards: Vec<JoinHandle<()>>,
+    planner: Option<JoinHandle<()>>,
+) {
+    shared.shutdown.store(true, Ordering::SeqCst);
+    for handle in shard_handles {
+        handle.waker.wake();
+    }
+    if let Some(planner) = &planner {
+        planner.thread().unpark();
+    }
+    for thread in shards.into_iter().chain(planner) {
+        let _ = thread.join();
+    }
+}
+
+/// The planner: health ticks (plus, single-tenant, the reallocation check)
+/// every tick, and the coordinator's re-granting pass every coordinator
+/// interval — the work that is neither a request nor cheap enough to run
+/// on a shard (a re-partition solves the DP). It sleeps parked between
+/// ticks, each interval counted from the end of the work before it;
+/// drain unparks it. Each wake-up runs behind [`Supervisor::recover`]: a
+/// panicking tick is logged and the next one runs on schedule.
+fn planner_loop(
     shared: &Shared,
     executors: &[Arc<Executor>],
-    real_tick: Duration,
-    gpus: u32,
-    reallocate: bool,
+    plan: &Plan,
+    sup: &Supervisor,
     ctx: &SupervisedCtx,
 ) {
+    let mut next_tick = Instant::now() + plan.tick;
+    let mut next_pass = plan.coordinate.map(|every| Instant::now() + every);
     loop {
+        let wake_at = next_pass.map_or(next_tick, |pass| pass.min(next_tick));
         ctx.park();
-        if shared.shutdown.sleep(real_tick) {
+        std::thread::park_timeout(wake_at.saturating_duration_since(Instant::now()));
+        if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        ctx.beat();
-        let now = shared.clock.now();
-        for tenant in &shared.tenants {
-            tenant.engine.health_tick(now);
+        let woke = Instant::now();
+        let tick = woke >= next_tick;
+        let pass = next_pass.is_some_and(|at| woke >= at);
+        if !tick && !pass {
+            continue; // a spurious wake-up
         }
-        // Single-tenant only: the timer owns periodic reallocation. On a
-        // multi-tenant server the coordinator is the sole apply_allocation
-        // caller (generation plans must land in order).
-        if reallocate {
-            let tenant = &shared.tenants[0];
-            if let Some(plan) = tenant.engine.maybe_reallocate(now, gpus) {
-                // The executor's per-instance clocks for the new generation
-                // start idle; the engine switches dispatch atomically.
-                tenant.engine.apply_allocation(&plan);
-                // Evict superseded generations' coalescer state so the key
-                // map stays bounded on long-running servers (keys still
-                // holding unsealed jobs survive until their flush drains
-                // them).
-                executors[0].prune_before(plan.generation);
-                shared.reallocations.fetch_add(1, Ordering::Relaxed);
+        sup.recover("planner", || {
+            ctx.beat();
+            if tick {
+                health_tick(shared, executors, plan);
             }
+            if pass {
+                coordinate_once(shared, executors, plan.gpus);
+            }
+        });
+        let done = Instant::now();
+        if tick {
+            next_tick = done + plan.tick;
+        }
+        if pass {
+            next_pass = plan.coordinate.map(|every| done + every);
         }
     }
 }
 
-/// The live GPU re-granting coordinator (multi-tenant only): every pass,
-/// drain each tenant's streaming demand window into a [`StreamPlan`],
+/// Health-tick every tenant engine; single-tenant, also run the Runtime
+/// Scheduler's reallocation check. On a multi-tenant server the
+/// coordinator pass is the sole `apply_allocation` caller (generation
+/// plans must land in order).
+fn health_tick(shared: &Shared, executors: &[Arc<Executor>], plan: &Plan) {
+    let now = shared.clock.now();
+    for tenant in &shared.tenants {
+        tenant.engine.health_tick(now);
+    }
+    if plan.reallocate {
+        let tenant = &shared.tenants[0];
+        if let Some(replacement) = tenant.engine.maybe_reallocate(now, plan.gpus) {
+            // The executor's per-instance clocks for the new generation
+            // start idle; the engine switches dispatch atomically.
+            tenant.engine.apply_allocation(&replacement);
+            // Evict superseded generations' coalescer state so the key map
+            // stays bounded on long-running servers (keys still holding
+            // unsealed jobs survive until their seal drains them).
+            executors[0].prune_before(replacement.generation);
+            shared.reallocations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The live GPU re-granting coordinator's pass (multi-tenant only): drain
+/// each tenant's streaming demand window into a [`StreamPlan`],
 /// re-partition the pool with [`PoolCoordinator::partition`], and apply
 /// any per-tenant deployment changes via [`ArloEngine::apply_allocation`]
 /// — appending one [`RegrantEvent`] to the structured reallocation log
 /// per pass that moved anything.
-fn coordinator_loop(
-    shared: &Shared,
-    executors: &[Arc<Executor>],
-    real_interval: Duration,
-    total_gpus: u32,
-    ctx: &SupervisedCtx,
-) {
-    loop {
-        ctx.park();
-        if shared.shutdown.sleep(real_interval) {
-            return;
-        }
-        ctx.beat();
-        coordinate_once(shared, executors, total_gpus);
-    }
-}
-
-/// One coordinator pass. Split out of the loop for the drain path and for
-/// tests that want a deterministic pass without waiting for the interval.
 fn coordinate_once(shared: &Shared, executors: &[Arc<Executor>], total_gpus: u32) {
     let now = shared.clock.now();
     let plans: Vec<StreamPlan> = shared
@@ -1579,86 +1565,94 @@ fn coordinate_once(shared: &Shared, executors: &[Arc<Executor>], total_gpus: u32
     }
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    config: &ServeConfig,
-    shards: &[Arc<ShardHandle>],
-    ctx: &SupervisedCtx,
-) {
-    let mut next_conn_id: u64 = 0;
-    // Pre-encoded admission refusal (v2, like every data frame).
-    let refusal = Frame::Error {
-        id: CONN_ERROR_ID,
-        code: ErrorCode::Shed,
-    }
-    .encode();
-    while !shared.draining.load(Ordering::SeqCst) && !shared.shutdown.is_set() {
-        ctx.beat();
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if shared.conns.len() >= config.max_conns {
-                    // Admission limit: answer one typed Shed frame so the
-                    // client knows this was load, not a network fault, and
-                    // close. Fire-and-forget on a non-blocking socket —
-                    // the frame fits any fresh send buffer, and a hostile
-                    // or stalled connector that somehow doesn't accept it
-                    // just misses the courtesy; it must never stall
-                    // accepting (the old inline write blocked the acceptor
-                    // for up to 1 s per refusal).
-                    shared.refused_conns.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.write(&refusal);
-                    continue;
-                }
-                let conn_id = next_conn_id;
-                next_conn_id += 1;
-                let shard = &shards[(conn_id as usize) % shards.len()];
-                // A socket that cannot be made non-blocking is dropped
-                // before anything was registered for it.
-                let _ = register_conn(shared, stream, conn_id, shard, config);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+/// The reserved epoll token of shard 0's listener. Connection ids count
+/// up from 0 and never reach it; [`WAKER_TOKEN`] is `u64::MAX`.
+const LISTENER_TOKEN: u64 = u64::MAX - 1;
+
+/// Most connections shard 0 accepts per readiness pass, so a connect storm
+/// cannot starve the connections it already serves (level-triggered epoll
+/// reports the rest on the next pass).
+const ACCEPT_BURST: usize = 64;
+
+/// Shard 0's listening socket, registered in its epoll set under
+/// [`LISTENER_TOKEN`], and the state of its accepts.
+struct FrontDoor {
+    listener: TcpListener,
+    /// Every shard, in order: connections are assigned round-robin.
+    shards: Vec<Arc<ShardHandle>>,
+    next_conn_id: u64,
+    max_conns: usize,
+    outbound_queue: usize,
 }
 
-/// Hand an accepted socket to its shard: make it non-blocking, publish the
-/// [`ConnHandle`] (so `respond`/doom work immediately), and inject it into
-/// the shard's adoption queue. The shard registers the socket with its
-/// epoll when it adopts the connection.
-fn register_conn(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    conn_id: u64,
-    shard: &Arc<ShardHandle>,
-    config: &ServeConfig,
-) -> io::Result<()> {
-    stream.set_nonblocking(true)?;
-    let outbound = Arc::new(Outbound::new(config.outbound_queue));
-    let doomed = Arc::new(AtomicBool::new(false));
-    shared.conns.insert(
-        conn_id,
-        ConnHandle {
-            conn_id,
-            outbound: Arc::clone(&outbound),
-            shard: Arc::clone(shard),
-            doomed: Arc::clone(&doomed),
-        },
-    );
-    shard.incoming.lock().push(IncomingConn {
-        conn_id,
-        stream,
-        outbound,
-        doomed,
-    });
-    shard.waker.wake();
-    Ok(())
+impl FrontDoor {
+    /// Accept until `WouldBlock` (at most [`ACCEPT_BURST`]): refuse past
+    /// `max_conns` with one typed `Shed` frame, publish each connection's
+    /// [`ConnHandle`] (so `respond`/doom work at once), hand other shards
+    /// theirs, and return shard 0's own to adopt. Any other accept error
+    /// (`EMFILE`, say) mutes the listener ([`Interest::NONE`]) until the
+    /// next sweep re-arms it: level-triggered readiness on a connection
+    /// that cannot be accepted must not spin the shard.
+    fn accept(&mut self, shared: &Shared, epoll: &Epoll) -> Vec<IncomingConn> {
+        let mut own = Vec::new();
+        for _ in 0..ACCEPT_BURST {
+            let mut stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    let _ = epoll.modify(&self.listener, LISTENER_TOKEN, Interest::NONE);
+                    break;
+                }
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue; // dropped before anything was registered for it
+            }
+            let _ = stream.set_nodelay(true);
+            if shared.conns.len() >= self.max_conns {
+                // Admission limit: answer one typed Shed frame so the client
+                // knows this was load, not a network fault, and close.
+                // Fire-and-forget — the frame fits any fresh send buffer,
+                // and a connector that does not take it just misses the
+                // courtesy; it must never stall the shard.
+                shared.refused_conns.fetch_add(1, Ordering::Relaxed);
+                let refusal = Frame::Error {
+                    id: CONN_ERROR_ID,
+                    code: ErrorCode::Shed,
+                };
+                let _ = stream.write(&refusal.encode());
+                continue;
+            }
+            let conn_id = self.next_conn_id;
+            self.next_conn_id += 1;
+            let shard = &self.shards[(conn_id as usize) % self.shards.len()];
+            let outbound = Arc::new(Outbound::new(self.outbound_queue));
+            let doomed = Arc::new(AtomicBool::new(false));
+            shared.conns.insert(
+                conn_id,
+                ConnHandle {
+                    conn_id,
+                    outbound: Arc::clone(&outbound),
+                    shard: Arc::clone(shard),
+                    doomed: Arc::clone(&doomed),
+                },
+            );
+            let inc = IncomingConn {
+                conn_id,
+                stream,
+                outbound,
+                doomed,
+            };
+            if shard.id == 0 {
+                own.push(inc);
+            } else {
+                // That shard registers the socket with its epoll when it
+                // adopts the connection.
+                shard.incoming.lock().push(inc);
+                shard.waker.wake();
+            }
+        }
+        own
+    }
 }
 
 /// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs, plus the
@@ -1668,8 +1662,14 @@ struct ShardConfig {
     idle_timeout: Duration,
     write_timeout: Duration,
     frame_error_budget: u32,
+    /// Most jobs one slice of heap firing completes before the shard
+    /// writes out the connections they answered.
+    fire_slice: usize,
     /// One per tenant, indexed by tenant id.
     executors: Vec<Arc<Executor>>,
+    /// The tenant ids whose executor heaps this shard fires (`i % shards`
+    /// is this shard's index).
+    heaps: Vec<usize>,
 }
 
 /// One connection's state machine on a shard: the incremental
@@ -1732,8 +1732,8 @@ impl FramedConn {
 }
 
 /// Panic-conservation guard for one shard's owned connections. A shard's
-/// policy is Escalate (its live state machines cannot be re-attached), so
-/// when it dies — chaos panic or bug — `Drop` runs the same close path
+/// live state machines cannot be re-attached, so when it dies — chaos
+/// panic or bug — it escalates, and `Drop` runs the same close path
 /// shutdown uses: every owned connection is deregistered and its queued
 /// frames balanced out of the drain flush counter. Without this, a dead
 /// shard's unflushable frames would wedge [`Server::drain`] against its
@@ -1752,18 +1752,22 @@ impl Drop for ShardConns<'_> {
     }
 }
 
-/// One epoll shard: adopt connections from the acceptor, pump readiness
-/// events through the per-connection state machines, sweep for idle /
-/// doomed / stalled connections, and on shutdown (or panic — see
-/// [`ShardConns`]) close everything owned, balancing the drain flush
-/// counter for undeliverable frames.
+/// One epoll shard: accept (shard 0) and adopt connections, pump
+/// readiness events through the per-connection state machines, fire its
+/// executors' ripe deadlines, sweep for idle / doomed / stalled
+/// connections, and on shutdown (or panic — see [`ShardConns`]) close
+/// everything owned, balancing the drain flush counter for undeliverable
+/// frames. It sleeps until the earlier of its next sweep and its heaps'
+/// next deadline.
 fn shard_loop(
-    shared: &Arc<Shared>,
-    handle: &Arc<ShardHandle>,
+    shared: &Shared,
+    handle: &ShardHandle,
     epoll: &Epoll,
+    mut door: Option<FrontDoor>,
     cfg: &ShardConfig,
     ctx: &SupervisedCtx,
 ) {
+    ON_SHARD.set(Some(handle.id));
     let mut owned = ShardConns {
         shared,
         epoll,
@@ -1771,13 +1775,23 @@ fn shard_loop(
     };
     let mut events = Vec::new();
     let mut last_sweep = Instant::now();
+    let mut next_fire: Option<Nanos> = None;
     loop {
+        let mut timeout = cfg.sweep_interval.saturating_sub(last_sweep.elapsed());
+        if let Some(at) = next_fire {
+            let clock = &shared.clock;
+            timeout = timeout.min(clock.to_real(at.saturating_sub(clock.now())));
+        }
         ctx.park();
-        let _ = epoll.wait(&mut events, Some(cfg.sweep_interval));
+        // `Epoll::new` probed the syscall, so a failure here is a broken
+        // epoll set: die loudly into the escalation rather than spin.
+        epoll
+            .wait(&mut events, Some(timeout))
+            .expect("shard epoll wait failed");
         // Park, block, beat, work: everything below runs unparked, so a
         // wedge anywhere in this wake-up's work freezes the heartbeat where
-        // the monitor looks. Also the chaos injection point — `owned` is
-        // armed, so an induced panic here still closes every connection.
+        // the stall check looks. Also the chaos injection point — `owned`
+        // is armed, so an induced panic here still closes every connection.
         ctx.beat();
         // Reset the eventfd *before* taking the lists it announces: a
         // notification landing after the takes then leaves it readable for
@@ -1786,7 +1800,7 @@ fn shard_loop(
             handle.waker.drain();
         }
 
-        if shared.shutdown.is_set() {
+        if shared.shutdown.load(Ordering::SeqCst) {
             // Bind the drained queue before iterating: a `for` loop keeps
             // temporaries in its iterator expression alive for the whole
             // body, and `close_conn` takes the shared registry lock.
@@ -1799,30 +1813,30 @@ fn shard_loop(
             return;
         }
 
-        // Adopt connections the acceptor handed over. (Same guard-lifetime
-        // rule as above: drain under the lock, iterate after it drops.)
-        let adopted = std::mem::take(&mut *handle.incoming.lock());
-        for inc in adopted {
-            let conn_id = inc.conn_id;
-            let mut conn = FramedConn::adopt(inc, cfg);
-            if epoll.add(&conn.stream, conn_id, Interest::READ).is_err() {
-                close_conn(shared, epoll, conn_id, conn);
-                continue;
+        // Shard 0: stop listening once draining (dropping the listener
+        // refuses new connects), else accept what is waiting.
+        if shared.draining.load(Ordering::SeqCst) {
+            if let Some(closed) = door.take() {
+                let _ = epoll.delete(&closed.listener);
             }
-            conn.interest = Interest::READ;
-            owned.conns.insert(conn_id, conn);
-            // The adoption drive `Shared::respond`'s notify rule relies on.
-            drive_conn(shared, epoll, &mut owned.conns, conn_id, cfg, false);
+        } else if let Some(door) = door.as_mut() {
+            if events.iter().any(|ev| ev.token == LISTENER_TOKEN) {
+                for inc in door.accept(shared, epoll) {
+                    adopt(shared, epoll, &mut owned.conns, inc, cfg);
+                }
+            }
         }
 
-        // Connections whose outbound queue went non-empty or that were
-        // doomed. The drained list MUST be bound before the loop: iterating
-        // the `mem::take` expression directly keeps the `dirty` guard alive
-        // for the whole body, and `drive_conn` reaches `Shared::respond`,
-        // whose push may `notify` this same shard — re-locking `dirty` on
-        // this very thread. Holding the guard across the body is
-        // self-deadlock (and would also serialize every responder against
-        // this shard's event-handling).
+        // Adopt connections shard 0 handed over. (Same guard-lifetime rule
+        // as above: drain under the lock, iterate after it drops.)
+        let adopted = std::mem::take(&mut *handle.incoming.lock());
+        for inc in adopted {
+            adopt(shared, epoll, &mut owned.conns, inc, cfg);
+        }
+
+        // Connections whose outbound queue another thread made non-empty,
+        // or that were doomed. (Bound before the loop, so the `dirty` guard
+        // is not held across `drive_conn`.)
         let dirty = std::mem::take(&mut *handle.dirty.lock());
         for conn_id in dirty {
             drive_conn(shared, epoll, &mut owned.conns, conn_id, cfg, false);
@@ -1830,7 +1844,7 @@ fn shard_loop(
 
         // Socket readiness.
         for &ev in &events {
-            if ev.token == WAKER_TOKEN {
+            if ev.token == WAKER_TOKEN || ev.token == LISTENER_TOKEN {
                 continue;
             }
             drive_conn(
@@ -1843,18 +1857,75 @@ fn shard_loop(
             );
         }
 
+        // Deadlines, after every submit of this pass has parked its own:
+        // the head read here is what the next wait sleeps until.
+        next_fire = fire_heaps(shared, epoll, &mut owned.conns, cfg);
+
         // Periodic sweep.
         if last_sweep.elapsed() >= cfg.sweep_interval {
             last_sweep = Instant::now();
             sweep(shared, epoll, &mut owned.conns, cfg);
+            if let Some(door) = &door {
+                // Listen again, should an accept error have muted it.
+                let _ = epoll.modify(&door.listener, LISTENER_TOKEN, Interest::READ);
+            }
+        }
+    }
+}
+
+/// Register an accepted connection with this shard's epoll and drive it
+/// once — the adoption drive `Shared::respond`'s notify rule relies on.
+fn adopt(
+    shared: &Shared,
+    epoll: &Epoll,
+    conns: &mut HashMap<u64, FramedConn>,
+    inc: IncomingConn,
+    cfg: &ShardConfig,
+) {
+    let conn_id = inc.conn_id;
+    let mut conn = FramedConn::adopt(inc, cfg);
+    if epoll.add(&conn.stream, conn_id, Interest::READ).is_err() {
+        close_conn(shared, epoll, conn_id, conn);
+        return;
+    }
+    conn.interest = Interest::READ;
+    conns.insert(conn_id, conn);
+    drive_conn(shared, epoll, conns, conn_id, cfg, false);
+}
+
+/// Fire what is ripe in this shard's executor heaps, a slice of at most
+/// [`ShardConfig::fire_slice`] jobs at a time, and after each slice write
+/// out the connections this shard answered ([`LOCAL_DIRTY`]) — so a
+/// backlog that ripened while the shard was away (a host stall, a drain)
+/// reaches each connection's bounded outbound queue no faster than the
+/// shard empties it into the socket. Returns the earliest deadline left.
+fn fire_heaps(
+    shared: &Shared,
+    epoll: &Epoll,
+    conns: &mut HashMap<u64, FramedConn>,
+    cfg: &ShardConfig,
+) -> Option<Nanos> {
+    loop {
+        let mut budget = cfg.fire_slice;
+        let mut next: Option<Nanos> = None;
+        for &idx in &cfg.heaps {
+            let (fired, head) = cfg.executors[idx].fire_ripe(budget);
+            budget = budget.saturating_sub(fired);
+            next = next.into_iter().chain(head).min();
+        }
+        for conn_id in LOCAL_DIRTY.take() {
+            drive_conn(shared, epoll, conns, conn_id, cfg, false);
+        }
+        if budget > 0 {
+            return next;
         }
     }
 }
 
 /// Drive one connection's state machine: read if readable, then flush
 /// writes, then close or refresh epoll interest as the new state demands.
-/// The write always follows the read: it is what delivers the answers the
-/// read pass produced without notifying anyone (see [`Driving`]).
+/// The write always follows the read, so the answers the read pass
+/// produced leave in the same drive.
 fn drive_conn(
     shared: &Shared,
     epoll: &Epoll,
@@ -1871,7 +1942,6 @@ fn drive_conn(
             true
         } else {
             if readable && !conn.closing {
-                let _driving = Driving::enter(conn_id);
                 drive_read(shared, conn, conn_id, &cfg.executors);
             }
             let alive = drive_write(shared, conn, cfg);
@@ -2314,12 +2384,13 @@ mod tests {
         let shared = Shared::new(vec![(spec, engine)], &config);
         // An executor that knows only the 64 runtime: `Executor::submit`
         // indexes past its profiles for that placement and panics.
-        let executor = Arc::new(Executor::new_external_flusher(
+        let executor = Arc::new(Executor::serviced_by_caller(
             profiles[..1].to_vec(),
             Arc::clone(&shared.clock),
             JitterSpec::NONE,
             config.batch,
             Box::new(|_| {}),
+            Box::new(|| {}),
         ));
         let epoll = Epoll::new().expect("epoll");
         let outbound = Arc::new(Outbound::new(8));
@@ -2329,7 +2400,7 @@ mod tests {
             ConnHandle {
                 conn_id,
                 outbound: Arc::clone(&outbound),
-                shard: Arc::new(ShardHandle::new(&epoll).expect("waker")),
+                shard: Arc::new(ShardHandle::new(&epoll, 0).expect("waker")),
                 doomed: Arc::new(AtomicBool::new(false)),
             },
         );

@@ -508,7 +508,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         }
         None => Server::spawn(build_engine(slo, gpus), addr, serve_cfg),
     }
-    .map_err(|e| format!("bind {addr}: {e}"))?;
+    .map_err(|e| format!("serve on {addr}: {e}"))?;
     println!(
         "serving {} on {} — {gpus} GPUs, SLO {slo} ms, {time_scale}× virtual time, batch \
          {max_batch}, {shards} connection shard(s)",
@@ -518,6 +518,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     println!("(send a Drain frame — e.g. `arlo loadgen --drain` — to stop)");
     while !server.is_draining() {
         std::thread::sleep(std::time::Duration::from_millis(50));
+        server.check_stalls();
     }
     println!("drain requested; flushing outstanding work…");
     let report = server.drain();
@@ -550,10 +551,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             report.unknown_tenants
         );
     }
-    if report.supervisor_restarts > 0 || report.stalls_detected > 0 || report.escalations > 0 {
+    if !report.supervisor_events.is_empty() {
         println!(
-            "supervision: {} restarts, {} stalls detected, {} escalations",
-            report.supervisor_restarts, report.stalls_detected, report.escalations
+            "supervision: {} stalls detected, {} escalations",
+            report.stalls_detected, report.escalations
         );
         for ev in &report.supervisor_events {
             println!("  [{:>6} ms] {} — {:?}", ev.at_ms, ev.component, ev.kind);
