@@ -48,6 +48,21 @@ fn main() {
         .map(|(p, &g)| p.cost_at(g).unwrap_or(f64::INFINITY))
         .sum();
 
+    // What EXPERIMENTS §6 reports: the exact split spends the pool, never
+    // loses to the proportional one, and lands on [14, 10].
+    assert_eq!(
+        part.gpus.iter().sum::<u32>(),
+        pool,
+        "grants must spend the pool"
+    );
+    assert!(
+        part.total_cost <= naive_cost,
+        "coordinated {} vs proportional {naive_cost}",
+        part.total_cost
+    );
+    assert_eq!(part.gpus, [14, 10], "coordinated split");
+    assert_eq!(part.total_cost.round(), 123_462.0, "coordinated cost");
+
     let rows = vec![
         vec![
             "coordinated".into(),

@@ -11,8 +11,10 @@
 //! The outer split is itself solved exactly: each stream's *cost curve*
 //! `cost_k(g)` — the optimal Eq. 1 objective given `g` GPUs, normalized to
 //! milliseconds·requests **per second** so streams with different SLO
-//! periods are commensurable — is computed by the inner DP for every
-//! feasible budget, and a knapsack-style dynamic program picks the split
+//! periods are commensurable — is priced at every budget the stream could
+//! be granted by one forward pass of the inner DP
+//! ([`DpSolver::solve_curve`]), which also yields the inner allocation at
+//! each budget. A knapsack-style dynamic program then picks the split
 //! `Σ g_k = G` minimizing total cost. Cost curves are non-increasing in
 //! `g` (more GPUs never hurt), so the outer DP is exact and the marginal
 //! GPU always lands where it buys the most.
@@ -130,7 +132,6 @@ impl PoolCoordinator {
         total_gpus: u32,
     ) -> Result<PoolPartition, SolveError> {
         let g = total_gpus as usize;
-        // Per-stream cost curves over every feasible budget.
         let mins: Vec<u32> = plans.iter().map(StreamPlan::min_gpus).collect();
         let reserve_after: Vec<u32> = {
             let mut r = vec![0u32; plans.len() + 1];
@@ -139,34 +140,26 @@ impl PoolCoordinator {
             }
             r
         };
-        // Every (stream, budget) cost is an independent DP solve — compute
-        // the curves with scoped threads, one per stream (the dominant cost
-        // of coordination at large pools).
-        let curves: Vec<Vec<Option<f64>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plans
-                .iter()
-                .enumerate()
-                .map(|(k, plan)| {
-                    let max_budget = total_gpus - reserve_after[k + 1];
-                    let min_budget = mins[k];
-                    scope.spawn(move || {
-                        (0..=g as u32)
-                            .map(|budget| {
-                                if budget < min_budget || budget > max_budget {
-                                    None
-                                } else {
-                                    plan.cost_at(budget)
-                                }
-                            })
-                            .collect::<Vec<Option<f64>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("curve worker"))
-                .collect()
-        });
+        // Per-stream cost curves and inner allocations over every budget
+        // up to what the other streams' minimums leave: one DP pass per
+        // stream. Budgets below a stream's minimum come back `None`.
+        let mut curves: Vec<Vec<Option<(Allocation, f64)>>> = plans
+            .iter()
+            .zip(&reserve_after[1..])
+            .map(|(plan, reserve)| {
+                let problem = AllocationProblem::from_profiles(
+                    total_gpus - reserve,
+                    &plan.profiles,
+                    &plan.demand,
+                );
+                let period_s = plan.slo_ms / 1000.0;
+                DpSolver::default()
+                    .solve_curve(&problem)
+                    .into_iter()
+                    .map(|point| point.map(|(alloc, cost)| (alloc, cost / period_s)))
+                    .collect()
+            })
+            .collect();
         // Outer DP: best[k][used] = minimal cost of the first k streams
         // using exactly `used` GPUs.
         const INF: f64 = f64::INFINITY;
@@ -181,8 +174,8 @@ impl PoolCoordinator {
                 if best[used] == INF {
                     continue;
                 }
-                for (grant, cost) in curve.iter().enumerate() {
-                    let Some(cost) = cost else { continue };
+                for (grant, point) in curve.iter().enumerate() {
+                    let Some((_, cost)) = point else { continue };
                     let total = used + grant;
                     if total > g {
                         break;
@@ -208,12 +201,13 @@ impl PoolCoordinator {
             gpus[k] = choice[k][used];
             used -= gpus[k] as usize;
         }
-        let allocations: Vec<Vec<u32>> = plans
-            .iter()
+        let allocations: Vec<Vec<u32>> = curves
+            .iter_mut()
             .zip(&gpus)
-            .map(|(plan, &grant)| {
-                plan.allocation_at(grant)
-                    .map(|a| a.instances)
+            .map(|(curve, &grant)| {
+                curve[grant as usize]
+                    .take()
+                    .map(|(alloc, _)| alloc.instances)
                     .ok_or(SolveError::Infeasible)
             })
             .collect::<Result<_, _>>()?;
@@ -407,6 +401,135 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The coordinator as it was before cost curves came from one DP pass:
+    /// the same backoff and outer DP over one inner solve per (stream,
+    /// budget), then one more per stream for its allocation. Serial.
+    fn per_budget_partition(plans: &[StreamPlan], total_gpus: u32) -> Option<PoolPartition> {
+        let mut scaled: Vec<StreamPlan> = plans.to_vec();
+        for _ in 0..256 {
+            let mins: Vec<u32> = scaled.iter().map(StreamPlan::min_gpus).collect();
+            if mins.iter().sum::<u32>() <= total_gpus {
+                return per_budget_feasible(&scaled, &mins, total_gpus);
+            }
+            for plan in &mut scaled {
+                for q in &mut plan.demand {
+                    *q *= 0.9;
+                }
+            }
+        }
+        None
+    }
+
+    fn per_budget_feasible(
+        plans: &[StreamPlan],
+        mins: &[u32],
+        total_gpus: u32,
+    ) -> Option<PoolPartition> {
+        let g = total_gpus as usize;
+        let curves: Vec<Vec<Option<f64>>> = (0..plans.len())
+            .map(|k| {
+                let max_budget = total_gpus - mins[k + 1..].iter().sum::<u32>();
+                (0..=total_gpus)
+                    .map(|budget| {
+                        if budget < mins[k] || budget > max_budget {
+                            None
+                        } else {
+                            plans[k].cost_at(budget)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut best = vec![f64::INFINITY; g + 1];
+        let mut choice: Vec<Vec<u32>> = Vec::new();
+        best[0] = 0.0;
+        for curve in &curves {
+            let mut next = vec![f64::INFINITY; g + 1];
+            let mut pick = vec![0u32; g + 1];
+            for used in (0..=g).filter(|&used| best[used] < f64::INFINITY) {
+                for (grant, cost) in curve.iter().enumerate().take(g + 1 - used) {
+                    let Some(cost) = cost else { continue };
+                    let candidate = best[used] + cost;
+                    if candidate < next[used + grant] {
+                        next[used + grant] = candidate;
+                        pick[used + grant] = grant as u32;
+                    }
+                }
+            }
+            choice.push(pick);
+            best = next;
+        }
+        if best[g] == f64::INFINITY {
+            return None;
+        }
+        let mut gpus = vec![0u32; plans.len()];
+        let mut used = g;
+        for k in (0..plans.len()).rev() {
+            gpus[k] = choice[k][used];
+            used -= gpus[k] as usize;
+        }
+        let allocations = plans
+            .iter()
+            .zip(&gpus)
+            .map(|(plan, &grant)| plan.allocation_at(grant).map(|a| a.instances))
+            .collect::<Option<_>>()?;
+        Some(PoolPartition {
+            gpus,
+            allocations,
+            total_cost: best[g],
+        })
+    }
+
+    #[test]
+    fn one_pass_curves_match_per_budget_solves() {
+        use proptest::prelude::*;
+        let families = [
+            (RuntimeSet::natural(ModelSpec::bert_base()), 150.0),
+            (RuntimeSet::with_count(ModelSpec::bert_base(), 3), 100.0),
+            (RuntimeSet::natural(ModelSpec::bert_large()), 450.0),
+        ]
+        .map(|(set, slo_ms)| (profile_runtimes(&set.compile(), slo_ms, 512), slo_ms));
+        let (mut feasible, mut backed_off) = (0, 0);
+        proptest!(ProptestConfig::with_cases(64), |(
+            streams in proptest::collection::vec(
+                (0usize..3, 0.0f64..4.0, proptest::collection::vec(0.0f64..60.0, 16)),
+                1..=3,
+            ),
+            pool_draw in 0u32..1000,
+        )| {
+            let plans: Vec<StreamPlan> = streams
+                .iter()
+                .enumerate()
+                .map(|(k, (family, scale, draws))| {
+                    let (profiles, slo_ms) = families[*family].clone();
+                    let demand = draws[..profiles.len()].iter().map(|q| scale * q).collect();
+                    StreamPlan { name: format!("s{k}"), profiles, demand, slo_ms }
+                })
+                .collect();
+            // Pools from one GPU per stream (deep backoff) to well past
+            // the summed minimums.
+            let floor: u32 = plans.iter().map(StreamPlan::min_gpus).sum();
+            let streams = plans.len() as u32;
+            let pool = streams + pool_draw % (floor + 17 - streams);
+            backed_off += usize::from(pool < floor);
+            let fast = PoolCoordinator.partition(&plans, pool).ok();
+            let reference = per_budget_partition(&plans, pool);
+            match (&fast, &reference) {
+                (Some(f), Some(r)) => {
+                    prop_assert_eq!((&f.gpus, &f.allocations), (&r.gpus, &r.allocations));
+                    prop_assert_eq!(f.total_cost.to_bits(), r.total_cost.to_bits());
+                    feasible += 1;
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "one pass {fast:?} vs per budget {reference:?}"),
+            }
+        });
+        assert!(
+            feasible > 48 && backed_off > 4,
+            "{feasible} feasible, {backed_off} backed off"
+        );
     }
 
     #[test]

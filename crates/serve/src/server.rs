@@ -87,7 +87,7 @@ use crate::protocol::{
 };
 use crate::registry::StripedMap;
 use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
-use crate::tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
+use crate::tenants::{RegrantEvent, RegrantLog, ShardedTenantWindow, SloClass, TenantSpec};
 use arlo_core::engine::{ArloEngine, ReplacementPlan};
 use arlo_core::multistream::{PoolCoordinator, StreamPlan};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -594,8 +594,9 @@ struct Shared {
     /// Submits addressed to tenants this server does not host (each
     /// answered with [`ErrorCode::UnknownTenant`]).
     unknown_tenants: AtomicU64,
-    /// The coordinator's structured reallocation log (multi-tenant only).
-    regrants: Mutex<Vec<RegrantEvent>>,
+    /// The coordinator's structured reallocation log (multi-tenant only),
+    /// bounded to the most recent re-grants.
+    regrants: Mutex<RegrantLog>,
     /// The lock-striped connection registry: `respond` resolves routes
     /// under one stripe (never a process-global lock) and never holds the
     /// stripe across a socket/queue write. See [`StripedMap`].
@@ -644,7 +645,7 @@ impl Shared {
             refused_conns: AtomicU64::new(0),
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
-            regrants: Mutex::new(Vec::new()),
+            regrants: Mutex::new(RegrantLog::default()),
             conns: StripedMap::new(stripes),
         }
     }
@@ -1116,10 +1117,11 @@ impl Server {
         self.shared.unknown_tenants.load(Ordering::Relaxed)
     }
 
-    /// The coordinator's structured reallocation log so far (empty on
-    /// single-tenant servers).
+    /// The coordinator's structured reallocation log: the most recent
+    /// [`REGRANT_LOG_CAPACITY`](crate::tenants::REGRANT_LOG_CAPACITY)
+    /// re-grants, oldest first (empty on single-tenant servers).
     pub fn regrants(&self) -> Vec<RegrantEvent> {
-        self.shared.regrants.lock().clone()
+        self.shared.regrants.lock().to_vec()
     }
 
     /// Live per-tenant counters, indexed by tenant id.
@@ -1508,8 +1510,8 @@ fn health_tick(shared: &Shared, executors: &[Arc<Executor>], plan: &Plan) {
 /// each tenant's streaming demand window into a [`StreamPlan`],
 /// re-partition the pool with [`PoolCoordinator::partition`], and apply
 /// any per-tenant deployment changes via [`ArloEngine::apply_allocation`]
-/// — appending one [`RegrantEvent`] to the structured reallocation log
-/// per pass that moved anything.
+/// — appending one [`RegrantEvent`] to the bounded reallocation log per
+/// pass that moved anything.
 fn coordinate_once(shared: &Shared, executors: &[Arc<Executor>], total_gpus: u32) {
     let now = shared.clock.now();
     let plans: Vec<StreamPlan> = shared

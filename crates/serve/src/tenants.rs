@@ -16,7 +16,8 @@
 //!   [`PoolCoordinator::partition`](arlo_core::multistream::PoolCoordinator)
 //!   re-splits the pool across tenants.
 //! - [`RegrantEvent`] is one entry of the structured reallocation log: a
-//!   timestamped before/after of every tenant's GPU grant.
+//!   timestamped before/after of every tenant's GPU grant; [`RegrantLog`]
+//!   keeps the most recent [`REGRANT_LOG_CAPACITY`] of them.
 //! - [`weighted_tenant`] partitions a request-id space across tenants by
 //!   integer weights — exactly-once (a pure function of the id) and with
 //!   no phantom shares (each cycle of `Σ weights` ids hits tenant `t`
@@ -145,6 +146,34 @@ impl RegrantEvent {
             moved_gpus: moved / 2,
             total_cost,
         }
+    }
+}
+
+/// How many re-grants [`RegrantLog`] keeps: far more than the longest
+/// in-repo run (`ext_tenants`, under ten) produces, so only a
+/// long-running server ever drops one.
+pub const REGRANT_LOG_CAPACITY: usize = 256;
+
+/// The coordinator's structured reallocation log: the most recent
+/// [`REGRANT_LOG_CAPACITY`] re-grants, oldest first. A server that runs
+/// for days re-grants without end; the log must not grow with it.
+#[derive(Debug, Default)]
+pub struct RegrantLog {
+    events: VecDeque<RegrantEvent>,
+}
+
+impl RegrantLog {
+    /// Append one re-grant, dropping the oldest once the log is full.
+    pub fn push(&mut self, event: RegrantEvent) {
+        if self.events.len() == REGRANT_LOG_CAPACITY {
+            self.events.pop_front();
+        }
+        self.events.push_back(event);
+    }
+
+    /// The retained re-grants, oldest first.
+    pub fn to_vec(&self) -> Vec<RegrantEvent> {
+        self.events.iter().cloned().collect()
     }
 }
 
@@ -434,6 +463,27 @@ mod tests {
             assert_eq!(SloClass::parse(&class.name().to_uppercase()), Some(class));
         }
         assert_eq!(SloClass::parse("premium"), None);
+    }
+
+    #[test]
+    fn regrant_log_keeps_only_the_most_recent_events() {
+        let mut log = RegrantLog::default();
+        let event = |at: Nanos| RegrantEvent::new(at, vec![2, 1], vec![1, 2], 0.0);
+        let overflow = 5;
+        for at in 0..(REGRANT_LOG_CAPACITY + overflow) as Nanos {
+            log.push(event(at));
+        }
+        let kept = log.to_vec();
+        assert_eq!(kept.len(), REGRANT_LOG_CAPACITY);
+        // The oldest `overflow` events went; the rest stay in order.
+        assert!(kept
+            .iter()
+            .zip(overflow as Nanos..)
+            .all(|(ev, at)| ev.at == at));
+        assert_eq!(
+            kept.last(),
+            Some(&event((REGRANT_LOG_CAPACITY + overflow - 1) as Nanos))
+        );
     }
 
     // --- weighted tagging: exactly-once, no phantom shares ---

@@ -61,6 +61,11 @@ struct State {
     chosen_n: u32,
 }
 
+/// Problems with at least this many GPUs expand each stage across worker
+/// threads: transitions grow as `G²/2` per stage, and below this a thread
+/// spawn costs more than it saves.
+const PARALLEL_MIN_GPUS: usize = 192;
+
 impl DpSolver {
     /// Solve to optimality (given sufficient frontier room).
     ///
@@ -70,6 +75,68 @@ impl DpSolver {
         if !problem.is_solvable() {
             return Err(SolveError::Infeasible);
         }
+        let (alloc, objective) = self
+            .forward(problem, false)
+            .best(problem.gpus as usize)
+            .ok_or(SolveError::Infeasible)?;
+        debug_assert!(
+            problem.is_feasible(&alloc),
+            "DP produced infeasible allocation"
+        );
+        Ok((alloc, objective))
+    }
+
+    /// Solve at every budget `b ∈ 0..=G` from one forward pass: entry `b`
+    /// is bit-identical to [`solve`](Self::solve) on the same problem with
+    /// `gpus = b` (same allocation, same objective bits), and `None`
+    /// exactly where that solve fails.
+    ///
+    /// One pass suffices because budgets differ only in their last stage.
+    /// A frontier at `(stage i, used)` with `used ≤ b − reserve[i]` is built
+    /// from the same predecessors, pushed in the same order, under budget
+    /// `b` as under `G`; only Eq. 2's "the last runtime takes every
+    /// remaining GPU" depends on `b`. So the last stage expands every `N`
+    /// instead of only the remainder, and the terminal frontier at `used ==
+    /// b` is the one `solve` would end on at budget `b`.
+    ///
+    /// ```
+    /// use arlo_solver::prelude::*;
+    /// use arlo_runtime::prelude::*;
+    ///
+    /// let profiles = profile_runtimes(
+    ///     &RuntimeSet::natural(ModelSpec::bert_base()).compile(),
+    ///     150.0,
+    ///     256,
+    /// );
+    /// let demand: Vec<f64> = (0..8).map(|i| 60.0 / (1.0 + i as f64)).collect();
+    /// let curve = DpSolver::default()
+    ///     .solve_curve(&AllocationProblem::from_profiles(10, &profiles, &demand));
+    /// let at_8 = DpSolver::default()
+    ///     .solve(&AllocationProblem::from_profiles(8, &profiles, &demand))
+    ///     .ok();
+    /// assert_eq!(curve.len(), 11);
+    /// assert_eq!(curve[8], at_8);
+    /// assert_eq!(curve[0], None); // Eq. 7 needs at least one GPU
+    /// ```
+    pub fn solve_curve(&self, problem: &AllocationProblem) -> Vec<Option<(Allocation, f64)>> {
+        problem.validate();
+        let budgets = 0..=problem.gpus as usize;
+        if !problem.is_solvable() {
+            // Lower bounds do not depend on the budget: no smaller one
+            // is solvable either.
+            return budgets.map(|_| None).collect();
+        }
+        let pass = self.forward(problem, true);
+        budgets.map(|budget| pass.best(budget)).collect()
+    }
+
+    /// The stage-by-stage forward pass shared by [`solve`](Self::solve)
+    /// and [`solve_curve`](Self::solve_curve). With `every_budget` false
+    /// the last runtime takes exactly the remaining GPUs (only the
+    /// `used == G` terminal frontier fills); with it true the last stage
+    /// expands like any other, filling the terminal frontier of every
+    /// budget.
+    fn forward(&self, problem: &AllocationProblem, every_budget: bool) -> Forward {
         let g = problem.gpus as usize;
         let stages = problem.len();
         let bounds = problem.lower_bounds();
@@ -78,6 +145,15 @@ impl DpSolver {
         for i in (0..stages).rev() {
             reserve[i] = reserve[i + 1] + bounds[i];
         }
+        // Work estimate: frontiers are tiny in practice, so transitions
+        // ≈ Σ_used (hi − lo) ≈ g²/2. Parallelize the expansion across
+        // source `used` ranges once that's worth a thread spawn; the
+        // host's parallelism is read once, and only then.
+        let threads = if g >= PARALLEL_MIN_GPUS {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            1
+        };
 
         // layers[stage][used] = Pareto frontier of states after `stage`
         // stages, having consumed `used` GPUs.
@@ -93,57 +169,18 @@ impl DpSolver {
 
         let last = stages - 1;
         for (i, rt) in problem.runtimes.iter().enumerate() {
-            let lo = bounds[i];
-            let next_reserve = if i == last { 0 } else { reserve[i + 1] };
             let stage = StageCtx {
                 rt,
-                lo,
+                lo: bounds[i],
                 cap: f64::from(rt.capacity),
                 reserve: reserve[i],
-                next_reserve,
+                next_reserve: reserve[i + 1],
                 is_last: i == last,
+                fill: i == last && !every_budget,
                 g,
             };
-            // Work estimate: frontiers are tiny in practice, so transitions
-            // ≈ Σ_used (hi − lo) ≈ g²/2. Parallelize the expansion across
-            // source `used` ranges once that's worth a thread spawn;
-            // thread-local target maps merge in fixed thread order so the
-            // result is bit-identical to the serial path.
-            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let next = if g >= 192 && threads > 1 {
-                let chunk = (g + 1).div_ceil(threads);
-                let partials: Vec<Vec<Vec<State>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let current = &current;
-                            let stage = &stage;
-                            scope.spawn(move || {
-                                let mut local: Vec<Vec<State>> = vec![Vec::new(); g + 1];
-                                let from = t * chunk;
-                                let to = ((t + 1) * chunk).min(g + 1);
-                                for (used, frontier) in
-                                    current.iter().enumerate().take(to).skip(from)
-                                {
-                                    expand(used, frontier, stage, &mut local);
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("dp worker"))
-                        .collect()
-                });
-                let mut next: Vec<Vec<State>> = vec![Vec::new(); g + 1];
-                for part in partials {
-                    for (bucket, states) in part.into_iter().enumerate() {
-                        for st in states {
-                            push_state(&mut next[bucket], st);
-                        }
-                    }
-                }
-                next
+            let mut next = if threads > 1 {
+                expand_parallel(&current, &stage, threads)
             } else {
                 let mut next: Vec<Vec<State>> = vec![Vec::new(); g + 1];
                 for (used, frontier) in current.iter().enumerate() {
@@ -151,43 +188,52 @@ impl DpSolver {
                 }
                 next
             };
-            let mut next = next;
             for frontier in &mut next {
                 prune(frontier, self.max_frontier);
             }
             layers.push(current);
             current = next;
         }
+        Forward {
+            layers,
+            terminal: current,
+        }
+    }
+}
 
-        // The answer lives at used == G after the final stage.
-        let terminal = &current[g];
+/// The frontiers one forward pass leaves behind.
+struct Forward {
+    /// `layers[i][used]`: the frontier before stage `i`.
+    layers: Vec<Vec<Vec<State>>>,
+    /// `terminal[used]`: the frontier after the last stage.
+    terminal: Vec<Vec<State>>,
+}
+
+impl Forward {
+    /// The cheapest terminal state at `budget` and the allocation its
+    /// back-pointers spell; `None` when no state spends exactly `budget`.
+    fn best(&self, budget: usize) -> Option<(Allocation, f64)> {
+        let terminal = &self.terminal[budget];
         let best_slot = terminal
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.cost.partial_cmp(&b.1.cost).expect("NaN cost"))
-            .map(|(slot, _)| slot)
-            .ok_or(SolveError::Infeasible)?;
+            .map(|(slot, _)| slot)?;
 
         // Walk back-pointers to reconstruct N_i.
+        let stages = self.layers.len();
         let mut instances = vec![0u32; stages];
-        let mut used = g;
-        let mut slot = best_slot;
+        let mut used = budget;
         let objective = terminal[best_slot].cost;
-        let mut cursor: &State = &terminal[slot];
+        let mut cursor: &State = &terminal[best_slot];
         for i in (0..stages).rev() {
             instances[i] = cursor.chosen_n;
             used -= cursor.chosen_n as usize;
-            slot = cursor.prev_slot as usize;
             if i > 0 {
-                cursor = &layers[i][used][slot];
+                cursor = &self.layers[i][used][cursor.prev_slot as usize];
             }
         }
-        let alloc = Allocation { instances };
-        debug_assert!(
-            problem.is_feasible(&alloc),
-            "DP produced infeasible allocation"
-        );
-        Ok((alloc, objective))
+        Some((Allocation { instances }, objective))
     }
 }
 
@@ -198,8 +244,52 @@ struct StageCtx<'a> {
     cap: f64,
     reserve: u32,
     next_reserve: u32,
+    /// The last runtime: it keeps every request routed to it (no carry).
     is_last: bool,
+    /// `N` must spend every remaining GPU (Eq. 2 at a single budget).
+    fill: bool,
     g: usize,
+}
+
+/// Expand every source bucket across `threads` workers, each over a
+/// contiguous `used` range into thread-local target maps; the maps merge
+/// in fixed thread order, so the result is bit-identical to the serial
+/// path (push order per target bucket is unchanged).
+fn expand_parallel(
+    current: &[Vec<State>],
+    stage: &StageCtx<'_>,
+    threads: usize,
+) -> Vec<Vec<State>> {
+    let g = stage.g;
+    let chunk = (g + 1).div_ceil(threads);
+    let partials: Vec<Vec<Vec<State>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                scope.spawn(move || {
+                    let mut local: Vec<Vec<State>> = vec![Vec::new(); g + 1];
+                    let from = t * chunk;
+                    let to = ((t + 1) * chunk).min(g + 1);
+                    for (used, frontier) in current.iter().enumerate().take(to).skip(from) {
+                        expand(used, frontier, stage, &mut local);
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("dp worker"))
+            .collect()
+    });
+    let mut next: Vec<Vec<State>> = vec![Vec::new(); g + 1];
+    for part in partials {
+        for (bucket, states) in part.into_iter().enumerate() {
+            for st in states {
+                push_state(&mut next[bucket], st);
+            }
+        }
+    }
+    next
 }
 
 /// Expand every state of one `used` bucket across its feasible `N` choices
@@ -209,15 +299,12 @@ fn expand(used: usize, frontier: &[State], stage: &StageCtx<'_>, out: &mut [Vec<
     if remaining < stage.reserve {
         return;
     }
+    let hi = remaining - stage.next_reserve;
+    let lo = if stage.fill { hi } else { stage.lo };
     for (slot, st) in frontier.iter().enumerate() {
         let inflow = st.carry + stage.rt.demand;
-        if stage.is_last {
-            // Eq. 2 forces the last runtime to take every remaining GPU.
-            let n = remaining;
-            if n < stage.lo {
-                continue;
-            }
-            let (cost_inc, carry) = stage_cost(inflow, n, stage.cap, stage.rt, true);
+        for n in lo..=hi {
+            let (cost_inc, carry) = stage_cost(inflow, n, stage.cap, stage.rt, stage.is_last);
             push_state(
                 &mut out[used + n as usize],
                 State {
@@ -227,20 +314,6 @@ fn expand(used: usize, frontier: &[State], stage: &StageCtx<'_>, out: &mut [Vec<
                     chosen_n: n,
                 },
             );
-        } else {
-            let hi = remaining - stage.next_reserve;
-            for n in stage.lo..=hi {
-                let (cost_inc, carry) = stage_cost(inflow, n, stage.cap, stage.rt, false);
-                push_state(
-                    &mut out[used + n as usize],
-                    State {
-                        carry,
-                        cost: st.cost + cost_inc,
-                        prev_slot: slot as u32,
-                        chosen_n: n,
-                    },
-                );
-            }
         }
     }
 }
@@ -455,6 +528,97 @@ mod tests {
         let re = p.evaluate(&a1).expect("feasible");
         assert!((re - c1).abs() < 1e-6, "reported {c1} vs evaluated {re}");
         assert_eq!(a1.total(), 256);
+    }
+
+    /// Check `solve_curve` at `problem.gpus` against `solve` at each of
+    /// `budgets`, bit for bit; returns how many budgets were solvable.
+    fn check_curve(
+        solver: DpSolver,
+        problem: &AllocationProblem,
+        budgets: impl IntoIterator<Item = u32>,
+    ) -> Result<usize, String> {
+        let curve = solver.solve_curve(problem);
+        if curve.len() != problem.gpus as usize + 1 {
+            return Err(format!("curve has {} entries", curve.len()));
+        }
+        let mut solved = 0;
+        for b in budgets {
+            let at_b = AllocationProblem {
+                gpus: b,
+                ..problem.clone()
+            };
+            match (solver.solve(&at_b), &curve[b as usize]) {
+                (Ok((alloc, cost)), Some((c_alloc, c_cost)))
+                    if alloc == *c_alloc && cost.to_bits() == c_cost.to_bits() =>
+                {
+                    solved += 1;
+                }
+                (Err(SolveError::Infeasible), None) => {}
+                (direct, curved) => {
+                    return Err(format!(
+                        "budget {b} of {}: solve {direct:?} vs curve {curved:?}",
+                        problem.gpus
+                    ))
+                }
+            }
+        }
+        Ok(solved)
+    }
+
+    #[test]
+    fn curve_matches_per_budget_solves_bit_for_bit() {
+        use proptest::prelude::*;
+        // (capacity, demand, exec) per runtime; capacity 0 forwards all
+        // demand, and demand up to 30 per bin pushes the summed lower
+        // bounds above many budgets.
+        let (mut solvable, mut unsolvable, mut thinned, mut single) = (0, 0, 0, 0);
+        proptest!(ProptestConfig::with_cases(160), |(
+            family in proptest::collection::vec((0u32..=10, 0.0f64..30.0, 0.3f64..3.0), 1..=5),
+            gpus in 0u32..=24,
+            frontier in 0usize..4,
+        )| {
+            let last = family.len() - 1;
+            let spec: Vec<(u32, u32, f64, f64)> = family
+                .iter()
+                .enumerate()
+                .map(|(i, &(cap, q, exec))| {
+                    let cap = if i == last { cap.max(1) } else { cap };
+                    (64 * (i as u32 + 1), cap, q, exec)
+                })
+                .collect();
+            let p = problem(gpus, &spec);
+            let solver = DpSolver { max_frontier: [1, 2, 4, 256][frontier] };
+            let solved = check_curve(solver, &p, 0..=gpus).map_err(TestCaseError)?;
+            solvable += solved;
+            unsolvable += gpus as usize + 1 - solved;
+            thinned += usize::from(solved > 0 && solver.max_frontier <= 2);
+            single += usize::from(solved > 0 && spec.len() == 1);
+        });
+        assert!(
+            solvable > 200 && unsolvable > 200,
+            "{solvable} / {unsolvable}"
+        );
+        assert!(
+            thinned > 10 && single > 10,
+            "{thinned} thinned, {single} single"
+        );
+    }
+
+    #[test]
+    fn curve_matches_solves_on_the_parallel_path() {
+        // G ≥ 192 expands across threads (on multicore hosts); budgets
+        // below 192 solve serially, so these also pin the parallel merge
+        // to the serial push order.
+        let spec: Vec<(u32, u32, f64, f64)> = (1..=12)
+            .map(|i| {
+                let exec = 0.5 + 0.25 * f64::from(i);
+                ((48 * i), (150.0 / exec) as u32, 900.0 / f64::from(i), exec)
+            })
+            .collect();
+        let p = problem(256, &spec);
+        let budgets = [0, 20, 21, 120, 191, 192, 230, 256];
+        let solved = check_curve(DpSolver::default(), &p, budgets).expect("curve");
+        assert_eq!(solved, budgets.len() - 2, "the lower bounds sum to 21");
     }
 
     #[test]
