@@ -22,32 +22,31 @@
 //!   catch up without outrunning the reading client: zero
 //!   `slow_disconnects`, zero lost.
 //!
-//! Load is the **window storm**: refills leave as checksummed
-//! `BatchedSubmit` frames, so the sweep doubles as an integration test of
-//! the batched replay path. The closed-loop cells' storm runs in a
-//! re-exec'd child process, keeping client fds and CPU out of the server
-//! process; the burst cell's open-loop storm runs on a thread of this one.
+//! Load is the **window storm**: a closed-loop replay of a trace that
+//! arrives all at once, whose refills leave as checksummed `BatchedSubmit`
+//! frames, so the sweep doubles as an integration test of the batched
+//! replay path. The closed-loop cells' storm runs in a re-exec'd child
+//! process ([`ReplayChild`]), keeping client fds and CPU out of the server
+//! process; the burst cell's open-loop storm runs in this one.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
 //!
 //! Writes `results/BENCH_resilience.json`.
 
-use arlo_bench::{json_f64, print_table, write_json};
+use arlo_bench::{json_f64, print_table, report_counts, run_replay_child, write_json, ReplayChild};
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
-use arlo_serve::loadgen::{connection_storm, StormConfig, StormReport};
+use arlo_serve::loadgen::{burst, replay, LoadGenConfig, LoadGenReport};
+use arlo_serve::protocol::MAX_BATCH;
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::NANOS_PER_SEC;
-use std::collections::HashMap;
-use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -55,12 +54,12 @@ const SLO_MS: f64 = 150.0;
 const GPUS: u32 = 4;
 const SCALE: u32 = 100;
 const CONNS: usize = 8;
-const WINDOW: u32 = 8;
+const WINDOW: usize = 8;
 const FULL_TOTAL: u64 = 10_000;
 const SMOKE_TOTAL: u64 = 1_600;
 /// The burst cell's one connection: four outbound queues' worth of
 /// submits, all up front.
-const BURST: u32 = 4_096;
+const BURST: usize = 4_096;
 
 fn smoke() -> bool {
     std::env::var("EXT_RESILIENCE_SMOKE")
@@ -110,108 +109,18 @@ fn serve_config(chaos: ComponentChaos) -> ServeConfig {
     cfg
 }
 
-/// The storm every loaded cell drives: `conns` connections from two
-/// client threads, `submits_per_conn` each, at most `window` in flight per
-/// connection (0 queues every submit up front).
-fn storm_config(conns: usize, submits_per_conn: u32, window: u32) -> StormConfig {
-    let mut cfg = StormConfig::new(conns).with_window(window);
-    cfg.threads = 2;
-    cfg.submits_per_conn = submits_per_conn;
-    cfg.hold = Duration::from_millis(20);
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(300);
-    cfg
-}
-
-/// A storm's outcome by name, as a cell records it.
-fn storm_counts(report: &StormReport) -> Vec<(&'static str, u64)> {
-    vec![
-        ("connected", report.connected),
-        ("refused", report.refused),
-        ("connect_errors", report.connect_errors),
-        ("submitted", report.submitted),
-        ("ok", report.ok),
-        ("shed", report.shed),
-        ("unserviceable", report.unserviceable),
-        ("draining", report.draining),
-        ("failed", report.failed),
-        ("lost", report.lost),
-        ("conserved", u64::from(report.conserved())),
-        ("wall_ms", report.wall.as_millis() as u64),
-    ]
-}
-
-/// Re-exec'd storm-client role (`ARLO_RESIL_ADDR` set): run the
-/// closed-loop window storm and print one machine-readable line.
-fn storm_child() {
-    let addr: SocketAddr = std::env::var("ARLO_RESIL_ADDR")
-        .expect("ARLO_RESIL_ADDR")
-        .parse()
-        .expect("resilience addr");
-    let env_u64 = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut cfg = storm_config(
-        env_u64("ARLO_RESIL_CONNS", CONNS as u64) as usize,
-        env_u64("ARLO_RESIL_SUBMITS", 1) as u32,
-        WINDOW,
-    );
-    cfg.deadline = Duration::from_secs(env_u64("ARLO_RESIL_DEADLINE_S", 300));
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    let line: Vec<String> = storm_counts(&report)
-        .into_iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    println!("RESIL_RESULT {}", line.join(" "));
-}
-
-/// Drive one storm child against `addr` and parse its result line.
-fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> HashMap<String, u64> {
-    storm_result(spawn_storm(addr, submits_per_conn))
-}
-
-/// Start one storm child against `addr`.
-fn spawn_storm(addr: SocketAddr, submits_per_conn: u64) -> Child {
-    Command::new(std::env::current_exe().expect("current_exe"))
-        .env("ARLO_RESIL_ADDR", addr.to_string())
-        .env("ARLO_RESIL_CONNS", CONNS.to_string())
-        .env("ARLO_RESIL_SUBMITS", submits_per_conn.to_string())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn storm child")
-}
-
-/// Wait for a storm child and parse its result line.
-fn storm_result(mut child: Child) -> HashMap<String, u64> {
-    let status = child.wait().expect("wait storm child");
-    assert!(status.success(), "storm child failed: {status}");
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("child stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("RESIL_RESULT"))
-        .unwrap_or_else(|| panic!("no RESIL_RESULT in child output:\n{out}"));
-    line.split_whitespace()
-        .skip(1)
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("k=v pair");
-            (k.to_string(), v.parse().expect("numeric count"))
-        })
-        .collect()
+/// Start the window storm against `addr` in a child process:
+/// `submits_per_conn` on each of [`CONNS`] connections, [`WINDOW`] in
+/// flight per connection, refills in `BatchedSubmit` frames.
+fn spawn_storm(addr: SocketAddr, submits_per_conn: u64) -> ReplayChild {
+    let storm = LoadGenConfig::closed(CONNS, WINDOW).with_submit_batch(MAX_BATCH);
+    ReplayChild::spawn(addr, CONNS * submits_per_conn as usize, &storm)
 }
 
 struct Cell {
     component: &'static str,
     fault: &'static str,
-    counts: HashMap<String, u64>,
+    report: LoadGenReport,
     panics: u64,
     stalls: u64,
     escalations: u64,
@@ -288,11 +197,10 @@ fn drain_conserving(tag: &str, server: Server) -> arlo_serve::server::DrainRepor
 
 /// Client-side law: every connection up, every submit written reached
 /// exactly one terminal outcome.
-fn assert_client_conserves(tag: &str, counts: &HashMap<String, u64>, submitted: u64) {
-    let g = |k: &str| counts[k];
-    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
-    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
-    assert_eq!(g("submitted"), submitted, "{tag}: {counts:?}");
+fn assert_client_conserves(tag: &str, report: &LoadGenReport, sent: u64) {
+    assert_eq!(report.connect_errors, 0, "{tag}: {report:?}");
+    assert_eq!(report.accounted(), report.sent, "{tag}: {report:?}");
+    assert_eq!(report.sent, sent, "{tag}: {report:?}");
 }
 
 /// `shard/panic`: `shard-0` dies under the closed-loop storm and escalates.
@@ -316,20 +224,19 @@ fn shard_panic_cell(total: u64) -> Cell {
     let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
     let drain = drain_conserving(tag, server);
     assert_eq!(drain.escalations, 1, "{tag}: {drain:?}");
-    let counts = storm_result(child);
+    let report = child.report();
     let wall_s = started.elapsed().as_secs_f64();
     // The dead shard's clients stop refilling at EOF; everything they did
     // submit is accounted for, `lost` included.
-    let g = |k: &str| counts[k];
-    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
-    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
-    assert!(g("ok") > 0, "{tag}: died before serving: {counts:?}");
+    assert_eq!(report.connect_errors, 0, "{tag}: {report:?}");
+    assert_eq!(report.accounted(), report.sent, "{tag}: {report:?}");
+    assert!(report.ok > 0, "{tag}: died before serving: {report:?}");
     // Submits still in a dead connection's socket never reached the server.
-    assert!(drain.submits <= g("submitted"), "{tag}: wire vs drain");
+    assert!(drain.submits <= report.sent, "{tag}: wire vs drain");
     Cell {
         component: "shard",
         fault: "panic",
-        counts,
+        report,
         panics: 1,
         stalls,
         escalations: drain.escalations,
@@ -349,13 +256,15 @@ fn shard_stall_cell(total: u64) -> Cell {
         Server::spawn(engine(), "127.0.0.1:0", serve_config(chaos)).expect("bind loopback");
     let submits_per_conn = total / CONNS as u64;
     let started = Instant::now();
-    let counts = with_stall_checks(&server, || run_storm(server.local_addr(), submits_per_conn));
+    let report = with_stall_checks(&server, || {
+        spawn_storm(server.local_addr(), submits_per_conn).report()
+    });
     let wall_s = started.elapsed().as_secs_f64();
     let submitted = submits_per_conn * CONNS as u64;
-    assert_client_conserves(tag, &counts, submitted);
+    assert_client_conserves(tag, &report, submitted);
     assert_eq!(
-        counts["lost"], 0,
-        "{tag}: stalls must never lose answers: {counts:?}"
+        report.lost, 0,
+        "{tag}: stalls must never lose answers: {report:?}"
     );
     assert!(
         server.stalls_detected() >= 1,
@@ -368,7 +277,7 @@ fn shard_stall_cell(total: u64) -> Cell {
     Cell {
         component: "shard",
         fault: "stall",
-        counts,
+        report,
         panics: 0,
         stalls,
         escalations: 0,
@@ -390,11 +299,11 @@ fn planner_panic_cell(total: u64) -> Cell {
         Server::spawn_multi(vec![(tenant, engine())], "127.0.0.1:0", cfg).expect("bind loopback");
     let submits_per_conn = total / CONNS as u64;
     let started = Instant::now();
-    let counts = run_storm(server.local_addr(), submits_per_conn);
+    let report = spawn_storm(server.local_addr(), submits_per_conn).report();
     let wall_s = started.elapsed().as_secs_f64();
     let submitted = submits_per_conn * CONNS as u64;
-    assert_client_conserves(tag, &counts, submitted);
-    assert_eq!(counts["lost"], 0, "{tag}: {counts:?}");
+    assert_client_conserves(tag, &report, submitted);
+    assert_eq!(report.lost, 0, "{tag}: {report:?}");
     // More than one panic: the planner outlived the first.
     wait_until(tag, "a second planner panic", || {
         count_events(&server, "planner", SupervisorEventKind::Panicked) >= 2
@@ -407,7 +316,7 @@ fn planner_panic_cell(total: u64) -> Cell {
     Cell {
         component: "planner",
         fault: "panic",
-        counts,
+        report,
         panics,
         stalls,
         escalations: 0,
@@ -433,28 +342,25 @@ fn shard_burst_cell() -> Cell {
     let addr = server.local_addr();
     let started = Instant::now();
     let report = with_stall_checks(&server, || {
-        connection_storm(addr, &storm_config(1, BURST, 0)).expect("connection storm")
+        let storm = LoadGenConfig::open(1, SCALE).with_submit_batch(MAX_BATCH);
+        replay(addr, &burst(BURST, 64), &storm).expect("replay")
     });
     let wall_s = started.elapsed().as_secs_f64();
-    let counts: HashMap<String, u64> = storm_counts(&report)
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    assert_client_conserves(tag, &counts, u64::from(BURST));
+    assert_client_conserves(tag, &report, BURST as u64);
     assert_eq!(
         report.lost, 0,
         "{tag}: the catch-up outran the client: {report:?}"
     );
-    assert_eq!(report.ok, u64::from(BURST), "{tag}: {report:?}");
+    assert_eq!(report.ok, BURST as u64, "{tag}: {report:?}");
     assert!(server.stalls_detected() >= 1, "{tag}: no stall flagged");
     let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
     let drain = drain_conserving(tag, server);
     assert_eq!(drain.slow_disconnects, 0, "{tag}: {drain:?}");
-    assert_eq!(drain.served, u64::from(BURST), "{tag}: {drain:?}");
+    assert_eq!(drain.served, BURST as u64, "{tag}: {drain:?}");
     Cell {
         component: "shard",
         fault: "burst",
-        counts,
+        report,
         panics: 0,
         stalls,
         escalations: 0,
@@ -476,8 +382,7 @@ fn arlo_seed(tag: &str) -> u64 {
 }
 
 fn main() {
-    if std::env::var_os("ARLO_RESIL_ADDR").is_some() {
-        storm_child();
+    if run_replay_child() {
         return;
     }
     let total = if smoke() { SMOKE_TOTAL } else { FULL_TOTAL };
@@ -496,13 +401,12 @@ fn main() {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
-            let count = |k: &str| format!("{}", c.counts.get(k).copied().unwrap_or(0));
             vec![
                 c.component.to_string(),
                 c.fault.to_string(),
-                count("ok"),
-                count("draining"),
-                count("lost"),
+                format!("{}", c.report.ok),
+                format!("{}", c.report.draining),
+                format!("{}", c.report.lost),
                 format!("{}", c.panics),
                 format!("{}", c.stalls),
                 format!("{}", c.escalations),
@@ -546,9 +450,9 @@ fn main() {
             "component": c.component,
             "fault": c.fault,
             "counts": serde_json::Value::Object(
-                c.counts
-                    .iter()
-                    .map(|(k, v)| (k.clone(), serde_json::json!(*v)))
+                report_counts(&c.report)
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), serde_json::json!(v)))
                     .collect(),
             ),
             "panics": c.panics,

@@ -3,7 +3,7 @@
 //! Everything else in this harness measures the *simulated* system. This
 //! binary measures the *served* one: the `arlo-serve` stack — wire
 //! protocol, epoll shards placing every request, batch-coalescing deadline-heap
-//! executor, timer-driven Runtime Scheduler — under the paper's two
+//! executor, the planner's periodic reallocation — under the paper's two
 //! workloads, replayed by a multi-connection load generator in scaled
 //! virtual time. Latency percentiles are virtual dispatch→completion times
 //! (the serial execution model), so they are comparable to the simulator's
@@ -32,43 +32,39 @@
 //!   zero-loss accounting is unchanged; the cells record the goodput and
 //!   wire-side effect of batched framing.
 //! * **connection scaling**: a storm of concurrent connections — 1k and
-//!   10k — each submitting once and holding its socket open. The storm client
-//!   runs in a re-exec'd child process so parent and child each stay
-//!   under the host's per-process fd rlimit; the parent polls its own
-//!   connection registry to record peak concurrency and asserts exact
-//!   conservation (`ok + shed + unserviceable + draining == submitted`,
-//!   nothing lost, nothing refused) from the child's counts.
+//!   10k — each submitting once and holding its socket open. The storm is a
+//!   replay of a trace that arrives all at once, run in a re-exec'd child
+//!   process ([`ReplayChild`]) so parent and child each stay under the
+//!   host's per-process fd rlimit; the parent polls its own connection
+//!   registry to record peak concurrency and asserts exact conservation
+//!   (`ok + shed + unserviceable + draining == sent`, nothing lost,
+//!   nothing refused) from the child's report.
 //!
 //! Writes `results/BENCH_serve.json`.
 
-use arlo_bench::{json_f64, print_table, write_json};
+use arlo_bench::{json_f64, print_table, run_replay_child, write_json, ReplayChild};
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_core::request_scheduler::ArloRequestScheduler;
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
+use arlo_serve::loadgen::{replay, LoadGenConfig, LoadGenReport};
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_sim::driver::{NoopAllocator, SimConfig, Simulation};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::io::Read;
-use std::net::SocketAddr;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
 const GPUS: u32 = 8;
 const SCALE: u32 = 100;
-/// Parity cells run at a lower speed-up: at 100× the load generator's
-/// 100 µs sleep-skip threshold bunches arrivals into ~10 virtual ms clumps
-/// — queueing the idealized simulator never sees. At 10× inter-arrival
-/// gaps are real sleeps and pacing granularity is ~1 virtual ms, small
-/// against a multi-ms p98.
+/// Parity cells run at a lower speed-up: at 100× every 100 µs of the load
+/// generator's wake-up jitter skews arrivals by 10 virtual ms — queueing
+/// the idealized simulator never sees. At 10× the same jitter is ~1
+/// virtual ms, small against a multi-ms p98.
 const PARITY_SCALE: u32 = 10;
 const CLIENTS: usize = 4;
 const DURATION_SECS: f64 = 60.0;
@@ -82,7 +78,7 @@ const BATCH4: BatchSpec = BatchSpec {
 const PARITY_TOL: f64 = 0.05;
 /// Agreement tolerance on p98: wider than throughput because the live
 /// tail carries an irreducible host-scheduling component — on a loaded
-/// or single-core host, one preempted reader thread adds real
+/// or single-core host, one preempted client thread adds real
 /// milliseconds to a multi-ms virtual p98 while throughput is unmoved.
 const PARITY_P98_TOL: f64 = 0.10;
 /// Absolute p98 noise floor: below this gap the relative band is
@@ -140,7 +136,7 @@ fn serve_config(batch: BatchPolicy, time_scale: u32) -> ServeConfig {
 struct Cell {
     workload: &'static str,
     mode: &'static str,
-    report: arlo_serve::loadgen::LoadGenReport,
+    report: LoadGenReport,
     drain: arlo_serve::server::DrainReport,
 }
 
@@ -178,7 +174,7 @@ fn run_cell(workload: &'static str, spec: &TraceSpec, mode: &'static str, seed: 
 
 struct ParityCell {
     workload: &'static str,
-    report: arlo_serve::loadgen::LoadGenReport,
+    report: LoadGenReport,
     drain: arlo_serve::server::DrainReport,
     occupancy: Vec<u64>,
     live_goodput: f64,
@@ -193,7 +189,7 @@ struct ParityCell {
 /// The live measurement is sampled up to [`PARITY_SAMPLES`] times and the
 /// first in-tolerance run wins (falling back to the lowest-p98 sample).
 /// Host scheduling noise only ever *inflates* a loopback tail against the
-/// idealized simulator — one preempted reader thread adds milliseconds to
+/// idealized simulator — one preempted client thread adds milliseconds to
 /// a multi-ms p98 — so resampling recovers the noise-free measurement the
 /// contract is about, the same reason the slow-client isolation test in
 /// `chaos_e2e` asserts on a median-of-3.
@@ -287,7 +283,7 @@ fn run_parity_cell(workload: &'static str, spec: &TraceSpec, seed: u64) -> Parit
 
 struct FramingCell {
     submit_batch: usize,
-    report: arlo_serve::loadgen::LoadGenReport,
+    report: LoadGenReport,
     drain: arlo_serve::server::DrainReport,
 }
 
@@ -320,56 +316,10 @@ fn run_framing_cell(spec: &TraceSpec, seed: u64, submit_batch: usize) -> Framing
     }
 }
 
-/// Storm-client role: `run_conn_cell` re-execs this binary with
-/// `ARLO_STORM_ADDR` set so the storm's sockets are charged to a second
-/// process — at 10k connections, parent (server) and child (client) each
-/// hold ~10k fds, and either alone fits under a 20k per-process rlimit
-/// where a single process holding both ends would not.
-///
-/// The child prints a single machine-readable `STORM_RESULT k=v ...` line
-/// on stdout and exits; the parent parses it for the cell's counts.
-fn storm_child() {
-    let addr: SocketAddr = std::env::var("ARLO_STORM_ADDR")
-        .expect("ARLO_STORM_ADDR")
-        .parse()
-        .expect("storm addr");
-    let env_u64 = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut cfg = StormConfig::new(env_u64("ARLO_STORM_CONNS", 1_000) as usize);
-    cfg.threads = env_u64("ARLO_STORM_THREADS", 4) as usize;
-    cfg.submits_per_conn = env_u64("ARLO_STORM_SUBMITS", 1) as u32;
-    cfg.hold = Duration::from_millis(env_u64("ARLO_STORM_HOLD_MS", 1_500));
-    // A 10k-connection wave can overflow the listen backlog; SYN
-    // retransmits recover, but only if the connect timeout outlives them.
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(120);
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    println!(
-        "STORM_RESULT connected={} refused={} connect_errors={} submitted={} ok={} \
-         shed={} unserviceable={} draining={} failed={} lost={} conserved={} wall_ms={}",
-        report.connected,
-        report.refused,
-        report.connect_errors,
-        report.submitted,
-        report.ok,
-        report.shed,
-        report.unserviceable,
-        report.draining,
-        report.failed,
-        report.lost,
-        u64::from(report.conserved()),
-        report.wall.as_millis(),
-    );
-}
-
 struct ConnCell {
     conns: usize,
     peak_active: u64,
-    counts: HashMap<String, u64>,
+    report: LoadGenReport,
     wall: Duration,
 }
 
@@ -390,65 +340,37 @@ fn run_conn_cell(conns: usize) -> ConnCell {
     // allocator.
     let server = Server::spawn(engine(100_000), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
-    let hold_ms: u64 = if conns >= 10_000 { 3_000 } else { 1_500 };
+    let storm = LoadGenConfig {
+        hold: Duration::from_millis(if conns >= 10_000 { 3_000 } else { 1_500 }),
+        ..LoadGenConfig::open(conns, SCALE)
+    };
 
     let started = Instant::now();
-    let mut child = Command::new(std::env::current_exe().expect("current_exe"))
-        .env("ARLO_STORM_ADDR", addr.to_string())
-        .env("ARLO_STORM_CONNS", conns.to_string())
-        .env("ARLO_STORM_THREADS", "4")
-        .env("ARLO_STORM_SUBMITS", "1")
-        .env("ARLO_STORM_HOLD_MS", hold_ms.to_string())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn storm child");
-
+    let mut child = ReplayChild::spawn(addr, conns, &storm);
     // Peak concurrency from the server's own registry: the 10k cell must
     // actually *hold* 10k connections at once, not merely churn them.
     let mut peak_active: u64 = 0;
     loop {
         peak_active = peak_active.max(server.active_connections() as u64);
-        match child.try_wait().expect("wait storm child") {
-            Some(status) => {
-                assert!(status.success(), "storm child failed: {status}");
-                break;
-            }
-            None => std::thread::sleep(Duration::from_millis(2)),
+        if !child.is_running() {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(2));
     }
+    let report = child.report();
     let wall = started.elapsed();
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("child stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("STORM_RESULT"))
-        .unwrap_or_else(|| panic!("no STORM_RESULT in storm child output:\n{out}"));
-    let counts: HashMap<String, u64> = line
-        .split_whitespace()
-        .skip(1)
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("k=v pair");
-            (k.to_string(), v.parse().expect("numeric count"))
-        })
-        .collect();
-    let g = |k: &str| counts[k];
     let tag = format!("epoll@{conns}");
 
-    assert_eq!(g("connect_errors"), 0, "{tag}: {line}");
-    assert_eq!(g("connected"), conns as u64, "{tag}: {line}");
-    assert_eq!(g("refused"), 0, "{tag}: {line}");
-    assert_eq!(g("failed"), 0, "{tag}: {line}");
-    assert_eq!(g("lost"), 0, "{tag}: {line}");
-    assert_eq!(g("conserved"), 1, "{tag}: {line}");
+    assert_eq!(report.connect_errors, 0, "{tag}: {report:?}");
+    assert_eq!(report.connected, conns as u64, "{tag}: {report:?}");
+    assert_eq!(report.refused, 0, "{tag}: {report:?}");
+    assert_eq!(report.failed, 0, "{tag}: {report:?}");
+    assert_eq!(report.lost, 0, "{tag}: {report:?}");
+    assert_eq!(report.accounted(), report.sent, "{tag}: {report:?}");
     assert_eq!(
-        g("ok") + g("shed") + g("unserviceable") + g("draining"),
-        g("submitted"),
-        "{tag}: {line}"
+        report.ok + report.shed + report.unserviceable + report.draining,
+        report.sent,
+        "{tag}: {report:?}"
     );
     assert!(
         peak_active >= conns as u64,
@@ -466,16 +388,14 @@ fn run_conn_cell(conns: usize) -> ConnCell {
     ConnCell {
         conns,
         peak_active,
-        counts,
+        report,
         wall,
     }
 }
 
 fn main() {
-    // Re-exec'd storm-client role for the connection-scaling cells: run
-    // the storm and print counts instead of the benchmark.
-    if std::env::var_os("ARLO_STORM_ADDR").is_some() {
-        storm_child();
+    // Re-exec'd storm client of the connection-scaling cells.
+    if run_replay_child() {
         return;
     }
 
@@ -672,45 +592,38 @@ fn main() {
     let mut conn_rows = Vec::new();
     let mut conn_json = Vec::new();
     for cell in &conn_cells {
-        let g = |k: &str| cell.counts[k];
+        let r = &cell.report;
         conn_rows.push(vec![
             format!("{}", cell.conns),
             format!("{}", cell.peak_active),
-            format!("{}", g("submitted")),
-            format!("{}", g("ok")),
-            format!("{}", g("shed")),
-            format!("{}", g("unserviceable")),
-            format!("{}", g("lost")),
+            format!("{}", r.sent),
+            format!("{}", r.ok),
+            format!("{}", r.shed),
+            format!("{}", r.unserviceable),
+            format!("{}", r.lost),
             format!("{:.1}", cell.wall.as_secs_f64()),
         ]);
         conn_json.push(serde_json::json!({
             "conns": cell.conns,
             "peak_active": cell.peak_active,
-            "connected": g("connected"),
-            "submitted": g("submitted"),
-            "ok": g("ok"),
-            "shed": g("shed"),
-            "unserviceable": g("unserviceable"),
-            "draining": g("draining"),
-            "failed": g("failed"),
-            "lost": g("lost"),
-            "refused": g("refused"),
-            "conserved": g("conserved") == 1,
-            "storm_wall_ms": g("wall_ms"),
+            "connected": r.connected,
+            "sent": r.sent,
+            "ok": r.ok,
+            "shed": r.shed,
+            "unserviceable": r.unserviceable,
+            "draining": r.draining,
+            "failed": r.failed,
+            "lost": r.lost,
+            "refused": r.refused,
+            "conserved": r.accounted() == r.sent,
+            "storm_wall_ms": r.wall.as_millis() as u64,
             "cell_wall_secs": json_f64(cell.wall.as_secs_f64()),
         }));
     }
     print_table(
         "connection scaling (storm client in a child process, counts conserved)",
         &[
-            "conns",
-            "peak",
-            "submitted",
-            "ok",
-            "shed",
-            "unsvc",
-            "lost",
-            "wall s",
+            "conns", "peak", "sent", "ok", "shed", "unsvc", "lost", "wall s",
         ],
         &conn_rows,
     );

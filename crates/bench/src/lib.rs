@@ -23,9 +23,13 @@
 
 pub mod chart;
 
+use arlo_serve::loadgen::{burst, replay, LoadGenConfig, LoadGenReport, LoadMode};
 use arlo_sim::metrics::SimReport;
 use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 /// Format an aligned text table.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -226,6 +230,155 @@ pub fn report_json(report: &SimReport, slo_ms: f64) -> serde_json::Value {
     })
 }
 
+/// First argument of a re-exec'd [`ReplayChild`].
+const REPLAY_CHILD_ARG: &str = "--replay-child";
+
+/// A storm — [`replay`] of a [`burst`] of 64-token requests — running in a
+/// re-exec'd copy of the current binary. The client's sockets are charged
+/// to a second process — at 10k connections parent (server) and child
+/// (client) each hold ~10k fds, and either alone fits under a per-process
+/// fd rlimit where one process holding both ends would not — and its
+/// threads stay out of the server process.
+///
+/// The storm travels as arguments; the child prints its report's counts,
+/// one `name value` pair a line. A binary that spawns children calls
+/// [`run_replay_child`] first thing in `main`.
+pub struct ReplayChild(Child);
+
+impl ReplayChild {
+    /// Replay a burst of `requests` against `addr` under `config` in a
+    /// child. Every submit carries the default tenant.
+    pub fn spawn(addr: SocketAddr, requests: usize, config: &LoadGenConfig) -> Self {
+        assert!(
+            config.tenant_weights.is_empty(),
+            "a replay child submits as the default tenant"
+        );
+        let child = Command::new(std::env::current_exe().expect("current_exe"))
+            .arg(REPLAY_CHILD_ARG)
+            .args(child_args(addr, requests, config))
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn replay child");
+        ReplayChild(child)
+    }
+
+    /// Whether the child is still replaying.
+    pub fn is_running(&mut self) -> bool {
+        self.0.try_wait().expect("poll replay child").is_none()
+    }
+
+    /// Wait for the child and parse its report: every count and the wall
+    /// time (the latencies stay in the child).
+    pub fn report(self) -> LoadGenReport {
+        let out = self.0.wait_with_output().expect("wait replay child");
+        assert!(out.status.success(), "replay child failed: {}", out.status);
+        parse_report(&String::from_utf8_lossy(&out.stdout))
+    }
+}
+
+/// If this process is a [`ReplayChild`], run its replay, print the report
+/// and return `true`; `main` then returns at once.
+pub fn run_replay_child() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) != Some(REPLAY_CHILD_ARG) {
+        return false;
+    }
+    let (addr, requests, config) = parse_child_args(&args[1..]);
+    let report = replay(addr, &burst(requests, 64), &config).expect("replay");
+    print!("{}", report_text(&report));
+    true
+}
+
+/// A child's arguments: address, requests, clients, window (0 for open
+/// loop, whose time scale is moot when every request arrives at 0),
+/// submit batch and hold in ms.
+fn child_args(addr: SocketAddr, requests: usize, config: &LoadGenConfig) -> Vec<String> {
+    let window = match config.mode {
+        LoadMode::Open { .. } => 0,
+        LoadMode::Closed { window } => window,
+    };
+    let hold_ms = config.hold.as_millis() as usize;
+    let counts = [
+        requests,
+        config.clients,
+        window,
+        config.submit_batch,
+        hold_ms,
+    ];
+    std::iter::once(addr.to_string())
+        .chain(counts.iter().map(usize::to_string))
+        .collect()
+}
+
+fn parse_child_args(args: &[String]) -> (SocketAddr, usize, LoadGenConfig) {
+    let num = |i: usize| -> usize { args[i].parse().expect("numeric replay child argument") };
+    let config = match num(3) {
+        0 => LoadGenConfig::open(num(2), 1),
+        window => LoadGenConfig::closed(num(2), window),
+    };
+    let config = LoadGenConfig {
+        hold: Duration::from_millis(num(5) as u64),
+        ..config.with_submit_batch(num(4))
+    };
+    let addr = args[0].parse().expect("replay child address");
+    (addr, num(1), config)
+}
+
+/// `report`'s counts by name, as a replay child prints them and a cell
+/// records them: every counter, `conserved` (1 when
+/// [`LoadGenReport::accounted`] equals `sent`) and `wall_ms`.
+pub fn report_counts(report: &LoadGenReport) -> Vec<(&'static str, u64)> {
+    vec![
+        ("connected", report.connected),
+        ("refused", report.refused),
+        ("connect_errors", report.connect_errors),
+        ("sent", report.sent),
+        ("ok", report.ok),
+        ("shed", report.shed),
+        ("unserviceable", report.unserviceable),
+        ("draining", report.draining),
+        ("failed", report.failed),
+        ("unknown_tenant", report.unknown_tenant),
+        ("lost", report.lost),
+        ("conserved", u64::from(report.accounted() == report.sent)),
+        ("wall_ms", report.wall.as_millis() as u64),
+    ]
+}
+
+fn report_text(report: &LoadGenReport) -> String {
+    report_counts(report)
+        .into_iter()
+        .map(|(name, value)| format!("{name} {value}\n"))
+        .collect()
+}
+
+fn parse_report(text: &str) -> LoadGenReport {
+    let mut report = LoadGenReport::default();
+    for line in text.lines() {
+        let (name, value) = line
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("not a count: {line}"));
+        let value: u64 = value.parse().expect("numeric count");
+        match name {
+            "connected" => report.connected = value,
+            "refused" => report.refused = value,
+            "connect_errors" => report.connect_errors = value,
+            "sent" => report.sent = value,
+            "ok" => report.ok = value,
+            "shed" => report.shed = value,
+            "unserviceable" => report.unserviceable = value,
+            "draining" => report.draining = value,
+            "failed" => report.failed = value,
+            "unknown_tenant" => report.unknown_tenant = value,
+            "lost" => report.lost = value,
+            "wall_ms" => report.wall = Duration::from_millis(value),
+            "conserved" => {}
+            _ => panic!("unknown count {name}"),
+        }
+    }
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +464,36 @@ mod tests {
         assert!(parsed["max_ms"].is_null());
         // Finite fields survive as numbers.
         assert_eq!(parsed["slo_violation_rate"].as_f64(), Some(0.0));
+    }
+
+    #[test]
+    fn replay_child_round_trips_args_and_report() {
+        let addr: SocketAddr = "127.0.0.1:4242".parse().unwrap();
+        let config = LoadGenConfig {
+            hold: Duration::from_millis(1_500),
+            ..LoadGenConfig::closed(8, 4).with_submit_batch(32)
+        };
+        let (back_addr, requests, back) = parse_child_args(&child_args(addr, 640, &config));
+        assert_eq!((back_addr, requests), (addr, 640));
+        assert_eq!(back.clients, 8);
+        assert_eq!(back.mode, LoadMode::Closed { window: 4 });
+        assert_eq!(back.submit_batch, 32);
+        assert_eq!(back.hold, config.hold);
+        let (_, _, open) = parse_child_args(&child_args(addr, 1, &LoadGenConfig::open(2, 100)));
+        assert_eq!(open.mode, LoadMode::Open { time_scale: 1 });
+        assert_eq!((open.submit_batch, open.hold), (1, Duration::ZERO));
+
+        let report = LoadGenReport {
+            connected: 8,
+            refused: 1,
+            sent: 70,
+            ok: 60,
+            shed: 4,
+            lost: 6,
+            wall: Duration::from_millis(1_234),
+            ..LoadGenReport::default()
+        };
+        let parsed = parse_report(&report_text(&report));
+        assert_eq!(report_counts(&parsed), report_counts(&report));
     }
 }

@@ -33,10 +33,10 @@
 //!   owning it fires.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
 //!   over [`std::os::fd`], the readiness substrate for the server's
-//!   connection shards (and the high-connection-count load generator).
-//! - [`queue`] — a bounded MPMC queue with shutdown-aware wakeup. The
-//!   server no longer uses it (its shards place every request
-//!   themselves); the benchmark's layer walk and probes still link it.
+//!   connection shards and of the load generator.
+//! - [`queue`] — a bounded MPMC queue with shutdown-aware wakeup. No
+//!   server path uses it (its shards place every request themselves); it
+//!   stays for the benchmark's layer walk and probes, which link it.
 //! - [`supervisor`] — escalation plus a stall check: every server thread
 //!   runs as a named component with a heartbeat; a shard that dies
 //!   escalates to a fail-fast conserving drain, a panicking planner tick
@@ -58,10 +58,13 @@
 //!   deadlines; one planner thread driving health ticks, periodic
 //!   reallocation and GPU re-granting; and a graceful drain that flushes
 //!   every outstanding request before closing.
-//! - [`loadgen`] — open- and closed-loop trace replay over real sockets,
-//!   for the `ext_serve` benchmark and the end-to-end tests, plus the
-//!   epoll-based [`loadgen::connection_storm`] client pool that holds tens
-//!   of thousands of concurrent connections from a handful of threads.
+//! - [`loadgen`] — one epoll client, [`loadgen::replay`], that runs a
+//!   trace over N connections from a few threads, open-loop (paced by
+//!   arrival) or closed-loop (a window per connection), into one report —
+//!   for the `ext_*` serving benchmarks, `arlo loadgen` and the end-to-end
+//!   tests. A connection storm is a replay of a trace that arrives all at
+//!   once. Beside it, [`loadgen::chaos_replay`]: fault-injected clients
+//!   that retry every request to a terminal state.
 
 pub mod chaos;
 pub mod clock;
@@ -80,8 +83,7 @@ pub use chaos::{
 };
 pub use clock::VirtualClock;
 pub use loadgen::{
-    chaos_replay, connection_storm, replay, ChaosReplayConfig, ChaosReport, LoadGenConfig,
-    LoadGenReport, LoadMode, StormConfig, StormReport,
+    chaos_replay, replay, ChaosReplayConfig, ChaosReport, LoadGenConfig, LoadGenReport, LoadMode,
 };
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};

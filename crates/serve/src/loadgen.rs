@@ -1,34 +1,45 @@
-//! Trace-replay load generator: N client threads over real sockets.
+//! Trace-replay load generator: one epoll client over real sockets.
 //!
-//! Two driving disciplines, matching the two standard ways serving papers
-//! load a system:
+//! [`replay`] runs a [`Trace`] over `clients` connections from
+//! `min(clients, available_parallelism)` threads. Every connection is
+//! established — `Hello`/`HelloAck` included — before any thread starts;
+//! each thread then owns an epoll instance and a share of the connections,
+//! and sleeps in [`Epoll::wait`] until an answer arrives or its next send
+//! is due. Two pacings, matching the two standard ways serving papers load
+//! a system:
 //!
-//! - **Open loop** ([`LoadMode::Open`]): each client replays its partition
-//!   of the trace at the trace's own arrival times (divided by the server's
-//!   time scale), regardless of how fast responses come back. This is the
-//!   paper's evaluation discipline — arrival pressure does not relent when
-//!   the server slows down, so overload shows up as shed responses rather
-//!   than as a silently throttled offered rate.
-//! - **Closed loop** ([`LoadMode::Closed`]): each client keeps a fixed
-//!   window of requests outstanding and sends the next one only when a
-//!   response arrives. Offered load self-limits to the server's capacity;
+//! - **Open loop** ([`LoadMode::Open`]): each request leaves at its trace
+//!   arrival divided by the server's time scale, regardless of how fast
+//!   answers come back. This is the paper's evaluation discipline —
+//!   arrival pressure does not relent when the server slows down, so
+//!   overload shows up as shed responses rather than as a silently
+//!   throttled offered rate.
+//! - **Closed loop** ([`LoadMode::Closed`]): each connection keeps a fixed
+//!   window of requests outstanding and sends the next one only when an
+//!   answer arrives. Offered load self-limits to the server's capacity;
 //!   useful for measuring peak sustainable throughput.
 //!
-//! Latencies are taken from the server's [`Frame::Response`] `latency_ns`
-//! field — dispatch → completion in *virtual* time under the executor's
-//! serial-execution model — so percentiles are meaningful at any time
-//! scale and immune to OS sleep jitter on the loadgen side.
+//! A connection storm — thousands of sockets held open at once — is a
+//! replay too: a [`burst`] of `conns × k` requests that all arrive at 0,
+//! with [`LoadGenConfig::hold`] keeping the connected pool idle before the
+//! first send so the server's peak concurrency can be observed.
+//!
+//! Every answer goes through one accounting function into one
+//! [`LoadGenReport`]. Latencies are taken from the server's
+//! [`Frame::Response`] `latency_ns` field — dispatch → completion in
+//! *virtual* time under the executor's serial-execution model — so
+//! percentiles are meaningful at any time scale and immune to OS sleep
+//! jitter on the loadgen side.
 
 use crate::chaos::{ChaosConfig, FaultyStream, SplitMix64};
-use crate::epoll::{Epoll, Interest};
+use crate::epoll::{Epoll, Event, Interest};
 use crate::protocol::{
-    client_handshake, read_frame, ErrorCode, Frame, FrameReader, FrameWriteBuf, ReadFrameError,
-    Sub, WireVersion, CONN_ERROR_ID, DEFAULT_TENANT, MAX_BATCH,
+    read_frame, ErrorCode, Frame, FrameReader, FrameWriteBuf, Sub, WireVersion, CONN_ERROR_ID,
+    DEFAULT_TENANT, MAX_BATCH,
 };
 use crate::tenants::weighted_tenant;
 use arlo_trace::stats::Summary;
-use arlo_trace::workload::Trace;
-use parking_lot::Mutex;
+use arlo_trace::workload::{Request, Trace};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,10 +56,10 @@ pub enum LoadMode {
         /// Virtual-time speed-up shared with the server.
         time_scale: u32,
     },
-    /// Keep `window` requests outstanding per client; arrivals in the
+    /// Keep `window` requests outstanding per connection; arrivals in the
     /// trace are ignored, only its lengths are replayed.
     Closed {
-        /// Outstanding requests per client (≥ 1).
+        /// Outstanding requests per connection (≥ 1).
         window: usize,
     },
 }
@@ -60,14 +71,12 @@ pub struct LoadGenConfig {
     pub clients: usize,
     /// Driving discipline.
     pub mode: LoadMode,
-    /// Socket read timeout: a client that hears nothing for this long
-    /// counts its unanswered requests as lost rather than hanging.
-    pub read_timeout: Duration,
     /// Coalesce up to this many submits into one
-    /// [`Frame::BatchedSubmit`] (capped at [`MAX_BATCH`]; `1` disables).
-    /// Open-loop batching sends each chunk at its *last* member's arrival
-    /// time, trading a bounded arrival-fidelity delay for
-    /// framing/checksum amortization.
+    /// [`Frame::BatchedSubmit`] (capped at [`MAX_BATCH`]; `1` sends plain
+    /// [`Frame::Submit`]s). Open loop sends each chunk at its *last*
+    /// member's arrival time, trading a bounded arrival-fidelity delay for
+    /// framing/checksum amortization; closed loop coalesces the refills
+    /// one readiness pass releases.
     pub submit_batch: usize,
     /// Per-tenant submit weights: request `id` is tagged with the tenant
     /// [`weighted_tenant`] assigns it, so an `N`-entry mix spreads the
@@ -75,28 +84,36 @@ pub struct LoadGenConfig {
     /// robin). Empty means every submit carries [`DEFAULT_TENANT`] — the
     /// pre-multi-tenant behavior.
     pub tenant_weights: Vec<u32>,
+    /// How long the fully connected pool stays open and idle before the
+    /// first send — the window in which a caller observes the server's
+    /// peak concurrency. Zero by default.
+    pub hold: Duration,
 }
+
+/// One silence window, for connects, handshakes and answers alike: a
+/// client thread that has sent and heard nothing for this long stops, and
+/// the answers it is still owed count as `lost` rather than hanging the
+/// replay.
+const SILENCE: Duration = Duration::from_secs(10);
 
 impl LoadGenConfig {
     /// `clients` open-loop connections at the given time scale.
     pub fn open(clients: usize, time_scale: u32) -> Self {
-        LoadGenConfig {
-            clients,
-            mode: LoadMode::Open { time_scale },
-            read_timeout: Duration::from_secs(10),
-            submit_batch: 1,
-            tenant_weights: Vec::new(),
-        }
+        LoadGenConfig::new(clients, LoadMode::Open { time_scale })
     }
 
     /// `clients` closed-loop connections with `window` outstanding each.
     pub fn closed(clients: usize, window: usize) -> Self {
+        LoadGenConfig::new(clients, LoadMode::Closed { window })
+    }
+
+    fn new(clients: usize, mode: LoadMode) -> Self {
         LoadGenConfig {
             clients,
-            mode: LoadMode::Closed { window },
-            read_timeout: Duration::from_secs(10),
+            mode,
             submit_batch: 1,
             tenant_weights: Vec::new(),
+            hold: Duration::ZERO,
         }
     }
 
@@ -115,10 +132,23 @@ impl LoadGenConfig {
     }
 }
 
-/// Aggregate outcome of a replay, merged across all clients.
+/// Aggregate outcome of a replay, merged across all connections.
+///
+/// Conservation: every submit sent ends in exactly one of `ok`, `shed`,
+/// `unserviceable`, `draining`, `failed`, `unknown_tenant` or `lost`, so
+/// [`LoadGenReport::accounted`] equals `sent`. A connection that was
+/// refused or never completed its handshake sends nothing.
 #[derive(Debug, Clone, Default)]
 pub struct LoadGenReport {
-    /// Submit frames written to the wire.
+    /// Connections whose TCP connect succeeded (admission refusals
+    /// included).
+    pub connected: u64,
+    /// Connections the server refused at admission ([`ErrorCode::Shed`]
+    /// on the connection sentinel id, in place of the `HelloAck`).
+    pub refused: u64,
+    /// Connects or version checks that failed outright.
+    pub connect_errors: u64,
+    /// Submits queued to the wire.
     pub sent: u64,
     /// Successful [`Frame::Response`]s received.
     pub ok: u64,
@@ -134,12 +164,12 @@ pub struct LoadGenReport {
     /// tenant the server has no engine for. Zero unless the configured
     /// mix names more tenants than the server registered.
     pub unknown_tenant: u64,
-    /// Sent requests that received *no* answer before the read timeout —
-    /// zero on a correct server.
+    /// Sent requests with *no* answer: their connection died, or the
+    /// silence window expired first. Zero on a correct server.
     pub lost: u64,
     /// Virtual dispatch→completion latencies (ms) of the `ok` responses.
     pub latencies_ms: Vec<f64>,
-    /// Real wall-clock duration of the replay.
+    /// Real wall-clock duration of the replay, connects included.
     pub wall: Duration,
 }
 
@@ -171,7 +201,38 @@ impl LoadGenReport {
             + self.lost
     }
 
-    fn merge(&mut self, other: ClientOutcome) {
+    /// Count one frame the server sent; returns whether it answered a
+    /// request.
+    fn account(&mut self, frame: &Frame) -> bool {
+        let counter = match frame {
+            Frame::Response { latency_ns, .. } => {
+                self.latencies_ms.push(*latency_ns as f64 / 1e6);
+                &mut self.ok
+            }
+            // Connection-scoped verdicts (a protocol disconnect, a corrupt
+            // frame) answer no request: on a disconnect the socket is about
+            // to close and its unanswered requests surface as `lost`.
+            Frame::Error {
+                id: CONN_ERROR_ID, ..
+            } => return false,
+            Frame::Error { code, .. } => match code {
+                ErrorCode::Shed => &mut self.shed,
+                ErrorCode::Unserviceable => &mut self.unserviceable,
+                ErrorCode::Draining => &mut self.draining,
+                ErrorCode::UnknownTenant => &mut self.unknown_tenant,
+                ErrorCode::Failed | ErrorCode::Protocol | ErrorCode::Corrupt => &mut self.failed,
+            },
+            // Stats frames and anything else are not request answers.
+            _ => return false,
+        };
+        *counter += 1;
+        true
+    }
+
+    fn merge(&mut self, other: LoadGenReport) {
+        self.connected += other.connected;
+        self.refused += other.refused;
+        self.connect_errors += other.connect_errors;
         self.sent += other.sent;
         self.ok += other.ok;
         self.shed += other.shed;
@@ -184,134 +245,74 @@ impl LoadGenReport {
     }
 }
 
-#[derive(Debug, Default)]
-struct ClientOutcome {
-    sent: u64,
-    ok: u64,
-    shed: u64,
-    unserviceable: u64,
-    draining: u64,
-    failed: u64,
-    unknown_tenant: u64,
-    lost: u64,
-    latencies_ms: Vec<f64>,
-}
-
-/// Shared tally a client's reader thread writes into.
-#[derive(Default)]
-struct Tally {
-    ok: AtomicU64,
-    shed: AtomicU64,
-    unserviceable: AtomicU64,
-    draining: AtomicU64,
-    failed: AtomicU64,
-    unknown_tenant: AtomicU64,
-    latencies_ns: Mutex<Vec<u64>>,
-}
-
-impl Tally {
-    fn answered(&self) -> u64 {
-        self.ok.load(Ordering::SeqCst)
-            + self.shed.load(Ordering::SeqCst)
-            + self.unserviceable.load(Ordering::SeqCst)
-            + self.draining.load(Ordering::SeqCst)
-            + self.failed.load(Ordering::SeqCst)
-            + self.unknown_tenant.load(Ordering::SeqCst)
-    }
-
-    fn record(&self, frame: &Frame) {
-        match frame {
-            Frame::Response { latency_ns, .. } => {
-                self.latencies_ns.lock().push(*latency_ns);
-                self.ok.fetch_add(1, Ordering::SeqCst);
-            }
-            // Protocol and Corrupt errors are connection-level (sentinel
-            // id), not the answer to any request: Protocol means the
-            // server is about to hang up, Corrupt means one frame was
-            // mangled in flight and should be retried by clients that do
-            // retries (this plain replayer just keeps waiting — its
-            // unanswered requests surface as `lost`).
-            Frame::Error {
-                code: ErrorCode::Protocol | ErrorCode::Corrupt,
-                ..
-            } => {}
-            Frame::Error { code, .. } => {
-                let counter = match code {
-                    ErrorCode::Shed => &self.shed,
-                    ErrorCode::Unserviceable => &self.unserviceable,
-                    ErrorCode::Draining => &self.draining,
-                    ErrorCode::UnknownTenant => &self.unknown_tenant,
-                    ErrorCode::Failed | ErrorCode::Protocol | ErrorCode::Corrupt => &self.failed,
-                };
-                counter.fetch_add(1, Ordering::SeqCst);
-            }
-            // Stats frames (from an interleaved stats probe) and anything
-            // else are not request answers.
-            _ => {}
-        }
-    }
-
-    fn into_outcome(self, sent: u64) -> ClientOutcome {
-        ClientOutcome {
-            sent,
-            ok: self.ok.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            unserviceable: self.unserviceable.load(Ordering::SeqCst),
-            draining: self.draining.load(Ordering::SeqCst),
-            failed: self.failed.load(Ordering::SeqCst),
-            unknown_tenant: self.unknown_tenant.load(Ordering::SeqCst),
-            lost: sent.saturating_sub(self.answered()),
-            latencies_ms: self
-                .latencies_ns
-                .into_inner()
-                .into_iter()
-                .map(|ns| ns as f64 / 1e6)
-                .collect(),
-        }
-    }
-}
-
-/// Replay `trace` against the server at `addr` and merge every client's
-/// outcome. The trace is partitioned round-robin across clients; ids stay
-/// globally unique.
+/// Replay `trace` against the server at `addr` and merge every
+/// connection's outcome. The trace is partitioned round-robin across
+/// connections; ids stay globally unique. Errors only if a client thread
+/// or its epoll instance cannot be created: refused and failed connections
+/// are counted in the report.
 pub fn replay(
     addr: SocketAddr,
     trace: &Trace,
     config: &LoadGenConfig,
 ) -> io::Result<LoadGenReport> {
     assert!(config.clients >= 1, "need at least one client");
-    let parts = trace.partition(config.clients);
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(config.clients);
-    for part in parts {
-        let config = config.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name("arlo-loadgen".into())
-                .spawn(move || run_client(addr, &part, &config))?,
-        );
-    }
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(config.clients);
     let mut report = LoadGenReport::default();
-    let mut first_err: Option<io::Error> = None;
-    for handle in handles {
-        match handle.join().expect("loadgen client panicked") {
-            Ok(outcome) => report.merge(outcome),
-            Err(e) => first_err = first_err.or(Some(e)),
+    let mut shares: Vec<Vec<Conn>> = (0..threads).map(|_| Vec::new()).collect();
+    for (c, part) in trace.partition(config.clients).into_iter().enumerate() {
+        match connect(addr) {
+            Handshake::Accepted(stream) => {
+                report.connected += 1;
+                shares[c % threads].push(Conn::new(stream, part));
+            }
+            Handshake::Refused => {
+                report.connected += 1;
+                report.refused += 1;
+            }
+            Handshake::Failed => report.connect_errors += 1,
         }
     }
-    if let Some(e) = first_err {
-        return Err(e);
+    let go = Instant::now() + config.hold;
+    let outcomes = std::thread::scope(|s| {
+        let handles = shares
+            .into_iter()
+            .enumerate()
+            .map(|(t, conns)| {
+                std::thread::Builder::new()
+                    .name(format!("arlo-loadgen-{t}"))
+                    .spawn_scoped(s, move || Client::new(conns, config)?.run(go))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok::<_, io::Error>(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("loadgen thread panicked"))
+                .collect::<Vec<_>>(),
+        )
+    })?;
+    for outcome in outcomes {
+        report.merge(outcome?);
     }
     report.wall = started.elapsed();
     report.latencies_ms.sort_by(f64::total_cmp);
     Ok(report)
 }
 
-fn run_client(addr: SocketAddr, part: &Trace, config: &LoadGenConfig) -> io::Result<ClientOutcome> {
-    match config.mode {
-        LoadMode::Open { time_scale } => open_client(addr, part, time_scale, config),
-        LoadMode::Closed { window } => closed_client(addr, part, window, config),
-    }
+/// A storm's trace: `n` requests of `length` tokens, all arriving at 0.
+/// Replayed open-loop it queues every request up front; closed-loop, each
+/// connection's window paces it.
+pub fn burst(n: usize, length: u32) -> Trace {
+    let requests = (0..n as u64)
+        .map(|id| Request {
+            id,
+            arrival: 0,
+            length,
+        })
+        .collect();
+    Trace::from_requests(requests, 0)
 }
 
 /// Wall-clock send deadline for a virtual arrival time, rounded **up** to
@@ -325,168 +326,288 @@ fn pace_deadline(arrival_ns: u64, time_scale: u32) -> Duration {
     Duration::from_nanos(arrival_ns.div_ceil(u64::from(time_scale)))
 }
 
-/// Read frames until `expected` answers arrive, EOF, or the read timeout.
-fn reader_until(stream: &mut TcpStream, tally: &Tally, expected: &AtomicU64) {
-    loop {
-        match read_frame(stream) {
-            Ok(Some(frame)) => {
-                tally.record(&frame);
-                let want = expected.load(Ordering::SeqCst);
-                if want != u64::MAX && tally.answered() >= want {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            // Timeout, reset, or protocol junk: stop and let the tally's
-            // unanswered remainder surface as `lost`.
-            Err(ReadFrameError::Io(_) | ReadFrameError::Decode(_)) => return,
-        }
-    }
+/// How one connection attempt ended.
+enum Handshake {
+    /// Version check passed; the socket is non-blocking from here on.
+    Accepted(TcpStream),
+    /// Shard 0 answered with a typed [`ErrorCode::Shed`] in place of the
+    /// `HelloAck`: the server is at its connection limit.
+    Refused,
+    /// The connect or the version check failed.
+    Failed,
 }
 
-fn open_client(
-    addr: SocketAddr,
-    part: &Trace,
-    time_scale: u32,
-    config: &LoadGenConfig,
-) -> io::Result<ClientOutcome> {
-    assert!(time_scale >= 1, "time scale must be >= 1");
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    // Before the reader thread exists, so the handshake's blocking read
-    // cannot race request traffic.
-    client_handshake(&mut stream)?;
-    let mut reader = stream.try_clone()?;
-
-    let tally = Arc::new(Tally::default());
-    // u64::MAX = "total not known yet": the reader keeps going until the
-    // writer finishes and publishes the real count.
-    let expected = Arc::new(AtomicU64::new(u64::MAX));
-    let reader_thread = {
-        let tally = Arc::clone(&tally);
-        let expected = Arc::clone(&expected);
-        std::thread::Builder::new()
-            .name("arlo-loadgen-rd".into())
-            .spawn(move || reader_until(&mut reader, &tally, &expected))?
+/// Connect and run the `Hello`/`HelloAck` version check while still
+/// blocking — it must finish before request traffic — then switch the
+/// socket to non-blocking.
+fn connect(addr: SocketAddr) -> Handshake {
+    let Ok(mut stream) = TcpStream::connect_timeout(&addr, SILENCE) else {
+        return Handshake::Failed;
     };
-
-    let mut writer = stream;
-    let start = Instant::now();
-    let mut sent: u64 = 0;
-    let batch = config.submit_batch.clamp(1, MAX_BATCH);
-    if batch > 1 {
-        // Batched replay: chunks of up to `batch` requests leave as one
-        // BatchedSubmit frame at the chunk's last arrival time — one
-        // header, one checksum, one syscall for the whole chunk.
-        for chunk in part.requests().chunks(batch) {
-            let due = pace_deadline(
-                chunk.last().expect("chunks are non-empty").arrival,
-                time_scale,
-            );
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                if wait > Duration::from_micros(100) {
-                    std::thread::sleep(wait);
-                }
-            }
-            let subs: Vec<Sub> = chunk
-                .iter()
-                .map(|r| Sub {
-                    id: r.id,
-                    length: r.length,
-                    tenant: weighted_tenant(r.id, &config.tenant_weights),
-                })
-                .collect();
-            sent += subs.len() as u64;
-            Frame::BatchedSubmit { subs }.write_to(&mut writer)?;
+    let _ = stream.set_nodelay(true);
+    let hello = Frame::Hello {
+        max_version: WireVersion::MAX.byte(),
+    };
+    let ack = stream
+        .set_read_timeout(Some(SILENCE))
+        .and_then(|()| hello.write_to(&mut stream))
+        .map(|()| read_frame(&mut stream));
+    match ack {
+        Ok(Ok(Some(Frame::HelloAck { .. }))) if stream.set_nonblocking(true).is_ok() => {
+            Handshake::Accepted(stream)
         }
-    } else {
-        for r in part.requests() {
-            let due = pace_deadline(r.arrival, time_scale);
-            if let Some(wait) = due.checked_sub(start.elapsed()) {
-                if wait > Duration::from_micros(100) {
-                    std::thread::sleep(wait);
-                }
-            }
-            Frame::Submit {
-                id: r.id,
-                length: r.length,
-                tenant: weighted_tenant(r.id, &config.tenant_weights),
-            }
-            .write_to(&mut writer)?;
-            sent += 1;
-        }
+        Ok(Ok(Some(Frame::Error {
+            id: CONN_ERROR_ID,
+            code: ErrorCode::Shed,
+        }))) => Handshake::Refused,
+        _ => Handshake::Failed,
     }
-    expected.store(sent, Ordering::SeqCst);
-    // The reader exits on its own: answer count reached, or read timeout.
-    reader_thread.join().expect("loadgen reader panicked");
-    let tally = Arc::try_unwrap(tally).ok().expect("reader joined");
-    Ok(tally.into_outcome(sent))
 }
 
-fn closed_client(
-    addr: SocketAddr,
-    part: &Trace,
-    window: usize,
-    config: &LoadGenConfig,
-) -> io::Result<ClientOutcome> {
-    assert!(window >= 1, "closed-loop window must be >= 1");
-    let mut stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    client_handshake(&mut stream)?;
+/// One client connection: its share of the trace, a non-blocking socket,
+/// incremental reassembly in and buffered writes out.
+struct Conn {
+    stream: TcpStream,
+    frames: FrameReader,
+    wbuf: FrameWriteBuf,
+    part: Trace,
+    /// `part`'s requests before `sent` are queued to the wire; those in
+    /// `sent..staged` leave at the next flush.
+    sent: usize,
+    staged: usize,
+    /// Requests sent whose answers have not arrived.
+    pending: u64,
+    interest: Interest,
+    dead: bool,
+}
 
-    let tally = Tally::default();
-    let mut sent: u64 = 0;
-    let mut next = part.requests().iter();
-    // Prime the window, then one-for-one: each answer releases one send.
-    // With batching the priming window leaves as BatchedSubmit chunks;
-    // the steady state is one-at-a-time by nature.
-    let batch = config.submit_batch.clamp(1, MAX_BATCH);
-    if batch > 1 {
-        let prime: Vec<_> = next.by_ref().take(window).collect();
-        for chunk in prime.chunks(batch) {
-            let subs: Vec<Sub> = chunk
-                .iter()
-                .map(|r| Sub {
+impl Conn {
+    fn new(stream: TcpStream, part: Trace) -> Self {
+        Conn {
+            stream,
+            frames: FrameReader::new(),
+            wbuf: FrameWriteBuf::new(),
+            part,
+            sent: 0,
+            staged: 0,
+            pending: 0,
+            interest: Interest::READ,
+            dead: false,
+        }
+    }
+
+    /// Encode the staged requests — as [`Frame::Submit`]s, or in
+    /// [`Frame::BatchedSubmit`] chunks of up to `submit_batch` — and write
+    /// what the socket takes. Returns how many requests left.
+    fn flush(&mut self, config: &LoadGenConfig, report: &mut LoadGenReport) -> io::Result<u64> {
+        let batch = config.submit_batch.clamp(1, MAX_BATCH);
+        for chunk in self.part.requests()[self.sent..self.staged].chunks(batch) {
+            let tenant = |id| weighted_tenant(id, &config.tenant_weights);
+            let frame = match chunk {
+                [r] if batch == 1 => Frame::Submit {
                     id: r.id,
                     length: r.length,
-                    tenant: weighted_tenant(r.id, &config.tenant_weights),
-                })
-                .collect();
-            sent += subs.len() as u64;
-            Frame::BatchedSubmit { subs }.write_to(&mut stream)?;
+                    tenant: tenant(r.id),
+                },
+                _ => Frame::BatchedSubmit {
+                    subs: chunk
+                        .iter()
+                        .map(|r| Sub {
+                            id: r.id,
+                            length: r.length,
+                            tenant: tenant(r.id),
+                        })
+                        .collect(),
+                },
+            };
+            self.wbuf.push(&frame, frame.dialect());
         }
-    } else {
-        for r in next.by_ref().take(window) {
-            Frame::Submit {
-                id: r.id,
-                length: r.length,
-                tenant: weighted_tenant(r.id, &config.tenant_weights),
+        let queued = (self.staged - self.sent) as u64;
+        self.sent = self.staged;
+        self.pending += queued;
+        report.sent += queued;
+        while !self.wbuf.is_empty() {
+            match self.wbuf.write_some(&mut self.stream) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
             }
-            .write_to(&mut stream)?;
-            sent += 1;
         }
+        Ok(queued)
     }
-    while tally.answered() < sent {
-        match read_frame(&mut stream) {
-            Ok(Some(frame)) => {
-                tally.record(&frame);
-                if let Some(r) = next.next() {
-                    Frame::Submit {
-                        id: r.id,
-                        length: r.length,
-                        tenant: weighted_tenant(r.id, &config.tenant_weights),
+
+    /// Account every answer the socket holds, until it would block. In
+    /// closed loop each answer stages one refill. Returns the answers read.
+    fn read(&mut self, mode: LoadMode, report: &mut LoadGenReport) -> io::Result<u64> {
+        let mut answers = 0;
+        loop {
+            // Answers from a correct server never fail to decode; junk
+            // ends the connection.
+            while let Some(frame) = self
+                .frames
+                .next_frame()
+                .map_err(|_| io::Error::from(io::ErrorKind::InvalidData))?
+            {
+                if report.account(&frame) {
+                    answers += 1;
+                    self.pending = self.pending.saturating_sub(1);
+                    if matches!(mode, LoadMode::Closed { .. }) && self.staged < self.part.len() {
+                        self.staged += 1;
                     }
-                    .write_to(&mut stream)?;
-                    sent += 1;
                 }
             }
-            Ok(None) => break,
-            Err(ReadFrameError::Io(_) | ReadFrameError::Decode(_)) => break,
+            match self.frames.fill(&mut self.stream) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(answers),
+                Err(e) => return Err(e),
+            }
         }
     }
-    Ok(tally.into_outcome(sent))
+}
+
+/// One client thread: an epoll instance over its share of the
+/// connections, and the thread's part of the report.
+struct Client<'a> {
+    config: &'a LoadGenConfig,
+    epoll: Epoll,
+    conns: Vec<Conn>,
+    report: LoadGenReport,
+    /// Last send or answer; the silence window runs from here.
+    last_io: Instant,
+}
+
+impl<'a> Client<'a> {
+    fn new(conns: Vec<Conn>, config: &'a LoadGenConfig) -> io::Result<Self> {
+        let epoll = Epoll::new()?;
+        for (token, conn) in conns.iter().enumerate() {
+            epoll.add(&conn.stream, token as u64, Interest::READ)?;
+        }
+        Ok(Client {
+            config,
+            epoll,
+            conns,
+            report: LoadGenReport::default(),
+            last_io: Instant::now(),
+        })
+    }
+
+    /// Wait until `go`, then send and account until every answer is in or
+    /// the silence window expires.
+    fn run(mut self, go: Instant) -> io::Result<LoadGenReport> {
+        // Open loop: one arrival-ordered send schedule for the whole
+        // thread, `(due, conn, staged end)` per chunk, each chunk due at its
+        // last member's arrival. Closed loop: stage each connection's
+        // first window.
+        let mut schedule = Vec::new();
+        let mut touched = Vec::new();
+        let batch = self.config.submit_batch.clamp(1, MAX_BATCH);
+        for (i, conn) in self.conns.iter_mut().enumerate() {
+            match self.config.mode {
+                LoadMode::Open { time_scale } => {
+                    assert!(time_scale >= 1, "time scale must be >= 1");
+                    let mut end = 0;
+                    for chunk in conn.part.requests().chunks(batch) {
+                        end += chunk.len();
+                        let last = chunk.last().expect("chunks are non-empty");
+                        schedule.push((pace_deadline(last.arrival, time_scale), i, end));
+                    }
+                }
+                LoadMode::Closed { window } => {
+                    assert!(window >= 1, "closed-loop window must be >= 1");
+                    conn.staged = window.min(conn.part.len());
+                    touched.push(i);
+                }
+            }
+        }
+        schedule.sort_by_key(|&(due, _, _)| due);
+
+        std::thread::sleep(go.saturating_duration_since(Instant::now()));
+        let start = Instant::now();
+        self.last_io = start;
+        let mut next = 0;
+        let mut events: Vec<Event> = Vec::new();
+        loop {
+            // Sends first: stage everything due, then flush each connection
+            // once, so chunks due together share a write. Only then read
+            // the answers the last wait reported, so a due send never waits
+            // behind another connection's answers.
+            let now = start.elapsed();
+            while let Some(&(_, i, end)) = schedule.get(next).filter(|&&(due, ..)| due <= now) {
+                let conn = &mut self.conns[i];
+                if conn.staged == conn.sent {
+                    touched.push(i);
+                }
+                conn.staged = end;
+                next += 1;
+            }
+            for i in std::mem::take(&mut touched) {
+                self.pump(i, false);
+            }
+            for ev in &events {
+                self.pump(ev.token as usize, ev.readable || ev.closed);
+            }
+
+            let owed = self.report.sent.saturating_sub(self.report.accounted());
+            let silence = (owed > 0)
+                .then(|| (self.last_io + SILENCE).saturating_duration_since(Instant::now()));
+            let head = schedule
+                .get(next)
+                .map(|&(due, ..)| due.saturating_sub(start.elapsed()));
+            if silence == Some(Duration::ZERO) {
+                break;
+            }
+            let Some(wait) = silence.into_iter().chain(head).min() else {
+                break;
+            };
+            self.epoll.wait(&mut events, Some(wait))?;
+        }
+        // Every answer is in, or the silence window expired: whatever is
+        // still owed is lost.
+        for conn in &self.conns {
+            self.report.lost += conn.pending;
+        }
+        Ok(self.report)
+    }
+
+    /// Drive connection `i`: account its answers if `readable`, flush what
+    /// is staged, and keep epoll interest in step with the write buffer.
+    /// A connection that fails loses what it is still owed.
+    fn pump(&mut self, i: usize, readable: bool) {
+        let conn = &mut self.conns[i];
+        if conn.dead {
+            return;
+        }
+        let report = &mut self.report;
+        let moved = if readable {
+            conn.read(self.config.mode, report)
+        } else {
+            Ok(0)
+        }
+        .and_then(|answers| Ok(answers + conn.flush(self.config, report)?));
+        match moved {
+            Ok(moved) => {
+                if moved > 0 {
+                    self.last_io = Instant::now();
+                }
+                let desired = Interest {
+                    readable: true,
+                    writable: !conn.wbuf.is_empty(),
+                };
+                if desired != conn.interest
+                    && self.epoll.modify(&conn.stream, i as u64, desired).is_ok()
+                {
+                    conn.interest = desired;
+                }
+            }
+            Err(_) => {
+                conn.dead = true;
+                let _ = self.epoll.delete(&conn.stream);
+                report.lost += conn.pending;
+                conn.pending = 0;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -874,471 +995,6 @@ fn backoff(rng: &mut SplitMix64, base: Duration, attempt: u32) {
     std::thread::sleep(wait.min(Duration::from_millis(100)));
 }
 
-// ---------------------------------------------------------------------------
-// Connection storm: an epoll-based client pool that holds tens of
-// thousands of concurrent connections from a handful of threads.
-// ---------------------------------------------------------------------------
-
-/// Configuration for [`connection_storm`].
-#[derive(Debug, Clone)]
-pub struct StormConfig {
-    /// Concurrent connections to establish and hold.
-    pub conns: usize,
-    /// Client threads sharing the connections (each owns one epoll).
-    pub threads: usize,
-    /// Submits sent per connection once every thread has connected.
-    pub submits_per_conn: u32,
-    /// Request length for every submit.
-    pub length: u32,
-    /// How long to hold the fully-connected pool open *before* the first
-    /// submit — the window in which the caller can observe peak
-    /// concurrency on the server.
-    pub hold: Duration,
-    /// Per-connection TCP connect timeout.
-    pub connect_timeout: Duration,
-    /// Wall budget for the submit/answer phase; unanswered submits at the
-    /// deadline count as `lost`.
-    pub deadline: Duration,
-    /// Closed-loop window: at most this many submits in flight per
-    /// connection; each accounted answer refills one. `0` (the default)
-    /// keeps the legacy open-loop behavior of queueing every submit up
-    /// front — which at 10⁶-request scales turns the run into a pure
-    /// queue-drain instead of a serving loop. The id scheme is identical in
-    /// both modes (`conn_base + k` in submission order).
-    pub window: u32,
-}
-
-impl StormConfig {
-    /// `conns` connections with defaults sized for loopback runs.
-    pub fn new(conns: usize) -> Self {
-        StormConfig {
-            conns,
-            threads: 4,
-            submits_per_conn: 1,
-            length: 64,
-            hold: Duration::from_millis(500),
-            connect_timeout: Duration::from_secs(10),
-            deadline: Duration::from_secs(60),
-            window: 0,
-        }
-    }
-
-    /// Switch to closed-loop submission with `window` in-flight per
-    /// connection (0 restores open-loop queue-everything).
-    pub fn with_window(mut self, window: u32) -> Self {
-        self.window = window;
-        self
-    }
-}
-
-/// Outcome of a [`connection_storm`], merged across threads.
-///
-/// Conservation invariant (checked by [`StormReport::conserved`]): every
-/// submit written terminates in exactly one of `ok`, `shed`,
-/// `unserviceable`, `draining`, `failed`, or `lost`.
-#[derive(Debug, Clone, Default)]
-pub struct StormReport {
-    /// Connections successfully established (admission refusals included —
-    /// the TCP connect itself succeeded).
-    pub connected: u64,
-    /// Connections the server refused at admission
-    /// ([`ErrorCode::Shed`] on the connection sentinel id, in place of the
-    /// `HelloAck`).
-    pub refused: u64,
-    /// TCP connects that failed outright.
-    pub connect_errors: u64,
-    /// Submit frames queued to the wire.
-    pub submitted: u64,
-    /// Successful responses.
-    pub ok: u64,
-    /// [`ErrorCode::Shed`] answers.
-    pub shed: u64,
-    /// [`ErrorCode::Unserviceable`] answers.
-    pub unserviceable: u64,
-    /// [`ErrorCode::Draining`] answers.
-    pub draining: u64,
-    /// [`ErrorCode::Failed`] answers.
-    pub failed: u64,
-    /// Submits with no answer by the deadline (or whose connection died).
-    pub lost: u64,
-    /// Real wall-clock duration, connect phase included.
-    pub wall: Duration,
-}
-
-impl StormReport {
-    /// The zero-loss conservation check over everything submitted.
-    pub fn conserved(&self) -> bool {
-        self.ok + self.shed + self.unserviceable + self.draining + self.failed + self.lost
-            == self.submitted
-    }
-
-    fn merge(&mut self, other: StormReport) {
-        self.connected += other.connected;
-        self.refused += other.refused;
-        self.connect_errors += other.connect_errors;
-        self.submitted += other.submitted;
-        self.ok += other.ok;
-        self.shed += other.shed;
-        self.unserviceable += other.unserviceable;
-        self.draining += other.draining;
-        self.failed += other.failed;
-        self.lost += other.lost;
-    }
-}
-
-/// One stormed connection: non-blocking socket, incremental reassembly in,
-/// buffered writes out. Sockets stay open until *every* connection in the
-/// pool has finished, so concurrency is sustained, not just peaked.
-struct StormConn {
-    stream: TcpStream,
-    frames: FrameReader,
-    wbuf: FrameWriteBuf,
-    /// Submits queued or written whose answers are still outstanding.
-    pending: u64,
-    /// First request id of this connection's contiguous id block.
-    id_base: u64,
-    /// Next k to submit (ids are `id_base + k`); `quota` is the total.
-    next_k: u64,
-    quota: u64,
-    /// Request length for refills (closed-loop mode).
-    length: u32,
-    /// Submits queued during the current readiness pass, awaiting a
-    /// [`Frame::BatchedSubmit`] flush.
-    refills: Vec<Sub>,
-    interest: Interest,
-    dead: bool,
-}
-
-impl StormConn {
-    /// Queue one more submit if the quota allows; returns whether one was
-    /// queued. The closed-loop refill path — called per accounted answer.
-    /// The submit is staged in [`StormConn::refills`] so everything queued
-    /// during one readiness pass coalesces into one batched frame;
-    /// [`StormConn::flush_refills`] turns the stage into wire bytes.
-    fn refill_one(&mut self, report: &mut StormReport) -> bool {
-        if self.next_k >= self.quota {
-            return false;
-        }
-        self.refills.push(Sub {
-            id: self.id_base + self.next_k,
-            length: self.length,
-            tenant: DEFAULT_TENANT,
-        });
-        self.next_k += 1;
-        self.pending += 1;
-        report.submitted += 1;
-        true
-    }
-
-    /// Move staged refills into the write buffer as
-    /// [`Frame::BatchedSubmit`] chunks of up to [`MAX_BATCH`]: one header,
-    /// one checksum per chunk instead of per submit.
-    fn flush_refills(&mut self) {
-        while !self.refills.is_empty() {
-            let n = self.refills.len().min(MAX_BATCH);
-            let subs: Vec<Sub> = self.refills.drain(..n).collect();
-            self.wbuf
-                .push(&Frame::BatchedSubmit { subs }, WireVersion::V2);
-        }
-    }
-}
-
-/// Open `config.conns` connections against `addr` from
-/// `config.threads` epoll-driven threads, hold them all concurrently,
-/// push `submits_per_conn` requests down each, and account every answer.
-/// Each connection does the `Hello`/`HelloAck` version check while still
-/// blocking, and every submit leaves in a [`Frame::BatchedSubmit`]: the
-/// submits staged during one readiness pass share one frame, so a deep
-/// window amortizes framing the way batched replay does.
-///
-/// Unlike [`replay`] (two OS threads per connection), the storm costs one
-/// fd per connection and a fixed handful of threads, which is what makes
-/// a 10k-connection client fit in the same process limits as the server
-/// it is aimed at.
-pub fn connection_storm(addr: SocketAddr, config: &StormConfig) -> io::Result<StormReport> {
-    assert!(config.conns >= 1, "need at least one connection");
-    let threads = config.threads.clamp(1, config.conns);
-    let barrier = Arc::new(std::sync::Barrier::new(threads));
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        // Split `conns` across threads; ids are globally unique.
-        let share = config.conns / threads + usize::from(t < config.conns % threads);
-        let first_conn: usize = (0..t)
-            .map(|u| config.conns / threads + usize::from(u < config.conns % threads))
-            .sum();
-        let config = config.clone();
-        let barrier = Arc::clone(&barrier);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("arlo-storm-{t}"))
-                .spawn(move || storm_worker(addr, &config, first_conn, share, &barrier))?,
-        );
-    }
-    let mut report = StormReport::default();
-    let mut first_err: Option<io::Error> = None;
-    for handle in handles {
-        match handle.join().expect("storm worker panicked") {
-            Ok(part) => report.merge(part),
-            Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    report.wall = started.elapsed();
-    Ok(report)
-}
-
-fn storm_worker(
-    addr: SocketAddr,
-    config: &StormConfig,
-    first_conn: usize,
-    share: usize,
-    barrier: &std::sync::Barrier,
-) -> io::Result<StormReport> {
-    let mut report = StormReport::default();
-    let epoll = Epoll::new()?;
-    let mut conns: Vec<Option<StormConn>> = Vec::with_capacity(share);
-
-    // Phase 1: connect everything (blocking — including the version
-    // check, which must finish before request traffic — then flip
-    // non-blocking).
-    for i in 0..share {
-        match TcpStream::connect_timeout(&addr, config.connect_timeout) {
-            Ok(mut stream) => {
-                let _ = stream.set_nodelay(true);
-                stream.set_read_timeout(Some(config.connect_timeout))?;
-                let hello = Frame::Hello {
-                    max_version: WireVersion::MAX.byte(),
-                }
-                .write_to(&mut stream);
-                match hello
-                    .map_err(ReadFrameError::Io)
-                    .and_then(|()| read_frame(&mut stream))
-                {
-                    Ok(Some(Frame::HelloAck { .. })) => {}
-                    // Shard 0 answers an over-limit connection with a
-                    // typed Shed before reading anything.
-                    Ok(Some(Frame::Error {
-                        id: CONN_ERROR_ID,
-                        code: ErrorCode::Shed,
-                    })) => {
-                        report.connected += 1;
-                        report.refused += 1;
-                        conns.push(None);
-                        continue;
-                    }
-                    _ => {
-                        // A connection that cannot even complete the
-                        // version check is indistinguishable from one that
-                        // never connected.
-                        report.connect_errors += 1;
-                        conns.push(None);
-                        continue;
-                    }
-                }
-                stream.set_nonblocking(true)?;
-                epoll.add(&stream, i as u64, Interest::READ)?;
-                report.connected += 1;
-                conns.push(Some(StormConn {
-                    stream,
-                    frames: FrameReader::new(),
-                    wbuf: FrameWriteBuf::new(),
-                    pending: 0,
-                    id_base: ((first_conn + i) as u64) * u64::from(config.submits_per_conn),
-                    next_k: 0,
-                    quota: u64::from(config.submits_per_conn),
-                    length: config.length,
-                    refills: Vec::new(),
-                    interest: Interest::READ,
-                    dead: false,
-                }));
-            }
-            Err(_) => {
-                report.connect_errors += 1;
-                conns.push(None);
-            }
-        }
-    }
-
-    // Phase 2: every thread fully connected; hold the pool open so the
-    // caller can observe sustained concurrency server-side.
-    barrier.wait();
-    std::thread::sleep(config.hold);
-
-    // Phase 3: queue the initial submits — everything (open loop,
-    // `window == 0`) or the first window's worth (closed loop; each
-    // accounted answer refills one) — then pump readiness until all
-    // answers arrive or the deadline passes.
-    let initial = if config.window == 0 {
-        u64::from(config.submits_per_conn)
-    } else {
-        u64::from(config.window).min(u64::from(config.submits_per_conn))
-    };
-    for slot in conns.iter_mut() {
-        let Some(conn) = slot.as_mut() else { continue };
-        for _ in 0..initial {
-            conn.refill_one(&mut report);
-        }
-    }
-    let deadline = Instant::now() + config.deadline;
-    let mut events = Vec::new();
-    let mut open: usize = conns.iter().flatten().filter(|c| c.pending > 0).count();
-    // First write pass (no EPOLLOUT arrives for a socket we never asked
-    // about): push what fits, arm write interest for the rest.
-    for (i, slot) in conns.iter_mut().enumerate() {
-        if let Some(conn) = slot.as_mut() {
-            drive_storm_conn(conn, &epoll, i as u64, &mut report, &mut open);
-        }
-    }
-    while open > 0 && Instant::now() < deadline {
-        let timeout = deadline
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(100));
-        let _ = epoll.wait(&mut events, Some(timeout));
-        for token in events.iter().map(|ev| ev.token as usize) {
-            if let Some(conn) = conns.get_mut(token).and_then(Option::as_mut) {
-                drive_storm_conn(conn, &epoll, token as u64, &mut report, &mut open);
-            }
-        }
-    }
-    // Deadline: whatever never got an answer is lost, by definition.
-    for conn in conns.iter().flatten() {
-        if !conn.dead {
-            report.lost += conn.pending;
-        }
-    }
-    Ok(report)
-}
-
-/// Pump one stormed connection: flush queued submits, decode and account
-/// every answer, and keep epoll interest in sync with what is pending.
-fn drive_storm_conn(
-    conn: &mut StormConn,
-    epoll: &Epoll,
-    token: u64,
-    report: &mut StormReport,
-    open: &mut usize,
-) {
-    if conn.dead {
-        return;
-    }
-    let had_pending = conn.pending > 0;
-    // Writes first: submits still queued locally cannot be answered. Any
-    // refills staged since the last pass batch into the buffer now.
-    conn.flush_refills();
-    while !conn.wbuf.is_empty() {
-        match conn.wbuf.write_some(&mut conn.stream) {
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                storm_conn_died(conn, epoll, report, open, had_pending);
-                return;
-            }
-        }
-    }
-    // Reads: drain everything decodable, then the socket until WouldBlock.
-    loop {
-        loop {
-            match conn.frames.next_frame() {
-                Ok(Some(frame)) => storm_account(conn, &frame, report),
-                Ok(None) => break,
-                // Answers from a correct server never fail to decode;
-                // treat any junk as a dead connection.
-                Err(_) => {
-                    storm_conn_died(conn, epoll, report, open, had_pending);
-                    return;
-                }
-            }
-        }
-        match conn.frames.fill(&mut conn.stream) {
-            Ok(0) => {
-                storm_conn_died(conn, epoll, report, open, had_pending);
-                return;
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                storm_conn_died(conn, epoll, report, open, had_pending);
-                return;
-            }
-        }
-    }
-    // Closed-loop refills were queued during the read pass above — the
-    // whole pass coalesces into one BatchedSubmit here. Flush now
-    // rather than waiting for an EPOLLOUT round-trip (loopback is almost
-    // always writable — the interest arm below is only the
-    // genuinely-backpressured fallback).
-    conn.flush_refills();
-    while !conn.wbuf.is_empty() {
-        match conn.wbuf.write_some(&mut conn.stream) {
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                storm_conn_died(conn, epoll, report, open, had_pending);
-                return;
-            }
-        }
-    }
-    if had_pending && conn.pending == 0 {
-        *open -= 1;
-    }
-    let desired = Interest {
-        readable: true,
-        writable: !conn.wbuf.is_empty(),
-    };
-    if desired != conn.interest && epoll.modify(&conn.stream, token, desired).is_ok() {
-        conn.interest = desired;
-    }
-}
-
-fn storm_account(conn: &mut StormConn, frame: &Frame, report: &mut StormReport) {
-    match frame {
-        Frame::Response { .. } => {
-            report.ok += 1;
-            conn.pending = conn.pending.saturating_sub(1);
-            conn.refill_one(report);
-        }
-        // Connection-scoped verdicts (a protocol disconnect, a corrupt
-        // frame): not the answer to any submit. On a disconnect the socket
-        // is about to close; EOF handling accounts the pending rest.
-        Frame::Error {
-            id: CONN_ERROR_ID, ..
-        } => {}
-        Frame::Error { code, .. } => {
-            let counter = match code {
-                ErrorCode::Shed => &mut report.shed,
-                ErrorCode::Unserviceable => &mut report.unserviceable,
-                ErrorCode::Draining => &mut report.draining,
-                _ => &mut report.failed,
-            };
-            *counter += 1;
-            conn.pending = conn.pending.saturating_sub(1);
-            conn.refill_one(report);
-        }
-        _ => {}
-    }
-}
-
-fn storm_conn_died(
-    conn: &mut StormConn,
-    epoll: &Epoll,
-    report: &mut StormReport,
-    open: &mut usize,
-    had_pending: bool,
-) {
-    conn.dead = true;
-    let _ = epoll.delete(&conn.stream);
-    // Queued-but-unwritten submits are already in `pending`, so this one
-    // line accounts everything the connection will never answer.
-    report.lost += conn.pending;
-    conn.pending = 0;
-    if had_pending {
-        *open -= 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1409,21 +1065,13 @@ mod tests {
     }
 
     #[test]
-    fn storm_report_conservation() {
-        let report = StormReport {
-            submitted: 10,
-            ok: 6,
-            shed: 2,
-            unserviceable: 1,
-            draining: 1,
-            ..StormReport::default()
-        };
-        assert!(report.conserved());
-        let short = StormReport {
-            submitted: 10,
-            ok: 6,
-            ..StormReport::default()
-        };
-        assert!(!short.conserved());
+    fn connection_verdicts_answer_no_request() {
+        let mut report = LoadGenReport::default();
+        let error = |id, code| Frame::Error { id, code };
+        assert!(report.account(&error(7, ErrorCode::Shed)));
+        assert!(report.account(&error(8, ErrorCode::Failed)));
+        assert!(!report.account(&error(CONN_ERROR_ID, ErrorCode::Corrupt)));
+        assert!(!report.account(&error(CONN_ERROR_ID, ErrorCode::Protocol)));
+        assert_eq!((report.shed, report.failed), (1, 1), "{report:?}");
     }
 }

@@ -166,18 +166,6 @@ impl<T> BoundedQueue<T> {
         self.available.notify_all();
     }
 
-    /// Take every item still queued, working even after [`close`]
-    /// (`pop_many` refuses then by design). The supervisor's escalation
-    /// path uses this to re-account abandoned messages as `Failed` instead
-    /// of leaving their admission counts dangling: close first (so no
-    /// consumer races the drain), then drain, then answer each message.
-    ///
-    /// [`close`]: BoundedQueue::close
-    pub fn drain_remaining(&self) -> Vec<T> {
-        let mut inner = self.inner.lock().expect("dispatch queue poisoned");
-        inner.items.drain(..).collect()
-    }
-
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.inner
@@ -366,20 +354,6 @@ mod tests {
         assert_eq!(seen.len() as u64, total, "no item lost or duplicated");
         assert_eq!(q.pop_items(), total);
         assert!(q.pop_batches() <= q.pop_items());
-    }
-
-    #[test]
-    fn drain_remaining_recovers_the_backlog_after_close() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        q.close();
-        let mut out = Vec::new();
-        assert_eq!(q.pop_many(&mut out, 8), 0, "consumers see closed");
-        assert_eq!(q.drain_remaining(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.drain_remaining(), Vec::<i32>::new(), "idempotent");
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -87,7 +87,7 @@ use crate::protocol::{
 };
 use crate::registry::StripedMap;
 use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
-use crate::tenants::{RegrantEvent, RegrantLog, ShardedTenantWindow, SloClass, TenantSpec};
+use crate::tenants::{BoundedLog, RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
 use arlo_core::engine::{ArloEngine, ReplacementPlan};
 use arlo_core::multistream::{PoolCoordinator, StreamPlan};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -392,8 +392,8 @@ pub struct DrainReport {
     /// Components that died of a panic; the first triggered the
     /// fail-fast drain.
     pub escalations: u64,
-    /// The supervisor's structured event log: every component panic,
-    /// stall, and escalation, in order, with timestamps.
+    /// The supervisor's structured event log: the most recent component
+    /// panics, stalls and escalations, in order, with timestamps.
     pub supervisor_events: Vec<SupervisorEvent>,
 }
 
@@ -596,7 +596,7 @@ struct Shared {
     unknown_tenants: AtomicU64,
     /// The coordinator's structured reallocation log (multi-tenant only),
     /// bounded to the most recent re-grants.
-    regrants: Mutex<RegrantLog>,
+    regrants: Mutex<BoundedLog<RegrantEvent>>,
     /// The lock-striped connection registry: `respond` resolves routes
     /// under one stripe (never a process-global lock) and never holds the
     /// stripe across a socket/queue write. See [`StripedMap`].
@@ -645,7 +645,7 @@ impl Shared {
             refused_conns: AtomicU64::new(0),
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
-            regrants: Mutex::new(RegrantLog::default()),
+            regrants: Mutex::new(BoundedLog::default()),
             conns: StripedMap::new(stripes),
         }
     }
@@ -1028,8 +1028,9 @@ impl Server {
             .sum()
     }
 
-    /// The supervisor's structured event log so far (component panics,
-    /// stalls, escalations).
+    /// The supervisor's structured event log: the most recent
+    /// [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY) component panics,
+    /// stalls and escalations, oldest first.
     pub fn supervisor_events(&self) -> Vec<SupervisorEvent> {
         self.supervisor.events()
     }
@@ -1118,7 +1119,7 @@ impl Server {
     }
 
     /// The coordinator's structured reallocation log: the most recent
-    /// [`REGRANT_LOG_CAPACITY`](crate::tenants::REGRANT_LOG_CAPACITY)
+    /// [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY)
     /// re-grants, oldest first (empty on single-tenant servers).
     pub fn regrants(&self) -> Vec<RegrantEvent> {
         self.shared.regrants.lock().to_vec()

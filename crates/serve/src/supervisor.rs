@@ -21,7 +21,9 @@
 //!   stall grace. Whoever polls the server calls it (`arlo serve`, every
 //!   50 ms). Stalls are detected and logged, not preempted.
 //!
-//! Every panic, stall and escalation lands in a [`SupervisorEvent`] log.
+//! Every panic, stall and escalation lands in a [`SupervisorEvent`] log
+//! that keeps the most recent [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY);
+//! the stall and escalation counts stay exact.
 //! Deterministic fault injection ([`crate::chaos::ComponentChaos`]) fires
 //! inside [`SupervisedCtx::beat`] — at loop-iteration boundaries, where
 //! the component's drop guards re-account work caught mid-flight — so a
@@ -36,6 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::chaos::{ComponentChaos, ComponentChaosPlan};
+use crate::tenants::BoundedLog;
 
 /// A per-component liveness counter. The component beats it once per loop
 /// iteration; the stall check reads it to distinguish "making progress"
@@ -127,7 +130,7 @@ struct Watch {
 
 struct Inner {
     watches: Mutex<Vec<Watch>>,
-    events: Mutex<Vec<SupervisorEvent>>,
+    events: Mutex<BoundedLog<SupervisorEvent>>,
     stalls: AtomicU64,
     escalations: AtomicU64,
     escalate_hook: Box<dyn Fn() + Send + Sync>,
@@ -168,7 +171,7 @@ impl Supervisor {
         Supervisor {
             inner: Arc::new(Inner {
                 watches: Mutex::new(Vec::new()),
-                events: Mutex::new(Vec::new()),
+                events: Mutex::new(BoundedLog::default()),
                 stalls: AtomicU64::new(0),
                 escalations: AtomicU64::new(0),
                 escalate_hook: Box::new(escalate),
@@ -271,13 +274,13 @@ impl Supervisor {
         found
     }
 
-    /// Snapshot of the event log so far.
+    /// Snapshot of the retained event log, oldest first.
     pub(crate) fn events(&self) -> Vec<SupervisorEvent> {
         self.inner
             .events
             .lock()
             .expect("supervisor events poisoned")
-            .clone()
+            .to_vec()
     }
 
     /// Stall episodes detected so far.

@@ -16,8 +16,9 @@
 //!   [`PoolCoordinator::partition`](arlo_core::multistream::PoolCoordinator)
 //!   re-splits the pool across tenants.
 //! - [`RegrantEvent`] is one entry of the structured reallocation log: a
-//!   timestamped before/after of every tenant's GPU grant; [`RegrantLog`]
-//!   keeps the most recent [`REGRANT_LOG_CAPACITY`] of them.
+//!   timestamped before/after of every tenant's GPU grant; a
+//!   [`BoundedLog`] keeps the most recent [`LOG_CAPACITY`] of them (and of
+//!   the supervisor's events).
 //! - [`weighted_tenant`] partitions a request-id space across tenants by
 //!   integer weights — exactly-once (a pure function of the id) and with
 //!   no phantom shares (each cycle of `Σ weights` ids hits tenant `t`
@@ -149,30 +150,40 @@ impl RegrantEvent {
     }
 }
 
-/// How many re-grants [`RegrantLog`] keeps: far more than the longest
-/// in-repo run (`ext_tenants`, under ten) produces, so only a
-/// long-running server ever drops one.
-pub const REGRANT_LOG_CAPACITY: usize = 256;
+/// How many entries a [`BoundedLog`] keeps. The longest in-repo
+/// multi-tenant run (`ext_tenants`) re-grants fewer than ten times, so
+/// only a long-running server drops a re-grant; a shard that stalls again
+/// and again (`ext_resilience`'s `shard/stall` cell) fills the
+/// supervisor's log within seconds.
+pub const LOG_CAPACITY: usize = 256;
 
-/// The coordinator's structured reallocation log: the most recent
-/// [`REGRANT_LOG_CAPACITY`] re-grants, oldest first. A server that runs
-/// for days re-grants without end; the log must not grow with it.
-#[derive(Debug, Default)]
-pub struct RegrantLog {
-    events: VecDeque<RegrantEvent>,
+/// A structured event log that keeps the most recent [`LOG_CAPACITY`]
+/// entries, oldest first. A server that runs for days re-grants and
+/// catches panics without end; its logs must not grow with it.
+#[derive(Debug)]
+pub struct BoundedLog<T> {
+    events: VecDeque<T>,
 }
 
-impl RegrantLog {
-    /// Append one re-grant, dropping the oldest once the log is full.
-    pub fn push(&mut self, event: RegrantEvent) {
-        if self.events.len() == REGRANT_LOG_CAPACITY {
+impl<T> Default for BoundedLog<T> {
+    fn default() -> Self {
+        BoundedLog {
+            events: VecDeque::new(),
+        }
+    }
+}
+
+impl<T: Clone> BoundedLog<T> {
+    /// Append one entry, dropping the oldest once the log is full.
+    pub fn push(&mut self, event: T) {
+        if self.events.len() == LOG_CAPACITY {
             self.events.pop_front();
         }
         self.events.push_back(event);
     }
 
-    /// The retained re-grants, oldest first.
-    pub fn to_vec(&self) -> Vec<RegrantEvent> {
+    /// The retained entries, oldest first.
+    pub fn to_vec(&self) -> Vec<T> {
         self.events.iter().cloned().collect()
     }
 }
@@ -466,24 +477,13 @@ mod tests {
     }
 
     #[test]
-    fn regrant_log_keeps_only_the_most_recent_events() {
-        let mut log = RegrantLog::default();
-        let event = |at: Nanos| RegrantEvent::new(at, vec![2, 1], vec![1, 2], 0.0);
-        let overflow = 5;
-        for at in 0..(REGRANT_LOG_CAPACITY + overflow) as Nanos {
-            log.push(event(at));
+    fn bounded_log_keeps_the_last_entries_in_order() {
+        let mut log = BoundedLog::default();
+        for event in 0..300u32 {
+            log.push(event);
         }
-        let kept = log.to_vec();
-        assert_eq!(kept.len(), REGRANT_LOG_CAPACITY);
-        // The oldest `overflow` events went; the rest stay in order.
-        assert!(kept
-            .iter()
-            .zip(overflow as Nanos..)
-            .all(|(ev, at)| ev.at == at));
-        assert_eq!(
-            kept.last(),
-            Some(&event((REGRANT_LOG_CAPACITY + overflow - 1) as Nanos))
-        );
+        let first_kept = 300 - LOG_CAPACITY as u32;
+        assert_eq!(log.to_vec(), (first_kept..300).collect::<Vec<_>>());
     }
 
     // --- weighted tagging: exactly-once, no phantom shares ---

@@ -1,6 +1,7 @@
-//! End-to-end tests of the acceptor and of connection scale: admission
-//! refusals never stall accepting, and a few hundred concurrent
-//! connections held by the epoll client pool conserve every submit. (Idle
+//! End-to-end tests of shard 0's admission and of connection scale:
+//! refusals never stall accepting, a replay with more connections than
+//! the server admits counts its refusals, and a few hundred concurrent
+//! connections held by one storm replay conserve every submit. (Idle
 //! reaping and doom-on-overflow live in `chaos_e2e`.)
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
@@ -8,7 +9,7 @@ use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{connection_storm, StormConfig};
+use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, ErrorCode, Frame, CONN_ERROR_ID, DEFAULT_TENANT};
 use arlo_serve::server::{ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
@@ -143,11 +144,46 @@ fn refusals_never_stall_the_epoll_acceptor() {
     assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
 }
 
+/// A replay with more connections than the server admits: the refused
+/// ones are counted and send nothing, and the admitted ones conserve.
+#[test]
+fn replay_counts_refused_connections_and_conserves_the_rest() {
+    const CLIENTS: usize = 6;
+    const ADMITTED: usize = 2;
+    const PER_CONN: usize = 10;
+    let mut cfg = config();
+    cfg.max_conns = ADMITTED;
+    let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
+    let trace = burst(CLIENTS * PER_CONN, 64);
+    let report = replay(
+        server.local_addr(),
+        &trace,
+        &LoadGenConfig::open(CLIENTS, SCALE),
+    )
+    .expect("replay");
+
+    assert_eq!(report.connected, CLIENTS as u64, "{report:?}");
+    assert_eq!(report.refused, (CLIENTS - ADMITTED) as u64, "{report:?}");
+    assert_eq!(report.connect_errors, 0, "{report:?}");
+    assert_eq!(report.sent, (ADMITTED * PER_CONN) as u64, "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert_eq!(report.lost, 0, "{report:?}");
+
+    let drain = server.drain();
+    assert_eq!(
+        drain.refused_conns,
+        (CLIENTS - ADMITTED) as u64,
+        "{drain:?}"
+    );
+    assert_eq!(drain.submits, report.sent, "{drain:?}");
+    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+}
+
 /// Smoke-scale run of the benchmark's connection-scaling cell: a few
-/// hundred concurrent connections held by the epoll client pool, every
+/// hundred concurrent connections held open by one storm replay, every
 /// submit conserved, nothing lost.
 #[test]
-fn connection_storm_conserves_at_smoke_scale() {
+fn storm_replay_conserves_at_smoke_scale() {
     const CONNS: usize = 400;
     let mut cfg = config();
     cfg.max_conns = CONNS + 64;
@@ -155,18 +191,18 @@ fn connection_storm_conserves_at_smoke_scale() {
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
 
-    let mut storm = StormConfig::new(CONNS);
-    storm.threads = 2;
-    storm.submits_per_conn = 2;
-    storm.hold = Duration::from_millis(300);
-    let report = connection_storm(addr, &storm).expect("storm");
+    let storm = LoadGenConfig {
+        hold: Duration::from_millis(300),
+        ..LoadGenConfig::open(CONNS, SCALE)
+    };
+    let report = replay(addr, &burst(CONNS * 2, 64), &storm).expect("storm");
 
     assert_eq!(report.connect_errors, 0, "{report:?}");
     assert_eq!(report.connected, CONNS as u64, "{report:?}");
     assert_eq!(report.refused, 0, "{report:?}");
     assert_eq!(report.lost, 0, "{report:?}");
-    assert!(report.conserved(), "{report:?}");
-    assert_eq!(report.submitted, (CONNS * 2) as u64, "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert_eq!(report.sent, (CONNS * 2) as u64, "{report:?}");
     assert!(report.ok > 0, "{report:?}");
 
     let drain = server.drain();

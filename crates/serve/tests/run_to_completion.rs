@@ -10,8 +10,8 @@ use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::protocol::{read_frame, Frame};
+use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
+use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
@@ -230,16 +230,15 @@ fn a_deadline_parked_from_another_shard_wakes_the_heaps_owner() {
 fn deep_window_storm_is_served_in_full(server: Server) -> DrainReport {
     const CONNS: usize = 2;
     const SUBMITS: u32 = 4_096;
-    let mut storm = StormConfig::new(CONNS).with_window(512);
-    storm.threads = 2;
-    storm.submits_per_conn = SUBMITS;
-    storm.hold = Duration::from_millis(20);
-    storm.deadline = Duration::from_secs(120);
-    let report = connection_storm(server.local_addr(), &storm).expect("storm");
+    let storm = LoadGenConfig {
+        hold: Duration::from_millis(20),
+        ..LoadGenConfig::closed(CONNS, 512).with_submit_batch(MAX_BATCH)
+    };
     let total = CONNS as u64 * u64::from(SUBMITS);
-    assert_eq!(report.submitted, total, "{report:?}");
+    let report = replay(server.local_addr(), &burst(total as usize, 64), &storm).expect("storm");
+    assert_eq!(report.sent, total, "{report:?}");
     assert_eq!(report.lost, 0, "{report:?}");
-    assert!(report.conserved(), "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
     assert_eq!(report.shed, 0, "{report:?}");
     assert_eq!(report.ok, total, "{report:?}");
 

@@ -20,8 +20,8 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
-use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::protocol::{read_frame, Frame};
+use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
+use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
 use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_trace::workload::TraceSpec;
@@ -358,24 +358,20 @@ fn stalled_shard_is_flagged_by_the_stall_check() {
 #[test]
 fn v2_window_storm_batches_refills_and_conserves() {
     let server = Server::spawn(engine(4), "127.0.0.1:0", config(4, 100)).expect("bind loopback");
-    let storm = StormConfig {
-        conns: 32,
-        threads: 2,
-        submits_per_conn: 24,
+    let storm = LoadGenConfig {
         hold: Duration::from_millis(10),
-        ..StormConfig::new(32)
-    }
-    .with_window(4);
-    let report = connection_storm(server.local_addr(), &storm).expect("storm");
+        ..LoadGenConfig::closed(32, 4).with_submit_batch(MAX_BATCH)
+    };
+    let report = replay(server.local_addr(), &burst(32 * 24, 64), &storm).expect("storm");
 
     assert_eq!(report.connected, 32, "{report:?}");
     assert_eq!(
         report.connect_errors, 0,
         "a version check failed: {report:?}"
     );
-    assert_eq!(report.submitted, 32 * 24, "{report:?}");
+    assert_eq!(report.sent, 32 * 24, "{report:?}");
     assert_eq!(report.lost, 0, "{report:?}");
-    assert!(report.conserved(), "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
 
     let drain = server.drain();
     assert_server_conserves(&drain);
@@ -402,19 +398,15 @@ fn v2_storm_survives_planner_panics_on_two_shards() {
     }
     .with_component_chaos(ComponentChaos::panics("planner", 3, 43));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
-    let storm = StormConfig {
-        conns: 16,
-        threads: 2,
-        submits_per_conn: 256,
+    let storm = LoadGenConfig {
         hold: Duration::from_millis(10),
-        ..StormConfig::new(16)
-    }
-    .with_window(128);
-    let report = connection_storm(server.local_addr(), &storm).expect("storm");
+        ..LoadGenConfig::closed(16, 128).with_submit_batch(MAX_BATCH)
+    };
+    let report = replay(server.local_addr(), &burst(16 * 256, 64), &storm).expect("storm");
 
     assert_eq!(report.lost, 0, "{report:?}");
-    assert!(report.conserved(), "{report:?}");
-    assert_eq!(report.ok, report.submitted, "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert_eq!(report.ok, report.sent, "{report:?}");
     wait_for("a planner tick panic", || {
         has_event(&server, "planner", SupervisorEventKind::Panicked)
     });

@@ -693,6 +693,12 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
             report.goodput_rps(time_scale),
             report.wall.as_secs_f64()
         );
+        if report.refused + report.connect_errors > 0 {
+            return Err(format!(
+                "{} of {clients} connections refused, {} failed to connect",
+                report.refused, report.connect_errors
+            ));
+        }
     } else if !flags.contains_key("drain") {
         return Err("nothing to do: pass --rate/--secs, --trace, --chaos, or --drain".into());
     }

@@ -152,9 +152,11 @@ impl Drop for Reaped {
     }
 }
 
-/// `arlo loadgen --drain` is how `arlo serve` tells operators to stop it:
-/// the drain must be decoded and acknowledged, and the server must flush,
-/// print its final accounting and exit cleanly.
+/// The shipped binaries end to end: `arlo loadgen` replays open-loop and
+/// then closed-loop against a running `arlo serve` with nothing lost, and
+/// `arlo loadgen --drain` — how `arlo serve` tells operators to stop it —
+/// is decoded and acknowledged, after which the server flushes, prints its
+/// final accounting and exits cleanly.
 #[test]
 fn loadgen_drain_stops_a_running_server() {
     use std::io::{BufRead, BufReader};
@@ -203,19 +205,17 @@ fn loadgen_drain_stops_a_running_server() {
         }
     };
 
-    let text = stdout_of(arlo().args([
-        "loadgen",
-        "--addr",
-        &addr,
-        "--rate",
-        "200",
-        "--secs",
-        "1",
-        "--time-scale",
-        "50",
-        "--drain",
-    ]));
-    assert!(text.contains("lost 0"), "{text}");
+    let replay = ["--rate", "200", "--secs", "1", "--time-scale", "50"];
+    for pacing in [&[][..], &["--closed", "--window", "4"][..]] {
+        let text = stdout_of(
+            arlo()
+                .args(["loadgen", "--addr", &addr])
+                .args(replay)
+                .args(pacing),
+        );
+        assert!(text.contains("lost 0"), "{pacing:?}: {text}");
+    }
+    let text = stdout_of(arlo().args(["loadgen", "--addr", &addr, "--drain"]));
     assert!(text.contains("drain acknowledged"), "{text}");
 
     let served = loop {
