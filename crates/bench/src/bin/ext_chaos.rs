@@ -37,7 +37,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::{ChaosConfig, FaultClass};
 use arlo_serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig};
 use arlo_serve::protocol::{Frame, DEFAULT_TENANT};
-use arlo_serve::server::{DrainReport, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_trace::workload::{Trace, TraceSpec};
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -81,7 +81,7 @@ struct GridCell {
     class: FaultClass,
     intensity: f64,
     report: arlo_serve::loadgen::ChaosReport,
-    drain: DrainReport,
+    drain: Snapshot,
 }
 
 /// One grid cell: spawn a fresh server, replay `trace` through retrying
@@ -104,12 +104,13 @@ fn run_grid_cell(trace: &Trace, class: FaultClass, intensity: f64) -> GridCell {
     );
     assert!(report.ok > 0, "{cell}: every request died: {report:?}");
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "{cell}: server conservation violated: {drain:?}"
     );
     assert_eq!(
-        drain.outstanding_at_close, 0,
+        drain.total(|t| t.outstanding),
+        0,
         "{cell}: drain left work behind: {drain:?}"
     );
     assert_eq!(
@@ -132,7 +133,7 @@ fn run_grid_cell(trace: &Trace, class: FaultClass, intensity: f64) -> GridCell {
 /// the kernel absorbs for a never-reading peer (~200k frames), and the
 /// healthy load sits below saturation so its p98 measures transport
 /// leakage, not queueing behind the flood.
-fn run_isolation(stall: bool) -> (arlo_serve::loadgen::LoadGenReport, DrainReport, u64) {
+fn run_isolation(stall: bool) -> (arlo_serve::loadgen::LoadGenReport, Snapshot, u64) {
     const BULK: u64 = 400_000;
     let mut cfg = config();
     cfg.outbound_queue = 16 * 1024;
@@ -195,7 +196,7 @@ fn run_isolation(stall: bool) -> (arlo_serve::loadgen::LoadGenReport, DrainRepor
     let report = replay(addr, &trace, &LoadGenConfig::open(2, SCALE)).expect("replay");
     bulk.join().expect("bulk client panicked");
 
-    let slow = server.slow_disconnects();
+    let slow = server.snapshot().slow_disconnects;
     let drain = server.drain();
     (report, drain, slow)
 }
@@ -265,15 +266,16 @@ fn main() {
             "latency_p99_ms": json_f64(s.p99),
             "p98_over_baseline": json_f64(p98_x),
             "server": {
-                "submits": cell.drain.submits,
-                "served": cell.drain.served,
-                "shed": cell.drain.shed,
-                "unserviceable": cell.drain.unserviceable,
-                "failed": cell.drain.failed,
+                "submits": cell.drain.total(|t| t.submits),
+                "served": cell.drain.total(|t| t.served),
+                "shed": cell.drain.total(|t| t.shed),
+                "unserviceable": cell.drain.total(|t| t.unserviceable),
+                "failed": cell.drain.total(|t| t.failed),
                 "protocol_disconnects": cell.drain.protocol_disconnects,
                 "slow_disconnects": cell.drain.slow_disconnects,
                 "corrupt_frames": cell.drain.corrupt_frames,
-                "outstanding_at_close": cell.drain.outstanding_at_close,
+                // The committed schema's name for the drain's `outstanding`.
+                "outstanding_at_close": cell.drain.total(|t| t.outstanding),
             },
             "wall_secs": json_f64(cell.report.wall.as_secs_f64()),
         }));
@@ -305,7 +307,7 @@ fn main() {
         base_runs.push(run_isolation(false));
         stall_runs.push(run_isolation(true));
     }
-    let median_p98 = |runs: &[(arlo_serve::loadgen::LoadGenReport, DrainReport, u64)]| {
+    let median_p98 = |runs: &[(arlo_serve::loadgen::LoadGenReport, Snapshot, u64)]| {
         let mut p98s: Vec<f64> = runs
             .iter()
             .map(|(r, _, _)| r.latency_summary().p98)

@@ -42,7 +42,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig, LoadGenReport};
 use arlo_serve::protocol::MAX_BATCH;
-use arlo_serve::server::{ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::NANOS_PER_SEC;
@@ -173,7 +173,8 @@ fn shard_panic_seed(base: u64, one_in: u64, calm: u64) -> u64 {
 /// Count `component`'s events of `kind` in the server's log.
 fn count_events(server: &Server, component: &str, kind: SupervisorEventKind) -> u64 {
     server
-        .supervisor_events()
+        .snapshot()
+        .supervisor_events
         .iter()
         .filter(|e| e.component.starts_with(component) && e.kind == kind)
         .count() as u64
@@ -181,15 +182,16 @@ fn count_events(server: &Server, component: &str, kind: SupervisorEventKind) -> 
 
 /// Drain `server` and check the server-side law every cell shares: a
 /// clean drain, and every submit in exactly one terminal bucket.
-fn drain_conserving(tag: &str, server: Server) -> arlo_serve::server::DrainReport {
+fn drain_conserving(tag: &str, server: Server) -> Snapshot {
     let drain = server.drain();
     assert_eq!(
-        drain.outstanding_at_close, 0,
+        drain.total(|t| t.outstanding),
+        0,
         "{tag}: wedged drain: {drain:?}"
     );
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "{tag}: server-side conservation: {drain:?}"
     );
     drain
@@ -215,13 +217,14 @@ fn shard_panic_cell(total: u64) -> Cell {
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let started = Instant::now();
     let child = spawn_storm(server.local_addr(), total / CONNS as u64);
-    wait_until(tag, "escalation", || server.is_draining());
+    wait_until(tag, "escalation", || server.snapshot().draining);
     assert_eq!(
         count_events(&server, "shard-0", SupervisorEventKind::Escalated),
         1,
         "{tag}"
     );
-    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let live = server.snapshot();
+    let (stalls, events) = (live.stalls_detected, live.supervisor_events.len());
     let drain = drain_conserving(tag, server);
     assert_eq!(drain.escalations, 1, "{tag}: {drain:?}");
     let report = child.report();
@@ -232,7 +235,10 @@ fn shard_panic_cell(total: u64) -> Cell {
     assert_eq!(report.accounted(), report.sent, "{tag}: {report:?}");
     assert!(report.ok > 0, "{tag}: died before serving: {report:?}");
     // Submits still in a dead connection's socket never reached the server.
-    assert!(drain.submits <= report.sent, "{tag}: wire vs drain");
+    assert!(
+        drain.total(|t| t.submits) <= report.sent,
+        "{tag}: wire vs drain"
+    );
     Cell {
         component: "shard",
         fault: "panic",
@@ -266,14 +272,19 @@ fn shard_stall_cell(total: u64) -> Cell {
         report.lost, 0,
         "{tag}: stalls must never lose answers: {report:?}"
     );
+    let live = server.snapshot();
     assert!(
-        server.stalls_detected() >= 1,
+        live.stalls_detected >= 1,
         "{tag}: frozen heartbeat never flagged"
     );
-    assert_eq!(server.escalations(), 0, "{tag}: a stall is not a death");
-    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    assert_eq!(live.escalations, 0, "{tag}: a stall is not a death");
+    let (stalls, events) = (live.stalls_detected, live.supervisor_events.len());
     let drain = drain_conserving(tag, server);
-    assert_eq!(drain.submits, submitted, "{tag}: wire vs drain");
+    assert_eq!(
+        drain.total(|t| t.submits),
+        submitted,
+        "{tag}: wire vs drain"
+    );
     Cell {
         component: "shard",
         fault: "stall",
@@ -308,11 +319,16 @@ fn planner_panic_cell(total: u64) -> Cell {
     wait_until(tag, "a second planner panic", || {
         count_events(&server, "planner", SupervisorEventKind::Panicked) >= 2
     });
-    assert_eq!(server.escalations(), 0, "{tag}: a tick panic escalated");
     let panics = count_events(&server, "planner", SupervisorEventKind::Panicked);
-    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let live = server.snapshot();
+    assert_eq!(live.escalations, 0, "{tag}: a tick panic escalated");
+    let (stalls, events) = (live.stalls_detected, live.supervisor_events.len());
     let drain = drain_conserving(tag, server);
-    assert_eq!(drain.submits, submitted, "{tag}: wire vs drain");
+    assert_eq!(
+        drain.total(|t| t.submits),
+        submitted,
+        "{tag}: wire vs drain"
+    );
     Cell {
         component: "planner",
         fault: "panic",
@@ -352,11 +368,12 @@ fn shard_burst_cell() -> Cell {
         "{tag}: the catch-up outran the client: {report:?}"
     );
     assert_eq!(report.ok, BURST as u64, "{tag}: {report:?}");
-    assert!(server.stalls_detected() >= 1, "{tag}: no stall flagged");
-    let (stalls, events) = (server.stalls_detected(), server.supervisor_events().len());
+    let live = server.snapshot();
+    assert!(live.stalls_detected >= 1, "{tag}: no stall flagged");
+    let (stalls, events) = (live.stalls_detected, live.supervisor_events.len());
     let drain = drain_conserving(tag, server);
     assert_eq!(drain.slow_disconnects, 0, "{tag}: {drain:?}");
-    assert_eq!(drain.served, BURST as u64, "{tag}: {drain:?}");
+    assert_eq!(drain.total(|t| t.served), BURST as u64, "{tag}: {drain:?}");
     Cell {
         component: "shard",
         fault: "burst",

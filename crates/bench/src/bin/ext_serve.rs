@@ -50,7 +50,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{replay, LoadGenConfig, LoadGenReport};
-use arlo_serve::server::{ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_sim::driver::{NoopAllocator, SimConfig, Simulation};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -137,7 +137,7 @@ struct Cell {
     workload: &'static str,
     mode: &'static str,
     report: LoadGenReport,
-    drain: arlo_serve::server::DrainReport,
+    drain: Snapshot,
 }
 
 fn run_cell(workload: &'static str, spec: &TraceSpec, mode: &'static str, seed: u64) -> Cell {
@@ -161,7 +161,8 @@ fn run_cell(workload: &'static str, spec: &TraceSpec, mode: &'static str, seed: 
         "{workload}/{mode} lost requests: {report:?}"
     );
     assert_eq!(
-        drain.outstanding_at_close, 0,
+        drain.total(|t| t.outstanding),
+        0,
         "{workload}/{mode} drain left work behind"
     );
     Cell {
@@ -175,8 +176,7 @@ fn run_cell(workload: &'static str, spec: &TraceSpec, mode: &'static str, seed: 
 struct ParityCell {
     workload: &'static str,
     report: LoadGenReport,
-    drain: arlo_serve::server::DrainReport,
-    occupancy: Vec<u64>,
+    drain: Snapshot,
     live_goodput: f64,
     sim_goodput: f64,
     sim_mean_ms: f64,
@@ -237,15 +237,17 @@ fn run_parity_cell(workload: &'static str, spec: &TraceSpec, seed: u64) -> Parit
             &LoadGenConfig::open(CLIENTS, PARITY_SCALE),
         )
         .expect("replay");
-        let occupancy = server.batch_occupancy();
         let drain = server.drain();
         assert_eq!(report.lost, 0, "{workload}/batched lost requests");
-        assert_eq!(drain.outstanding_at_close, 0, "{workload}/batched drain");
         assert_eq!(
-            drain.shed + drain.unserviceable,
+            drain.total(|t| t.outstanding),
             0,
-            "{workload}/batched shed {} — the parity comparison needs loss-free runs",
-            drain.shed + drain.unserviceable
+            "{workload}/batched drain"
+        );
+        let refused = drain.total(|t| t.shed + t.unserviceable);
+        assert_eq!(
+            refused, 0,
+            "{workload}/batched shed {refused} — the parity comparison needs loss-free runs"
         );
 
         let live_goodput = report.goodput_rps(PARITY_SCALE);
@@ -254,7 +256,6 @@ fn run_parity_cell(workload: &'static str, spec: &TraceSpec, seed: u64) -> Parit
             workload,
             report,
             drain,
-            occupancy,
             live_goodput,
             sim_goodput,
             sim_mean_ms: sim_s.mean,
@@ -284,7 +285,7 @@ fn run_parity_cell(workload: &'static str, spec: &TraceSpec, seed: u64) -> Parit
 struct FramingCell {
     submit_batch: usize,
     report: LoadGenReport,
-    drain: arlo_serve::server::DrainReport,
+    drain: Snapshot,
 }
 
 /// Open replay with `submit_batch`-way framing;
@@ -306,7 +307,8 @@ fn run_framing_cell(spec: &TraceSpec, seed: u64, submit_batch: usize) -> Framing
     );
     assert_eq!(report.accounted(), report.sent);
     assert_eq!(
-        drain.outstanding_at_close, 0,
+        drain.total(|t| t.outstanding),
+        0,
         "framing/batch{submit_batch} drain left work behind"
     );
     FramingCell {
@@ -351,7 +353,7 @@ fn run_conn_cell(conns: usize) -> ConnCell {
     // actually *hold* 10k connections at once, not merely churn them.
     let mut peak_active: u64 = 0;
     loop {
-        peak_active = peak_active.max(server.active_connections() as u64);
+        peak_active = peak_active.max(server.snapshot().active_connections as u64);
         if !child.is_running() {
             break;
         }
@@ -379,10 +381,10 @@ fn run_conn_cell(conns: usize) -> ConnCell {
 
     let drain = server.drain();
     assert_eq!(drain.refused_conns, 0, "{tag}: {drain:?}");
-    assert_eq!(drain.outstanding_at_close, 0, "{tag}: {drain:?}");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{tag}: {drain:?}");
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "{tag}: server-side conservation: {drain:?}"
     );
     ConnCell {
@@ -451,7 +453,7 @@ fn main() {
             format!("{}/{}", cell.workload, cell.mode),
             format!("{}", cell.report.sent),
             format!("{}", cell.report.ok),
-            format!("{}", cell.drain.shed + cell.drain.unserviceable),
+            format!("{}", cell.drain.total(|t| t.shed + t.unserviceable)),
             format!("{goodput:.0}"),
             format!("{:.2}", s.mean),
             format!("{:.2}", s.p50),
@@ -464,8 +466,8 @@ fn main() {
             "mode": cell.mode,
             "sent": cell.report.sent,
             "ok": cell.report.ok,
-            "shed": cell.drain.shed,
-            "unserviceable": cell.drain.unserviceable,
+            "shed": cell.drain.total(|t| t.shed),
+            "unserviceable": cell.drain.total(|t| t.unserviceable),
             "lost": cell.report.lost,
             "goodput_rps": json_f64(goodput),
             "latency_mean_ms": json_f64(s.mean),
@@ -475,7 +477,7 @@ fn main() {
             "latency_p99_ms": json_f64(s.p99),
             "latency_max_ms": json_f64(s.max),
             "reallocations": cell.drain.reallocations,
-            "final_generation": cell.drain.generation,
+            "final_generation": cell.drain.tenants[0].generation,
             "wall_secs": json_f64(cell.report.wall.as_secs_f64()),
         }));
     }
@@ -509,7 +511,7 @@ fn main() {
             format!("{:.2}", cell.sim_mean_ms),
             format!("{:.2}", s.p98),
             format!("{:.2}", cell.sim_p98_ms),
-            format!("{:?}", cell.occupancy),
+            format!("{:?}", cell.drain.batch_occupancy),
         ]);
         parity_json.push(serde_json::json!({
             "workload": cell.workload,
@@ -527,7 +529,7 @@ fn main() {
             "sim_latency_mean_ms": json_f64(cell.sim_mean_ms),
             "live_latency_p98_ms": json_f64(s.p98),
             "sim_latency_p98_ms": json_f64(cell.sim_p98_ms),
-            "batch_occupancy": cell.occupancy,
+            "batch_occupancy": cell.drain.batch_occupancy,
             "reallocations": cell.drain.reallocations,
             "wall_secs": json_f64(cell.report.wall.as_secs_f64()),
         }));
@@ -563,7 +565,7 @@ fn main() {
             format!("batch{}", cell.submit_batch),
             format!("{}", cell.report.sent),
             format!("{}", cell.report.ok),
-            format!("{}", cell.drain.shed + cell.drain.unserviceable),
+            format!("{}", cell.drain.total(|t| t.shed + t.unserviceable)),
             format!("{goodput:.0}"),
             format!("{:.2}", s.p50),
             format!("{:.2}", s.p98),
@@ -572,7 +574,7 @@ fn main() {
             "submit_batch": cell.submit_batch,
             "sent": cell.report.sent,
             "ok": cell.report.ok,
-            "shed": cell.drain.shed,
+            "shed": cell.drain.total(|t| t.shed),
             "lost": cell.report.lost,
             "goodput_rps": json_f64(goodput),
             "latency_p50_ms": json_f64(s.p50),

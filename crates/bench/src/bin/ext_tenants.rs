@@ -46,7 +46,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{replay, LoadGenConfig, LoadGenReport};
-use arlo_serve::server::{DrainReport, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::tenants::{RegrantEvent, SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -218,7 +218,8 @@ fn run_phase(
                 loop {
                     samples.push(
                         server
-                            .tenant_stats()
+                            .snapshot()
+                            .tenants
                             .iter()
                             .map(|t| t.granted_gpus)
                             .collect::<Vec<u32>>(),
@@ -295,18 +296,18 @@ fn tenant_index(name: &str) -> usize {
 
 /// Server-side conservation for one drained server whose tenants saw
 /// exactly the given per-tenant client sends.
-fn assert_server_conserved(drain: &DrainReport, offered: &[u64]) {
-    assert_eq!(drain.outstanding_at_close, 0, "drain left work");
+fn assert_server_conserved(drain: &Snapshot, offered: &[u64]) {
+    assert_eq!(drain.total(|t| t.outstanding), 0, "drain left work");
     assert_eq!(drain.unknown_tenants, 0);
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "global conservation violated: {drain:?}"
     );
     for (t, &sent) in drain.tenants.iter().zip(offered) {
         assert_eq!(
             t.submits,
-            t.served + t.shed + t.unserviceable + t.failed + t.outstanding_at_close,
+            t.accounted(),
             "tenant {} leaks requests: {t:?}",
             t.name
         );
@@ -318,13 +319,13 @@ fn assert_server_conserved(drain: &DrainReport, offered: &[u64]) {
     }
 }
 
-fn drain_json(drain: &DrainReport) -> serde_json::Value {
+fn drain_json(drain: &Snapshot) -> serde_json::Value {
     serde_json::json!({
-        "submits": drain.submits,
-        "served": drain.served,
-        "shed": drain.shed,
-        "unserviceable": drain.unserviceable,
-        "failed": drain.failed,
+        "submits": drain.total(|t| t.submits),
+        "served": drain.total(|t| t.served),
+        "shed": drain.total(|t| t.shed),
+        "unserviceable": drain.total(|t| t.unserviceable),
+        "failed": drain.total(|t| t.failed),
         "unknown_tenants": drain.unknown_tenants,
         "tenants": drain.tenants.iter().map(|t| serde_json::json!({
             "name": t.name,
@@ -440,7 +441,7 @@ fn run_experiments(admit_secs: f64, shift_secs: f64) -> serde_json::Value {
             0xA111 + i as u64,
         ));
     }
-    let regrants: Vec<RegrantEvent> = server.regrants();
+    let regrants: Vec<RegrantEvent> = server.snapshot().regrants;
     let shifting_drain = server.drain();
 
     assert!(!regrants.is_empty(), "coordinator never re-granted");

@@ -14,7 +14,7 @@
 //! `O(log n)` amortized, matching the paper's `O(L) + O(log(N/K))` bound.
 //! A stale entry that sorts *below* a live one never reaches the top, so
 //! a level also rebuilds its heap from the load table once stale entries
-//! outnumber live ones ([`STALE_SLACK`]); the live set, and with it every
+//! outnumber live ones (`STALE_SLACK`); the live set, and with it every
 //! dispatch decision, is unchanged by a rebuild.
 
 use crate::request_scheduler::RequestSchedulerConfig;

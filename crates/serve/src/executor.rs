@@ -23,6 +23,9 @@
 //! identical to the historical per-job busy-until executor — pinned by the
 //! batch-1 parity test.
 //!
+//! [`BatchSpec::exec_ns`]: arlo_runtime::batching::BatchSpec::exec_ns
+//! [`BatchSpec::SINGLE`]: arlo_runtime::batching::BatchSpec::SINGLE
+//!
 //! Scheduling follows one rule: **work that is due now runs on the thread
 //! that discovered it; work that is due later waits in one shared
 //! deadline heap.** "Due now" is [`VirtualClock::is_due`] — the instant is
@@ -363,6 +366,12 @@ impl ExecutorShared {
         }
     }
 
+    /// Stop the heap: its servicers return once it is empty.
+    fn stop(&self) {
+        self.timers.lock().expect("timer heap poisoned").stopping = true;
+        self.timer_due.notify_all();
+    }
+
     /// Service the heap on the calling thread: sleep until the earliest
     /// deadline, fire everything ripe in deadline order, repeat. Returns
     /// once stopped *and* empty — firing a seal can park new entries, so
@@ -618,19 +627,19 @@ impl Executor {
     /// every completion still parked in the heap, and join the servicing
     /// thread. Returns the final batch-occupancy histogram.
     pub fn shutdown(mut self) -> Vec<u64> {
-        self.shared
-            .timers
-            .lock()
-            .expect("timer heap poisoned")
-            .stopping = true;
-        self.shared.timer_due.notify_all();
         if let Some(flusher) = self.flusher.take() {
+            self.shared.stop();
             flusher.join().expect("executor flusher panicked");
         }
-        // A caller-serviced heap fires what it still holds here, each entry
-        // at its own deadline; an empty heap returns at once.
-        self.shared.service();
+        self.finish();
         self.batch_occupancy()
+    }
+
+    /// [`Executor::shutdown`] for a shared, caller-serviced executor: stop,
+    /// and fire what the heap still holds, each entry at its own deadline.
+    pub(crate) fn finish(&self) {
+        self.shared.stop();
+        self.shared.service();
     }
 }
 

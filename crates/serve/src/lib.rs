@@ -57,7 +57,8 @@
 //!   (refusals ⇒ explicit shed frames) and fire their executors'
 //!   deadlines; one planner thread driving health ticks, periodic
 //!   reallocation and GPU re-granting; and a graceful drain that flushes
-//!   every outstanding request before closing.
+//!   every outstanding request before closing. Every counter it keeps is
+//!   read as one [`server::Snapshot`] (live, or exact from the drain).
 //! - [`loadgen`] — one epoll client, [`loadgen::replay`], that runs a
 //!   trace over N connections from a few threads, open-loop (paced by
 //!   arrival) or closed-loop (a window per connection), into one report —
@@ -88,6 +89,6 @@ pub use loadgen::{
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
-pub use server::{DrainReport, ServeConfig, Server, TenantDrainReport, TenantStats};
+pub use server::{ServeConfig, Server, Snapshot, TenantStats};
 pub use supervisor::{SupervisorEvent, SupervisorEventKind};
 pub use tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec, TenantWindow};

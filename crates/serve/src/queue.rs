@@ -18,9 +18,9 @@
 //!   every blocked consumer immediately; a drained worker returns from
 //!   `pop_many` with 0 the moment close lands, never after "one more
 //!   timeout tick". Messages still queued at close are abandoned — they
-//!   were admitted (counted `outstanding`), so the drain report carries
-//!   them as `outstanding_at_close`, exactly as the old plane abandoned
-//!   its channel backlog at shutdown.
+//!   were admitted (counted `outstanding`), so a drain's final snapshot
+//!   still carries them as `outstanding`, exactly as the old plane
+//!   abandoned its channel backlog at shutdown.
 //! - **Burst draining.** `pop_many` hands a waking consumer everything
 //!   queued (up to a cap) under a single lock acquisition, so a burst of
 //!   arrivals costs one wakeup, not one per message.

@@ -25,12 +25,12 @@
 //! deadline heap belongs to shard `i % shards`, which sleeps no longer
 //! than until the heap's head, fires what is ripe and writes the answers
 //! out itself. Otherwise a shard wakes for socket readiness, for its
-//! eventfd [`Waker`](crate::epoll::Waker) — another thread queued a frame
-//! on one of its connections, doomed one, or parked a deadline ahead of
-//! one of its heaps — or once per sweep interval (idle reaping,
-//! write-stall dooming). A connection costs no thread. Every socket read
-//! and write goes straight to the socket: network faults are injected on
-//! the client side of the wire ([`crate::chaos::FaultyStream`]).
+//! eventfd [`Waker`] — another thread queued a frame on one of its
+//! connections, doomed one, or parked a deadline ahead of one of its heaps
+//! — or once per sweep interval (idle reaping, write-stall dooming). A
+//! connection costs no thread. Every socket read and write goes straight
+//! to the socket: network faults are injected on the client side of the
+//! wire ([`crate::chaos::FaultyStream`]).
 //!
 //! Backpressure and failure are explicit end to end:
 //!
@@ -276,125 +276,114 @@ fn refusal_code(length: u32, max_length: u32) -> ErrorCode {
     }
 }
 
-/// A live snapshot of one tenant's counters (see
-/// [`Server::tenant_stats`]).
+/// One tenant's counters at one moment: a row of [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantStats {
-    /// Tenant name.
+    /// Tenant name (from its [`TenantSpec`]).
     pub name: String,
     /// Admission tier.
     pub class: SloClass,
     /// The tenant's SLO in milliseconds.
     pub slo_ms: f64,
-    /// Submit frames addressed to this tenant so far.
-    pub submits: u64,
-    /// Requests completed.
-    pub served: u64,
-    /// Requests shed (admission gate, engine refusal, or drain).
-    pub shed: u64,
-    /// Requests no runtime could serve.
-    pub unserviceable: u64,
-    /// Execution failures.
-    pub failed: u64,
-    /// Requests currently queued or executing.
-    pub outstanding: u64,
-    /// GPUs currently granted.
-    pub granted_gpus: u32,
-    /// The tenant engine's current deployment generation.
-    pub generation: u64,
-}
-
-/// One tenant's slice of the final accounting. The same conservation law
-/// that binds [`DrainReport`] globally holds per tenant: `submits ==
-/// served + shed + unserviceable + failed + outstanding_at_close`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantDrainReport {
-    /// Tenant name (from its [`TenantSpec`]).
-    pub name: String,
-    /// Admission tier.
-    pub class: SloClass,
     /// Submit frames addressed to this tenant.
     pub submits: u64,
     /// Requests completed and answered with a response frame.
     pub served: u64,
-    /// Requests refused by admission/shedding (including the SLO-class
-    /// gate) or during drain.
+    /// Requests refused by admission (class gate or engine) or during drain.
     pub shed: u64,
     /// Requests no runtime of this tenant's family could serve.
     pub unserviceable: u64,
-    /// Execution failures answered with [`ErrorCode::Failed`].
+    /// Execution failures (injected or recovered panics), answered `Failed`.
     pub failed: u64,
-    /// Requests still outstanding when the drain gave up.
-    pub outstanding_at_close: u64,
-    /// GPUs granted to this tenant at close.
+    /// Requests admitted and not yet answered (after a clean drain, 0).
+    pub outstanding: u64,
+    /// GPUs currently granted.
     pub granted_gpus: u32,
-    /// The tenant engine's final deployment generation.
+    /// The tenant engine's deployment generation.
     pub generation: u64,
 }
 
-/// Final accounting returned by [`Server::drain`]. The request totals
-/// (`submits` through `outstanding_at_close`) are the sums of the
-/// `tenants` rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Submit frames decoded off the wire over the server's lifetime.
-    /// Conservation: `submits == served + shed + unserviceable + failed +
-    /// outstanding_at_close` — every accepted request terminates in
-    /// exactly one bucket.
-    pub submits: u64,
-    /// Requests completed and answered with a response frame.
-    pub served: u64,
-    /// Requests refused by the admission/shedding layer or during drain.
-    pub shed: u64,
-    /// Requests no runtime could serve.
-    pub unserviceable: u64,
-    /// Execution failures (injected faults and recovered completion
-    /// panics) answered with [`ErrorCode::Failed`].
-    pub failed: u64,
-    /// Requests still outstanding when the drain gave up (0 on a clean
-    /// drain).
-    pub outstanding_at_close: u64,
-    /// Replacement plans applied over the server's lifetime.
+impl TenantStats {
+    /// Every submit in a terminal bucket or still outstanding. Conservation
+    /// is `submits == accounted()`: the server-side twin of
+    /// [`LoadGenReport::accounted`](crate::loadgen::LoadGenReport::accounted).
+    pub fn accounted(&self) -> u64 {
+        self.served + self.shed + self.unserviceable + self.failed + self.outstanding
+    }
+}
+
+/// Every counter the server keeps, read at one moment: one row per tenant
+/// plus the server-wide figures. [`Server::snapshot`] reads a running
+/// server with relaxed loads, so it is approximate while requests are in
+/// flight; [`Server::drain`] returns one taken after every thread is
+/// joined, which is exact.
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    /// Indexed by tenant id (0 is the default tenant); see [`Snapshot::total`].
+    pub tenants: Vec<TenantStats>,
+    /// Replacement plans applied.
     pub reallocations: u64,
-    /// Final deployment generation.
-    pub generation: u64,
-    /// Connections reaped for idling past the configured window.
+    /// Connections reaped for idling past [`ServeConfig::idle_timeout`].
     pub reaped_idle: u64,
-    /// Connections doomed because a stalled client overflowed its bounded
-    /// outbound queue (or timed out a write).
+    /// Connections doomed by a client that stopped reading (queue overflow or
+    /// a write stalled past [`ServeConfig::write_timeout`]).
     pub slow_disconnects: u64,
-    /// Connections closed with a typed [`ErrorCode::Protocol`] error
-    /// (malformed-frame budget exhausted or framing lost).
+    /// Connections closed with a typed [`ErrorCode::Protocol`] error.
     pub protocol_disconnects: u64,
-    /// Frames refused for a checksum mismatch and answered with a
-    /// retryable [`ErrorCode::Corrupt`] — line corruption the protocol
-    /// *named* instead of misparsing.
+    /// Frames refused for a checksum mismatch (answered [`ErrorCode::Corrupt`]).
     pub corrupt_frames: u64,
-    /// Connections refused at the admission limit with a typed
-    /// [`ErrorCode::Shed`].
+    /// Connections refused at [`ServeConfig::max_conns`].
     pub refused_conns: u64,
-    /// Panics caught and re-accounted as failures: executor completion
-    /// callbacks and placements.
-    pub panics_recovered: u64,
-    /// Submits addressed to tenants this server does not host, each
-    /// answered with a typed [`ErrorCode::UnknownTenant`]. Excluded from
-    /// `submits` and from conservation — the request was never admitted to
-    /// any stream (it is a peer bug, charged against the connection's
-    /// error budget like other malformed traffic).
+    /// Response frames dropped because their connection was gone, doomed or
+    /// full: answers no client got.
+    pub dropped_responses: u64,
+    /// Submits naming a tenant this server does not host (answered
+    /// [`ErrorCode::UnknownTenant`]): in no tenant row, so outside
+    /// conservation.
     pub unknown_tenants: u64,
-    /// Per-tenant accounting, indexed by tenant id. Single-tenant servers
-    /// report exactly one entry (the default tenant), whose counters match
-    /// the global ones.
-    pub tenants: Vec<TenantDrainReport>,
-    /// Heartbeat stall episodes [`Server::check_stalls`] detected (a
-    /// component alive but frozen while unparked past the stall grace).
+    /// Panics caught and re-accounted: completion callbacks and placements.
+    pub panics_recovered: u64,
+    /// Heartbeat stall episodes [`Server::check_stalls`] found.
     pub stalls_detected: u64,
-    /// Components that died of a panic; the first triggered the
-    /// fail-fast drain.
+    /// Components that died of a panic; the first started the drain.
     pub escalations: u64,
-    /// The supervisor's structured event log: the most recent component
-    /// panics, stalls and escalations, in order, with timestamps.
+    /// The most recent component panics, stalls and escalations, oldest first.
     pub supervisor_events: Vec<SupervisorEvent>,
+    /// The coordinator's most recent re-grants, oldest first.
+    pub regrants: Vec<RegrantEvent>,
+    /// Sealed batch sizes: entry `b-1` counts batches of `b` jobs.
+    pub batch_occupancy: Vec<u64>,
+    /// `(generation, runtime, instance)` coalescers the executors track —
+    /// bounded across reallocations by the post-apply eviction.
+    pub tracked_instances: usize,
+    /// Cross-thread shard wake-ups (eventfd writes): a response, doom or
+    /// undercutting deadline from a thread other than the owning shard.
+    pub shard_notifies: u64,
+    /// Connections registered.
+    pub active_connections: usize,
+    /// Whether a drain was requested: locally, by a client's
+    /// [`Frame::Drain`], or by an escalation.
+    pub draining: bool,
+}
+
+impl Snapshot {
+    /// A server-wide request figure: one counter summed over the tenant
+    /// rows, e.g. `total(|t| t.served)` or `total(TenantStats::accounted)`.
+    pub fn total(&self, counter: impl Fn(&TenantStats) -> u64) -> u64 {
+        self.tenants.iter().map(counter).sum()
+    }
+
+    /// The wire view a [`Frame::Stats`] carries. It predates tenancy: one
+    /// generation (the default tenant's), and every refusal in `shed`.
+    pub fn stats(&self) -> StatsPayload {
+        StatsPayload {
+            generation: self.tenants.first().map_or(0, |t| t.generation),
+            served: self.total(|t| t.served),
+            shed: self.total(|t| t.shed + t.unserviceable + t.failed),
+            outstanding: self.total(|t| t.outstanding),
+            reallocations: self.reallocations,
+        }
+    }
 }
 
 /// A connection's bounded outbound frame queue. Producers (`respond`)
@@ -448,7 +437,7 @@ struct ShardHandle {
     dirty: Mutex<Vec<u64>>,
     /// Accepted sockets awaiting adoption by the shard.
     incoming: Mutex<Vec<IncomingConn>>,
-    /// `wake` calls so far ([`Server::shard_notifies`]).
+    /// `wake` calls so far ([`Snapshot::shard_notifies`]).
     notifies: AtomicU64,
 }
 
@@ -529,7 +518,7 @@ struct Tenant {
     /// on the hot path never funnels every connection through one mutex.
     window: ShardedTenantWindow,
     /// The request counters. The server keeps no other copy: a
-    /// server-wide figure is the sum over the tenants ([`Shared::total`]).
+    /// server-wide figure is the sum over the tenants ([`Snapshot::total`]).
     submits: AtomicU64,
     served: AtomicU64,
     shed: AtomicU64,
@@ -557,17 +546,12 @@ struct Tenant {
 /// - `doomed` (per connection): a once-only `swap` — dooming must be
 ///   counted exactly once per connection.
 ///
-/// The request counters live only in the tenant rows — `submits`,
-/// `served`, `shed`, `unserviceable`, `failed` and `outstanding` per
-/// [`Tenant`] — and a server-wide figure is their sum, so a request
-/// touches one set of counters. They and the other statistics
-/// (`reallocations`, `reaped_idle`, `slow_disconnects`,
-/// `protocol_disconnects`, `corrupt_frames`, `refused_conns`,
-/// `dropped_responses`, `unknown_tenants`, `granted`) are only *read
-/// exactly* after the writing threads are joined — the join is the
-/// happens-before edge that makes the drain report's conservation law hold
-/// — so their increments need no ordering at all. Live snapshots (`stats`,
-/// `tenant_stats`) were always racy-approximate and remain so.
+/// Every other counter is a statistic, read only through [`Snapshot`]:
+/// `Relaxed` increments, exact once the writing threads are joined — the
+/// join is the happens-before edge [`Server::drain`]'s conservation law
+/// rests on — and approximate in a [`Server::snapshot`] of a live server.
+/// The request counters live only in the tenant rows, so a request
+/// touches one set of them and a server-wide figure is their sum.
 struct Shared {
     /// Tenant streams, indexed by wire tenant id. Never empty; index 0 is
     /// the default tenant.
@@ -655,22 +639,41 @@ impl Shared {
         self.tenants.get(id as usize)
     }
 
-    /// A server-wide request counter: the sum of one counter over the
-    /// tenant rows.
-    fn total(&self, counter: impl Fn(&Tenant) -> &AtomicU64, order: Ordering) -> u64 {
-        self.tenants.iter().map(|t| counter(t).load(order)).sum()
-    }
-
-    fn stats(&self) -> StatsPayload {
-        let relaxed = |counter: fn(&Tenant) -> &AtomicU64| self.total(counter, Ordering::Relaxed);
-        StatsPayload {
-            // The wire stats frame predates tenancy and carries a single
-            // generation: the default tenant's.
-            generation: self.tenants[0].engine.deployment().0,
-            served: relaxed(|t| &t.served),
-            shed: relaxed(|t| &t.shed) + relaxed(|t| &t.unserviceable) + relaxed(|t| &t.failed),
-            outstanding: relaxed(|t| &t.outstanding),
-            reallocations: self.reallocations.load(Ordering::Relaxed),
+    /// The counters `Shared` holds, read now: the tenant rows and the
+    /// connection plane's. [`Server::snapshot`] adds the executors', the
+    /// supervisor's and the shards'.
+    fn snapshot(&self) -> Snapshot {
+        let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        Snapshot {
+            tenants: self
+                .tenants
+                .iter()
+                .map(|t| TenantStats {
+                    name: t.name.clone(),
+                    class: t.class,
+                    slo_ms: t.slo_ms,
+                    submits: relaxed(&t.submits),
+                    served: relaxed(&t.served),
+                    shed: relaxed(&t.shed),
+                    unserviceable: relaxed(&t.unserviceable),
+                    failed: relaxed(&t.failed),
+                    outstanding: t.outstanding.load(Ordering::SeqCst),
+                    granted_gpus: t.granted.load(Ordering::Relaxed),
+                    generation: t.engine.deployment().0,
+                })
+                .collect(),
+            reallocations: relaxed(&self.reallocations),
+            reaped_idle: relaxed(&self.reaped_idle),
+            slow_disconnects: relaxed(&self.slow_disconnects),
+            protocol_disconnects: relaxed(&self.protocol_disconnects),
+            corrupt_frames: relaxed(&self.corrupt_frames),
+            refused_conns: relaxed(&self.refused_conns),
+            dropped_responses: relaxed(&self.dropped_responses),
+            unknown_tenants: relaxed(&self.unknown_tenants),
+            regrants: self.regrants.lock().to_vec(),
+            active_connections: self.conns.len(),
+            draining: self.draining.load(Ordering::Relaxed),
+            ..Snapshot::default()
         }
     }
 
@@ -789,8 +792,8 @@ pub struct Server {
     shard_handles: Vec<Arc<ShardHandle>>,
     /// One thread per shard, in shard order.
     shards: Vec<JoinHandle<()>>,
-    /// The planner thread.
-    planner: JoinHandle<()>,
+    /// The planner thread (taken by the drain).
+    planner: Option<JoinHandle<()>>,
     /// One executor per tenant (its own per-instance clocks); executor
     /// `i`'s deadline heap belongs to shard `i % shards`.
     executors: Vec<Arc<Executor>>,
@@ -984,7 +987,7 @@ impl Server {
             supervisor,
             shard_handles,
             shards,
-            planner,
+            planner: Some(planner),
             executors,
             fire_slice,
         })
@@ -995,44 +998,32 @@ impl Server {
         self.local_addr
     }
 
-    /// Current server-side counters.
-    pub fn stats(&self) -> StatsPayload {
-        self.shared.stats()
-    }
-
-    /// Replacement plans applied so far.
-    pub fn reallocations(&self) -> u64 {
-        self.shared.reallocations.load(Ordering::Relaxed)
-    }
-
-    /// Whether a drain has been requested (locally or by a client's
-    /// [`Frame::Drain`]).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Relaxed)
-    }
-
-    /// Live connections currently registered.
-    pub fn active_connections(&self) -> usize {
-        self.shared.conns.len()
-    }
-
-    /// Cross-thread shard wake-ups so far (eventfd writes): a response
-    /// pushed by a thread other than its connection's shard, a doom, or a
-    /// deadline parked ahead of the head of a heap another shard owns. A
-    /// shard answering its own connections — inline or from its own heaps
-    /// — wakes nobody.
-    pub fn shard_notifies(&self) -> u64 {
-        self.shard_handles
-            .iter()
-            .map(|h| h.notifies.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// The supervisor's structured event log: the most recent
-    /// [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY) component panics,
-    /// stalls and escalations, oldest first.
-    pub fn supervisor_events(&self) -> Vec<SupervisorEvent> {
-        self.supervisor.events()
+    /// Every counter, read now (see [`Snapshot`]).
+    pub fn snapshot(&self) -> Snapshot {
+        let mut batch_occupancy: Vec<u64> = Vec::new();
+        for executor in &self.executors {
+            let histogram = executor.batch_occupancy();
+            if histogram.len() > batch_occupancy.len() {
+                batch_occupancy.resize(histogram.len(), 0);
+            }
+            for (slot, count) in batch_occupancy.iter_mut().zip(&histogram) {
+                *slot += count;
+            }
+        }
+        Snapshot {
+            panics_recovered: self.executors.iter().map(|e| e.panics_recovered()).sum(),
+            stalls_detected: self.supervisor.stalls_detected(),
+            escalations: self.supervisor.escalations(),
+            supervisor_events: self.supervisor.events(),
+            batch_occupancy,
+            tracked_instances: self.executors.iter().map(|e| e.tracked_instances()).sum(),
+            shard_notifies: self
+                .shard_handles
+                .iter()
+                .map(|h| h.notifies.load(Ordering::Relaxed))
+                .sum(),
+            ..self.shared.snapshot()
+        }
     }
 
     /// The stall check: compare every component's heartbeat (each shard's,
@@ -1045,127 +1036,16 @@ impl Server {
         self.supervisor.check_stalls()
     }
 
-    /// Heartbeat stall episodes [`Server::check_stalls`] has found so far.
-    pub fn stalls_detected(&self) -> u64 {
-        self.supervisor.stalls_detected()
-    }
-
-    /// Components that died of a panic so far; the first triggered the
-    /// fail-fast conserving drain.
-    pub fn escalations(&self) -> u64 {
-        self.supervisor.escalations()
-    }
-
-    /// Connections reaped for idling past the configured window.
-    pub fn reaped_idle(&self) -> u64 {
-        self.shared.reaped_idle.load(Ordering::Relaxed)
-    }
-
-    /// Connections doomed by a stalled client (outbound-queue overflow or
-    /// write timeout).
-    pub fn slow_disconnects(&self) -> u64 {
-        self.shared.slow_disconnects.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused at admission (over [`ServeConfig::max_conns`]).
-    pub fn refused_conns(&self) -> u64 {
-        self.shared.refused_conns.load(Ordering::Relaxed)
-    }
-
-    /// Connections disconnected with a typed protocol error.
-    pub fn protocol_disconnects(&self) -> u64 {
-        self.shared.protocol_disconnects.load(Ordering::Relaxed)
-    }
-
-    /// Frames refused for a checksum mismatch (each answered with a
-    /// retryable [`ErrorCode::Corrupt`]).
-    pub fn corrupt_frames(&self) -> u64 {
-        self.shared.corrupt_frames.load(Ordering::Relaxed)
-    }
-
-    /// Panics caught and re-accounted so far — completion callbacks and
-    /// placements (summed across tenant pools).
-    pub fn panics_recovered(&self) -> u64 {
-        self.executors.iter().map(|e| e.panics_recovered()).sum()
-    }
-
-    /// Distinct `(generation, runtime, instance)` coalescers the executors
-    /// currently track — bounded across reallocations by the post-apply
-    /// eviction (regression hook). Summed across tenant pools.
-    pub fn tracked_instances(&self) -> usize {
-        self.executors.iter().map(|e| e.tracked_instances()).sum()
-    }
-
-    /// Histogram of sealed batch sizes so far (entry `b-1` counts batches
-    /// of `b` jobs), merged across tenant pools. Final once all in-flight
-    /// work has completed.
-    pub fn batch_occupancy(&self) -> Vec<u64> {
-        let mut merged: Vec<u64> = Vec::new();
-        for executor in &self.executors {
-            let histogram = executor.batch_occupancy();
-            if histogram.len() > merged.len() {
-                merged.resize(histogram.len(), 0);
-            }
-            for (slot, count) in merged.iter_mut().zip(&histogram) {
-                *slot += count;
-            }
-        }
-        merged
-    }
-
-    /// Submits addressed to tenants this server does not host.
-    pub fn unknown_tenants(&self) -> u64 {
-        self.shared.unknown_tenants.load(Ordering::Relaxed)
-    }
-
-    /// The coordinator's structured reallocation log: the most recent
-    /// [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY)
-    /// re-grants, oldest first (empty on single-tenant servers).
-    pub fn regrants(&self) -> Vec<RegrantEvent> {
-        self.shared.regrants.lock().to_vec()
-    }
-
-    /// Live per-tenant counters, indexed by tenant id.
-    pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        self.shared
-            .tenants
-            .iter()
-            .map(|t| TenantStats {
-                name: t.name.clone(),
-                class: t.class,
-                slo_ms: t.slo_ms,
-                submits: t.submits.load(Ordering::Relaxed),
-                served: t.served.load(Ordering::Relaxed),
-                shed: t.shed.load(Ordering::Relaxed),
-                unserviceable: t.unserviceable.load(Ordering::Relaxed),
-                failed: t.failed.load(Ordering::Relaxed),
-                outstanding: t.outstanding.load(Ordering::SeqCst),
-                granted_gpus: t.granted.load(Ordering::Relaxed),
-                generation: t.engine.deployment().0,
-            })
-            .collect()
-    }
-
     /// Graceful shutdown: stop accepting, refuse new submits with
     /// [`ErrorCode::Draining`], wait for every outstanding execution to
     /// complete **and** every queued response frame to flush (bounded by
-    /// the configured drain timeout), then close all connections and join
-    /// every thread.
-    pub fn drain(self) -> DrainReport {
-        let Server {
-            shared,
-            drain_timeout,
-            supervisor,
-            shard_handles,
-            shards,
-            planner,
-            executors,
-            fire_slice,
-            ..
-        } = self;
+    /// the configured drain timeout), then close all connections, join
+    /// every thread, and return the final — exact — [`Snapshot`].
+    pub fn drain(mut self) -> Snapshot {
+        let shared = &self.shared;
         shared.draining.store(true, Ordering::SeqCst);
         // Shard 0 closes its listener as soon as it sees the flag.
-        for handle in &shard_handles {
+        for handle in &self.shard_handles {
             handle.waker.wake();
         }
 
@@ -1174,71 +1054,29 @@ impl Server {
         // Live shards fire their own heaps; a shard that died left its
         // heaps to nobody, so this thread fires what is ripe there, a slice
         // per millisecond.
-        let deadline = Instant::now() + drain_timeout;
-        while (shared.total(|t| &t.outstanding, Ordering::SeqCst) > 0
-            || shared.queued_frames.load(Ordering::SeqCst) > 0)
+        let deadline = Instant::now() + self.drain_timeout;
+        let outstanding = || -> u64 {
+            let tenants = shared.tenants.iter();
+            tenants.map(|t| t.outstanding.load(Ordering::SeqCst)).sum()
+        };
+        while (outstanding() > 0 || shared.queued_frames.load(Ordering::SeqCst) > 0)
             && Instant::now() < deadline
         {
-            for (idx, executor) in executors.iter().enumerate() {
-                if shards[idx % shards.len()].is_finished() {
-                    executor.fire_ripe(fire_slice);
+            for (idx, executor) in self.executors.iter().enumerate() {
+                if self.shards[idx % self.shards.len()].is_finished() {
+                    executor.fire_ripe(self.fire_slice);
                 }
             }
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        // Joining every thread drops their closures' executor and
-        // shared-state clones.
-        stop_threads(&shared, &shard_handles, shards, Some(planner));
-        let mut panics_recovered = 0;
-        for executor in executors {
-            let executor = Arc::try_unwrap(executor)
-                .ok()
-                .expect("every thread joined; executor has one owner");
-            panics_recovered += executor.panics_recovered();
+        let shards = std::mem::take(&mut self.shards);
+        stop_threads(shared, &self.shard_handles, shards, self.planner.take());
+        for executor in &self.executors {
             // Fires whatever the heap still holds (a drain that timed out).
-            let _occupancy = executor.shutdown();
+            executor.finish();
         }
-
-        let tenants: Vec<TenantDrainReport> = shared
-            .tenants
-            .iter()
-            .map(|t| TenantDrainReport {
-                name: t.name.clone(),
-                class: t.class,
-                submits: t.submits.load(Ordering::Relaxed),
-                served: t.served.load(Ordering::Relaxed),
-                shed: t.shed.load(Ordering::Relaxed),
-                unserviceable: t.unserviceable.load(Ordering::Relaxed),
-                failed: t.failed.load(Ordering::Relaxed),
-                outstanding_at_close: t.outstanding.load(Ordering::SeqCst),
-                granted_gpus: t.granted.load(Ordering::Relaxed),
-                generation: t.engine.deployment().0,
-            })
-            .collect();
-
-        let total = |counter: fn(&TenantDrainReport) -> u64| tenants.iter().map(counter).sum();
-        DrainReport {
-            submits: total(|t| t.submits),
-            served: total(|t| t.served),
-            shed: total(|t| t.shed),
-            unserviceable: total(|t| t.unserviceable),
-            failed: total(|t| t.failed),
-            outstanding_at_close: total(|t| t.outstanding_at_close),
-            reallocations: shared.reallocations.load(Ordering::Relaxed),
-            generation: shared.tenants[0].engine.deployment().0,
-            reaped_idle: shared.reaped_idle.load(Ordering::Relaxed),
-            slow_disconnects: shared.slow_disconnects.load(Ordering::Relaxed),
-            protocol_disconnects: shared.protocol_disconnects.load(Ordering::Relaxed),
-            corrupt_frames: shared.corrupt_frames.load(Ordering::Relaxed),
-            refused_conns: shared.refused_conns.load(Ordering::Relaxed),
-            panics_recovered,
-            unknown_tenants: shared.unknown_tenants.load(Ordering::Relaxed),
-            tenants,
-            stalls_detected: supervisor.stalls_detected(),
-            escalations: supervisor.escalations(),
-            supervisor_events: supervisor.events(),
-        }
+        self.snapshot()
     }
 }
 
@@ -2293,12 +2131,12 @@ fn handle_frame(
             true
         }
         Frame::StatsRequest => {
-            shared.respond(conn_id, &Frame::Stats(shared.stats()));
+            shared.respond(conn_id, &Frame::Stats(shared.snapshot().stats()));
             true
         }
         Frame::Drain => {
             shared.draining.store(true, Ordering::SeqCst);
-            shared.respond(conn_id, &Frame::Stats(shared.stats()));
+            shared.respond(conn_id, &Frame::Stats(shared.snapshot().stats()));
             true
         }
         // A client that cannot speak v2 (its `Hello` offers less) or that
@@ -2430,7 +2268,7 @@ mod tests {
         assert_eq!(tenant.outstanding.load(Ordering::SeqCst), 0);
         assert_eq!(tenant.submits.load(Ordering::Relaxed), 1);
         assert_eq!(tenant.failed.load(Ordering::Relaxed), 1);
-        let stats = shared.stats();
+        let stats = shared.snapshot().stats();
         assert_eq!((stats.served, stats.shed, stats.outstanding), (0, 1, 0));
     }
 }

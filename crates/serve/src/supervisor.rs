@@ -7,16 +7,16 @@
 //! re-attached, and a planner tick holds no state between ticks — so
 //! supervising them takes three things and no thread of its own:
 //!
-//! - **Heartbeats.** Each thread is spawned through [`Supervisor::spawn`]
+//! - **Heartbeats.** Each thread is spawned through `Supervisor::spawn`
 //!   under a stable name (`shard-{i}`, `planner`); its body calls
-//!   [`SupervisedCtx::park`] right before any intentional blocking wait and
-//!   [`SupervisedCtx::beat`] right after it returns.
+//!   `SupervisedCtx::park` right before any intentional blocking wait and
+//!   `SupervisedCtx::beat` right after it returns.
 //! - **Escalation.** A panic that escapes a body is logged and runs the
 //!   escalation hook — the server's fail-fast drain — on the dying thread,
 //!   once per server. The planner runs each tick behind
-//!   [`Supervisor::recover`] instead: a panicking tick is logged and the
+//!   `Supervisor::recover` instead: a panicking tick is logged and the
 //!   next one runs.
-//! - **A stall check.** [`Supervisor::check_stalls`] flags a component
+//! - **A stall check.** `Supervisor::check_stalls` flags a component
 //!   whose beat counter stayed frozen while unparked for longer than the
 //!   stall grace. Whoever polls the server calls it (`arlo serve`, every
 //!   50 ms). Stalls are detected and logged, not preempted.
@@ -25,7 +25,7 @@
 //! that keeps the most recent [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY);
 //! the stall and escalation counts stay exact.
 //! Deterministic fault injection ([`crate::chaos::ComponentChaos`]) fires
-//! inside [`SupervisedCtx::beat`] — at loop-iteration boundaries, where
+//! inside `SupervisedCtx::beat` — at loop-iteration boundaries, where
 //! the component's drop guards re-account work caught mid-flight — so a
 //! failing resilience cell reproduces from its seed alone.
 

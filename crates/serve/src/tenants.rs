@@ -250,7 +250,7 @@ impl TenantWindow {
     /// Convert the window into the tenant's [`StreamPlan`] as of `now`:
     /// prune, then run the windowed arrivals through the same p95
     /// sub-window provisioning the single-stream scheduler uses. A window
-    /// with fewer than [`MIN_PLAN_SAMPLES`] samples plans at zero demand
+    /// with fewer than `MIN_PLAN_SAMPLES` samples plans at zero demand
     /// (the coordinator still grants the stream its Eq. 7 minimum).
     pub fn plan(
         &mut self,
@@ -320,7 +320,7 @@ fn plan_from_samples(
 /// Semantics match [`TenantWindow`] exactly: arrivals across stripes may
 /// interleave out of order, and [`ShardedTenantWindow::plan`] sorts the
 /// merged samples, as the unsharded window already did for concurrent
-/// connections. The [`MAX_WINDOW_SAMPLES`] flood cap applies per stripe.
+/// connections. The `MAX_WINDOW_SAMPLES` flood cap applies per stripe.
 #[derive(Debug)]
 pub struct ShardedTenantWindow {
     stripes: Box<[Mutex<TenantWindow>]>,

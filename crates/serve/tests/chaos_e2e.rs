@@ -40,7 +40,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::{ChaosConfig, FaultClass};
 use arlo_serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, LoadGenReport};
 use arlo_serve::protocol::{read_frame, Frame, FrameReader, WireVersion, DEFAULT_TENANT};
-use arlo_serve::server::{DrainReport, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -98,21 +98,22 @@ fn idle_connections_are_reaped() {
     // TCP equivalent of a half-open socket — no bytes, no FIN).
     let held = TcpStream::connect(addr).expect("connect");
     let held2 = TcpStream::connect(addr).expect("connect");
+    let active = || server.snapshot().active_connections;
+    let reaped = || server.snapshot().reaped_idle;
     assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 2),
+        eventually(Duration::from_secs(2), || active() == 2),
         "connections never registered"
     );
 
     // Both idle out within the window (plus sweep slack)…
     assert!(
-        eventually(Duration::from_secs(5), || server.reaped_idle() >= 2),
-        "idle connections were not reaped: {} reaped, {} active",
-        server.reaped_idle(),
-        server.active_connections()
+        eventually(Duration::from_secs(5), || reaped() >= 2),
+        "idle connections were not reaped: {:?}",
+        server.snapshot()
     );
     // …and are gone from the registry, not merely counted.
     assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 0),
+        eventually(Duration::from_secs(2), || active() == 0),
         "reaped connections still registered"
     );
     drop(held);
@@ -120,7 +121,7 @@ fn idle_connections_are_reaped() {
 
     let drain = server.drain();
     assert_eq!(drain.reaped_idle, 2);
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 /// Drive the standard mix plus one bulk client; if `stall`, the bulk
@@ -132,7 +133,7 @@ fn idle_connections_are_reaped() {
 /// and never occupy the executor: the healthy connections' latencies then
 /// measure only transport leakage — the hazard under test — not queueing
 /// behind the flood's execution.
-fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
+fn run_mix(stall: bool) -> (LoadGenReport, Snapshot, u64) {
     // Sized so the stalled client's answer backlog (21 B/error frame)
     // exceeds what the kernel can absorb for a never-reading peer (sndbuf
     // autotunes to at most 4 MB here, rcvbuf stays at its 128 KB initial
@@ -236,7 +237,7 @@ fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
     }
     drop(fresh);
 
-    let slow = server.slow_disconnects();
+    let slow = server.snapshot().slow_disconnects;
     let drain = server.drain();
     (report, drain, slow)
 }
@@ -270,11 +271,11 @@ fn stalled_client_is_doomed_without_hurting_healthy_connections() {
     // Server-side conservation still balances with a doomed connection's
     // answers discarded: every decoded submit is accounted.
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "server-side accounting leaked: {drain:?}"
     );
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 /// The path where `respond` does *not* wake the shard: while the client is
@@ -317,11 +318,11 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
     }
     assert!(
         eventually(Duration::from_secs(30), || {
-            let t = &server.tenant_stats()[0];
+            let t = &server.snapshot().tenants[0];
             t.submits == N && t.outstanding == 0
         }),
         "server never finished answering: {:?}",
-        server.tenant_stats()[0]
+        server.snapshot().tenants[0]
     );
 
     // Resume. Every id is answered exactly once, by a typed refusal.
@@ -351,9 +352,9 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
 
     let drain = server.drain();
     assert_eq!(drain.slow_disconnects, 0, "{drain:?}");
-    assert_eq!(drain.submits, N, "{drain:?}");
-    assert_eq!(drain.submits, drain.shed + drain.unserviceable, "{drain:?}");
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), N, "{drain:?}");
+    assert_eq!(drain.total(|t| t.shed + t.unserviceable), N, "{drain:?}");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
 }
 
 #[test]
@@ -386,14 +387,14 @@ fn drain_under_chaos_conserves_every_request() {
         // made it off the wire are all accounted, none stuck.
         let drain = server.drain();
         assert_eq!(
-            drain.outstanding_at_close,
+            drain.total(|t| t.outstanding),
             0,
             "{} left work outstanding: {drain:?}",
             class.name()
         );
         assert_eq!(
-            drain.submits,
-            drain.served + drain.shed + drain.unserviceable + drain.failed,
+            drain.total(|t| t.submits),
+            drain.total(TenantStats::accounted),
             "{} server conservation violated: {drain:?}",
             class.name()
         );
@@ -431,14 +432,15 @@ fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
 
     let drain = server.drain();
     assert_eq!(
-        drain.unserviceable, 0,
+        drain.total(|t| t.unserviceable),
+        0,
         "a corrupted submit decoded into a real one: {drain:?}"
     );
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted)
     );
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 #[test]
@@ -455,7 +457,7 @@ fn panicking_completion_is_recovered_and_drain_stays_clean() {
     // Panics happened and were recovered; their batches came back as
     // typed failures, not silence.
     assert!(
-        server.panics_recovered() >= 1,
+        server.snapshot().panics_recovered >= 1,
         "injection produced no panics: {report:?}"
     );
     assert_eq!(report.lost, 0, "a panic swallowed answers: {report:?}");
@@ -467,10 +469,7 @@ fn panicking_completion_is_recovered_and_drain_stays_clean() {
     // worker or an unaccounted batch would hang it until timeout).
     let drain = server.drain();
     assert!(drain.panics_recovered >= 1);
-    assert_eq!(drain.failed, report.failed);
-    assert_eq!(drain.outstanding_at_close, 0);
-    assert_eq!(
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
-        report.sent
-    );
+    assert_eq!(drain.total(|t| t.failed), report.failed);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
+    assert_eq!(drain.total(TenantStats::accounted), report.sent);
 }

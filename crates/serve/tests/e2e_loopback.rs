@@ -19,7 +19,7 @@ use arlo_serve::protocol::{
     client_handshake, read_frame, ErrorCode, Frame, Sub, WireVersion, CONN_ERROR_ID,
     DEFAULT_TENANT, MAGIC,
 };
-use arlo_serve::server::{ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, TenantStats};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -72,8 +72,9 @@ fn ten_thousand_requests_with_reallocation_and_clean_drain() {
 
     // Exactly-once accounting: every submitted request got exactly one
     // answer — a response or a typed refusal, never silence.
+    let live = server.snapshot();
     assert_eq!(report.sent, trace.len() as u64);
-    assert_eq!(report.lost, 0, "unanswered requests: {report:?}");
+    assert_eq!(report.lost, 0, "unanswered requests: {report:?}\n{live:?}");
     assert_eq!(report.accounted(), report.sent, "{report:?}");
     assert_eq!(report.draining, 0, "refused before drain began: {report:?}");
     assert!(
@@ -89,31 +90,31 @@ fn ten_thousand_requests_with_reallocation_and_clean_drain() {
     // The lopsided start plus a 3-virtual-second decision period forces
     // the Runtime Scheduler to reshape the fleet during the run.
     assert!(
-        server.reallocations() >= 1,
+        live.reallocations >= 1,
         "no reallocation happened: {:?}",
-        server.stats()
+        live.stats()
     );
 
     // Superseded generations' executor state is evicted after each
     // reallocation: the coalescer map stays bounded by the live fleet plus
     // at most one draining generation, however many plans were applied.
     assert!(
-        server.tracked_instances() <= 2 * GPUS as usize,
+        live.tracked_instances <= 2 * GPUS as usize,
         "executor key map leaks across reallocations: {} entries after {} plans",
-        server.tracked_instances(),
-        server.reallocations()
+        live.tracked_instances,
+        live.reallocations
     );
 
     let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0, "drain left work behind");
-    assert_eq!(drain.served, report.ok);
+    assert_eq!(drain.total(|t| t.outstanding), 0, "drain left work behind");
+    assert_eq!(drain.total(|t| t.served), report.ok);
     assert_eq!(
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(TenantStats::accounted),
         report.sent,
         "server-side accounting disagrees: {drain:?} vs {report:?}"
     );
     assert!(drain.reallocations >= 1);
-    assert!(drain.generation >= 1);
+    assert!(drain.tenants[0].generation >= 1);
 }
 
 #[test]
@@ -149,7 +150,7 @@ fn drain_protocol_refuses_new_work_and_flushes() {
         Frame::Stats(_) => {}
         other => panic!("expected drain ack, got {other:?}"),
     }
-    assert!(server.is_draining());
+    assert!(server.snapshot().draining);
 
     // …after which submits are refused with a typed Draining error.
     Frame::Submit {
@@ -168,9 +169,13 @@ fn drain_protocol_refuses_new_work_and_flushes() {
     }
 
     let drain = server.drain();
-    assert_eq!(drain.served, 1);
-    assert_eq!(drain.shed, 1, "the refused submit counts as shed");
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.served), 1);
+    assert_eq!(
+        drain.total(|t| t.shed),
+        1,
+        "the refused submit counts as shed"
+    );
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 #[test]
@@ -190,8 +195,8 @@ fn injected_failures_flow_through_health_hooks() {
     assert!(report.ok > 0);
 
     let drain = server.drain();
-    assert_eq!(drain.failed, report.failed);
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.failed), report.failed);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 /// Read the typed `Protocol` verdict on the connection sentinel, then EOF.
@@ -238,11 +243,12 @@ fn v1_submit_gets_a_protocol_disconnect_and_is_never_counted() {
     let drain = server.drain();
     assert_eq!(drain.protocol_disconnects, 1, "{drain:?}");
     assert_eq!(
-        drain.submits, report.sent,
+        drain.total(|t| t.submits),
+        report.sent,
         "the v1 submit was counted: {drain:?}"
     );
-    assert_eq!(drain.served, report.ok);
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.served), report.ok);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 #[test]
@@ -283,8 +289,8 @@ fn hello_is_a_version_check() {
 
     let drain = server.drain();
     assert_eq!(drain.protocol_disconnects, 1, "{drain:?}");
-    assert_eq!(drain.submits, 1, "{drain:?}");
-    assert_eq!(drain.served, 1, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), 1, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), 1, "{drain:?}");
 }
 
 #[test]
@@ -322,9 +328,9 @@ fn batched_submit_is_answered_per_sub_request() {
     assert_eq!(answered, expected);
 
     let drain = server.drain();
-    assert_eq!(drain.submits, 32);
-    assert_eq!(drain.served, 32);
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.submits), 32);
+    assert_eq!(drain.total(|t| t.served), 32);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 #[test]
@@ -364,6 +370,6 @@ fn oversized_lengths_are_unserviceable_not_fatal() {
     }
 
     let drain = server.drain();
-    assert_eq!(drain.unserviceable, 1);
-    assert_eq!(drain.served, 1);
+    assert_eq!(drain.total(|t| t.unserviceable), 1);
+    assert_eq!(drain.total(|t| t.served), 1);
 }

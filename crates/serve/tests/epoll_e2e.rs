@@ -11,7 +11,7 @@ use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, ErrorCode, Frame, CONN_ERROR_ID, DEFAULT_TENANT};
-use arlo_serve::server::{ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, TenantStats};
 use arlo_trace::NANOS_PER_SEC;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -68,8 +68,9 @@ fn refusals_never_stall_the_epoll_acceptor() {
 
     // Occupy the only admission slot.
     let holder = TcpStream::connect(addr).expect("connect holder");
+    let active = || server.snapshot().active_connections;
     assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 1),
+        eventually(Duration::from_secs(2), || active() == 1),
         "holder never registered"
     );
 
@@ -83,10 +84,10 @@ fn refusals_never_stall_the_epoll_acceptor() {
         .collect();
     assert!(
         eventually(Duration::from_secs(5), || {
-            server.refused_conns() >= WAVE as u64
+            server.snapshot().refused_conns >= WAVE as u64
         }),
         "acceptor refused {} of {WAVE}",
-        server.refused_conns()
+        server.snapshot().refused_conns
     );
     // Well under one old-style write timeout for the whole wave, let
     // alone one per connection.
@@ -100,7 +101,7 @@ fn refusals_never_stall_the_epoll_acceptor() {
     // wave's sockets still hold their unread refusals.
     drop(holder);
     assert!(
-        eventually(Duration::from_secs(2), || server.active_connections() == 0),
+        eventually(Duration::from_secs(2), || active() == 0),
         "holder never deregistered"
     );
     let mut healthy = TcpStream::connect(addr).expect("healthy connect");
@@ -141,7 +142,7 @@ fn refusals_never_stall_the_epoll_acceptor() {
     drop(healthy);
     let drain = server.drain();
     assert_eq!(drain.refused_conns, WAVE as u64, "{drain:?}");
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
 }
 
 /// A replay with more connections than the server admits: the refused
@@ -175,8 +176,8 @@ fn replay_counts_refused_connections_and_conserves_the_rest() {
         (CLIENTS - ADMITTED) as u64,
         "{drain:?}"
     );
-    assert_eq!(drain.submits, report.sent, "{drain:?}");
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), report.sent, "{drain:?}");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
 }
 
 /// Smoke-scale run of the benchmark's connection-scaling cell: a few
@@ -206,10 +207,10 @@ fn storm_replay_conserves_at_smoke_scale() {
     assert!(report.ok > 0, "{report:?}");
 
     let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "server-side conservation: {drain:?}"
     );
 }

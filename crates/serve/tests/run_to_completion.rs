@@ -12,7 +12,7 @@ use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
-use arlo_serve::server::{DrainReport, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -52,11 +52,11 @@ fn config() -> ServeConfig {
     }
 }
 
-fn assert_conserves(drain: &DrainReport) {
-    assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
+fn assert_conserves(drain: &Snapshot) {
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "server-side conservation: {drain:?}"
     );
 }
@@ -73,10 +73,10 @@ fn single_submit_stream_never_leaves_the_shard() {
     assert_eq!(report.sent, trace.len() as u64);
     assert_eq!(report.ok, report.sent, "{report:?}");
 
-    assert_eq!(server.shard_notifies(), 0);
+    assert_eq!(server.snapshot().shard_notifies, 0);
     let drain = server.drain();
     assert_conserves(&drain);
-    assert_eq!(drain.served, report.sent, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), report.sent, "{drain:?}");
 }
 
 /// An engine with one instance of the largest runtime: every request
@@ -110,10 +110,10 @@ fn requests_queued_behind_a_busy_instance_never_leave_the_shard() {
     assert_eq!(report.sent, trace.len() as u64);
     assert_eq!(report.ok, report.sent, "{report:?}");
 
-    assert_eq!(server.shard_notifies(), 0);
+    assert_eq!(server.snapshot().shard_notifies, 0);
     let drain = server.drain();
     assert_conserves(&drain);
-    assert_eq!(drain.served, report.sent, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), report.sent, "{drain:?}");
 }
 
 /// A 40 virtual-ms coalescing window at 100× (400 real µs), batches of up
@@ -155,16 +155,16 @@ fn windowed_tenant_seals_fire_on_the_shard() {
     let report = replay(server.local_addr(), &trace, &load).expect("replay");
     assert_eq!(report.sent, trace.len() as u64);
     assert_eq!(report.ok, report.sent, "{report:?}");
+    let occupancy = server.snapshot().batch_occupancy;
     assert!(
-        server.batch_occupancy().iter().skip(1).sum::<u64>() > 0,
-        "no batch coalesced: {:?}",
-        server.batch_occupancy()
+        occupancy.iter().skip(1).sum::<u64>() > 0,
+        "no batch coalesced: {occupancy:?}"
     );
 
-    assert_eq!(server.shard_notifies(), 0);
+    assert_eq!(server.snapshot().shard_notifies, 0);
     let drain = server.drain();
     assert_conserves(&drain);
-    assert_eq!(drain.served, report.sent, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), report.sent, "{drain:?}");
 }
 
 /// The multi-shard rule: executor `i`'s deadline heap belongs to shard
@@ -227,7 +227,7 @@ fn a_deadline_parked_from_another_shard_wakes_the_heaps_owner() {
 /// per readiness pass, all placed by the one shard — against `server`:
 /// every request is answered `Ok`, nothing is shed, and both sides of the
 /// wire conserve exactly. Returns the drain report.
-fn deep_window_storm_is_served_in_full(server: Server) -> DrainReport {
+fn deep_window_storm_is_served_in_full(server: Server) -> Snapshot {
     const CONNS: usize = 2;
     const SUBMITS: u32 = 4_096;
     let storm = LoadGenConfig {
@@ -244,8 +244,8 @@ fn deep_window_storm_is_served_in_full(server: Server) -> DrainReport {
 
     let drain = server.drain();
     assert_conserves(&drain);
-    assert_eq!(drain.shed, 0, "{drain:?}");
-    assert_eq!(drain.served, total, "{drain:?}");
+    assert_eq!(drain.total(|t| t.shed), 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), total, "{drain:?}");
     drain
 }
 

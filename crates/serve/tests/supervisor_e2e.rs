@@ -22,7 +22,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
-use arlo_serve::server::{DrainReport, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -55,17 +55,17 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
     }
 }
 
-fn assert_server_conserves(drain: &DrainReport) {
+fn assert_server_conserves(drain: &Snapshot) {
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "server leaks requests: {drain:?}"
     );
-    assert_eq!(drain.outstanding_at_close, 0, "drain left work behind");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "drain left work behind");
     for t in &drain.tenants {
         assert_eq!(
             t.submits,
-            t.served + t.shed + t.unserviceable + t.failed + t.outstanding_at_close,
+            t.accounted(),
             "tenant {} leaks requests: {t:?}",
             t.name
         );
@@ -83,7 +83,8 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 
 fn has_event(server: &Server, component: &str, kind: SupervisorEventKind) -> bool {
     server
-        .supervisor_events()
+        .snapshot()
+        .supervisor_events
         .iter()
         .any(|e| e.component.starts_with(component) && e.kind == kind)
 }
@@ -117,18 +118,19 @@ fn planner_tick_panic_is_caught_and_reallocation_still_happens() {
     wait_for("a planner tick panic", || {
         has_event(&server, "planner", SupervisorEventKind::Panicked)
     });
-    let at_panic = server.reallocations();
+    let at_panic = server.snapshot().reallocations;
     let mut rng = StdRng::seed_from_u64(59);
     let trace = TraceSpec::twitter_stable(900.0, 12.0).generate(&mut rng);
     let report = replay(server.local_addr(), &trace, &LoadGenConfig::open(4, 100)).expect("replay");
-    assert_eq!(report.lost, 0, "{report:?}");
+    assert_eq!(report.lost, 0, "{report:?}\n{:?}", server.snapshot());
     assert_eq!(report.accounted(), report.sent, "{report:?}");
     wait_for("the planner to reallocate after a panic", || {
-        server.reallocations() > at_panic
+        server.snapshot().reallocations > at_panic
     });
 
-    assert_eq!(server.escalations(), 0, "a caught tick panic escalated");
-    assert!(!server.is_draining());
+    let snapshot = server.snapshot();
+    assert_eq!(snapshot.escalations, 0, "a caught tick panic escalated");
+    assert!(!snapshot.draining);
     let drain = server.drain();
     assert!(drain.reallocations >= 1, "{drain:?}");
     assert_server_conserves(&drain);
@@ -167,14 +169,14 @@ fn epoll_shard_panic_escalates_and_drains_clean() {
             Ok(Some(_)) => {}
             _ => break,
         }
-        if server.escalations() >= 1 {
+        if server.snapshot().escalations >= 1 {
             break;
         }
     }
-    wait_for("shard escalation", || server.escalations() >= 1);
+    wait_for("shard escalation", || server.snapshot().escalations >= 1);
     assert!(has_event(&server, "shard", SupervisorEventKind::Panicked));
     assert!(has_event(&server, "shard", SupervisorEventKind::Escalated));
-    assert!(server.is_draining(), "escalation drains fail-fast");
+    assert!(server.snapshot().draining, "escalation drains fail-fast");
     drop(conn);
     let drain = server.drain();
     assert!(drain.escalations >= 1, "{drain:?}");
@@ -198,7 +200,7 @@ fn a_shard_death_closes_the_listener_at_once() {
     // the pass that adopts it panics.
     let _first = TcpStream::connect(addr).expect("connect");
     let _second = TcpStream::connect(addr).expect("connect");
-    wait_for("shard 1 to escalate", || server.escalations() >= 1);
+    wait_for("shard 1 to escalate", || server.snapshot().escalations >= 1);
     std::thread::sleep(Duration::from_millis(200));
     assert!(
         TcpStream::connect(addr).is_err(),
@@ -249,20 +251,24 @@ fn dead_shards_heap_is_fired_by_the_drain(cfg: ServeConfig, n: u64) {
         .collect();
     conn.write_all(&burst).expect("burst");
 
-    wait_for("the shard to die", || server.escalations() >= 1);
+    wait_for("the shard to die", || server.snapshot().escalations >= 1);
     assert!(has_event(
         &server,
         "shard-0",
         SupervisorEventKind::Escalated
     ));
-    let stranded = server.stats().outstanding;
+    let stranded = server.snapshot().total(|t| t.outstanding);
     assert!(stranded > 0, "the dead shard's heap held nothing");
     let started = Instant::now();
     let drain = server.drain();
     let took = started.elapsed();
     assert_server_conserves(&drain);
-    assert_eq!(drain.submits, n, "{drain:?}");
-    assert_eq!(drain.served, n, "parked work failed: {drain:?}");
+    assert_eq!(drain.total(|t| t.submits), n, "{drain:?}");
+    assert_eq!(
+        drain.total(|t| t.served),
+        n,
+        "parked work failed: {drain:?}"
+    );
     assert!(
         took < drain_timeout / 5,
         "drain took {took:?} of its {drain_timeout:?}"
@@ -317,7 +323,7 @@ fn drain_answers_parked_completions_ok() {
         .expect("submit");
     }
     wait_for("every submit to be admitted", || {
-        server.tenant_stats()[0].submits == N
+        server.snapshot().tenants[0].submits == N
     });
     let reader = std::thread::spawn(move || {
         (0..N)
@@ -328,8 +334,8 @@ fn drain_answers_parked_completions_ok() {
     let drain = server.drain();
     assert_eq!(reader.join().unwrap(), N, "non-Ok answers");
     assert_server_conserves(&drain);
-    assert_eq!(drain.served, N, "{drain:?}");
-    assert_eq!(drain.failed + drain.shed, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), N, "{drain:?}");
+    assert_eq!(drain.total(|t| t.failed + t.shed), 0, "{drain:?}");
 }
 
 /// Stall detection: a shard that freezes (sleeps unparked past the stall
@@ -345,10 +351,10 @@ fn stalled_shard_is_flagged_by_the_stall_check() {
 
     wait_for("a stall detection", || {
         server.check_stalls();
-        server.stalls_detected() >= 1
+        server.snapshot().stalls_detected >= 1
     });
     assert!(has_event(&server, "shard-0", SupervisorEventKind::Stalled));
-    assert_eq!(server.escalations(), 0, "stalls are not panics");
+    assert_eq!(server.snapshot().escalations, 0, "stalls are not panics");
     assert_server_conserves(&server.drain());
 }
 
@@ -375,7 +381,7 @@ fn v2_window_storm_batches_refills_and_conserves() {
 
     let drain = server.drain();
     assert_server_conserves(&drain);
-    assert_eq!(drain.submits, 32 * 24, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), 32 * 24, "{drain:?}");
 }
 
 /// Component chaos against a v2 window storm on two shards: batched
@@ -410,6 +416,6 @@ fn v2_storm_survives_planner_panics_on_two_shards() {
     wait_for("a planner tick panic", || {
         has_event(&server, "planner", SupervisorEventKind::Panicked)
     });
-    assert_eq!(server.escalations(), 0);
+    assert_eq!(server.snapshot().escalations, 0);
     assert_server_conserves(&server.drain());
 }

@@ -16,7 +16,7 @@ use arlo_serve::loadgen::{replay, LoadGenConfig};
 use arlo_serve::protocol::{
     client_handshake, read_frame, ErrorCode, Frame, WireVersion, CONN_ERROR_ID,
 };
-use arlo_serve::server::{ServeConfig, Server, TenantDrainReport};
+use arlo_serve::server::{ServeConfig, Server, TenantStats};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -54,10 +54,10 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
 
 /// The per-tenant conservation law: every submit addressed to the tenant
 /// terminated in exactly one bucket.
-fn assert_conserved(t: &TenantDrainReport) {
+fn assert_conserved(t: &TenantStats) {
     assert_eq!(
         t.submits,
-        t.served + t.shed + t.unserviceable + t.failed + t.outstanding_at_close,
+        t.accounted(),
         "tenant {} leaks requests: {t:?}",
         t.name
     );
@@ -97,43 +97,33 @@ fn three_tenants_route_and_conserve() {
     // Client side: exactly-once, nothing lost, no unknown tenants (the
     // mix names exactly the tenants the server registered).
     assert_eq!(report.sent, trace.len() as u64);
-    assert_eq!(report.lost, 0, "unanswered requests: {report:?}");
+    assert_eq!(
+        report.lost,
+        0,
+        "unanswered requests: {report:?}\n{:?}",
+        server.snapshot()
+    );
     assert_eq!(report.accounted(), report.sent, "{report:?}");
     assert_eq!(report.unknown_tenant, 0, "{report:?}");
 
     let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0, "drain left work behind");
+    assert_eq!(drain.total(|t| t.outstanding), 0, "drain left work behind");
     assert_eq!(drain.unknown_tenants, 0);
     assert_eq!(drain.tenants.len(), 3);
 
-    // Server side: the global law, the per-tenant law, and the per-tenant
-    // rows summing exactly to the global row — no bucket double-counts.
+    // Server side: the global law and the per-tenant law (a server-wide
+    // figure is the sum of the tenant rows, so none double-counts).
     assert_eq!(
-        drain.submits,
-        drain.served + drain.shed + drain.unserviceable + drain.failed,
+        drain.total(|t| t.submits),
+        drain.total(TenantStats::accounted),
         "global conservation: {drain:?}"
     );
+    let submits = drain.total(|t| t.submits);
     for t in &drain.tenants {
         assert_conserved(t);
         // Round-robin over three tenants: each saw roughly a third.
-        assert!(
-            t.submits >= drain.submits / 6,
-            "tenant {} starved: {t:?}",
-            t.name
-        );
+        assert!(t.submits >= submits / 6, "tenant {} starved: {t:?}", t.name);
     }
-    assert_eq!(
-        drain.tenants.iter().map(|t| t.submits).sum::<u64>(),
-        drain.submits
-    );
-    assert_eq!(
-        drain.tenants.iter().map(|t| t.served).sum::<u64>(),
-        drain.served
-    );
-    assert_eq!(
-        drain.tenants.iter().map(|t| t.shed).sum::<u64>(),
-        drain.shed
-    );
 }
 
 /// A submit naming a tenant the server never registered gets the typed
@@ -202,7 +192,7 @@ fn unknown_tenant_is_typed_then_escalates_to_protocol_disconnect() {
     assert!(drain.protocol_disconnects >= 1, "{drain:?}");
     // Unknown-tenant submits are refused *before* accounting: they must
     // not leak into any tenant's conservation law.
-    assert_eq!(drain.submits, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), 0, "{drain:?}");
     for t in &drain.tenants {
         assert_conserved(t);
     }
@@ -236,6 +226,55 @@ fn flood(addr: std::net::SocketAddr, tenant: u32, n: u64) -> (u64, u64) {
         }
     }
     (ok, shed)
+}
+
+/// The live and the final views of one set of counters agree. At
+/// quiescence — every answer read, nothing outstanding — the `Stats` frame
+/// a client reads over the wire is exactly the wire view of
+/// `Server::snapshot()`, and the tenant rows `drain()` returns are exactly
+/// those of that last live snapshot. One shard, so every completion's
+/// accounting is done before the shard reads the next frame, and a static
+/// partition, so no re-grant moves a row in between.
+#[test]
+fn wire_stats_live_snapshot_and_drain_agree_at_quiescence() {
+    let tenants = vec![
+        (
+            TenantSpec::new("interactive", SloClass::Interactive, SLO_MS),
+            engine(2),
+        ),
+        (
+            TenantSpec::new("batch", SloClass::Batch, 3.0 * SLO_MS),
+            engine(2),
+        ),
+    ];
+    let cfg = ServeConfig {
+        queue_capacity: 64,
+        shards: 1,
+        ..config(4, 20)
+    };
+    let server = Server::spawn_multi_static(tenants, "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+    let (ok_interactive, _) = flood(addr, 0, 100);
+    let (ok_batch, _) = flood(addr, 1, 100);
+    assert!(ok_interactive > 0 && ok_batch > 0);
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    Frame::StatsRequest.write_to(&mut conn).unwrap();
+    let wire = match read_frame(&mut conn).expect("read").expect("frame") {
+        Frame::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let live = server.snapshot();
+    assert_eq!(live.total(|t| t.outstanding), 0, "not quiescent: {live:?}");
+    assert_eq!(live.total(|t| t.submits), 200, "{live:?}");
+    assert_eq!(wire, live.stats(), "wire vs live: {live:?}");
+    drop(conn);
+
+    let drain = server.drain();
+    assert_eq!(drain.tenants, live.tenants, "drain vs live");
+    assert_eq!(drain.stats(), wire, "drain vs wire");
 }
 
 /// Under identical bursts, admission sheds in SLO-class order. The only
@@ -335,9 +374,10 @@ fn coordinator_regrants_gpus_live() {
     let mut rng = StdRng::seed_from_u64(23);
     let trace = TraceSpec::twitter_stable(900.0, 10.0).generate(&mut rng);
     let report = replay(addr, &trace, &LoadGenConfig::open(4, 100)).expect("replay");
-    assert_eq!(report.lost, 0, "{report:?}");
+    let live = server.snapshot();
+    assert_eq!(report.lost, 0, "{report:?}\n{live:?}");
 
-    let regrants = server.regrants();
+    let regrants = live.regrants;
     assert!(
         !regrants.is_empty(),
         "coordinator never re-granted under fully skewed demand"
@@ -359,7 +399,7 @@ fn coordinator_regrants_gpus_live() {
     );
 
     let drain = server.drain();
-    assert_eq!(drain.outstanding_at_close, 0);
+    assert_eq!(drain.total(|t| t.outstanding), 0);
     for t in &drain.tenants {
         assert_conserved(t);
     }
@@ -391,7 +431,7 @@ fn idle_drain_does_not_wait_out_the_timer_or_the_coordinator() {
     let started = Instant::now();
     let drain = server.drain();
     let took = started.elapsed();
-    assert_eq!(drain.submits, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), 0, "{drain:?}");
     assert!(
         took < Duration::from_millis(100),
         "idle drain took {took:?}"

@@ -516,7 +516,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         server.local_addr()
     );
     println!("(send a Drain frame — e.g. `arlo loadgen --drain` — to stop)");
-    while !server.is_draining() {
+    while !server.snapshot().draining {
         std::thread::sleep(std::time::Duration::from_millis(50));
         server.check_stalls();
     }
@@ -524,12 +524,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let report = server.drain();
     println!(
         "served {} / shed {} / unserviceable {} / failed {}; {} reallocations, final generation {}",
-        report.served,
-        report.shed,
-        report.unserviceable,
-        report.failed,
+        report.total(|t| t.served),
+        report.total(|t| t.shed),
+        report.total(|t| t.unserviceable),
+        report.total(|t| t.failed),
         report.reallocations,
-        report.generation
+        report.tenants[0].generation
     );
     for t in &report.tenants {
         println!(
@@ -560,10 +560,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             println!("  [{:>6} ms] {} — {:?}", ev.at_ms, ev.component, ev.kind);
         }
     }
-    if report.outstanding_at_close > 0 {
+    let outstanding = report.total(|t| t.outstanding);
+    if outstanding > 0 {
         return Err(format!(
-            "drain timed out with {} requests outstanding",
-            report.outstanding_at_close
+            "drain timed out with {outstanding} requests outstanding"
         ));
     }
     Ok(())
