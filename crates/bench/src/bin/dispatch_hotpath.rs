@@ -11,6 +11,12 @@
 //! re-implemented verbatim on the retained `least_loaded_scan` reference
 //! path — the pre-index baseline the speedup column compares against.
 //!
+//! Those cells only read, so the heaps never take a push. `arlo-rs-steady`
+//! is the simulator's steady state: every decision is followed by an
+//! enqueue and a completion on the chosen instance, so loads hold still
+//! while each heap takes two pushes per request (and is compacted at its
+//! `LoadHeap::bound`).
+//!
 //! Cells are independent, so the policy × size grid runs through the
 //! bench crate's `sweep_parallel` runner. Results land in
 //! `results/BENCH_dispatch.json`.
@@ -152,8 +158,42 @@ fn build_cluster(total: u32) -> Cluster {
     cluster
 }
 
+/// Mean ns per steady-state request: an indexed Arlo-RS decision, then an
+/// enqueue on the chosen instance and the completion of its running head.
+fn run_steady_cell(total: u32) -> f64 {
+    let mut cluster = build_cluster(total);
+    let scheduler = ArloRequestScheduler::paper_default();
+    let mut step = |k: u64| {
+        let length = 1 + (k % 512) as u32;
+        let id = scheduler
+            .select(length, &cluster.view())
+            .expect("every level is deployed");
+        let req = Request {
+            id: k,
+            arrival: k,
+            length,
+        };
+        cluster.enqueue(id, req, k);
+        black_box(cluster.complete(id, k));
+    };
+    let mut k = 0u64;
+    for _ in 0..WARMUP {
+        k = k.wrapping_add(263);
+        step(k);
+    }
+    let start = Instant::now();
+    for _ in 0..ITERS {
+        k = k.wrapping_add(263);
+        step(k);
+    }
+    start.elapsed().as_nanos() as f64 / ITERS as f64
+}
+
 /// Mean ns/decision for one policy × size cell.
 fn run_cell(policy_name: &str, total: u32) -> f64 {
+    if policy_name == "arlo-rs-steady" {
+        return run_steady_cell(total);
+    }
     let cluster = build_cluster(total);
     let view = cluster.view();
     let mut policy = Policy::from_name(policy_name);
@@ -175,6 +215,7 @@ fn main() {
     let policies = [
         "arlo-rs",
         "arlo-rs-scan",
+        "arlo-rs-steady",
         "ilb",
         "ig",
         "load-balance",

@@ -13,19 +13,14 @@
 //! the textbook approach that keeps both dispatch and completion
 //! `O(log n)` amortized, matching the paper's `O(L) + O(log(N/K))` bound.
 //! A stale entry that sorts *below* a live one never reaches the top, so
-//! a level also rebuilds its heap from the load table once stale entries
-//! outnumber live ones (`STALE_SLACK`); the live set, and with it every
-//! dispatch decision, is unchanged by a rebuild.
+//! a level also rebuilds its heap from the load table once it holds more
+//! than `2 × instances + STALE_SLACK` entries; the live set, and with it
+//! every dispatch decision, is unchanged by a rebuild. The heap and that
+//! rule are one type, [`LoadHeap`], shared with the simulator's cluster.
 
 use crate::request_scheduler::RequestSchedulerConfig;
+use arlo_sim::cluster::LoadHeap;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Stale heap entries a level tolerates, beyond one per instance, before it
-/// rebuilds its heap: large enough that a rebuild amortizes to O(1) per
-/// load update, small enough that a level's heap stays within a page or two.
-const STALE_SLACK: usize = 64;
 
 /// Identifies an instance as (queue level, index within level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,7 +43,7 @@ struct LevelInner {
     loads: Vec<u32>,
     /// Lazy min-heap of `(load, instance)`; entries are validated against
     /// `loads` at pop time.
-    heap: BinaryHeap<Reverse<(u32, usize)>>,
+    heap: LoadHeap,
     /// Circuit-breaker mask: banned instances are invisible to `peek_head`
     /// (their heap entries are discarded lazily, like stale loads) so the
     /// fault-tolerance layer can quarantine an instance without touching
@@ -62,13 +57,8 @@ struct LevelInner {
 impl LevelInner {
     /// Fresh minimum entry, discarding stale or banned ones.
     fn peek_head(&mut self) -> Option<(usize, u32)> {
-        while let Some(&Reverse((load, idx))) = self.heap.peek() {
-            if self.loads[idx] == load && !self.banned[idx] {
-                return Some((idx, load));
-            }
-            self.heap.pop();
-        }
-        None
+        self.heap
+            .head(|load, idx| self.loads[idx] == load && !self.banned[idx])
     }
 
     fn bump(&mut self, idx: usize, delta: i64) {
@@ -84,31 +74,19 @@ impl LevelInner {
         }
         let next = raw.max(0) as u32;
         *load = next;
-        self.heap.push(Reverse((next, idx)));
-        self.compact();
+        self.push(idx);
     }
 
-    /// Rebuild the heap from `loads` once stale entries dominate it. Pop-time
-    /// discarding alone never reclaims an entry that sorts below a live one:
-    /// an instance whose load only ever alternates 0 → 1 → 0 (each request
-    /// completed before the next is dispatched) would otherwise leave two
-    /// dead entries behind per request, forever. Every admitted instance
-    /// keeps exactly its live entry, so `peek_head` answers as before.
-    fn compact(&mut self) {
-        if self.heap.len() <= 2 * self.loads.len() + STALE_SLACK {
-            return;
-        }
-        let LevelInner {
-            loads,
-            heap,
-            banned,
-            ..
-        } = self;
-        heap.clear();
-        heap.extend(
+    /// Push `idx`'s current load, then compact the heap against the admitted
+    /// instances' loads (see [`LoadHeap::compact`]).
+    fn push(&mut self, idx: usize) {
+        let (loads, banned) = (&self.loads, &self.banned);
+        self.heap.push(loads[idx], idx);
+        self.heap.compact(
+            loads.len(),
             (0..loads.len())
                 .filter(|&i| !banned[i])
-                .map(|i| Reverse((loads[i], i))),
+                .map(|i| (loads[i], i)),
         );
     }
 }
@@ -148,7 +126,10 @@ impl SchedulerFrontend {
             .iter()
             .map(|&(max_length, capacity, count)| {
                 let loads = vec![0u32; count as usize];
-                let heap = (0..count as usize).map(|i| Reverse((0, i))).collect();
+                let mut heap = LoadHeap::default();
+                for i in 0..count as usize {
+                    heap.push(0, i);
+                }
                 Level {
                     max_length,
                     capacity,
@@ -287,8 +268,7 @@ impl SchedulerFrontend {
         let mut inner = self.levels[handle.level].inner.lock();
         inner.banned[handle.index] = !admitting;
         if admitting {
-            let load = inner.loads[handle.index];
-            inner.heap.push(Reverse((load, handle.index)));
+            inner.push(handle.index);
         }
     }
 
@@ -352,7 +332,7 @@ mod tests {
         for level in &f.levels {
             let inner = level.inner.lock();
             assert!(
-                inner.heap.len() <= 2 * inner.loads.len() + STALE_SLACK + 1,
+                inner.heap.len() <= LoadHeap::bound(inner.loads.len()),
                 "heap holds {} entries for {} instances",
                 inner.heap.len(),
                 inner.loads.len()

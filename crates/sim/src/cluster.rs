@@ -18,8 +18,76 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Index of an instance within the cluster (stable for its lifetime).
 pub type InstanceId = usize;
 
-/// A runtime level's lazy dispatch heap: min-heap over `(outstanding, id)`.
-type LoadHeap = BinaryHeap<Reverse<(u32, InstanceId)>>;
+/// Stale entries a [`LoadHeap`] tolerates, beyond two per member, before it
+/// rebuilds: large enough that a rebuild amortizes to O(1) per push, small
+/// enough that a level's heap stays within a page or two.
+pub const STALE_SLACK: usize = 64;
+
+/// A runtime level's lazy dispatch heap: a min-heap over `(load, id)` keys,
+/// shared by the simulator's [`Cluster`] and the live frontend
+/// (`arlo-core`'s `SchedulerFrontend`).
+///
+/// Every load change pushes a fresh entry; nothing is removed eagerly. A
+/// reader takes the least entry its caller's liveness check accepts and
+/// pops the stale ones above it ([`LoadHeap::head`]). Pop-time discarding
+/// alone never reclaims an entry that sorts *below* a live one — an
+/// instance whose load only alternates 0 → 1 → 0 leaves two dead entries
+/// behind per request, forever — so [`LoadHeap::compact`] rebuilds the heap
+/// from the caller's live set once it holds more than
+/// [`LoadHeap::bound`]`(members)` entries. A rebuild keeps the live set, and
+/// with it the `(load, id)` minimum every dispatch decision reads.
+#[derive(Debug, Clone, Default)]
+pub struct LoadHeap {
+    heap: BinaryHeap<Reverse<(u32, InstanceId)>>,
+}
+
+impl LoadHeap {
+    /// Most entries a heap over `members` instances holds after a
+    /// [`LoadHeap::compact`]: `2 × members + STALE_SLACK`.
+    pub fn bound(members: usize) -> usize {
+        2 * members + STALE_SLACK
+    }
+
+    /// Entries held, live and stale.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// True when the heap holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Record `id`'s current load.
+    pub fn push(&mut self, load: u32, id: InstanceId) {
+        self.heap.push(Reverse((load, id)));
+    }
+
+    /// The least `(load, id)` entry for which `live(load, id)` holds, as
+    /// `(id, load)`; entries above it that fail the check are discarded.
+    pub fn head(
+        &mut self,
+        mut live: impl FnMut(u32, InstanceId) -> bool,
+    ) -> Option<(InstanceId, u32)> {
+        while let Some(&Reverse((load, id))) = self.heap.peek() {
+            if live(load, id) {
+                return Some((id, load));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Rebuild from `live` — the `(load, id)` key of every instance a
+    /// reader may return — once the heap holds more than
+    /// [`LoadHeap::bound`]`(members)` entries. `live` is only walked then.
+    pub fn compact(&mut self, members: usize, live: impl IntoIterator<Item = (u32, InstanceId)>) {
+        if self.heap.len() > Self::bound(members) {
+            self.heap.clear();
+            self.heap.extend(live.into_iter().map(Reverse));
+        }
+    }
+}
 
 /// Publicly visible instance state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,17 +237,10 @@ impl<'a> ClusterView<'a> {
     /// [`ClusterView::least_loaded_scan`].
     pub fn least_loaded(&self, runtime_idx: usize) -> Option<(InstanceId, u32)> {
         let limit = self.cluster.queue_limits[runtime_idx];
-        let mut heaps = self.cluster.heaps.borrow_mut();
-        let heap = &mut heaps[runtime_idx];
-        while let Some(&Reverse((load, id))) = heap.peek() {
+        self.cluster.heaps.borrow_mut()[runtime_idx].head(|load, id| {
             let inst = &self.cluster.instances[id];
-            if inst.runtime_idx == runtime_idx && inst.outstanding() == load && inst.accepts(limit)
-            {
-                return Some((id, load));
-            }
-            heap.pop();
-        }
-        None
+            inst.runtime_idx == runtime_idx && inst.outstanding() == load && inst.accepts(limit)
+        })
     }
 
     /// Reference O(N) implementation of [`ClusterView::least_loaded`] — the
@@ -336,14 +397,17 @@ impl<'a> ClusterView<'a> {
 /// - `members[rt]` — ids of the non-retired instances currently on runtime
 ///   `rt`, sorted ascending. Updated on runtime swaps, scale-out and
 ///   retirement, so `instances_of` walks only that runtime's k instances.
-/// - `heaps[rt]` — a *lazy* min-heap of `(outstanding, id)` keys over the
-///   accepting instances of `rt`. Every mutation that can change an
-///   instance's key or make it newly accepting pushes a fresh entry;
-///   entries are never removed eagerly. A reader pops entries whose key no
-///   longer matches the instance's live state (the staleness rule), so
-///   `least_loaded` is O(log k) amortized and always agrees with a fresh
+/// - `heaps[rt]` — a [`LoadHeap`]: a *lazy* min-heap of `(outstanding, id)`
+///   keys over the accepting instances of `rt`. Every mutation that can
+///   change an instance's key or make it newly accepting pushes a fresh
+///   entry; entries are never removed eagerly. A reader pops entries whose
+///   key no longer matches the instance's live state (the staleness rule),
+///   so `least_loaded` is O(log k) amortized and always agrees with a fresh
 ///   scan — including the `(load, id)` tie-break, because the heap orders
-///   by exactly that tuple.
+///   by exactly that tuple. Once a heap holds more than
+///   `2 × members[rt].len() + STALE_SLACK` entries it is rebuilt from
+///   `members[rt]` filtered by `accepts` (the bound), so it never outgrows
+///   its level — the same rule, in the same type, as the live frontend.
 /// - `committed` / `live_gpus` / `outstanding_total` — incrementally
 ///   maintained counters behind `committed_counts`, `gpu_count` and
 ///   `total_outstanding`.
@@ -471,7 +535,7 @@ impl Cluster {
         self.committed = vec![0; k];
         self.live_gpus = 0;
         self.outstanding_total = 0;
-        let mut heaps: Vec<BinaryHeap<Reverse<(u32, InstanceId)>>> = vec![BinaryHeap::new(); k];
+        let mut heaps = vec![LoadHeap::default(); k];
         for (id, inst) in self.instances.iter().enumerate() {
             self.outstanding_total += u64::from(inst.outstanding());
             if inst.state == InstanceState::Retired {
@@ -484,7 +548,7 @@ impl Cluster {
                 self.committed[inst.pending_target.unwrap_or(rt)] += 1;
             }
             if inst.accepts(self.queue_limits[rt]) {
-                heaps[rt].push(Reverse((inst.outstanding(), id)));
+                heaps[rt].push(inst.outstanding(), id);
             }
         }
         *self.heaps.get_mut() = heaps;
@@ -494,8 +558,9 @@ impl Cluster {
     /// single maintenance hook called by every mutation that can change an
     /// instance's `(outstanding, id)` key or make it newly accepting.
     /// Entries left behind by earlier states go stale and are discarded at
-    /// read time; correctness only requires that an accepting instance's
-    /// *current* key is always present in its runtime's heap.
+    /// read time or by the next compaction; correctness only requires that
+    /// an accepting instance's *current* key is always present in its
+    /// runtime's heap.
     fn index_refresh(&mut self, id: InstanceId) {
         let inst = &self.instances[id];
         if inst.state == InstanceState::Retired {
@@ -503,11 +568,29 @@ impl Cluster {
         }
         let rt = inst.runtime_idx;
         if inst.accepts(self.queue_limits[rt]) {
-            self.heaps.get_mut()[rt].push(Reverse((inst.outstanding(), id)));
+            self.heaps.get_mut()[rt].push(inst.outstanding(), id);
+            self.heap_compact(rt);
         }
     }
 
-    /// Remove `id` from runtime `rt`'s membership list.
+    /// Rebuild runtime `rt`'s heap from its accepting members once it
+    /// exceeds [`LoadHeap::bound`] — the live set, and so every
+    /// `least_loaded` answer, is unchanged.
+    fn heap_compact(&mut self, rt: usize) {
+        let limit = self.queue_limits[rt];
+        let instances = &self.instances;
+        let members = &self.members[rt];
+        self.heaps.get_mut()[rt].compact(
+            members.len(),
+            members.iter().filter_map(|&id| {
+                let inst = &instances[id];
+                inst.accepts(limit).then(|| (inst.outstanding(), id))
+            }),
+        );
+    }
+
+    /// Remove `id` from runtime `rt`'s membership list. The level's bound
+    /// shrinks with it, so its heap is compacted against the new bound.
     fn member_remove(&mut self, rt: usize, id: InstanceId) {
         let m = &mut self.members[rt];
         let pos = m
@@ -515,6 +598,7 @@ impl Cluster {
             .position(|&x| x == id)
             .expect("membership list out of sync");
         m.remove(pos);
+        self.heap_compact(rt);
     }
 
     /// Insert `id` into runtime `rt`'s membership list, keeping it sorted.
@@ -526,9 +610,10 @@ impl Cluster {
     }
 
     /// Cross-check the incremental index against the reference scans —
-    /// membership partition, counters, and per-runtime `least_loaded`
-    /// agreement (including tie-breaks). Used by the driver's debug-build
-    /// event hook and the differential tests.
+    /// membership partition, counters, per-runtime `least_loaded`
+    /// agreement (including tie-breaks) and the heap bound
+    /// (`len ≤ 2 × members + STALE_SLACK`). Used by the driver's
+    /// debug-build event hook and the differential tests.
     pub fn debug_validate_index(&self) {
         let view = self.view();
         assert_eq!(
@@ -577,6 +662,11 @@ impl Cluster {
                 view.least_loaded(rt),
                 view.least_loaded_scan(rt),
                 "indexed least_loaded diverges from the scan on runtime {rt}"
+            );
+            let (held, members) = (self.heaps.borrow()[rt].len(), self.members[rt].len());
+            assert!(
+                held <= LoadHeap::bound(members),
+                "runtime {rt}'s heap holds {held} entries for {members} members"
             );
         }
     }
@@ -1191,6 +1281,30 @@ mod tests {
         }
         assert!(c.allocation_converged(&target));
         assert_eq!(c.view().accepting_counts(), vec![0, 4, 1]);
+    }
+
+    #[test]
+    fn alternating_enqueue_and_complete_keeps_the_heap_bounded() {
+        // Outstanding 0 → 1 → 0 on every request with no dispatch read in
+        // between: nothing pops, so before compaction the heap grew by two
+        // entries per request.
+        let mut c = cluster(&[2, 0, 1]);
+        let mut now = 0;
+        for id in 0..100_000 {
+            let started = c.enqueue(0, req(id, 30, now), now).expect("idle start");
+            now = started.completes_at;
+            c.complete(0, now);
+        }
+        let held = c.heaps.borrow()[0].len();
+        assert!(
+            held <= LoadHeap::bound(2),
+            "heap holds {held} entries for 2 members"
+        );
+        c.debug_validate_index();
+        // Rebuilds kept the live set: the idle level still balances.
+        assert_eq!(c.view().least_loaded(0), Some((0, 0)));
+        c.enqueue(0, req(100_000, 30, now), now);
+        assert_eq!(c.view().least_loaded(0), Some((1, 0)));
     }
 
     #[test]

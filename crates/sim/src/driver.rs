@@ -410,6 +410,9 @@ pub struct Simulation<'a> {
     /// Timestamp of the last processed event.
     clock: Nanos,
     report: SimReport,
+    /// `(completed, latency_ms)` of recent completions, the autoscaler's
+    /// p98 window; only filled while `config.autoscale` is set, since
+    /// nothing else reads or prunes it.
     recent_completions: VecDeque<(Nanos, f64)>,
     max_lengths: Vec<u32>,
     /// Health registry (`Some` iff the fault-tolerance layer is on).
@@ -756,8 +759,10 @@ impl<'a> Simulation<'a> {
                 runtime_idx: partial.runtime_idx,
                 instance: partial.instance,
             });
-            let latency_ms = (now - partial.arrival + self.report.overhead_ns) as f64 / 1e6;
-            self.recent_completions.push_back((now, latency_ms));
+            if self.config.autoscale.is_some() {
+                let latency_ms = (now - partial.arrival + self.report.overhead_ns) as f64 / 1e6;
+                self.recent_completions.push_back((now, latency_ms));
+            }
             if let Some(h) = &mut self.health {
                 // Judge the instance on per-request service time versus the
                 // profiled expectation (a batch shares its duration).
@@ -1453,6 +1458,22 @@ mod tests {
                 w[1] - w[0]
             );
         }
+    }
+
+    #[test]
+    fn completion_window_stays_empty_without_the_autoscaler() {
+        let trace = small_trace(200.0, 5.0, 1);
+        let mut sim = Simulation::new(
+            &trace,
+            bert_profiles(&[64, 512]),
+            &[1, 1],
+            SimConfig::paper_default(150.0),
+        );
+        sim.start();
+        while sim.step(&mut IdealDispatcher, &mut NoopAllocator) {
+            assert!(sim.recent_completions.is_empty());
+        }
+        assert_eq!(sim.finish().records.len(), trace.len());
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl SimReport {
 
     /// Summary (mean, p50/p90/p98/p99, …) of end-to-end latency in ms.
     pub fn latency_summary(&self) -> Summary {
-        Summary::from_samples(&self.latencies_ms())
+        Summary::from_vec(self.latencies_ms())
     }
 
     /// Latency CDF in ms.
@@ -230,22 +230,22 @@ impl SimReport {
     /// contention (queueing) — the distinction behind Fig. 6's analysis of
     /// ST ("elongated queuing times") vs DT ("suboptimal performance").
     pub fn queueing_summary(&self) -> Summary {
-        let q: Vec<f64> = self
-            .records
-            .iter()
-            .map(|r| nanos_to_ms(r.queueing_ns()))
-            .collect();
-        Summary::from_samples(&q)
+        Summary::from_vec(
+            self.records
+                .iter()
+                .map(|r| nanos_to_ms(r.queueing_ns()))
+                .collect(),
+        )
     }
 
     /// Summary of pure execution time (start → completion, ms).
     pub fn execution_summary(&self) -> Summary {
-        let e: Vec<f64> = self
-            .records
-            .iter()
-            .map(|r| nanos_to_ms(r.completed - r.started))
-            .collect();
-        Summary::from_samples(&e)
+        Summary::from_vec(
+            self.records
+                .iter()
+                .map(|r| nanos_to_ms(r.completed - r.started))
+                .collect(),
+        )
     }
 
     /// Fraction of requests exceeding `slo_ms`.
@@ -253,7 +253,11 @@ impl SimReport {
         if self.records.is_empty() {
             return 0.0;
         }
-        let violations = self.latencies_ms().iter().filter(|&&l| l > slo_ms).count();
+        let violations = self
+            .records
+            .iter()
+            .filter(|r| nanos_to_ms(r.latency_ns(self.overhead_ns)) > slo_ms)
+            .count();
         violations as f64 / self.records.len() as f64
     }
 

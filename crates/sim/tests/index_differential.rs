@@ -7,9 +7,12 @@
 //! cluster through random sequences of every index-relevant event
 //! (enqueue, completion, allocation steps, health bans/recoveries,
 //! evictions, crashes, scale-out/in) and cross-checks the indexed reads
-//! against the reference `*_scan` implementations after each one.
+//! against the reference `*_scan` implementations after each one. A second
+//! property reads only every few hundred events, so the heaps outgrow their
+//! bound and are rebuilt between reads; `debug_validate_index` asserts the
+//! bound at every check.
 //!
-//! A second test pins frontend/simulator parity on the one behaviour both
+//! A last test pins frontend/simulator parity on the one behaviour both
 //! index implementations share verbatim: a banned (non-admitting) head
 //! must be skipped without disturbing the rest of the order.
 
@@ -195,37 +198,59 @@ impl Harness {
     }
 }
 
+/// Replay `ops` on a cluster of `counts` instances, running the full
+/// differential check after every `check_every`-th op.
+fn replay(counts: &[u32], ops: &[(u8, u64, u64)], check_every: usize) {
+    // Ensure at least one instance exists.
+    let mut counts = counts.to_vec();
+    if counts.iter().sum::<u32>() == 0 {
+        counts[0] = 1;
+    }
+    let mut h = Harness::new(&counts);
+    h.check();
+    for (step, &(op, a, b)) in ops.iter().enumerate() {
+        h.now += 1 + a % 50_000_000;
+        match op {
+            // Enqueue dominates the mix, as in a real trace.
+            0..=2 => h.enqueue(a, b),
+            3 => h.complete(a),
+            4 => h.load_done(a),
+            5 => h.apply_allocation(a, b),
+            6 => h.set_gate(a, b),
+            7 => match b % 3 {
+                0 => h.evict(a),
+                1 => h.crash(a),
+                _ => h.retire(a),
+            },
+            _ => h.add_instance(a),
+        }
+        if (step + 1) % check_every == 0 {
+            h.check();
+        }
+    }
+    h.check();
+}
+
 #[test]
 fn indexed_dispatch_matches_naive_scan_under_random_events() {
     proptest!(ProptestConfig::with_cases(96), |(
         counts in proptest::collection::vec(0u32..4, 3),
         ops in proptest::collection::vec((0u8..9, 0u64..1 << 48, 0u64..1 << 48), 1..250),
     )| {
-        // Ensure at least one instance exists.
-        let mut counts = counts.clone();
-        if counts.iter().sum::<u32>() == 0 {
-            counts[0] = 1;
-        }
-        let mut h = Harness::new(&counts);
-        h.check();
-        for (op, a, b) in ops {
-            h.now += 1 + a % 50_000_000;
-            match op {
-                // Enqueue dominates the mix, as in a real trace.
-                0..=2 => h.enqueue(a, b),
-                3 => h.complete(a),
-                4 => h.load_done(a),
-                5 => h.apply_allocation(a, b),
-                6 => h.set_gate(a, b),
-                7 => match b % 3 {
-                    0 => h.evict(a),
-                    1 => h.crash(a),
-                    _ => h.retire(a),
-                },
-                _ => h.add_instance(a),
-            }
-            h.check();
-        }
+        replay(&counts, &ops, 1);
+    });
+}
+
+/// The same differential with reads only every 300 events: no reader pops
+/// stale heads in between, so the heaps fill past their bound and are
+/// rebuilt (`LoadHeap::compact`) — and still answer as the scans do.
+#[test]
+fn compacted_heaps_match_naive_scan_under_random_events() {
+    proptest!(ProptestConfig::with_cases(24), |(
+        counts in proptest::collection::vec(0u32..4, 3),
+        ops in proptest::collection::vec((0u8..9, 0u64..1 << 48, 0u64..1 << 48), 600..1_500),
+    )| {
+        replay(&counts, &ops, 300);
     });
 }
 

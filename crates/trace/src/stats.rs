@@ -16,9 +16,16 @@
 /// NaN a bug should assert on their inputs; the statistics layer stays
 /// total.
 fn sorted_finite_order(samples: &[f64]) -> Vec<f64> {
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| !x.is_nan()).collect();
-    sorted.sort_by(f64::total_cmp);
-    sorted
+    into_sorted_finite_order(samples.to_vec())
+}
+
+/// [`sorted_finite_order`] of an owned buffer, in place. Under
+/// [`f64::total_cmp`] equal keys are bit-equal, so the unstable sort gives
+/// the same sequence a stable one would, without its scratch buffer.
+fn into_sorted_finite_order(mut samples: Vec<f64>) -> Vec<f64> {
+    samples.retain(|x| !x.is_nan());
+    samples.sort_unstable_by(f64::total_cmp);
+    samples
 }
 
 /// Nearest-rank percentile of a sample set (`p` in `[0, 100]`).
@@ -98,7 +105,13 @@ impl Summary {
     /// remains the summary propagates `NaN` in every statistic with
     /// `count == 0`.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let sorted = sorted_finite_order(samples);
+        Self::from_vec(samples.to_vec())
+    }
+
+    /// [`Summary::from_samples`] over an owned buffer, sorted in place: no
+    /// copy and no merge-sort scratch.
+    pub fn from_vec(samples: Vec<f64>) -> Self {
+        let sorted = into_sorted_finite_order(samples);
         if sorted.is_empty() {
             return Summary {
                 count: 0,
@@ -404,6 +417,45 @@ mod tests {
         assert_eq!(s.max, 100.0);
         assert!((s.p50 - 50.5).abs() < 1e-9);
         assert!((s.p98 - 98.02).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_vec_matches_a_stable_sort_bit_for_bit() {
+        let bits = |s: Summary| {
+            (
+                s.count,
+                [s.mean, s.min, s.p50, s.p90, s.p98, s.p99, s.max].map(f64::to_bits),
+            )
+        };
+        // The summary as a stable sort of the samples gives it.
+        let stable = |v: &[f64]| {
+            let mut sorted: Vec<f64> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+            sorted.sort_by(f64::total_cmp);
+            Summary {
+                count: sorted.len(),
+                mean: mean(&sorted),
+                min: sorted.first().copied().unwrap_or(f64::NAN),
+                p50: percentile_of_sorted(&sorted, 50.0),
+                p90: percentile_of_sorted(&sorted, 90.0),
+                p98: percentile_of_sorted(&sorted, 98.0),
+                p99: percentile_of_sorted(&sorted, 99.0),
+                max: sorted.last().copied().unwrap_or(f64::NAN),
+            }
+        };
+        let inputs: [Vec<f64>; 5] = [
+            vec![3.0, f64::NAN, 1.0, f64::NAN, 2.0],
+            vec![0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+            vec![2.5, 1.0, 2.5, 2.5, 1.0, 0.1 + 0.2, 0.3, 2.5],
+            (0..1_000)
+                .map(|i| f64::from((i * 37) % 101) / 7.0)
+                .collect(),
+            Vec::new(),
+        ];
+        for v in inputs {
+            let owned = Summary::from_vec(v.clone());
+            assert_eq!(bits(owned), bits(Summary::from_samples(&v)), "{v:?}");
+            assert_eq!(bits(owned), bits(stable(&v)), "{v:?}");
+        }
     }
 
     #[test]
