@@ -1,6 +1,6 @@
 //! **Extension** — supervision resilience benchmark: seeded component
-//! chaos against the server's threads — the epoll shards and the planner —
-//! under v2 storm load.
+//! chaos against the server's threads — the epoll shards — and the planner
+//! shard 0 runs between its waits, under v2 storm load.
 //!
 //! Four cells:
 //!
@@ -13,9 +13,10 @@
 //! - **shard/stall**: a shard freezes while unparked, again and again; the
 //!   server's stall check (polled here as `arlo serve` polls it) must flag
 //!   it, with zero loss and exact conservation on both sides of the wire.
-//! - **planner/panic**: planner ticks panic under the multi-tenant
-//!   coordinator; each panic is caught at its tick, the planner ticks on,
-//!   nothing escalates, nothing is lost.
+//! - **planner/panic**: planner ticks panic on shard 0 under the
+//!   multi-tenant coordinator; each panic is caught at its tick, shard 0
+//!   serves on and the planner ticks on, nothing escalates, nothing is
+//!   lost.
 //! - **shard/burst**: one connection queues 4 096 submits up front, at the
 //!   default 1 024-frame outbound queue, and every shard pass stalls long
 //!   enough for all of its parked completions to ripen. The shard must
@@ -90,7 +91,6 @@ fn serve_config(chaos: ComponentChaos) -> ServeConfig {
     let mut cfg = ServeConfig {
         time_scale: SCALE,
         queue_capacity: 8_192,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(60),
         batch: BatchPolicy {
             spec: BatchSpec {
@@ -298,9 +298,9 @@ fn shard_stall_cell(total: u64) -> Cell {
     }
 }
 
-/// `planner/panic`: one planner tick in three panics while the
+/// `planner/panic`: one planner tick in three panics on shard 0 while the
 /// multi-tenant coordinator re-plans every 2 ms of real time; every panic
-/// is caught at its tick and the planner ticks on.
+/// is caught at its tick, and shard 0 and the planner carry on.
 fn planner_panic_cell(total: u64) -> Cell {
     let tag = "planner/panic";
     let chaos = ComponentChaos::panics("planner", 3, 0xA510 ^ arlo_seed(tag));

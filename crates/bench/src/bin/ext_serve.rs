@@ -126,7 +126,6 @@ fn serve_config(batch: BatchPolicy, time_scale: u32) -> ServeConfig {
     ServeConfig {
         time_scale,
         queue_capacity: 8192,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(60),
         batch,
         ..ServeConfig::new(GPUS)

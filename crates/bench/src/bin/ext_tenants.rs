@@ -123,7 +123,6 @@ fn config(time_scale: u32) -> ServeConfig {
         // synchronous); don't let a momentary client-reader stall trip
         // the slow-client doom on a loaded CI box.
         outbound_queue: 16 * 1024,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: std::time::Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         ..ServeConfig::new(GPUS)

@@ -397,9 +397,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// seed. Where [`ChaosConfig`] attacks the *wire*, `ComponentChaos`
 /// attacks the server's own threads: a component (`shard-{i}`, `planner`)
 /// whose name starts with `target` draws from a deterministic schedule on
-/// every heartbeat and may panic (a shard dies and escalates; a planner
-/// tick is caught and skipped) or stall (sleeping unparked long enough
-/// for the server's stall check to flag it).
+/// every heartbeat or planner tick and may panic (a shard dies and
+/// escalates; a planner tick is caught on shard 0 and skipped) or stall
+/// (sleeping unparked long enough for the stall check to flag the shard).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentChaos {
     /// Root seed; the whole schedule is a pure function of it.
@@ -459,7 +459,7 @@ impl ComponentChaos {
 }
 
 /// One component's fault schedule: consulted once per heartbeat by
-/// `SupervisedCtx::beat`.
+/// `SupervisedCtx::beat`, or once per planner wake-up on shard 0.
 #[derive(Debug, Clone)]
 pub struct ComponentChaosPlan {
     component: String,

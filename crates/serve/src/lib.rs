@@ -38,11 +38,11 @@
 //!   server path uses it (its shards place every request themselves); it
 //!   stays for the benchmark's layer walk and probes, which link it.
 //! - [`supervisor`] — escalation plus a stall check: every server thread
-//!   runs as a named component with a heartbeat; a shard that dies
-//!   escalates to a fail-fast conserving drain, a panicking planner tick
-//!   is logged and skipped, and a frozen heartbeat is flagged by a check
-//!   the embedder calls (no monitor thread). Seeded in-process fault
-//!   injection via [`chaos::ComponentChaos`].
+//!   is a shard, run as a named component with a heartbeat; a shard that
+//!   dies escalates to a fail-fast conserving drain, a panicking planner
+//!   tick on shard 0 is logged and skipped, and a frozen heartbeat is
+//!   flagged by a check the embedder calls (no monitor thread). Seeded
+//!   in-process fault injection via [`chaos::ComponentChaos`].
 //! - [`registry`] — the lock-striped connection registry
 //!   ([`registry::StripedMap`]) that replaced the process-global conns
 //!   mutex on the response hot path.
@@ -55,10 +55,11 @@
 //!   non-blocking per-connection state machines (a connection costs no
 //!   thread), run each decoded request to completion on the shard
 //!   (refusals ⇒ explicit shed frames) and fire their executors'
-//!   deadlines; one planner thread driving health ticks, periodic
-//!   reallocation and GPU re-granting; and a graceful drain that flushes
-//!   every outstanding request before closing. Every counter it keeps is
-//!   read as one [`server::Snapshot`] (live, or exact from the drain).
+//!   deadlines. They are its only threads: shard 0 also runs the planner's
+//!   health ticks, periodic reallocation and GPU re-granting between its
+//!   waits. A graceful drain flushes every outstanding request before
+//!   closing. Every counter is read as one [`server::Snapshot`] (live, or
+//!   exact from the drain).
 //! - [`loadgen`] — one epoll client, [`loadgen::replay`], that runs a
 //!   trace over N connections from a few threads, open-loop (paced by
 //!   arrival) or closed-loop (a window per connection), into one report —

@@ -420,6 +420,9 @@ impl DecodeError {
     }
 }
 
+/// Every connection's [`ErrorBudget`] in points: 32 isolated checksum
+/// failures, or 8 well-framed garbage frames.
+pub const FRAME_ERROR_BUDGET: u32 = 32;
 /// Budget points one [`DecodeError::ChecksumMismatch`] costs.
 pub const CHECKSUM_ERROR_COST: u32 = 1;
 /// Budget points any other resynchronizable decode error costs.

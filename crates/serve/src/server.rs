@@ -17,18 +17,20 @@
 //!                      │  fired when this shard's epoll_wait times out
 //!                      │
 //!                      ◄── bounded outbound queues ◄── responses from other threads
-//!
-//!   planner: health ticks + reallocation, or the coordinator's re-grants
+//!                      │
+//!                      └─ shard 0 only, when due: the planner's health
+//!                         ticks + reallocation, or the coordinator's re-grants
 //! ```
 //!
-//! The shard is the only thread that places a request, and executor `i`'s
-//! deadline heap belongs to shard `i % shards`, which sleeps no longer
-//! than until the heap's head, fires what is ripe and writes the answers
-//! out itself. Otherwise a shard wakes for socket readiness, for its
-//! eventfd [`Waker`] — another thread queued a frame on one of its
-//! connections, doomed one, or parked a deadline ahead of one of its heaps
-//! — or once per sweep interval (idle reaping, write-stall dooming). A
-//! connection costs no thread. Every socket read and write goes straight
+//! The shards are the only threads a server spawns. A shard is the only
+//! thread that places a request, and executor `i`'s deadline heap belongs
+//! to shard `i % shards`, which sleeps no longer than until the heap's
+//! head, fires what is ripe and writes the answers out itself. Otherwise
+//! a shard wakes for socket readiness, for its eventfd [`Waker`] — another
+//! thread queued a frame on one of its connections, doomed one, or parked
+//! a deadline ahead of one of its heaps — for the planner's next tick or
+//! pass (shard 0), or once per sweep interval (idle reaping, write-stall
+//! dooming). A connection costs no thread. Every socket read and write goes straight
 //! to the socket: network faults are injected on the client side of the
 //! wire ([`crate::chaos::FaultyStream`]).
 //!
@@ -77,13 +79,13 @@
 //! every queued response frame, then closes connections and joins all
 //! threads.
 
-use crate::chaos::ComponentChaos;
+use crate::chaos::{ComponentChaos, ComponentChaosPlan};
 use crate::clock::VirtualClock;
 use crate::epoll::{Epoll, Interest, Waker, WAKER_TOKEN};
 use crate::executor::{CompletedBatch, Executor, Job};
 use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
-    WireVersion, CONN_ERROR_ID, FILL_CHUNK, UNKNOWN_TENANT_COST,
+    WireVersion, CONN_ERROR_ID, FILL_CHUNK, FRAME_ERROR_BUDGET, UNKNOWN_TENANT_COST,
 };
 use crate::registry::StripedMap;
 use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
@@ -117,11 +119,6 @@ pub struct ServeConfig {
     /// its submits shed ([`SloClass::admit_limit`]). `Interactive` is
     /// ungated.
     pub queue_capacity: usize,
-    /// Virtual interval between planner ticks (health + reallocation
-    /// check).
-    pub tick_interval: Nanos,
-    /// Execution-time jitter applied by the executor.
-    pub jitter: JitterSpec,
     /// Real-time cap on waiting for outstanding work during drain.
     pub drain_timeout: Duration,
     /// Fault injection: fail one in `n` executions (reported through
@@ -140,7 +137,9 @@ pub struct ServeConfig {
     /// How often a shard sweeps its connections for idle, doomed, and
     /// write-stalled ones (and shard 0 re-arms a listener muted by an
     /// accept error) — also the longest it sleeps in `epoll_wait`, so the
-    /// granularity at which those are noticed.
+    /// granularity at which those are noticed. A shard wakes earlier for
+    /// its heaps' head and, on shard 0, for the planner's next tick or
+    /// coordinator pass.
     pub sweep_interval: Duration,
     /// Real-time silence window after which a connection is reaped: no
     /// bytes from the client for this long closes the socket. Half-open
@@ -153,27 +152,18 @@ pub struct ServeConfig {
     /// How long a connection's socket may refuse bytes (a client that
     /// stopped reading) before the connection is doomed.
     pub write_timeout: Duration,
-    /// Malformed-frame tolerance per connection, in [`ErrorBudget`]
-    /// *points*: a v2 checksum mismatch costs
-    /// [`crate::protocol::CHECKSUM_ERROR_COST`], well-framed garbage costs
-    /// [`crate::protocol::GARBAGE_ERROR_COST`], and every good frame earns
-    /// one point back (up to this maximum). Exhausting the budget — which
-    /// therefore requires *sustained* corruption — earns a
-    /// [`ErrorCode::Protocol`] disconnect. Only *resynchronizable* errors
-    /// (intact header, known extent) are budgetable; losing framing is an
-    /// immediate typed disconnect.
-    pub frame_error_budget: u32,
     /// Admission limit on concurrent connections: beyond it shard 0
     /// answers one [`ErrorCode::Shed`] frame and closes.
     pub max_conns: usize,
-    /// Epoll event-loop threads (at least 1 is spawned). Shard 0 accepts
-    /// and assigns connections round-robin; tenant `i`'s executor heap
-    /// belongs to shard `i % shards`. [`ServeConfig::new`] computes it:
-    /// half the available parallelism — the other half is left to the
-    /// planner and clients — which is 1 on the 2-vCPU reference host, the
-    /// only shape measured (`EXPERIMENTS.md`). The connection registry
-    /// gets `max(8, shards)` stripes, so every shard owns a disjoint set of
-    /// them.
+    /// Epoll event-loop threads (at least 1 is spawned), the server's only
+    /// threads. Shard 0 accepts and assigns connections round-robin, and
+    /// runs the planner between its waits; tenant `i`'s executor heap
+    /// belongs to shard `i % shards`.
+    /// [`ServeConfig::new`] computes it: half the available parallelism —
+    /// the other half is left to clients — which is 1 on the 2-vCPU
+    /// reference host, the only shape measured (`EXPERIMENTS.md`). The
+    /// connection registry gets `max(8, shards)` stripes, so every shard
+    /// owns a disjoint set of them.
     pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
@@ -186,8 +176,9 @@ pub struct ServeConfig {
     pub coordinator_window: Nanos,
     /// Test-only in-process fault injection: a seeded
     /// [`ComponentChaos`] schedule targeting server components by name
-    /// prefix (`shard`, `planner`), consulted on every component
-    /// heartbeat. `None` — the production setting — injects nothing.
+    /// prefix (`shard`, `planner`), consulted on every shard heartbeat and
+    /// at every planner wake on shard 0. `None` — the production setting —
+    /// injects nothing.
     pub component_chaos: Option<ComponentChaos>,
     /// How long a component's heartbeat may freeze while unparked before
     /// [`Server::check_stalls`] flags it stalled.
@@ -201,8 +192,6 @@ impl ServeConfig {
             gpus,
             time_scale: 1,
             queue_capacity: 4096,
-            tick_interval: arlo_trace::NANOS_PER_SEC / 5,
-            jitter: JitterSpec::NONE,
             drain_timeout: Duration::from_secs(30),
             fail_one_in: None,
             panic_one_in: None,
@@ -211,9 +200,6 @@ impl ServeConfig {
             idle_timeout: Duration::from_secs(30),
             outbound_queue: 1024,
             write_timeout: Duration::from_secs(5),
-            // 32 points = the historical 8 garbage frames at
-            // GARBAGE_ERROR_COST, or 32 isolated checksum failures.
-            frame_error_budget: 32,
             max_conns: 4096,
             shards: std::thread::available_parallelism().map_or(1, |n| (n.get() / 2).max(1)),
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
@@ -516,7 +502,8 @@ struct Tenant {
     /// periodically plans into a [`StreamPlan`]. Lock-striped by
     /// connection id ([`ShardedTenantWindow`]) so the per-submit record
     /// on the hot path never funnels every connection through one mutex.
-    window: ShardedTenantWindow,
+    /// `None` unless the server runs the coordinator.
+    window: Option<ShardedTenantWindow>,
     /// The request counters. The server keeps no other copy: a
     /// server-wide figure is the sum over the tenants ([`Snapshot::total`]).
     submits: AtomicU64,
@@ -560,8 +547,7 @@ struct Shared {
     fail_one_in: Option<u64>,
     panic_one_in: Option<u64>,
     draining: AtomicBool,
-    /// Set once drain has flushed: the shards close up and return, and
-    /// the planner, unparked, returns too.
+    /// Set once drain has flushed: the shards close up and return.
     shutdown: AtomicBool,
     reallocations: AtomicU64,
     /// Response frames enqueued on outbound queues and not yet written;
@@ -589,8 +575,12 @@ struct Shared {
 
 impl Shared {
     /// One stream per tenant, a clock starting at zero now, and zeroed
-    /// accounting.
-    fn new(tenants: Vec<(TenantSpec, ArloEngine)>, config: &ServeConfig) -> Shared {
+    /// accounting; demand windows only if the server `coordinate`s.
+    fn new(
+        tenants: Vec<(TenantSpec, ArloEngine)>,
+        config: &ServeConfig,
+        coordinate: bool,
+    ) -> Shared {
         // Every shard gets its own disjoint set of stripes (see
         // `ServeConfig::shards`).
         let stripes = config.shards.max(8);
@@ -604,7 +594,8 @@ impl Shared {
                 slo_ms: spec.slo_ms,
                 granted: AtomicU32::new(engine.deployment().1.iter().sum()),
                 engine,
-                window: ShardedTenantWindow::new(config.coordinator_window, stripes),
+                window: coordinate
+                    .then(|| ShardedTenantWindow::new(config.coordinator_window, stripes)),
                 submits: AtomicU64::new(0),
                 served: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
@@ -792,8 +783,6 @@ pub struct Server {
     shard_handles: Vec<Arc<ShardHandle>>,
     /// One thread per shard, in shard order.
     shards: Vec<JoinHandle<()>>,
-    /// The planner thread (taken by the drain).
-    planner: Option<JoinHandle<()>>,
     /// One executor per tenant (its own per-instance clocks); executor
     /// `i`'s deadline heap belongs to shard `i % shards`.
     executors: Vec<Arc<Executor>>,
@@ -810,7 +799,7 @@ impl Server {
     ///
     /// Single-tenant: the engine becomes the default tenant (id 0,
     /// ungated `Interactive` admission), no coordinator runs, and the
-    /// planner owns periodic reallocation.
+    /// planner's ticks on shard 0 own periodic reallocation.
     pub fn spawn(engine: ArloEngine, addr: &str, config: ServeConfig) -> io::Result<Server> {
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
         Server::spawn_inner(vec![(spec, engine)], addr, config, false)
@@ -818,8 +807,8 @@ impl Server {
 
     /// Bind `addr` and spawn a multi-tenant server: one engine and
     /// executor per tenant (wire tenant id = position in `tenants`; index
-    /// 0 is the default tenant), plus the live coordinator pass, run by the
-    /// planner, that periodically re-partitions `config.gpus` across the
+    /// 0 is the default tenant), plus the live coordinator pass, run on
+    /// shard 0, that periodically re-partitions `config.gpus` across the
     /// tenant engines from their streaming demand windows. In this mode the
     /// coordinator pass is the **sole** caller of
     /// [`ArloEngine::apply_allocation`], so generation-successor ordering
@@ -835,8 +824,8 @@ impl Server {
     /// Multi-tenant serving with a *static* partition: per-tenant engines,
     /// wire routing, SLO-class admission, and accounting exactly as
     /// [`Server::spawn_multi`], but no re-granting coordinator — every
-    /// tenant keeps its seed deployment for the server's lifetime (the
-    /// planner still health-ticks each engine). For deployments that pin
+    /// tenant keeps its seed deployment for the server's lifetime (shard 0
+    /// still health-ticks each engine). For deployments that pin
     /// capacity per tenant, and for controlled experiments that measure
     /// admission behavior at fixed capacity.
     pub fn spawn_multi_static(
@@ -857,7 +846,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(tenants, &config));
+        let shared = Arc::new(Shared::new(tenants, &config, coordinate));
 
         // The shards' epoll sets first: the executors wake their heaps'
         // owners through these handles, and shard 0 listens.
@@ -903,7 +892,7 @@ impl Server {
             let executor = Arc::new(Executor::serviced_by_caller(
                 tenant.engine.profiles().to_vec(),
                 Arc::clone(&shared.clock),
-                config.jitter,
+                JitterSpec::NONE,
                 config.batch,
                 on_done,
                 Box::new(move || {
@@ -927,13 +916,29 @@ impl Server {
             max_conns: config.max_conns,
             outbound_queue: config.outbound_queue,
         });
+        // Planner intervals in real time at the speed-up, never under 1 ms.
+        let real = |interval: Nanos| {
+            Duration::from_nanos((interval / Nanos::from(config.time_scale)).max(1_000_000))
+        };
+        let tick = real(TICK_INTERVAL);
+        let pass = coordinate.then(|| real(config.coordinator_interval));
+        let now = Instant::now();
+        let mut planner = Some(Planner {
+            chaos: supervisor.chaos_plan("planner"),
+            supervisor: supervisor.clone(),
+            tick,
+            pass,
+            reallocate: !coordinate && shared.tenants.len() == 1,
+            gpus: config.gpus,
+            next_tick: now + tick,
+            next_pass: pass.map(|every| now + every),
+        });
         let mut shards = Vec::with_capacity(shard_count);
         for (id, epoll) in epolls.into_iter().enumerate() {
             let shard_cfg = ShardConfig {
                 sweep_interval: config.sweep_interval,
                 idle_timeout: config.idle_timeout,
                 write_timeout: config.write_timeout,
-                frame_error_budget: config.frame_error_budget,
                 fire_slice,
                 executors: executors.clone(),
                 heaps: (id..executors.len()).step_by(shard_count).collect(),
@@ -942,43 +947,19 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 let handle = Arc::clone(&shard_handles[id]);
                 let door = front_door.take();
+                let planner = planner.take();
                 supervisor.spawn(&format!("shard-{id}"), move |ctx| {
-                    shard_loop(&shared, &handle, &epoll, door, &shard_cfg, ctx);
+                    shard_loop(&shared, &handle, &epoll, door, planner, &shard_cfg, ctx);
                 })
             };
             match spawned {
                 Ok(thread) => shards.push(thread),
                 Err(e) => {
-                    stop_threads(&shared, &shard_handles, shards, None);
+                    stop_threads(&shared, &shard_handles, shards);
                     return Err(e);
                 }
             }
         }
-
-        let planner = {
-            let shared = Arc::clone(&shared);
-            let executors = executors.clone();
-            let real = |interval: Nanos| {
-                Duration::from_nanos((interval / Nanos::from(config.time_scale)).max(1_000_000))
-            };
-            let plan = Plan {
-                tick: real(config.tick_interval),
-                coordinate: coordinate.then(|| real(config.coordinator_interval)),
-                reallocate: !coordinate && shared.tenants.len() == 1,
-                gpus: config.gpus,
-            };
-            let sup = supervisor.clone();
-            supervisor.spawn("planner", move |ctx| {
-                planner_loop(&shared, &executors, &plan, &sup, ctx);
-            })
-        };
-        let planner = match planner {
-            Ok(thread) => thread,
-            Err(e) => {
-                stop_threads(&shared, &shard_handles, shards, None);
-                return Err(e);
-            }
-        };
 
         Ok(Server {
             shared,
@@ -987,7 +968,6 @@ impl Server {
             supervisor,
             shard_handles,
             shards,
-            planner: Some(planner),
             executors,
             fire_slice,
         })
@@ -1026,10 +1006,10 @@ impl Server {
         }
     }
 
-    /// The stall check: compare every component's heartbeat (each shard's,
-    /// the planner's) with its reading at the previous call, and log a
-    /// `Stalled` event for one frozen while unparked for at least
-    /// [`ServeConfig::stall_grace`] — once per freeze episode. No thread
+    /// The stall check: compare every shard's heartbeat with its reading
+    /// at the previous call, and log a `Stalled` event for one frozen
+    /// while unparked for at least [`ServeConfig::stall_grace`] — once per
+    /// freeze episode (a wedged planner tick is shard 0's). No thread
     /// runs it; call it periodically (`arlo serve` does, every 50 ms).
     /// Returns the episodes this call found.
     pub fn check_stalls(&self) -> u64 {
@@ -1071,7 +1051,7 @@ impl Server {
         }
 
         let shards = std::mem::take(&mut self.shards);
-        stop_threads(shared, &self.shard_handles, shards, self.planner.take());
+        stop_threads(shared, &self.shard_handles, shards);
         for executor in &self.executors {
             // Fires whatever the heap still holds (a drain that timed out).
             executor.finish();
@@ -1237,102 +1217,94 @@ fn place(
     }
 }
 
-/// What the planner runs, and how often (real time).
-struct Plan {
-    /// Health ticks every `tick`.
-    tick: Duration,
-    /// Multi-tenant coordinator passes, if this server re-grants GPUs (it
-    /// is then the sole `apply_allocation` caller; a static partition has
-    /// neither).
-    coordinate: Option<Duration>,
-    /// Single-tenant reallocation check at every tick.
-    reallocate: bool,
-    gpus: u32,
-}
-
-/// Set `shutdown` and join the server's threads. Each is woken so it sees
-/// the flag now rather than at its next timeout: the shards through their
-/// eventfds, the planner out of its park (an unpark that lands first makes
-/// the park return). The shards close every connection on the way out,
-/// balancing the flush counter for anything undeliverable.
-fn stop_threads(
-    shared: &Shared,
-    shard_handles: &[Arc<ShardHandle>],
-    shards: Vec<JoinHandle<()>>,
-    planner: Option<JoinHandle<()>>,
-) {
+/// Set `shutdown` and join the shards. Each is woken through its eventfd
+/// so it sees the flag now rather than at its next timeout, and closes
+/// every connection on the way out, balancing the flush counter for
+/// anything undeliverable.
+fn stop_threads(shared: &Shared, shard_handles: &[Arc<ShardHandle>], shards: Vec<JoinHandle<()>>) {
     shared.shutdown.store(true, Ordering::SeqCst);
     for handle in shard_handles {
         handle.waker.wake();
     }
-    if let Some(planner) = &planner {
-        planner.thread().unpark();
-    }
-    for thread in shards.into_iter().chain(planner) {
+    for thread in shards {
         let _ = thread.join();
     }
 }
 
-/// The planner: health ticks (plus, single-tenant, the reallocation check)
-/// every tick, and the coordinator's re-granting pass every coordinator
-/// interval — the work that is neither a request nor cheap enough to run
-/// on a shard (a re-partition solves the DP). It sleeps parked between
-/// ticks, each interval counted from the end of the work before it;
-/// drain unparks it. Each wake-up runs behind [`Supervisor::recover`]: a
-/// panicking tick is logged and the next one runs on schedule.
-fn planner_loop(
-    shared: &Shared,
-    executors: &[Arc<Executor>],
-    plan: &Plan,
-    sup: &Supervisor,
-    ctx: &SupervisedCtx,
-) {
-    let mut next_tick = Instant::now() + plan.tick;
-    let mut next_pass = plan.coordinate.map(|every| Instant::now() + every);
-    loop {
-        let wake_at = next_pass.map_or(next_tick, |pass| pass.min(next_tick));
-        ctx.park();
-        std::thread::park_timeout(wake_at.saturating_duration_since(Instant::now()));
-        if shared.shutdown.load(Ordering::SeqCst) {
+/// Virtual interval between planner ticks (health + reallocation check).
+const TICK_INTERVAL: Nanos = arlo_trace::NANOS_PER_SEC / 5;
+
+/// The planner, which shard 0 carries like its listener: health ticks
+/// (plus, single-tenant, the reallocation check) every tick, and the
+/// coordinator's re-granting pass every coordinator interval. Intervals
+/// count from the end of the work before them, so a pass delays shard 0's
+/// connections by its own duration, never by a backlog of missed ticks.
+struct Planner {
+    /// Catches a panicking wake-up, logged under `planner`.
+    supervisor: Supervisor,
+    /// The `planner` component-chaos schedule, drawn once per wake-up.
+    chaos: Option<ComponentChaosPlan>,
+    /// Real time between health ticks.
+    tick: Duration,
+    /// Real time between coordinator passes, if this server re-grants GPUs
+    /// (it is then the sole `apply_allocation` caller).
+    pass: Option<Duration>,
+    /// Single-tenant reallocation check at every tick.
+    reallocate: bool,
+    gpus: u32,
+    next_tick: Instant,
+    next_pass: Option<Instant>,
+}
+
+impl Planner {
+    /// How long until the next tick or pass falls due.
+    fn until_due(&self) -> Duration {
+        let at = self.next_pass.unwrap_or(self.next_tick).min(self.next_tick);
+        at.saturating_duration_since(Instant::now())
+    }
+
+    /// Run the tick and the pass if due, behind [`Supervisor::recover`]: a
+    /// panicking wake-up is logged and the next one runs on schedule.
+    fn run_due(&mut self, shared: &Shared, executors: &[Arc<Executor>]) {
+        let woke = Instant::now();
+        let tick = woke >= self.next_tick;
+        let pass = self.next_pass.is_some_and(|at| woke >= at);
+        if !tick && !pass {
             return;
         }
-        let woke = Instant::now();
-        let tick = woke >= next_tick;
-        let pass = next_pass.is_some_and(|at| woke >= at);
-        if !tick && !pass {
-            continue; // a spurious wake-up
-        }
-        sup.recover("planner", || {
-            ctx.beat();
+        self.supervisor.recover("planner", || {
+            if let Some(chaos) = &mut self.chaos {
+                chaos.on_beat();
+            }
             if tick {
-                health_tick(shared, executors, plan);
+                health_tick(shared, executors, self.reallocate.then_some(self.gpus));
             }
             if pass {
-                coordinate_once(shared, executors, plan.gpus);
+                coordinate_once(shared, executors, self.gpus);
             }
         });
         let done = Instant::now();
         if tick {
-            next_tick = done + plan.tick;
+            self.next_tick = done + self.tick;
         }
         if pass {
-            next_pass = plan.coordinate.map(|every| done + every);
+            self.next_pass = self.pass.map(|every| done + every);
         }
     }
 }
 
 /// Health-tick every tenant engine; single-tenant, also run the Runtime
-/// Scheduler's reallocation check. On a multi-tenant server the
-/// coordinator pass is the sole `apply_allocation` caller (generation
-/// plans must land in order).
-fn health_tick(shared: &Shared, executors: &[Arc<Executor>], plan: &Plan) {
+/// Scheduler's reallocation check over `reallocate_gpus`. On a
+/// multi-tenant server the coordinator pass is the sole `apply_allocation`
+/// caller (generation plans must land in order).
+fn health_tick(shared: &Shared, executors: &[Arc<Executor>], reallocate_gpus: Option<u32>) {
     let now = shared.clock.now();
     for tenant in &shared.tenants {
         tenant.engine.health_tick(now);
     }
-    if plan.reallocate {
+    if let Some(gpus) = reallocate_gpus {
         let tenant = &shared.tenants[0];
-        if let Some(replacement) = tenant.engine.maybe_reallocate(now, plan.gpus) {
+        if let Some(replacement) = tenant.engine.maybe_reallocate(now, gpus) {
             // The executor's per-instance clocks for the new generation
             // start idle; the engine switches dispatch atomically.
             tenant.engine.apply_allocation(&replacement);
@@ -1356,7 +1328,10 @@ fn coordinate_once(shared: &Shared, executors: &[Arc<Executor>], total_gpus: u32
     let plans: Vec<StreamPlan> = shared
         .tenants
         .iter()
-        .map(|t| t.window.plan(&t.name, t.engine.profiles(), t.slo_ms, now))
+        .map(|t| {
+            let window = t.window.as_ref().expect("coordinator has windows");
+            window.plan(&t.name, t.engine.profiles(), t.slo_ms, now)
+        })
         .collect();
     // Infeasible pools (e.g. fewer GPUs than streams after backoff) leave
     // the current grants standing; the next pass retries.
@@ -1502,7 +1477,6 @@ struct ShardConfig {
     sweep_interval: Duration,
     idle_timeout: Duration,
     write_timeout: Duration,
-    frame_error_budget: u32,
     /// Most jobs one slice of heap firing completes before the shard
     /// writes out the connections they answered.
     fire_slice: usize,
@@ -1539,11 +1513,11 @@ struct FramedConn {
 }
 
 impl FramedConn {
-    fn adopt(inc: IncomingConn, cfg: &ShardConfig) -> FramedConn {
+    fn adopt(inc: IncomingConn) -> FramedConn {
         FramedConn {
             stream: inc.stream,
             frames: FrameReader::new(),
-            budget: ErrorBudget::new(cfg.frame_error_budget),
+            budget: ErrorBudget::new(FRAME_ERROR_BUDGET),
             outbound: inc.outbound,
             swapped: VecDeque::new(),
             doomed: inc.doomed,
@@ -1595,16 +1569,17 @@ impl Drop for ShardConns<'_> {
 
 /// One epoll shard: accept (shard 0) and adopt connections, pump
 /// readiness events through the per-connection state machines, fire its
-/// executors' ripe deadlines, sweep for idle / doomed / stalled
-/// connections, and on shutdown (or panic — see [`ShardConns`]) close
-/// everything owned, balancing the drain flush counter for undeliverable
-/// frames. It sleeps until the earlier of its next sweep and its heaps'
-/// next deadline.
+/// executors' ripe deadlines, run the planner's due work (shard 0), sweep
+/// for idle / doomed / stalled connections, and on shutdown (or panic —
+/// see [`ShardConns`]) close everything owned, balancing the drain flush
+/// counter for undeliverable frames. It sleeps until the earliest of its
+/// next sweep, its heaps' next deadline and the planner's next tick or pass.
 fn shard_loop(
     shared: &Shared,
     handle: &ShardHandle,
     epoll: &Epoll,
     mut door: Option<FrontDoor>,
+    mut planner: Option<Planner>,
     cfg: &ShardConfig,
     ctx: &SupervisedCtx,
 ) {
@@ -1622,6 +1597,9 @@ fn shard_loop(
         if let Some(at) = next_fire {
             let clock = &shared.clock;
             timeout = timeout.min(clock.to_real(at.saturating_sub(clock.now())));
+        }
+        if let Some(planner) = &planner {
+            timeout = timeout.min(planner.until_due());
         }
         ctx.park();
         // `Epoll::new` probed the syscall, so a failure here is a broken
@@ -1648,7 +1626,7 @@ fn shard_loop(
             let orphaned = std::mem::take(&mut *handle.incoming.lock());
             for inc in orphaned {
                 let conn_id = inc.conn_id;
-                close_conn(shared, epoll, conn_id, FramedConn::adopt(inc, cfg));
+                close_conn(shared, epoll, conn_id, FramedConn::adopt(inc));
             }
             // `owned` drops here, closing every adopted connection.
             return;
@@ -1702,6 +1680,11 @@ fn shard_loop(
         // the head read here is what the next wait sleeps until.
         next_fire = fire_heaps(shared, epoll, &mut owned.conns, cfg);
 
+        // Shard 0: the planner's tick or coordinator pass, if due.
+        if let Some(planner) = planner.as_mut() {
+            planner.run_due(shared, &cfg.executors);
+        }
+
         // Periodic sweep.
         if last_sweep.elapsed() >= cfg.sweep_interval {
             last_sweep = Instant::now();
@@ -1724,7 +1707,7 @@ fn adopt(
     cfg: &ShardConfig,
 ) {
     let conn_id = inc.conn_id;
-    let mut conn = FramedConn::adopt(inc, cfg);
+    let mut conn = FramedConn::adopt(inc);
     if epoll.add(&conn.stream, conn_id, Interest::READ).is_err() {
         close_conn(shared, epoll, conn_id, conn);
         return;
@@ -2025,11 +2008,13 @@ fn submit_one(
     // and the executor's virtual-time serialization, so a batched frame
     // must not batch time.
     let now = shared.clock.now();
-    // Feed the coordinator's demand window with *offered* load (shed
-    // submits included): the re-granting decision should see what the
-    // tenant asked for, not just what the gate admitted. Striped by
-    // connection id, so concurrent submitters hit disjoint locks.
-    tenant.window.record(conn_id, now, length.max(1));
+    // Feed the coordinator's demand window, if it runs, with *offered*
+    // load (shed submits included): the re-granting decision should see
+    // what the tenant asked for, not just what the gate admitted. Striped
+    // by connection id, so concurrent submitters hit disjoint locks.
+    if let Some(window) = &tenant.window {
+        window.record(conn_id, now, length.max(1));
+    }
     // SLO-class admission gate: under overload, lower classes hit their
     // outstanding share and shed here — weighted shedding; Interactive is
     // never gated.
@@ -2222,7 +2207,7 @@ mod tests {
         );
         let config = ServeConfig::new(2);
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
-        let shared = Shared::new(vec![(spec, engine)], &config);
+        let shared = Shared::new(vec![(spec, engine)], &config, false);
         // An executor that knows only the 64 runtime: `Executor::submit`
         // indexes past its profiles for that placement and panics.
         let executor = Arc::new(Executor::serviced_by_caller(
@@ -2270,5 +2255,42 @@ mod tests {
         assert_eq!(tenant.failed.load(Ordering::Relaxed), 1);
         let stats = shared.snapshot().stats();
         assert_eq!((stats.served, stats.shed, stats.outstanding), (0, 1, 0));
+    }
+
+    // --- Demand windows exist only where a coordinator reads them ---
+
+    #[test]
+    fn only_a_coordinating_server_records_demand() {
+        let model = ModelSpec::bert_base();
+        let profiles = profile_runtimes(&[CompiledRuntime::new_static(model, 512)], 150.0, 64);
+        let config = ServeConfig::new(2);
+        for coordinate in [false, true] {
+            let engine = ArloEngine::new(
+                profiles.clone(),
+                vec![2],
+                arlo_core::engine::EngineConfig::paper_default(150.0),
+            );
+            let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
+            let shared = Shared::new(vec![(spec, engine)], &config, coordinate);
+            let executor = Arc::new(Executor::serviced_by_caller(
+                profiles.clone(),
+                Arc::clone(&shared.clock),
+                JitterSpec::NONE,
+                config.batch,
+                Box::new(|_| {}),
+                Box::new(|| {}),
+            ));
+            for id in 0..100 {
+                submit_one(&shared, std::slice::from_ref(&executor), 7, 0, id, 100);
+            }
+            let tenant = &shared.tenants[0];
+            assert_eq!(tenant.submits.load(Ordering::Relaxed), 100);
+            let samples = tenant.window.as_ref().map_or(0, ShardedTenantWindow::len);
+            assert_eq!(
+                samples,
+                if coordinate { 100 } else { 0 },
+                "coordinate: {coordinate}"
+            );
+        }
     }
 }

@@ -1,33 +1,35 @@
 //! Supervision: escalation plus a stall check.
 //!
-//! The server runs two kinds of thread: the epoll shards, which carry every
-//! request and fire their executors' deadlines, and one planner, which runs
-//! the periodic health, reallocation and re-granting ticks. Neither is
-//! restarted — a shard owns connection state machines that cannot be
-//! re-attached, and a planner tick holds no state between ticks — so
-//! supervising them takes three things and no thread of its own:
+//! The server runs one kind of thread, the epoll shards, which carry every
+//! request and fire their executors' deadlines; shard 0 also runs the
+//! periodic health, reallocation and re-granting ticks of the planner.
+//! Nothing is restarted — a shard owns connection state machines that
+//! cannot be re-attached, and a planner tick holds no state between ticks
+//! — so supervising them takes three things and no thread of its own:
 //!
-//! - **Heartbeats.** Each thread is spawned through `Supervisor::spawn`
-//!   under a stable name (`shard-{i}`, `planner`); its body calls
+//! - **Heartbeats.** Each shard is spawned through `Supervisor::spawn`
+//!   under a stable name (`shard-{i}`); its body calls
 //!   `SupervisedCtx::park` right before any intentional blocking wait and
 //!   `SupervisedCtx::beat` right after it returns.
 //! - **Escalation.** A panic that escapes a body is logged and runs the
 //!   escalation hook — the server's fail-fast drain — on the dying thread,
-//!   once per server. The planner runs each tick behind
+//!   once per server. Shard 0 runs each planner tick behind
 //!   `Supervisor::recover` instead: a panicking tick is logged and the
 //!   next one runs.
 //! - **A stall check.** `Supervisor::check_stalls` flags a component
 //!   whose beat counter stayed frozen while unparked for longer than the
-//!   stall grace. Whoever polls the server calls it (`arlo serve`, every
-//!   50 ms). Stalls are detected and logged, not preempted.
+//!   stall grace (a wedged planner tick is shard 0's). Whoever polls the
+//!   server calls it (`arlo serve`, every 50 ms). Stalls are detected and
+//!   logged, not preempted.
 //!
 //! Every panic, stall and escalation lands in a [`SupervisorEvent`] log
 //! that keeps the most recent [`LOG_CAPACITY`](crate::tenants::LOG_CAPACITY);
 //! the stall and escalation counts stay exact.
 //! Deterministic fault injection ([`crate::chaos::ComponentChaos`]) fires
-//! inside `SupervisedCtx::beat` — at loop-iteration boundaries, where
-//! the component's drop guards re-account work caught mid-flight — so a
-//! failing resilience cell reproduces from its seed alone.
+//! inside `SupervisedCtx::beat` (the planner's, at the top of each tick) —
+//! at loop-iteration boundaries, where the component's drop guards
+//! re-account work caught mid-flight — so a failing resilience cell
+//! reproduces from its seed alone.
 
 use std::cell::RefCell;
 use std::io;
@@ -46,7 +48,7 @@ use crate::tenants::BoundedLog;
 #[derive(Debug)]
 struct Heartbeat {
     beats: AtomicU64,
-    /// Set across intentional blocking waits (epoll wait, tick sleep) and
+    /// Set across intentional blocking waits (the epoll wait) and
     /// once the thread has exited, so an idle or finished component is
     /// never misread as stalled. Starts parked: a component that has not
     /// run yet is not stalled.
@@ -206,12 +208,7 @@ impl Supervisor {
             });
         let ctx = SupervisedCtx {
             hb,
-            chaos: self
-                .inner
-                .chaos
-                .as_ref()
-                .and_then(|c| c.plan_for(name))
-                .map(RefCell::new),
+            chaos: self.chaos_plan(name).map(RefCell::new),
         };
         let inner = Arc::clone(&self.inner);
         let name = name.to_string();
@@ -229,6 +226,11 @@ impl Supervisor {
                     }
                 }
             })
+    }
+
+    /// Component `name`'s chaos schedule, if the chaos targets it.
+    pub(crate) fn chaos_plan(&self, name: &str) -> Option<ComponentChaosPlan> {
+        self.inner.chaos.as_ref()?.plan_for(name)
     }
 
     /// Run one tick of component `name`'s work behind `catch_unwind`. A

@@ -34,7 +34,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         time_scale: SCALE,
         queue_capacity: 8192,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         ..ServeConfig::new(GPUS)

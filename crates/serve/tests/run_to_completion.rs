@@ -44,7 +44,6 @@ fn config() -> ServeConfig {
     ServeConfig {
         time_scale: SCALE,
         queue_capacity: 8_192,
-        tick_interval: NANOS_PER_SEC,
         drain_timeout: Duration::from_secs(60),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         shards: 1,

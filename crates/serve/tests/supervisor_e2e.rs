@@ -1,9 +1,10 @@
 //! End-to-end supervision: component chaos against a live server.
 //!
-//! The server's threads — the epoll shards and the planner — run as named
-//! components with heartbeats; these tests inject deterministic panics and
-//! stalls into them through real sockets under real client load, and
-//! assert what supervision is for:
+//! The server's threads — the epoll shards — run as named components with
+//! heartbeats, and shard 0 runs the planner's ticks under a per-tick panic
+//! boundary; these tests inject deterministic panics and stalls into them
+//! through real sockets under real client load, and assert what
+//! supervision is for:
 //!
 //! 1. **Escalation, conserving.** A shard that dies fails the server fast
 //!    into a drain, and the drain fires whatever the dead shard's deadline
@@ -48,7 +49,6 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
     ServeConfig {
         time_scale,
         queue_capacity: 8192,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         ..ServeConfig::new(gpus)

@@ -45,7 +45,6 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
     ServeConfig {
         time_scale,
         queue_capacity: 8192,
-        tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
         ..ServeConfig::new(gpus)

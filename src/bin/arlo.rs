@@ -468,8 +468,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let serve_cfg = ServeConfig {
         time_scale,
         queue_capacity: 8192,
-        tick_interval: NANOS_PER_SEC / 5,
-        jitter: JitterSpec::NONE,
         drain_timeout: std::time::Duration::from_secs(60),
         batch,
         ..ServeConfig::new(gpus)
