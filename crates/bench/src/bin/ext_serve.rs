@@ -35,8 +35,8 @@
 //!   10k — each submitting once and holding its socket open. The storm is a
 //!   replay of a trace that arrives all at once, run in a re-exec'd child
 //!   process ([`ReplayChild`]) so parent and child each stay under the
-//!   host's per-process fd rlimit; the parent polls its own connection
-//!   registry to record peak concurrency and asserts exact conservation
+//!   host's per-process fd rlimit; the parent polls the server's
+//!   connection count to record peak concurrency and asserts exact conservation
 //!   (`ok + shed + unserviceable + draining == sent`, nothing lost,
 //!   nothing refused) from the child's report.
 //!
@@ -348,7 +348,7 @@ fn run_conn_cell(conns: usize) -> ConnCell {
 
     let started = Instant::now();
     let mut child = ReplayChild::spawn(addr, conns, &storm);
-    // Peak concurrency from the server's own registry: the 10k cell must
+    // Peak concurrency from the server's own count: the 10k cell must
     // actually *hold* 10k connections at once, not merely churn them.
     let mut peak_active: u64 = 0;
     loop {

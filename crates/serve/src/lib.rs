@@ -43,9 +43,10 @@
 //!   tick on shard 0 is logged and skipped, and a frozen heartbeat is
 //!   flagged by a check the embedder calls (no monitor thread). Seeded
 //!   in-process fault injection via [`chaos::ComponentChaos`].
-//! - [`registry`] — the lock-striped connection registry
-//!   ([`registry::StripedMap`]) that replaced the process-global conns
-//!   mutex on the response hot path.
+//! - [`registry`] — a lock-striped map ([`registry::StripedMap`]), once
+//!   the server's connection registry. No server path uses it (an answer
+//!   reaches its connection through the shard's inbox); it stays for the
+//!   benchmark's layer walk and probes, which link it.
 //! - [`tenants`] — multi-tenant primitives: SLO classes (weighted
 //!   admission under overload), tenant specs, the sliding per-tenant
 //!   demand windows the GPU re-granting coordinator plans over, and the
@@ -53,7 +54,9 @@
 //! - [`server`] — the TCP server: [`server::ServeConfig::shards`] epoll
 //!   event loops — shard 0 also owns the listener — that drive
 //!   non-blocking per-connection state machines (a connection costs no
-//!   thread), run each decoded request to completion on the shard
+//!   thread, and only its shard touches it: every answer reaches it
+//!   through the shard's inbox), run each decoded request to completion
+//!   on the shard
 //!   (refusals ⇒ explicit shed frames) and fire their executors'
 //!   deadlines. They are its only threads: shard 0 also runs the planner's
 //!   health ticks, periodic reallocation and GPU re-granting between its

@@ -1,29 +1,18 @@
-//! The lock-striped connection registry.
+//! A lock-striped `u64 → V` map, once the server's connection registry.
 //!
-//! The server's connection table used to be one process-global
-//! `Mutex<HashMap<u64, ConnHandle>>`: every response (completions and
-//! refusals from whichever thread placed or completed the request, a
-//! shard's own error frames), every accept, and every close
-//! serialized on a single lock — and `respond` *held* it across the
-//! outbound-queue push. [`StripedMap`] splits the table into N
-//! independently-locked stripes selected by the low bits of the key, so
-//! two responders touching different connections never contend, and the
-//! accept path's round-robin shard assignment (`conn_id % shards`) maps
-//! each shard's connections onto a disjoint set of stripes whenever the
-//! stripe count is a multiple of the shard count — the stripes are
-//! *aligned with the shards*, so a shard draining its own connections
-//! never collides with another shard's.
+//! It replaced a process-global `Mutex<HashMap<u64, ConnHandle>>` on the
+//! response path, and was itself replaced by the shards' inboxes: an
+//! answer now reaches its connection through the inbox of the shard that
+//! owns it (see `DESIGN.md` §14.1). No server path uses it; like
+//! [`crate::queue`], it stays for the benchmark's layer walk and probes,
+//! which link it.
 //!
-//! The map intentionally exposes no guard: lookups happen inside
-//! [`StripedMap::with`], which scopes the stripe lock to the closure. The
-//! server's `respond` clones the handle's two `Arc`s inside the closure
-//! and performs the actual queue push *after* the stripe is released — the registry invariant that replaces
-//! the old "push under the registry lock" close-race protection (that
-//! race is now handled by the outbound queue's own `closed` flag; see
-//! `server::Outbound`).
-//!
-//! `len` is an atomic maintained on insert/remove, so the accept path's
-//! admission check stays O(1) instead of summing stripes.
+//! [`StripedMap`] splits the table into N independently-locked stripes
+//! selected by the low bits of the key, so two callers touching
+//! different keys never contend. The map intentionally exposes no guard:
+//! lookups happen inside [`StripedMap::with`], which scopes the stripe
+//! lock to the closure. `len` is an atomic maintained on insert/remove,
+//! so it stays O(1) instead of summing stripes.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -31,8 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An N-way lock-striped `u64 → V` map. N is rounded up to a power of two
 /// so stripe selection is a mask, and keys map to stripes by their low
-/// bits (sequential conn ids spread perfectly, and stay aligned with the
-/// front door's round-robin shard assignment).
+/// bits (sequential ids spread perfectly).
 pub struct StripedMap<V> {
     stripes: Box<[Mutex<HashMap<u64, V>>]>,
     mask: usize,

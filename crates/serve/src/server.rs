@@ -6,47 +6,53 @@
 //! thread kind:
 //!
 //! ```text
-//!   clients ──TCP──► shard 0 (listener) ──hand-off──► shard 1..N
+//!   clients ──TCP──► shard 0 (listener) ──inbox: adopt──► shard c % N
 //!                      │  each owns its conns and its executors' heaps:
-//!                      │  FrameReader ◄─ nonblocking reads
-//!                      │  FrameWriteBuf ─► nonblocking writes
+//!                      │  FrameReader ◄─ nonblocking reads, a slice at a time
+//!                      │  FrameWriteBuf ─► nonblocking writes (the outbound queue)
 //!                      │
 //!                      ├─ run to completion: place ─► engine.submit ─►
 //!                      │  executor ─► due now: completes inline
 //!                      ├─ due later: parked in the executor's heap,
 //!                      │  fired when this shard's epoll_wait times out
 //!                      │
-//!                      ◄── bounded outbound queues ◄── responses from other threads
+//!                      ◄── inbox: (conn, frame) ◄── every answer, from any thread
 //!                      │
 //!                      └─ shard 0 only, when due: the planner's health
 //!                         ticks + reallocation, or the coordinator's re-grants
 //! ```
 //!
-//! The shards are the only threads a server spawns. A shard is the only
-//! thread that places a request, and executor `i`'s deadline heap belongs
-//! to shard `i % shards`, which sleeps no longer than until the heap's
-//! head, fires what is ripe and writes the answers out itself. Otherwise
-//! a shard wakes for socket readiness, for its eventfd [`Waker`] — another
-//! thread queued a frame on one of its connections, doomed one, or parked
-//! a deadline ahead of one of its heaps — for the planner's next tick or
-//! pass (shard 0), or once per sweep interval (idle reaping, write-stall
-//! dooming). A connection costs no thread. Every socket read and write goes straight
-//! to the socket: network faults are injected on the client side of the
-//! wire ([`crate::chaos::FaultyStream`]).
+//! The shards are the only threads a server spawns. Connection `c`
+//! belongs to shard `c % shards`, and only that shard touches it: every
+//! answer, whichever thread produced it, is posted to the shard's one
+//! inbox, which the shard empties into its connections' write buffers
+//! after every read and every heap slice. A shard is the only thread that
+//! places a request, and executor `i`'s deadline heap belongs to shard
+//! `i % shards`, which sleeps no longer than until the heap's head, fires
+//! what is ripe and writes the answers out itself. Otherwise a shard wakes
+//! for socket readiness, for its eventfd [`Waker`] — another thread posted
+//! to its empty inbox or parked a deadline ahead of one of its heaps — for
+//! the planner's next tick or pass (shard 0), or once per sweep interval
+//! (idle reaping, write-stall dooming). A connection costs no thread.
+//! Every socket read and write goes straight to the socket: network faults
+//! are injected on the client side of the wire
+//! ([`crate::chaos::FaultyStream`]).
 //!
 //! Backpressure and failure are explicit end to end:
 //!
 //! - A submit the SLO-class gate or the engine refuses is answered with a
 //!   typed [`ErrorCode::Shed`] (or [`ErrorCode::Unserviceable`]) frame,
 //!   never a stall.
-//! - Every response travels through a **bounded per-connection outbound
-//!   queue** drained by the connection's shard with non-blocking writes,
-//!   so a stalled or slow client can never block a placing thread or the
+//! - Every response ends in its connection's **bounded outbound queue**,
+//!   the write buffer its shard drains with non-blocking writes, so a
+//!   stalled or slow client can never block a placing thread or the
 //!   executor's completion path. A full queue (or a write stalled past
 //!   `write_timeout`) dooms only that connection — a typed disconnect, not
-//!   shared-fate backpressure. A shard catching up on ripe deadlines fires
-//!   them in slices of half a queue, writing out between slices, so it
-//!   cannot outrun a client that is reading.
+//!   shared-fate backpressure. A shard works in slices of half a queue,
+//!   writing out between slices: it reads a connection a slice of answers
+//!   at a time, reading on only while the queue has room for another, and
+//!   fires ripe deadlines a slice at a time — so it outruns neither a
+//!   client that reads after its burst nor one catching up on a backlog.
 //! - The shard's periodic sweep **reaps idle connections**: a half-open or
 //!   silent socket is closed after `idle_timeout`.
 //! - Malformed frames with an intact header are *skipped* and charged
@@ -87,7 +93,6 @@ use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
     WireVersion, CONN_ERROR_ID, FILL_CHUNK, FRAME_ERROR_BUDGET, UNKNOWN_TENANT_COST,
 };
-use crate::registry::StripedMap;
 use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
 use crate::tenants::{BoundedLog, RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
 use arlo_core::engine::{ArloEngine, ReplacementPlan};
@@ -97,12 +102,12 @@ use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::io;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -145,9 +150,12 @@ pub struct ServeConfig {
     /// bytes from the client for this long closes the socket. Half-open
     /// sockets die here instead of leaking.
     pub idle_timeout: Duration,
-    /// Bound of each connection's outbound response queue. A connection
-    /// whose client stalls long enough to fill it is doomed (typed
-    /// disconnect) rather than allowed to backpressure placement.
+    /// Bound of each connection's outbound queue: the answers its write
+    /// buffer may hold unwritten. A connection whose client stalls long
+    /// enough to fill it is doomed (typed disconnect) rather than allowed
+    /// to backpressure placement. The shard reads a connection and fires
+    /// its heaps in slices of half of it, writing out between slices, so a
+    /// reading client never fills it.
     pub outbound_queue: usize,
     /// How long a connection's socket may refuse bytes (a client that
     /// stopped reading) before the connection is doomed.
@@ -161,9 +169,8 @@ pub struct ServeConfig {
     /// belongs to shard `i % shards`.
     /// [`ServeConfig::new`] computes it: half the available parallelism —
     /// the other half is left to clients — which is 1 on the 2-vCPU
-    /// reference host, the only shape measured (`EXPERIMENTS.md`). The
-    /// connection registry gets `max(8, shards)` stripes, so every shard
-    /// owns a disjoint set of them.
+    /// reference host, the only shape measured (`EXPERIMENTS.md`).
+    /// Connection `c` belongs to shard `c % shards`.
     pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
@@ -342,10 +349,11 @@ pub struct Snapshot {
     /// `(generation, runtime, instance)` coalescers the executors track —
     /// bounded across reallocations by the post-apply eviction.
     pub tracked_instances: usize,
-    /// Cross-thread shard wake-ups (eventfd writes): a response, doom or
-    /// undercutting deadline from a thread other than the owning shard.
+    /// Cross-thread shard wake-ups (eventfd writes): a response posted to
+    /// an empty inbox, or an undercutting deadline, from a thread other
+    /// than the owning shard.
     pub shard_notifies: u64,
-    /// Connections registered.
+    /// Connections accepted and not yet closed.
     pub active_connections: usize,
     /// Whether a drain was requested: locally, by a client's
     /// [`Frame::Drain`], or by an escalation.
@@ -372,68 +380,40 @@ impl Snapshot {
     }
 }
 
-/// A connection's bounded outbound frame queue. Producers (`respond`)
-/// push under the queue's own lock — *not* the registry stripe, which they
-/// release before touching the queue — and the owning shard swaps the
-/// backlog out into the connection's [`FrameWriteBuf`].
-///
-/// The `closed` latch is what makes that safe: `close_conn` sets it (and
-/// drains the backlog) under this lock after deregistering the handle, so
-/// a responder that resolved its route before the removal observes
-/// `closed` here and balances the flush accounting itself. Exactly one
-/// side counts each frame out — no frame can slip in behind a closed
-/// connection's accounting.
-struct Outbound {
-    capacity: usize,
-    queue: Mutex<OutboundQueue>,
-}
-
-impl Outbound {
-    fn new(capacity: usize) -> Outbound {
-        Outbound {
-            capacity,
-            queue: Mutex::new(OutboundQueue::default()),
-        }
-    }
-}
-
+/// What other threads leave for one shard: accepted connections to adopt
+/// and answers for its connections. The shard takes both whole, under one
+/// lock, whenever it empties its inbox.
 #[derive(Default)]
-struct OutboundQueue {
-    frames: VecDeque<Frame>,
+struct Inbox {
+    /// Sockets shard 0 accepted for this shard, by connection id.
+    adopt: Vec<(u64, TcpStream)>,
+    /// Answers to this shard's connections, in the order they were sent.
+    frames: Vec<(u64, Frame)>,
+    /// Latched by the shard as it closes up (see [`Shard`]): from then on
+    /// a sender balances its own frame, so exactly one side counts each
+    /// frame out of `queued_frames`.
     closed: bool,
 }
 
-/// An accepted connection on its way from shard 0's accept to its shard.
-struct IncomingConn {
-    conn_id: u64,
-    stream: TcpStream,
-    outbound: Arc<Outbound>,
-    doomed: Arc<AtomicBool>,
-}
-
-/// The cross-thread face of one epoll shard: how shard 0 hands it
-/// connections and how `respond`/`doom`/`park`/`drain` nudge a sleeping
-/// `epoll_wait`.
+/// One epoll shard's cross-thread face: its epoll set, the eventfd that
+/// interrupts its wait, and its inbox. Another thread reaches a shard only
+/// through these.
 struct ShardHandle {
-    /// The shard's index ([`ON_SHARD`] on its own thread).
-    id: usize,
+    epoll: Epoll,
     waker: Waker,
-    /// Connections whose outbound queue went non-empty or whose doom flag
-    /// was freshly set.
-    dirty: Mutex<Vec<u64>>,
-    /// Accepted sockets awaiting adoption by the shard.
-    incoming: Mutex<Vec<IncomingConn>>,
+    inbox: Mutex<Inbox>,
     /// `wake` calls so far ([`Snapshot::shard_notifies`]).
     notifies: AtomicU64,
 }
 
 impl ShardHandle {
-    fn new(epoll: &Epoll, id: usize) -> io::Result<ShardHandle> {
+    fn new() -> io::Result<ShardHandle> {
+        let epoll = Epoll::new()?;
+        let waker = Waker::new(&epoll)?;
         Ok(ShardHandle {
-            id,
-            waker: Waker::new(epoll)?,
-            dirty: Mutex::new(Vec::new()),
-            incoming: Mutex::new(Vec::new()),
+            epoll,
+            waker,
+            inbox: Mutex::new(Inbox::default()),
             notifies: AtomicU64::new(0),
         })
     }
@@ -444,39 +424,23 @@ impl ShardHandle {
         self.waker.wake();
     }
 
-    fn notify(&self, conn_id: u64) {
-        self.dirty.lock().push(conn_id);
-        self.wake();
+    /// Leave something in the inbox with `put`. `None` if the inbox is
+    /// closed (`put` is dropped unrun), else whether this push found the
+    /// inbox empty — and so owes the shard a wake-up unless it runs there.
+    fn post(&self, put: impl FnOnce(&mut Inbox)) -> Option<bool> {
+        let mut inbox = self.inbox.lock();
+        if inbox.closed {
+            return None;
+        }
+        let first = inbox.adopt.is_empty() && inbox.frames.is_empty();
+        put(&mut inbox);
+        Some(first)
     }
 }
 
 thread_local! {
     /// The shard this thread runs, if it is one.
     static ON_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
-    /// This shard's own dirty list: connections whose outbound queue it
-    /// made non-empty itself. It writes them out before it waits again, so
-    /// they cost no eventfd write.
-    static LOCAL_DIRTY: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The registry's view of a connection: what `respond` and `doom` need to
-/// reach it from any thread.
-struct ConnHandle {
-    conn_id: u64,
-    outbound: Arc<Outbound>,
-    shard: Arc<ShardHandle>,
-    doomed: Arc<AtomicBool>,
-}
-
-impl ConnHandle {
-    /// Kill this connection: the owning shard, kicked by a waker
-    /// notification, notices the flag and closes it. Returns true only for
-    /// the transition (so dooming is counted once per connection).
-    fn doom(&self) -> bool {
-        let first = !self.doomed.swap(true, Ordering::SeqCst);
-        self.shard.notify(self.conn_id);
-        first
-    }
 }
 
 /// One tenant stream's live server-side state: its engine, its SLO-class
@@ -530,8 +494,9 @@ struct Tenant {
 ///   zero and wedge the wait.
 /// - `draining` / `shutdown`: sequence the drain protocol across every
 ///   thread.
-/// - `doomed` (per connection): a once-only `swap` — dooming must be
-///   counted exactly once per connection.
+///
+/// `connections` gates accept at [`ServeConfig::max_conns`] yet stays
+/// `Relaxed`: a close shard 0 sees late refuses at most one connect more.
 ///
 /// Every other counter is a statistic, read only through [`Snapshot`]:
 /// `Relaxed` increments, exact once the writing threads are joined — the
@@ -550,8 +515,8 @@ struct Shared {
     /// Set once drain has flushed: the shards close up and return.
     shutdown: AtomicBool,
     reallocations: AtomicU64,
-    /// Response frames enqueued on outbound queues and not yet written;
-    /// drain flushes this to zero before closing sockets.
+    /// Response frames sent and not yet written — in an inbox or a write
+    /// buffer; drain flushes this to zero before closing sockets.
     queued_frames: AtomicU64,
     reaped_idle: AtomicU64,
     slow_disconnects: AtomicU64,
@@ -559,7 +524,8 @@ struct Shared {
     corrupt_frames: AtomicU64,
     refused_conns: AtomicU64,
     /// Response frames dropped because their connection was gone or
-    /// doomed (the client's loss — chaos clients retry).
+    /// doomed, or its write buffer full (the client's loss — chaos clients
+    /// retry).
     dropped_responses: AtomicU64,
     /// Submits addressed to tenants this server does not host (each
     /// answered with [`ErrorCode::UnknownTenant`]).
@@ -567,23 +533,28 @@ struct Shared {
     /// The coordinator's structured reallocation log (multi-tenant only),
     /// bounded to the most recent re-grants.
     regrants: Mutex<BoundedLog<RegrantEvent>>,
-    /// The lock-striped connection registry: `respond` resolves routes
-    /// under one stripe (never a process-global lock) and never holds the
-    /// stripe across a socket/queue write. See [`StripedMap`].
-    conns: StripedMap<ConnHandle>,
+    /// One per shard, in shard order: connection `c` belongs to shard
+    /// `c % shards.len()`.
+    shards: Vec<ShardHandle>,
+    /// Connections accepted and not yet closed.
+    connections: AtomicUsize,
 }
 
 impl Shared {
-    /// One stream per tenant, a clock starting at zero now, and zeroed
-    /// accounting; demand windows only if the server `coordinate`s.
+    /// One stream per tenant, a clock starting at zero now, zeroed
+    /// accounting and one epoll set per shard; demand windows only if the
+    /// server `coordinate`s.
     fn new(
         tenants: Vec<(TenantSpec, ArloEngine)>,
         config: &ServeConfig,
         coordinate: bool,
-    ) -> Shared {
-        // Every shard gets its own disjoint set of stripes (see
-        // `ServeConfig::shards`).
-        let stripes = config.shards.max(8);
+    ) -> io::Result<Shared> {
+        let shards = (0..config.shards.max(1))
+            .map(|_| ShardHandle::new())
+            .collect::<io::Result<Vec<_>>>()?;
+        // Demand windows are striped by connection id, at least one stripe
+        // per shard.
+        let stripes = shards.len().max(8);
         let tenants = tenants
             .into_iter()
             .map(|(spec, engine)| Tenant {
@@ -604,7 +575,7 @@ impl Shared {
                 outstanding: AtomicU64::new(0),
             })
             .collect();
-        Shared {
+        Ok(Shared {
             tenants,
             clock: Arc::new(VirtualClock::new(config.time_scale)),
             fail_one_in: config.fail_one_in,
@@ -621,8 +592,9 @@ impl Shared {
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
             regrants: Mutex::new(BoundedLog::default()),
-            conns: StripedMap::new(stripes),
-        }
+            shards,
+            connections: AtomicUsize::new(0),
+        })
     }
 
     /// The tenant a wire tenant id addresses, if this server hosts it.
@@ -630,9 +602,9 @@ impl Shared {
         self.tenants.get(id as usize)
     }
 
-    /// The counters `Shared` holds, read now: the tenant rows and the
-    /// connection plane's. [`Server::snapshot`] adds the executors', the
-    /// supervisor's and the shards'.
+    /// The counters `Shared` holds, read now: the tenant rows, the
+    /// connection plane's and the shards'. [`Server::snapshot`] adds the
+    /// executors' and the supervisor's.
     fn snapshot(&self) -> Snapshot {
         let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         Snapshot {
@@ -662,110 +634,54 @@ impl Shared {
             dropped_responses: relaxed(&self.dropped_responses),
             unknown_tenants: relaxed(&self.unknown_tenants),
             regrants: self.regrants.lock().to_vec(),
-            active_connections: self.conns.len(),
+            shard_notifies: self.shards.iter().map(|s| relaxed(&s.notifies)).sum(),
+            active_connections: self.connections.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::Relaxed),
             ..Snapshot::default()
         }
     }
 
-    /// Enqueue a frame on a connection's bounded outbound queue. Never
-    /// blocks: a vanished connection drops the frame, and a *full* queue —
-    /// a client that stopped reading while responses kept coming — dooms
-    /// the connection (typed disconnect) instead of stalling the caller.
-    /// This is the only way frames reach sockets, so no thread placing or
-    /// completing a request can ever block on a slow client.
+    /// Send a frame to a connection: push it into the inbox of the
+    /// connection's shard, which puts it in the connection's write buffer
+    /// (see [`Shard::empty_inbox`]). Never blocks on a client: a vanished
+    /// connection drops the frame, and one whose client stopped reading is
+    /// doomed by its shard instead of stalling the caller. This is the only
+    /// way frames reach sockets, so no thread placing or completing a
+    /// request can ever block on a slow client.
     ///
-    /// Locking discipline: the registry stripe is held only long enough to
-    /// clone the handle's two `Arc`s; the actual queue push happens
-    /// **after the stripe is released**, so a responder never holds any
-    /// registry lock across a queue write. The close race this opens — a
-    /// shard tearing the connection down between our lookup and our push —
-    /// is handled by the outbound queue's own `closed` latch (see
-    /// [`Outbound`]).
+    /// The shard is woken only by a push that finds its inbox empty and
+    /// comes from another thread. That loses no frame:
     ///
-    /// The shard is notified (a `dirty` push and an eventfd write) only by
-    /// the push that takes the queue from empty to non-empty. That loses
-    /// no frame:
-    ///
-    /// - A frame pushed onto a non-empty queue sits behind one whose
-    ///   pusher found the queue empty and notifies after releasing the
-    ///   lock. The drive that notification causes takes the queue lock
-    ///   after it, and so after both pushes — had any drive emptied the
-    ///   queue in between, the later pusher would have found it empty and
-    ///   notified itself.
-    /// - A queue the shard itself leaves non-empty (the socket refused
-    ///   bytes) is re-driven without any notification: by `EPOLLOUT` or by
-    ///   the sweep (see [`FramedConn::desired_interest`], [`sweep`]).
-    /// - A connection is driven once when its shard adopts it, so a frame
-    ///   queued before adoption is not stranded behind a notification the
-    ///   shard could not yet match to a connection.
-    /// - A push by the connection's own shard — answering a request it
-    ///   placed, or firing a heap it owns — notifies nobody: it goes on that
-    ///   shard's [`LOCAL_DIRTY`] list, which the shard drives before it
-    ///   waits again (see [`fire_heaps`]).
+    /// - The shard takes its whole inbox at once, after resetting its
+    ///   eventfd. A push onto a non-empty inbox sits behind one that woke
+    ///   the shard or was made by it, and is taken with it; a push after
+    ///   the take finds the inbox empty and wakes the shard again.
+    /// - A push by the shard itself — answering a request it read, or
+    ///   firing a heap it owns — wakes nobody: the shard empties its inbox
+    ///   after every read and every heap slice, before it waits again.
+    /// - A shard that has closed up latched its inbox `closed`: the sender
+    ///   balances its own frame here.
     fn respond(&self, conn_id: u64, frame: &Frame) {
-        let route = self.conns.with(conn_id, |handle| {
-            handle.map(|h| (Arc::clone(&h.outbound), Arc::clone(&h.shard)))
-        });
-        let Some((outbound, shard)) = route else {
-            self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        // Count the frame *before* queueing it: the shard decrements after
-        // writing, so incrementing afterwards could race the counter below
-        // zero (u64 wrap) and wedge drain's flush wait.
+        let owner = conn_id as usize % self.shards.len();
+        let shard = &self.shards[owner];
+        // Count the frame *before* the shard can see it: the shard
+        // decrements after writing, so incrementing afterwards could race
+        // the counter below zero (u64 wrap) and wedge drain's flush wait.
         self.queued_frames.fetch_add(1, Ordering::SeqCst);
-        enum Push {
-            First,
-            Behind,
-            Overflowed,
-            Closed,
-        }
-        let outcome = {
-            let mut queue = outbound.queue.lock();
-            if queue.closed {
-                Push::Closed
-            } else if queue.frames.len() >= outbound.capacity {
-                Push::Overflowed
-            } else {
-                let first = queue.frames.is_empty();
-                queue.frames.push_back(frame.clone());
-                if first {
-                    Push::First
-                } else {
-                    Push::Behind
-                }
-            }
-        };
-        match outcome {
-            Push::First if ON_SHARD.get() == Some(shard.id) => {
-                LOCAL_DIRTY.with_borrow_mut(|dirty| dirty.push(conn_id));
-            }
-            Push::First => shard.notify(conn_id),
-            Push::Behind => {}
-            Push::Overflowed => {
-                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                self.doom_conn(conn_id);
-            }
-            Push::Closed => {
-                // close_conn won between our stripe lookup and this push;
-                // it already drained the backlog, so balance our own frame
-                // and move on.
-                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-            }
+        match shard.post(|inbox| inbox.frames.push((conn_id, frame.clone()))) {
+            None => self.drop_frames(1),
+            Some(true) if ON_SHARD.get() != Some(owner) => shard.wake(),
+            Some(_) => {}
         }
     }
 
-    /// Doom a connection by id (the overflow/stall path), re-acquiring its
-    /// registry stripe. Rare by construction — the hot path never dooms —
-    /// so the second stripe acquisition costs nothing in practice. A
-    /// handle already deregistered is fine: the connection is mid-close.
-    fn doom_conn(&self, conn_id: u64) {
-        let first = self.conns.with(conn_id, |h| h.map(ConnHandle::doom));
-        if first == Some(true) {
-            self.slow_disconnects.fetch_add(1, Ordering::Relaxed);
+    /// Balance `n` frames no client will get: out of the flush count, into
+    /// `dropped_responses`.
+    fn drop_frames(&self, n: usize) {
+        if n > 0 {
+            self.queued_frames.fetch_sub(n as u64, Ordering::SeqCst);
+            self.dropped_responses
+                .fetch_add(n as u64, Ordering::Relaxed);
         }
     }
 }
@@ -779,15 +695,13 @@ pub struct Server {
     drain_timeout: Duration,
     /// Logs component failures and checks their heartbeats.
     supervisor: Supervisor,
-    /// One handle per shard.
-    shard_handles: Vec<Arc<ShardHandle>>,
     /// One thread per shard, in shard order.
     shards: Vec<JoinHandle<()>>,
     /// One executor per tenant (its own per-instance clocks); executor
     /// `i`'s deadline heap belongs to shard `i % shards`.
     executors: Vec<Arc<Executor>>,
-    /// Most jobs one slice of heap firing completes (half an outbound
-    /// queue).
+    /// Most jobs one slice of heap firing completes (see
+    /// [`ShardConfig::fire_slice`]).
     fire_slice: usize,
 }
 
@@ -846,19 +760,13 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(tenants, &config, coordinate));
-
-        // The shards' epoll sets first: the executors wake their heaps'
-        // owners through these handles, and shard 0 listens.
-        let shard_count = config.shards.max(1);
-        let mut epolls = Vec::with_capacity(shard_count);
-        let mut shard_handles = Vec::with_capacity(shard_count);
-        for id in 0..shard_count {
-            let epoll = Epoll::new()?;
-            shard_handles.push(Arc::new(ShardHandle::new(&epoll, id)?));
-            epolls.push(epoll);
-        }
-        epolls[0].add(&listener, LISTENER_TOKEN, Interest::READ)?;
+        // The shards' epoll sets come with `Shared`: the executors wake
+        // their heaps' owners through them, and shard 0 listens.
+        let shared = Arc::new(Shared::new(tenants, &config, coordinate)?);
+        let shard_count = shared.shards.len();
+        shared.shards[0]
+            .epoll
+            .add(&listener, LISTENER_TOKEN, Interest::READ)?;
 
         // A component that dies fails fast into a conserving drain. Refusing
         // new work is all it takes — every admitted request is already
@@ -866,10 +774,9 @@ impl Server {
         // makes it close the listener now, not at its next sweep.
         let escalate = {
             let shared = Arc::clone(&shared);
-            let listening = Arc::clone(&shard_handles[0]);
             move || {
                 shared.draining.store(true, Ordering::SeqCst);
-                listening.waker.wake();
+                shared.shards[0].waker.wake();
             }
         };
         let supervisor =
@@ -888,18 +795,22 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 Box::new(move |done: CompletedBatch| complete_batch(&shared, &done))
             };
-            let owner = Arc::clone(&shard_handles[idx % shard_count]);
+            let wake = {
+                let shared = Arc::clone(&shared);
+                let owner = idx % shard_count;
+                Box::new(move || {
+                    if ON_SHARD.get() != Some(owner) {
+                        shared.shards[owner].wake();
+                    }
+                })
+            };
             let executor = Arc::new(Executor::serviced_by_caller(
                 tenant.engine.profiles().to_vec(),
                 Arc::clone(&shared.clock),
                 JitterSpec::NONE,
                 config.batch,
                 on_done,
-                Box::new(move || {
-                    if ON_SHARD.get() != Some(owner.id) {
-                        owner.wake();
-                    }
-                }),
+                wake,
             ));
             {
                 let shared = Arc::clone(&shared);
@@ -911,10 +822,8 @@ impl Server {
         let fire_slice = (config.outbound_queue / 2).max(1);
         let mut front_door = Some(FrontDoor {
             listener,
-            shards: shard_handles.clone(),
             next_conn_id: 0,
             max_conns: config.max_conns,
-            outbound_queue: config.outbound_queue,
         });
         // Planner intervals in real time at the speed-up, never under 1 ms.
         let real = |interval: Nanos| {
@@ -934,28 +843,28 @@ impl Server {
             next_pass: pass.map(|every| now + every),
         });
         let mut shards = Vec::with_capacity(shard_count);
-        for (id, epoll) in epolls.into_iter().enumerate() {
+        for id in 0..shard_count {
             let shard_cfg = ShardConfig {
                 sweep_interval: config.sweep_interval,
                 idle_timeout: config.idle_timeout,
                 write_timeout: config.write_timeout,
+                outbound_queue: config.outbound_queue,
                 fire_slice,
                 executors: executors.clone(),
                 heaps: (id..executors.len()).step_by(shard_count).collect(),
             };
             let spawned = {
                 let shared = Arc::clone(&shared);
-                let handle = Arc::clone(&shard_handles[id]);
                 let door = front_door.take();
                 let planner = planner.take();
                 supervisor.spawn(&format!("shard-{id}"), move |ctx| {
-                    shard_loop(&shared, &handle, &epoll, door, planner, &shard_cfg, ctx);
+                    shard_loop(&shared, id, door, planner, &shard_cfg, ctx);
                 })
             };
             match spawned {
                 Ok(thread) => shards.push(thread),
                 Err(e) => {
-                    stop_threads(&shared, &shard_handles, shards);
+                    stop_threads(&shared, shards);
                     return Err(e);
                 }
             }
@@ -966,7 +875,6 @@ impl Server {
             local_addr,
             drain_timeout: config.drain_timeout,
             supervisor,
-            shard_handles,
             shards,
             executors,
             fire_slice,
@@ -997,11 +905,6 @@ impl Server {
             supervisor_events: self.supervisor.events(),
             batch_occupancy,
             tracked_instances: self.executors.iter().map(|e| e.tracked_instances()).sum(),
-            shard_notifies: self
-                .shard_handles
-                .iter()
-                .map(|h| h.notifies.load(Ordering::Relaxed))
-                .sum(),
             ..self.shared.snapshot()
         }
     }
@@ -1025,12 +928,12 @@ impl Server {
         let shared = &self.shared;
         shared.draining.store(true, Ordering::SeqCst);
         // Shard 0 closes its listener as soon as it sees the flag.
-        for handle in &self.shard_handles {
-            handle.waker.wake();
+        for shard in &shared.shards {
+            shard.waker.wake();
         }
 
         // Flush: every admitted request completes, and its response frame
-        // leaves its outbound queue for the socket, before anything closes.
+        // reaches the socket, before anything closes.
         // Live shards fire their own heaps; a shard that died left its
         // heaps to nobody, so this thread fires what is ripe there, a slice
         // per millisecond.
@@ -1051,7 +954,7 @@ impl Server {
         }
 
         let shards = std::mem::take(&mut self.shards);
-        stop_threads(shared, &self.shard_handles, shards);
+        stop_threads(shared, shards);
         for executor in &self.executors {
             // Fires whatever the heap still holds (a drain that timed out).
             executor.finish();
@@ -1221,10 +1124,10 @@ fn place(
 /// so it sees the flag now rather than at its next timeout, and closes
 /// every connection on the way out, balancing the flush counter for
 /// anything undeliverable.
-fn stop_threads(shared: &Shared, shard_handles: &[Arc<ShardHandle>], shards: Vec<JoinHandle<()>>) {
+fn stop_threads(shared: &Shared, shards: Vec<JoinHandle<()>>) {
     shared.shutdown.store(true, Ordering::SeqCst);
-    for handle in shard_handles {
-        handle.waker.wake();
+    for shard in &shared.shards {
+        shard.waker.wake();
     }
     for thread in shards {
         let _ = thread.join();
@@ -1394,22 +1297,19 @@ const ACCEPT_BURST: usize = 64;
 /// [`LISTENER_TOKEN`], and the state of its accepts.
 struct FrontDoor {
     listener: TcpListener,
-    /// Every shard, in order: connections are assigned round-robin.
-    shards: Vec<Arc<ShardHandle>>,
     next_conn_id: u64,
     max_conns: usize,
-    outbound_queue: usize,
 }
 
 impl FrontDoor {
     /// Accept until `WouldBlock` (at most [`ACCEPT_BURST`]): refuse past
-    /// `max_conns` with one typed `Shed` frame, publish each connection's
-    /// [`ConnHandle`] (so `respond`/doom work at once), hand other shards
-    /// theirs, and return shard 0's own to adopt. Any other accept error
-    /// (`EMFILE`, say) mutes the listener ([`Interest::NONE`]) until the
-    /// next sweep re-arms it: level-triggered readiness on a connection
-    /// that cannot be accepted must not spin the shard.
-    fn accept(&mut self, shared: &Shared, epoll: &Epoll) -> Vec<IncomingConn> {
+    /// `max_conns` with one typed `Shed` frame, count each connection it
+    /// keeps, post another shard's into that shard's inbox, and return
+    /// shard 0's own to adopt. Any other accept error (`EMFILE`, say)
+    /// mutes the listener ([`Interest::NONE`]) until the next sweep re-arms
+    /// it: level-triggered readiness on a connection that cannot be
+    /// accepted must not spin the shard.
+    fn accept(&mut self, shared: &Shared, epoll: &Epoll) -> Vec<(u64, TcpStream)> {
         let mut own = Vec::new();
         for _ in 0..ACCEPT_BURST {
             let mut stream = match self.listener.accept() {
@@ -1421,10 +1321,10 @@ impl FrontDoor {
                 }
             };
             if stream.set_nonblocking(true).is_err() {
-                continue; // dropped before anything was registered for it
+                continue; // dropped before anything was counted for it
             }
             let _ = stream.set_nodelay(true);
-            if shared.conns.len() >= self.max_conns {
+            if shared.connections.load(Ordering::Relaxed) >= self.max_conns {
                 // Admission limit: answer one typed Shed frame so the client
                 // knows this was load, not a network fault, and close.
                 // Fire-and-forget — the frame fits any fresh send buffer,
@@ -1440,31 +1340,19 @@ impl FrontDoor {
             }
             let conn_id = self.next_conn_id;
             self.next_conn_id += 1;
-            let shard = &self.shards[(conn_id as usize) % self.shards.len()];
-            let outbound = Arc::new(Outbound::new(self.outbound_queue));
-            let doomed = Arc::new(AtomicBool::new(false));
-            shared.conns.insert(
-                conn_id,
-                ConnHandle {
-                    conn_id,
-                    outbound: Arc::clone(&outbound),
-                    shard: Arc::clone(shard),
-                    doomed: Arc::clone(&doomed),
-                },
-            );
-            let inc = IncomingConn {
-                conn_id,
-                stream,
-                outbound,
-                doomed,
-            };
-            if shard.id == 0 {
-                own.push(inc);
-            } else {
-                // That shard registers the socket with its epoll when it
-                // adopts the connection.
-                shard.incoming.lock().push(inc);
-                shard.waker.wake();
+            shared.connections.fetch_add(1, Ordering::Relaxed);
+            let owner = conn_id as usize % shared.shards.len();
+            if owner == 0 {
+                own.push((conn_id, stream));
+                continue;
+            }
+            // That shard registers the socket with its epoll when it
+            // empties its inbox; one that has closed up drops it here.
+            let shard = &shared.shards[owner];
+            match shard.post(|inbox| inbox.adopt.push((conn_id, stream))) {
+                None => _ = shared.connections.fetch_sub(1, Ordering::Relaxed),
+                Some(true) => shard.waker.wake(),
+                Some(false) => {}
             }
         }
         own
@@ -1477,8 +1365,11 @@ struct ShardConfig {
     sweep_interval: Duration,
     idle_timeout: Duration,
     write_timeout: Duration,
-    /// Most jobs one slice of heap firing completes before the shard
-    /// writes out the connections they answered.
+    /// Most answers a connection's write buffer holds unwritten.
+    outbound_queue: usize,
+    /// Most answers one slice — of heap firing, or of one connection's
+    /// reads — produces before the shard writes out the connections it
+    /// answered: half of `outbound_queue`.
     fire_slice: usize,
     /// One per tenant, indexed by tenant id.
     executors: Vec<Arc<Executor>>,
@@ -1487,20 +1378,20 @@ struct ShardConfig {
     heaps: Vec<usize>,
 }
 
-/// One connection's state machine on a shard: the incremental
-/// [`FrameReader`] on the way in, the [`FrameWriteBuf`] fed from the
-/// bounded outbound queue on the way out, plus doom/idle/stall state.
+/// One connection's state machine on its shard: the incremental
+/// [`FrameReader`] on the way in, the [`FrameWriteBuf`] — the bounded
+/// outbound queue — on the way out, plus doom/idle/stall state.
 struct FramedConn {
     stream: TcpStream,
     frames: FrameReader,
     budget: ErrorBudget,
-    outbound: Arc<Outbound>,
-    /// Frames swapped out of `outbound` and about to be encoded; empty
-    /// between drives. Trades places with the queue's own `VecDeque`, so
-    /// neither side reallocates once both have grown to the burst size.
-    swapped: VecDeque<Frame>,
-    doomed: Arc<AtomicBool>,
     wbuf: FrameWriteBuf,
+    /// An answer found the write buffer full: the connection closes at its
+    /// next settle.
+    doomed: bool,
+    /// Reading stopped at the end of a slice, or found no room for one:
+    /// input may be left in `frames` that no readiness event announces.
+    paused: bool,
     last_activity: Instant,
     /// Interest currently registered with the shard's epoll.
     interest: Interest,
@@ -1513,81 +1404,262 @@ struct FramedConn {
 }
 
 impl FramedConn {
-    fn adopt(inc: IncomingConn) -> FramedConn {
-        FramedConn {
-            stream: inc.stream,
-            frames: FrameReader::new(),
-            budget: ErrorBudget::new(FRAME_ERROR_BUDGET),
-            outbound: inc.outbound,
-            swapped: VecDeque::new(),
-            doomed: inc.doomed,
-            wbuf: FrameWriteBuf::new(),
-            last_activity: Instant::now(),
-            interest: Interest::NONE,
-            write_blocked_since: None,
-            closing: false,
-        }
-    }
-
-    fn has_pending_writes(&self) -> bool {
-        !self.wbuf.is_empty() || !self.outbound.queue.lock().frames.is_empty()
+    /// Whether the write buffer has room for the answers of another read
+    /// slice, and the read side is open.
+    fn reads(&self, cfg: &ShardConfig) -> bool {
+        !self.closing && self.wbuf.pending_frames() + cfg.fire_slice <= cfg.outbound_queue
     }
 
     /// The epoll interest this connection should be registered with right
-    /// now: readable unless closing, writable only while a write is
-    /// blocked with frames still to send.
-    fn desired_interest(&self) -> Interest {
+    /// now: readable while it reads; writable while the socket holds back
+    /// frames (a write left some), or to come back to a paused read once
+    /// there is room for it.
+    fn desired_interest(&self, cfg: &ShardConfig) -> Interest {
+        let reads = self.reads(cfg);
         Interest {
-            readable: !self.closing,
-            // Cheapest test first: `has_pending_writes` takes the queue
-            // lock, and writes are rarely blocked.
-            writable: self.write_blocked_since.is_some() && self.has_pending_writes(),
+            readable: reads,
+            writable: !self.wbuf.is_empty() || (self.paused && reads),
         }
     }
 }
 
-/// Panic-conservation guard for one shard's owned connections. A shard's
-/// live state machines cannot be re-attached, so when it dies — chaos
-/// panic or bug — it escalates, and `Drop` runs the same close path
-/// shutdown uses: every owned connection is deregistered and its queued
-/// frames balanced out of the drain flush counter. Without this, a dead
-/// shard's unflushable frames would wedge [`Server::drain`] against its
-/// timeout.
-struct ShardConns<'a> {
+/// Most socket fills one drive of a connection makes, so one firehose
+/// connection cannot starve its shard.
+const DRIVE_FILLS: usize = 4;
+
+/// One shard's own state, which no other thread touches: its connections'
+/// state machines, by id. Dropping it closes the shard up — on shutdown,
+/// or when the shard dies of a panic, whose live state machines cannot be
+/// re-attached: the inbox latches `closed` and everything in it is
+/// balanced out of the drain flush counter, then every connection closes,
+/// balancing its unwritten frames. Without this, a dead shard's frames
+/// would wedge [`Server::drain`] against its timeout.
+struct Shard<'a> {
     shared: &'a Shared,
-    epoll: &'a Epoll,
+    handle: &'a ShardHandle,
+    cfg: &'a ShardConfig,
     conns: HashMap<u64, FramedConn>,
+    /// The inbox's frames, swapped out under its lock; empty between
+    /// takes, so neither side reallocates once both have grown.
+    taken: Vec<(u64, Frame)>,
+    /// Connections the frames being delivered answer, to write out.
+    touched: Vec<u64>,
 }
 
-impl Drop for ShardConns<'_> {
+impl Drop for Shard<'_> {
     fn drop(&mut self) {
-        for (conn_id, conn) in self.conns.drain() {
-            close_conn(self.shared, self.epoll, conn_id, conn);
+        let (adopt, frames) = {
+            let mut inbox = self.handle.inbox.lock();
+            inbox.closed = true;
+            (
+                std::mem::take(&mut inbox.adopt),
+                std::mem::take(&mut inbox.frames),
+            )
+        };
+        self.shared
+            .connections
+            .fetch_sub(adopt.len(), Ordering::Relaxed);
+        self.shared.drop_frames(frames.len());
+        for (_, conn) in self.conns.drain() {
+            close_conn(self.shared, &self.handle.epoll, conn);
         }
     }
 }
 
-/// One epoll shard: accept (shard 0) and adopt connections, pump
-/// readiness events through the per-connection state machines, fire its
-/// executors' ripe deadlines, run the planner's due work (shard 0), sweep
-/// for idle / doomed / stalled connections, and on shutdown (or panic —
-/// see [`ShardConns`]) close everything owned, balancing the drain flush
-/// counter for undeliverable frames. It sleeps until the earliest of its
-/// next sweep, its heaps' next deadline and the planner's next tick or pass.
+impl Shard<'_> {
+    /// Register a connection with this shard's epoll. Input already
+    /// waiting is reported by the next wait, and no answer can precede
+    /// its first read.
+    fn adopt(&mut self, conn_id: u64, stream: TcpStream) {
+        if self
+            .handle
+            .epoll
+            .add(&stream, conn_id, Interest::READ)
+            .is_err()
+        {
+            self.shared.connections.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        let conn = FramedConn {
+            stream,
+            frames: FrameReader::new(),
+            budget: ErrorBudget::new(FRAME_ERROR_BUDGET),
+            wbuf: FrameWriteBuf::new(),
+            doomed: false,
+            paused: false,
+            last_activity: Instant::now(),
+            interest: Interest::READ,
+            write_blocked_since: None,
+            closing: false,
+        };
+        self.conns.insert(conn_id, conn);
+    }
+
+    /// Take the whole inbox — other threads' and this shard's own posts —
+    /// under one lock: adopt the connections handed over, encode each
+    /// answer into its connection's write buffer, and write out every
+    /// connection that got one. An answer to a connection that is gone is
+    /// dropped; one that finds the write buffer full dooms the connection
+    /// (a client that stopped reading while answers kept coming) rather
+    /// than backpressure anyone.
+    fn empty_inbox(&mut self) {
+        let adopt = {
+            let mut inbox = self.handle.inbox.lock();
+            std::mem::swap(&mut inbox.frames, &mut self.taken);
+            std::mem::take(&mut inbox.adopt)
+        };
+        for (conn_id, stream) in adopt {
+            self.adopt(conn_id, stream);
+        }
+        for (conn_id, frame) in self.taken.drain(..) {
+            let Some(conn) = self.conns.get_mut(&conn_id) else {
+                self.shared.drop_frames(1);
+                continue;
+            };
+            if !conn.doomed && conn.wbuf.pending_frames() < self.cfg.outbound_queue {
+                conn.wbuf.push(&frame, frame.dialect());
+            } else {
+                if !std::mem::replace(&mut conn.doomed, true) {
+                    self.shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
+                }
+                self.shared.drop_frames(1);
+            }
+            if self.touched.last() != Some(&conn_id) {
+                self.touched.push(conn_id);
+            }
+        }
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for &conn_id in &touched {
+            self.settle(conn_id);
+        }
+        touched.clear();
+        self.touched = touched;
+    }
+
+    /// Drive one connection: read it — when readable, or when a paused
+    /// read has room again — a slice of [`ShardConfig::fire_slice`]
+    /// answers at a time, emptying the inbox after each slice so its
+    /// answers are written out before the next is read; then settle it.
+    /// A client that sends a burst and reads only afterwards is thus paced
+    /// by its own reads, never overflowed by answers to its own requests.
+    fn drive(&mut self, conn_id: u64, readable: bool) {
+        let mut fills = 0;
+        while let Some(conn) = self.conns.get_mut(&conn_id) {
+            if !(readable || conn.paused) {
+                break;
+            }
+            if !conn.reads(self.cfg) {
+                // No room for another slice's answers: the read is owed.
+                conn.paused = !conn.closing;
+                break;
+            }
+            let more = read_slice(self.shared, conn, conn_id, self.cfg, &mut fills);
+            conn.paused = more;
+            self.empty_inbox();
+            if !more {
+                break;
+            }
+        }
+        self.settle(conn_id);
+    }
+
+    /// Write a connection out, then close it or refresh its epoll interest
+    /// as its state demands.
+    fn settle(&mut self, conn_id: u64) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return;
+        };
+        let alive = !conn.doomed && drive_write(self.shared, conn, self.cfg);
+        if alive && !(conn.closing && conn.wbuf.is_empty()) {
+            let desired = conn.desired_interest(self.cfg);
+            if desired != conn.interest
+                && self
+                    .handle
+                    .epoll
+                    .modify(&conn.stream, conn_id, desired)
+                    .is_ok()
+            {
+                conn.interest = desired;
+            }
+        } else if let Some(conn) = self.conns.remove(&conn_id) {
+            close_conn(self.shared, &self.handle.epoll, conn);
+        }
+    }
+
+    /// Fire what is ripe in this shard's executor heaps, a slice of at most
+    /// [`ShardConfig::fire_slice`] jobs at a time, and after each slice
+    /// empty the inbox — so a backlog that ripened while the shard was away
+    /// (a host stall, a drain) reaches each connection's write buffer no
+    /// faster than the shard writes it to the socket. Returns the earliest
+    /// deadline left.
+    fn fire_heaps(&mut self) -> Option<Nanos> {
+        loop {
+            let mut budget = self.cfg.fire_slice;
+            let mut next: Option<Nanos> = None;
+            for &idx in &self.cfg.heaps {
+                let (fired, head) = self.cfg.executors[idx].fire_ripe(budget);
+                budget = budget.saturating_sub(fired);
+                next = next.into_iter().chain(head).min();
+            }
+            self.empty_inbox();
+            if budget > 0 {
+                return next;
+            }
+        }
+    }
+
+    /// Time-driven connection maintenance: idle reaping and write-stall
+    /// dooming.
+    fn sweep(&mut self) {
+        let now = Instant::now();
+        let mut due: Vec<(u64, bool)> = Vec::new();
+        for (&conn_id, conn) in &self.conns {
+            let idle =
+                !conn.closing && now.duration_since(conn.last_activity) >= self.cfg.idle_timeout;
+            if conn.write_blocked_since.is_some() || idle {
+                due.push((conn_id, idle));
+            }
+        }
+        for (conn_id, idle) in due {
+            if idle {
+                if let Some(conn) = self.conns.get_mut(&conn_id) {
+                    // Counted exactly once: `closing` guards re-entry.
+                    self.shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
+                    conn.closing = true;
+                }
+            }
+            self.drive(conn_id, false);
+        }
+    }
+}
+
+/// One epoll shard: accept (shard 0) and adopt connections, empty its
+/// inbox, pump readiness events through the per-connection state machines,
+/// sweep for idle and stalled connections, fire its executors' ripe
+/// deadlines and run the planner's due work (shard 0); on shutdown (or
+/// panic — see [`Shard`]) close everything it owns. It sleeps until the
+/// earliest of its next sweep, its heaps' next deadline and the planner's
+/// next tick or pass.
 fn shard_loop(
     shared: &Shared,
-    handle: &ShardHandle,
-    epoll: &Epoll,
+    id: usize,
     mut door: Option<FrontDoor>,
     mut planner: Option<Planner>,
     cfg: &ShardConfig,
     ctx: &SupervisedCtx,
 ) {
-    ON_SHARD.set(Some(handle.id));
-    let mut owned = ShardConns {
+    ON_SHARD.set(Some(id));
+    let handle = &shared.shards[id];
+    let epoll = &handle.epoll;
+    let mut shard = Shard {
         shared,
-        epoll,
+        handle,
+        cfg,
         conns: HashMap::new(),
+        taken: Vec::new(),
+        touched: Vec::new(),
     };
     let mut events = Vec::new();
     let mut last_sweep = Instant::now();
@@ -1609,26 +1681,18 @@ fn shard_loop(
             .expect("shard epoll wait failed");
         // Park, block, beat, work: everything below runs unparked, so a
         // wedge anywhere in this wake-up's work freezes the heartbeat where
-        // the stall check looks. Also the chaos injection point — `owned`
-        // is armed, so an induced panic here still closes every connection.
+        // the stall check looks. Also the chaos injection point — `shard`
+        // is armed, so an induced panic here still closes up.
         ctx.beat();
-        // Reset the eventfd *before* taking the lists it announces: a
-        // notification landing after the takes then leaves it readable for
-        // the next wait instead of being swallowed by this drain.
+        // Reset the eventfd *before* taking the inbox it announces: a post
+        // landing after the take then leaves it readable for the next wait
+        // instead of being swallowed by this one.
         if events.iter().any(|ev| ev.token == WAKER_TOKEN) {
             handle.waker.drain();
         }
 
         if shared.shutdown.load(Ordering::SeqCst) {
-            // Bind the drained queue before iterating: a `for` loop keeps
-            // temporaries in its iterator expression alive for the whole
-            // body, and `close_conn` takes the shared registry lock.
-            let orphaned = std::mem::take(&mut *handle.incoming.lock());
-            for inc in orphaned {
-                let conn_id = inc.conn_id;
-                close_conn(shared, epoll, conn_id, FramedConn::adopt(inc));
-            }
-            // `owned` drops here, closing every adopted connection.
+            // `shard` drops here, closing everything up.
             return;
         }
 
@@ -1640,173 +1704,77 @@ fn shard_loop(
             }
         } else if let Some(door) = door.as_mut() {
             if events.iter().any(|ev| ev.token == LISTENER_TOKEN) {
-                for inc in door.accept(shared, epoll) {
-                    adopt(shared, epoll, &mut owned.conns, inc, cfg);
+                for (conn_id, stream) in door.accept(shared, epoll) {
+                    shard.adopt(conn_id, stream);
                 }
             }
         }
 
-        // Adopt connections shard 0 handed over. (Same guard-lifetime rule
-        // as above: drain under the lock, iterate after it drops.)
-        let adopted = std::mem::take(&mut *handle.incoming.lock());
-        for inc in adopted {
-            adopt(shared, epoll, &mut owned.conns, inc, cfg);
-        }
-
-        // Connections whose outbound queue another thread made non-empty,
-        // or that were doomed. (Bound before the loop, so the `dirty` guard
-        // is not held across `drive_conn`.)
-        let dirty = std::mem::take(&mut *handle.dirty.lock());
-        for conn_id in dirty {
-            drive_conn(shared, epoll, &mut owned.conns, conn_id, cfg, false);
-        }
+        // Connections handed over and answers other threads sent.
+        shard.empty_inbox();
 
         // Socket readiness.
         for &ev in &events {
             if ev.token == WAKER_TOKEN || ev.token == LISTENER_TOKEN {
                 continue;
             }
-            drive_conn(
-                shared,
-                epoll,
-                &mut owned.conns,
-                ev.token,
-                cfg,
-                ev.readable || ev.closed,
-            );
-        }
-
-        // Deadlines, after every submit of this pass has parked its own:
-        // the head read here is what the next wait sleeps until.
-        next_fire = fire_heaps(shared, epoll, &mut owned.conns, cfg);
-
-        // Shard 0: the planner's tick or coordinator pass, if due.
-        if let Some(planner) = planner.as_mut() {
-            planner.run_due(shared, &cfg.executors);
+            shard.drive(ev.token, ev.readable || ev.closed);
         }
 
         // Periodic sweep.
         if last_sweep.elapsed() >= cfg.sweep_interval {
             last_sweep = Instant::now();
-            sweep(shared, epoll, &mut owned.conns, cfg);
+            shard.sweep();
             if let Some(door) = &door {
                 // Listen again, should an accept error have muted it.
                 let _ = epoll.modify(&door.listener, LISTENER_TOKEN, Interest::READ);
             }
         }
-    }
-}
 
-/// Register an accepted connection with this shard's epoll and drive it
-/// once — the adoption drive `Shared::respond`'s notify rule relies on.
-fn adopt(
-    shared: &Shared,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, FramedConn>,
-    inc: IncomingConn,
-    cfg: &ShardConfig,
-) {
-    let conn_id = inc.conn_id;
-    let mut conn = FramedConn::adopt(inc);
-    if epoll.add(&conn.stream, conn_id, Interest::READ).is_err() {
-        close_conn(shared, epoll, conn_id, conn);
-        return;
-    }
-    conn.interest = Interest::READ;
-    conns.insert(conn_id, conn);
-    drive_conn(shared, epoll, conns, conn_id, cfg, false);
-}
+        // Deadlines, after every submit of this pass has parked its own:
+        // the head read here is what the next wait sleeps until, and the
+        // inbox is empty once it returns — nothing below posts or parks.
+        next_fire = shard.fire_heaps();
 
-/// Fire what is ripe in this shard's executor heaps, a slice of at most
-/// [`ShardConfig::fire_slice`] jobs at a time, and after each slice write
-/// out the connections this shard answered ([`LOCAL_DIRTY`]) — so a
-/// backlog that ripened while the shard was away (a host stall, a drain)
-/// reaches each connection's bounded outbound queue no faster than the
-/// shard empties it into the socket. Returns the earliest deadline left.
-fn fire_heaps(
-    shared: &Shared,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, FramedConn>,
-    cfg: &ShardConfig,
-) -> Option<Nanos> {
-    loop {
-        let mut budget = cfg.fire_slice;
-        let mut next: Option<Nanos> = None;
-        for &idx in &cfg.heaps {
-            let (fired, head) = cfg.executors[idx].fire_ripe(budget);
-            budget = budget.saturating_sub(fired);
-            next = next.into_iter().chain(head).min();
-        }
-        for conn_id in LOCAL_DIRTY.take() {
-            drive_conn(shared, epoll, conns, conn_id, cfg, false);
-        }
-        if budget > 0 {
-            return next;
+        // Shard 0: the planner's tick or coordinator pass, if due.
+        if let Some(planner) = planner.as_mut() {
+            planner.run_due(shared, &cfg.executors);
         }
     }
 }
 
-/// Drive one connection's state machine: read if readable, then flush
-/// writes, then close or refresh epoll interest as the new state demands.
-/// The write always follows the read, so the answers the read pass
-/// produced leave in the same drive.
-fn drive_conn(
+/// Read one slice: decode what is buffered, filling from the socket when
+/// it runs out, until the frames handled owe [`ShardConfig::fire_slice`]
+/// answers (a [`Frame::BatchedSubmit`] one per sub). A fill that comes
+/// back short of its chunk drained the socket (level-triggered epoll
+/// re-reports anything left, so no `read` is spent on a `WouldBlock`),
+/// and a drive makes at most [`DRIVE_FILLS`] fills (`fills` counts them
+/// across its slices). Returns true when the slice ended with input
+/// possibly left. Sets `closing` on EOF, protocol disconnect, or a hard
+/// error: answers still flush before the close.
+fn read_slice(
     shared: &Shared,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, FramedConn>,
+    conn: &mut FramedConn,
     conn_id: u64,
     cfg: &ShardConfig,
-    readable: bool,
-) {
-    let close = {
-        let Some(conn) = conns.get_mut(&conn_id) else {
-            return;
-        };
-        if conn.doomed.load(Ordering::SeqCst) {
-            true
-        } else {
-            if readable && !conn.closing {
-                drive_read(shared, conn, conn_id, &cfg.executors);
-            }
-            let alive = drive_write(shared, conn, cfg);
-            if !alive || (conn.closing && !conn.has_pending_writes()) {
-                true
-            } else {
-                let desired = conn.desired_interest();
-                if desired != conn.interest && epoll.modify(&conn.stream, conn_id, desired).is_ok()
-                {
-                    conn.interest = desired;
-                }
-                false
-            }
-        }
-    };
-    if close {
-        if let Some(conn) = conns.remove(&conn_id) {
-            close_conn(shared, epoll, conn_id, conn);
-        }
-    }
-}
-
-/// Non-blocking read pump: decode everything buffered, fill from the
-/// socket, repeat — until a fill comes back short of its chunk (the socket
-/// is drained; level-triggered epoll re-reports anything left, so no
-/// second `read` is spent on a `WouldBlock`), and at most four fills per
-/// call so one
-/// firehose connection cannot starve its shard. Sets `closing` on EOF,
-/// protocol disconnect, or a hard error: queued responses still flush
-/// before the close. `executors` (one per tenant) place what it decodes.
-fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, executors: &[Arc<Executor>]) {
-    let mut fills = 0;
-    let mut drained = false;
+    fills: &mut usize,
+) -> bool {
+    let mut owed = 0;
     loop {
         loop {
             match conn.frames.next_frame() {
                 Ok(Some(frame)) => {
                     conn.budget.credit();
-                    if !handle_frame(shared, conn_id, &mut conn.budget, executors, &frame) {
+                    if !handle_frame(shared, conn_id, &mut conn.budget, &cfg.executors, &frame) {
                         conn.closing = true;
-                        return;
+                        return false;
+                    }
+                    owed += match &frame {
+                        Frame::BatchedSubmit { subs } => subs.len(),
+                        _ => 1,
+                    };
+                    if owed >= cfg.fire_slice {
+                        return true;
                     }
                 }
                 Ok(None) => break,
@@ -1826,6 +1794,7 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, executors: &
                                 code: ErrorCode::Corrupt,
                             },
                         );
+                        owed += 1;
                     }
                 }
                 Err(_) => {
@@ -1839,56 +1808,42 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64, executors: &
                         },
                     );
                     conn.closing = true;
-                    return;
+                    return false;
                 }
             }
         }
-        if drained || fills >= 4 {
-            return;
+        if *fills >= DRIVE_FILLS {
+            return false;
         }
-        fills += 1;
         match conn.frames.fill(&mut conn.stream) {
             Ok(0) => {
                 conn.closing = true;
-                return;
+                return false;
             }
             Ok(n) => {
                 conn.last_activity = Instant::now();
-                drained = n < FILL_CHUNK;
+                *fills = if n < FILL_CHUNK {
+                    DRIVE_FILLS
+                } else {
+                    *fills + 1
+                };
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
             Err(_) => {
                 // Reset or broken pipe: stop reading, but still flush
                 // queued responses before closing.
                 conn.closing = true;
-                return;
+                return false;
             }
         }
     }
 }
 
-/// Non-blocking write pump: refill the [`FrameWriteBuf`] from the bounded
-/// outbound queue (the whole backlog in one coalesced buffer, each frame at
-/// its dialect), write until empty or blocked. Returns `false` when the
-/// connection doomed itself (write stall past the timeout, or a hard
-/// error).
+/// Non-blocking write pump: write the [`FrameWriteBuf`] until empty or
+/// blocked. Returns `false` when the connection must close (write stall
+/// past the timeout, or a hard error).
 fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> bool {
-    loop {
-        if conn.wbuf.is_empty() {
-            {
-                // Swap, don't pop: responders contend on this lock, so it
-                // is held for two pointer moves and the encoding below
-                // runs outside it.
-                let mut queue = conn.outbound.queue.lock();
-                if queue.frames.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut queue.frames, &mut conn.swapped);
-            }
-            for frame in conn.swapped.drain(..) {
-                conn.wbuf.push(&frame, frame.dialect());
-            }
-        }
+    while !conn.wbuf.is_empty() {
         match conn.wbuf.write_some(&mut conn.stream) {
             Ok(completed) => {
                 if completed > 0 {
@@ -1902,73 +1857,25 @@ fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> boo
                 let since = *conn.write_blocked_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= cfg.write_timeout {
                     // The client stalled a write past the timeout: same
-                    // fate as overflowing the queue.
-                    if !conn.doomed.swap(true, Ordering::SeqCst) {
-                        shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
+                    // fate as overflowing the write buffer.
+                    shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 return true; // EPOLLOUT (or the sweep) re-drives
             }
-            Err(_) => {
-                conn.doomed.store(true, Ordering::SeqCst);
-                return false;
-            }
+            Err(_) => return false,
         }
     }
     conn.write_blocked_since = None;
     true
 }
 
-/// Close one connection: deregister the public handle, then latch the
-/// outbound queue `closed` under its own lock while draining it. `respond`
-/// pushes under no registry lock — it resolves its route under a stripe,
-/// releases it, then pushes under the queue lock — so the latch is what
-/// closes the race: a responder that looked the
-/// handle up before our removal observes `closed` at its push and
-/// balances the flush counter for its own frame; every frame we drain
-/// here we balance ourselves. Exactly one side accounts each frame.
-fn close_conn(shared: &Shared, epoll: &Epoll, conn_id: u64, conn: FramedConn) {
-    shared.conns.remove(conn_id);
+/// Close one connection its shard has let go of: deregister the socket,
+/// uncount it, and balance its unwritten frames.
+fn close_conn(shared: &Shared, epoll: &Epoll, conn: FramedConn) {
     let _ = epoll.delete(&conn.stream);
-    let leftover = {
-        let mut queue = conn.outbound.queue.lock();
-        queue.closed = true;
-        let n = queue.frames.len() + conn.wbuf.pending_frames();
-        queue.frames.clear();
-        n
-    };
-    if leftover > 0 {
-        shared
-            .queued_frames
-            .fetch_sub(leftover as u64, Ordering::SeqCst);
-        shared
-            .dropped_responses
-            .fetch_add(leftover as u64, Ordering::Relaxed);
-    }
-}
-
-/// Time-driven connection maintenance: idle reaping and write-stall
-/// dooming.
-fn sweep(shared: &Shared, epoll: &Epoll, conns: &mut HashMap<u64, FramedConn>, cfg: &ShardConfig) {
-    let now = Instant::now();
-    let mut due: Vec<(u64, bool)> = Vec::new();
-    for (&conn_id, conn) in conns.iter() {
-        let idle = !conn.closing && now.duration_since(conn.last_activity) >= cfg.idle_timeout;
-        if conn.doomed.load(Ordering::SeqCst) || conn.write_blocked_since.is_some() || idle {
-            due.push((conn_id, idle));
-        }
-    }
-    for (conn_id, idle) in due {
-        if idle {
-            if let Some(conn) = conns.get_mut(&conn_id) {
-                // Counted exactly once: `closing` guards re-entry.
-                shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                conn.closing = true;
-            }
-        }
-        drive_conn(shared, epoll, conns, conn_id, cfg, false);
-    }
+    shared.connections.fetch_sub(1, Ordering::Relaxed);
+    shared.drop_frames(conn.wbuf.pending_frames());
 }
 
 /// Admit one submit for a (validated) tenant and place it on this thread:
@@ -2207,7 +2114,7 @@ mod tests {
         );
         let config = ServeConfig::new(2);
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
-        let shared = Shared::new(vec![(spec, engine)], &config, false);
+        let shared = Shared::new(vec![(spec, engine)], &config, false).expect("epoll");
         // An executor that knows only the 64 runtime: `Executor::submit`
         // indexes past its profiles for that placement and panics.
         let executor = Arc::new(Executor::serviced_by_caller(
@@ -2218,18 +2125,7 @@ mod tests {
             Box::new(|_| {}),
             Box::new(|| {}),
         ));
-        let epoll = Epoll::new().expect("epoll");
-        let outbound = Arc::new(Outbound::new(8));
         let conn_id = 7;
-        shared.conns.insert(
-            conn_id,
-            ConnHandle {
-                conn_id,
-                outbound: Arc::clone(&outbound),
-                shard: Arc::new(ShardHandle::new(&epoll, 0).expect("waker")),
-                doomed: Arc::new(AtomicBool::new(false)),
-            },
-        );
         submit_one(
             &shared,
             std::slice::from_ref(&executor),
@@ -2239,7 +2135,8 @@ mod tests {
             100,
         );
 
-        let answers: Vec<Frame> = outbound.queue.lock().frames.iter().cloned().collect();
+        let inbox = &shared.shards[conn_id as usize % shared.shards.len()].inbox;
+        let answers: Vec<Frame> = inbox.lock().frames.iter().map(|(_, f)| f.clone()).collect();
         assert_eq!(
             answers,
             vec![Frame::Error {
@@ -2271,7 +2168,7 @@ mod tests {
                 arlo_core::engine::EngineConfig::paper_default(150.0),
             );
             let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
-            let shared = Shared::new(vec![(spec, engine)], &config, coordinate);
+            let shared = Shared::new(vec![(spec, engine)], &config, coordinate).expect("epoll");
             let executor = Arc::new(Executor::serviced_by_caller(
                 profiles.clone(),
                 Arc::clone(&shared.clock),
@@ -2292,5 +2189,83 @@ mod tests {
                 "coordinate: {coordinate}"
             );
         }
+    }
+
+    // --- The shard inbox's latch: every frame is counted out once ---
+
+    /// A one-tenant, one-shard `Shared`.
+    fn one_shard() -> Shared {
+        let model = ModelSpec::bert_base();
+        let profiles = profile_runtimes(&[CompiledRuntime::new_static(model, 512)], 150.0, 64);
+        let engine = ArloEngine::new(
+            profiles,
+            vec![2],
+            arlo_core::engine::EngineConfig::paper_default(150.0),
+        );
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::new(2)
+        };
+        let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
+        Shared::new(vec![(spec, engine)], &config, false).expect("epoll")
+    }
+
+    fn answer(id: u64) -> Frame {
+        Frame::Error {
+            id,
+            code: ErrorCode::Shed,
+        }
+    }
+
+    #[test]
+    fn an_answer_to_a_closed_inbox_is_balanced_by_its_sender() {
+        let shared = one_shard();
+        shared.shards[0].inbox.lock().closed = true;
+        shared.respond(3, &answer(1));
+
+        assert!(shared.shards[0].inbox.lock().frames.is_empty());
+        assert_eq!(shared.queued_frames.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.snapshot().dropped_responses, 1);
+    }
+
+    #[test]
+    fn an_answer_to_a_connection_its_shard_closed_is_dropped_on_delivery() {
+        let shared = one_shard();
+        let cfg = ShardConfig {
+            sweep_interval: Duration::from_secs(60),
+            idle_timeout: Duration::from_secs(60),
+            write_timeout: Duration::from_secs(60),
+            outbound_queue: 8,
+            fire_slice: 4,
+            executors: Vec::new(),
+            heaps: Vec::new(),
+        };
+        let mut shard = Shard {
+            shared: &shared,
+            handle: &shared.shards[0],
+            cfg: &cfg,
+            conns: HashMap::new(),
+            taken: Vec::new(),
+            touched: Vec::new(),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let conn_id = 3;
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        shard.adopt(conn_id, stream);
+        // The read side finished with nothing to write: it closes.
+        shard.conns.get_mut(&conn_id).expect("adopted").closing = true;
+        shard.settle(conn_id);
+        assert!(shard.conns.is_empty());
+
+        shared.respond(conn_id, &answer(1));
+        assert_eq!(shared.queued_frames.load(Ordering::SeqCst), 1);
+        shard.empty_inbox();
+
+        assert_eq!(shared.queued_frames.load(Ordering::SeqCst), 0);
+        let snapshot = shared.snapshot();
+        assert_eq!(snapshot.dropped_responses, 1);
+        assert_eq!(snapshot.active_connections, 0);
     }
 }

@@ -11,13 +11,14 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
-use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
+use arlo_serve::protocol::{read_frame, Frame, WireVersion, DEFAULT_TENANT, MAX_BATCH};
 use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -252,4 +253,56 @@ fn deep_window_storm_is_served_in_full(server: Server) -> Snapshot {
 fn deep_window_storm_is_served_on_the_shard_and_conserves() {
     let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
     deep_window_storm_is_served_in_full(server);
+}
+
+/// A client that writes a burst in one `write_all` and only then reads
+/// gets every answer, at the default outbound queue of 1 024: the shard
+/// reads a connection a slice of half a queue at a time and writes the
+/// answers out between slices, pausing the reads while the client has not
+/// made room. Bursts of twice and three times the queue, answered at
+/// placement (beyond every runtime), so a read that ran ahead of the
+/// writes would overflow it.
+#[test]
+fn a_burst_sent_before_reading_is_answered_in_full() {
+    const LENGTH: u32 = 1_000_000;
+    for count in [2_000u64, 3_000] {
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::new(GPUS)
+        };
+        let server = Server::spawn(engine(), "127.0.0.1:0", config).expect("bind loopback");
+        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let mut burst = Vec::new();
+        for id in 0..count {
+            Frame::Submit {
+                id,
+                length: LENGTH,
+                tenant: DEFAULT_TENANT,
+            }
+            .encode_into(WireVersion::V2, &mut burst);
+        }
+        conn.write_all(&burst).expect("burst");
+
+        let mut answers = vec![0u32; count as usize];
+        for _ in 0..count {
+            match read_frame(&mut conn).expect("answered") {
+                Some(Frame::Response { id, .. } | Frame::Error { id, .. }) if id < count => {
+                    answers[id as usize] += 1;
+                }
+                other => panic!("burst of {count}: unexpected {other:?}"),
+            }
+        }
+        assert!(
+            answers.iter().all(|&n| n == 1),
+            "burst of {count}: every id answered exactly once"
+        );
+        drop(conn);
+        let drain = server.drain();
+        assert_conserves(&drain);
+        assert_eq!(drain.total(|t| t.submits), count, "{drain:?}");
+        assert_eq!(drain.slow_disconnects, 0, "{drain:?}");
+        assert_eq!(drain.dropped_responses, 0, "{drain:?}");
+    }
 }
