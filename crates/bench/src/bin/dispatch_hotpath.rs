@@ -163,6 +163,7 @@ fn build_cluster(total: u32) -> Cluster {
 fn run_steady_cell(total: u32) -> f64 {
     let mut cluster = build_cluster(total);
     let scheduler = ArloRequestScheduler::paper_default();
+    let mut finished = Vec::new();
     let mut step = |k: u64| {
         let length = 1 + (k % 512) as u32;
         let id = scheduler
@@ -174,7 +175,7 @@ fn run_steady_cell(total: u32) -> f64 {
             length,
         };
         cluster.enqueue(id, req, k);
-        black_box(cluster.complete(id, k));
+        black_box(cluster.complete(id, k, &mut finished));
     };
     let mut k = 0u64;
     for _ in 0..WARMUP {

@@ -130,11 +130,9 @@ pub enum AdmitGate {
 
 /// An execution started on an instance; the driver schedules the matching
 /// completion event. With batching enabled, several requests run (and
-/// complete) together.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// complete) together; [`ClusterView::running`] lists them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartedExecution {
-    /// The requests now running (at least one).
-    pub requests: Vec<Request>,
     /// Absolute completion time.
     pub completes_at: Nanos,
 }
@@ -325,6 +323,12 @@ impl<'a> ClusterView<'a> {
     /// Outstanding requests on one instance.
     pub fn outstanding(&self, id: InstanceId) -> u32 {
         self.cluster.instances[id].outstanding()
+    }
+
+    /// The requests of the instance's running execution, in queue order
+    /// (empty while it is idle).
+    pub fn running(&self, id: InstanceId) -> &'a [Request] {
+        &self.cluster.instances[id].running
     }
 
     /// The runtime an instance currently runs.
@@ -718,6 +722,8 @@ impl Cluster {
         started
     }
 
+    /// Move the head of the queue (a batch of up to `max_batch`) into
+    /// `running`, which keeps its capacity from one execution to the next.
     fn start_next(&mut self, id: InstanceId, now: Nanos) -> Option<StartedExecution> {
         let batch = self.batch;
         let inst = &mut self.instances[id];
@@ -726,7 +732,8 @@ impl Cluster {
             return None;
         }
         let take = batch.take(inst.queue.len());
-        let requests: Vec<Request> = inst.queue.drain(..take).collect();
+        inst.running.extend(inst.queue.drain(..take));
+        let requests = &inst.running;
         let profile = &self.profiles[inst.runtime_idx];
         // The batch pads to its longest member; jitter keys off the first
         // request so replays stay deterministic.
@@ -738,21 +745,28 @@ impl Cluster {
             1.0 + ramp * (now.saturating_sub(since) as f64 / arlo_trace::NANOS_PER_SEC as f64)
         });
         let exec = batch.exec_ns(base, requests.len(), inst.slowdown, degrade);
-        inst.running = requests.clone();
         inst.busy_since = Some(now);
         Some(StartedExecution {
-            requests,
             completes_at: now + exec,
         })
     }
 
-    /// Handle an execution completion. Returns the finished request, the
-    /// next started execution (if any), and whether the instance entered the
+    /// Handle an execution completion. The finished requests (one, or a
+    /// whole batch) are swapped into `finished`, whose previous contents are
+    /// dropped: the caller owns that buffer and passes it back on its next
+    /// completion, so neither side allocates per execution. Returns the next
+    /// started execution (if any) and whether the instance entered the
     /// `Loading` state (the driver must schedule [`Event::LoadDone`]).
     ///
     /// [`Event::LoadDone`]: crate::event::Event::LoadDone
-    pub fn complete(&mut self, id: InstanceId, now: Nanos) -> CompletionOutcome {
-        let finished = std::mem::take(&mut self.instances[id].running);
+    pub fn complete(
+        &mut self,
+        id: InstanceId,
+        now: Nanos,
+        finished: &mut Vec<Request>,
+    ) -> CompletionOutcome {
+        finished.clear();
+        std::mem::swap(&mut self.instances[id].running, finished);
         assert!(!finished.is_empty(), "completion event for idle instance");
         if let Some(since) = self.instances[id].busy_since.take() {
             let duration = now - since;
@@ -775,7 +789,6 @@ impl Cluster {
         }
         self.index_refresh(id);
         CompletionOutcome {
-            finished,
             next,
             loading_until,
         }
@@ -1087,10 +1100,8 @@ impl Cluster {
 }
 
 /// Result of [`Cluster::complete`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CompletionOutcome {
-    /// The requests that just finished (one, or a whole batch).
-    pub finished: Vec<Request>,
     /// The next execution started on this instance, if its queue was
     /// non-empty.
     pub next: Option<StartedExecution>,
@@ -1131,7 +1142,7 @@ mod tests {
     fn enqueue_starts_idle_instance() {
         let mut c = cluster(&[1, 1, 1]);
         let started = c.enqueue(0, req(1, 50, 0), 0).expect("idle start");
-        assert_eq!(started.requests, vec![req(1, 50, 0)]);
+        assert_eq!(c.view().running(0), [req(1, 50, 0)]);
         let exec = c.profiles()[0].runtime.exec_nanos(50);
         assert_eq!(started.completes_at, exec);
         // Second request queues behind.
@@ -1144,15 +1155,16 @@ mod tests {
         let mut c = cluster(&[1, 0, 0]);
         c.enqueue(0, req(1, 50, 0), 0);
         c.enqueue(0, req(2, 60, 0), 0);
-        let out = c.complete(0, 100);
-        assert_eq!(out.finished.len(), 1);
-        assert_eq!(out.finished[0].id, 1);
+        let mut finished = Vec::new();
+        let out = c.complete(0, 100, &mut finished);
+        assert_eq!(finished, [req(1, 50, 0)]);
         let next = out.next.expect("second starts");
-        assert_eq!(next.requests[0].id, 2);
+        assert_eq!(c.view().running(0), [req(2, 60, 0)]);
         assert!(next.completes_at > 100);
-        let out2 = c.complete(0, next.completes_at);
-        assert_eq!(out2.finished[0].id, 2);
+        let out2 = c.complete(0, next.completes_at, &mut finished);
+        assert_eq!(finished, [req(2, 60, 0)]);
         assert!(out2.next.is_none());
+        assert!(c.view().running(0).is_empty());
         assert_eq!(c.view().outstanding(0), 0);
     }
 
@@ -1211,7 +1223,7 @@ mod tests {
             !c.view().accepts(0),
             "mid-replacement instances stop accepting"
         );
-        let out = c.complete(0, started.completes_at);
+        let out = c.complete(0, started.completes_at, &mut Vec::new());
         let ready = out.loading_until.expect("starts loading after drain");
         assert_eq!(ready, started.completes_at + 1_000_000_000);
         assert!(c.load_done(0, ready));
@@ -1255,7 +1267,7 @@ mod tests {
         assert!(c.retire_instance(1, 0), "idle retires now");
         assert_eq!(c.view().gpu_count(), 2);
         assert!(!c.retire_instance(0, 0), "busy drains first");
-        let out = c.complete(0, started.completes_at);
+        let out = c.complete(0, started.completes_at, &mut Vec::new());
         assert!(out.next.is_none() && out.loading_until.is_none());
         assert_eq!(c.view().gpu_count(), 1);
     }
@@ -1289,11 +1301,11 @@ mod tests {
         // between: nothing pops, so before compaction the heap grew by two
         // entries per request.
         let mut c = cluster(&[2, 0, 1]);
-        let mut now = 0;
+        let (mut now, mut finished) = (0, Vec::new());
         for id in 0..100_000 {
             let started = c.enqueue(0, req(id, 30, now), now).expect("idle start");
             now = started.completes_at;
-            c.complete(0, now);
+            c.complete(0, now, &mut finished);
         }
         let held = c.heaps.borrow()[0].len();
         assert!(
@@ -1305,6 +1317,50 @@ mod tests {
         assert_eq!(c.view().least_loaded(0), Some((0, 0)));
         c.enqueue(0, req(100_000, 30, now), now);
         assert_eq!(c.view().least_loaded(0), Some((1, 0)));
+    }
+
+    #[test]
+    fn reused_batch_buffers_stay_exact_across_a_crash() {
+        // Batches of up to 4 on one instance: the driver's `finished` buffer
+        // and the instance's `running` buffer are swapped, never rebuilt, so
+        // a stale request left in either would surface as a wrong batch.
+        let mut c = cluster(&[1, 0, 0]).with_batching(BatchSpec {
+            max_batch: 4,
+            marginal_cost: 0.5,
+        });
+        let first = c.enqueue(0, req(0, 30, 0), 0).expect("idle start");
+        for id in 1..6 {
+            assert!(c.enqueue(0, req(id, 30, 0), 0).is_none());
+        }
+        let mut finished = Vec::new();
+        let out = c.complete(0, first.completes_at, &mut finished);
+        assert_eq!(finished, [req(0, 30, 0)]);
+        assert!(out.next.is_some(), "a batch of four starts");
+        let batch: Vec<Request> = (1..5).map(|id| req(id, 30, 0)).collect();
+        assert_eq!(c.view().running(0), &batch[..]);
+        // Crash mid-batch: the running batch, then the queue, are orphaned
+        // in order, and the instance reloads.
+        let (orphans, ready, had_running) = c.crash_instance(0, first.completes_at + 1);
+        assert!(had_running);
+        let orphaned: Vec<Request> = (1..6).map(|id| req(id, 30, 0)).collect();
+        assert_eq!(orphans, orphaned);
+        assert!(c.view().running(0).is_empty());
+        assert_eq!(c.view().outstanding(0), 0);
+        assert!(c.load_done(0, ready));
+        // After the reload: one request starts alone, two batch behind it.
+        let alone = c.enqueue(0, req(6, 30, ready), ready).expect("idle start");
+        assert_eq!(c.view().running(0), [req(6, 30, ready)]);
+        c.enqueue(0, req(7, 30, ready), ready);
+        c.enqueue(0, req(8, 30, ready), ready);
+        let out = c.complete(0, alone.completes_at, &mut finished);
+        assert_eq!(finished, [req(6, 30, ready)], "the old batch is gone");
+        let pair = out.next.expect("the pair starts");
+        assert_eq!(c.view().running(0), [req(7, 30, ready), req(8, 30, ready)]);
+        let out = c.complete(0, pair.completes_at, &mut finished);
+        assert_eq!(finished, [req(7, 30, ready), req(8, 30, ready)]);
+        assert!(out.next.is_none() && c.view().running(0).is_empty());
+        assert_eq!(c.view().outstanding(0), 0);
+        c.debug_validate_index();
     }
 
     #[test]

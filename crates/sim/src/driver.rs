@@ -22,6 +22,7 @@ use arlo_trace::stats::{percentile, TimeWeighted};
 use arlo_trace::workload::{Request, Trace};
 use arlo_trace::{ms_to_nanos, secs_to_nanos, Nanos};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Sub-window granularity for burst-structure accounting (10 s).
@@ -367,6 +368,27 @@ impl SimConfig {
     }
 }
 
+/// Hasher for the in-flight table's request ids: a Fibonacci multiply
+/// instead of SipHash. The ids come from the trace, not from a client, and
+/// the table is never iterated, so the hash function cannot change an
+/// outcome.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("IdHasher hashes u64 request ids only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct PartialRecord {
     arrival: Nanos,
@@ -390,7 +412,11 @@ pub struct Simulation<'a> {
     /// instance wait here and are re-dispatched as capacity frees up.
     pending: Vec<VecDeque<Request>>,
     pending_total: usize,
-    in_flight: HashMap<u64, PartialRecord>,
+    in_flight: HashMap<u64, PartialRecord, BuildHasherDefault<IdHasher>>,
+    /// The driver's half of the batch buffers: [`Cluster::complete`] swaps
+    /// an instance's finished batch in here and takes this buffer's
+    /// capacity back as the instance's next `running`.
+    finished: Vec<Request>,
     window_counts: Vec<u64>,
     window_sub_counts: Vec<Vec<u64>>,
     window_started: Nanos,
@@ -400,9 +426,9 @@ pub struct Simulation<'a> {
     alloc_target: Option<Vec<u32>>,
     /// Injected faults, fired via [`Event::Fault`].
     faults: Vec<FaultSpec>,
-    /// Completion events invalidated by a crash, per instance: when > 0 the
-    /// next Complete event for that instance is ignored.
-    cancelled_completions: HashMap<InstanceId, u32>,
+    /// Completion events invalidated by a crash, indexed by instance: while
+    /// positive, the next Complete event for that instance is ignored.
+    cancelled_completions: Vec<u32>,
     /// Whether [`Simulation::start`] has armed the initial events.
     started: bool,
     /// Last scale-out action (cooldown bookkeeping).
@@ -421,8 +447,11 @@ pub struct Simulation<'a> {
     health_seen: usize,
     /// Requests awaiting re-dispatch; [`Event::Retry`] payloads index here.
     retry_table: Vec<Request>,
-    /// Active transient faults: per-instance execution failure probability.
-    transient_rates: HashMap<InstanceId, f64>,
+    /// Active transient faults: execution failure probability indexed by
+    /// instance (0 = none).
+    transient_rates: Vec<f64>,
+    /// `config.allocation_period_secs` in ns.
+    alloc_period: Nanos,
     /// Debug builds: events processed, for the periodic index cross-check.
     #[cfg(debug_assertions)]
     debug_events: u64,
@@ -464,6 +493,7 @@ impl<'a> Simulation<'a> {
         for (i, &c) in view.committed_counts().iter().enumerate() {
             report.allocation_timeline[i].record(0, f64::from(c));
         }
+        let instances = view.instance_count();
         Simulation {
             trace,
             config,
@@ -471,14 +501,15 @@ impl<'a> Simulation<'a> {
             events: EventQueue::new(),
             pending: vec![VecDeque::new(); n_runtimes],
             pending_total: 0,
-            in_flight: HashMap::new(),
+            in_flight: HashMap::default(),
+            finished: Vec::new(),
             window_counts: vec![0; n_runtimes],
             window_sub_counts: Vec::new(),
             window_started: 0,
             next_arrival: 0,
             alloc_target: None,
             faults: Vec::new(),
-            cancelled_completions: HashMap::new(),
+            cancelled_completions: vec![0; instances],
             started: false,
             last_scale_out: None,
             clock: 0,
@@ -490,7 +521,8 @@ impl<'a> Simulation<'a> {
                 .map(|ft| HealthRegistry::new(ft.health)),
             health_seen: 0,
             retry_table: Vec::new(),
-            transient_rates: HashMap::new(),
+            transient_rates: vec![0.0; instances],
+            alloc_period: secs_to_nanos(config.allocation_period_secs),
             #[cfg(debug_assertions)]
             debug_events: 0,
         }
@@ -510,7 +542,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Run to completion (all requests served) and return the report.
     /// Run to completion (all requests served) and return the report.
     ///
     /// Equivalent to [`Simulation::start`], stepping until no events remain
@@ -541,9 +572,8 @@ impl<'a> Simulation<'a> {
                 .push(self.trace.requests()[0].arrival, Event::Arrival(0));
             self.next_arrival = 1;
         }
-        let alloc_period = secs_to_nanos(self.config.allocation_period_secs);
-        if alloc_period > 0 {
-            self.events.push(alloc_period, Event::AllocationTick);
+        if self.alloc_period > 0 {
+            self.events.push(self.alloc_period, Event::AllocationTick);
         }
         if let Some(auto) = self.config.autoscale {
             self.events
@@ -563,7 +593,6 @@ impl<'a> Simulation<'a> {
     /// [`Simulation::start`].
     pub fn step(&mut self, dispatcher: &mut dyn Dispatcher, allocator: &mut dyn Allocator) -> bool {
         assert!(self.started, "call start() before step()");
-        let alloc_period = secs_to_nanos(self.config.allocation_period_secs);
         let Some((now, event)) = self.events.pop() else {
             return false;
         };
@@ -571,7 +600,7 @@ impl<'a> Simulation<'a> {
             Event::Arrival(i) => self.on_arrival(now, i, dispatcher),
             Event::Complete(inst) => self.on_complete(now, inst, dispatcher),
             Event::LoadDone(inst) => self.on_load_done(now, inst, dispatcher),
-            Event::AllocationTick => self.on_alloc_tick(now, alloc_period, allocator),
+            Event::AllocationTick => self.on_alloc_tick(now, allocator),
             Event::ScaleOutCheck => self.on_scale_out(now),
             Event::ScaleInCheck => self.on_scale_in(now),
             Event::Fault(i) => self.on_fault(now, i, dispatcher),
@@ -710,37 +739,32 @@ impl<'a> Simulation<'a> {
             h.note_dispatch(inst, now);
         }
         if let Some(exec) = self.cluster.enqueue(inst, req, now) {
-            self.note_started(now, exec);
+            self.note_started(now, inst, exec);
         }
         true
     }
 
-    fn note_started(&mut self, now: Nanos, exec: StartedExecution) {
-        let mut instance = None;
-        for req in &exec.requests {
-            let rec = self
-                .in_flight
+    fn note_started(&mut self, now: Nanos, inst: InstanceId, exec: StartedExecution) {
+        for req in self.cluster.view().running(inst) {
+            self.in_flight
                 .get_mut(&req.id)
-                .expect("started request must be in flight");
-            rec.started = now;
-            instance = Some(rec.instance);
+                .expect("started request must be in flight")
+                .started = now;
         }
-        let inst = instance.expect("a batch has at least one request");
         self.events.push(exec.completes_at, Event::Complete(inst));
     }
 
     fn on_complete(&mut self, now: Nanos, inst: InstanceId, dispatcher: &mut dyn Dispatcher) {
         // A crash may have invalidated this completion: the request was
         // already returned to the buffer.
-        if let Some(n) = self.cancelled_completions.get_mut(&inst) {
-            if *n > 0 {
-                *n -= 1;
-                return;
-            }
+        if self.cancelled_completions[inst] > 0 {
+            self.cancelled_completions[inst] -= 1;
+            return;
         }
-        let outcome = self.cluster.complete(inst, now);
-        let batch_len = outcome.finished.len();
-        for finished in &outcome.finished {
+        let mut finished = std::mem::take(&mut self.finished);
+        let outcome = self.cluster.complete(inst, now, &mut finished);
+        let batch_len = finished.len();
+        for finished in &finished {
             if self.transient_failure(inst, finished.id) {
                 self.on_failed_execution(now, inst, *finished);
                 continue;
@@ -773,8 +797,9 @@ impl<'a> Simulation<'a> {
                 h.record_success(inst, now, observed, expected);
             }
         }
+        self.finished = finished;
         if let Some(exec) = outcome.next {
-            self.note_started(now, exec);
+            self.note_started(now, inst, exec);
         }
         if let Some(ready_at) = outcome.loading_until {
             self.events.push(ready_at, Event::LoadDone(inst));
@@ -788,9 +813,10 @@ impl<'a> Simulation<'a> {
     /// attempt)`, so a given run replays exactly while retries of the same
     /// request redraw independently.
     fn transient_failure(&self, inst: InstanceId, req_id: u64) -> bool {
-        let Some(&rate) = self.transient_rates.get(&inst) else {
-            return false;
-        };
+        let rate = self.transient_rates[inst];
+        if rate <= 0.0 {
+            return false; // no fault, or one that never fails
+        }
         let attempt = self.in_flight.get(&req_id).map_or(0, |r| r.attempts);
         let mut h = (inst as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= req_id.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1014,7 +1040,7 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn on_alloc_tick(&mut self, now: Nanos, period: Nanos, allocator: &mut dyn Allocator) {
+    fn on_alloc_tick(&mut self, now: Nanos, allocator: &mut dyn Allocator) {
         let window = DemandWindow {
             bin_counts: std::mem::replace(&mut self.window_counts, vec![0; self.max_lengths.len()]),
             window: now - self.window_started,
@@ -1038,7 +1064,8 @@ impl<'a> Simulation<'a> {
             self.apply_allocation_step(now);
         }
         if self.work_remaining() {
-            self.events.push(now + period, Event::AllocationTick);
+            self.events
+                .push(now + self.alloc_period, Event::AllocationTick);
         }
     }
 
@@ -1106,6 +1133,10 @@ impl<'a> Simulation<'a> {
                 // §4: a new worker loads the maximum-length runtime.
                 let largest = self.max_lengths.len() - 1;
                 let (id, ready_at) = self.cluster.add_instance(largest, now);
+                // Instance ids are dense and only appended: the new one's
+                // fault slots go at the end.
+                self.cancelled_completions.push(0);
+                self.transient_rates.push(0.0);
                 self.journal(now, JournalEntry::ScaledOut { instance: id });
                 self.events.push(ready_at, Event::LoadDone(id));
                 self.record_allocation(now);
@@ -1153,10 +1184,7 @@ impl<'a> Simulation<'a> {
                 let (orphans, ready_at, had_running) =
                     self.cluster.crash_instance(fault.instance, now);
                 if had_running {
-                    *self
-                        .cancelled_completions
-                        .entry(fault.instance)
-                        .or_insert(0) += 1;
+                    self.cancelled_completions[fault.instance] += 1;
                 }
                 // Orphans return to the buffer at their original arrival
                 // ordering (front of their bins: they are the oldest).
@@ -1179,7 +1207,7 @@ impl<'a> Simulation<'a> {
                 error_rate,
                 duration,
             } => {
-                self.transient_rates.insert(fault.instance, error_rate);
+                self.transient_rates[fault.instance] = error_rate;
                 self.events.push(now + duration, Event::FaultEnd(idx));
             }
             FaultKind::FailSlow {
@@ -1197,9 +1225,7 @@ impl<'a> Simulation<'a> {
         let fault = self.faults[idx];
         match fault.kind {
             FaultKind::Slowdown { .. } => self.cluster.set_slowdown(fault.instance, 1.0),
-            FaultKind::Transient { .. } => {
-                self.transient_rates.remove(&fault.instance);
-            }
+            FaultKind::Transient { .. } => self.transient_rates[fault.instance] = 0.0,
             FaultKind::FailSlow { .. } => self.cluster.clear_fail_slow(fault.instance),
             FaultKind::Crash => {}
         }
@@ -1761,6 +1787,71 @@ mod tests {
         assert!((mean - expected).abs() < 0.01, "mean {mean} vs {expected}");
         // Sequential service would have produced mean e·4.5 + 0.8 (worse).
         assert!(mean < exec_ms * 4.5 + 0.8);
+    }
+
+    #[test]
+    fn crash_in_the_middle_of_a_batch_loses_and_duplicates_nothing() {
+        // Eight requests at t = 0 on one instance batching up to four: the
+        // first runs alone over [0, e], the next four batch over
+        // [e, 3.5e]. The crash at 2e lands inside that batch. A second
+        // wave arrives after the reload.
+        let reqs: Vec<Request> = (0..16)
+            .map(|i| Request {
+                id: i,
+                arrival: if i < 8 { 0 } else { 3_000_000_000 },
+                length: 64,
+            })
+            .collect();
+        let trace = Trace::from_requests(reqs, 4_000_000_000);
+        let profiles = bert_profiles(&[64]);
+        let crash_at = 2 * profiles[0].runtime.exec_nanos(64);
+        for ft in [
+            None,
+            Some(FaultToleranceConfig::paper_default().with_shedding()),
+        ] {
+            let mut cfg = SimConfig::paper_default(150.0);
+            cfg.batch = BatchSpec {
+                max_batch: 4,
+                marginal_cost: 0.5,
+            };
+            cfg.fault_tolerance = ft;
+            let mut sim =
+                Simulation::new(&trace, profiles.clone(), &[1], cfg).with_faults(vec![FaultSpec {
+                    at: crash_at,
+                    instance: 0,
+                    kind: FaultKind::Crash,
+                }]);
+            sim.start();
+            let (mut d, mut a) = (IdealDispatcher, NoopAllocator);
+            while sim.next_event_at().is_some_and(|t| t < crash_at) {
+                sim.step(&mut d, &mut a);
+            }
+            let running: Vec<u64> = sim.cluster_view().running(0).iter().map(|r| r.id).collect();
+            assert_eq!(running, [1, 2, 3, 4], "the crash hits a running batch");
+            while sim.step(&mut d, &mut a) {}
+            let report = sim.finish();
+            assert_eq!(report.records.len() + report.shed.len(), trace.len());
+            let mut ids: Vec<u64> = report
+                .records
+                .iter()
+                .map(|r| r.id)
+                .chain(report.shed.iter().map(|s| s.id))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), trace.len(), "a request finished twice");
+            for r in report.records.iter().filter(|r| (1..5).contains(&r.id)) {
+                assert!(
+                    r.started > crash_at,
+                    "request {} kept its crashed run",
+                    r.id
+                );
+            }
+            if ft.is_some() {
+                assert!(!report.shed.is_empty(), "the reload outlasts the deadline");
+                assert!(!report.records.is_empty(), "the second wave is served");
+            }
+        }
     }
 
     #[test]

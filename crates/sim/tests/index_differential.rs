@@ -43,6 +43,9 @@ struct Harness {
     loading: Vec<(InstanceId, u64)>,
     now: u64,
     next_req: u64,
+    /// The completion buffer the harness hands back on every `complete`,
+    /// as the driver does.
+    finished: Vec<Request>,
 }
 
 impl Harness {
@@ -53,6 +56,7 @@ impl Harness {
             loading: Vec::new(),
             now: 0,
             next_req: 0,
+            finished: Vec::new(),
         }
     }
 
@@ -96,7 +100,7 @@ impl Harness {
         let Some(id) = Self::pick(&ids, roll) else {
             return;
         };
-        let out = self.cluster.complete(id, self.now);
+        let out = self.cluster.complete(id, self.now, &mut self.finished);
         if out.next.is_none() {
             self.busy.remove(&id);
         }

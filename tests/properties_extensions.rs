@@ -263,7 +263,7 @@ fn measured_capacity_matches_profile_when_healthy() {
             )
             .expect("idle");
         now = started.completes_at;
-        cluster.complete(0, now);
+        cluster.complete(0, now, &mut Vec::new());
         assert_eq!(now % exec, 0, "deterministic exec");
     }
     let measured = cluster
