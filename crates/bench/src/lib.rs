@@ -324,10 +324,10 @@ fn parse_child_args(args: &[String]) -> (SocketAddr, usize, LoadGenConfig) {
     (addr, num(1), config)
 }
 
-/// `report`'s counts by name, as a replay child prints them and a cell
-/// records them: every counter, `conserved` (1 when
-/// [`LoadGenReport::accounted`] equals `sent`) and `wall_ms`.
-pub fn report_counts(report: &LoadGenReport) -> Vec<(&'static str, u64)> {
+/// `report`'s counts by name, as a replay child prints them: every
+/// counter, `conserved` (1 when [`LoadGenReport::accounted`] equals
+/// `sent`) and `wall_ms`.
+fn report_counts(report: &LoadGenReport) -> Vec<(&'static str, u64)> {
     vec![
         ("connected", report.connected),
         ("refused", report.refused),

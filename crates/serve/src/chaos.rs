@@ -98,7 +98,7 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Every fault class, in bench-grid order.
+    /// Every fault class, in declaration order.
     pub const ALL: [FaultClass; 5] = [
         FaultClass::Delay,
         FaultClass::PartialIo,
@@ -135,7 +135,7 @@ pub struct ChaosConfig {
     /// Which failure mode to inject.
     pub class: FaultClass,
     /// How hard to inject it, in `[0, 1]`. Zero disables the class; one is
-    /// the most hostile setting the bench grid exercises.
+    /// the most hostile setting.
     pub intensity: f64,
 }
 

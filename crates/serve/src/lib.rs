@@ -66,7 +66,7 @@
 //! - [`loadgen`] — one epoll client, [`loadgen::replay`], that runs a
 //!   trace over N connections from a few threads, open-loop (paced by
 //!   arrival) or closed-loop (a window per connection), into one report —
-//!   for the `ext_*` serving benchmarks, `arlo loadgen` and the end-to-end
+//!   for the `ext_serve` benchmark, `arlo loadgen` and the end-to-end
 //!   tests. A connection storm is a replay of a trace that arrives all at
 //!   once. Beside it, [`loadgen::chaos_replay`]: fault-injected clients
 //!   that retry every request to a terminal state.

@@ -735,21 +735,6 @@ impl Server {
         Server::spawn_inner(tenants, addr, config, true)
     }
 
-    /// Multi-tenant serving with a *static* partition: per-tenant engines,
-    /// wire routing, SLO-class admission, and accounting exactly as
-    /// [`Server::spawn_multi`], but no re-granting coordinator — every
-    /// tenant keeps its seed deployment for the server's lifetime (shard 0
-    /// still health-ticks each engine). For deployments that pin
-    /// capacity per tenant, and for controlled experiments that measure
-    /// admission behavior at fixed capacity.
-    pub fn spawn_multi_static(
-        tenants: Vec<(TenantSpec, ArloEngine)>,
-        addr: &str,
-        config: ServeConfig,
-    ) -> io::Result<Server> {
-        Server::spawn_inner(tenants, addr, config, false)
-    }
-
     fn spawn_inner(
         tenants: Vec<(TenantSpec, ArloEngine)>,
         addr: &str,
@@ -837,7 +822,6 @@ impl Server {
             supervisor: supervisor.clone(),
             tick,
             pass,
-            reallocate: !coordinate && shared.tenants.len() == 1,
             gpus: config.gpus,
             next_tick: now + tick,
             next_pass: pass.map(|every| now + every),
@@ -1138,8 +1122,8 @@ fn stop_threads(shared: &Shared, shards: Vec<JoinHandle<()>>) {
 const TICK_INTERVAL: Nanos = arlo_trace::NANOS_PER_SEC / 5;
 
 /// The planner, which shard 0 carries like its listener: health ticks
-/// (plus, single-tenant, the reallocation check) every tick, and the
-/// coordinator's re-granting pass every coordinator interval. Intervals
+/// (plus, without a coordinator, the reallocation check) every tick, and
+/// the coordinator's re-granting pass every coordinator interval. Intervals
 /// count from the end of the work before them, so a pass delays shard 0's
 /// connections by its own duration, never by a backlog of missed ticks.
 struct Planner {
@@ -1150,10 +1134,9 @@ struct Planner {
     /// Real time between health ticks.
     tick: Duration,
     /// Real time between coordinator passes, if this server re-grants GPUs
-    /// (it is then the sole `apply_allocation` caller).
+    /// (it is then the sole `apply_allocation` caller); without passes,
+    /// every tick runs the single tenant's reallocation check.
     pass: Option<Duration>,
-    /// Single-tenant reallocation check at every tick.
-    reallocate: bool,
     gpus: u32,
     next_tick: Instant,
     next_pass: Option<Instant>,
@@ -1180,7 +1163,7 @@ impl Planner {
                 chaos.on_beat();
             }
             if tick {
-                health_tick(shared, executors, self.reallocate.then_some(self.gpus));
+                health_tick(shared, executors, self.pass.is_none().then_some(self.gpus));
             }
             if pass {
                 coordinate_once(shared, executors, self.gpus);
@@ -1196,10 +1179,11 @@ impl Planner {
     }
 }
 
-/// Health-tick every tenant engine; single-tenant, also run the Runtime
-/// Scheduler's reallocation check over `reallocate_gpus`. On a
-/// multi-tenant server the coordinator pass is the sole `apply_allocation`
-/// caller (generation plans must land in order).
+/// Health-tick every tenant engine; without a coordinator (a
+/// [`Server::spawn`] server, one tenant), also run the Runtime Scheduler's
+/// reallocation check over `reallocate_gpus`. On a re-granting server the
+/// coordinator pass is the sole `apply_allocation` caller (generation
+/// plans must land in order).
 fn health_tick(shared: &Shared, executors: &[Arc<Executor>], reallocate_gpus: Option<u32>) {
     let now = shared.clock.now();
     for tenant in &shared.tenants {

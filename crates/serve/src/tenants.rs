@@ -150,11 +150,11 @@ impl RegrantEvent {
     }
 }
 
-/// How many entries a [`BoundedLog`] keeps. The longest in-repo
-/// multi-tenant run (`ext_tenants`) re-grants fewer than ten times, so
-/// only a long-running server drops a re-grant; a shard that stalls again
-/// and again (`ext_resilience`'s `shard/stall` cell) fills the
-/// supervisor's log within seconds.
+/// How many entries a [`BoundedLog`] keeps. The multi-tenant e2e tests
+/// (`tenants_e2e`) re-grant fewer than ten times and the supervision tests
+/// (`supervisor_e2e`) flag a handful of stalls, so only a long-running
+/// server drops an entry — one whose shard stalls again and again fills
+/// the supervisor's log within minutes.
 pub const LOG_CAPACITY: usize = 256;
 
 /// A structured event log that keeps the most recent [`LOG_CAPACITY`]

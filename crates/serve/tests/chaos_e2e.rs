@@ -12,12 +12,14 @@
 //!    connections' latencies stay within 2× of the same load without the
 //!    stall; placement and executor completion never block on its socket,
 //!    and the event loop keeps admitting and serving new connections.
-//! 3. **Drain under chaos** — with fault-injected clients (corruption,
-//!    resets), the client-side conservation invariant and the server-side
-//!    drain equation both balance exactly: nothing is silently lost on
-//!    either side of the wire. A client's fault plan covers both
-//!    directions of its connection, so the server both reads corrupted
-//!    frames and has its answers corrupted on the way back.
+//! 3. **Drain under chaos** — with fault-injected clients (every
+//!    [`FaultClass`]: delays, partial I/O, corruption, resets, stalls), the
+//!    client-side conservation invariant and the server-side drain
+//!    equation both balance exactly, and no fault forges an
+//!    `Unserviceable` verdict: nothing is silently lost on either side of
+//!    the wire. A client's fault plan covers both directions of its
+//!    connection, so the server both reads corrupted frames and has its
+//!    answers corrupted on the way back.
 //! 4. **Executor panic recovery** — an injected completion-callback panic
 //!    is caught, the batch is re-accounted as failed (typed answers, engine
 //!    report), and the drain still finishes clean.
@@ -47,6 +49,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -73,6 +76,15 @@ fn config() -> ServeConfig {
     }
 }
 
+/// The slow-client isolation test compares healthy latencies across runs,
+/// so no other test of this file may load the host while it measures: it
+/// holds this lock for writing, every other test for reading.
+static HOST: RwLock<()> = RwLock::new(());
+
+fn shared_host() -> RwLockReadGuard<'static, ()> {
+    HOST.read().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Spin until `cond` holds or `within` elapses; true iff it held.
 fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + within;
@@ -87,6 +99,7 @@ fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn idle_connections_are_reaped() {
+    let _host = shared_host();
     let mut cfg = config();
     cfg.sweep_interval = Duration::from_millis(25);
     cfg.idle_timeout = Duration::from_millis(250);
@@ -139,12 +152,12 @@ fn run_mix(stall: bool) -> (LoadGenReport, Snapshot, u64) {
     // without reads, ~200k frames together), guaranteeing the writer
     // blocks and the bounded queue fills.
     const BULK: u64 = 400_000;
+    // The default 1 024-frame outbound queue: a connection is read a
+    // slice (half a queue) of answers at a time, so a reading client's own
+    // burst never overflows it, while a stalled client's backlog (200k
+    // frames ≫ queue + kernel buffers) overflows it once its writer blocks
+    // on the dead socket.
     let mut cfg = config();
-    // Big enough that transient writer hiccups never overflow it for a
-    // reading client; small enough that a stalled client's backlog (200k
-    // frames ≫ queue + kernel buffers) overflows it once its writer
-    // blocks on the dead socket.
-    cfg.outbound_queue = 16 * 1024;
     cfg.write_timeout = Duration::from_millis(150);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
@@ -243,38 +256,54 @@ fn run_mix(stall: bool) -> (LoadGenReport, Snapshot, u64) {
 
 #[test]
 fn stalled_client_is_doomed_without_hurting_healthy_connections() {
-    let (baseline, base_drain, _) = run_mix(false);
-    let (report, drain, slow_disconnects) = run_mix(true);
+    let _host = HOST.write().unwrap_or_else(PoisonError::into_inner);
+    // Five runs of each, interleaved. A host hiccup of half a millisecond
+    // is 50 virtual ms at this time scale and lifts one run's p98 —
+    // stalled or not — to 2–5× the usual ~22 ms, so the 2× bound below is
+    // on the medians: the systematic effect, not the jitter.
+    let (mut base_p98s, mut p98s) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let (baseline, base_drain, _) = run_mix(false);
+        assert_eq!(baseline.lost, 0, "baseline lost answers: {baseline:?}");
+        assert_eq!(base_drain.slow_disconnects, 0, "baseline doomed someone");
+        base_p98s.push(baseline.latency_summary().p98);
 
-    assert_eq!(baseline.lost, 0, "baseline lost answers: {baseline:?}");
-    assert_eq!(base_drain.slow_disconnects, 0, "baseline doomed someone");
-
-    // The stalled connection was detected and doomed (queue overflow or
-    // write timeout), not allowed to wedge the server.
-    assert!(
-        slow_disconnects >= 1,
-        "stalled client was never disconnected: {drain:?}"
-    );
-    // Healthy connections: exactly-once answers, and a p98 within 2× of
-    // the identical load without the stall. The latencies are virtual
-    // dispatch→completion times, so a completion path blocked on the
-    // stalled socket would show up here as inflation.
-    assert_eq!(report.lost, 0, "healthy clients lost answers: {report:?}");
-    assert_eq!(report.accounted(), report.sent);
-    let base_p98 = baseline.latency_summary().p98.max(1.0);
-    let p98 = report.latency_summary().p98;
+        let (report, drain, slow_disconnects) = run_mix(true);
+        // The stalled connection was detected and doomed (queue overflow
+        // or write timeout), not allowed to wedge the server.
+        assert!(
+            slow_disconnects >= 1,
+            "stalled client was never disconnected: {drain:?}"
+        );
+        // Healthy connections: exactly-once answers.
+        assert_eq!(report.lost, 0, "healthy clients lost answers: {report:?}");
+        assert_eq!(report.accounted(), report.sent);
+        // Server-side conservation still balances with a doomed
+        // connection's answers discarded: every decoded submit is
+        // accounted.
+        assert_eq!(
+            drain.total(|t| t.submits),
+            drain.total(TenantStats::accounted),
+            "server-side accounting leaked: {drain:?}"
+        );
+        assert_eq!(drain.total(|t| t.outstanding), 0);
+        p98s.push(report.latency_summary().p98);
+    }
+    // Healthy p98 within 2× of the identical load without the stall. The
+    // latencies are virtual dispatch→completion times, so a completion
+    // path blocked on the stalled socket would show up here as inflation.
+    let median = |v: &[f64]| {
+        let mut v = v.to_vec();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let base_p98 = median(&base_p98s).max(1.0);
+    let p98 = median(&p98s);
     assert!(
         p98 <= 2.0 * base_p98,
-        "stall leaked into healthy latencies: p98 {p98:.2} ms vs baseline {base_p98:.2} ms"
+        "stall leaked into healthy latencies: median p98 {p98:.2} ms vs baseline {base_p98:.2} ms \
+         (runs {p98s:.2?} vs {base_p98s:.2?})"
     );
-    // Server-side conservation still balances with a doomed connection's
-    // answers discarded: every decoded submit is accounted.
-    assert_eq!(
-        drain.total(|t| t.submits),
-        drain.total(TenantStats::accounted),
-        "server-side accounting leaked: {drain:?}"
-    );
-    assert_eq!(drain.total(|t| t.outstanding), 0);
 }
 
 /// The path where `respond` does *not* wake the shard: while the client is
@@ -285,6 +314,7 @@ fn stalled_client_is_doomed_without_hurting_healthy_connections() {
 /// bring the shard back when the client resumes.
 #[test]
 fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
+    let _host = shared_host();
     // 21 B per error frame: 12.6 MB of answers against a send buffer that
     // autotunes to at most 4 MB plus a receive buffer that stays near its
     // 128 KB initial size while nobody reads.
@@ -356,9 +386,15 @@ fn paused_reader_gets_every_answer_exactly_once_when_it_resumes() {
     assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
 }
 
+/// Every fault class at intensity 0.5, plus a quiet cell (the chaos
+/// machinery live but never firing), each against a fresh server.
 #[test]
 fn drain_under_chaos_conserves_every_request() {
-    for (class, intensity) in [(FaultClass::Corrupt, 0.5), (FaultClass::Reset, 0.5)] {
+    let _host = shared_host();
+    let cells = std::iter::once((FaultClass::Delay, 0.0))
+        .chain(FaultClass::ALL.into_iter().map(|class| (class, 0.5)));
+    for (class, intensity) in cells {
+        let cell = format!("{}@{intensity}", class.name());
         let server = Server::spawn(engine(), "127.0.0.1:0", config()).expect("bind loopback");
         let addr = server.local_addr();
 
@@ -366,20 +402,20 @@ fn drain_under_chaos_conserves_every_request() {
         let trace = TraceSpec::twitter_stable(150.0, 2.0).generate(&mut rng);
         let mut cfg = ChaosReplayConfig::new(3, ChaosConfig::new(class, intensity, 1234));
         cfg.max_attempts = 8;
-        cfg.attempt_timeout = Duration::from_millis(250);
+        cfg.attempt_timeout = Duration::from_millis(400);
         cfg.backoff_base = Duration::from_millis(1);
         let report = chaos_replay(addr, &trace, &cfg).expect("chaos replay");
 
-        // Client side: every request reached exactly one terminal state.
+        // Client side: every request reached exactly one terminal state,
+        // and no fault forged a refusal through the checksum.
         assert!(
             report.conserved(),
-            "{} client conservation violated: {report:?}",
-            class.name()
+            "{cell}: client conservation violated: {report:?}"
         );
-        assert!(
-            report.ok > 0,
-            "{} killed every request: {report:?}",
-            class.name()
+        assert!(report.ok > 0, "{cell}: killed every request: {report:?}");
+        assert_eq!(
+            report.unserviceable, 0,
+            "{cell}: a fault forged an Unserviceable verdict: {report:?}"
         );
 
         // Server side: the drain equation balances exactly — submits that
@@ -388,20 +424,19 @@ fn drain_under_chaos_conserves_every_request() {
         assert_eq!(
             drain.total(|t| t.outstanding),
             0,
-            "{} left work outstanding: {drain:?}",
-            class.name()
+            "{cell}: left work outstanding: {drain:?}"
         );
         assert_eq!(
             drain.total(|t| t.submits),
             drain.total(TenantStats::accounted),
-            "{} server conservation violated: {drain:?}",
-            class.name()
+            "{cell}: server conservation violated: {drain:?}"
         );
     }
 }
 
 #[test]
 fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
+    let _host = shared_host();
     // The failure mode the checksummed dialect retired: at Corrupt@0.75 an
     // unchecksummed bit-flipped frame occasionally decoded as a well-formed
     // `Error { Unserviceable }`, terminally killing a healthy request
@@ -444,6 +479,7 @@ fn v2_checksums_eliminate_phantom_unserviceable_under_heavy_corruption() {
 
 #[test]
 fn panicking_completion_is_recovered_and_drain_stays_clean() {
+    let _host = shared_host();
     let mut cfg = config();
     cfg.panic_one_in = Some(64);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");

@@ -190,9 +190,11 @@ fn a_deadline_parked_from_another_shard_wakes_the_heaps_owner() {
         batch: windowed(),
         shards: 2,
         sweep_interval: Duration::from_secs(60),
+        // No coordinator pass within the test: nothing else wakes a shard.
+        coordinator_interval: 3_600 * NANOS_PER_SEC,
         ..config()
     };
-    let server = Server::spawn_multi_static(tenants, "127.0.0.1:0", config).expect("bind loopback");
+    let server = Server::spawn_multi(tenants, "127.0.0.1:0", config).expect("bind loopback");
     let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();

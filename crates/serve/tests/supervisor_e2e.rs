@@ -11,9 +11,11 @@
 //!    heaps still held: `submits == served + shed + unserviceable +
 //!    failed`, nothing outstanding at close.
 //! 2. **Per-tick recovery.** A panicking planner tick is logged and the
-//!    next tick runs: health ticks and reallocation carry on.
+//!    next tick runs: health ticks and reallocation carry on, and so do
+//!    the coordinator's re-granting passes.
 //! 3. **Stall detection.** A shard frozen while unparked is flagged by the
-//!    server's stall check.
+//!    server's stall check, and a shard catching up after a stall never
+//!    outruns a client that is reading.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -25,12 +27,14 @@ use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
 use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
 use arlo_serve::supervisor::SupervisorEventKind;
+use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -82,11 +86,33 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 fn has_event(server: &Server, component: &str, kind: SupervisorEventKind) -> bool {
+    count_events(server, component, kind) > 0
+}
+
+fn count_events(server: &Server, component: &str, kind: SupervisorEventKind) -> usize {
     server
         .snapshot()
         .supervisor_events
         .iter()
-        .any(|e| e.component.starts_with(component) && e.kind == kind)
+        .filter(|e| e.component.starts_with(component) && e.kind == kind)
+        .count()
+}
+
+/// Call the server's stall check every 2 ms while `load` runs, as `arlo
+/// serve`'s main loop does (every 50 ms), and return what `load` returns.
+fn with_stall_checks<T>(server: &Server, load: impl FnOnce() -> T) -> T {
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                server.check_stalls();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let out = load();
+        done.store(true, Ordering::SeqCst);
+        out
+    })
 }
 
 /// A panicking planner tick is caught and logged, and the ticks after it
@@ -136,6 +162,53 @@ fn planner_tick_panic_is_caught_and_reallocation_still_happens() {
     assert_server_conserves(&drain);
 }
 
+/// The coordinator's re-granting passes outlive a caught planner panic
+/// too: on a re-granting server whose planner wake-ups panic one in
+/// three, a re-grant is logged after the first recorded panic, the planner
+/// panics again later (it outlived the first), nothing escalates, and
+/// nothing is lost.
+#[test]
+fn coordinator_passes_go_on_after_a_caught_planner_panic() {
+    let tenants = ["busy", "idle"]
+        .into_iter()
+        .map(|name| {
+            (
+                TenantSpec::new(name, SloClass::Interactive, SLO_MS),
+                engine(4),
+            )
+        })
+        .collect();
+    let cfg = config(8, 100)
+        .with_component_chaos(ComponentChaos::panics("planner", 3, 43))
+        .with_coordinator(NANOS_PER_SEC, 30 * NANOS_PER_SEC);
+    let server = Server::spawn_multi(tenants, "127.0.0.1:0", cfg).expect("bind loopback");
+
+    wait_for("a planner panic", || {
+        has_event(&server, "planner", SupervisorEventKind::Panicked)
+    });
+    let at_panic = server.snapshot().regrants.len();
+    // All demand on the default tenant: the partition has a standing
+    // reason to move GPUs to it at the next pass that runs.
+    let mut rng = StdRng::seed_from_u64(61);
+    let trace = TraceSpec::twitter_stable(900.0, 10.0).generate(&mut rng);
+    let report = replay(server.local_addr(), &trace, &LoadGenConfig::open(4, 100)).expect("replay");
+    assert_eq!(report.lost, 0, "{report:?}\n{:?}", server.snapshot());
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    wait_for("a re-grant after the panic", || {
+        server.snapshot().regrants.len() > at_panic
+    });
+    wait_for("a second planner panic", || {
+        count_events(&server, "planner", SupervisorEventKind::Panicked) >= 2
+    });
+
+    let snapshot = server.snapshot();
+    assert_eq!(snapshot.escalations, 0, "a caught pass panic escalated");
+    assert!(!snapshot.draining);
+    let drain = server.drain();
+    assert_server_conserves(&drain);
+    assert_eq!(drain.total(|t| t.submits), report.sent, "{drain:?}");
+}
+
 /// An epoll shard that dies escalates: its panic dooms every connection
 /// it owns (closed by the drop guard, never leaked) and fails the whole
 /// server fast into a clean conserving drain. Clients on the dead shard
@@ -154,18 +227,21 @@ fn epoll_shard_panic_escalates_and_drains_clean() {
     // is the expected EOF from the doomed connection.
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (mut sent, mut ok) = (0u64, 0u64);
     for id in 0..200u64 {
-        let sent = Frame::Submit {
+        let written = Frame::Submit {
             id,
             length: 64,
             tenant: 0,
         }
         .write_to(&mut conn)
         .is_ok();
-        if !sent {
+        if !written {
             break;
         }
+        sent += 1;
         match read_frame(&mut conn) {
+            Ok(Some(Frame::Response { .. })) => ok += 1,
             Ok(Some(_)) => {}
             _ => break,
         }
@@ -175,12 +251,19 @@ fn epoll_shard_panic_escalates_and_drains_clean() {
     }
     wait_for("shard escalation", || server.snapshot().escalations >= 1);
     assert!(has_event(&server, "shard", SupervisorEventKind::Panicked));
-    assert!(has_event(&server, "shard", SupervisorEventKind::Escalated));
+    assert_eq!(
+        count_events(&server, "shard", SupervisorEventKind::Escalated),
+        1
+    );
     assert!(server.snapshot().draining, "escalation drains fail-fast");
+    assert!(ok > 0, "the shard died before serving anything");
     drop(conn);
     let drain = server.drain();
-    assert!(drain.escalations >= 1, "{drain:?}");
+    assert_eq!(drain.escalations, 1, "{drain:?}");
     assert_server_conserves(&drain);
+    // A submit still in the dead connection's socket never reached the
+    // server; none was counted that the client did not send.
+    assert!(drain.total(|t| t.submits) <= sent, "{drain:?}");
 }
 
 /// Escalation reaches the listener at once: when shard 1 dies, shard 0 —
@@ -356,6 +439,61 @@ fn stalled_shard_is_flagged_by_the_stall_check() {
     assert!(has_event(&server, "shard-0", SupervisorEventKind::Stalled));
     assert_eq!(server.snapshot().escalations, 0, "stalls are not panics");
     assert_server_conserves(&server.drain());
+}
+
+/// A shard catching up after a stall does not outrun a reading client.
+/// One connection queues 4 096 submits up front at the default 1 024-frame
+/// outbound queue, and every shard pass stalls 200 ms. The shard reads the
+/// burst, parks ~50 ms of completions on four instances, and stalls again:
+/// every one of them ripens during the stall, four queues' worth. Fired in
+/// one go they would overflow the queue and doom a client that is reading;
+/// fired in slices of half a queue, with the socket written between
+/// slices, every request is answered `Ok`.
+#[test]
+fn a_shard_catching_up_after_a_stall_never_dooms_a_reading_client() {
+    const BURST: usize = 4_096;
+    // No reallocation while the burst is in flight.
+    let family = RuntimeSet::natural(ModelSpec::bert_base());
+    let profiles = profile_runtimes(&family.compile(), SLO_MS, 512);
+    let mut counts = vec![0u32; profiles.len()];
+    *counts.last_mut().expect("non-empty") = 4;
+    let mut engine_cfg = EngineConfig::paper_default(SLO_MS);
+    engine_cfg.allocation_period = 100_000 * NANOS_PER_SEC;
+    engine_cfg.sub_window = engine_cfg.allocation_period / 10;
+    let engine = ArloEngine::new(profiles, counts, engine_cfg);
+    let cfg = ServeConfig {
+        shards: 2,
+        // 50 virtual ms at 100× is 0.5 ms real.
+        batch: BatchPolicy {
+            spec: BatchSpec {
+                max_batch: 8,
+                marginal_cost: 0.5,
+            },
+            max_wait_ns: 50_000_000,
+        },
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::stalls("shard", 1, 200, 47))
+    .with_stall_grace(Duration::from_millis(10));
+    assert_eq!(cfg.outbound_queue, 1_024, "the default queue");
+    let server = Server::spawn(engine, "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+    let report = with_stall_checks(&server, || {
+        let storm = LoadGenConfig::open(1, 100).with_submit_batch(MAX_BATCH);
+        replay(addr, &burst(BURST, 64), &storm).expect("replay")
+    });
+
+    assert_eq!(report.connect_errors, 0, "{report:?}");
+    assert_eq!(report.sent, BURST as u64, "{report:?}");
+    assert_eq!(report.accounted(), report.sent, "{report:?}");
+    assert_eq!(report.lost, 0, "the catch-up outran the client: {report:?}");
+    assert_eq!(report.ok, BURST as u64, "{report:?}");
+    assert!(server.snapshot().stalls_detected >= 1, "no stall flagged");
+    let drain = server.drain();
+    assert_server_conserves(&drain);
+    assert_eq!(drain.slow_disconnects, 0, "{drain:?}");
+    assert_eq!(drain.total(|t| t.submits), BURST as u64, "{drain:?}");
+    assert_eq!(drain.total(|t| t.served), BURST as u64, "{drain:?}");
 }
 
 /// The storm speaks `BatchedSubmit`: a closed-loop window storm batches

@@ -5,7 +5,8 @@
 //! tenant routing (tenant-tagged submits), the typed
 //! unknown-tenant refusal and its error-budget escalation, SLO-class
 //! admission ordering under a synchronized overload burst, and the live
-//! GPU re-granting coordinator.
+//! GPU re-granting coordinator, which follows the load when the mix
+//! flips.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -232,8 +233,9 @@ fn flood(addr: std::net::SocketAddr, tenant: u32, n: u64) -> (u64, u64) {
 /// a client reads over the wire is exactly the wire view of
 /// `Server::snapshot()`, and the tenant rows `drain()` returns are exactly
 /// those of that last live snapshot. One shard, so every completion's
-/// accounting is done before the shard reads the next frame, and a static
-/// partition, so no re-grant moves a row in between.
+/// accounting is done before the shard reads the next frame, and a
+/// coordinator interval longer than the test, so no re-grant moves a row
+/// in between: every tenant keeps its seed grant.
 #[test]
 fn wire_stats_live_snapshot_and_drain_agree_at_quiescence() {
     let tenants = vec![
@@ -249,9 +251,10 @@ fn wire_stats_live_snapshot_and_drain_agree_at_quiescence() {
     let cfg = ServeConfig {
         queue_capacity: 64,
         shards: 1,
+        coordinator_interval: 3_600 * NANOS_PER_SEC,
         ..config(4, 20)
     };
-    let server = Server::spawn_multi_static(tenants, "127.0.0.1:0", cfg).expect("bind loopback");
+    let server = Server::spawn_multi(tenants, "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
     let (ok_interactive, _) = flood(addr, 0, 100);
     let (ok_batch, _) = flood(addr, 1, 100);
@@ -274,14 +277,15 @@ fn wire_stats_live_snapshot_and_drain_agree_at_quiescence() {
     let drain = server.drain();
     assert_eq!(drain.tenants, live.tenants, "drain vs live");
     assert_eq!(drain.stats(), wire, "drain vs wire");
+    let grants: Vec<u32> = drain.tenants.iter().map(|t| t.granted_gpus).collect();
+    assert_eq!(grants, [2, 2], "the partition drifted without a pass");
 }
 
 /// Under identical bursts, admission sheds in SLO-class order. The only
 /// thing that differs between the three tenants is the class gate —
 /// Interactive ungated (it sheds only if the engine refuses), Standard
 /// capped at 3/4 of `queue_capacity` outstanding, Batch at half — so shed
-/// counts must order Interactive ≤ Standard ≤ Batch, strictly between the
-/// extremes.
+/// counts must order strictly: Interactive < Standard < Batch.
 #[test]
 fn slo_classes_shed_in_order_under_overload() {
     let tenants = vec![
@@ -320,14 +324,9 @@ fn slo_classes_shed_in_order_under_overload() {
         "Batch never hit its admission limit under a {n}-deep burst"
     );
     assert!(
-        shed_interactive <= shed_standard && shed_standard <= shed_batch,
+        shed_interactive < shed_standard && shed_standard < shed_batch,
         "class shed order inverted: interactive {shed_interactive} / standard {shed_standard} / \
          batch {shed_batch}"
-    );
-    assert!(
-        shed_interactive < shed_batch,
-        "the gates never separated the extremes: interactive {shed_interactive} vs batch \
-         {shed_batch}"
     );
     assert!(
         ok_interactive > ok_batch,
@@ -338,6 +337,7 @@ fn slo_classes_shed_in_order_under_overload() {
     let drain = server.drain();
     for t in &drain.tenants {
         assert_conserved(t);
+        assert_eq!(t.submits, n, "tenant {}: {t:?}", t.name);
     }
     assert_eq!(drain.tenants[0].shed, shed_interactive);
     assert_eq!(drain.tenants[1].shed, shed_standard);
@@ -411,6 +411,67 @@ fn coordinator_regrants_gpus_live() {
         idle.granted_gpus
     );
     assert_eq!(busy.granted_gpus + idle.granted_gpus, 8, "pool leaked");
+}
+
+/// The coordinator follows the load when the mix flips: all demand on
+/// tenant 0 for eight virtual seconds, then all of it on tenant 1. Some
+/// re-grant during the first phase favours tenant 0, and a later one hands
+/// the pool back to tenant 1 once its three-second demand window has
+/// forgotten the first phase.
+#[test]
+fn grants_follow_the_hot_tenant_when_the_mix_flips() {
+    let tenants = ["left", "right"]
+        .into_iter()
+        .map(|name| {
+            (
+                TenantSpec::new(name, SloClass::Interactive, SLO_MS),
+                engine(4),
+            )
+        })
+        .collect();
+    let cfg = config(8, 100).with_coordinator(NANOS_PER_SEC, 3 * NANOS_PER_SEC);
+    let server = Server::spawn_multi(tenants, "127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = server.local_addr();
+
+    let mut sent = Vec::new();
+    let mut phase_ends = Vec::new();
+    for (phase, mix) in [vec![1, 0], vec![0, 1]].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(31 + phase as u64);
+        let trace = TraceSpec::twitter_stable(900.0, 8.0).generate(&mut rng);
+        let report =
+            replay(addr, &trace, &LoadGenConfig::open(4, 100).with_tenants(mix)).expect("replay");
+        assert_eq!(report.lost, 0, "phase {phase}: {report:?}");
+        assert_eq!(report.accounted(), report.sent, "phase {phase}: {report:?}");
+        assert_eq!(report.unknown_tenant, 0, "phase {phase}: {report:?}");
+        sent.push(report.sent);
+        phase_ends.push(server.snapshot().regrants.len());
+    }
+
+    let regrants = server.snapshot().regrants;
+    for ev in &regrants {
+        assert_eq!(
+            ev.gpus_after.iter().sum::<u32>(),
+            8,
+            "re-grant leaked GPUs: {ev:?}"
+        );
+    }
+    let (first, second) = regrants.split_at(phase_ends[0]);
+    assert!(
+        first.iter().any(|ev| ev.gpus_after[0] > ev.gpus_after[1]),
+        "GPUs never followed tenant 0: {regrants:?}"
+    );
+    assert!(
+        second.iter().any(|ev| ev.gpus_after[1] > ev.gpus_after[0]),
+        "GPUs never followed the load back to tenant 1: {regrants:?}"
+    );
+
+    // Phase `i` sent all of its load to tenant `i`.
+    let drain = server.drain();
+    assert_eq!(drain.total(|t| t.outstanding), 0, "{drain:?}");
+    for (t, &sent) in drain.tenants.iter().zip(&sent) {
+        assert_conserved(t);
+        assert_eq!(t.submits, sent, "tenant {}: {t:?}", t.name);
+    }
 }
 
 /// Shutdown is an event for the threads that sleep between ticks, too: at

@@ -1,7 +1,7 @@
 //! A server's threads are its shards and nothing else: the planner's
 //! ticks and the coordinator's passes run on shard 0 between its waits,
-//! so single-tenant, re-granting and static multi-tenant servers alike
-//! spawn exactly `shards` threads, and a drain joins every one of them.
+//! so single-tenant and re-granting multi-tenant servers alike spawn
+//! exactly `shards` threads, and a drain joins every one of them.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::models::ModelSpec;
@@ -54,15 +54,12 @@ fn server_threads() -> usize {
 #[test]
 fn every_server_runs_one_thread_per_shard_and_no_other() {
     type Spawn = fn() -> io::Result<Server>;
-    let servers: [(&str, Spawn); 3] = [
+    let servers: [(&str, Spawn); 2] = [
         ("spawn", || {
             Server::spawn(engine(4), "127.0.0.1:0", config())
         }),
         ("spawn_multi", || {
             Server::spawn_multi(tenants(), "127.0.0.1:0", config())
-        }),
-        ("spawn_multi_static", || {
-            Server::spawn_multi_static(tenants(), "127.0.0.1:0", config())
         }),
     ];
     for (kind, spawn) in servers {

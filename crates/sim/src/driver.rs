@@ -412,6 +412,9 @@ pub struct Simulation<'a> {
     /// instance wait here and are re-dispatched as capacity frees up.
     pending: Vec<VecDeque<Request>>,
     pending_total: usize,
+    /// [`Simulation::drain_pending`]'s scratch: the buffered bins' fronts
+    /// as `(arrival, bin)`, kept between calls for its capacity.
+    fronts: Vec<(Nanos, usize)>,
     in_flight: HashMap<u64, PartialRecord, BuildHasherDefault<IdHasher>>,
     /// The driver's half of the batch buffers: [`Cluster::complete`] swaps
     /// an instance's finished batch in here and takes this buffer's
@@ -501,6 +504,7 @@ impl<'a> Simulation<'a> {
             events: EventQueue::new(),
             pending: vec![VecDeque::new(); n_runtimes],
             pending_total: 0,
+            fronts: Vec::new(),
             in_flight: HashMap::default(),
             finished: Vec::new(),
             window_counts: vec![0; n_runtimes],
@@ -708,11 +712,7 @@ impl<'a> Simulation<'a> {
     }
 
     fn try_dispatch(&mut self, now: Nanos, req: Request, dispatcher: &mut dyn Dispatcher) -> bool {
-        let t0 = Instant::now();
-        let choice = dispatcher.dispatch(&req, &self.cluster.view());
-        self.report.dispatch_wall_ns += t0.elapsed().as_nanos() as u64;
-        self.report.dispatch_count += 1;
-        let Some(inst) = choice else {
+        let Some(inst) = dispatcher.dispatch(&req, &self.cluster.view()) else {
             return false;
         };
         {
@@ -1008,16 +1008,18 @@ impl<'a> Simulation<'a> {
     /// arrival is tried first (only bin fronts need testing — candidacy
     /// depends solely on the bin).
     fn drain_pending(&mut self, now: Nanos, dispatcher: &mut dyn Dispatcher) {
+        let mut fronts = std::mem::take(&mut self.fronts);
         while self.pending_total > 0 {
-            let mut fronts: Vec<(Nanos, usize)> = self
-                .pending
-                .iter()
-                .enumerate()
-                .filter_map(|(bin, q)| q.front().map(|r| (r.arrival, bin)))
-                .collect();
+            fronts.clear();
+            fronts.extend(
+                self.pending
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(bin, q)| q.front().map(|r| (r.arrival, bin))),
+            );
             fronts.sort_unstable();
             let mut progressed = false;
-            for (_, bin) in fronts {
+            for &(_, bin) in &fronts {
                 let req = *self.pending[bin].front().expect("front exists");
                 // Admission control: drop buffered requests that can no
                 // longer meet their deadline before they waste a dispatch.
@@ -1035,9 +1037,10 @@ impl<'a> Simulation<'a> {
                 }
             }
             if !progressed {
-                return;
+                break;
             }
         }
+        self.fronts = fronts;
     }
 
     fn on_alloc_tick(&mut self, now: Nanos, allocator: &mut dyn Allocator) {

@@ -153,10 +153,6 @@ pub struct SimReport {
     pub buffered_requests: u64,
     /// Trace horizon (ns).
     pub horizon: Nanos,
-    /// Wall-clock spent inside the dispatcher (overhead accounting, §5.1.4).
-    pub dispatch_wall_ns: u64,
-    /// Number of dispatch decisions taken.
-    pub dispatch_count: u64,
     /// Wall-clock spent inside the allocator (ILP solve time, Table 2).
     pub alloc_wall_ns: u64,
     /// Number of allocator invocations.
@@ -294,14 +290,6 @@ impl SimReport {
             .map(|r| u64::from(max_lengths[r.runtime_idx].saturating_sub(r.length)))
             .sum();
         total as f64 / self.records.len() as f64
-    }
-
-    /// Mean dispatcher overhead per decision (ns) — Fig. 9's metric.
-    pub fn mean_dispatch_overhead_ns(&self) -> f64 {
-        if self.dispatch_count == 0 {
-            return 0.0;
-        }
-        self.dispatch_wall_ns as f64 / self.dispatch_count as f64
     }
 
     /// Mean allocator solve time per invocation (ns) — Table 2's metric.
@@ -495,16 +483,13 @@ mod tests {
     }
 
     #[test]
-    fn overhead_means() {
+    fn mean_alloc_time() {
         let report = SimReport {
-            dispatch_wall_ns: 1000,
-            dispatch_count: 10,
             alloc_wall_ns: 50_000,
             alloc_count: 5,
             ..Default::default()
         };
-        assert_eq!(report.mean_dispatch_overhead_ns(), 100.0);
         assert_eq!(report.mean_alloc_time_ns(), 10_000.0);
-        assert_eq!(SimReport::default().mean_dispatch_overhead_ns(), 0.0);
+        assert_eq!(SimReport::default().mean_alloc_time_ns(), 0.0);
     }
 }
