@@ -458,8 +458,8 @@ impl ComponentChaos {
     }
 }
 
-/// One component's fault schedule: consulted once per heartbeat by
-/// `SupervisedCtx::beat`, or once per planner wake-up on shard 0.
+/// One component's fault schedule: consulted once per heartbeat by its
+/// shard's loop, or once per planner wake-up on shard 0.
 #[derive(Debug, Clone)]
 pub struct ComponentChaosPlan {
     component: String,

@@ -25,9 +25,32 @@
 //!   a few hundred microseconds out instead of rounding it up to a whole
 //!   millisecond.
 //!
+//! # File-descriptor ownership
+//!
+//! * [`Epoll`] and [`Waker`] own their fds as [`OwnedFd`]s, so each is
+//!   closed exactly once, when its owner drops. The server keeps both in
+//!   the shard's handle, which lives as long as the server.
+//! * A registered socket is not owned here: [`Epoll::add`] borrows it, and
+//!   its owner (a connection's state machine, shard 0's listener) closes it
+//!   by dropping it. The rule is **delete, then close**: the server calls
+//!   [`Epoll::delete`] before it drops a connection, and before it drops
+//!   the listener on drain. The one exception is the listener of a shard 0
+//!   that exits without draining (a panic, or a failed spawn). No fd is
+//!   ever duplicated, so closing it closes its last descriptor, and the
+//!   kernel then drops the registration itself.
+//! * A stale registration cannot alias a new socket. The token is the
+//!   connection id, which counts up and is never reused; the fd number is
+//!   reused by the kernel at once. An event for a connection closed
+//!   earlier in the same pass still carries the old id, which its shard
+//!   no longer holds, so the event is skipped even when a socket accepted
+//!   since has the same fd.
+//!
 //! Everything unsafe is confined to this module; the rest of the crate
-//! (and workspace) keeps `unsafe_code = "deny"`/`forbid`.
+//! (and workspace) keeps `unsafe_code = "deny"`/`forbid`. Every `unsafe`
+//! block states why it is sound in a `// SAFETY:` comment, which clippy
+//! enforces.
 #![allow(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -161,9 +184,10 @@ impl Epoll {
     /// probes `epoll_pwait2`, so a kernel without it (before 5.11) or a
     /// seccomp filter that forbids it fails here, not in every later wait.
     pub fn new() -> io::Result<Epoll> {
+        // SAFETY: no pointer arguments; the result is checked before use.
         let fd = cvt(unsafe { ffi::epoll_create1(ffi::EPOLL_CLOEXEC) })?;
-        // SAFETY: epoll_create1 returned a fresh fd we now own.
         let epoll = Epoll {
+            // SAFETY: epoll_create1 returned a fresh fd we now own.
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
         };
         epoll.wait(&mut Vec::new(), Some(Duration::ZERO))?;
@@ -172,6 +196,8 @@ impl Epoll {
 
     fn ctl(&self, op: i32, fd: RawFd, event: Option<ffi::EpollEvent>) -> io::Result<()> {
         let mut ev = event.unwrap_or(ffi::EpollEvent { events: 0, data: 0 });
+        // SAFETY: `ev` is a live `epoll_event` across the call; a bad fd is
+        // an error return, not undefined behaviour.
         cvt(unsafe { ffi::epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
@@ -253,7 +279,8 @@ impl Epoll {
 }
 
 /// A cross-thread wakeup handle: an `eventfd` registered on an [`Epoll`]
-/// under [`WAKER_TOKEN`]. Cloneable across threads via `try_clone`.
+/// under [`WAKER_TOKEN`]. Shared across threads by reference: [`Waker::wake`]
+/// takes `&self`.
 #[derive(Debug)]
 pub struct Waker {
     fd: OwnedFd,
@@ -262,6 +289,7 @@ pub struct Waker {
 impl Waker {
     /// Create a waker and register it (read interest) on `epoll`.
     pub fn new(epoll: &Epoll) -> io::Result<Waker> {
+        // SAFETY: no pointer arguments; the result is checked before use.
         let fd = cvt(unsafe { ffi::eventfd(0, ffi::EFD_CLOEXEC | ffi::EFD_NONBLOCK) })?;
         // SAFETY: eventfd returned a fresh fd we now own.
         let fd = unsafe { OwnedFd::from_raw_fd(fd) };
@@ -275,6 +303,8 @@ impl Waker {
         let one: u64 = 1;
         // Failure modes are EAGAIN (counter saturated — a wakeup is already
         // pending, which is all we want) or the fd dying with its loop.
+        // SAFETY: the buffer is `one`, a live `u64`, and the count its 8
+        // bytes; `self.fd` is open while `self` lives.
         let _ = unsafe {
             ffi::write(
                 self.fd.as_raw_fd(),
@@ -287,6 +317,9 @@ impl Waker {
     /// Consume pending wakeups so level-triggered readiness stops firing.
     pub fn drain(&self) {
         let mut counter: u64 = 0;
+        // SAFETY: the buffer is `counter`, a live, exclusively borrowed
+        // `u64`, and the count its 8 bytes; `self.fd` is open while `self`
+        // lives.
         let _ = unsafe {
             ffi::read(
                 self.fd.as_raw_fd(),

@@ -57,7 +57,6 @@ use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 
 /// An admitted request on its way to execution.
@@ -95,7 +94,9 @@ pub struct CompletedBatch {
 /// Coalescer key: one virtual instance of one deployment generation.
 type Key = (u64, usize, usize);
 
-/// Completion/panic callback: receives each finished batch exactly once.
+/// Completion callback: receives each finished batch exactly once. It must
+/// not panic — the executor owns no panic policy; the server runs its
+/// callback behind its own boundary.
 type BatchCallback = dyn Fn(CompletedBatch) + Send + Sync;
 
 /// Run when a parked entry undercuts the heap's head (see
@@ -206,12 +207,6 @@ struct ExecutorShared {
     /// The caller-serviced executor's undercut hook.
     wake: Option<Box<WakeCallback>>,
     on_done: Box<BatchCallback>,
-    /// Invoked with the in-flight batch when `on_done` panics, so the
-    /// embedder can account the batch as failed instead of losing it (see
-    /// [`Executor::set_panic_handler`]). `None` = panics only count.
-    on_panic: Mutex<Option<Box<BatchCallback>>>,
-    /// Completion-callback panics caught and recovered so far.
-    panics: AtomicU64,
 }
 
 impl ExecutorShared {
@@ -294,7 +289,7 @@ impl ExecutorShared {
             };
             if self.clock.is_due(batch.finished_at, now) {
                 completed += batch.jobs.len();
-                self.run_completion(batch);
+                (self.on_done)(batch);
             } else {
                 self.park(batch.finished_at, Due::Complete(batch));
             }
@@ -354,7 +349,7 @@ impl ExecutorShared {
                     fired += match timer.due {
                         Due::Complete(batch) => {
                             let jobs = batch.jobs.len();
-                            self.run_completion(batch);
+                            (self.on_done)(batch);
                             jobs
                         }
                         Due::Seal(key) => self.seal(key, timer.at, now),
@@ -393,35 +388,6 @@ impl ExecutorShared {
                         .expect("timer heap poisoned"),
                 ),
                 None => drop(self.timer_due.wait(timers).expect("timer heap poisoned")),
-            }
-        }
-    }
-
-    /// The executor's panic boundary: run `work` on the calling thread,
-    /// catching and counting a panic. Returns whether `work` finished; on
-    /// `false` the caller re-accounts whatever `work` was carrying.
-    fn recover(&self, work: impl FnOnce()) -> bool {
-        let finished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).is_ok();
-        if !finished {
-            self.panics.fetch_add(1, Ordering::SeqCst);
-        }
-        finished
-    }
-
-    /// Fire the completion callback for one finished batch, surviving a
-    /// panicking callback: the panic is caught, counted, and the batch is
-    /// handed to the panic handler for failure accounting instead of being
-    /// silently lost. The calling thread — a submitter or the heap's
-    /// servicer — then carries on with its next piece of work.
-    fn run_completion(&self, batch: CompletedBatch) {
-        if !self.recover(|| (self.on_done)(batch.clone())) {
-            if let Some(handler) = self.on_panic.lock().as_ref() {
-                // A panicking *recovery* handler would take the calling
-                // thread down the same way; catch it too and settle for
-                // the counter.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handler(batch);
-                }));
             }
         }
     }
@@ -512,8 +478,6 @@ impl Executor {
             timer_due: Condvar::new(),
             wake,
             on_done,
-            on_panic: Mutex::new(None),
-            panics: AtomicU64::new(0),
         });
         Executor {
             shared,
@@ -571,36 +535,6 @@ impl Executor {
         }
     }
 
-    /// Install the panic-recovery handler: when the completion callback
-    /// panics, the caught batch is handed here so the embedder can account
-    /// every member as failed (report it into the engine, answer the
-    /// clients) instead of silently losing the batch. The thread that ran
-    /// the callback survives — it catches the panic, recovers, and carries
-    /// on, so no thread submitting to or servicing the heap is lost to a
-    /// poisoned callback and a drain never deadlocks on one.
-    ///
-    /// Install before traffic flows; a panic with no handler installed is
-    /// still caught and counted, but the batch is not re-accounted.
-    pub fn set_panic_handler(&self, handler: Box<BatchCallback>) {
-        *self.shared.on_panic.lock() = Some(handler);
-    }
-
-    /// Panics caught (and recovered from) so far: completion callbacks, and
-    /// work run through [`Executor::recover`].
-    pub fn panics_recovered(&self) -> u64 {
-        self.shared.panics.load(Ordering::SeqCst)
-    }
-
-    /// Run `work` on the calling thread behind the boundary completion
-    /// callbacks run behind: a panic is caught and counted in
-    /// [`Executor::panics_recovered`], and `false` tells the caller to
-    /// re-account whatever `work` was carrying. The server places requests
-    /// on its epoll shards through this, so one bad placement costs one
-    /// request, not the shard.
-    pub fn recover(&self, work: impl FnOnce()) -> bool {
-        self.shared.recover(work)
-    }
-
     /// Number of distinct instance coalescers currently tracked (tests and
     /// the clock-eviction regression), summed across state shards.
     pub fn tracked_instances(&self) -> usize {
@@ -650,7 +584,8 @@ mod tests {
     use arlo_runtime::latency::CompiledRuntime;
     use arlo_runtime::models::ModelSpec;
     use arlo_runtime::profile::profile_runtimes;
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     fn profiles() -> Vec<RuntimeProfile> {
         let model = ModelSpec::bert_base();
@@ -833,61 +768,6 @@ mod tests {
         }
         let occ = exec.shutdown();
         assert_eq!(occ, vec![32], "32 singletons merged from all shards");
-    }
-
-    #[test]
-    fn panicking_completion_callback_is_caught_and_batch_reaccounted() {
-        // A completion callback that panics on every 3rd request id: the
-        // worker must catch it, hand the batch to the panic handler, and
-        // keep serving — shutdown still joins every thread (a deadlocked
-        // or dead pool would hang the test instead).
-        let clock = Arc::new(VirtualClock::new(10_000));
-        let done: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let failed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let done_sink = Arc::clone(&done);
-        let exec = Executor::new(
-            profiles(),
-            2,
-            Arc::clone(&clock),
-            JitterSpec::NONE,
-            BatchPolicy::greedy(BatchSpec::SINGLE),
-            Box::new(move |b: CompletedBatch| {
-                if b.jobs[0].request_id.is_multiple_of(3) {
-                    panic!("injected completion panic");
-                }
-                done_sink.lock().extend(b.jobs.iter().map(|j| j.request_id));
-            }),
-        );
-        let failed_sink = Arc::clone(&failed);
-        exec.set_panic_handler(Box::new(move |b: CompletedBatch| {
-            failed_sink
-                .lock()
-                .extend(b.jobs.iter().map(|j| j.request_id));
-        }));
-
-        let t0 = clock.now();
-        for id in 0..30 {
-            exec.submit(job(id, 0, (id % 4) as usize, t0));
-        }
-        // Wait for all 30 completions (20 normal + 10 recovered) before
-        // shutdown consumes the executor, so the counter read is final.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while done.lock().len() + failed.lock().len() < 30 {
-            assert!(Instant::now() < deadline, "completions stalled");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(
-            exec.panics_recovered(),
-            10,
-            "each panic counted exactly once"
-        );
-        exec.shutdown();
-
-        let done = done.lock();
-        let failed = failed.lock();
-        assert_eq!(failed.len(), 10, "every 3rd id re-accounted: {failed:?}");
-        assert!(failed.iter().all(|id| id % 3 == 0));
-        assert_eq!(done.len(), 20, "the rest completed normally");
     }
 
     #[test]

@@ -37,12 +37,6 @@
 //! - [`queue`] — a bounded MPMC queue with shutdown-aware wakeup. No
 //!   server path uses it (its shards place every request themselves); it
 //!   stays for the benchmark's layer walk and probes, which link it.
-//! - [`supervisor`] — escalation plus a stall check: every server thread
-//!   is a shard, run as a named component with a heartbeat; a shard that
-//!   dies escalates to a fail-fast conserving drain, a panicking planner
-//!   tick on shard 0 is logged and skipped, and a frozen heartbeat is
-//!   flagged by a check the embedder calls (no monitor thread). Seeded
-//!   in-process fault injection via [`chaos::ComponentChaos`].
 //! - [`registry`] — a lock-striped map ([`registry::StripedMap`]), once
 //!   the server's connection registry. No server path uses it (an answer
 //!   reaches its connection through the shard's inbox); it stays for the
@@ -62,7 +56,13 @@
 //!   health ticks, periodic reallocation and GPU re-granting between its
 //!   waits. A graceful drain flushes every outstanding request before
 //!   closing. Every counter is read as one [`server::Snapshot`] (live, or
-//!   exact from the drain).
+//!   exact from the drain). Supervision lives here too, with no thread of
+//!   its own: each shard beats a heartbeat on its handle, which
+//!   [`server::Server::check_stalls`] reads; every panic the server
+//!   catches — a placement, a completion, a planner wake-up, a shard's
+//!   whole loop — goes through one boundary and into one event log; and a
+//!   shard that dies escalates to a fail-fast conserving drain. Seeded
+//!   in-process fault injection via [`chaos::ComponentChaos`].
 //! - [`loadgen`] — one epoll client, [`loadgen::replay`], that runs a
 //!   trace over N connections from a few threads, open-loop (paced by
 //!   arrival) or closed-loop (a window per connection), into one report —
@@ -80,7 +80,6 @@ pub mod protocol;
 pub mod queue;
 pub mod registry;
 pub mod server;
-pub mod supervisor;
 pub mod tenants;
 
 pub use chaos::{
@@ -93,6 +92,7 @@ pub use loadgen::{
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
-pub use server::{ServeConfig, Server, Snapshot, TenantStats};
-pub use supervisor::{SupervisorEvent, SupervisorEventKind};
+pub use server::{
+    ServeConfig, Server, Snapshot, SupervisorEvent, SupervisorEventKind, TenantStats,
+};
 pub use tenants::{RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec, TenantWindow};

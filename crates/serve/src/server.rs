@@ -72,13 +72,13 @@
 //!   is answered with a single [`ErrorCode::Shed`] frame and closed. An
 //!   accept error other than `WouldBlock` (out of file descriptors, say)
 //!   mutes the listener until the next sweep instead of spinning on it.
-//! - A panicking executor completion callback is caught on the thread that
-//!   ran it; the in-flight batch is re-accounted as failed through
-//!   [`ArloEngine::report_batch`] and every member's client is answered
-//!   with [`ErrorCode::Failed`], so drain can never deadlock on a poisoned
-//!   callback. A placement that panics on a shard is caught behind the
-//!   same boundary ([`Executor::recover`]): that one request is answered
-//!   `Failed` and the shard carries on.
+//! - Every panic the server catches goes through one boundary, counted in
+//!   [`Snapshot::panics_recovered`] and logged `Panicked`. A panicking
+//!   placement is its one request answered `Failed`, a completion its
+//!   batch re-accounted as failed through [`ArloEngine::report_batch`], a
+//!   planner wake-up skipped; the shard carries on, so drain never
+//!   deadlocks on a poisoned callback. A panic that escapes a shard's loop
+//!   kills the shard and escalates: the server starts draining.
 //!
 //! Graceful drain closes the listener, refuses new submits with
 //! [`ErrorCode::Draining`], flushes every outstanding execution *and*
@@ -93,7 +93,6 @@ use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
     WireVersion, CONN_ERROR_ID, FILL_CHUNK, FRAME_ERROR_BUDGET, UNKNOWN_TENANT_COST,
 };
-use crate::supervisor::{SupervisedCtx, Supervisor, SupervisorEvent};
 use crate::tenants::{BoundedLog, RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
 use arlo_core::engine::{ArloEngine, ReplacementPlan};
 use arlo_core::multistream::{PoolCoordinator, StreamPlan};
@@ -107,6 +106,7 @@ use std::collections::HashMap;
 use std::io;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -130,10 +130,10 @@ pub struct ServeConfig {
     /// [`ArloEngine::report_batch`] and answered with
     /// [`ErrorCode::Failed`]). `None` disables injection.
     pub fail_one_in: Option<u64>,
-    /// Chaos injection: panic the executor's completion callback whenever a
-    /// batch contains a request id hitting one-in-`n` — exercises the
-    /// executor's catch/re-account path on the shard that completes the
-    /// batch. `None` disables injection.
+    /// Chaos injection: panic the completion callback whenever a batch
+    /// contains a request id hitting one-in-`n` — exercises the server's
+    /// panic boundary and its failed-batch re-accounting on the thread that
+    /// completes the batch. `None` disables injection.
     pub panic_one_in: Option<u64>,
     /// Batch coalescing policy for the executor. The default —
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
@@ -187,7 +187,7 @@ pub struct ServeConfig {
     /// at every planner wake on shard 0. `None` — the production setting —
     /// injects nothing.
     pub component_chaos: Option<ComponentChaos>,
-    /// How long a component's heartbeat may freeze while unparked before
+    /// How long a shard's heartbeat may freeze while unparked before
     /// [`Server::check_stalls`] flags it stalled.
     pub stall_grace: Duration,
 }
@@ -334,13 +334,15 @@ pub struct Snapshot {
     /// [`ErrorCode::UnknownTenant`]): in no tenant row, so outside
     /// conservation.
     pub unknown_tenants: u64,
-    /// Panics caught and re-accounted: completion callbacks and placements.
+    /// Panics caught, each logged once as `Panicked`: placements and
+    /// completions (re-accounted as failed), planner wake-ups (skipped) and
+    /// shard deaths (escalated).
     pub panics_recovered: u64,
     /// Heartbeat stall episodes [`Server::check_stalls`] found.
     pub stalls_detected: u64,
-    /// Components that died of a panic; the first started the drain.
+    /// Shards that died of a panic; the first started the drain.
     pub escalations: u64,
-    /// The most recent component panics, stalls and escalations, oldest first.
+    /// The most recent panics, stalls and escalations, oldest first.
     pub supervisor_events: Vec<SupervisorEvent>,
     /// The coordinator's most recent re-grants, oldest first.
     pub regrants: Vec<RegrantEvent>,
@@ -358,6 +360,31 @@ pub struct Snapshot {
     /// Whether a drain was requested: locally, by a client's
     /// [`Frame::Drain`], or by an escalation.
     pub draining: bool,
+}
+
+/// What happened, to which component, when (ms since the server started).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SupervisorEvent {
+    /// Milliseconds since the server was spawned.
+    pub at_ms: u64,
+    /// `shard-{i}` or `planner`.
+    pub component: String,
+    /// The event.
+    pub kind: SupervisorEventKind,
+}
+
+/// The kinds of [`SupervisorEvent`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SupervisorEventKind {
+    /// A panic caught by the server's boundary: in a placement, a
+    /// completion or a planner wake-up (the component carries on), or one
+    /// that ended a shard's loop (followed by `Escalated`).
+    Panicked,
+    /// A shard is alive but its heartbeat froze while unparked for longer
+    /// than the stall grace.
+    Stalled,
+    /// A shard died of a panic; the first death started the drain.
+    Escalated,
 }
 
 impl Snapshot {
@@ -396,25 +423,43 @@ struct Inbox {
 }
 
 /// One epoll shard's cross-thread face: its epoll set, the eventfd that
-/// interrupts its wait, and its inbox. Another thread reaches a shard only
-/// through these.
+/// interrupts its wait, its inbox and its heartbeat. Another thread reaches
+/// a shard only through these.
 struct ShardHandle {
+    /// `shard-{i}`: its thread is `arlo-shard-{i}`, and its panics, stalls
+    /// and chaos schedule go by this name.
+    name: String,
     epoll: Epoll,
     waker: Waker,
     inbox: Mutex<Inbox>,
     /// `wake` calls so far ([`Snapshot::shard_notifies`]).
     notifies: AtomicU64,
+    /// Passes begun: bumped as each wait returns, so a count that stops
+    /// moving while the shard is unparked is a wedged pass.
+    beats: AtomicU64,
+    /// Set across the wait and once the thread has exited, so an idle or
+    /// dead shard is never flagged stalled. Starts set: a shard that has
+    /// not run yet is not stalled.
+    parked: AtomicBool,
+    /// [`Server::check_stalls`]'s last reading of `beats`, and when they
+    /// last moved — `None` once this freeze is flagged, so an episode is
+    /// flagged once, not once per check.
+    watch: Mutex<(u64, Option<Instant>)>,
 }
 
 impl ShardHandle {
-    fn new() -> io::Result<ShardHandle> {
+    fn new(id: usize) -> io::Result<ShardHandle> {
         let epoll = Epoll::new()?;
         let waker = Waker::new(&epoll)?;
         Ok(ShardHandle {
+            name: format!("shard-{id}"),
             epoll,
             waker,
             inbox: Mutex::new(Inbox::default()),
             notifies: AtomicU64::new(0),
+            beats: AtomicU64::new(0),
+            parked: AtomicBool::new(true),
+            watch: Mutex::default(),
         })
     }
 
@@ -494,9 +539,13 @@ struct Tenant {
 ///   zero and wedge the wait.
 /// - `draining` / `shutdown`: sequence the drain protocol across every
 ///   thread.
+/// - `escalations`: its first increment latches the fail-fast drain, so
+///   exactly one dying shard sets `draining`.
 ///
 /// `connections` gates accept at [`ServeConfig::max_conns`] yet stays
 /// `Relaxed`: a close shard 0 sees late refuses at most one connect more.
+/// So does each shard's heartbeat (`beats`, `parked`): it publishes no
+/// other data, and a stale read only delays a stall flag to a later check.
 ///
 /// Every other counter is a statistic, read only through [`Snapshot`]:
 /// `Relaxed` increments, exact once the writing threads are joined — the
@@ -533,6 +582,17 @@ struct Shared {
     /// The coordinator's structured reallocation log (multi-tenant only),
     /// bounded to the most recent re-grants.
     regrants: Mutex<BoundedLog<RegrantEvent>>,
+    /// Panics, stalls and escalations, bounded to the most recent; the
+    /// three counters below stay exact.
+    events: Mutex<BoundedLog<SupervisorEvent>>,
+    /// Panics caught by [`Shared::recover`].
+    panics: AtomicU64,
+    /// Stall episodes [`Server::check_stalls`] found.
+    stalls: AtomicU64,
+    /// Shards that died; the first latched the fail-fast drain.
+    escalations: AtomicU64,
+    /// When the server was spawned: events are timed from here.
+    started: Instant,
     /// One per shard, in shard order: connection `c` belongs to shard
     /// `c % shards.len()`.
     shards: Vec<ShardHandle>,
@@ -550,7 +610,7 @@ impl Shared {
         coordinate: bool,
     ) -> io::Result<Shared> {
         let shards = (0..config.shards.max(1))
-            .map(|_| ShardHandle::new())
+            .map(ShardHandle::new)
             .collect::<io::Result<Vec<_>>>()?;
         // Demand windows are striped by connection id, at least one stripe
         // per shard.
@@ -592,6 +652,11 @@ impl Shared {
             dropped_responses: AtomicU64::new(0),
             unknown_tenants: AtomicU64::new(0),
             regrants: Mutex::new(BoundedLog::default()),
+            events: Mutex::new(BoundedLog::default()),
+            panics: AtomicU64::new(0),
+            stalls: AtomicU64::new(0),
+            escalations: AtomicU64::new(0),
+            started: Instant::now(),
             shards,
             connections: AtomicUsize::new(0),
         })
@@ -603,8 +668,9 @@ impl Shared {
     }
 
     /// The counters `Shared` holds, read now: the tenant rows, the
-    /// connection plane's and the shards'. [`Server::snapshot`] adds the
-    /// executors' and the supervisor's.
+    /// connection plane's, the shards' and the supervision counters.
+    /// [`Server::snapshot`] adds the executors' and the event log, which a
+    /// `Stats` answer does not read.
     fn snapshot(&self) -> Snapshot {
         let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         Snapshot {
@@ -633,6 +699,9 @@ impl Shared {
             refused_conns: relaxed(&self.refused_conns),
             dropped_responses: relaxed(&self.dropped_responses),
             unknown_tenants: relaxed(&self.unknown_tenants),
+            panics_recovered: relaxed(&self.panics),
+            stalls_detected: relaxed(&self.stalls),
+            escalations: self.escalations.load(Ordering::SeqCst),
             regrants: self.regrants.lock().to_vec(),
             shard_notifies: self.shards.iter().map(|s| relaxed(&s.notifies)).sum(),
             active_connections: self.connections.load(Ordering::Relaxed),
@@ -684,6 +753,29 @@ impl Shared {
                 .fetch_add(n as u64, Ordering::Relaxed);
         }
     }
+
+    /// The server's one panic boundary: run `work` on the calling thread
+    /// and catch a panic, counting it in `panics_recovered` and logging it
+    /// `Panicked` under `component`. Returns whether `work` finished; on
+    /// `false` the caller re-accounts whatever `work` was carrying.
+    fn recover(&self, component: &str, work: impl FnOnce()) -> bool {
+        let finished = catch_unwind(AssertUnwindSafe(work)).is_ok();
+        if !finished {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+            self.log(component, SupervisorEventKind::Panicked);
+        }
+        finished
+    }
+
+    /// Append one event to the supervision log.
+    fn log(&self, component: &str, kind: SupervisorEventKind) {
+        let at_ms = self.started.elapsed().as_millis() as u64;
+        self.events.lock().push(SupervisorEvent {
+            at_ms,
+            component: component.to_string(),
+            kind,
+        });
+    }
 }
 
 /// A running serve instance. Obtain one with [`Server::spawn`] (single
@@ -693,8 +785,7 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     drain_timeout: Duration,
-    /// Logs component failures and checks their heartbeats.
-    supervisor: Supervisor,
+    stall_grace: Duration,
     /// One thread per shard, in shard order.
     shards: Vec<JoinHandle<()>>,
     /// One executor per tenant (its own per-instance clocks); executor
@@ -753,56 +844,9 @@ impl Server {
             .epoll
             .add(&listener, LISTENER_TOKEN, Interest::READ)?;
 
-        // A component that dies fails fast into a conserving drain. Refusing
-        // new work is all it takes — every admitted request is already
-        // placed, so the normal drain flushes the rest — and waking shard 0
-        // makes it close the listener now, not at its next sweep.
-        let escalate = {
-            let shared = Arc::clone(&shared);
-            move || {
-                shared.draining.store(true, Ordering::SeqCst);
-                shared.shards[0].waker.wake();
-            }
-        };
-        let supervisor =
-            Supervisor::new(config.component_chaos.clone(), config.stall_grace, escalate);
-
-        // One executor per tenant, its deadline heap fired by shard
-        // `i % shards`. A park that undercuts the heap's head wakes that
-        // shard — unless the shard parked it itself, and will read the new
-        // head before it waits again. A panicking completion callback must
-        // not lose its batch: the executor catches the panic and the
-        // handler re-accounts every member as failed (engine report +
-        // typed client error).
-        let mut executors = Vec::with_capacity(shared.tenants.len());
-        for (idx, tenant) in shared.tenants.iter().enumerate() {
-            let on_done = {
-                let shared = Arc::clone(&shared);
-                Box::new(move |done: CompletedBatch| complete_batch(&shared, &done))
-            };
-            let wake = {
-                let shared = Arc::clone(&shared);
-                let owner = idx % shard_count;
-                Box::new(move || {
-                    if ON_SHARD.get() != Some(owner) {
-                        shared.shards[owner].wake();
-                    }
-                })
-            };
-            let executor = Arc::new(Executor::serviced_by_caller(
-                tenant.engine.profiles().to_vec(),
-                Arc::clone(&shared.clock),
-                JitterSpec::NONE,
-                config.batch,
-                on_done,
-                wake,
-            ));
-            {
-                let shared = Arc::clone(&shared);
-                executor.set_panic_handler(Box::new(move |done| fail_batch(&shared, &done)));
-            }
-            executors.push(executor);
-        }
+        let executors: Vec<Arc<Executor>> = (0..shared.tenants.len())
+            .map(|idx| Arc::new(tenant_executor(&shared, idx, config.batch)))
+            .collect();
 
         let fire_slice = (config.outbound_queue / 2).max(1);
         let mut front_door = Some(FrontDoor {
@@ -817,9 +861,9 @@ impl Server {
         let tick = real(TICK_INTERVAL);
         let pass = coordinate.then(|| real(config.coordinator_interval));
         let now = Instant::now();
+        let chaos_plan = |name: &str| config.component_chaos.as_ref()?.plan_for(name);
         let mut planner = Some(Planner {
-            chaos: supervisor.chaos_plan("planner"),
-            supervisor: supervisor.clone(),
+            chaos: chaos_plan("planner"),
             tick,
             pass,
             gpus: config.gpus,
@@ -837,13 +881,15 @@ impl Server {
                 executors: executors.clone(),
                 heaps: (id..executors.len()).step_by(shard_count).collect(),
             };
+            let name = &shared.shards[id].name;
+            let chaos = chaos_plan(name);
             let spawned = {
                 let shared = Arc::clone(&shared);
                 let door = front_door.take();
                 let planner = planner.take();
-                supervisor.spawn(&format!("shard-{id}"), move |ctx| {
-                    shard_loop(&shared, id, door, planner, &shard_cfg, ctx);
-                })
+                std::thread::Builder::new()
+                    .name(format!("arlo-{name}"))
+                    .spawn(move || run_shard(&shared, id, door, planner, &shard_cfg, chaos))
             };
             match spawned {
                 Ok(thread) => shards.push(thread),
@@ -858,7 +904,7 @@ impl Server {
             shared,
             local_addr,
             drain_timeout: config.drain_timeout,
-            supervisor,
+            stall_grace: config.stall_grace,
             shards,
             executors,
             fire_slice,
@@ -883,10 +929,7 @@ impl Server {
             }
         }
         Snapshot {
-            panics_recovered: self.executors.iter().map(|e| e.panics_recovered()).sum(),
-            stalls_detected: self.supervisor.stalls_detected(),
-            escalations: self.supervisor.escalations(),
-            supervisor_events: self.supervisor.events(),
+            supervisor_events: self.shared.events.lock().to_vec(),
             batch_occupancy,
             tracked_instances: self.executors.iter().map(|e| e.tracked_instances()).sum(),
             ..self.shared.snapshot()
@@ -900,7 +943,23 @@ impl Server {
     /// runs it; call it periodically (`arlo serve` does, every 50 ms).
     /// Returns the episodes this call found.
     pub fn check_stalls(&self) -> u64 {
-        self.supervisor.check_stalls()
+        let now = Instant::now();
+        let mut found = 0;
+        for shard in &self.shared.shards {
+            let beats = shard.beats.load(Ordering::Relaxed);
+            let (seen, since) = &mut *shard.watch.lock();
+            if beats != *seen {
+                (*seen, *since) = (beats, Some(now));
+            } else if !shard.parked.load(Ordering::Relaxed)
+                && since.is_some_and(|at| now - at >= self.stall_grace)
+            {
+                *since = None;
+                found += 1;
+                self.shared.log(&shard.name, SupervisorEventKind::Stalled);
+            }
+        }
+        self.shared.stalls.fetch_add(found, Ordering::Relaxed);
+        found
     }
 
     /// Graceful shutdown: stop accepting, refuse new submits with
@@ -947,27 +1006,62 @@ impl Server {
     }
 }
 
+/// Tenant `idx`'s executor, its deadline heap fired by shard
+/// `idx % shards`. A park that undercuts the heap's head wakes that shard —
+/// unless the shard parked it itself, and will read the new head before it
+/// waits again. Each completion runs behind [`Shared::recover`], logged
+/// under the shard that runs it (the heap's owner when the drain fires it
+/// for a dead shard); one that panics is re-accounted as a failed batch.
+fn tenant_executor(shared: &Arc<Shared>, idx: usize, batch: BatchPolicy) -> Executor {
+    let owner = idx % shared.shards.len();
+    let on_done = {
+        let shared = Arc::clone(shared);
+        Box::new(move |mut done: CompletedBatch| {
+            let shard = &shared.shards[ON_SHARD.get().unwrap_or(owner)];
+            if !shared.recover(&shard.name, || complete_batch(&shared, &mut done)) {
+                fail_batch(&shared, &done);
+            }
+        })
+    };
+    let wake = {
+        let shared = Arc::clone(shared);
+        Box::new(move || {
+            if ON_SHARD.get() != Some(owner) {
+                shared.shards[owner].wake();
+            }
+        })
+    };
+    Executor::serviced_by_caller(
+        shared.tenants[idx].engine.profiles().to_vec(),
+        Arc::clone(&shared.clock),
+        JitterSpec::NONE,
+        batch,
+        on_done,
+        wake,
+    )
+}
+
 /// Executor completion callback, fired once per sealed batch: report one
 /// amortized batch into the engine's health/load hooks, update counters,
-/// answer every member's client.
-fn complete_batch(shared: &Shared, done: &CompletedBatch) {
+/// answer every member's client. Each job's fate is decided once, by
+/// moving the failing jobs behind the rest, so the engine report — the
+/// last step that can panic — still precedes every answer.
+fn complete_batch(shared: &Shared, done: &mut CompletedBatch) {
     // Chaos hook: a one-in-n completion panic, *before* any accounting, so
-    // the executor's catch → fail_batch path re-accounts the whole batch
-    // exactly once.
+    // the boundary's fail_batch re-accounts the whole batch exactly once.
     if let Some(n) = shared.panic_one_in {
         if n > 0 && done.jobs.iter().any(|j| j.request_id % n == n - 1) {
             panic!("injected executor completion panic (one in {n})");
         }
     }
-    let mut ok: u32 = 0;
-    let mut failed: u32 = 0;
-    for job in &done.jobs {
-        let failing = shared
-            .fail_one_in
-            .is_some_and(|n| n > 0 && job.request_id % n == n - 1);
-        if failing {
-            failed += 1;
-        } else {
+    let fails = |job: &Job| {
+        let n = shared.fail_one_in.unwrap_or(0);
+        n > 0 && job.request_id % n == n - 1
+    };
+    let mut ok = 0;
+    for i in 0..done.jobs.len() {
+        if !fails(&done.jobs[i]) {
+            done.jobs.swap(ok, i);
             ok += 1;
         }
     }
@@ -979,22 +1073,18 @@ fn complete_batch(shared: &Shared, done: &CompletedBatch) {
     // to one tenant — batches coalesce within a single tenant's executor.
     let tenant = &shared.tenants[done.jobs[0].tenant as usize];
     let observed_per_request = done.exec_ns as f64 / done.jobs.len() as f64;
+    let failed = done.jobs.len() - ok;
     tenant.engine.report_batch(
         done.jobs[0].placement,
-        ok,
-        failed,
+        ok as u32,
+        failed as u32,
         done.finished_at,
         observed_per_request,
     );
-    tenant.served.fetch_add(u64::from(ok), Ordering::Relaxed);
-    tenant
-        .failed
-        .fetch_add(u64::from(failed), Ordering::Relaxed);
-    for job in &done.jobs {
-        let failing = shared
-            .fail_one_in
-            .is_some_and(|n| n > 0 && job.request_id % n == n - 1);
-        let frame = if failing {
+    tenant.served.fetch_add(ok as u64, Ordering::Relaxed);
+    tenant.failed.fetch_add(failed as u64, Ordering::Relaxed);
+    for (i, job) in done.jobs.iter().enumerate() {
+        let frame = if i >= ok {
             Frame::Error {
                 id: job.request_id,
                 code: ErrorCode::Failed,
@@ -1016,8 +1106,9 @@ fn complete_batch(shared: &Shared, done: &CompletedBatch) {
 }
 
 /// Panic-recovery accounting: the completion callback died before touching
-/// any counter (the injection point is its first statement, and a genuine
-/// panic aborts the engine report), so account the whole batch as failed —
+/// any counter or answering anyone (the injection point is its first
+/// statement, and a genuine panic aborts the engine report, which precedes
+/// both), so account the whole batch as failed —
 /// report it into the engine's health layer, answer every client with a
 /// typed [`ErrorCode::Failed`], and release `outstanding` so drain
 /// completes.
@@ -1127,8 +1218,6 @@ const TICK_INTERVAL: Nanos = arlo_trace::NANOS_PER_SEC / 5;
 /// count from the end of the work before them, so a pass delays shard 0's
 /// connections by its own duration, never by a backlog of missed ticks.
 struct Planner {
-    /// Catches a panicking wake-up, logged under `planner`.
-    supervisor: Supervisor,
     /// The `planner` component-chaos schedule, drawn once per wake-up.
     chaos: Option<ComponentChaosPlan>,
     /// Real time between health ticks.
@@ -1149,8 +1238,9 @@ impl Planner {
         at.saturating_duration_since(Instant::now())
     }
 
-    /// Run the tick and the pass if due, behind [`Supervisor::recover`]: a
-    /// panicking wake-up is logged and the next one runs on schedule.
+    /// Run the tick and the pass if due, behind [`Shared::recover`]: a
+    /// panicking wake-up is logged under `planner` and the next one runs on
+    /// schedule.
     fn run_due(&mut self, shared: &Shared, executors: &[Arc<Executor>]) {
         let woke = Instant::now();
         let tick = woke >= self.next_tick;
@@ -1158,7 +1248,7 @@ impl Planner {
         if !tick && !pass {
             return;
         }
-        self.supervisor.recover("planner", || {
+        shared.recover("planner", || {
             if let Some(chaos) = &mut self.chaos {
                 chaos.on_beat();
             }
@@ -1625,14 +1715,15 @@ impl Shard<'_> {
 /// deadlines and run the planner's due work (shard 0); on shutdown (or
 /// panic — see [`Shard`]) close everything it owns. It sleeps until the
 /// earliest of its next sweep, its heaps' next deadline and the planner's
-/// next tick or pass.
+/// next tick or pass, and beats its heartbeat once per pass, drawing from
+/// its `chaos` schedule there.
 fn shard_loop(
     shared: &Shared,
     id: usize,
     mut door: Option<FrontDoor>,
     mut planner: Option<Planner>,
     cfg: &ShardConfig,
-    ctx: &SupervisedCtx,
+    mut chaos: Option<ComponentChaosPlan>,
 ) {
     ON_SHARD.set(Some(id));
     let handle = &shared.shards[id];
@@ -1657,7 +1748,7 @@ fn shard_loop(
         if let Some(planner) = &planner {
             timeout = timeout.min(planner.until_due());
         }
-        ctx.park();
+        handle.parked.store(true, Ordering::Relaxed);
         // `Epoll::new` probed the syscall, so a failure here is a broken
         // epoll set: die loudly into the escalation rather than spin.
         epoll
@@ -1667,7 +1758,11 @@ fn shard_loop(
         // wedge anywhere in this wake-up's work freezes the heartbeat where
         // the stall check looks. Also the chaos injection point — `shard`
         // is armed, so an induced panic here still closes up.
-        ctx.beat();
+        handle.beats.fetch_add(1, Ordering::Relaxed);
+        handle.parked.store(false, Ordering::Relaxed);
+        if let Some(chaos) = &mut chaos {
+            chaos.on_beat();
+        }
         // Reset the eventfd *before* taking the inbox it announces: a post
         // landing after the take then leaves it readable for the next wait
         // instead of being swallowed by this one.
@@ -1723,6 +1818,35 @@ fn shard_loop(
         // Shard 0: the planner's tick or coordinator pass, if due.
         if let Some(planner) = planner.as_mut() {
             planner.run_due(shared, &cfg.executors);
+        }
+    }
+}
+
+/// Shard `id`'s thread: its loop behind [`Shared::recover`]. A panic that
+/// escapes the loop kills the shard and escalates: logged `Escalated`, and
+/// the first death fails the server fast into a conserving drain. Refusing
+/// new work is all that takes — every admitted request is already placed,
+/// so the normal drain flushes the rest — and waking shard 0 makes it
+/// close the listener now, not at its next sweep.
+fn run_shard(
+    shared: &Shared,
+    id: usize,
+    door: Option<FrontDoor>,
+    planner: Option<Planner>,
+    cfg: &ShardConfig,
+    chaos: Option<ComponentChaosPlan>,
+) {
+    let shard = &shared.shards[id];
+    let died = !shared.recover(&shard.name, || {
+        shard_loop(shared, id, door, planner, cfg, chaos);
+    });
+    // Finished either way: a frozen heartbeat is not a stall.
+    shard.parked.store(true, Ordering::Relaxed);
+    if died {
+        shared.log(&shard.name, SupervisorEventKind::Escalated);
+        if shared.escalations.fetch_add(1, Ordering::SeqCst) == 0 {
+            shared.draining.store(true, Ordering::SeqCst);
+            shared.shards[0].waker.wake();
         }
     }
 }
@@ -1869,10 +1993,10 @@ fn close_conn(shared: &Shared, epoll: &Epoll, conn: FramedConn) {
 /// sub-request of a [`Frame::BatchedSubmit`] — batching amortizes framing,
 /// never accounting.
 ///
-/// The placement runs behind the executor's panic boundary
-/// ([`Executor::recover`]): if it panics, that one request is answered
-/// [`ErrorCode::Failed`] through [`fail_admitted`] — treated as never
-/// placed — and counted in `panics_recovered`, and the shard carries on.
+/// The placement runs behind the server's panic boundary
+/// ([`Shared::recover`], logged under the connection's shard): if it
+/// panics, that one request is answered [`ErrorCode::Failed`] through
+/// [`fail_admitted`] — treated as never placed — and the shard carries on.
 fn submit_one(
     shared: &Shared,
     executors: &[Arc<Executor>],
@@ -1926,7 +2050,10 @@ fn submit_one(
     // batch parked in the deadline heap included), so drain flushes it.
     tenant.outstanding.fetch_add(1, Ordering::SeqCst);
     let executor = &executors[tenant_id as usize];
-    if !executor.recover(|| place(shared, tenant_id, executor, conn_id, id, length, now)) {
+    let shard = &shared.shards[conn_id as usize % shared.shards.len()];
+    if !shared.recover(&shard.name, || {
+        place(shared, tenant_id, executor, conn_id, id, length, now);
+    }) {
         fail_admitted(shared, tenant_id, conn_id, id);
     }
 }
@@ -2129,13 +2256,125 @@ mod tests {
             }],
             "exactly one Failed answer"
         );
-        assert_eq!(executor.panics_recovered(), 1);
+        assert_eq!(shared.snapshot().panics_recovered, 1);
+        let events = shared.events.lock().to_vec();
+        let logged: Vec<_> = events
+            .iter()
+            .map(|e| (e.component.as_str(), e.kind))
+            .collect();
+        let owner = format!("shard-{}", conn_id as usize % shared.shards.len());
+        assert_eq!(logged, [(owner.as_str(), SupervisorEventKind::Panicked)]);
         let tenant = &shared.tenants[0];
         assert_eq!(tenant.outstanding.load(Ordering::SeqCst), 0);
         assert_eq!(tenant.submits.load(Ordering::Relaxed), 1);
         assert_eq!(tenant.failed.load(Ordering::Relaxed), 1);
         let stats = shared.snapshot().stats();
         assert_eq!((stats.served, stats.shed, stats.outstanding), (0, 1, 0));
+    }
+
+    /// Place 30 submits (ids 0..30) on a one-shard server's executor under
+    /// `config` with `instances` instances, fire everything, and return the
+    /// answers, the snapshot and the batch-size histogram.
+    fn complete_thirty(config: ServeConfig, instances: u32) -> (Vec<Frame>, Snapshot, Vec<u64>) {
+        let model = ModelSpec::bert_base();
+        let profiles = profile_runtimes(&[CompiledRuntime::new_static(model, 512)], 150.0, 64);
+        let engine = ArloEngine::new(
+            profiles,
+            vec![instances],
+            arlo_core::engine::EngineConfig::paper_default(150.0),
+        );
+        let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
+        let shared = Arc::new(Shared::new(vec![(spec, engine)], &config, false).expect("epoll"));
+        let executor = Arc::new(tenant_executor(&shared, 0, config.batch));
+        for id in 0..30 {
+            submit_one(&shared, std::slice::from_ref(&executor), 7, 0, id, 100);
+        }
+        executor.finish();
+        let answers = std::mem::take(&mut shared.shards[0].inbox.lock().frames);
+        let answers = answers.into_iter().map(|(_, f)| f).collect();
+        let snapshot = Snapshot {
+            supervisor_events: shared.events.lock().to_vec(),
+            ..shared.snapshot()
+        };
+        (answers, snapshot, executor.batch_occupancy())
+    }
+
+    /// Whether `answers` are exactly: `Failed` for the ids `fails` picks,
+    /// `Response` for the rest, one each for ids 0..30.
+    fn answered(answers: &[Frame], fails: impl Fn(u64) -> bool) -> bool {
+        let mut ids: Vec<u64> = answers
+            .iter()
+            .map(|f| match *f {
+                Frame::Error {
+                    id,
+                    code: ErrorCode::Failed,
+                } if fails(id) => id,
+                Frame::Response { id, .. } if !fails(id) => id,
+                _ => u64::MAX,
+            })
+            .collect();
+        ids.sort_unstable();
+        ids == (0..30).collect::<Vec<u64>>()
+    }
+
+    /// One shard at 10 000×, then `edit`.
+    fn fast_config(edit: impl FnOnce(&mut ServeConfig)) -> ServeConfig {
+        let mut config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::new(8).with_time_scale(10_000)
+        };
+        edit(&mut config);
+        config
+    }
+
+    /// A panicking completion is caught by the same boundary and its batch
+    /// re-accounted as failed: on a caller-serviced executor whose
+    /// completions panic for one request id in three, 30 submits get 10
+    /// `Failed` and 20 `Response` answers, each panic is counted and
+    /// logged once, and the tenant row conserves.
+    #[test]
+    fn a_panicking_completion_is_one_failed_batch() {
+        let config = fast_config(|c| c.panic_one_in = Some(3));
+        let (answers, snapshot, _) = complete_thirty(config, 8);
+        assert!(answered(&answers, |id| id % 3 == 2), "{answers:?}");
+        assert_eq!(snapshot.panics_recovered, 10, "each panic counted once");
+        let panicked = snapshot
+            .supervisor_events
+            .iter()
+            .filter(|e| e.component == "shard-0" && e.kind == SupervisorEventKind::Panicked);
+        assert_eq!(panicked.count(), 10, "each panic logged once");
+        let tenant = &snapshot.tenants[0];
+        assert_eq!((tenant.submits, tenant.served, tenant.failed), (30, 20, 10));
+        assert_eq!(tenant.submits, tenant.accounted(), "{tenant:?}");
+        assert_eq!(tenant.outstanding, 0);
+    }
+
+    /// Injected execution failures inside coalesced batches: each job's
+    /// fate is its own, decided once — every fourth id answered `Failed`,
+    /// the rest of its batch served.
+    #[test]
+    fn injected_failures_fail_only_their_own_jobs_in_a_batch() {
+        let config = fast_config(|c| {
+            c.fail_one_in = Some(4);
+            // One instance, batches of up to 8 held open 1 virtual s
+            // (100 µs real): the 30 submits coalesce into 8 + 8 + 8 + 6.
+            c.batch = BatchPolicy {
+                spec: BatchSpec {
+                    max_batch: 8,
+                    marginal_cost: 0.5,
+                },
+                max_wait_ns: arlo_trace::NANOS_PER_SEC,
+            };
+        });
+        let (answers, snapshot, occupancy) = complete_thirty(config, 1);
+        assert_eq!(occupancy.iter().sum::<u64>(), 4, "{occupancy:?}");
+        assert!(answered(&answers, |id| id % 4 == 3), "{answers:?}");
+        let tenant = &snapshot.tenants[0];
+        assert_eq!(
+            (tenant.served, tenant.failed, tenant.outstanding),
+            (23, 7, 0)
+        );
+        assert_eq!(snapshot.panics_recovered, 0);
     }
 
     // --- Demand windows exist only where a coordinator reads them ---

@@ -18,7 +18,7 @@
 //! - [`RegrantEvent`] is one entry of the structured reallocation log: a
 //!   timestamped before/after of every tenant's GPU grant; a
 //!   [`BoundedLog`] keeps the most recent [`LOG_CAPACITY`] of them (and of
-//!   the supervisor's events).
+//!   the server's panic, stall and escalation events).
 //! - [`weighted_tenant`] partitions a request-id space across tenants by
 //!   integer weights — exactly-once (a pure function of the id) and with
 //!   no phantom shares (each cycle of `Σ weights` ids hits tenant `t`
@@ -154,7 +154,7 @@ impl RegrantEvent {
 /// (`tenants_e2e`) re-grant fewer than ten times and the supervision tests
 /// (`supervisor_e2e`) flag a handful of stalls, so only a long-running
 /// server drops an entry — one whose shard stalls again and again fills
-/// the supervisor's log within minutes.
+/// the server's event log (`Snapshot::supervisor_events`) within minutes.
 pub const LOG_CAPACITY: usize = 256;
 
 /// A structured event log that keeps the most recent [`LOG_CAPACITY`]

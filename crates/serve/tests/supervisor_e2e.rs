@@ -1,21 +1,22 @@
 //! End-to-end supervision: component chaos against a live server.
 //!
-//! The server's threads — the epoll shards — run as named components with
-//! heartbeats, and shard 0 runs the planner's ticks under a per-tick panic
-//! boundary; these tests inject deterministic panics and stalls into them
-//! through real sockets under real client load, and assert what
+//! The server's threads — the epoll shards — each beat a heartbeat on
+//! their handle, and shard 0 runs the planner's ticks under a per-tick
+//! panic boundary; these tests inject deterministic panics and stalls into
+//! them through real sockets under real client load, and assert what
 //! supervision is for:
 //!
 //! 1. **Escalation, conserving.** A shard that dies fails the server fast
-//!    into a drain, and the drain fires whatever the dead shard's deadline
-//!    heaps still held: `submits == served + shed + unserviceable +
-//!    failed`, nothing outstanding at close.
+//!    into a drain, once, and the drain fires whatever the dead shard's
+//!    deadline heaps still held: `submits == served + shed +
+//!    unserviceable + failed`, nothing outstanding at close.
 //! 2. **Per-tick recovery.** A panicking planner tick is logged and the
 //!    next tick runs: health ticks and reallocation carry on, and so do
-//!    the coordinator's re-granting passes.
+//!    the coordinator's re-granting passes. Every panic the server caught
+//!    is counted once and logged once.
 //! 3. **Stall detection.** A shard frozen while unparked is flagged by the
-//!    server's stall check, and a shard catching up after a stall never
-//!    outruns a client that is reading.
+//!    server's stall check; an idle or dead shard never is; and a shard
+//!    catching up after a stall never outruns a client that is reading.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -25,8 +26,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{burst, replay, LoadGenConfig};
 use arlo_serve::protocol::{read_frame, Frame, MAX_BATCH};
-use arlo_serve::server::{ServeConfig, Server, Snapshot, TenantStats};
-use arlo_serve::supervisor::SupervisorEventKind;
+use arlo_serve::server::{ServeConfig, Server, Snapshot, SupervisorEventKind, TenantStats};
 use arlo_serve::tenants::{SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -86,16 +86,26 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 fn has_event(server: &Server, component: &str, kind: SupervisorEventKind) -> bool {
-    count_events(server, component, kind) > 0
+    count_events(&server.snapshot(), component, kind) > 0
 }
 
-fn count_events(server: &Server, component: &str, kind: SupervisorEventKind) -> usize {
-    server
-        .snapshot()
+fn count_events(snapshot: &Snapshot, component: &str, kind: SupervisorEventKind) -> usize {
+    snapshot
         .supervisor_events
         .iter()
         .filter(|e| e.component.starts_with(component) && e.kind == kind)
         .count()
+}
+
+/// Every panic the server caught was counted once and logged once — read
+/// from a drain, where both are exact.
+fn assert_panics_counted_once(drain: &Snapshot) {
+    assert!(drain.panics_recovered >= 1, "{drain:?}");
+    assert_eq!(
+        drain.panics_recovered as usize,
+        count_events(drain, "", SupervisorEventKind::Panicked),
+        "{drain:?}"
+    );
 }
 
 /// Call the server's stall check every 2 ms while `load` runs, as `arlo
@@ -160,6 +170,7 @@ fn planner_tick_panic_is_caught_and_reallocation_still_happens() {
     let drain = server.drain();
     assert!(drain.reallocations >= 1, "{drain:?}");
     assert_server_conserves(&drain);
+    assert_panics_counted_once(&drain);
 }
 
 /// The coordinator's re-granting passes outlive a caught planner panic
@@ -198,7 +209,7 @@ fn coordinator_passes_go_on_after_a_caught_planner_panic() {
         server.snapshot().regrants.len() > at_panic
     });
     wait_for("a second planner panic", || {
-        count_events(&server, "planner", SupervisorEventKind::Panicked) >= 2
+        count_events(&server.snapshot(), "planner", SupervisorEventKind::Panicked) >= 2
     });
 
     let snapshot = server.snapshot();
@@ -206,6 +217,7 @@ fn coordinator_passes_go_on_after_a_caught_planner_panic() {
     assert!(!snapshot.draining);
     let drain = server.drain();
     assert_server_conserves(&drain);
+    assert_panics_counted_once(&drain);
     assert_eq!(drain.total(|t| t.submits), report.sent, "{drain:?}");
 }
 
@@ -252,7 +264,7 @@ fn epoll_shard_panic_escalates_and_drains_clean() {
     wait_for("shard escalation", || server.snapshot().escalations >= 1);
     assert!(has_event(&server, "shard", SupervisorEventKind::Panicked));
     assert_eq!(
-        count_events(&server, "shard", SupervisorEventKind::Escalated),
+        count_events(&server.snapshot(), "shard", SupervisorEventKind::Escalated),
         1
     );
     assert!(server.snapshot().draining, "escalation drains fail-fast");
@@ -424,21 +436,115 @@ fn drain_answers_parked_completions_ok() {
 /// Stall detection: a shard that freezes (sleeps unparked past the stall
 /// grace) without dying is flagged `Stalled` by the server's stall check —
 /// and only flagged: the thread is alive, and killing it would lose its
-/// connections.
+/// connections. A freeze is flagged once however often the check looks:
+/// each is a 100 ms sleep, so checks every 2 ms flag no more of them than
+/// fit in the time the test ran.
 #[test]
 fn stalled_shard_is_flagged_by_the_stall_check() {
+    let started = Instant::now();
     let cfg = config(4, 100)
         .with_component_chaos(ComponentChaos::stalls("shard", 2, 100, 41))
         .with_stall_grace(Duration::from_millis(10));
+    let shards = cfg.shards as u64;
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
 
     wait_for("a stall detection", || {
         server.check_stalls();
         server.snapshot().stalls_detected >= 1
     });
+    check_stalls_for(&server, 100);
+    let snapshot = server.snapshot();
+    let freezes = shards * (started.elapsed().as_millis() as u64 / 100 + 1);
+    assert!(snapshot.stalls_detected <= freezes, "{snapshot:?}");
+    let stalled = count_events(&snapshot, "shard", SupervisorEventKind::Stalled);
+    assert_eq!(stalled as u64, snapshot.stalls_detected, "{snapshot:?}");
     assert!(has_event(&server, "shard-0", SupervisorEventKind::Stalled));
-    assert_eq!(server.snapshot().escalations, 0, "stalls are not panics");
+    assert_eq!(snapshot.escalations, 0, "stalls are not panics");
     assert_server_conserves(&server.drain());
+}
+
+/// Call the stall check every 2 ms for `checks` checks.
+fn check_stalls_for(server: &Server, checks: usize) {
+    for _ in 0..checks {
+        server.check_stalls();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A long intentional block — an idle shard's epoll wait — is not a
+/// stall: two idle shards, checked every 2 ms for well over five stall
+/// graces, are never flagged, and nothing at all is logged.
+#[test]
+fn idle_shards_are_never_stalled() {
+    let grace = Duration::from_millis(20);
+    let cfg = ServeConfig {
+        shards: 2,
+        sweep_interval: Duration::from_secs(60),
+        ..config(4, 100)
+    }
+    .with_stall_grace(grace);
+    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let started = Instant::now();
+    check_stalls_for(&server, 100);
+    assert!(started.elapsed() >= 5 * grace);
+    let snapshot = server.snapshot();
+    assert_eq!(snapshot.stalls_detected, 0, "{snapshot:?}");
+    assert!(snapshot.supervisor_events.is_empty(), "{snapshot:?}");
+    assert_server_conserves(&server.drain());
+}
+
+/// A shard killed by chaos parks its heartbeat on the way out: each dead
+/// shard is escalated exactly once and never flagged stalled, however long
+/// the check keeps looking, the chaos touches only its target, and when
+/// both shards die both are counted while the drain starts once. The
+/// check starts once the shards are dead: dying takes as long as the panic
+/// hook and the unwinding (a debug build capturing a `RUST_BACKTRACE`
+/// spends tens of milliseconds there), and a shard not yet dead is alive.
+#[test]
+fn a_dead_shard_escalates_once_and_is_never_stalled() {
+    let grace = Duration::from_millis(10);
+    for (target, dead) in [
+        ("shard-1", vec!["shard-1"]),
+        ("shard", vec!["shard-0", "shard-1"]),
+    ] {
+        let cfg = ServeConfig {
+            shards: 2,
+            sweep_interval: Duration::from_millis(5),
+            ..config(4, 100)
+        }
+        .with_component_chaos(ComponentChaos::panics(target, 1, 7))
+        .with_stall_grace(grace);
+        let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+        let deaths = dead.len() as u64;
+        wait_for("the shards to die", || {
+            server.snapshot().escalations == deaths
+        });
+        let died = Instant::now();
+        check_stalls_for(&server, 50);
+        assert!(died.elapsed() >= 5 * grace);
+        let snapshot = server.snapshot();
+        for shard in ["shard-0", "shard-1"] {
+            let expected = usize::from(dead.contains(&shard));
+            for kind in [
+                SupervisorEventKind::Panicked,
+                SupervisorEventKind::Escalated,
+            ] {
+                let logged = count_events(&snapshot, shard, kind);
+                assert_eq!(logged, expected, "{target}: {shard} {kind:?}: {snapshot:?}");
+            }
+        }
+        assert_eq!(
+            snapshot.supervisor_events.len(),
+            2 * dead.len(),
+            "{snapshot:?}"
+        );
+        assert_eq!(snapshot.stalls_detected, 0, "{target}");
+        assert!(snapshot.draining, "the first death started the drain");
+        let drain = server.drain();
+        assert_eq!(drain.escalations, deaths, "{drain:?}");
+        assert_panics_counted_once(&drain);
+        assert_server_conserves(&drain);
+    }
 }
 
 /// A shard catching up after a stall does not outrun a reading client.
@@ -555,5 +661,7 @@ fn v2_storm_survives_planner_panics_on_two_shards() {
         has_event(&server, "planner", SupervisorEventKind::Panicked)
     });
     assert_eq!(server.snapshot().escalations, 0);
-    assert_server_conserves(&server.drain());
+    let drain = server.drain();
+    assert_server_conserves(&drain);
+    assert_panics_counted_once(&drain);
 }
