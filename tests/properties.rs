@@ -302,3 +302,97 @@ fn greedy_fill(c: &[f64], bounds: &[f64], demand: f64) -> f64 {
     }
     cost
 }
+
+/// Runtime ladder of the Algorithm 1 differential below.
+const MLQ_LADDER: [u32; 5] = [64, 128, 256, 384, 512];
+
+/// Algorithm 1 has two readers of one multi-level queue: the simulator's
+/// `ArloRequestScheduler` over a `Cluster`, and the live engine's
+/// `SchedulerFrontend`. Built from the same profiles, they must pick the same
+/// (level, index) at every dispatch of a random run of dispatches,
+/// completions, bans and re-admissions — over deployments with empty levels,
+/// every peek depth `L` in 1..=6, and lengths from 0 to past the largest
+/// runtime. The cluster's queue bound is lifted because the frontend has
+/// none; a 25 ms SLO keeps capacities small, so the congestion test and the
+/// fallback both fire.
+#[test]
+fn algorithm1_simulator_and_frontend_agree() {
+    use arlo::core::frontend::{InstanceHandle, SchedulerFrontend};
+    use arlo::sim::cluster::{AdmitGate, Cluster};
+
+    let model = ModelSpec::bert_base();
+    let profiles: Vec<RuntimeProfile> = MLQ_LADDER
+        .iter()
+        .map(|&l| RuntimeProfile::measure(CompiledRuntime::new_static(model.clone(), l), 25.0, 64))
+        .collect();
+    proptest!(ProptestConfig::with_cases(128), |(
+        counts in proptest::collection::vec(0u32..4, MLQ_LADDER.len()),
+        max_peek in 1usize..=6,
+        ops in proptest::collection::vec((0u8..8, 0u64..1 << 32), 1..400),
+    )| {
+        let mut counts = counts;
+        let top = counts.len() - 1;
+        counts[top] = counts[top].max(1);
+        let config = RequestSchedulerConfig { max_peek, ..RequestSchedulerConfig::default() };
+        let mut cluster = Cluster::with_queue_limits(
+            profiles.clone(),
+            &counts,
+            JitterSpec::NONE,
+            1_000_000_000,
+            vec![u32::MAX; counts.len()],
+        );
+        let levels: Vec<(u32, u32, u32)> = profiles
+            .iter()
+            .zip(&counts)
+            .map(|(p, &n)| (p.max_length(), p.capacity_within_slo, n))
+            .collect();
+        let frontend = SchedulerFrontend::new(config, &levels);
+        let scheduler = ArloRequestScheduler::new(config);
+        // The cluster numbers instances level by level.
+        let handles: Vec<InstanceHandle> = counts
+            .iter()
+            .enumerate()
+            .flat_map(|(level, &n)| (0..n as usize).map(move |index| InstanceHandle { level, index }))
+            .collect();
+        let mut finished = Vec::new();
+        for (step, &(op, roll)) in ops.iter().enumerate() {
+            let now = step as u64 * 1_000;
+            match op {
+                0..=3 => {
+                    let length = (roll % 601) as u32;
+                    let sim = scheduler.select(length, &cluster.view());
+                    let live = frontend.dispatch(length);
+                    prop_assert_eq!(
+                        sim.map(|id| handles[id]),
+                        live,
+                        "step {} length {} counts {:?} L {}",
+                        step,
+                        length,
+                        counts,
+                        max_peek
+                    );
+                    if let Some(id) = sim {
+                        let req = Request { id: step as u64, arrival: now, length };
+                        cluster.enqueue(id, req, now);
+                    }
+                }
+                4 | 5 => {
+                    let busy: Vec<usize> = (0..handles.len())
+                        .filter(|&id| cluster.view().outstanding(id) > 0)
+                        .collect();
+                    if let Some(&id) = busy.get(roll as usize % busy.len().max(1)) {
+                        cluster.complete(id, now, &mut finished);
+                        frontend.complete(handles[id]);
+                    }
+                }
+                _ => {
+                    let id = roll as usize % handles.len();
+                    let admitting = op == 7;
+                    let gate = if admitting { AdmitGate::Open } else { AdmitGate::Closed };
+                    cluster.set_admit_gate(id, gate);
+                    frontend.set_admitting(handles[id], admitting);
+                }
+            }
+        }
+    });
+}
