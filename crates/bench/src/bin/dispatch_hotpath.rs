@@ -7,8 +7,8 @@
 //! per-runtime index (membership lists + lazy min-heaps, see
 //! `arlo-sim::cluster`). This binary measures the decision cost directly:
 //! each cell spins one policy against a populated cluster of a given size
-//! and reports mean wall-clock per decision. `arlo-rs-scan` is Algorithm 1
-//! re-implemented verbatim on the retained `least_loaded_scan` reference
+//! and reports mean wall-clock per decision. `arlo-rs-scan` runs Algorithm
+//! 1's one walk (`mlq_walk`) over the retained `least_loaded_scan` reference
 //! path — the pre-index baseline the speedup column compares against.
 //!
 //! Those cells only read, so the heaps never take a push. `arlo-rs-steady`
@@ -23,7 +23,7 @@
 
 use arlo_bench::{json_f64, print_table, sweep_parallel, write_json};
 use arlo_core::policies::{InfaasBinPacking, InterGroupGreedy, IntraGroupLoadBalance, LoadBalance};
-use arlo_core::request_scheduler::{ArloRequestScheduler, RequestSchedulerConfig};
+use arlo_core::request_scheduler::{mlq_walk, ArloRequestScheduler, Peek, RequestSchedulerConfig};
 use arlo_runtime::latency::{CompiledRuntime, JitterSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
@@ -43,56 +43,30 @@ const SIZES: [u32; 3] = [16, 64, 256];
 const WARMUP: u64 = 10_000;
 const ITERS: u64 = 100_000;
 
-/// Algorithm 1 exactly as `ArloRequestScheduler::select`, but reading level
-/// heads through the naive `least_loaded_scan` — the pre-index hot path.
-/// Decision-for-decision identical (same tie-breaks); only the data
-/// structure behind the peek differs.
-struct NaiveArloSelect {
-    config: RequestSchedulerConfig,
-}
-
-impl NaiveArloSelect {
-    fn select(&self, length: u32, view: &ClusterView<'_>) -> Option<InstanceId> {
-        let profiles = view.profiles();
-        let first = profiles.iter().position(|p| p.can_serve(length))?;
-        let candidates = first..profiles.len();
-        let mut lambda = self.config.lambda;
-        let mut fallback: Option<InstanceId> = None;
-        let mut peeked = 0usize;
-        for level in candidates.clone() {
-            if peeked >= self.config.max_peek {
-                break;
+/// Algorithm 1 as `ArloRequestScheduler::select` runs it — the same
+/// [`mlq_walk`] at the paper's parameters — but reading level heads through
+/// the naive `least_loaded_scan`: the pre-index hot path. Decision-for-
+/// decision identical (same tie-breaks); only the data structure behind the
+/// peek differs.
+fn select_scan(length: u32, view: &ClusterView<'_>) -> Option<InstanceId> {
+    let profiles = view.profiles();
+    let max_lengths = profiles.iter().map(|p| p.max_length());
+    let config = RequestSchedulerConfig::default();
+    mlq_walk(&config, length, max_lengths, |level, bar| {
+        match view.least_loaded_scan(level) {
+            None => Peek::Empty,
+            Some((head, load)) if bar.admits(load, profiles[level].capacity_within_slo) => {
+                Peek::Taken(head)
             }
-            let Some((head, outstanding)) = view.least_loaded_scan(level) else {
-                continue;
-            };
-            peeked += 1;
-            if fallback.is_none() {
-                fallback = Some(head);
-            }
-            let capacity = profiles[level].capacity_within_slo;
-            let congestion = if capacity == 0 {
-                f64::INFINITY
-            } else {
-                f64::from(outstanding) / f64::from(capacity)
-            };
-            if congestion < lambda {
-                return Some(head);
-            }
-            lambda *= self.config.alpha;
+            Some(_) => Peek::Congested,
         }
-        fallback.or_else(|| {
-            candidates
-                .into_iter()
-                .find_map(|level| view.least_loaded_scan(level).map(|(id, _)| id))
-        })
-    }
+    })
 }
 
 /// One benchmarked decision procedure.
 enum Policy {
     ArloIndexed(ArloRequestScheduler),
-    ArloScan(NaiveArloSelect),
+    ArloScan,
     Boxed(Box<dyn Dispatcher>),
 }
 
@@ -100,9 +74,7 @@ impl Policy {
     fn from_name(name: &str) -> Policy {
         match name {
             "arlo-rs" => Policy::ArloIndexed(ArloRequestScheduler::paper_default()),
-            "arlo-rs-scan" => Policy::ArloScan(NaiveArloSelect {
-                config: RequestSchedulerConfig::default(),
-            }),
+            "arlo-rs-scan" => Policy::ArloScan,
             "ilb" => Policy::Boxed(Box::new(IntraGroupLoadBalance)),
             "ig" => Policy::Boxed(Box::new(InterGroupGreedy)),
             "load-balance" => Policy::Boxed(Box::new(LoadBalance)),
@@ -119,7 +91,7 @@ impl Policy {
         };
         match self {
             Policy::ArloIndexed(rs) => rs.select(length, view),
-            Policy::ArloScan(rs) => rs.select(length, view),
+            Policy::ArloScan => select_scan(length, view),
             Policy::Boxed(d) => d.dispatch(&req, view),
         }
     }

@@ -257,15 +257,16 @@ fn family_max_length(profiles: &[RuntimeProfile]) -> u32 {
     profiles.last().map_or(0, |p| p.max_length())
 }
 
-/// Typed refusal for a submit the engine would not place: lengths beyond
-/// the family's reach — including *any* length when the family is empty —
-/// are [`ErrorCode::Unserviceable`]; a serviceable length refused anyway
-/// is load, i.e. [`ErrorCode::Shed`].
+/// Typed refusal for a submit the engine would not place: a runtime serves
+/// `1..=max_length` tokens, so zero tokens, lengths beyond the family's
+/// reach and *any* length when the family is empty are
+/// [`ErrorCode::Unserviceable`]; a serviceable length refused anyway is
+/// load, i.e. [`ErrorCode::Shed`].
 fn refusal_code(length: u32, max_length: u32) -> ErrorCode {
-    if max_length == 0 || length > max_length {
-        ErrorCode::Unserviceable
-    } else {
+    if (1..=max_length).contains(&length) {
         ErrorCode::Shed
+    } else {
+        ErrorCode::Unserviceable
     }
 }
 
@@ -1180,9 +1181,9 @@ fn place(
         }),
         None => {
             // The admission layer refused: either nothing can ever serve
-            // this length — including the degenerate zero-runtime family,
-            // max_length 0 — or every candidate level is masked/empty
-            // (overload, quarantine).
+            // this length — zero tokens, or the degenerate zero-runtime
+            // family, max_length 0 — or every candidate level is
+            // masked/empty (overload, quarantine).
             let code = refusal_code(length, tenant.max_length);
             if code == ErrorCode::Unserviceable {
                 tenant.unserviceable.fetch_add(1, Ordering::Relaxed);
@@ -2205,6 +2206,7 @@ mod tests {
         assert_eq!(refusal_code(10, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(512, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(513, 512), ErrorCode::Unserviceable);
+        assert_eq!(refusal_code(0, 512), ErrorCode::Unserviceable);
     }
 
     // --- The placement panic boundary ---

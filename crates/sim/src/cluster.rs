@@ -25,7 +25,8 @@ pub const STALE_SLACK: usize = 64;
 
 /// A runtime level's lazy dispatch heap: a min-heap over `(load, id)` keys,
 /// shared by the simulator's [`Cluster`] and the live frontend
-/// (`arlo-core`'s `SchedulerFrontend`).
+/// (`arlo-core`'s `SchedulerFrontend`). Both read their heads through the
+/// same Algorithm 1 walk (`arlo-core`'s `mlq_walk`).
 ///
 /// Every load change pushes a fresh entry; nothing is removed eagerly. A
 /// reader takes the least entry its caller's liveness check accepts and
@@ -396,7 +397,8 @@ impl<'a> ClusterView<'a> {
 ///
 /// The naive dispatch path re-scanned every instance per decision, making
 /// Algorithm 1 O(L·N). The cluster instead maintains the same indexed
-/// structure as the live frontend (`arlo-core`'s `SchedulerFrontend`):
+/// structure as the live frontend (`arlo-core`'s `SchedulerFrontend`), and
+/// both feed their level heads to one Algorithm 1 walk (`mlq_walk`):
 ///
 /// - `members[rt]` — ids of the non-retired instances currently on runtime
 ///   `rt`, sorted ascending. Updated on runtime swaps, scale-out and

@@ -10,11 +10,8 @@
 //! against the reference `*_scan` implementations after each one. A second
 //! property reads only every few hundred events, so the heaps outgrow their
 //! bound and are rebuilt between reads; `debug_validate_index` asserts the
-//! bound at every check.
-//!
-//! A last test pins frontend/simulator parity on the one behaviour both
-//! index implementations share verbatim: a banned (non-admitting) head
-//! must be skipped without disturbing the rest of the order.
+//! bound at every check. Parity with the live frontend, bans included, is
+//! the root crate's Algorithm 1 differential (`tests/properties.rs`).
 
 use arlo_runtime::latency::{CompiledRuntime, JitterSpec};
 use arlo_runtime::models::ModelSpec;
@@ -256,66 +253,4 @@ fn compacted_heaps_match_naive_scan_under_random_events() {
     )| {
         replay(&counts, &ops, 300);
     });
-}
-
-/// Banned-head skipping: the simulator's lazy heap and the live frontend's
-/// lazy heap must both dispatch around a banned least-loaded instance and
-/// both return to it once it is re-admitted.
-#[test]
-fn banned_head_skipping_matches_frontend() {
-    use arlo_core::frontend::SchedulerFrontend;
-    use arlo_core::request_scheduler::RequestSchedulerConfig;
-
-    // One runtime level, three instances, loads 0 / 1 / 2.
-    let mut cluster = Cluster::new(profiles(), &[0, 0, 3], JitterSpec::NONE, SWAP_LATENCY);
-    let frontend = SchedulerFrontend::new(
-        RequestSchedulerConfig::default(),
-        &[(512, 1_000, 3)], // huge capacity: congestion never triggers
-    );
-    let mut req_id = 0u64;
-    for (slot, load) in [(0usize, 0u32), (1, 1), (2, 2)] {
-        for _ in 0..load {
-            cluster.enqueue(
-                slot,
-                Request {
-                    id: req_id,
-                    arrival: 0,
-                    length: 1,
-                },
-                0,
-            );
-            req_id += 1;
-        }
-        frontend.preload(
-            arlo_core::frontend::InstanceHandle {
-                level: 0,
-                index: slot,
-            },
-            load,
-        );
-    }
-
-    // Both heads are the idle instance 0.
-    assert_eq!(cluster.view().least_loaded(2), Some((0, 0)));
-    assert_eq!(frontend.dispatch(1).map(|h| h.index), Some(0));
-    frontend.complete(arlo_core::frontend::InstanceHandle { level: 0, index: 0 });
-
-    // Ban the head on both sides: dispatch must skip to instance 1.
-    cluster.set_admit_gate(0, AdmitGate::Closed);
-    frontend.set_admitting(
-        arlo_core::frontend::InstanceHandle { level: 0, index: 0 },
-        false,
-    );
-    assert_eq!(cluster.view().least_loaded(2), Some((1, 1)));
-    assert_eq!(frontend.dispatch(1).map(|h| h.index), Some(1));
-    frontend.complete(arlo_core::frontend::InstanceHandle { level: 0, index: 1 });
-
-    // Re-admit: both return to the idle head.
-    cluster.set_admit_gate(0, AdmitGate::Open);
-    frontend.set_admitting(
-        arlo_core::frontend::InstanceHandle { level: 0, index: 0 },
-        true,
-    );
-    assert_eq!(cluster.view().least_loaded(2), Some((0, 0)));
-    assert_eq!(frontend.dispatch(1).map(|h| h.index), Some(0));
 }
