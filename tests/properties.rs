@@ -396,3 +396,100 @@ fn algorithm1_simulator_and_frontend_agree() {
         }
     });
 }
+
+/// §3.3's Runtime Scheduler has two callers: the simulator's allocation
+/// tick and the live engine's `maybe_reallocate`. Fed the same arrival
+/// stream over at least three decision periods, with the same GPUs and the
+/// same 10 s sub-windows, the engine's deployment after each tick must be
+/// the simulator's last adopted target (its initial counts before any).
+/// Arrivals sit off the tick instants, where the order of an arrival and a
+/// tick is the event queue's insertion order in the simulator and the
+/// embedder's call order in the engine.
+#[test]
+fn runtime_scheduler_simulator_and_engine_agree() {
+    use arlo::sim::metrics::JournalEntry;
+
+    const SEC: u64 = arlo::trace::NANOS_PER_SEC;
+    const SLO_MS: f64 = 25.0;
+    let set = RuntimeSet::with_count(ModelSpec::bert_base(), 4);
+    let profiles = profile_runtimes(&set.compile(), SLO_MS, 64);
+    let max = profiles.last().expect("non-empty").max_length();
+    proptest!(ProptestConfig::with_cases(48), |(
+        counts in proptest::collection::vec(0u32..6, 4),
+        period_secs in 10u64..=40,
+        periods in 3u64..=4,
+        arrivals in proptest::collection::vec((0u64..1 << 32, 0u32..4, 1u32..=u32::MAX), 1..3000),
+    )| {
+        let mut counts = counts;
+        counts[3] = counts[3].max(1);
+        let gpus: u32 = counts.iter().sum();
+        let period = period_secs * SEC;
+        let horizon_ms = periods * period_secs * 1_000;
+        // Each arrival lands on a whole millisecond plus 1 ns; a quarter
+        // are short (1..=64 tokens), the rest anywhere in 1..=max.
+        let mut stream: Vec<(u64, u32)> = arrivals
+            .iter()
+            .map(|&(at, kind, roll)| {
+                let cap = if kind == 0 { 64 } else { max };
+                ((at % horizon_ms) * 1_000_000 + 1, 1 + roll % cap)
+            })
+            .collect();
+        stream.sort_unstable();
+        let requests: Vec<Request> = stream
+            .iter()
+            .enumerate()
+            .map(|(id, &(arrival, length))| Request { id: id as u64, arrival, length })
+            .collect();
+        let trace = Trace::from_requests(requests, periods * period);
+
+        let mut config = SimConfig::paper_default(SLO_MS);
+        config.allocation_period_secs = period_secs as f64;
+        config.journal_limit = usize::MAX;
+        let report = Simulation::new(&trace, profiles.clone(), &counts, config).run(
+            &mut ArloRequestScheduler::paper_default(),
+            &mut ArloRuntimeScheduler::paper_default(),
+        );
+        let adopted: Vec<(u64, Vec<u32>)> = report
+            .journal
+            .iter()
+            .filter_map(|(at, entry)| match entry {
+                JournalEntry::AllocationAdopted { target } => Some((*at, target.clone())),
+                _ => None,
+            })
+            .collect();
+
+        let mut engine_config = EngineConfig::paper_default(SLO_MS);
+        engine_config.allocation_period = period;
+        engine_config.sub_window = 10 * SEC;
+        let engine = ArloEngine::new(profiles.clone(), counts.clone(), engine_config);
+        let mut next = 0;
+        for tick in 1..=report.alloc_count {
+            let now = tick * period;
+            while next < stream.len() && stream[next].0 < now {
+                let (arrival, length) = stream[next];
+                if let Some(placement) = engine.submit(length, arrival) {
+                    engine.complete(placement);
+                }
+                next += 1;
+            }
+            if let Some(plan) = engine.maybe_reallocate(now, gpus) {
+                engine.apply_allocation(&plan);
+            }
+            let expected = adopted
+                .iter()
+                .rev()
+                .find(|(at, _)| *at <= now)
+                .map_or(&counts, |(_, target)| target);
+            prop_assert_eq!(
+                &engine.deployment().1,
+                expected,
+                "tick {} of {} (period {} s, {} arrivals, counts {:?})",
+                tick,
+                report.alloc_count,
+                period_secs,
+                stream.len(),
+                counts
+            );
+        }
+    });
+}
