@@ -25,11 +25,13 @@ use crate::health::{Admission, HealthConfig, HealthRegistry, HealthState, Health
 use crate::request_scheduler::RequestSchedulerConfig;
 use crate::runtime_scheduler::ArloRuntimeScheduler;
 use arlo_runtime::profile::RuntimeProfile;
-use arlo_trace::stats::percentile;
+use arlo_sim::driver::DemandRecorder;
 use arlo_trace::Nanos;
 use parking_lot::{Mutex, RwLock};
 
-/// Engine configuration.
+/// Engine configuration. The Runtime Scheduler runs
+/// `RuntimeSchedulerConfig::default()`, as the simulator's
+/// `ArloRuntimeScheduler::paper_default()` does.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The stream's SLO (ms).
@@ -39,10 +41,10 @@ pub struct EngineConfig {
     pub rs: RequestSchedulerConfig,
     /// Runtime Scheduler decision period (ns); the paper uses 120 s.
     pub allocation_period: Nanos,
-    /// Sub-window used for burst-aware demand estimation (ns).
+    /// Sub-window of the burst-aware demand estimate (ns): each bin is
+    /// provisioned at a quantile of its per-sub-window demand. The
+    /// simulator uses 10 s.
     pub sub_window: Nanos,
-    /// Demand quantile for provisioning (see `RuntimeSchedulerConfig`).
-    pub demand_quantile: f64,
     /// Fault-tolerance health tracking. `Some` enables the per-instance
     /// circuit breaker: the engine tracks completion latencies and failures
     /// reported via [`ArloEngine::report_success`] /
@@ -59,7 +61,6 @@ impl EngineConfig {
             rs: RequestSchedulerConfig::default(),
             allocation_period: 120 * arlo_trace::NANOS_PER_SEC,
             sub_window: 10 * arlo_trace::NANOS_PER_SEC,
-            demand_quantile: 0.95,
             health: None,
         }
     }
@@ -96,10 +97,11 @@ pub struct ReplacementPlan {
     pub delta: Vec<i64>,
 }
 
-struct DemandTracker {
-    window_started: Nanos,
-    sub_counts: Vec<Vec<u64>>,
-    smoothed: Option<Vec<f64>>,
+/// The Runtime Scheduler's state across periods: this period's demand and
+/// the estimate smoothed over the past ones.
+struct Demand {
+    recorder: DemandRecorder,
+    scheduler: ArloRuntimeScheduler,
 }
 
 /// The embeddable Arlo engine. All methods take `&self`; internal state is
@@ -122,10 +124,9 @@ struct DemandTracker {
 /// ```
 pub struct ArloEngine {
     profiles: Vec<RuntimeProfile>,
-    max_lengths: Vec<u32>,
     config: EngineConfig,
     deployment: RwLock<Deployment>,
-    demand: Mutex<DemandTracker>,
+    demand: Mutex<Demand>,
     /// Fault-tolerance registry, keyed by flat instance index (runtimes in
     /// order, instances within each). `None` when health tracking is off.
     /// Lock order: `deployment` before `health`, everywhere.
@@ -168,20 +169,23 @@ impl ArloEngine {
             *initial_counts.last().expect("non-empty") >= 1,
             "the largest runtime needs an instance (Eq. 7)"
         );
-        let max_lengths: Vec<u32> = profiles.iter().map(|p| p.max_length()).collect();
+        let recorder = DemandRecorder::new(
+            profiles.iter().map(|p| p.max_length()).collect(),
+            config.slo_ms,
+            config.allocation_period,
+            config.sub_window,
+        );
         let frontend = Self::build_frontend(&profiles, &initial_counts, config.rs);
         ArloEngine {
-            max_lengths,
             config,
             deployment: RwLock::new(Deployment {
                 generation: 0,
                 counts: initial_counts,
                 frontend,
             }),
-            demand: Mutex::new(DemandTracker {
-                window_started: 0,
-                sub_counts: Vec::new(),
-                smoothed: None,
+            demand: Mutex::new(Demand {
+                recorder,
+                scheduler: ArloRuntimeScheduler::paper_default(),
             }),
             health_enabled: config.health.is_some(),
             health: Mutex::new(config.health.map(HealthRegistry::new)),
@@ -236,7 +240,9 @@ impl ArloEngine {
     /// it concurrently — so its exclusive sections are kept to exactly the
     /// work that must be atomic:
     ///
-    /// - `demand` (mutex): one sub-window counter bump in `record_demand`.
+    /// - `demand` (mutex): one sub-window counter bump in
+    ///   [`DemandRecorder::record`]; a length no runtime serves records
+    ///   nothing, so refused requests never steer the Runtime Scheduler.
     /// - `deployment` (rwlock, **read**): placement itself. Readers share;
     ///   only `apply_allocation` writes.
     /// - `health` (mutex): skipped entirely via `health_enabled` when
@@ -248,7 +254,7 @@ impl ArloEngine {
     /// conservation accounting (`outstanding`, admission gate) lives with
     /// the caller precisely so this section stays placement-only.
     pub fn submit(&self, length: u32, now: Nanos) -> Option<Placement> {
-        self.record_demand(length, now);
+        self.demand.lock().recorder.record(length, now);
         let d = self.deployment.read();
         let handle = d.frontend.dispatch(length)?;
         if self.health_enabled {
@@ -441,27 +447,6 @@ impl ArloEngine {
         }
     }
 
-    fn record_demand(&self, length: u32, now: Nanos) {
-        let bin = self
-            .max_lengths
-            .partition_point(|&l| l < length)
-            .min(self.max_lengths.len() - 1);
-        let mut demand = self.demand.lock();
-        let sub = ((now.saturating_sub(demand.window_started)) / self.config.sub_window) as usize;
-        // Bound tracker memory even if the embedder never calls
-        // `maybe_reallocate`: arrivals far past the decision period fold
-        // into the final sub-window.
-        let max_subs = ((self.config.allocation_period / self.config.sub_window) as usize)
-            .saturating_mul(4)
-            .max(1);
-        let sub = sub.min(max_subs - 1);
-        if demand.sub_counts.len() <= sub {
-            let bins = self.max_lengths.len();
-            demand.sub_counts.resize_with(sub + 1, || vec![0; bins]);
-        }
-        demand.sub_counts[sub][bin] += 1;
-    }
-
     /// Invoke the Runtime Scheduler if a full decision period has elapsed.
     ///
     /// On a decision, returns the replacement plan; the embedder applies it
@@ -470,52 +455,32 @@ impl ArloEngine {
     /// the plan to switch dispatching to the new deployment.
     pub fn maybe_reallocate(&self, now: Nanos, gpus: u32) -> Option<ReplacementPlan> {
         let mut demand = self.demand.lock();
-        if now.saturating_sub(demand.window_started) < self.config.allocation_period {
+        if now.saturating_sub(demand.recorder.started()) < self.config.allocation_period {
             return None;
         }
-        let observed: u64 = demand.sub_counts.iter().flatten().sum();
-        let sub_counts = std::mem::take(&mut demand.sub_counts);
-        demand.window_started = now;
-        if observed == 0 {
-            return None;
-        }
-        // Per-bin quantile of sub-window demand, in requests per SLO period.
-        let bins = self.max_lengths.len();
-        let sub_ms = self.config.sub_window as f64 / 1e6;
-        let mut fresh = Vec::with_capacity(bins);
-        for bin in 0..bins {
-            let rates: Vec<f64> = sub_counts
-                .iter()
-                .map(|w| w[bin] as f64 * self.config.slo_ms / sub_ms)
-                .collect();
-            fresh.push(percentile(&rates, self.config.demand_quantile * 100.0));
-        }
-        // EWMA smoothing across periods, as in the simulator-facing
-        // scheduler.
-        let estimate: Vec<f64> = match &demand.smoothed {
-            Some(prev) if prev.len() == fresh.len() => fresh
-                .iter()
-                .zip(prev)
-                .map(|(&f, &p)| 0.7 * f + 0.3 * p)
-                .collect(),
-            _ => fresh,
-        };
-        demand.smoothed = Some(estimate.clone());
+        let window = demand.recorder.take(now);
+        let estimate = demand.scheduler.estimate(&window);
+        let backoff = demand.scheduler.config().overload_backoff;
         drop(demand);
+        let target = ArloRuntimeScheduler::solve_for(&self.profiles, &estimate?, gpus, backoff)?;
+        self.plan_for(&target)
+    }
 
-        let target = ArloRuntimeScheduler::solve_for(&self.profiles, &estimate, gpus, 0.9)?;
+    /// The plan that moves the current deployment to `target` instance
+    /// counts, or `None` when `target` is what is deployed.
+    pub fn plan_for(&self, target: &[u32]) -> Option<ReplacementPlan> {
         let d = self.deployment.read();
-        if target == d.counts {
-            return None; // nothing to change
+        if target == d.counts.as_slice() {
+            return None;
         }
-        let delta: Vec<i64> = target
+        let delta = target
             .iter()
             .zip(&d.counts)
             .map(|(&t, &c)| i64::from(t) - i64::from(c))
             .collect();
         Some(ReplacementPlan {
             generation: d.generation + 1,
-            target,
+            target: target.to_vec(),
             delta,
         })
     }
@@ -609,6 +574,25 @@ mod tests {
         assert_eq!(plan.delta.iter().sum::<i64>(), 0, "GPU-conserving");
         e.apply_allocation(&plan);
         assert_eq!(e.deployment(), (1, plan.target.clone()));
+    }
+
+    #[test]
+    fn unserviceable_lengths_do_not_steer_reallocation() {
+        let e = engine(&[2, 2, 2, 2]);
+        for i in 0..2000u64 {
+            let length = if i % 2 == 0 { 0 } else { 100_000 };
+            assert!(e.submit(length, i * 60 * SEC / 1000).is_none());
+        }
+        assert_eq!(e.maybe_reallocate(121 * SEC, 8), None);
+    }
+
+    #[test]
+    fn plan_for_moves_the_current_deployment() {
+        let e = engine(&[2, 2, 2, 2]);
+        assert_eq!(e.plan_for(&[2, 2, 2, 2]), None, "already deployed");
+        let plan = e.plan_for(&[5, 1, 1, 1]).expect("a change");
+        assert_eq!(plan.generation, 1);
+        assert_eq!(plan.delta, vec![3, -1, -1, -1]);
     }
 
     #[test]

@@ -78,6 +78,34 @@ impl ArloRuntimeScheduler {
         Self::new(RuntimeSchedulerConfig::default())
     }
 
+    /// The configuration this scheduler runs.
+    pub fn config(&self) -> RuntimeSchedulerConfig {
+        self.config
+    }
+
+    /// The demand Eqs. 1–7 are solved on this period: each bin's
+    /// `demand_quantile` of its sub-window rates, smoothed across periods
+    /// with weight `demand_smoothing` on the newest. `None` for a window
+    /// with no arrivals, which leaves the smoothing as it was. Needs no
+    /// cluster view: the simulator's tick and the live engine share it.
+    pub fn estimate(&mut self, window: &DemandWindow) -> Option<Vec<f64>> {
+        if window.total() == 0 {
+            return None;
+        }
+        let fresh = window.demand_quantile_per_slo(self.config.demand_quantile);
+        let w = self.config.demand_smoothing;
+        let demand: Vec<f64> = match &self.smoothed {
+            Some(prev) if prev.len() == fresh.len() => fresh
+                .iter()
+                .zip(prev)
+                .map(|(&f, &p)| w * f + (1.0 - w) * p)
+                .collect(),
+            _ => fresh,
+        };
+        self.smoothed = Some(demand.clone());
+        Some(demand)
+    }
+
     /// Solve the allocation for an explicit demand vector and GPU budget —
     /// also used offline for initial provisioning.
     pub fn solve_for(
@@ -113,20 +141,7 @@ impl Allocator for ArloRuntimeScheduler {
         window: &DemandWindow,
         view: &ClusterView<'_>,
     ) -> Option<Vec<u32>> {
-        if window.total() == 0 {
-            return None; // nothing observed; keep the deployment
-        }
-        let fresh = window.demand_quantile_per_slo(self.config.demand_quantile);
-        let w = self.config.demand_smoothing;
-        let demand: Vec<f64> = match &self.smoothed {
-            Some(prev) if prev.len() == fresh.len() => fresh
-                .iter()
-                .zip(prev)
-                .map(|(&f, &p)| w * f + (1.0 - w) * p)
-                .collect(),
-            _ => fresh,
-        };
-        self.smoothed = Some(demand.clone());
+        let demand = self.estimate(window)?;
         let gpus: u32 = view.committed_counts().iter().sum();
         Self::solve_for(view.profiles(), &demand, gpus, self.config.overload_backoff)
     }

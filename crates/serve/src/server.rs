@@ -94,7 +94,7 @@ use crate::protocol::{
     WireVersion, CONN_ERROR_ID, FILL_CHUNK, FRAME_ERROR_BUDGET, UNKNOWN_TENANT_COST,
 };
 use crate::tenants::{BoundedLog, RegrantEvent, ShardedTenantWindow, SloClass, TenantSpec};
-use arlo_core::engine::{ArloEngine, ReplacementPlan};
+use arlo_core::engine::ArloEngine;
 use arlo_core::multistream::{PoolCoordinator, StreamPlan};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::latency::JitterSpec;
@@ -670,8 +670,8 @@ impl Shared {
 
     /// The counters `Shared` holds, read now: the tenant rows, the
     /// connection plane's, the shards' and the supervision counters.
-    /// [`Server::snapshot`] adds the executors' and the event log, which a
-    /// `Stats` answer does not read.
+    /// [`Server::snapshot`] adds the executors', the event log and the
+    /// re-grant log, which a `Stats` answer does not read.
     fn snapshot(&self) -> Snapshot {
         let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         Snapshot {
@@ -703,7 +703,6 @@ impl Shared {
             panics_recovered: relaxed(&self.panics),
             stalls_detected: relaxed(&self.stalls),
             escalations: self.escalations.load(Ordering::SeqCst),
-            regrants: self.regrants.lock().to_vec(),
             shard_notifies: self.shards.iter().map(|s| relaxed(&s.notifies)).sum(),
             active_connections: self.connections.load(Ordering::Relaxed),
             draining: self.draining.load(Ordering::Relaxed),
@@ -931,6 +930,7 @@ impl Server {
         }
         Snapshot {
             supervisor_events: self.shared.events.lock().to_vec(),
+            regrants: self.shared.regrants.lock().to_vec(),
             batch_occupancy,
             tracked_instances: self.executors.iter().map(|e| e.tracked_instances()).sum(),
             ..self.shared.snapshot()
@@ -1323,23 +1323,11 @@ fn coordinate_once(shared: &Shared, executors: &[Arc<Executor>], total_gpus: u32
         .collect();
     let mut changed = false;
     for (idx, tenant) in shared.tenants.iter().enumerate() {
-        let (generation, current) = tenant.engine.deployment();
-        let target = &part.allocations[idx];
         // Keep the reported grant in sync even when the deployment itself
         // is unchanged (the partition may re-state the same split).
         tenant.granted.store(part.gpus[idx], Ordering::Relaxed);
-        if *target == current {
+        let Some(plan) = tenant.engine.plan_for(&part.allocations[idx]) else {
             continue;
-        }
-        let delta: Vec<i64> = target
-            .iter()
-            .zip(&current)
-            .map(|(&t, &c)| i64::from(t) - i64::from(c))
-            .collect();
-        let plan = ReplacementPlan {
-            generation: generation + 1,
-            target: target.clone(),
-            delta,
         };
         tenant.engine.apply_allocation(&plan);
         executors[idx].prune_before(plan.generation);
@@ -2433,6 +2421,19 @@ mod tests {
         };
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
         Shared::new(vec![(spec, engine)], &config, false).expect("epoll")
+    }
+
+    /// A `Stats` or `Drain` answer reads `Shared::snapshot`, which must not
+    /// clone the re-grant log: only `Server::snapshot` reads it.
+    #[test]
+    fn a_stats_snapshot_clones_no_regrant() {
+        let shared = one_shard();
+        shared
+            .regrants
+            .lock()
+            .push(RegrantEvent::new(0, vec![1, 1], vec![2, 0], 0.0));
+        assert!(shared.snapshot().regrants.is_empty());
+        assert_eq!(shared.regrants.lock().to_vec().len(), 1);
     }
 
     fn answer(id: u64) -> Frame {

@@ -124,6 +124,82 @@ impl DemandWindow {
     }
 }
 
+/// The Runtime Scheduler's demand recorder, shared by the simulator's
+/// allocation tick and the live engine: arrivals since the last decision,
+/// binned by ideal runtime and counted per sub-window. Arrivals past
+/// 4 × the decision period fold into the last sub-window, so its memory
+/// stays bounded when no decision comes.
+#[derive(Debug, Clone)]
+pub struct DemandRecorder {
+    max_lengths: Vec<u32>,
+    slo_ms: f64,
+    sub_window: Nanos,
+    max_subs: usize,
+    started: Nanos,
+    sub_counts: Vec<Vec<u64>>,
+}
+
+impl DemandRecorder {
+    /// A recorder over a runtime family's `max_lengths` (ascending), for a
+    /// stream with an `slo_ms` SLO, deciding every `period` with
+    /// `sub_window` sub-windows; its first window starts at 0.
+    pub fn new(max_lengths: Vec<u32>, slo_ms: f64, period: Nanos, sub_window: Nanos) -> Self {
+        DemandRecorder {
+            max_lengths,
+            slo_ms,
+            sub_window,
+            max_subs: ((period / sub_window) as usize).saturating_mul(4).max(1),
+            started: 0,
+            sub_counts: Vec::new(),
+        }
+    }
+
+    /// The bin (ideal runtime) of a `length`-token request: the smallest
+    /// runtime that serves it, `None` when none serves `length` (0, or past
+    /// the largest runtime).
+    fn bin_of(&self, length: u32) -> Option<usize> {
+        let bin = self.max_lengths.partition_point(|&l| l < length);
+        (length >= 1 && bin < self.max_lengths.len()).then_some(bin)
+    }
+
+    /// Count an arrival of `length` tokens at `now` and return its bin; a
+    /// length no runtime serves records nothing. An arrival before the
+    /// window's start counts in its first sub-window.
+    pub fn record(&mut self, length: u32, now: Nanos) -> Option<usize> {
+        let bin = self.bin_of(length)?;
+        let sub =
+            ((now.saturating_sub(self.started) / self.sub_window) as usize).min(self.max_subs - 1);
+        if self.sub_counts.len() <= sub {
+            let bins = self.max_lengths.len();
+            self.sub_counts.resize_with(sub + 1, || vec![0; bins]);
+        }
+        self.sub_counts[sub][bin] += 1;
+        Some(bin)
+    }
+
+    /// When the current window started.
+    pub fn started(&self) -> Nanos {
+        self.started
+    }
+
+    /// Hand over the window ending at `now` and start the next one there.
+    pub fn take(&mut self, now: Nanos) -> DemandWindow {
+        let sub_counts = std::mem::take(&mut self.sub_counts);
+        let bin_counts = (0..self.max_lengths.len())
+            .map(|bin| sub_counts.iter().map(|sub| sub[bin]).sum())
+            .collect();
+        let window = DemandWindow {
+            bin_counts,
+            window: now.saturating_sub(self.started),
+            slo_ms: self.slo_ms,
+            sub_counts,
+            sub_window: self.sub_window,
+        };
+        self.started = now;
+        window
+    }
+}
+
 /// Periodic instance-count selection policy (the Runtime Scheduler seat).
 pub trait Allocator {
     /// Return the target instance count per runtime (must sum to the
@@ -420,9 +496,8 @@ pub struct Simulation<'a> {
     /// an instance's finished batch in here and takes this buffer's
     /// capacity back as the instance's next `running`.
     finished: Vec<Request>,
-    window_counts: Vec<u64>,
-    window_sub_counts: Vec<Vec<u64>>,
-    window_started: Nanos,
+    /// Arrivals since the last allocation tick.
+    demand: DemandRecorder,
     next_arrival: usize,
     /// The Runtime Scheduler's current target allocation, applied in small
     /// replacement batches until converged.
@@ -443,7 +518,6 @@ pub struct Simulation<'a> {
     /// p98 window; only filled while `config.autoscale` is set, since
     /// nothing else reads or prunes it.
     recent_completions: VecDeque<(Nanos, f64)>,
-    max_lengths: Vec<u32>,
     /// Health registry (`Some` iff the fault-tolerance layer is on).
     health: Option<HealthRegistry>,
     /// Transitions already reacted to (gates set, queues evicted).
@@ -473,8 +547,11 @@ impl<'a> Simulation<'a> {
         let max_lengths: Vec<u32> = profiles.iter().map(|p| p.max_length()).collect();
         let model_limit = *max_lengths.last().expect("non-empty");
         assert!(
-            trace.requests().iter().all(|r| r.length <= model_limit),
-            "trace contains requests beyond the largest runtime"
+            trace
+                .requests()
+                .iter()
+                .all(|r| (1..=model_limit).contains(&r.length)),
+            "trace contains requests no runtime serves"
         );
         let cluster = Cluster::new(
             profiles,
@@ -484,6 +561,7 @@ impl<'a> Simulation<'a> {
         )
         .with_batching(config.batch);
         let n_runtimes = max_lengths.len();
+        let alloc_period = secs_to_nanos(config.allocation_period_secs);
         let mut report = SimReport {
             overhead_ns: ms_to_nanos(config.overhead_ms),
             horizon: trace.horizon(),
@@ -507,9 +585,7 @@ impl<'a> Simulation<'a> {
             fronts: Vec::new(),
             in_flight: HashMap::default(),
             finished: Vec::new(),
-            window_counts: vec![0; n_runtimes],
-            window_sub_counts: Vec::new(),
-            window_started: 0,
+            demand: DemandRecorder::new(max_lengths, config.slo_ms, alloc_period, SUB_WINDOW),
             next_arrival: 0,
             alloc_target: None,
             faults: Vec::new(),
@@ -519,14 +595,13 @@ impl<'a> Simulation<'a> {
             clock: 0,
             report,
             recent_completions: VecDeque::new(),
-            max_lengths,
             health: config
                 .fault_tolerance
                 .map(|ft| HealthRegistry::new(ft.health)),
             health_seen: 0,
             retry_table: Vec::new(),
             transient_rates: vec![0.0; instances],
-            alloc_period: secs_to_nanos(config.allocation_period_secs),
+            alloc_period,
             #[cfg(debug_assertions)]
             debug_events: 0,
         }
@@ -681,14 +756,10 @@ impl<'a> Simulation<'a> {
                 .push(next.arrival, Event::Arrival(self.next_arrival));
             self.next_arrival += 1;
         }
-        let bin = self.bin_of(req.length);
-        self.window_counts[bin] += 1;
-        let sub = ((now - self.window_started) / SUB_WINDOW) as usize;
-        if self.window_sub_counts.len() <= sub {
-            self.window_sub_counts
-                .resize_with(sub + 1, || vec![0; self.max_lengths.len()]);
-        }
-        self.window_sub_counts[sub][bin] += 1;
+        let bin = self
+            .demand
+            .record(req.length, now)
+            .expect("Simulation::new admits only lengths a runtime serves");
         self.in_flight.insert(
             req.id,
             PartialRecord {
@@ -1044,14 +1115,7 @@ impl<'a> Simulation<'a> {
     }
 
     fn on_alloc_tick(&mut self, now: Nanos, allocator: &mut dyn Allocator) {
-        let window = DemandWindow {
-            bin_counts: std::mem::replace(&mut self.window_counts, vec![0; self.max_lengths.len()]),
-            window: now - self.window_started,
-            slo_ms: self.config.slo_ms,
-            sub_counts: std::mem::take(&mut self.window_sub_counts),
-            sub_window: SUB_WINDOW,
-        };
-        self.window_started = now;
+        let window = self.demand.take(now);
         let t0 = Instant::now();
         let target = allocator.allocate(now, &window, &self.cluster.view());
         self.report.alloc_wall_ns += t0.elapsed().as_nanos() as u64;
@@ -1134,7 +1198,7 @@ impl<'a> Simulation<'a> {
             {
                 self.last_scale_out = Some(now);
                 // §4: a new worker loads the maximum-length runtime.
-                let largest = self.max_lengths.len() - 1;
+                let largest = self.pending.len() - 1;
                 let (id, ready_at) = self.cluster.add_instance(largest, now);
                 // Instance ids are dense and only appended: the new one's
                 // fault slots go at the end.
@@ -1242,7 +1306,9 @@ impl<'a> Simulation<'a> {
 
     /// Ideal-runtime bin for a request length.
     fn bin_of(&self, len: u32) -> usize {
-        self.max_lengths.partition_point(|&l| l < len)
+        self.demand
+            .bin_of(len)
+            .expect("Simulation::new admits only lengths a runtime serves")
     }
 }
 
@@ -1529,6 +1595,68 @@ mod tests {
         assert!((q[0] - 1.5).abs() < 1e-9);
         assert!((q[1] - 0.75).abs() < 1e-9);
         assert_eq!(w.total(), 1800);
+    }
+
+    const SEC: Nanos = arlo_trace::NANOS_PER_SEC;
+
+    /// Runtimes of 64 and 512 tokens, a 150 ms SLO, 120 s periods of 10 s
+    /// sub-windows.
+    fn recorder() -> DemandRecorder {
+        DemandRecorder::new(vec![64, 512], 150.0, 120 * SEC, 10 * SEC)
+    }
+
+    #[test]
+    fn recorder_bins_by_ideal_runtime_per_sub_window() {
+        let mut r = recorder();
+        assert_eq!(r.record(1, 0), Some(0));
+        assert_eq!(r.record(64, 9 * SEC), Some(0));
+        assert_eq!(r.record(65, 25 * SEC), Some(1));
+        assert_eq!(r.record(512, 25 * SEC), Some(1));
+        let w = r.take(120 * SEC);
+        assert_eq!(w.bin_counts, vec![2, 2]);
+        assert_eq!(w.sub_counts, vec![vec![2, 0], vec![0, 0], vec![0, 2]]);
+        assert_eq!(
+            (w.window, w.sub_window, w.slo_ms),
+            (120 * SEC, 10 * SEC, 150.0)
+        );
+    }
+
+    #[test]
+    fn recorder_ignores_lengths_no_runtime_serves() {
+        let mut r = recorder();
+        assert_eq!(r.record(0, SEC), None);
+        assert_eq!(r.record(513, SEC), None);
+        let w = r.take(120 * SEC);
+        assert_eq!(w.total(), 0);
+        assert!(w.sub_counts.is_empty());
+    }
+
+    /// Memory bound: with no decision, arrivals past 4 × the period fold
+    /// into sub-window 4 × 120 s / 10 s − 1 = 47.
+    #[test]
+    fn recorder_folds_arrivals_past_four_periods_into_the_last_sub_window() {
+        let mut r = recorder();
+        r.record(1, 475 * SEC);
+        r.record(1, 480 * SEC);
+        r.record(600, 480 * SEC);
+        r.record(512, 100_000 * SEC);
+        let w = r.take(100_001 * SEC);
+        assert_eq!(w.sub_counts.len(), 48);
+        assert_eq!(w.sub_counts[47], vec![2, 1]);
+        assert_eq!(w.total(), 3);
+    }
+
+    #[test]
+    fn recorder_take_restarts_the_window() {
+        let mut r = recorder();
+        r.record(1, 5 * SEC);
+        r.take(120 * SEC);
+        assert_eq!(r.started(), 120 * SEC);
+        r.record(600, 121 * SEC);
+        r.record(100, 135 * SEC);
+        let w = r.take(240 * SEC);
+        assert_eq!(w.window, 120 * SEC);
+        assert_eq!(w.sub_counts, vec![vec![0, 0], vec![0, 1]]);
     }
 
     #[test]
