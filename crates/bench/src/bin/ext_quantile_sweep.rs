@@ -33,13 +33,15 @@ fn main() {
     let mut json = Vec::new();
     for q in [0.5, 0.75, 0.9, 0.95, 1.0] {
         // Initial allocation and online scheduler both provision at q.
-        let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, q);
-        let initial =
-            ArloRuntimeScheduler::solve_for(&profiles, &demand, gpus, 0.9).expect("feasible");
-        let mut allocator = ArloRuntimeScheduler::new(RuntimeSchedulerConfig {
+        let config = RuntimeSchedulerConfig {
             demand_quantile: q,
             ..RuntimeSchedulerConfig::default()
-        });
+        };
+        let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, q);
+        let initial =
+            ArloRuntimeScheduler::solve_for(&profiles, &demand, gpus, config.overload_backoff)
+                .expect("feasible");
+        let mut allocator = ArloRuntimeScheduler::new(config);
         let mut dispatcher = arlo_core::request_scheduler::ArloRequestScheduler::new(
             RequestSchedulerConfig::default(),
         );

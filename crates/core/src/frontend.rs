@@ -153,11 +153,6 @@ impl SchedulerFrontend {
         SchedulerFrontend { levels, config }
     }
 
-    /// Number of levels (`K` in the paper's complexity analysis).
-    pub fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Total instances across levels (`N`).
     pub fn instance_count(&self) -> usize {
         self.levels.iter().map(|l| l.inner.lock().loads.len()).sum()

@@ -19,6 +19,8 @@
 //! `g` (more GPUs never hurt), so the outer DP is exact and the marginal
 //! GPU always lands where it buys the most.
 
+use crate::runtime_scheduler::RuntimeSchedulerConfig;
+use crate::system::SystemSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_solver::dp::DpSolver;
 use arlo_solver::problem::{Allocation, AllocationProblem, SolveError};
@@ -112,6 +114,7 @@ impl PoolCoordinator {
         total_gpus: u32,
     ) -> Result<PoolPartition, SolveError> {
         assert!(!plans.is_empty(), "need at least one stream");
+        let backoff = RuntimeSchedulerConfig::default().overload_backoff;
         let mut scaled: Vec<StreamPlan> = plans.to_vec();
         for _ in 0..256 {
             let min_total: u32 = scaled.iter().map(StreamPlan::min_gpus).sum();
@@ -120,7 +123,7 @@ impl PoolCoordinator {
             }
             for plan in &mut scaled {
                 for q in &mut plan.demand {
-                    *q *= 0.9;
+                    *q *= backoff;
                 }
             }
         }
@@ -239,7 +242,8 @@ pub fn plan_from_trace(
     trace: &arlo_trace::workload::Trace,
     slo_ms: f64,
 ) -> StreamPlan {
-    let demand = crate::system::SystemSpec::provisioning_demand(&profiles, trace, slo_ms, 0.95);
+    let quantile = RuntimeSchedulerConfig::default().demand_quantile;
+    let demand = SystemSpec::provisioning_demand(&profiles, trace, slo_ms, quantile);
     StreamPlan {
         name: name.to_string(),
         profiles,
@@ -407,6 +411,7 @@ mod tests {
     /// the same backoff and outer DP over one inner solve per (stream,
     /// budget), then one more per stream for its allocation. Serial.
     fn per_budget_partition(plans: &[StreamPlan], total_gpus: u32) -> Option<PoolPartition> {
+        let backoff = RuntimeSchedulerConfig::default().overload_backoff;
         let mut scaled: Vec<StreamPlan> = plans.to_vec();
         for _ in 0..256 {
             let mins: Vec<u32> = scaled.iter().map(StreamPlan::min_gpus).collect();
@@ -415,7 +420,7 @@ mod tests {
             }
             for plan in &mut scaled {
                 for q in &mut plan.demand {
-                    *q *= 0.9;
+                    *q *= backoff;
                 }
             }
         }

@@ -290,8 +290,10 @@ impl SystemSpec {
                 // longest bins — their demand share swings several-fold as
                 // the length median drifts, and they have no larger runtime
                 // to demote spikes into.
-                let demand = Self::provisioning_demand(profiles, trace, self.slo_ms, 0.95);
-                ArloRuntimeScheduler::solve_for(profiles, &demand, self.gpus, 0.9)
+                let rs = RuntimeSchedulerConfig::default();
+                let demand =
+                    Self::provisioning_demand(profiles, trace, self.slo_ms, rs.demand_quantile);
+                ArloRuntimeScheduler::solve_for(profiles, &demand, self.gpus, rs.overload_backoff)
                     .unwrap_or_else(|| self.even_counts(n))
             }
             _ => self.even_counts(n),

@@ -290,11 +290,6 @@ impl<S> FaultyStream<S> {
         FaultyStream { inner, plan }
     }
 
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// Whether an injected reset has killed this stream.
     pub fn is_dead(&self) -> bool {
         self.plan.is_dead()

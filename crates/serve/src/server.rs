@@ -222,12 +222,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the executor's batch coalescing policy.
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Set the coordinator's pass interval and demand-window span (both in
     /// virtual nanoseconds; multi-tenant servers only).
     pub fn with_coordinator(mut self, interval: Nanos, window: Nanos) -> Self {

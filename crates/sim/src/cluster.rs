@@ -348,11 +348,6 @@ impl<'a> ClusterView<'a> {
         inst.accepts(self.cluster.queue_limits[inst.runtime_idx])
     }
 
-    /// The instance's circuit-breaker gate.
-    pub fn admit_gate(&self, id: InstanceId) -> AdmitGate {
-        self.cluster.instances[id].gate
-    }
-
     /// Total number of instance slots ever created (including retired ones —
     /// instance ids are stable for the cluster's lifetime).
     pub fn instance_count(&self) -> usize {

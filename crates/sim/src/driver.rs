@@ -546,13 +546,19 @@ impl<'a> Simulation<'a> {
         assert!(!profiles.is_empty(), "need at least one runtime");
         let max_lengths: Vec<u32> = profiles.iter().map(|p| p.max_length()).collect();
         let model_limit = *max_lengths.last().expect("non-empty");
-        assert!(
-            trace
-                .requests()
-                .iter()
-                .all(|r| (1..=model_limit).contains(&r.length)),
-            "trace contains requests no runtime serves"
-        );
+        for r in trace.requests() {
+            assert!(
+                (1..=model_limit).contains(&r.length),
+                "trace contains requests no runtime serves"
+            );
+            // Every `RequestRecord::id` is a `u32`: refuse here, once, so
+            // the per-completion record push is a plain conversion.
+            assert!(
+                u32::try_from(r.id).is_ok(),
+                "trace request id {} does not fit the 32-bit record id",
+                r.id
+            );
+        }
         let cluster = Cluster::new(
             profiles,
             initial_counts,
@@ -844,15 +850,17 @@ impl<'a> Simulation<'a> {
                 .in_flight
                 .remove(&finished.id)
                 .expect("completed request must be in flight");
+            // `new` refused ids past `u32::MAX`; runtimes and instances
+            // number far fewer.
             self.report.records.push(RequestRecord {
-                id: finished.id,
-                length: partial.length,
                 arrival: partial.arrival,
                 dispatched: partial.dispatched,
                 started: partial.started,
                 completed: now,
-                runtime_idx: partial.runtime_idx,
-                instance: partial.instance,
+                id: finished.id as u32,
+                length: partial.length,
+                runtime_idx: partial.runtime_idx as u32,
+                instance: partial.instance as u32,
             });
             if self.config.autoscale.is_some() {
                 let latency_ms = (now - partial.arrival + self.report.overhead_ns) as f64 / 1e6;
@@ -1368,7 +1376,7 @@ mod tests {
         );
         let report = sim.run(&mut IdealDispatcher, &mut NoopAllocator);
         assert_eq!(report.records.len(), n);
-        let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n, "duplicate completions");
@@ -1404,7 +1412,10 @@ mod tests {
         );
         let report = sim.run(&mut IdealDispatcher, &mut NoopAllocator);
         for r in &report.records {
-            assert!(r.length <= lens[r.runtime_idx], "oversized dispatch");
+            assert!(
+                r.length <= lens[r.runtime_idx as usize],
+                "oversized dispatch"
+            );
         }
     }
 
@@ -1728,7 +1739,7 @@ mod tests {
         ]);
         let report = sim.run(&mut IdealDispatcher, &mut NoopAllocator);
         assert_eq!(report.records.len(), n, "crashes must not lose requests");
-        let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n, "crashes must not duplicate requests");
@@ -1816,6 +1827,25 @@ mod tests {
             SimConfig::paper_default(150.0),
         );
         sim.step(&mut IdealDispatcher, &mut NoopAllocator);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace request id 4294967296 does not fit")]
+    fn new_refuses_an_id_past_u32() {
+        let trace = Trace::from_requests(
+            vec![Request {
+                id: u64::from(u32::MAX) + 1,
+                arrival: 0,
+                length: 64,
+            }],
+            1_000_000_000,
+        );
+        Simulation::new(
+            &trace,
+            bert_profiles(&[512]),
+            &[1],
+            SimConfig::paper_default(150.0),
+        );
     }
 
     #[test]
@@ -1965,7 +1995,7 @@ mod tests {
             let mut ids: Vec<u64> = report
                 .records
                 .iter()
-                .map(|r| r.id)
+                .map(|r| u64::from(r.id))
                 .chain(report.shed.iter().map(|s| s.id))
                 .collect();
             ids.sort_unstable();

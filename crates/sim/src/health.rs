@@ -355,12 +355,6 @@ impl HealthRegistry {
         self.transition(id, now, HealthState::Quarantined);
     }
 
-    /// Forget all outstanding entries of `id` (requests were re-buffered
-    /// elsewhere).
-    pub fn clear_outstanding(&mut self, id: usize) {
-        self.ensure(id).outstanding.clear();
-    }
-
     /// Drop the `n` newest outstanding entries of `id` — used when queued
     /// (not yet running) requests are evicted back to the central buffer.
     pub fn remove_newest(&mut self, id: usize, n: usize) {
@@ -415,15 +409,6 @@ impl HealthRegistry {
     /// nothing is outstanding.
     pub fn outstanding(&self, id: usize) -> usize {
         self.instances.get(id).map_or(0, |i| i.outstanding.len())
-    }
-
-    /// Smoothed observed/expected latency ratio of `id`, if any sample was
-    /// recorded.
-    pub fn latency_ratio(&self, id: usize) -> Option<f64> {
-        self.instances
-            .get(id)
-            .filter(|i| i.samples > 0)
-            .map(|i| i.latency_ratio_ewma)
     }
 
     /// All recorded state transitions, in time order.

@@ -13,12 +13,13 @@ use serde::{Deserialize, Serialize};
 use std::io::Write;
 
 /// The full life-cycle of one served request.
+///
+/// A simulation keeps one per served request, so the record is 48 bytes
+/// with no padding: the four times first, then the four 32-bit fields.
+/// `Simulation::new` refuses a trace whose ids do not fit in `u32`; read
+/// the narrow fields with `u64::from` / `as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestRecord {
-    /// Trace request id.
-    pub id: u64,
-    /// Token length.
-    pub length: u32,
     /// Arrival time (ns).
     pub arrival: Nanos,
     /// When the dispatcher bound it to an instance (ns).
@@ -27,11 +28,17 @@ pub struct RequestRecord {
     pub started: Nanos,
     /// When execution finished (ns).
     pub completed: Nanos,
+    /// Trace request id.
+    pub id: u32,
+    /// Token length.
+    pub length: u32,
     /// Runtime index that served it.
-    pub runtime_idx: usize,
+    pub runtime_idx: u32,
     /// Instance that served it.
-    pub instance: usize,
+    pub instance: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<RequestRecord>() == 48);
 
 impl RequestRecord {
     /// End-to-end latency in ns, including the fixed per-request overhead
@@ -267,13 +274,13 @@ impl SimReport {
         let n = self.allocation_timeline.len().max(
             self.records
                 .iter()
-                .map(|r| r.runtime_idx + 1)
+                .map(|r| r.runtime_idx as usize + 1)
                 .max()
                 .unwrap_or(0),
         );
         let mut counts = vec![0u64; n];
         for r in &self.records {
-            counts[r.runtime_idx] += 1;
+            counts[r.runtime_idx as usize] += 1;
         }
         counts
     }
@@ -287,7 +294,7 @@ impl SimReport {
         let total: u64 = self
             .records
             .iter()
-            .map(|r| u64::from(max_lengths[r.runtime_idx].saturating_sub(r.length)))
+            .map(|r| u64::from(max_lengths[r.runtime_idx as usize].saturating_sub(r.length)))
             .sum();
         total as f64 / self.records.len() as f64
     }
@@ -350,7 +357,7 @@ impl SimReport {
 mod tests {
     use super::*;
 
-    fn record(id: u64, arrival: Nanos, completed: Nanos, runtime_idx: usize) -> RequestRecord {
+    fn record(id: u32, arrival: Nanos, completed: Nanos, runtime_idx: u32) -> RequestRecord {
         RequestRecord {
             id,
             length: 50,
@@ -454,6 +461,26 @@ mod tests {
         let row = lines.next().expect("one row");
         assert_eq!(row, "7,50,1000000,1000000,1000000,3000000,2,0,2.800000");
         assert!(lines.next().is_none());
+    }
+
+    #[test]
+    fn csv_export_prints_u32_max_fields_in_full() {
+        // The narrow fields print the same digits the old 64-bit ones did.
+        let report = SimReport {
+            overhead_ns: 800_000,
+            records: vec![RequestRecord {
+                instance: u32::MAX,
+                ..record(u32::MAX, 1_000_000, 3_000_000, u32::MAX)
+            }],
+            ..Default::default()
+        };
+        let mut buf = Vec::new();
+        report.write_csv(&mut buf).expect("write");
+        let text = String::from_utf8(buf).expect("utf8");
+        assert_eq!(
+            text.lines().nth(1).expect("one row"),
+            "4294967295,50,1000000,1000000,1000000,3000000,4294967295,4294967295,2.800000"
+        );
     }
 
     #[test]

@@ -108,7 +108,11 @@ fn assert_complete_and_unique(report: &SimReport, t: &Trace, ctx: &str) {
     );
     let mut seen = HashSet::new();
     for r in &report.records {
-        assert!(seen.insert(r.id), "{ctx}: request {} served twice", r.id);
+        assert!(
+            seen.insert(u64::from(r.id)),
+            "{ctx}: request {} served twice",
+            r.id
+        );
     }
     for s in &report.shed {
         assert!(seen.insert(s.id), "{ctx}: request {} double-counted", s.id);
@@ -277,7 +281,7 @@ fn shedding_keeps_request_accounting_exact() {
     let outcome_ids: HashSet<u64> = report
         .records
         .iter()
-        .map(|r| r.id)
+        .map(|r| u64::from(r.id))
         .chain(report.shed.iter().map(|s| s.id))
         .collect();
     assert_eq!(trace_ids, outcome_ids, "outcomes must cover the trace");

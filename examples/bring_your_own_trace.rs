@@ -87,7 +87,8 @@ fn main() {
     let slo = 150.0;
     let spec = SystemSpec::arlo(ModelSpec::bert_base(), gpus, slo);
     let profiles = spec.build_profiles();
-    let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, 0.95);
+    let quantile = RuntimeSchedulerConfig::default().demand_quantile;
+    let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, quantile);
     let plan = spec.initial_allocation(&profiles, &trace);
     println!("\ndeployment plan ({gpus} GPUs, {slo} ms SLO):");
     for ((p, q), n) in profiles.iter().zip(&demand).zip(&plan) {

@@ -87,7 +87,7 @@ fn main() {
         let computed: u64 = report
             .records
             .iter()
-            .map(|r| match profiles[r.runtime_idx].runtime.mode() {
+            .map(|r| match profiles[r.runtime_idx as usize].runtime.mode() {
                 CompileMode::Static { max_length } => u64::from(max_length),
                 CompileMode::Dynamic => u64::from(r.length),
             })

@@ -319,7 +319,8 @@ fn cmd_plan(flags: &Flags) -> Result<(), String> {
     let trace = build_trace(flags)?;
     let spec = SystemSpec::arlo(model, gpus, slo);
     let profiles = spec.build_profiles();
-    let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, 0.95);
+    let quantile = RuntimeSchedulerConfig::default().demand_quantile;
+    let demand = SystemSpec::provisioning_demand(&profiles, &trace, slo, quantile);
     let alloc = spec.initial_allocation(&profiles, &trace);
     println!("runtime allocation plan ({gpus} GPUs, SLO {slo} ms):");
     println!(

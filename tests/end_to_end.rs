@@ -33,17 +33,17 @@ fn conservation_across_all_schemes() {
             "{}: lost requests",
             spec.name
         );
-        let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), trace.len(), "{}: duplicated requests", spec.name);
         for r in &report.records {
             assert!(
-                r.length <= lens[r.runtime_idx],
+                r.length <= lens[r.runtime_idx as usize],
                 "{}: oversized dispatch (len {} on runtime {})",
                 spec.name,
                 r.length,
-                lens[r.runtime_idx]
+                lens[r.runtime_idx as usize]
             );
             assert!(r.arrival <= r.dispatched && r.dispatched <= r.started);
             assert!(r.started < r.completed);

@@ -137,7 +137,7 @@ fn faults_never_lose_requests_under_any_policy() {
             "{:?} lost requests",
             dispatch
         );
-        let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), trace.len(), "{:?} duplicated requests", dispatch);

@@ -235,9 +235,9 @@ proptest! {
         let report = spec.run(&trace);
         prop_assert_eq!(report.records.len(), trace.len());
         for r in &report.records {
-            prop_assert!(r.length <= lens[r.runtime_idx]);
+            prop_assert!(r.length <= lens[r.runtime_idx as usize]);
             // Latency ≥ execution cost of the serving runtime + overhead.
-            let exec = profiles[r.runtime_idx].exec_ms;
+            let exec = profiles[r.runtime_idx as usize].exec_ms;
             let lat = (r.completed - r.arrival) as f64 / 1e6 + 0.8;
             prop_assert!(lat + 1e-6 >= exec + 0.8, "lat {lat} < exec {exec}");
         }

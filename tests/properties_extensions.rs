@@ -124,7 +124,7 @@ proptest! {
         let mut noop = NoopAllocator;
         let report = sim.run(dispatcher.as_mut(), &mut noop);
         prop_assert_eq!(report.records.len(), trace.len());
-        let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+        let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), trace.len());

@@ -34,9 +34,14 @@ fn fig10_shaped_run_makes_the_recorded_decisions() {
     assert!(report.alloc_count >= 1, "the run spans an allocation tick");
     assert!(report.buffered_requests > 0, "requests wait in the buffer");
     let hash = report.records.iter().fold(FNV_OFFSET, |h, r| {
-        [r.id, r.instance as u64, r.started, r.completed]
-            .into_iter()
-            .fold(h, fnv1a)
+        [
+            u64::from(r.id),
+            u64::from(r.instance),
+            r.started,
+            r.completed,
+        ]
+        .into_iter()
+        .fold(h, fnv1a)
     });
     assert_eq!(
         (report.records.len(), hash),

@@ -56,7 +56,7 @@ fn kitchen_sink_conserves_and_recovers() {
     let report = sim.run(dispatcher.as_mut(), allocator.as_mut());
 
     assert_eq!(report.records.len(), trace.len(), "lost requests");
-    let mut ids: Vec<u64> = report.records.iter().map(|r| r.id).collect();
+    let mut ids: Vec<u64> = report.records.iter().map(|r| u64::from(r.id)).collect();
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), trace.len(), "duplicated requests");
