@@ -217,6 +217,11 @@ impl ArloEngine {
         (d.generation, d.counts.clone())
     }
 
+    /// Current deployment generation, without copying the counts.
+    pub fn generation(&self) -> u64 {
+        self.deployment.read().generation
+    }
+
     /// Dashboard snapshot: total outstanding load per runtime level of the
     /// current deployment generation.
     pub fn level_loads(&self) -> Vec<u64> {

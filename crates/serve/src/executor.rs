@@ -54,6 +54,7 @@ use arlo_core::engine::Placement;
 use arlo_runtime::batching::{BatchPolicy, Coalescer, SealedBatch};
 use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
+use arlo_trace::workload::BuildWordHasher;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap};
@@ -119,8 +120,9 @@ struct KeyState {
 #[derive(Default)]
 struct ExecShard {
     /// Per-instance batch-forming state, keyed by
-    /// `(generation, runtime_idx, instance_idx)`.
-    keys: HashMap<Key, KeyState>,
+    /// `(generation, runtime_idx, instance_idx)` — placements the engine
+    /// chose, so a word hasher serves.
+    keys: HashMap<Key, KeyState, BuildWordHasher>,
     /// This shard's slice of the batch-size histogram: `occupancy[b-1]`
     /// counts batches of size `b` sealed by keys living on this shard.
     occupancy: Vec<u64>,

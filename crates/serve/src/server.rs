@@ -99,16 +99,18 @@ use arlo_core::multistream::{PoolCoordinator, StreamPlan};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
+use arlo_trace::workload::BuildWordHasher;
 use arlo_trace::Nanos;
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::borrow::Borrow;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::io;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -392,14 +394,30 @@ impl Snapshot {
     /// The wire view a [`Frame::Stats`] carries. It predates tenancy: one
     /// generation (the default tenant's), and every refusal in `shed`.
     pub fn stats(&self) -> StatsPayload {
-        StatsPayload {
-            generation: self.tenants.first().map_or(0, |t| t.generation),
-            served: self.total(|t| t.served),
-            shed: self.total(|t| t.shed + t.unserviceable + t.failed),
-            outstanding: self.total(|t| t.outstanding),
-            reallocations: self.reallocations,
-        }
+        wire_stats(&self.tenants, self.reallocations)
     }
+}
+
+/// The wire view of `rows` (see [`Snapshot::stats`]): the one place it is
+/// mapped, for a snapshot's rows and for [`Shared::stats`]' unnamed ones.
+fn wire_stats(
+    rows: impl IntoIterator<Item = impl Borrow<TenantStats>>,
+    reallocations: u64,
+) -> StatsPayload {
+    let mut stats = StatsPayload {
+        reallocations,
+        ..StatsPayload::default()
+    };
+    for (idx, row) in rows.into_iter().enumerate() {
+        let row = row.borrow();
+        if idx == 0 {
+            stats.generation = row.generation;
+        }
+        stats.served += row.served;
+        stats.shed += row.shed + row.unserviceable + row.failed;
+        stats.outstanding += row.outstanding;
+    }
+    stats
 }
 
 /// What other threads leave for one shard: accepted connections to adopt
@@ -432,10 +450,15 @@ struct ShardHandle {
     /// Passes begun: bumped as each wait returns, so a count that stops
     /// moving while the shard is unparked is a wedged pass.
     beats: AtomicU64,
-    /// Set across the wait and once the thread has exited, so an idle or
-    /// dead shard is never flagged stalled. Starts set: a shard that has
-    /// not run yet is not stalled.
+    /// Set across the wait and once the loop has ended (the [`Shard`]
+    /// drop), so an idle or dead shard is never flagged stalled. Starts
+    /// set: a shard that has not run yet is not stalled.
     parked: AtomicBool,
+    /// Raised by the server's panic hook on this shard's thread and lowered
+    /// by [`Shared::recover`] after its catch: a shard inside a panic is not
+    /// stalled, however long the hook and the unwinding take. Shared with
+    /// the thread's [`PANICKING`], which is how the hook finds it.
+    panicking: Arc<AtomicBool>,
     /// [`Server::check_stalls`]'s last reading of `beats`, and when they
     /// last moved — `None` once this freeze is flagged, so an episode is
     /// flagged once, not once per check.
@@ -454,6 +477,7 @@ impl ShardHandle {
             notifies: AtomicU64::new(0),
             beats: AtomicU64::new(0),
             parked: AtomicBool::new(true),
+            panicking: Arc::default(),
             watch: Mutex::default(),
         })
     }
@@ -481,6 +505,34 @@ impl ShardHandle {
 thread_local! {
     /// The shard this thread runs, if it is one.
     static ON_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
+    /// That shard's [`ShardHandle::panicking`] flag.
+    static PANICKING: OnceCell<Arc<AtomicBool>> = const { OnceCell::new() };
+}
+
+/// Raise or lower the calling shard's `panicking` flag; off the shards, do
+/// nothing.
+fn flag_panicking(raised: bool) {
+    // `try_with`: a panic while the thread's locals are torn down finds
+    // no flag rather than a second panic.
+    let _ = PANICKING.try_with(|flag| {
+        if let Some(flag) = flag.get() {
+            flag.store(raised, Ordering::Release);
+        }
+    });
+}
+
+/// Chain the process's panic hook, once: on a shard's thread, raise the
+/// shard's `panicking` flag before the previous hook runs (with
+/// `RUST_BACKTRACE` set, that hook alone can take tens of milliseconds).
+fn install_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            flag_panicking(true);
+            previous(info);
+        }));
+    });
 }
 
 /// One tenant stream's live server-side state: its engine, its SLO-class
@@ -518,6 +570,27 @@ struct Tenant {
     outstanding: AtomicU64,
 }
 
+impl Tenant {
+    /// This tenant's counters, read now, under an empty name: reading them
+    /// allocates nothing ([`Shared::snapshot`] adds the name).
+    fn row(&self) -> TenantStats {
+        let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        TenantStats {
+            name: String::new(),
+            class: self.class,
+            slo_ms: self.slo_ms,
+            submits: relaxed(&self.submits),
+            served: relaxed(&self.served),
+            shed: relaxed(&self.shed),
+            unserviceable: relaxed(&self.unserviceable),
+            failed: relaxed(&self.failed),
+            outstanding: self.outstanding.load(Ordering::SeqCst),
+            granted_gpus: self.granted.load(Ordering::Relaxed),
+            generation: self.engine.generation(),
+        }
+    }
+}
+
 /// Everything the serving threads share.
 ///
 /// # Atomic-ordering contract
@@ -541,6 +614,10 @@ struct Tenant {
 /// `Relaxed`: a close shard 0 sees late refuses at most one connect more.
 /// So does each shard's heartbeat (`beats`, `parked`): it publishes no
 /// other data, and a stale read only delays a stall flag to a later check.
+/// Its `panicking` flag is lowered with `Release` after a dying shard's
+/// `Shard` drop has parked it, and the stall check loads the flag with
+/// `Acquire` before `parked`: a check that sees the flag lowered sees the
+/// dead shard parked.
 ///
 /// Every other counter is a statistic, read only through [`Snapshot`]:
 /// `Relaxed` increments, exact once the writing threads are joined — the
@@ -665,7 +742,7 @@ impl Shared {
     /// The counters `Shared` holds, read now: the tenant rows, the
     /// connection plane's, the shards' and the supervision counters.
     /// [`Server::snapshot`] adds the executors', the event log and the
-    /// re-grant log, which a `Stats` answer does not read.
+    /// re-grant log.
     fn snapshot(&self) -> Snapshot {
         let relaxed = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         Snapshot {
@@ -674,16 +751,7 @@ impl Shared {
                 .iter()
                 .map(|t| TenantStats {
                     name: t.name.clone(),
-                    class: t.class,
-                    slo_ms: t.slo_ms,
-                    submits: relaxed(&t.submits),
-                    served: relaxed(&t.served),
-                    shed: relaxed(&t.shed),
-                    unserviceable: relaxed(&t.unserviceable),
-                    failed: relaxed(&t.failed),
-                    outstanding: t.outstanding.load(Ordering::SeqCst),
-                    granted_gpus: t.granted.load(Ordering::Relaxed),
-                    generation: t.engine.deployment().0,
+                    ..t.row()
                 })
                 .collect(),
             reallocations: relaxed(&self.reallocations),
@@ -702,6 +770,14 @@ impl Shared {
             draining: self.draining.load(Ordering::Relaxed),
             ..Snapshot::default()
         }
+    }
+
+    /// The wire `Stats` view, read straight from the counters: what
+    /// `snapshot().stats()` gives, with no row collected and no name
+    /// cloned. Every `StatsRequest` and `Drain` is answered with it.
+    fn stats(&self) -> StatsPayload {
+        let rows = self.tenants.iter().map(Tenant::row);
+        wire_stats(rows, self.reallocations.load(Ordering::Relaxed))
     }
 
     /// Send a frame to a connection: push it into the inbox of the
@@ -755,6 +831,7 @@ impl Shared {
     fn recover(&self, component: &str, work: impl FnOnce()) -> bool {
         let finished = catch_unwind(AssertUnwindSafe(work)).is_ok();
         if !finished {
+            flag_panicking(false);
             self.panics.fetch_add(1, Ordering::Relaxed);
             self.log(component, SupervisorEventKind::Panicked);
         }
@@ -827,6 +904,7 @@ impl Server {
         coordinate: bool,
     ) -> io::Result<Server> {
         assert!(!tenants.is_empty(), "need at least one tenant");
+        install_panic_hook();
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -933,9 +1011,10 @@ impl Server {
 
     /// The stall check: compare every shard's heartbeat with its reading
     /// at the previous call, and log a `Stalled` event for one frozen
-    /// while unparked for at least [`ServeConfig::stall_grace`] — once per
-    /// freeze episode (a wedged planner tick is shard 0's). No thread
-    /// runs it; call it periodically (`arlo serve` does, every 50 ms).
+    /// while unparked, and not inside a panic, for at least
+    /// [`ServeConfig::stall_grace`] — once per freeze episode (a wedged
+    /// planner tick is shard 0's). No thread runs it; call it
+    /// periodically (`arlo serve` does, every 50 ms).
     /// Returns the episodes this call found.
     pub fn check_stalls(&self) -> u64 {
         let now = Instant::now();
@@ -945,7 +1024,8 @@ impl Server {
             let (seen, since) = &mut *shard.watch.lock();
             if beats != *seen {
                 (*seen, *since) = (beats, Some(now));
-            } else if !shard.parked.load(Ordering::Relaxed)
+            } else if !shard.panicking.load(Ordering::Acquire)
+                && !shard.parked.load(Ordering::Relaxed)
                 && since.is_some_and(|at| now - at >= self.stall_grace)
             {
                 *since = None;
@@ -1495,7 +1575,8 @@ struct Shard<'a> {
     shared: &'a Shared,
     handle: &'a ShardHandle,
     cfg: &'a ShardConfig,
-    conns: HashMap<u64, FramedConn>,
+    /// By connection id, which the front door numbers, not the client.
+    conns: HashMap<u64, FramedConn, BuildWordHasher>,
     /// The inbox's frames, swapped out under its lock; empty between
     /// takes, so neither side reallocates once both have grown.
     taken: Vec<(u64, Frame)>,
@@ -1505,6 +1586,10 @@ struct Shard<'a> {
 
 impl Drop for Shard<'_> {
     fn drop(&mut self) {
+        // Finished either way: a frozen heartbeat is not a stall. Parked
+        // here, while still unwinding, so before `recover` lowers a dying
+        // shard's `panicking` flag.
+        self.handle.parked.store(true, Ordering::Relaxed);
         let (adopt, frames) = {
             let mut inbox = self.handle.inbox.lock();
             inbox.closed = true;
@@ -1710,12 +1795,13 @@ fn shard_loop(
 ) {
     ON_SHARD.set(Some(id));
     let handle = &shared.shards[id];
+    let _ = PANICKING.with(|flag| flag.set(Arc::clone(&handle.panicking)));
     let epoll = &handle.epoll;
     let mut shard = Shard {
         shared,
         handle,
         cfg,
-        conns: HashMap::new(),
+        conns: HashMap::default(),
         taken: Vec::new(),
         touched: Vec::new(),
     };
@@ -1823,8 +1909,6 @@ fn run_shard(
     let died = !shared.recover(&shard.name, || {
         shard_loop(shared, id, door, planner, cfg, chaos);
     });
-    // Finished either way: a frozen heartbeat is not a stall.
-    shard.parked.store(true, Ordering::Relaxed);
     if died {
         shared.log(&shard.name, SupervisorEventKind::Escalated);
         if shared.escalations.fetch_add(1, Ordering::SeqCst) == 0 {
@@ -2117,12 +2201,12 @@ fn handle_frame(
             true
         }
         Frame::StatsRequest => {
-            shared.respond(conn_id, &Frame::Stats(shared.snapshot().stats()));
+            shared.respond(conn_id, &Frame::Stats(shared.stats()));
             true
         }
         Frame::Drain => {
             shared.draining.store(true, Ordering::SeqCst);
-            shared.respond(conn_id, &Frame::Stats(shared.snapshot().stats()));
+            shared.respond(conn_id, &Frame::Stats(shared.stats()));
             true
         }
         // A client that cannot speak v2 (its `Hello` offers less) or that
@@ -2417,8 +2501,8 @@ mod tests {
         Shared::new(vec![(spec, engine)], &config, false).expect("epoll")
     }
 
-    /// A `Stats` or `Drain` answer reads `Shared::snapshot`, which must not
-    /// clone the re-grant log: only `Server::snapshot` reads it.
+    /// `Shared::snapshot` does not clone the re-grant log: only
+    /// `Server::snapshot` reads it.
     #[test]
     fn a_stats_snapshot_clones_no_regrant() {
         let shared = one_shard();
@@ -2428,6 +2512,36 @@ mod tests {
             .push(RegrantEvent::new(0, vec![1, 1], vec![2, 0], 0.0));
         assert!(shared.snapshot().regrants.is_empty());
         assert_eq!(shared.regrants.lock().to_vec().len(), 1);
+    }
+
+    /// The `Stats` answer read straight from the counters is the snapshot's
+    /// wire view, every refusal in `shed`.
+    #[test]
+    fn stats_from_the_counters_equal_the_snapshots() {
+        let shared = one_shard();
+        let tenant = &shared.tenants[0];
+        for (counter, n) in [
+            (&tenant.submits, 20),
+            (&tenant.served, 11),
+            (&tenant.shed, 2),
+            (&tenant.unserviceable, 3),
+            (&tenant.failed, 4),
+            (&tenant.outstanding, 5),
+            (&shared.reallocations, 6),
+        ] {
+            counter.store(n, Ordering::SeqCst);
+        }
+        let stats = shared.stats();
+        assert_eq!(stats, shared.snapshot().stats());
+        assert_eq!(
+            (
+                stats.served,
+                stats.shed,
+                stats.outstanding,
+                stats.reallocations
+            ),
+            (11, 9, 5, 6)
+        );
     }
 
     fn answer(id: u64) -> Frame {
@@ -2464,7 +2578,7 @@ mod tests {
             shared: &shared,
             handle: &shared.shards[0],
             cfg: &cfg,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             taken: Vec::new(),
             touched: Vec::new(),
         };

@@ -1,11 +1,12 @@
 //! Property tests for the wire protocol: arbitrary frames round-trip
-//! exactly, and arbitrary bytes — random, or mutations of valid frames —
-//! decode to a typed error or a frame, never a panic.
+//! exactly, arbitrary bytes — random, or mutations of valid frames —
+//! decode to a typed error or a frame, never a panic, and the trailer's
+//! CRC32C equals a bit-at-a-time reference at every length and alignment.
 
 use arlo_serve::chaos::{ChaosConfig, FaultClass, FaultyStream};
 use arlo_serve::protocol::{
-    read_frame, DecodeError, ErrorCode, Frame, FrameReader, ReadFrameError, StatsPayload, Sub,
-    WireVersion, DEFAULT_TENANT, HEADER_LEN, MAGIC, MAX_BATCH, MAX_PAYLOAD,
+    crc32c, read_frame, DecodeError, ErrorCode, Frame, FrameReader, ReadFrameError, StatsPayload,
+    Sub, WireVersion, DEFAULT_TENANT, HEADER_LEN, MAGIC, MAX_BATCH, MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -449,5 +450,39 @@ proptest! {
             }
         }
         prop_assert!(quiesced, "corrupt-stream drive did not quiesce");
+    }
+}
+
+/// One byte into a CRC32C register, a bit at a time, with no table: the
+/// reference the sliced [`crc32c`] must equal.
+fn crc32c_bitwise_step(mut crc: u32, byte: u8) -> u32 {
+    crc ^= u32::from(byte);
+    for _ in 0..8 {
+        crc = if crc & 1 != 0 {
+            (crc >> 1) ^ 0x82F6_3B78
+        } else {
+            crc >> 1
+        };
+    }
+    crc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    fn crc32c_matches_a_bit_at_a_time_reference(
+        bytes in proptest::collection::vec(0u8..=255, 1_108),
+    ) {
+        // Every length 0–1 100 from every start offset 0–7: each slicing
+        // step, each tail length and each word alignment. The reference
+        // register runs along the buffer, so prefix `len` costs one step.
+        for offset in 0..8 {
+            let mut reference = !0u32;
+            for len in 0..=1_100 {
+                let sliced = crc32c(&bytes[offset..offset + len]);
+                prop_assert_eq!(sliced, !reference, "offset {} length {}", offset, len);
+                reference = crc32c_bitwise_step(reference, bytes[offset + len]);
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!    the coordinator's re-granting passes. Every panic the server caught
 //!    is counted once and logged once.
 //! 3. **Stall detection.** A shard frozen while unparked is flagged by the
-//!    server's stall check; an idle or dead shard never is; and a shard
+//!    server's stall check; an idle, dying or dead shard never is; and a shard
 //!    catching up after a stall never outruns a client that is reading.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
@@ -35,6 +35,7 @@ use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -545,6 +546,75 @@ fn a_dead_shard_escalates_once_and_is_never_stalled() {
         assert_panics_counted_once(&drain);
         assert_server_conserves(&drain);
     }
+}
+
+/// How long a slow panic hook takes over a shard's death: longer than a
+/// debug build capturing a `RUST_BACKTRACE` takes (40–75 ms).
+const SLOW_HOOK: Duration = Duration::from_millis(120);
+
+/// Chain a panic hook, once per test binary, that runs the previous hook
+/// and then sleeps [`SLOW_HOOK`] on a chaos-injected shard death. The
+/// server raises the dying shard's `panicking` flag in its own hook, which
+/// runs before this sleep whichever of the two was installed first.
+fn install_slow_shard_death_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            previous(info);
+            let message = info.payload().downcast_ref::<String>();
+            if message.is_some_and(|m| m.contains("injected panic in component 'shard")) {
+                std::thread::sleep(SLOW_HOOK);
+            }
+        }));
+    });
+}
+
+/// A shard is not stalled while it dies: with a panic hook that takes
+/// 120 ms and a 10 ms grace, checks every 2 ms from spawn through the
+/// death and after it never flag the dying shard.
+#[test]
+fn a_dying_shard_is_never_stalled_while_its_panic_hook_runs() {
+    install_slow_shard_death_hook();
+    let grace = Duration::from_millis(10);
+    let cfg = ServeConfig {
+        shards: 2,
+        sweep_interval: Duration::from_millis(5),
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::panics("shard-1", 1, 7))
+    .with_stall_grace(grace);
+    let spawned = Instant::now();
+    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    wait_for("shard 1 to die", || {
+        server.check_stalls();
+        server.snapshot().escalations == 1
+    });
+    assert!(
+        spawned.elapsed() >= SLOW_HOOK,
+        "the death outran the slow hook"
+    );
+    check_stalls_for(&server, 20);
+    let snapshot = server.snapshot();
+    assert_eq!(
+        count_events(&snapshot, "shard-1", SupervisorEventKind::Stalled),
+        0,
+        "{snapshot:?}"
+    );
+    assert_eq!(snapshot.stalls_detected, 0, "{snapshot:?}");
+    for kind in [
+        SupervisorEventKind::Panicked,
+        SupervisorEventKind::Escalated,
+    ] {
+        assert_eq!(
+            count_events(&snapshot, "shard-1", kind),
+            1,
+            "{kind:?}: {snapshot:?}"
+        );
+    }
+    let drain = server.drain();
+    assert_panics_counted_once(&drain);
+    assert_server_conserves(&drain);
 }
 
 /// A shard catching up after a stall does not outrun a reading client.

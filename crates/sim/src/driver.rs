@@ -19,10 +19,9 @@ use crate::metrics::{JournalEntry, RequestRecord, ShedReason, ShedRecord, SimRep
 use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::stats::{percentile, TimeWeighted};
-use arlo_trace::workload::{Request, Trace};
+use arlo_trace::workload::{BuildWordHasher, Request, Trace};
 use arlo_trace::{ms_to_nanos, secs_to_nanos, Nanos};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Sub-window granularity for burst-structure accounting (10 s).
@@ -444,27 +443,6 @@ impl SimConfig {
     }
 }
 
-/// Hasher for the in-flight table's request ids: a Fibonacci multiply
-/// instead of SipHash. The ids come from the trace, not from a client, and
-/// the table is never iterated, so the hash function cannot change an
-/// outcome.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdHasher hashes u64 request ids only");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PartialRecord {
     arrival: Nanos,
@@ -491,7 +469,10 @@ pub struct Simulation<'a> {
     /// [`Simulation::drain_pending`]'s scratch: the buffered bins' fronts
     /// as `(arrival, bin)`, kept between calls for its capacity.
     fronts: Vec<(Nanos, usize)>,
-    in_flight: HashMap<u64, PartialRecord, BuildHasherDefault<IdHasher>>,
+    /// Requests dispatched and not yet finished, by trace id. The ids come
+    /// from the trace, not from a client, and the table is never iterated,
+    /// so its word hasher cannot change an outcome.
+    in_flight: HashMap<u64, PartialRecord, BuildWordHasher>,
     /// The driver's half of the batch buffers: [`Cluster::complete`] swaps
     /// an instance's finished batch in here and takes this buffer's
     /// capacity back as the instance's next `running`.

@@ -20,6 +20,39 @@ use serde::{Deserialize, Serialize};
 /// Dense identifier of a request within one trace.
 pub type RequestId = u64;
 
+/// Hasher for integer keys a program chose itself — trace request ids,
+/// connection ids, `(generation, runtime, instance)` placements: a rotate,
+/// XOR and Fibonacci multiply per written word instead of SipHash. A lone
+/// `u64` hashes to `id.wrapping_mul(0x9E37_79B9_7F4A_7C15)`. It does not
+/// resist chosen keys, so never key it by anything a client picks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+/// Builds [`WordHasher`]s: `HashMap<K, V, BuildWordHasher>`.
+pub type BuildWordHasher = std::hash::BuildHasherDefault<WordHasher>;
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One inference request: when it arrives and how many tokens it carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
@@ -490,6 +523,24 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::hash::BuildHasher;
+
+    #[test]
+    fn word_hasher_multiplies_a_lone_id_and_keeps_tuple_fields_apart() {
+        for id in [0u64, 1, 2, 7, 1 << 40, u64::MAX] {
+            let expected = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            assert_eq!(BuildWordHasher::default().hash_one(id), expected);
+        }
+        let placements = [(1u64, 0usize, 0usize), (0, 1, 0), (0, 0, 1)];
+        let hashes: Vec<u64> = placements
+            .iter()
+            .map(|p| BuildWordHasher::default().hash_one(p))
+            .collect();
+        assert!(
+            hashes[0] != hashes[1] && hashes[1] != hashes[2] && hashes[0] != hashes[2],
+            "{hashes:?}"
+        );
+    }
 
     #[test]
     fn stable_trace_has_expected_rate_and_lengths() {
