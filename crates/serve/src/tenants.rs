@@ -308,14 +308,12 @@ fn plan_from_samples(
     plan_from_trace(name, profiles.to_vec(), &trace, slo_ms)
 }
 
-/// Lock-striped [`TenantWindow`]: the fix for the `record_demand`
-/// per-submit mutex the hot-path audit flagged. Every submit used to take
-/// one tenant-wide lock to append its `(arrival, length)` sample; with
-/// several admitting threads that lock serialized the admission path.
-/// Here recorders stripe by a caller
-/// key (the connection id), so concurrent connections append to disjoint
-/// stripes, and only the coordinator — a few times a second — pays the
-/// merge across all stripes at plan time.
+/// Lock-striped [`TenantWindow`]: a coordinated server's per-tenant demand
+/// window. Every offered submit (shed ones included) appends its
+/// `(arrival, length)` sample under the stripe its connection id picks,
+/// so concurrent connections append to disjoint stripes, and only the
+/// coordinator — a few times a second — pays the merge across all
+/// stripes at plan time.
 ///
 /// Semantics match [`TenantWindow`] exactly: arrivals across stripes may
 /// interleave out of order, and [`ShardedTenantWindow::plan`] sorts the

@@ -80,12 +80,14 @@ fn batch_1_reproduces_the_per_request_executor_schedule_exactly() {
 
     // A fixed seeded trace, placed deterministically: requests land on the
     // smallest runtime that fits, spread round-robin over 3 instances.
-    // Timestamps sit 2 virtual seconds in the future so every submit is
-    // registered before its arrival instant — the schedule is then a pure
-    // function of the trace, independent of thread timing.
+    // Timestamps sit 200 virtual seconds (200 ms real) in the future so
+    // every submit is registered before its arrival instant — the schedule
+    // is then a pure function of the trace, independent of thread timing —
+    // even in a debug build, or with the submitting thread preempted for
+    // tens of milliseconds.
     let mut rng = StdRng::seed_from_u64(1234);
     let trace = TraceSpec::twitter_stable(400.0, 3.0).generate(&mut rng);
-    let t0 = clock.now() + 2_000_000_000;
+    let t0 = clock.now() + 200_000_000_000;
     let jobs: Vec<Job> = trace
         .requests()
         .iter()
@@ -110,10 +112,24 @@ fn batch_1_reproduces_the_per_request_executor_schedule_exactly() {
         .collect();
     assert!(jobs.len() > 1_000, "workload too small: {}", jobs.len());
 
+    // The precondition, checked: the clock read after each submit returns
+    // bounds the reading the executor took inside it, so a job whose
+    // submit returned before its arrival instant kept its own stamp.
+    let mut late = 0;
     for job in &jobs {
         exec.submit(*job);
+        if clock.now() >= job.submitted_at {
+            late += 1;
+        }
     }
     let occupancy = exec.shutdown();
+    assert_eq!(
+        late,
+        0,
+        "precondition: {late} of {} submits returned at or after their arrival \
+         instant, so the schedule depends on thread timing",
+        jobs.len()
+    );
 
     // Every execution is a singleton batch: the occupancy histogram must
     // show nothing but batch size 1.
