@@ -13,9 +13,12 @@
 use arlo_trace::Nanos;
 use std::time::{Duration, Instant};
 
-/// Real waits shorter than this are not worth a sleep: OS timer granularity
-/// would overshoot by more than the wait. Anything closer than this is
-/// "due now" ([`VirtualClock::is_due`]).
+/// The emulation's "due now" granule: a virtual instant less than this
+/// much real time away counts as due ([`VirtualClock::is_due`]), so a
+/// completion that close is answered at once rather than waited for, and
+/// [`VirtualClock::sleep_until`] does not sleep such a remainder. It is a
+/// rule of the emulation, not the timers' resolution: a shard sets its
+/// timer slack to 1 ns and wakes at its deadline, not up to 50 µs after.
 pub const MIN_SLEEP_REAL_NS: u64 = 100_000;
 
 /// A monotonic clock whose virtual time advances `scale` times faster than
@@ -46,9 +49,12 @@ impl VirtualClock {
         (self.anchor.elapsed().as_nanos() as Nanos).saturating_mul(Nanos::from(self.scale))
     }
 
-    /// Convert a virtual duration to the real duration it spans.
-    pub fn to_real(&self, virtual_ns: Nanos) -> Duration {
-        Duration::from_nanos(virtual_ns / Nanos::from(self.scale))
+    /// The real wait from the reading `now` until virtual instant `t`
+    /// (zero if `t` is past), rounded **up** to a whole real nanosecond: a
+    /// wait this long that ends on time finds `t <= now`, where a
+    /// rounded-down one can end a hair short of `t` and cost another pass.
+    pub fn real_until(&self, t: Nanos, now: Nanos) -> Duration {
+        Duration::from_nanos(t.saturating_sub(now).div_ceil(Nanos::from(self.scale)))
     }
 
     /// Whether virtual instant `t` is **due now** as of the reading `now`:
@@ -69,7 +75,7 @@ impl VirtualClock {
             if self.is_due(t, now) {
                 return;
             }
-            std::thread::sleep(self.to_real(t - now));
+            std::thread::sleep(self.real_until(t, now));
         }
     }
 }
@@ -118,43 +124,41 @@ mod tests {
     }
 
     #[test]
-    fn to_real_truncates_never_rounds_up() {
-        // At scale ≥ 1000 a virtual duration that is not a multiple of the
-        // scale must truncate: to_real(v) * scale ≤ v, with the shortfall
-        // strictly below one scale quantum (`scale` virtual ns per real ns).
-        for scale in [1_000u32, 1_024, 4_096, 100_000] {
+    fn real_until_rounds_up_never_down() {
+        // A wake-up `real_until(t, now)` after the reading `now` reads at
+        // least `now + real * scale >= t`, and overshoots by less than one
+        // scale quantum.
+        for scale in [1u32, 100, 1_000, 1_024, 100_000] {
             let clock = VirtualClock::new(scale);
-            for v in [0u64, 1, 999, 1_000, 1_001, 123_456_789, u32::MAX as u64] {
-                let real = clock.to_real(v);
-                let back = real.as_nanos() as u64 * u64::from(scale);
-                assert!(back <= v, "scale {scale}: to_real({v}) rounded up");
-                assert!(
-                    v - back < u64::from(scale),
-                    "scale {scale}: round-trip error {} ≥ one quantum",
-                    v - back
-                );
+            let now = 7_000_000_000;
+            for v in [1u64, 99, 999, 1_000, 1_001, 123_456_789, u32::MAX as u64] {
+                let real = clock.real_until(now + v, now).as_nanos() as u64;
+                let back = real * u64::from(scale);
+                assert!(back >= v, "scale {scale}: real_until(+{v}) rounded down");
+                assert!(back - v < u64::from(scale), "scale {scale}: +{v} overshot");
             }
+            assert_eq!(clock.real_until(now, now), Duration::ZERO);
+            assert_eq!(clock.real_until(0, now), Duration::ZERO, "past instants");
         }
     }
 
     #[test]
     fn sleep_until_never_sleeps_past_target_at_high_scale() {
-        // The truncation in sleep_until's real-remainder computation means
-        // the requested real sleep always *undershoots* the virtual target
-        // (then re-checks); the loop must therefore exit with now ≥ t only
-        // via time actually passing — never by oversleeping a whole extra
+        // sleep_until's real remainder rounds up by less than one real ns,
+        // so a sleep overshoots the virtual target by under one quantum
+        // (then re-checks); the loop must never oversleep a whole extra
         // quantum per iteration. Bound: wall time spent must not exceed the
         // ideal real duration by more than scheduler slack.
         let scale = 1_000u32;
         let clock = VirtualClock::new(scale);
         let start_real = Instant::now();
         // 5 ms real = 5e9 virtual ns at 1000×; plus a deliberately
-        // non-multiple remainder to exercise truncation on every iteration.
+        // non-multiple remainder to exercise the rounding on every iteration.
         let target = clock.now() + 5_000_000_123;
         clock.sleep_until(target);
         let waited = start_real.elapsed();
-        // Sub-quantum + sub-100µs remainders are abandoned, so now may sit
-        // just short of target — but never by a full real-time granule.
+        // Sub-100 µs remainders are abandoned, so now may sit just short of
+        // target — but never by a full real-time granule.
         let now = clock.now();
         let max_abandoned = MIN_SLEEP_REAL_NS * u64::from(scale);
         assert!(
@@ -163,8 +167,8 @@ mod tests {
             target.saturating_sub(now)
         );
         // And it must not have slept *past* the target by more than
-        // generous scheduler slack (the truncation undershoots; only the
-        // OS can overshoot).
+        // generous scheduler slack (the rounding adds under one real ns;
+        // only the OS can overshoot by more).
         assert!(
             waited < Duration::from_millis(200),
             "slept {waited:?} for a ~5 ms target"
@@ -173,9 +177,9 @@ mod tests {
 
     #[test]
     fn sleep_until_quantum_remainder_returns_immediately() {
-        // A remainder below one real-time quantum (v < scale) truncates to
-        // zero real ns — sleep_until must return without sleeping rather
-        // than looping or stalling.
+        // A remainder below one real-time quantum (v < scale) is due now —
+        // sleep_until must return without sleeping rather than looping or
+        // stalling.
         let clock = VirtualClock::new(100_000);
         let start = Instant::now();
         let target = clock.now() + 99_999; // < one quantum of virtual ns

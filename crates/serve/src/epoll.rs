@@ -2,10 +2,11 @@
 //! door.
 //!
 //! The workspace is hermetic (no `libc` crate, no `mio`), so this module
-//! declares the four syscall wrappers it needs — `epoll_create1`,
-//! `epoll_ctl`, `epoll_pwait2`, `eventfd` — as raw `extern "C"` bindings
-//! against the C library `std` already links on Linux, and owns the file
-//! descriptors through [`std::os::fd::OwnedFd`] so they close on drop.
+//! declares the five syscall wrappers it needs — `epoll_create1`,
+//! `epoll_ctl`, `epoll_pwait2`, `eventfd`, `prctl` — as raw `extern "C"`
+//! bindings against the C library `std` already links on Linux, and owns
+//! the file descriptors through [`std::os::fd::OwnedFd`] so they close on
+//! drop.
 //!
 //! Design choices, all deliberately boring:
 //!
@@ -20,10 +21,13 @@
 //!   how other threads (shard 0 handing over a socket, `respond` queuing a
 //!   frame, a deadline parked in another shard's heap, `drain`
 //!   broadcasting shutdown) interrupt a sleeping shard.
-//! * **Nanosecond timeouts**: [`Epoll::wait`] passes its `Duration` to
-//!   `epoll_pwait2` as a `timespec`, so a shard can sleep until a deadline
-//!   a few hundred microseconds out instead of rounding it up to a whole
-//!   millisecond.
+//! * **Nanosecond timeouts, as precise as the thread's timer slack**:
+//!   [`Epoll::wait`] passes its `Duration` to `epoll_pwait2` as a
+//!   `timespec`, so a deadline a few hundred microseconds out is not
+//!   rounded up to a whole millisecond. The kernel still lets the wait run
+//!   up to the calling thread's timer slack past it — 50 µs by default —
+//!   so every shard first sets its own slack to 1 ns
+//!   ([`set_min_timer_slack`]) and wakes at its deadline.
 //!
 //! # File-descriptor ownership
 //!
@@ -94,6 +98,8 @@ mod ffi {
     pub const EFD_CLOEXEC: c_int = 0o2000000;
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
+    pub const PR_SET_TIMERSLACK: c_int = 29;
+
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -107,6 +113,7 @@ mod ffi {
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub fn prctl(option: c_int, ...) -> c_int;
     }
 }
 
@@ -234,8 +241,9 @@ impl Epoll {
     /// Block for up to `timeout` (`None` = forever) and fill `events` with
     /// readiness reports. Returns the number of events. `EINTR` retries;
     /// any other error leaves `events` empty.
-    /// The timeout keeps its full precision: a 300 µs wait is a 300 µs
-    /// wait, not a millisecond.
+    /// The timeout is not rounded to a millisecond: a 300 µs wait ends
+    /// 300 µs out, plus at most the calling thread's timer slack
+    /// ([`set_min_timer_slack`]).
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         const CAPACITY: usize = 1024;
         events.clear();
@@ -276,6 +284,31 @@ impl Epoll {
         }
         Ok(n)
     }
+}
+
+/// Set the calling thread's timer slack to 1 ns, the least the kernel
+/// takes (0 restores the default, 50 µs), so its timed waits, an
+/// [`Epoll::wait`] timeout among them, end at their deadline instead of up
+/// to the default slack after it. Only the calling
+/// thread changes; a thread it spawns later starts with the same slack.
+/// A refusal (a seccomp profile that forbids `prctl`) costs only that
+/// precision, so callers may go on without it.
+pub fn set_min_timer_slack() -> io::Result<()> {
+    use std::os::raw::c_ulong;
+    // SAFETY: PR_SET_TIMERSLACK reads one integer argument and no pointer;
+    // all four of prctl's optional arguments are passed as the `unsigned
+    // long` it reads them as, and it changes only the calling thread.
+    let r = unsafe {
+        ffi::prctl(
+            ffi::PR_SET_TIMERSLACK,
+            1 as c_ulong,
+            0 as c_ulong,
+            0 as c_ulong,
+            0 as c_ulong,
+        )
+    };
+    cvt(r)?;
+    Ok(())
 }
 
 /// A cross-thread wakeup handle: an `eventfd` registered on an [`Epoll`]
@@ -337,7 +370,7 @@ impl AsRawFd for Waker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
@@ -431,6 +464,49 @@ mod tests {
             "median 300 µs wait took {:?}",
             waits[10]
         );
+    }
+
+    /// The calling thread's timer slack in ns. `timerslack_ns` is listed
+    /// under `/proc/<pid>` only, not under a task's directory, so the
+    /// thread's id comes from `/proc/thread-self` (`<pid>/task/<tid>`); a
+    /// thread may read its own without `CAP_SYS_NICE`.
+    pub(crate) fn own_timer_slack() -> u64 {
+        let task = std::fs::read_link("/proc/thread-self").expect("procfs");
+        let tid = task
+            .file_name()
+            .expect("tid")
+            .to_string_lossy()
+            .into_owned();
+        std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns"))
+            .expect("timerslack_ns")
+            .trim()
+            .parse()
+            .expect("a number")
+    }
+
+    #[test]
+    fn min_timer_slack_is_the_calling_threads_alone() {
+        let before = own_timer_slack();
+        assert_ne!(before, 1, "the test thread already runs at the floor");
+        let (set, sibling_reads) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let sibling = s.spawn(move || {
+                sibling_reads.recv().expect("setter ran");
+                own_timer_slack()
+            });
+            let set_to = s
+                .spawn(move || {
+                    set_min_timer_slack().expect("prctl");
+                    let slack = own_timer_slack();
+                    set.send(()).expect("sibling waits");
+                    slack
+                })
+                .join()
+                .expect("setter");
+            assert_eq!(set_to, 1, "the calling thread's slack");
+            assert_eq!(sibling.join().expect("sibling"), before, "a sibling's");
+        });
+        assert_eq!(own_timer_slack(), before, "the spawning thread's");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Scheduling follows one rule: **work that is due now runs on the thread
 //! that discovered it; work that is due later waits in one shared
 //! deadline heap.** "Due now" is [`VirtualClock::is_due`] — the instant is
-//! past or closer than the 100 µs of real time an OS timer cannot resolve.
+//! past or closer than the emulation's 100 µs granule of real time.
 //! So a batch whose `finished_at` is due when it seals completes inline on
 //! the sealing thread, even one queued behind a busy instance. Everything
 //! else — a future completion, or the seal instant of a partial batch — is
@@ -339,7 +339,7 @@ impl ExecutorShared {
         loop {
             let (state, now, _) = self.fire_ripe(usize::MAX);
             let wait = match state.heap.peek() {
-                Some(head) => Some(self.clock.to_real(head.at - now)),
+                Some(head) => Some(self.clock.real_until(head.at, now)),
                 None if state.stopping => return,
                 None => None,
             };

@@ -28,12 +28,14 @@
 //! inbox, which the shard empties into its connections' write buffers
 //! after every read and every heap slice. A shard is the only thread that
 //! places a request, and executor `i`'s deadline heap belongs to shard
-//! `i % shards`, which sleeps no longer than until the heap's head, fires
-//! what is ripe and writes the answers out itself. Otherwise a shard wakes
-//! for socket readiness, for its eventfd [`Waker`] — another thread posted
-//! to its empty inbox or parked a deadline ahead of one of its heaps — for
-//! the planner's next tick or pass (shard 0), or once per sweep interval
-//! (idle reaping, write-stall dooming). A connection costs no thread.
+//! `i % shards`, which sleeps no longer than until the heap's head (at
+//! 1 ns timer slack, so it wakes at the head, not up to 50 µs past it),
+//! fires what is ripe and writes the answers out itself. Otherwise a shard
+//! wakes for socket readiness, for its eventfd [`Waker`] — another thread
+//! posted to its empty inbox or parked a deadline ahead of one of its
+//! heaps — for the planner's next tick or pass (shard 0), or once per sweep
+//! interval (idle reaping, write-stall dooming). A connection costs no
+//! thread.
 //! Every socket read and write goes straight to the socket: network faults
 //! are injected on the client side of the wire
 //! ([`crate::chaos::FaultyStream`]).
@@ -87,7 +89,7 @@
 
 use crate::chaos::{ComponentChaos, ComponentChaosPlan};
 use crate::clock::VirtualClock;
-use crate::epoll::{Epoll, Interest, Waker, WAKER_TOKEN};
+use crate::epoll::{set_min_timer_slack, Epoll, Interest, Waker, WAKER_TOKEN};
 use crate::executor::{CompletedBatch, Executor, Job};
 use crate::protocol::{
     DecodeError, ErrorBudget, ErrorCode, Frame, FrameReader, FrameWriteBuf, StatsPayload,
@@ -1781,7 +1783,7 @@ fn shard_loop(
         let mut timeout = cfg.sweep_interval.saturating_sub(last_sweep.elapsed());
         if let Some(at) = next_fire {
             let clock = &shared.clock;
-            timeout = timeout.min(clock.to_real(at.saturating_sub(clock.now())));
+            timeout = timeout.min(clock.real_until(at, clock.now()));
         }
         if let Some(planner) = &planner {
             timeout = timeout.min(planner.until_due());
@@ -1874,6 +1876,10 @@ fn run_shard(
     cfg: &ShardConfig,
     chaos: Option<ComponentChaosPlan>,
 ) {
+    // Wake at each deadline, not up to the default 50 µs slack after it:
+    // at 100× that slack is 5 virtual ms on every timed wake. A refusal
+    // costs only that precision.
+    let _ = set_min_timer_slack();
     let shard = &shared.shards[id];
     let died = !shared.recover(&shard.name, || {
         shard_loop(shared, id, door, planner, cfg, chaos);
@@ -2202,6 +2208,7 @@ fn handle_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoll::tests::own_timer_slack;
     use arlo_runtime::latency::CompiledRuntime;
     use arlo_runtime::models::ModelSpec;
     use arlo_runtime::profile::profile_runtimes;
@@ -2554,10 +2561,10 @@ mod tests {
         assert_eq!(shared.snapshot().dropped_responses, 1);
     }
 
-    #[test]
-    fn an_answer_to_a_connection_its_shard_closed_is_dropped_on_delivery() {
-        let shared = one_shard();
-        let cfg = ShardConfig {
+    /// A shard's settings for a shard driven by hand: no executors, and
+    /// no sweep or reap within a test's run.
+    fn idle_shard_config() -> ShardConfig {
+        ShardConfig {
             sweep_interval: Duration::from_secs(60),
             idle_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
@@ -2565,7 +2572,32 @@ mod tests {
             fire_slice: 4,
             executors: Vec::new(),
             heaps: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn a_shard_thread_runs_at_min_timer_slack() {
+        // Reading its own slack needs no capability, unlike reading
+        // another thread's (`tests/thread_layout.rs`).
+        let shared = one_shard();
+        let cfg = idle_shard_config();
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.shards[0].waker.wake();
+        let slack = std::thread::scope(|s| {
+            s.spawn(|| {
+                run_shard(&shared, 0, None, None, &cfg, None);
+                own_timer_slack()
+            })
+            .join()
+            .expect("the shard returns on shutdown")
+        });
+        assert_eq!(slack, 1);
+    }
+
+    #[test]
+    fn an_answer_to_a_connection_its_shard_closed_is_dropped_on_delivery() {
+        let shared = one_shard();
+        let cfg = idle_shard_config();
         let mut shard = Shard {
             shared: &shared,
             handle: &shared.shards[0],
