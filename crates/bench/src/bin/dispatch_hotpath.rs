@@ -4,18 +4,18 @@
 //!
 //! The cluster's dispatch reads (`least_loaded`, `instances_of`) used to
 //! scan every instance on every decision; they now run off an incremental
-//! per-runtime index (membership lists + lazy min-heaps, see
+//! per-runtime index (membership lists + exact load-bucket indexes, see
 //! `arlo-sim::cluster`). This binary measures the decision cost directly:
 //! each cell spins one policy against a populated cluster of a given size
 //! and reports mean wall-clock per decision. `arlo-rs-scan` runs Algorithm
 //! 1's one walk (`mlq_walk`) over the retained `least_loaded_scan` reference
 //! path — the pre-index baseline the speedup column compares against.
 //!
-//! Those cells only read, so the heaps never take a push. `arlo-rs-steady`
-//! is the simulator's steady state: every decision is followed by an
-//! enqueue and a completion on the chosen instance, so loads hold still
-//! while each heap takes two pushes per request (and is compacted at its
-//! `LoadHeap::bound`).
+//! Those cells only read, so the indexes never take an update.
+//! `arlo-rs-steady` is the simulator's steady state: every decision is
+//! followed by an enqueue and a completion on the chosen instance, so loads
+//! hold still while the chosen instance's bit moves up a bucket and back
+//! (two `LoadIndex::set`s per request).
 //!
 //! Cells are independent, so the policy × size grid runs through the
 //! bench crate's `sweep_parallel` runner. Results land in

@@ -9,18 +9,19 @@
 //! ([`mlq_walk`], the simulator's walk too) visiting levels under per-level
 //! locks.
 //!
-//! The priority queues are lazy binary heaps: load updates push fresh
-//! `(load, instance)` entries and stale entries are discarded at pop time —
-//! the textbook approach that keeps both dispatch and completion
-//! `O(log n)` amortized, matching the paper's `O(L) + O(log(N/K))` bound.
-//! A stale entry that sorts *below* a live one never reaches the top, so
-//! a level also rebuilds its heap from the load table once it holds more
-//! than `2 × instances + STALE_SLACK` entries; the live set, and with it
-//! every dispatch decision, is unchanged by a rebuild. The heap and that
-//! rule are one type, [`LoadHeap`], shared with the simulator's cluster.
+//! Each level's priority queue is an exact, eagerly maintained index of its
+//! admitted instances in load buckets ([`LoadIndex`], shared with the
+//! simulator's cluster). A load change moves one instance's bit between
+//! two buckets, a ban takes the instance out and an un-ban puts it back at
+//! its current load, so the head — the lowest set bit of the lowest
+//! non-empty bucket, the `(load, instance)` minimum — is read without
+//! discarding anything. A dispatch is therefore the `O(L)` walk over levels
+//! plus, per level visited, a head read and an update that walk none of the
+//! level's instances (a head read scans at most `⌈n / 64⌉` words, and the
+//! cursor moves past at most the buckets the load moved over).
 
 use crate::request_scheduler::{mlq_walk, Peek, RequestSchedulerConfig};
-use arlo_sim::cluster::LoadHeap;
+use arlo_sim::cluster::LoadIndex;
 use parking_lot::Mutex;
 
 /// Identifies an instance as (queue level, index within level).
@@ -40,13 +41,11 @@ struct Level {
 }
 
 struct LevelInner {
-    /// Outstanding requests per instance.
+    /// Outstanding requests per instance, banned ones included.
     loads: Vec<u32>,
-    /// Lazy min-heap of `(load, instance)`; entries are validated against
-    /// `loads` at pop time.
-    heap: LoadHeap,
-    /// Circuit-breaker mask: banned instances are invisible to `peek_head`
-    /// (their heap entries are discarded lazily, like stale loads) so the
+    /// The admitted instances at their `loads`.
+    index: LoadIndex,
+    /// Circuit-breaker mask: banned instances are out of `index`, so the
     /// fault-tolerance layer can quarantine an instance without touching
     /// Algorithm 1.
     banned: Vec<bool>,
@@ -56,12 +55,6 @@ struct LevelInner {
 }
 
 impl LevelInner {
-    /// Fresh minimum entry, discarding stale or banned ones.
-    fn peek_head(&mut self) -> Option<(usize, u32)> {
-        self.heap
-            .head(|load, idx| self.loads[idx] == load && !self.banned[idx])
-    }
-
     fn bump(&mut self, idx: usize, delta: i64) {
         let load = &mut self.loads[idx];
         let raw = i64::from(*load) + delta;
@@ -75,20 +68,9 @@ impl LevelInner {
         }
         let next = raw.max(0) as u32;
         *load = next;
-        self.push(idx);
-    }
-
-    /// Push `idx`'s current load, then compact the heap against the admitted
-    /// instances' loads (see [`LoadHeap::compact`]).
-    fn push(&mut self, idx: usize) {
-        let (loads, banned) = (&self.loads, &self.banned);
-        self.heap.push(loads[idx], idx);
-        self.heap.compact(
-            loads.len(),
-            (0..loads.len())
-                .filter(|&i| !banned[i])
-                .map(|i| (loads[i], i)),
-        );
+        if !self.banned[idx] {
+            self.index.set(idx, next);
+        }
     }
 }
 
@@ -133,18 +115,18 @@ impl SchedulerFrontend {
         let levels = levels
             .iter()
             .map(|&(max_length, capacity, count)| {
-                let loads = vec![0u32; count as usize];
-                let mut heap = LoadHeap::default();
-                for i in 0..count as usize {
-                    heap.push(0, i);
+                let count = count as usize;
+                let mut index = LoadIndex::with_ids(count);
+                for i in 0..count {
+                    index.set(i, 0);
                 }
                 Level {
                     max_length,
                     capacity,
                     inner: Mutex::new(LevelInner {
-                        loads,
-                        heap,
-                        banned: vec![false; count as usize],
+                        loads: vec![0; count],
+                        index,
+                        banned: vec![false; count],
                         underflows: 0,
                     }),
                 }
@@ -171,7 +153,7 @@ impl SchedulerFrontend {
         mlq_walk(&self.config, length, max_lengths, |level, bar| {
             let queue = &self.levels[level];
             let mut inner = queue.inner.lock();
-            let Some((index, load)) = inner.peek_head() else {
+            let Some((index, load)) = inner.index.head() else {
                 return Peek::Empty;
             };
             if !bar.admits(load, queue.capacity) {
@@ -199,8 +181,8 @@ impl SchedulerFrontend {
     /// Record a completed batch of `n` executions on one instance,
     /// releasing `n` units of load under a single level lock — the batched
     /// sibling of [`SchedulerFrontend::complete`], used by
-    /// batch-completion reporting so an N-request batch costs one heap
-    /// push instead of N.
+    /// batch-completion reporting so an N-request batch costs one index
+    /// update instead of N.
     pub fn complete_n(&self, handle: InstanceHandle, n: u32) {
         if n == 0 {
             return;
@@ -223,13 +205,16 @@ impl SchedulerFrontend {
     ///
     /// A closed instance is skipped by `dispatch` exactly as if its level
     /// did not contain it; outstanding work still completes normally via
-    /// [`SchedulerFrontend::complete`]. Re-opening pushes a fresh heap entry
-    /// so the instance becomes discoverable again at its current load.
+    /// [`SchedulerFrontend::complete`]. Closing takes the instance out of
+    /// its level's index; re-opening puts it back at its current load.
     pub fn set_admitting(&self, handle: InstanceHandle, admitting: bool) {
         let mut inner = self.levels[handle.level].inner.lock();
         inner.banned[handle.index] = !admitting;
         if admitting {
-            inner.push(handle.index);
+            let load = inner.loads[handle.index];
+            inner.index.set(handle.index, load);
+        } else {
+            inner.index.remove(handle.index);
         }
     }
 
@@ -281,25 +266,35 @@ mod tests {
     }
 
     #[test]
-    fn alternating_dispatch_and_complete_keeps_the_heap_bounded() {
-        // Load 0 → 1 → 0 on every request: the live `(0, i)` entry always
-        // sits on top, so pop-time discarding never fires and, before
-        // compaction, the heap grew by two entries per request.
-        let f = frontend(&[(64, 10, 2), (512, 10, 1)]);
+    fn alternating_dispatch_and_complete_keeps_the_index_small() {
+        // Load 0 → 1 → 0 on every request, then a backlog that drains: the
+        // index holds a bucket per load up to the highest live one and a
+        // word per 64 instances, whatever went through it before.
+        let small = |f: &SchedulerFrontend| {
+            for level in &f.levels {
+                let inner = level.inner.lock();
+                let highest = inner.loads.iter().max().copied().unwrap_or(0);
+                assert!(
+                    inner.index.buckets() <= highest as usize + 1,
+                    "{} buckets for a highest load of {highest}",
+                    inner.index.buckets()
+                );
+                assert_eq!(inner.index.words(), inner.loads.len().div_ceil(64));
+            }
+        };
+        let f = frontend(&[(64, 10, 2), (512, 10, 70)]);
         for _ in 0..10_000 {
             let h = f.dispatch(50).expect("dispatch");
             f.complete(h);
         }
-        for level in &f.levels {
-            let inner = level.inner.lock();
-            assert!(
-                inner.heap.len() <= LoadHeap::bound(inner.loads.len()),
-                "heap holds {} entries for {} instances",
-                inner.heap.len(),
-                inner.loads.len()
-            );
+        small(&f);
+        let held: Vec<_> = (0..300).map(|_| f.dispatch(300).expect("ok")).collect();
+        small(&f);
+        for h in held {
+            f.complete(h);
         }
-        // Rebuilds kept the live set: an idle level still balances.
+        small(&f);
+        // An idle level still balances.
         let picks: Vec<usize> = (0..2).map(|_| f.dispatch(50).expect("ok").index).collect();
         assert_eq!(picks, vec![0, 1]);
     }
@@ -510,5 +505,88 @@ mod tests {
             f.complete(h);
         }
         assert_eq!(f.underflow_count(), 0);
+    }
+
+    /// Random dispatch / complete / preload / ban / unban sequences,
+    /// including batch completions that drop a load by its whole batch and
+    /// levels emptied by bans: after every step each level's head is the
+    /// brute-force `(load, index)` minimum over its unbanned instances,
+    /// and its index holds exactly those instances in no spare bucket.
+    #[test]
+    fn level_heads_match_a_brute_force_minimum_under_random_operations() {
+        use proptest::prelude::*;
+        proptest!(ProptestConfig::with_cases(128), |(
+            counts in (0u32..5, 0u32..5, 0u32..70),
+            ops in proptest::collection::vec((0u8..9, 0u64..1 << 32, 0u64..1 << 32), 1..400),
+        )| {
+            let levels = [(64, 8, counts.0), (256, 6, counts.1), (512, 4, counts.2)];
+            let f = frontend(&levels);
+            let mut loads: Vec<Vec<u32>> = levels.iter().map(|l| vec![0; l.2 as usize]).collect();
+            let mut banned: Vec<Vec<bool>> = levels.iter().map(|l| vec![false; l.2 as usize]).collect();
+            let handles: Vec<InstanceHandle> = loads
+                .iter()
+                .enumerate()
+                .flat_map(|(level, l)| (0..l.len()).map(move |index| InstanceHandle { level, index }))
+                .collect();
+            let pick = |roll: u64| (!handles.is_empty()).then(|| handles[roll as usize % handles.len()]);
+            for &(op, a, b) in &ops {
+                match op {
+                    0..=2 => {
+                        if let Some(h) = f.dispatch(1 + (a % 512) as u32) {
+                            prop_assert!(!banned[h.level][h.index], "dispatch to banned {h:?}");
+                            loads[h.level][h.index] += 1;
+                        }
+                    }
+                    3 | 4 => {
+                        // One completion, or the instance's whole backlog
+                        // as one batch.
+                        let busy: Vec<_> = handles.iter().copied()
+                            .filter(|h| loads[h.level][h.index] > 0)
+                            .collect();
+                        if let Some(&h) = busy.get(a as usize % busy.len().max(1)) {
+                            let n = if op == 3 { 1 } else { loads[h.level][h.index] };
+                            f.complete_n(h, n);
+                            loads[h.level][h.index] -= n;
+                        }
+                    }
+                    5 => {
+                        if let Some(h) = pick(a) {
+                            let load = (b % 24) as u32;
+                            f.preload(h, load);
+                            loads[h.level][h.index] = load;
+                        }
+                    }
+                    6 | 7 => {
+                        if let Some(h) = pick(a) {
+                            let admitting = op == 7;
+                            f.set_admitting(h, admitting);
+                            banned[h.level][h.index] = !admitting;
+                        }
+                    }
+                    _ => {
+                        // Ban or unban a whole level.
+                        let level = (a % 3) as usize;
+                        let admitting = b % 2 == 0;
+                        for (index, banned) in banned[level].iter_mut().enumerate() {
+                            f.set_admitting(InstanceHandle { level, index }, admitting);
+                            *banned = !admitting;
+                        }
+                    }
+                }
+                for (level, queue) in f.levels.iter().enumerate() {
+                    let mut admitted: Vec<(usize, u32)> = (0..loads[level].len())
+                        .filter(|&i| !banned[level][i])
+                        .map(|i| (i, loads[level][i]))
+                        .collect();
+                    admitted.sort_unstable_by_key(|&(i, load)| (load, i));
+                    let inner = queue.inner.lock();
+                    prop_assert_eq!(inner.index.head(), admitted.first().copied(), "level {}", level);
+                    prop_assert_eq!(inner.index.entries().collect::<Vec<_>>(), admitted.clone());
+                    let buckets = admitted.iter().map(|&(_, load)| load as usize + 1).max();
+                    prop_assert_eq!(inner.index.buckets(), buckets.unwrap_or(0));
+                    prop_assert_eq!(&inner.loads, &loads[level]);
+                }
+            }
+        });
     }
 }

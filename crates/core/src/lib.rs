@@ -21,7 +21,7 @@
 //!   into the `arlo-sim` discrete-event cluster; the entry point for every
 //!   figure and table reproduction.
 //! * [`frontend`] — the standalone thread-safe multi-level-queue frontend
-//!   measured in the Fig. 9 overhead study (lazy per-level priority queues
+//!   measured in the Fig. 9 overhead study (exact per-level load indexes
 //!   behind `parking_lot` mutexes).
 //! * [`motivating`] — the Fig. 4 example reproduced exactly (ideal policy:
 //!   5 violations; greedy: 8; clairvoyant split: 0).

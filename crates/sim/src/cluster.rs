@@ -6,86 +6,183 @@
 //! head request runs to completion, the rest wait. Instance replacement
 //! (§4) drains the queue, swaps the runtime in ~1 s, and resumes; scale-in
 //! retirement drains and releases the GPU.
+//!
+//! Dispatchers read each runtime's least-loaded accepting instance from an
+//! exact [`LoadIndex`] (load buckets of instance bitsets, kept current on
+//! every load or acceptance change), the type the live frontend's levels
+//! use too: a dispatch is the O(L) Algorithm 1 walk plus, per level, a
+//! head read and an update that walk none of the level's instances.
 
 use arlo_runtime::latency::JitterSpec;
 use arlo_runtime::profile::RuntimeProfile;
 use arlo_trace::workload::Request;
 use arlo_trace::Nanos;
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Index of an instance within the cluster (stable for its lifetime).
 pub type InstanceId = usize;
 
-/// Stale entries a [`LoadHeap`] tolerates, beyond two per member, before it
-/// rebuilds: large enough that a rebuild amortizes to O(1) per push, small
-/// enough that a level's heap stays within a page or two.
-pub const STALE_SLACK: usize = 64;
-
-/// A runtime level's lazy dispatch heap: a min-heap over `(load, id)` keys,
-/// shared by the simulator's [`Cluster`] and the live frontend
-/// (`arlo-core`'s `SchedulerFrontend`). Both read their heads through the
-/// same Algorithm 1 walk (`arlo-core`'s `mlq_walk`).
+/// A runtime level's dispatch index: exactly the instances a dispatcher may
+/// pick, each at its current load, ordered by `(load, id)`. Shared by the
+/// simulator's [`Cluster`] and the live frontend (`arlo-core`'s
+/// `SchedulerFrontend`); both read their heads through the same Algorithm 1
+/// walk (`arlo-core`'s `mlq_walk`).
 ///
-/// Every load change pushes a fresh entry; nothing is removed eagerly. A
-/// reader takes the least entry its caller's liveness check accepts and
-/// pops the stale ones above it ([`LoadHeap::head`]). Pop-time discarding
-/// alone never reclaims an entry that sorts *below* a live one — an
-/// instance whose load only alternates 0 → 1 → 0 leaves two dead entries
-/// behind per request, forever — so [`LoadHeap::compact`] rebuilds the heap
-/// from the caller's live set once it holds more than
-/// [`LoadHeap::bound`]`(members)` entries. A rebuild keeps the live set, and
-/// with it the `(load, id)` minimum every dispatch decision reads.
+/// Load buckets: bucket `l` is a bitset of the ids held at load `l`, and
+/// `min` is the lowest non-empty bucket. The head is the lowest set bit of
+/// bucket `min`, which is the `(load, id)` minimum, tie-break included. The
+/// index is maintained eagerly: [`LoadIndex::set`] moves one bit (and the
+/// cursor, past at most the buckets the load moved over) and
+/// [`LoadIndex::remove`] clears one, so nothing stale is ever held and a
+/// read needs no liveness check. Trailing empty buckets are trimmed, so the
+/// index holds `highest load + 1` buckets of `⌈ids / 64⌉` words each.
 #[derive(Debug, Clone, Default)]
-pub struct LoadHeap {
-    heap: BinaryHeap<Reverse<(u32, InstanceId)>>,
+pub struct LoadIndex {
+    /// The buckets' bitsets, `words` words each: bucket `l` is
+    /// `bits[l * words..(l + 1) * words]`.
+    bits: Vec<u64>,
+    /// Ids held per bucket; the last bucket is never empty.
+    counts: Vec<u32>,
+    /// Words per bucket.
+    words: usize,
+    /// Each id's load while held, [`LoadIndex::ABSENT`] otherwise.
+    at: Vec<u32>,
+    /// The lowest non-empty bucket (0 while the index is empty).
+    min: usize,
+    /// Ids held.
+    len: usize,
 }
 
-impl LoadHeap {
-    /// Most entries a heap over `members` instances holds after a
-    /// [`LoadHeap::compact`]: `2 × members + STALE_SLACK`.
-    pub fn bound(members: usize) -> usize {
-        2 * members + STALE_SLACK
-    }
+impl LoadIndex {
+    /// The `at` entry of an id the index does not hold.
+    const ABSENT: u32 = u32::MAX;
 
-    /// Entries held, live and stale.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when the heap holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Record `id`'s current load.
-    pub fn push(&mut self, load: u32, id: InstanceId) {
-        self.heap.push(Reverse((load, id)));
-    }
-
-    /// The least `(load, id)` entry for which `live(load, id)` holds, as
-    /// `(id, load)`; entries above it that fail the check are discarded.
-    pub fn head(
-        &mut self,
-        mut live: impl FnMut(u32, InstanceId) -> bool,
-    ) -> Option<(InstanceId, u32)> {
-        while let Some(&Reverse((load, id))) = self.heap.peek() {
-            if live(load, id) {
-                return Some((id, load));
-            }
-            self.heap.pop();
+    /// An empty index sized for ids `0..ids`; a larger id grows it.
+    pub fn with_ids(ids: usize) -> Self {
+        LoadIndex {
+            words: ids.div_ceil(64),
+            at: vec![Self::ABSENT; ids],
+            ..LoadIndex::default()
         }
-        None
     }
 
-    /// Rebuild from `live` — the `(load, id)` key of every instance a
-    /// reader may return — once the heap holds more than
-    /// [`LoadHeap::bound`]`(members)` entries. `live` is only walked then.
-    pub fn compact(&mut self, members: usize, live: impl IntoIterator<Item = (u32, InstanceId)>) {
-        if self.heap.len() > Self::bound(members) {
-            self.heap.clear();
-            self.heap.extend(live.into_iter().map(Reverse));
+    /// Ids held.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Buckets held: the highest held load + 1, or 0 while empty.
+    pub fn buckets(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Words per bucket: `⌈(highest id ever held + 1) / 64⌉`, or the
+    /// [`LoadIndex::with_ids`] size if larger.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// `id`'s load, if the index holds it.
+    pub(crate) fn load_of(&self, id: InstanceId) -> Option<u32> {
+        self.at.get(id).copied().filter(|&l| l != Self::ABSENT)
+    }
+
+    /// The least `(load, id)` entry, as `(id, load)`.
+    pub fn head(&self) -> Option<(InstanceId, u32)> {
+        if self.len == 0 {
+            return None;
+        }
+        let bucket = &self.bits[self.min * self.words..][..self.words];
+        let (word, bits) = bucket
+            .iter()
+            .enumerate()
+            .find(|(_, bits)| **bits != 0)
+            .expect("the min bucket holds an id");
+        Some((word * 64 + bits.trailing_zeros() as usize, self.min as u32))
+    }
+
+    /// Every held entry as `(id, load)`, ascending by `(load, id)`, read
+    /// from the bitsets.
+    pub fn entries(&self) -> impl Iterator<Item = (InstanceId, u32)> + '_ {
+        self.bits.iter().enumerate().flat_map(move |(i, &bits)| {
+            let (load, word) = (i / self.words, i % self.words);
+            (0..64)
+                .filter(move |b| bits & (1u64 << b) != 0)
+                .map(move |b| (word * 64 + b, load as u32))
+        })
+    }
+
+    /// Hold `id` at `load`, inserting it or moving it from its old load.
+    pub fn set(&mut self, id: InstanceId, load: u32) {
+        assert!(load != Self::ABSENT, "load {load} out of range");
+        self.fit(id);
+        match self.at[id] {
+            old if old == load => return,
+            Self::ABSENT => self.len += 1,
+            old => self.clear(id, old),
+        }
+        self.at[id] = load;
+        let bucket = load as usize;
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+            self.bits.resize((bucket + 1) * self.words, 0);
+        }
+        self.bits[bucket * self.words + id / 64] |= 1 << (id % 64);
+        self.counts[bucket] += 1;
+        self.min = self.min.min(bucket);
+        self.settle();
+    }
+
+    /// Stop holding `id` (a no-op if it is not held).
+    pub fn remove(&mut self, id: InstanceId) {
+        let Some(load) = self.load_of(id) else {
+            return;
+        };
+        self.at[id] = Self::ABSENT;
+        self.len -= 1;
+        self.clear(id, load);
+        self.settle();
+    }
+
+    /// Clear `id`'s bit in bucket `load`.
+    fn clear(&mut self, id: InstanceId, load: u32) {
+        let bucket = load as usize;
+        self.bits[bucket * self.words + id / 64] &= !(1 << (id % 64));
+        self.counts[bucket] -= 1;
+    }
+
+    /// Trim trailing empty buckets and move `min` up to the lowest
+    /// non-empty one. Every bucket below `min` is empty on entry.
+    fn settle(&mut self) {
+        while self.counts.last() == Some(&0) {
+            self.counts.pop();
+        }
+        self.bits.truncate(self.counts.len() * self.words);
+        if self.len == 0 {
+            self.min = 0;
+            return;
+        }
+        while self.counts[self.min] == 0 {
+            self.min += 1;
+        }
+    }
+
+    /// Grow the id space to hold `id`, re-laying the buckets if they need
+    /// another word.
+    fn fit(&mut self, id: InstanceId) {
+        if id >= self.at.len() {
+            self.at.resize(id + 1, Self::ABSENT);
+        }
+        let words = id / 64 + 1;
+        if words > self.words {
+            let mut bits = vec![0; self.counts.len() * words];
+            if self.words > 0 {
+                for (old, new) in self.bits.chunks(self.words).zip(bits.chunks_mut(words)) {
+                    new[..self.words].copy_from_slice(old);
+                }
+            }
+            self.bits = bits;
+            self.words = words;
         }
     }
 }
@@ -229,17 +326,12 @@ impl<'a> ClusterView<'a> {
     /// paper's per-runtime priority queue (Fig. 5). Ties break on the lower
     /// instance id for determinism.
     ///
-    /// Served from the runtime's lazy min-heap: entries whose
-    /// `(outstanding, id)` key no longer matches the instance's live state
-    /// are popped and discarded until a valid head surfaces — O(log k)
-    /// amortized, with decisions identical to
-    /// [`ClusterView::least_loaded_scan`].
+    /// Read from the runtime's exact [`LoadIndex`]: the lowest set bit of
+    /// its lowest non-empty load bucket, a scan of at most `⌈N / 64⌉`
+    /// words that walks none of the level's instances, with decisions
+    /// identical to [`ClusterView::least_loaded_scan`].
     pub fn least_loaded(&self, runtime_idx: usize) -> Option<(InstanceId, u32)> {
-        let limit = self.cluster.queue_limits[runtime_idx];
-        self.cluster.heaps.borrow_mut()[runtime_idx].head(|load, id| {
-            let inst = &self.cluster.instances[id];
-            inst.runtime_idx == runtime_idx && inst.outstanding() == load && inst.accepts(limit)
-        })
+        self.cluster.index[runtime_idx].head()
     }
 
     /// Reference O(N) implementation of [`ClusterView::least_loaded`] — the
@@ -398,24 +490,25 @@ impl<'a> ClusterView<'a> {
 /// - `members[rt]` — ids of the non-retired instances currently on runtime
 ///   `rt`, sorted ascending. Updated on runtime swaps, scale-out and
 ///   retirement, so `instances_of` walks only that runtime's k instances.
-/// - `heaps[rt]` — a [`LoadHeap`]: a *lazy* min-heap of `(outstanding, id)`
-///   keys over the accepting instances of `rt`. Every mutation that can
-///   change an instance's key or make it newly accepting pushes a fresh
-///   entry; entries are never removed eagerly. A reader pops entries whose
-///   key no longer matches the instance's live state (the staleness rule),
-///   so `least_loaded` is O(log k) amortized and always agrees with a fresh
-///   scan — including the `(load, id)` tie-break, because the heap orders
-///   by exactly that tuple. Once a heap holds more than
-///   `2 × members[rt].len() + STALE_SLACK` entries it is rebuilt from
-///   `members[rt]` filtered by `accepts` (the bound), so it never outgrows
-///   its level — the same rule, in the same type, as the live frontend.
+/// - `index[rt]` — a [`LoadIndex`]: exactly the accepting instances of
+///   `rt`, each at its current outstanding count, in load buckets. Every
+///   mutation that can change an instance's load or its `accepts()` —
+///   enqueue, completion, gate, pending target, retirement, load done,
+///   runtime swap, eviction, crash — calls `index_refresh`, which inserts,
+///   moves or removes that one instance. `least_loaded` is then a head
+///   read that walks none of the level's instances, and it agrees with a
+///   fresh scan, `(load, id)` tie-break included, because the index orders
+///   by exactly that tuple. The live frontend uses the same type.
 /// - `committed` / `live_gpus` / `outstanding_total` — incrementally
 ///   maintained counters behind `committed_counts`, `gpu_count` and
 ///   `total_outstanding`.
 ///
 /// `debug_validate_index` cross-checks all of this against the reference
-/// scans; the differential property test drives it through random
+/// scans; the differential property tests drive it through random
 /// event sequences.
+///
+/// With no jitter, an execution's base cost is read from `exec_table`,
+/// each runtime's `exec_nanos(len)` computed once at construction.
 #[derive(Debug)]
 pub struct Cluster {
     profiles: Vec<RuntimeProfile>,
@@ -431,9 +524,11 @@ pub struct Cluster {
     /// Per-runtime membership: sorted ids of non-retired instances whose
     /// current `runtime_idx` is the list index.
     members: Vec<Vec<InstanceId>>,
-    /// Per-runtime lazy min-heaps keyed by `(outstanding, id)`. Interior
-    /// mutability lets read-only [`ClusterView`]s discard stale entries.
-    heaps: RefCell<Vec<LoadHeap>>,
+    /// Per-runtime exact load indexes over the accepting instances.
+    index: Vec<LoadIndex>,
+    /// `exec_table[rt][len]`: runtime `rt`'s `exec_nanos(len)` (0 at
+    /// `len = 0`), read by `start_next` when there is no jitter.
+    exec_table: Vec<Vec<Nanos>>,
     /// Committed (non-retiring, non-retired) instances per runtime, counting
     /// mid-replacement movers toward their target.
     committed: Vec<u32>,
@@ -510,6 +605,15 @@ impl Cluster {
                 });
             }
         }
+        let exec_table = profiles
+            .iter()
+            .map(|p| {
+                let runtime = &p.runtime;
+                std::iter::once(0)
+                    .chain((1..=runtime.max_length()).map(|len| runtime.exec_nanos(len)))
+                    .collect()
+            })
+            .collect();
         let mut cluster = Cluster {
             profiles,
             instances,
@@ -518,7 +622,8 @@ impl Cluster {
             queue_limits,
             batch: BatchSpec::SINGLE,
             members: Vec::new(),
-            heaps: RefCell::new(Vec::new()),
+            index: Vec::new(),
+            exec_table,
             committed: Vec::new(),
             live_gpus: 0,
             outstanding_total: 0,
@@ -527,7 +632,7 @@ impl Cluster {
         cluster
     }
 
-    /// Rebuild the dispatch index (membership lists, heaps, counters) from
+    /// Rebuild the dispatch index (membership lists, load indexes, counters) from
     /// scratch. Called once at construction; afterwards every mutation
     /// maintains the index incrementally.
     fn rebuild_index(&mut self) {
@@ -536,7 +641,7 @@ impl Cluster {
         self.committed = vec![0; k];
         self.live_gpus = 0;
         self.outstanding_total = 0;
-        let mut heaps = vec![LoadHeap::default(); k];
+        self.index = vec![LoadIndex::with_ids(self.instances.len()); k];
         for (id, inst) in self.instances.iter().enumerate() {
             self.outstanding_total += u64::from(inst.outstanding());
             if inst.state == InstanceState::Retired {
@@ -549,19 +654,16 @@ impl Cluster {
                 self.committed[inst.pending_target.unwrap_or(rt)] += 1;
             }
             if inst.accepts(self.queue_limits[rt]) {
-                heaps[rt].push(inst.outstanding(), id);
+                self.index[rt].set(id, inst.outstanding());
             }
         }
-        *self.heaps.get_mut() = heaps;
     }
 
-    /// Push a fresh heap entry for `id` if it is currently accepting — the
-    /// single maintenance hook called by every mutation that can change an
-    /// instance's `(outstanding, id)` key or make it newly accepting.
-    /// Entries left behind by earlier states go stale and are discarded at
-    /// read time or by the next compaction; correctness only requires that
-    /// an accepting instance's *current* key is always present in its
-    /// runtime's heap.
+    /// Put `id` in its runtime's index at its current load if it accepts,
+    /// and take it out if it does not — the single maintenance hook called
+    /// by every mutation that can change an instance's load or its
+    /// `accepts()`. An instance leaving a runtime leaves that runtime's
+    /// index in `member_remove`.
     fn index_refresh(&mut self, id: InstanceId) {
         let inst = &self.instances[id];
         if inst.state == InstanceState::Retired {
@@ -569,29 +671,13 @@ impl Cluster {
         }
         let rt = inst.runtime_idx;
         if inst.accepts(self.queue_limits[rt]) {
-            self.heaps.get_mut()[rt].push(inst.outstanding(), id);
-            self.heap_compact(rt);
+            self.index[rt].set(id, inst.outstanding());
+        } else {
+            self.index[rt].remove(id);
         }
     }
 
-    /// Rebuild runtime `rt`'s heap from its accepting members once it
-    /// exceeds [`LoadHeap::bound`] — the live set, and so every
-    /// `least_loaded` answer, is unchanged.
-    fn heap_compact(&mut self, rt: usize) {
-        let limit = self.queue_limits[rt];
-        let instances = &self.instances;
-        let members = &self.members[rt];
-        self.heaps.get_mut()[rt].compact(
-            members.len(),
-            members.iter().filter_map(|&id| {
-                let inst = &instances[id];
-                inst.accepts(limit).then(|| (inst.outstanding(), id))
-            }),
-        );
-    }
-
-    /// Remove `id` from runtime `rt`'s membership list. The level's bound
-    /// shrinks with it, so its heap is compacted against the new bound.
+    /// Remove `id` from runtime `rt`'s membership list and index.
     fn member_remove(&mut self, rt: usize, id: InstanceId) {
         let m = &mut self.members[rt];
         let pos = m
@@ -599,7 +685,7 @@ impl Cluster {
             .position(|&x| x == id)
             .expect("membership list out of sync");
         m.remove(pos);
-        self.heap_compact(rt);
+        self.index[rt].remove(id);
     }
 
     /// Insert `id` into runtime `rt`'s membership list, keeping it sorted.
@@ -612,9 +698,11 @@ impl Cluster {
 
     /// Cross-check the incremental index against the reference scans —
     /// membership partition, counters, per-runtime `least_loaded`
-    /// agreement (including tie-breaks) and the heap bound
-    /// (`len ≤ 2 × members + STALE_SLACK`). Used by the driver's
-    /// debug-build event hook and the differential tests.
+    /// agreement (including tie-breaks), and each runtime's [`LoadIndex`]
+    /// holding exactly its accepting members at their current loads, and
+    /// nothing else, in no more buckets than the highest of those loads
+    /// needs. Used by the driver's debug-build event hook and the
+    /// differential tests.
     pub fn debug_validate_index(&self) {
         let view = self.view();
         assert_eq!(
@@ -664,10 +752,27 @@ impl Cluster {
                 view.least_loaded_scan(rt),
                 "indexed least_loaded diverges from the scan on runtime {rt}"
             );
-            let (held, members) = (self.heaps.borrow()[rt].len(), self.members[rt].len());
-            assert!(
-                held <= LoadHeap::bound(members),
-                "runtime {rt}'s heap holds {held} entries for {members} members"
+            let mut accepting: Vec<(InstanceId, u32)> = view.instances_of(rt).collect();
+            accepting.sort_unstable_by_key(|&(id, load)| (load, id));
+            let index = &self.index[rt];
+            assert_eq!(
+                index.entries().collect::<Vec<_>>(),
+                accepting,
+                "runtime {rt}'s index does not hold exactly its accepting members"
+            );
+            assert_eq!(index.len(), accepting.len(), "runtime {rt}'s index count");
+            for &(id, load) in &accepting {
+                assert_eq!(
+                    index.load_of(id),
+                    Some(load),
+                    "runtime {rt}'s index load of {id}"
+                );
+            }
+            let buckets = accepting.iter().map(|&(_, load)| load as usize + 1).max();
+            assert_eq!(
+                index.buckets(),
+                buckets.unwrap_or(0),
+                "runtime {rt}'s index keeps trailing empty buckets"
             );
         }
     }
@@ -735,9 +840,13 @@ impl Cluster {
         // The batch pads to its longest member; jitter keys off the first
         // request so replays stay deterministic.
         let longest = requests.iter().map(|r| r.length).max().expect("non-empty");
-        let base = profile
-            .runtime
-            .exec_nanos_jittered(longest, self.jitter, requests[0].id);
+        let base = if self.jitter == JitterSpec::NONE {
+            self.exec_table[inst.runtime_idx][longest as usize]
+        } else {
+            profile
+                .runtime
+                .exec_nanos_jittered(longest, self.jitter, requests[0].id)
+        };
         let degrade = inst.fail_slow.map_or(1.0, |(since, ramp)| {
             1.0 + ramp * (now.saturating_sub(since) as f64 / arlo_trace::NANOS_PER_SEC as f64)
         });
@@ -925,6 +1034,7 @@ impl Cluster {
                         started_loading.push((id, ready_at));
                     }
                 }
+                self.index_refresh(id);
             }
         }
         started_loading
@@ -998,6 +1108,8 @@ impl Cluster {
         if idle {
             self.member_remove(rt, id);
             self.live_gpus -= 1;
+        } else {
+            self.index_refresh(id);
         }
         idle
     }
@@ -1030,9 +1142,8 @@ impl Cluster {
     }
 
     /// Set an instance's circuit-breaker gate (fault-tolerance layer).
-    /// An un-ban (`Closed` → `Open`/`Probe`) makes the instance visible to
-    /// dispatch again, so a fresh heap entry is pushed; a ban just leaves
-    /// its entries to go stale.
+    /// A ban takes the instance out of its runtime's index; an un-ban
+    /// (`Closed` → `Open`/`Probe`) puts it back at its current load.
     pub fn set_admit_gate(&mut self, id: InstanceId, gate: AdmitGate) {
         self.instances[id].gate = gate;
         self.index_refresh(id);
@@ -1080,12 +1191,13 @@ impl Cluster {
             }
         }
         self.outstanding_total -= orphans.len() as u64;
+        self.index_refresh(id);
         (orphans, ready_at, had_running)
     }
 
     /// The least-busy accepting instance across the whole cluster (the
     /// auto-scaler's scale-in victim). The global minimum of the per-runtime
-    /// heap heads — O(K log k) instead of a full scan, with the same
+    /// index heads — O(K) head reads instead of a full scan, with the same
     /// `(outstanding, id)` tie-break.
     pub fn least_busy_instance(&self) -> Option<InstanceId> {
         let view = self.view();
@@ -1293,10 +1405,9 @@ mod tests {
     }
 
     #[test]
-    fn alternating_enqueue_and_complete_keeps_the_heap_bounded() {
+    fn alternating_enqueue_and_complete_keeps_the_index_exact() {
         // Outstanding 0 → 1 → 0 on every request with no dispatch read in
-        // between: nothing pops, so before compaction the heap grew by two
-        // entries per request.
+        // between: the index moves one bit each way and holds nothing else.
         let mut c = cluster(&[2, 0, 1]);
         let (mut now, mut finished) = (0, Vec::new());
         for id in 0..100_000 {
@@ -1304,16 +1415,65 @@ mod tests {
             now = started.completes_at;
             c.complete(0, now, &mut finished);
         }
-        let held = c.heaps.borrow()[0].len();
-        assert!(
-            held <= LoadHeap::bound(2),
-            "heap holds {held} entries for 2 members"
-        );
+        assert_eq!(c.index[0].entries().collect::<Vec<_>>(), [(0, 0), (1, 0)]);
+        assert_eq!((c.index[0].buckets(), c.index[0].words()), (1, 1));
         c.debug_validate_index();
-        // Rebuilds kept the live set: the idle level still balances.
         assert_eq!(c.view().least_loaded(0), Some((0, 0)));
         c.enqueue(0, req(100_000, 30, now), now);
         assert_eq!(c.view().least_loaded(0), Some((1, 0)));
+    }
+
+    #[test]
+    fn load_index_orders_by_load_then_id() {
+        let mut index = LoadIndex::with_ids(3);
+        assert_eq!(index.head(), None);
+        for (id, load) in [(2, 1), (1, 1), (0, 3)] {
+            index.set(id, load);
+        }
+        assert_eq!(index.head(), Some((1, 1)), "ties break on the lower id");
+        index.set(1, 5);
+        assert_eq!(index.head(), Some((2, 1)));
+        index.remove(2);
+        assert_eq!(index.head(), Some((0, 3)), "the cursor skips empty buckets");
+        index.set(0, 6);
+        assert_eq!(index.head(), Some((1, 5)));
+        assert_eq!(index.buckets(), 7);
+        index.remove(0);
+        assert_eq!(index.buckets(), 6, "trailing empty buckets are trimmed");
+        index.remove(0);
+        index.remove(1);
+        assert_eq!(index.len(), 0);
+        assert_eq!((index.head(), index.buckets()), (None, 0));
+        // An id past the sized range re-lays the buckets at two words.
+        index.set(1, 2);
+        index.set(70, 2);
+        index.set(64, 0);
+        assert_eq!(index.words(), 2);
+        assert_eq!(
+            index.entries().collect::<Vec<_>>(),
+            [(64, 0), (1, 2), (70, 2)]
+        );
+        index.remove(64);
+        assert_eq!(index.head(), Some((1, 2)));
+        assert_eq!(index.load_of(70), Some(2));
+        assert_eq!(index.load_of(64), None);
+    }
+
+    #[test]
+    fn unjittered_executions_cost_exactly_the_runtimes_exec_nanos() {
+        // `start_next` reads the precomputed table when there is no jitter:
+        // every length of every runtime costs what the runtime says.
+        let c = cluster(&[1, 1, 1]);
+        for (rt, profile) in c.profiles().iter().enumerate() {
+            for len in 1..=profile.max_length() {
+                assert_eq!(
+                    c.exec_table[rt][len as usize],
+                    profile
+                        .runtime
+                        .exec_nanos_jittered(len, JitterSpec::NONE, u64::from(len)),
+                );
+            }
+        }
     }
 
     #[test]

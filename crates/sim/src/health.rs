@@ -30,11 +30,12 @@
 //! monotonic nanoseconds into every method, so simulations replay exactly.
 //!
 //! Gate changes interact with the cluster's dispatch index: `set_admit_gate`
-//! (and the eviction that accompanies quarantine) re-registers the instance
-//! in its runtime's lazy min-heap on the transition back to an accepting
-//! state, so bans and recoveries are O(log k) and a re-admitted instance is
-//! immediately visible to `least_loaded` — see the index invariants in
-//! DESIGN.md §3 and `cluster::Cluster`.
+//! (and the eviction that accompanies quarantine) takes the instance out of
+//! its runtime's load index on a ban and puts it back at its current load
+//! on the transition back to an accepting state, so a ban or recovery moves
+//! one bit and a re-admitted instance is immediately visible to
+//! `least_loaded` — see the index invariants in DESIGN.md §3 and
+//! `cluster::Cluster`.
 
 use arlo_trace::Nanos;
 use std::collections::VecDeque;
