@@ -49,8 +49,10 @@ fn run_stream(
         &LATENCY_HEADERS,
         &rows,
     );
-    let mean = |i: usize| reports[i].1.latency_summary().mean;
-    let p98 = |i: usize| reports[i].1.latency_summary().p98;
+    // `latency_summary` sorts every latency: take it once per scheme.
+    let summaries: Vec<_> = reports.iter().map(|(_, r)| r.latency_summary()).collect();
+    let mean = |i: usize| summaries[i].mean;
+    let p98 = |i: usize| summaries[i].p98;
     println!(
         "mean reductions: vs ST {:.1}% (paper 70.3/98.1), vs DT {:.1}% (paper 24.1/30.7), \
          vs INFaaS {:.1}% (paper 31.3/41.7)",
@@ -68,16 +70,13 @@ fn run_stream(
     let curves: Vec<arlo_bench::chart::Series> = reports
         .iter()
         .map(|(name, r)| {
-            // Clip the x-axis at the p99 of the slowest scheme so the
+            // Clip the x-axis at the p90 of the slowest scheme so the
             // meltdown tail does not flatten everyone else ("we truncate
             // the x axis to better display the data", Fig. 10 caption).
             arlo_bench::chart::Series::new(name.clone(), r.latency_cdf().curve(48))
         })
         .collect();
-    let clip = reports
-        .iter()
-        .map(|(_, r)| r.latency_summary().p90)
-        .fold(0.0f64, f64::max);
+    let clip = summaries.iter().map(|s| s.p90).fold(0.0f64, f64::max);
     let clipped: Vec<arlo_bench::chart::Series> = curves
         .iter()
         .map(|s| {

@@ -19,9 +19,13 @@
 //! In-flight placements across a reallocation are handled with a
 //! generation counter — completions for a superseded deployment are
 //! acknowledged but not double-counted.
+//!
+//! The engine keeps no health state: a failed execution releases its load
+//! like a successful one, and detecting faulty instances is left to the
+//! operator, as in the paper (§3.2). The simulator models a health layer of
+//! its own (`arlo_sim::health`).
 
 use crate::frontend::{InstanceHandle, SchedulerFrontend};
-use crate::health::{Admission, HealthConfig, HealthRegistry, HealthState, HealthTransition};
 use crate::request_scheduler::RequestSchedulerConfig;
 use crate::runtime_scheduler::ArloRuntimeScheduler;
 use arlo_runtime::profile::RuntimeProfile;
@@ -45,12 +49,6 @@ pub struct EngineConfig {
     /// provisioned at a quantile of its per-sub-window demand. The
     /// simulator uses 10 s.
     pub sub_window: Nanos,
-    /// Fault-tolerance health tracking. `Some` enables the per-instance
-    /// circuit breaker: the engine tracks completion latencies and failures
-    /// reported via [`ArloEngine::report_success`] /
-    /// [`ArloEngine::report_failure`] and masks unhealthy instances out of
-    /// dispatch. `None` (the default) disables all health accounting.
-    pub health: Option<HealthConfig>,
 }
 
 impl EngineConfig {
@@ -61,15 +59,7 @@ impl EngineConfig {
             rs: RequestSchedulerConfig::default(),
             allocation_period: 120 * arlo_trace::NANOS_PER_SEC,
             sub_window: 10 * arlo_trace::NANOS_PER_SEC,
-            health: None,
         }
-    }
-
-    /// Enable the fault-tolerance health layer with the given detector
-    /// parameters.
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = Some(health);
-        self
     }
 }
 
@@ -127,22 +117,6 @@ pub struct ArloEngine {
     config: EngineConfig,
     deployment: RwLock<Deployment>,
     demand: Mutex<Demand>,
-    /// Fault-tolerance registry, keyed by flat instance index (runtimes in
-    /// order, instances within each). `None` when health tracking is off.
-    /// Lock order: `deployment` before `health`, everywhere.
-    health: Mutex<Option<HealthRegistry>>,
-    /// Whether `health` holds a registry. The option is decided once at
-    /// construction and never flips, so hot-path callers (`submit`,
-    /// `complete`) check this plain bool instead of taking the `health`
-    /// mutex just to observe `None` — with health off, the submit path's
-    /// only exclusive critical sections are demand recording and the
-    /// frontend's placement itself.
-    health_enabled: bool,
-}
-
-/// Flat instance index of `(level, index)` under per-level `counts`.
-fn flat_index(counts: &[u32], level: usize, index: usize) -> usize {
-    counts[..level].iter().map(|&n| n as usize).sum::<usize>() + index
 }
 
 struct Deployment {
@@ -187,8 +161,6 @@ impl ArloEngine {
                 recorder,
                 scheduler: ArloRuntimeScheduler::paper_default(),
             }),
-            health_enabled: config.health.is_some(),
-            health: Mutex::new(config.health.map(HealthRegistry::new)),
             profiles,
         }
     }
@@ -250,9 +222,6 @@ impl ArloEngine {
     ///   nothing, so refused requests never steer the Runtime Scheduler.
     /// - `deployment` (rwlock, **read**): placement itself. Readers share;
     ///   only `apply_allocation` writes.
-    /// - `health` (mutex): skipped entirely via `health_enabled` when
-    ///   tracking is off; when on, holds only for the dispatch note and the
-    ///   probe-gate check.
     ///
     /// Nothing else — no I/O, no allocation-plan work, no per-tenant
     /// accounting — may be added under these locks: the serve crate's
@@ -262,17 +231,6 @@ impl ArloEngine {
         self.demand.lock().recorder.record(length, now);
         let d = self.deployment.read();
         let handle = d.frontend.dispatch(length)?;
-        if self.health_enabled {
-            if let Some(reg) = self.health.lock().as_mut() {
-                let flat = flat_index(&d.counts, handle.level, handle.index);
-                reg.note_dispatch(flat, now);
-                if reg.admission(flat) == Admission::Probe {
-                    // Half-open circuit: one probe at a time. Close the gate
-                    // until this probe completes.
-                    d.frontend.set_admitting(handle, false);
-                }
-            }
-        }
         Some(Placement {
             generation: d.generation,
             runtime_idx: handle.level,
@@ -284,76 +242,28 @@ impl ArloEngine {
     /// generation are acknowledged silently — their instances no longer
     /// exist in the current frontend. Returns whether the completion
     /// applied to the live deployment.
-    ///
-    /// With health tracking enabled this retires the outstanding-dispatch
-    /// entry without judging the instance; embedders that can measure
-    /// execution latency should call [`ArloEngine::report_success`] /
-    /// [`ArloEngine::report_failure`] instead so the circuit breaker sees
-    /// the observation.
     pub fn complete(&self, placement: Placement) -> bool {
-        let d = self.deployment.read();
-        if placement.generation != d.generation {
-            return false;
-        }
-        let handle = InstanceHandle {
-            level: placement.runtime_idx,
-            index: placement.instance_idx,
-        };
-        d.frontend.complete(handle);
-        if self.health_enabled {
-            if let Some(reg) = self.health.lock().as_mut() {
-                let flat = flat_index(&d.counts, placement.runtime_idx, placement.instance_idx);
-                reg.note_complete(flat);
-                if reg.admission(flat) == Admission::Probe && reg.outstanding(flat) == 0 {
-                    d.frontend.set_admitting(handle, true);
-                }
-            }
-        }
-        true
-    }
-
-    /// Report a successful execution with its observed latency (ns). Like
-    /// [`ArloEngine::complete`], but feeds the health detector: the observed
-    /// latency is compared against the runtime's profiled execution time,
-    /// and a persistently slow instance is quarantined out of dispatch.
-    /// No-op (returns `false`) for superseded generations.
-    ///
-    /// Batch-1 wrapper over [`ArloEngine::report_batch`].
-    pub fn report_success(&self, placement: Placement, now: Nanos, observed_ns: f64) -> bool {
-        self.report_batch(placement, 1, 0, now, observed_ns)
-    }
-
-    /// Report a failed execution (error, connection reset). Releases the
-    /// frontend load and strikes the instance's health record. No-op
-    /// (returns `false`) for superseded generations.
-    ///
-    /// Batch-1 wrapper over [`ArloEngine::report_batch`].
-    pub fn report_failure(&self, placement: Placement, now: Nanos) -> bool {
-        self.report_batch(placement, 0, 1, now, 0.0)
+        self.report_batch(placement, 1, 0, 0, 0.0)
     }
 
     /// Report a completed batch: `ok` successful and `failed` failed
-    /// executions that ran together on `placement`'s instance, finishing at
-    /// `now` with a per-request observed service time of
-    /// `observed_per_request_ns` (a batch shares its cost; divide the batch
-    /// duration by its size, as the simulator does).
-    ///
-    /// This is the batched sibling of [`ArloEngine::report_success`] /
-    /// [`ArloEngine::report_failure`]: one deployment-lock acquisition, one
-    /// [`SchedulerFrontend::complete_n`] load release, one health-registry
-    /// lock and one gate sync for the whole batch, instead of per request.
-    /// Health still receives one observation per request — the detector's
-    /// evidence stream is identical to reporting each request alone.
+    /// executions that ran together on `placement`'s instance. The whole
+    /// batch's load is released under one deployment-lock acquisition and
+    /// one [`SchedulerFrontend::complete_n`], a failed execution exactly
+    /// like a successful one. `now` (the finish time) and
+    /// `observed_per_request_ns` (the batch's duration over its size) are
+    /// not read, since the engine keeps no per-request observation; they
+    /// stay in the signature because the benchmark links against it.
     ///
     /// Placements from a superseded generation are acknowledged (returns
-    /// `false`) without touching the rebuilt frontend or health registry.
+    /// `false`) without touching the rebuilt frontend.
     pub fn report_batch(
         &self,
         placement: Placement,
         ok: u32,
         failed: u32,
-        now: Nanos,
-        observed_per_request_ns: f64,
+        _now: Nanos,
+        _observed_per_request_ns: f64,
     ) -> bool {
         assert!(ok + failed >= 1, "a batch has at least one request");
         let d = self.deployment.read();
@@ -365,91 +275,7 @@ impl ArloEngine {
             index: placement.instance_idx,
         };
         d.frontend.complete_n(handle, ok + failed);
-        if let Some(reg) = self.health.lock().as_mut() {
-            let flat = flat_index(&d.counts, placement.runtime_idx, placement.instance_idx);
-            // Static shapes make the profiled execution time the expectation
-            // regardless of the request's actual length (padding, §2.2).
-            let expected_ns = self.profiles[placement.runtime_idx].exec_ms * 1e6;
-            for _ in 0..ok {
-                reg.record_success(flat, now, observed_per_request_ns, expected_ns);
-            }
-            for _ in 0..failed {
-                reg.record_failure(flat, now);
-            }
-            Self::sync_gates(&d, reg);
-        }
         true
-    }
-
-    /// Report that an instance of the current deployment crashed: its
-    /// circuit opens immediately and it is masked out of dispatch until the
-    /// quarantine cooldown earns it a probation probe. The embedder owns
-    /// re-submission of whatever was in flight on the crashed instance
-    /// (typically via [`ArloEngine::submit`], which will route around it).
-    pub fn report_crash(&self, runtime_idx: usize, instance_idx: usize, now: Nanos) {
-        let d = self.deployment.read();
-        if let Some(reg) = self.health.lock().as_mut() {
-            let flat = flat_index(&d.counts, runtime_idx, instance_idx);
-            reg.record_crash(flat, now);
-            Self::sync_gates(&d, reg);
-        }
-    }
-
-    /// Advance time-driven health transitions (quarantine cooldowns,
-    /// stuck-dispatch detection) and refresh admission gates. The embedder
-    /// calls this periodically — e.g. every 100 ms — from its own timer.
-    /// Returns the number of state transitions that fired. No-op when
-    /// health tracking is off.
-    pub fn health_tick(&self, now: Nanos) -> usize {
-        let d = self.deployment.read();
-        let mut guard = self.health.lock();
-        let Some(reg) = guard.as_mut() else {
-            return 0;
-        };
-        let before = reg.transitions().len();
-        reg.tick(now);
-        Self::sync_gates(&d, reg);
-        reg.transitions().len() - before
-    }
-
-    /// Health snapshot of the current deployment, in flat instance order
-    /// (runtimes in order, instances within each). `None` when health
-    /// tracking is off.
-    pub fn health_states(&self) -> Option<Vec<HealthState>> {
-        let d = self.deployment.read();
-        let guard = self.health.lock();
-        guard.as_ref().map(|reg| {
-            let total: usize = d.counts.iter().map(|&n| n as usize).sum();
-            (0..total).map(|i| reg.state(i)).collect()
-        })
-    }
-
-    /// Drain the recorded health transitions (for dashboards and
-    /// detection/recovery-time analysis). Empty when health tracking is off.
-    pub fn take_health_transitions(&self) -> Vec<HealthTransition> {
-        self.health
-            .lock()
-            .as_mut()
-            .map_or_else(Vec::new, HealthRegistry::take_transitions)
-    }
-
-    /// Push the registry's admission decisions into the frontend's
-    /// circuit-breaker masks: `Full` opens, `Deny` closes, `Probe` opens
-    /// only while nothing is outstanding (one probe at a time).
-    fn sync_gates(d: &Deployment, reg: &HealthRegistry) {
-        let mut flat = 0usize;
-        for (level, &n) in d.counts.iter().enumerate() {
-            for index in 0..n as usize {
-                let admitting = match reg.admission(flat) {
-                    Admission::Full => true,
-                    Admission::Deny => false,
-                    Admission::Probe => reg.outstanding(flat) == 0,
-                };
-                d.frontend
-                    .set_admitting(InstanceHandle { level, index }, admitting);
-                flat += 1;
-            }
-        }
     }
 
     /// Invoke the Runtime Scheduler if a full decision period has elapsed.
@@ -503,11 +329,6 @@ impl ArloEngine {
         d.frontend = Self::build_frontend(&self.profiles, &plan.target, self.config.rs);
         d.counts = plan.target.clone();
         d.generation = plan.generation;
-        // A new generation is a fresh fleet: health history of the old
-        // instance indices no longer describes anything that exists.
-        if let Some(reg) = self.health.lock().as_mut() {
-            *reg = HealthRegistry::new(reg.config());
-        }
     }
 }
 
@@ -644,12 +465,12 @@ mod tests {
     fn stale_reports_are_acknowledged_without_corrupting_the_new_frontend() {
         // Regression for the serve stack's completion path: executions in
         // flight across a reallocation finish *after* apply_allocation and
-        // come back through report_success / report_failure with a
-        // superseded generation — possibly naming an instance index that no
-        // longer exists at that level. The engine must acknowledge them
-        // (return false) without panicking, without decrementing load on the
-        // rebuilt frontend, and without striking any health record.
-        let e = health_engine(&[1, 1, 1, 4]);
+        // come back through report_batch / complete with a superseded
+        // generation — possibly naming an instance index that no longer
+        // exists at that level. The engine must acknowledge them (return
+        // false) without panicking and without decrementing load on the
+        // rebuilt frontend.
+        let e = engine(&[1, 1, 1, 4]);
         // Two in-flight requests on the long runtime: indices 0 and 1.
         let stale_a = e.submit(400, 0).expect("dispatches");
         let stale_b = e.submit(400, 1).expect("dispatches");
@@ -671,92 +492,45 @@ mod tests {
         e.apply_allocation(&plan);
         assert_eq!(e.level_loads(), vec![0; 4], "rebuilt frontend starts idle");
 
-        // One stale success (index now out of range) and one stale failure:
-        // both acknowledged, neither applied.
+        // Stale reports, one placement naming an index now out of range: a
+        // clean batch, a failed one and a plain completion each, all
+        // acknowledged and none applied.
         let now = 122 * SEC;
-        assert!(!e.report_success(stale_b, now, expected_ns(&e, 3)));
-        assert!(!e.report_failure(stale_a, now));
+        let highest = stale_a.instance_idx.max(stale_b.instance_idx);
+        assert!(highest >= plan.target[3] as usize, "an index out of range");
+        for stale in [stale_a, stale_b] {
+            assert!(!e.report_batch(stale, 1, 0, now, 1.0e6));
+            assert!(!e.report_batch(stale, 0, 1, now, 1.0e6));
+            assert!(!e.complete(stale));
+        }
         assert_eq!(e.level_loads(), vec![0; 4], "stale reports must not count");
-        let healthy = e
-            .health_states()
-            .expect("health on")
-            .iter()
-            .all(|&s| s == HealthState::Healthy);
-        assert!(healthy, "stale failure must not strike the new deployment");
 
         // New-generation traffic accounts exactly once.
         let p = e.submit(40, now + 1).expect("dispatches");
         assert_eq!(p.generation, 1);
-        let mut loads = e.level_loads();
-        assert_eq!(loads.iter().sum::<u64>(), 1);
-        assert!(e.report_success(p, now + 2, expected_ns(&e, 0)));
-        loads = e.level_loads();
-        assert_eq!(loads, vec![0; 4], "exactly one decrement");
+        assert_eq!(e.level_loads().iter().sum::<u64>(), 1);
+        assert!(e.report_batch(p, 1, 0, now + 2, 1.0e6));
+        assert_eq!(e.level_loads(), vec![0; 4], "exactly one decrement");
     }
 
     #[test]
     fn report_batch_releases_the_whole_batch_load() {
-        let e = engine(&[1, 1, 1, 1]);
-        let p = e.submit(40, 0).expect("dispatches");
-        for t in 1..3u64 {
-            let q = e.submit(40, t).expect("dispatches");
-            assert_eq!(q, p, "single instance level batches on one placement");
-        }
-        assert_eq!(e.level_loads(), vec![3, 0, 0, 0]);
-        assert!(e.report_batch(p, 3, 0, 3, 1.0e6));
-        assert_eq!(e.level_loads(), vec![0, 0, 0, 0], "one call, three units");
-    }
-
-    #[test]
-    fn report_batch_is_equivalent_to_per_request_reports() {
-        // Two identical health engines see the same evidence: one as a
-        // single 4-batch report, the other as four individual reports. The
-        // detector and frontend must end in the same state.
-        let batched = health_engine(&[1, 1, 1, 1]);
-        let singles = health_engine(&[1, 1, 1, 1]);
-        let mut now = 0;
-        loop {
-            now += SEC / 100;
-            let mut pb = None;
-            let mut ps = None;
-            for t in 0..4u64 {
-                pb = Some(batched.submit(40, now + t).expect("dispatches"));
-                ps = Some(singles.submit(40, now + t).expect("dispatches"));
+        // All ok, and a mixed batch of two ok and one failed execution.
+        for (ok, failed) in [(3, 0), (2, 1)] {
+            let e = engine(&[1, 1, 1, 1]);
+            let p = e.submit(40, 0).expect("dispatches");
+            for t in 1..3u64 {
+                let q = e.submit(40, t).expect("dispatches");
+                assert_eq!(q, p, "single instance level batches on one placement");
             }
-            let (pb, ps) = (pb.unwrap(), ps.unwrap());
-            let slow = 5.0 * expected_ns(&batched, 0);
-            batched.report_batch(pb, 4, 0, now, slow);
-            for _ in 0..4 {
-                singles.report_success(ps, now, slow);
-            }
+            assert_eq!(e.level_loads(), vec![3, 0, 0, 0]);
+            assert!(e.report_batch(p, ok, failed, 3, 1.0e6));
             assert_eq!(
-                batched.health_states(),
-                singles.health_states(),
-                "same evidence, same verdict"
+                e.level_loads(),
+                vec![0, 0, 0, 0],
+                "one call releases all three units ({ok} ok, {failed} failed)"
             );
-            assert_eq!(batched.level_loads(), singles.level_loads());
-            if batched.health_states().expect("on")[0] == HealthState::Quarantined {
-                break;
-            }
-            assert!(now < SEC, "detector must trip quickly");
         }
-    }
-
-    #[test]
-    fn report_batch_with_failures_strikes_health_and_releases_load() {
-        let e = health_engine(&[1, 1, 1, 1]);
-        let mut now = 0;
-        while e.health_states().expect("on")[0] != HealthState::Quarantined {
-            now += SEC / 100;
-            let mut p = None;
-            for t in 0..3u64 {
-                p = Some(e.submit(40, now + t).expect("dispatches"));
-            }
-            // A mixed batch: two clean, one failed execution.
-            e.report_batch(p.unwrap(), 2, 1, now, expected_ns(&e, 0));
-            assert!(now < 10 * SEC, "failures must condemn eventually");
-        }
-        assert_eq!(e.level_loads()[0], 0, "mixed batches release all load");
     }
 
     #[test]
@@ -785,137 +559,6 @@ mod tests {
             delta: vec![0, 0, 0, 0],
         };
         e.apply_allocation(&bogus);
-    }
-
-    fn health_engine(counts: &[u32]) -> ArloEngine {
-        let set = arlo_runtime::runtime_set::RuntimeSet::with_count(ModelSpec::bert_base(), 4);
-        let profiles = profile_runtimes(&set.compile(), 150.0, 256);
-        ArloEngine::new(
-            profiles,
-            counts.to_vec(),
-            EngineConfig::paper_default(150.0).with_health(HealthConfig::default()),
-        )
-    }
-
-    /// Expected exec time (ns) of runtime level `idx` for a given engine.
-    fn expected_ns(e: &ArloEngine, idx: usize) -> f64 {
-        e.profiles()[idx].exec_ms * 1e6
-    }
-
-    #[test]
-    fn slow_instance_is_quarantined_and_routed_around() {
-        let e = health_engine(&[2, 1, 1, 1]);
-        // Instance (0, 0) persistently completes at 5× the profiled time.
-        // Ties at zero load resolve to index 0, so each cycle hits it.
-        let mut now = 0;
-        let slow = loop {
-            now += SEC / 100;
-            let p = e.submit(40, now).expect("dispatches");
-            assert_eq!(p.instance_idx, 0, "zero-load tie picks index 0");
-            e.report_success(p, now, 5.0 * expected_ns(&e, 0));
-            if e.health_states().expect("health on")[0] == HealthState::Quarantined {
-                break now;
-            }
-            assert!(now < SEC, "detector must trip quickly");
-        };
-        // Dispatch now routes to the healthy sibling.
-        let p = e.submit(40, slow + 1).expect("sibling serves");
-        assert_eq!((p.runtime_idx, p.instance_idx), (0, 1));
-        e.report_success(p, slow + 2, expected_ns(&e, 0));
-        let transitions = e.take_health_transitions();
-        assert!(transitions
-            .iter()
-            .any(|t| t.instance == 0 && t.to == HealthState::Quarantined));
-    }
-
-    #[test]
-    fn probation_admits_one_probe_then_recovers() {
-        let e = health_engine(&[2, 1, 1, 1]);
-        let mut now = 0;
-        // Condemn instance (0, 0).
-        while e.health_states().expect("on")[0] != HealthState::Quarantined {
-            now += SEC / 100;
-            let p = e.submit(40, now).expect("dispatches");
-            e.report_success(p, now, 5.0 * expected_ns(&e, 0));
-        }
-        // Cooldown elapses: probation.
-        now += 3 * SEC;
-        assert!(e.health_tick(now) > 0, "cooldown transition fires");
-        assert_eq!(e.health_states().expect("on")[0], HealthState::Probation);
-        // First submit is the probe; a second concurrent submit must avoid
-        // the probationer (its gate is closed while the probe is out).
-        let probe = e.submit(40, now).expect("probe admitted");
-        assert_eq!(probe.instance_idx, 0);
-        let other = e.submit(40, now + 1).expect("dispatches");
-        assert_eq!(other.instance_idx, 1, "one probe at a time");
-        e.complete(other);
-        // Clean probes close the circuit.
-        e.report_success(probe, now + 2, expected_ns(&e, 0));
-        for k in 0..2 {
-            let p = e.submit(40, now + 3 + k).expect("next probe");
-            assert_eq!(p.instance_idx, 0);
-            e.report_success(p, now + 4 + k, expected_ns(&e, 0));
-        }
-        assert_eq!(e.health_states().expect("on")[0], HealthState::Healthy);
-    }
-
-    #[test]
-    fn crash_report_masks_instance_immediately() {
-        let e = health_engine(&[2, 1, 1, 1]);
-        e.report_crash(0, 0, SEC);
-        assert_eq!(e.health_states().expect("on")[0], HealthState::Quarantined);
-        for k in 0..4 {
-            let p = e.submit(40, SEC + k).expect("sibling serves");
-            assert_eq!(p.instance_idx, 1);
-            e.complete(p);
-        }
-    }
-
-    #[test]
-    fn failures_strike_health_and_release_load() {
-        let e = health_engine(&[1, 1, 1, 1]);
-        let mut now = 0;
-        while e.health_states().expect("on")[0] != HealthState::Quarantined {
-            now += SEC / 100;
-            let p = e.submit(40, now).expect("dispatches");
-            e.report_failure(p, now);
-            assert!(now < SEC, "failures must condemn quickly");
-        }
-        assert_eq!(e.level_loads()[0], 0, "failures release frontend load");
-        // The whole short level is masked: requests demote to level 1.
-        let p = e.submit(40, now + 1).expect("demotes");
-        assert_eq!(p.runtime_idx, 1);
-    }
-
-    #[test]
-    fn reallocation_resets_health_history() {
-        let e = health_engine(&[2, 2, 2, 2]);
-        e.report_crash(0, 0, 0);
-        assert_eq!(e.health_states().expect("on")[0], HealthState::Quarantined);
-        for i in 0..1000u64 {
-            if let Some(p) = e.submit(40, i * 100 * SEC / 1000) {
-                e.complete(p);
-            }
-        }
-        let plan = e.maybe_reallocate(121 * SEC, 8).expect("reallocates");
-        e.apply_allocation(&plan);
-        assert!(
-            e.health_states()
-                .expect("on")
-                .iter()
-                .all(|&s| s == HealthState::Healthy),
-            "fresh generation starts with a clean bill"
-        );
-    }
-
-    #[test]
-    fn health_disabled_engine_reports_nothing() {
-        let e = engine(&[2, 2, 2, 2]);
-        assert!(e.health_states().is_none());
-        assert_eq!(e.health_tick(SEC), 0);
-        let p = e.submit(40, 0).expect("dispatches");
-        assert!(e.report_success(p, 1, 1.0e6), "acts as plain complete");
-        assert!(e.take_health_transitions().is_empty());
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //! locks.
 //!
 //! Each level's priority queue is an exact, eagerly maintained index of its
-//! admitted instances in load buckets ([`LoadIndex`], shared with the
-//! simulator's cluster). A load change moves one instance's bit between
-//! two buckets, a ban takes the instance out and an un-ban puts it back at
-//! its current load, so the head — the lowest set bit of the lowest
-//! non-empty bucket, the `(load, instance)` minimum — is read without
-//! discarding anything. A dispatch is therefore the `O(L)` walk over levels
-//! plus, per level visited, a head read and an update that walk none of the
-//! level's instances (a head read scans at most `⌈n / 64⌉` words, and the
-//! cursor moves past at most the buckets the load moved over).
+//! instances in load buckets ([`LoadIndex`], shared with the simulator's
+//! cluster). A load change moves one instance's bit between two buckets,
+//! so the head — the lowest set bit of the lowest non-empty bucket, the
+//! `(load, instance)` minimum — is read without discarding anything. A
+//! dispatch is therefore the `O(L)` walk over levels plus, per level
+//! visited, a head read and an update that walk none of the level's
+//! instances (a head read scans at most `⌈n / 64⌉` words, and the cursor
+//! moves past at most the buckets the load moved over).
 
 use crate::request_scheduler::{mlq_walk, Peek, RequestSchedulerConfig};
 use arlo_sim::cluster::LoadIndex;
@@ -41,14 +40,10 @@ struct Level {
 }
 
 struct LevelInner {
-    /// Outstanding requests per instance, banned ones included.
+    /// Outstanding requests per instance.
     loads: Vec<u32>,
-    /// The admitted instances at their `loads`.
+    /// Every instance at its `loads`.
     index: LoadIndex,
-    /// Circuit-breaker mask: banned instances are out of `index`, so the
-    /// fault-tolerance layer can quarantine an instance without touching
-    /// Algorithm 1.
-    banned: Vec<bool>,
     /// Count of load decrements that would have gone below zero (clamped).
     /// Nonzero means a dispatch/complete pairing bug upstream.
     underflows: u64,
@@ -68,9 +63,7 @@ impl LevelInner {
         }
         let next = raw.max(0) as u32;
         *load = next;
-        if !self.banned[idx] {
-            self.index.set(idx, next);
-        }
+        self.index.set(idx, next);
     }
 }
 
@@ -126,7 +119,6 @@ impl SchedulerFrontend {
                     inner: Mutex::new(LevelInner {
                         loads: vec![0; count],
                         index,
-                        banned: vec![false; count],
                         underflows: 0,
                     }),
                 }
@@ -199,28 +191,6 @@ impl SchedulerFrontend {
     /// Outstanding load of one instance.
     pub fn outstanding(&self, handle: InstanceHandle) -> u32 {
         self.levels[handle.level].inner.lock().loads[handle.index]
-    }
-
-    /// Open or close an instance's admission gate (circuit breaker).
-    ///
-    /// A closed instance is skipped by `dispatch` exactly as if its level
-    /// did not contain it; outstanding work still completes normally via
-    /// [`SchedulerFrontend::complete`]. Closing takes the instance out of
-    /// its level's index; re-opening puts it back at its current load.
-    pub fn set_admitting(&self, handle: InstanceHandle, admitting: bool) {
-        let mut inner = self.levels[handle.level].inner.lock();
-        inner.banned[handle.index] = !admitting;
-        if admitting {
-            let load = inner.loads[handle.index];
-            inner.index.set(handle.index, load);
-        } else {
-            inner.index.remove(handle.index);
-        }
-    }
-
-    /// Whether an instance's admission gate is open.
-    pub fn is_admitting(&self, handle: InstanceHandle) -> bool {
-        !self.levels[handle.level].inner.lock().banned[handle.index]
     }
 
     /// Total load-counter underflows clamped across all levels (see
@@ -453,51 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn banned_instance_is_invisible_to_dispatch() {
-        let f = frontend(&[(64, 100, 2)]);
-        let banned = InstanceHandle { level: 0, index: 0 };
-        f.set_admitting(banned, false);
-        assert!(!f.is_admitting(banned));
-        for _ in 0..8 {
-            let h = f.dispatch(10).expect("healthy sibling serves");
-            assert_eq!(h.index, 1, "quarantined instance must be skipped");
-        }
-    }
-
-    #[test]
-    fn banned_level_demotes_to_next_level() {
-        let f = frontend(&[(64, 10, 1), (512, 10, 1)]);
-        f.set_admitting(InstanceHandle { level: 0, index: 0 }, false);
-        let h = f.dispatch(10).expect("dispatch");
-        assert_eq!(h.level, 1, "fully-banned level behaves like an empty one");
-    }
-
-    #[test]
-    fn reopened_instance_rejoins_at_current_load() {
-        let f = frontend(&[(64, 100, 2)]);
-        let h0 = InstanceHandle { level: 0, index: 0 };
-        f.preload(h0, 1);
-        f.set_admitting(h0, false);
-        // While banned, everything lands on instance 1.
-        for _ in 0..3 {
-            assert_eq!(f.dispatch(10).expect("ok").index, 1);
-        }
-        f.set_admitting(h0, true);
-        // Instance 0 (load 1) is now the least-loaded head again.
-        assert_eq!(f.dispatch(10).expect("ok").index, 0);
-    }
-
-    #[test]
-    fn completion_on_banned_instance_still_releases_load() {
-        let f = frontend(&[(64, 100, 1)]);
-        let h = f.dispatch(10).expect("dispatch");
-        f.set_admitting(h, false);
-        f.complete(h);
-        assert_eq!(f.total_outstanding(), 0);
-        assert_eq!(f.underflow_count(), 0);
-    }
-
-    #[test]
     fn underflow_counter_stays_zero_under_paired_usage() {
         let f = frontend(&[(64, 50, 2), (512, 30, 1)]);
         let held: Vec<_> = (0..20).filter_map(|i| f.dispatch(1 + i * 20)).collect();
@@ -507,33 +432,30 @@ mod tests {
         assert_eq!(f.underflow_count(), 0);
     }
 
-    /// Random dispatch / complete / preload / ban / unban sequences,
-    /// including batch completions that drop a load by its whole batch and
-    /// levels emptied by bans: after every step each level's head is the
-    /// brute-force `(load, index)` minimum over its unbanned instances,
-    /// and its index holds exactly those instances in no spare bucket.
+    /// Random dispatch / complete / preload sequences, including batch
+    /// completions that drop a load by its whole batch and empty levels:
+    /// after every step each level's head is the brute-force
+    /// `(load, index)` minimum over its instances, and its index holds
+    /// exactly those instances in no spare bucket.
     #[test]
     fn level_heads_match_a_brute_force_minimum_under_random_operations() {
         use proptest::prelude::*;
         proptest!(ProptestConfig::with_cases(128), |(
             counts in (0u32..5, 0u32..5, 0u32..70),
-            ops in proptest::collection::vec((0u8..9, 0u64..1 << 32, 0u64..1 << 32), 1..400),
+            ops in proptest::collection::vec((0u8..6, 0u64..1 << 32, 0u64..1 << 32), 1..400),
         )| {
             let levels = [(64, 8, counts.0), (256, 6, counts.1), (512, 4, counts.2)];
             let f = frontend(&levels);
             let mut loads: Vec<Vec<u32>> = levels.iter().map(|l| vec![0; l.2 as usize]).collect();
-            let mut banned: Vec<Vec<bool>> = levels.iter().map(|l| vec![false; l.2 as usize]).collect();
             let handles: Vec<InstanceHandle> = loads
                 .iter()
                 .enumerate()
                 .flat_map(|(level, l)| (0..l.len()).map(move |index| InstanceHandle { level, index }))
                 .collect();
-            let pick = |roll: u64| (!handles.is_empty()).then(|| handles[roll as usize % handles.len()]);
             for &(op, a, b) in &ops {
                 match op {
                     0..=2 => {
                         if let Some(h) = f.dispatch(1 + (a % 512) as u32) {
-                            prop_assert!(!banned[h.level][h.index], "dispatch to banned {h:?}");
                             loads[h.level][h.index] += 1;
                         }
                     }
@@ -549,40 +471,22 @@ mod tests {
                             loads[h.level][h.index] -= n;
                         }
                     }
-                    5 => {
-                        if let Some(h) = pick(a) {
+                    _ => {
+                        if !handles.is_empty() {
+                            let h = handles[a as usize % handles.len()];
                             let load = (b % 24) as u32;
                             f.preload(h, load);
                             loads[h.level][h.index] = load;
                         }
                     }
-                    6 | 7 => {
-                        if let Some(h) = pick(a) {
-                            let admitting = op == 7;
-                            f.set_admitting(h, admitting);
-                            banned[h.level][h.index] = !admitting;
-                        }
-                    }
-                    _ => {
-                        // Ban or unban a whole level.
-                        let level = (a % 3) as usize;
-                        let admitting = b % 2 == 0;
-                        for (index, banned) in banned[level].iter_mut().enumerate() {
-                            f.set_admitting(InstanceHandle { level, index }, admitting);
-                            *banned = !admitting;
-                        }
-                    }
                 }
                 for (level, queue) in f.levels.iter().enumerate() {
-                    let mut admitted: Vec<(usize, u32)> = (0..loads[level].len())
-                        .filter(|&i| !banned[level][i])
-                        .map(|i| (i, loads[level][i]))
-                        .collect();
-                    admitted.sort_unstable_by_key(|&(i, load)| (load, i));
+                    let mut held: Vec<(usize, u32)> = loads[level].iter().copied().enumerate().collect();
+                    held.sort_unstable_by_key(|&(i, load)| (load, i));
                     let inner = queue.inner.lock();
-                    prop_assert_eq!(inner.index.head(), admitted.first().copied(), "level {}", level);
-                    prop_assert_eq!(inner.index.entries().collect::<Vec<_>>(), admitted.clone());
-                    let buckets = admitted.iter().map(|&(_, load)| load as usize + 1).max();
+                    prop_assert_eq!(inner.index.head(), held.first().copied(), "level {}", level);
+                    prop_assert_eq!(inner.index.entries().collect::<Vec<_>>(), held.clone());
+                    let buckets = held.iter().map(|&(_, load)| load as usize + 1).max();
                     prop_assert_eq!(inner.index.buckets(), buckets.unwrap_or(0));
                     prop_assert_eq!(&inner.loads, &loads[level]);
                 }

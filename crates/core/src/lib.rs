@@ -31,10 +31,6 @@
 //! * [`engine`] — the live embedding API ("works with existing serving
 //!   systems", §1): submit/complete dispatching plus periodic replacement
 //!   plans, driven by the host's clock, for use outside the simulator.
-//! * [`health`] — the SLO-aware fault-tolerance vocabulary (re-exported
-//!   from `arlo_sim::health`): per-instance health state machine with
-//!   circuit breaking, shared between the simulator driver and the live
-//!   engine's admission gates.
 //!
 //! ```
 //! use arlo_core::system::SystemSpec;
@@ -51,7 +47,6 @@
 
 pub mod engine;
 pub mod frontend;
-pub mod health;
 pub mod motivating;
 pub mod multistream;
 pub mod policies;
@@ -63,9 +58,6 @@ pub mod system;
 pub mod prelude {
     pub use crate::engine::{ArloEngine, EngineConfig, Placement, ReplacementPlan};
     pub use crate::frontend::{InstanceHandle, SchedulerFrontend};
-    pub use crate::health::{
-        Admission, HealthConfig, HealthRegistry, HealthState, HealthTransition,
-    };
     pub use crate::multistream::{plan_from_trace, PoolCoordinator, PoolPartition, StreamPlan};
     pub use crate::policies::{
         InfaasBinPacking, InterGroupGreedy, IntraGroupLoadBalance, LoadBalance,

@@ -392,8 +392,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// seed. Where [`ChaosConfig`] attacks the *wire*, `ComponentChaos`
 /// attacks the server's own threads: a component (`shard-{i}`, `planner`)
 /// whose name starts with `target` draws from a deterministic schedule on
-/// every heartbeat or planner tick and may panic (a shard dies and
-/// escalates; a planner tick is caught on shard 0 and skipped) or stall
+/// every heartbeat or planner job and may panic (a shard dies and
+/// escalates; a planner job is caught on shard 0 and skipped) or stall
 /// (sleeping unparked long enough for the stall check to flag the shard).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentChaos {

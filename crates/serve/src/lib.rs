@@ -27,8 +27,8 @@
 //! - [`clock`] — the [`clock::VirtualClock`] that anchors the engine's
 //!   monotonic nanoseconds and scales them for accelerated runs.
 //! - [`executor`] — charges each placed request its profiled execution
-//!   cost on a per-instance serial clock and reports completion through
-//!   the engine's health hooks: inline when the completion is already
+//!   cost on a per-instance serial clock and reports completion to the
+//!   engine, which releases its load: inline when the completion is already
 //!   due, otherwise from a deadline heap that, in the server, the shard
 //!   owning it fires.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
@@ -52,14 +52,14 @@
 //!   through the shard's inbox), run each decoded request to completion
 //!   on the shard
 //!   (refusals ⇒ explicit shed frames) and fire their executors'
-//!   deadlines. They are its only threads: shard 0 also runs the planner's
-//!   health ticks, periodic reallocation and GPU re-granting between its
-//!   waits. A graceful drain flushes every outstanding request before
-//!   closing. Every counter is read as one [`server::Snapshot`] (live, or
-//!   exact from the drain). Supervision lives here too, with no thread of
-//!   its own: each shard beats a heartbeat on its handle, which
-//!   [`server::Server::check_stalls`] reads; every panic the server
-//!   catches — a placement, a completion, a planner wake-up, a shard's
+//!   deadlines. They are its only threads: shard 0 also runs the planner
+//!   between its waits — periodic reallocation on a single-tenant server,
+//!   GPU re-granting on a multi-tenant one. A graceful drain flushes every
+//!   outstanding request before closing. Every counter is read as one
+//!   [`server::Snapshot`] (live, or exact from the drain). Supervision
+//!   lives here too, with no thread of its own: each shard beats a
+//!   heartbeat on its handle, which [`server::Server::check_stalls`] reads; every panic the server
+//!   catches — a placement, a completion, a planner job, a shard's
 //!   whole loop — goes through one boundary and into one event log; and a
 //!   shard that dies escalates to a fail-fast conserving drain. Seeded
 //!   in-process fault injection via [`chaos::ComponentChaos`].

@@ -222,8 +222,8 @@ pub enum ErrorCode {
     Unserviceable = 2,
     /// The server is draining and no longer accepts new work.
     Draining = 3,
-    /// The execution failed on the backend (the failure has been reported
-    /// into the engine's health layer). The client may retry.
+    /// The execution failed on the backend (its load has been released in
+    /// the engine like a success's). The client may retry.
     Failed = 4,
     /// The peer violated the protocol (malformed frames beyond the
     /// connection's error budget, or a refused connection): the connection

@@ -18,8 +18,8 @@
 //!                      │
 //!                      ◄── inbox: (conn, frame) ◄── every answer, from any thread
 //!                      │
-//!                      └─ shard 0 only, when due: the planner's health
-//!                         ticks + reallocation, or the coordinator's re-grants
+//!                      └─ shard 0 only, when due: the planner's one job,
+//!                         reallocation (one tenant) or the coordinator's re-grants
 //! ```
 //!
 //! The shards are the only threads a server spawns. Connection `c`
@@ -33,7 +33,7 @@
 //! fires what is ripe and writes the answers out itself. Otherwise a shard
 //! wakes for socket readiness, for its eventfd [`Waker`] — another thread
 //! posted to its empty inbox or parked a deadline ahead of one of its
-//! heaps — for the planner's next tick or pass (shard 0), or once per sweep
+//! heaps — for the planner's next job (shard 0), or once per sweep
 //! interval (idle reaping, write-stall dooming). A connection costs no
 //! thread.
 //! Every socket read and write goes straight to the socket: network faults
@@ -147,8 +147,7 @@ pub struct ServeConfig {
     /// write-stalled ones (and shard 0 re-arms a listener muted by an
     /// accept error) — also the longest it sleeps in `epoll_wait`, so the
     /// granularity at which those are noticed. A shard wakes earlier for
-    /// its heaps' head and, on shard 0, for the planner's next tick or
-    /// coordinator pass.
+    /// its heaps' head and, on shard 0, for the planner's next job.
     pub sweep_interval: Duration,
     /// Real-time silence window after which a connection is reaped: no
     /// bytes from the client for this long closes the socket. Half-open
@@ -188,7 +187,7 @@ pub struct ServeConfig {
     /// Test-only in-process fault injection: a seeded
     /// [`ComponentChaos`] schedule targeting server components by name
     /// prefix (`shard`, `planner`), consulted on every shard heartbeat and
-    /// at every planner wake on shard 0. `None` — the production setting —
+    /// at every planner job on shard 0. `None` — the production setting —
     /// injects nothing.
     pub component_chaos: Option<ComponentChaos>,
     /// How long a shard's heartbeat may freeze while unparked before
@@ -877,7 +876,8 @@ impl Server {
     ///
     /// Single-tenant: the engine becomes the default tenant (id 0,
     /// ungated `Interactive` admission), no coordinator runs, and the
-    /// planner's ticks on shard 0 own periodic reallocation.
+    /// planner's one job on shard 0 is the reallocation check, every 200
+    /// virtual ms.
     pub fn spawn(engine: ArloEngine, addr: &str, config: ServeConfig) -> io::Result<Server> {
         let spec = TenantSpec::new("default", SloClass::Interactive, 0.0);
         Server::spawn_inner(vec![(spec, engine)], addr, config, false)
@@ -885,12 +885,12 @@ impl Server {
 
     /// Bind `addr` and spawn a multi-tenant server: one engine and
     /// executor per tenant (wire tenant id = position in `tenants`; index
-    /// 0 is the default tenant), plus the live coordinator pass, run on
-    /// shard 0, that periodically re-partitions `config.gpus` across the
-    /// tenant engines from their streaming demand windows. In this mode the
-    /// coordinator pass is the **sole** caller of
-    /// [`ArloEngine::apply_allocation`], so generation-successor ordering
-    /// can never race.
+    /// 0 is the default tenant), plus the live coordinator pass, the
+    /// planner's only job on shard 0, that re-partitions `config.gpus`
+    /// across the tenant engines from their streaming demand windows every
+    /// `config.coordinator_interval`. In this mode the coordinator pass is
+    /// the **sole** caller of [`ArloEngine::apply_allocation`], so
+    /// generation-successor ordering can never race.
     pub fn spawn_multi(
         tenants: Vec<(TenantSpec, ArloEngine)>,
         addr: &str,
@@ -928,21 +928,22 @@ impl Server {
             next_conn_id: 0,
             max_conns: config.max_conns,
         });
-        // Planner intervals in real time at the speed-up, never under 1 ms.
-        let real = |interval: Nanos| {
-            Duration::from_nanos((interval / Nanos::from(config.time_scale)).max(1_000_000))
+        // The planner's interval in real time at the speed-up, never under
+        // 1 ms.
+        let interval = if coordinate {
+            config.coordinator_interval
+        } else {
+            TICK_INTERVAL
         };
-        let tick = real(TICK_INTERVAL);
-        let pass = coordinate.then(|| real(config.coordinator_interval));
-        let now = Instant::now();
+        let every =
+            Duration::from_nanos((interval / Nanos::from(config.time_scale)).max(1_000_000));
         let chaos_plan = |name: &str| config.component_chaos.as_ref()?.plan_for(name);
         let mut planner = Some(Planner {
             chaos: chaos_plan("planner"),
-            tick,
-            pass,
+            coordinate,
+            every,
             gpus: config.gpus,
-            next_tick: now + tick,
-            next_pass: pass.map(|every| now + every),
+            next: Instant::now() + every,
         });
         let mut shards = Vec::with_capacity(shard_count);
         for id in 0..shard_count {
@@ -1015,7 +1016,7 @@ impl Server {
     /// at the previous call, and log a `Stalled` event for one frozen
     /// while unparked, and not inside a panic, for at least
     /// [`ServeConfig::stall_grace`] — once per freeze episode (a wedged
-    /// planner tick is shard 0's). No thread runs it; call it
+    /// planner job is shard 0's). No thread runs it; call it
     /// periodically (`arlo serve` does, every 50 ms).
     /// Returns the episodes this call found.
     pub fn check_stalls(&self) -> u64 {
@@ -1119,7 +1120,7 @@ fn tenant_executor(shared: &Arc<Shared>, idx: usize, batch: BatchPolicy) -> Exec
 }
 
 /// Executor completion callback, fired once per sealed batch: report one
-/// amortized batch into the engine's health/load hooks, update counters,
+/// batch into the engine, releasing its load, update counters,
 /// answer every member's client. Each job's fate is decided once, by
 /// moving the failing jobs behind the rest, so the engine report — the
 /// last step that can panic — still precedes every answer. With
@@ -1146,11 +1147,10 @@ fn complete_batch(shared: &Shared, done: &mut CompletedBatch, fail_all: bool) {
         }
     }
     // One report per batch: the frontend releases the whole batch's load
-    // under a single lock, and health sees the amortized per-request time
-    // (batch-1 makes this exactly the historical per-request report).
-    // Stale-generation reports return false; the engine acknowledges them
-    // without touching the rebuilt frontend. Every job in a batch belongs
-    // to one tenant — batches coalesce within a single tenant's executor.
+    // under a single lock. Stale-generation reports return false; the
+    // engine acknowledges them without touching the rebuilt frontend.
+    // Every job in a batch belongs to one tenant — batches coalesce within
+    // a single tenant's executor.
     let tenant = &shared.tenants[done.jobs[0].tenant as usize];
     let observed_per_request = done.exec_ns as f64 / done.jobs.len() as f64;
     let failed = done.jobs.len() - ok;
@@ -1255,88 +1255,67 @@ fn stop_threads(shared: &Shared, shards: Vec<JoinHandle<()>>) {
     }
 }
 
-/// Virtual interval between planner ticks (health + reallocation check).
+/// Virtual interval between a single-tenant server's reallocation checks.
 const TICK_INTERVAL: Nanos = arlo_trace::NANOS_PER_SEC / 5;
 
-/// The planner, which shard 0 carries like its listener: health ticks
-/// (plus, without a coordinator, the reallocation check) every tick, and
-/// the coordinator's re-granting pass every coordinator interval. Intervals
-/// count from the end of the work before them, so a pass delays shard 0's
-/// connections by its own duration, never by a backlog of missed ticks.
+/// The planner, which shard 0 carries like its listener. It runs one job
+/// at one interval: on a [`Server::spawn`] server the single tenant's
+/// reallocation check every [`TICK_INTERVAL`], on a [`Server::spawn_multi`]
+/// server the coordinator's re-granting pass every
+/// [`ServeConfig::coordinator_interval`] (it is then the sole
+/// `apply_allocation` caller). The interval counts from the end of the job
+/// before it, so a pass delays shard 0's connections by its own duration,
+/// never by a backlog of missed ones.
 struct Planner {
-    /// The `planner` component-chaos schedule, drawn once per wake-up.
+    /// The `planner` component-chaos schedule, drawn once per job.
     chaos: Option<ComponentChaosPlan>,
-    /// Real time between health ticks.
-    tick: Duration,
-    /// Real time between coordinator passes, if this server re-grants GPUs
-    /// (it is then the sole `apply_allocation` caller); without passes,
-    /// every tick runs the single tenant's reallocation check.
-    pass: Option<Duration>,
+    /// Whether the job is the coordinator's pass.
+    coordinate: bool,
+    /// Real time between jobs.
+    every: Duration,
     gpus: u32,
-    next_tick: Instant,
-    next_pass: Option<Instant>,
+    next: Instant,
 }
 
 impl Planner {
-    /// How long until the next tick or pass falls due.
+    /// How long until the job next falls due.
     fn until_due(&self) -> Duration {
-        let at = self.next_pass.unwrap_or(self.next_tick).min(self.next_tick);
-        at.saturating_duration_since(Instant::now())
+        self.next.saturating_duration_since(Instant::now())
     }
 
-    /// Run the tick and the pass if due, behind [`Shared::recover`]: a
-    /// panicking wake-up is logged under `planner` and the next one runs on
-    /// schedule.
+    /// Run the job if due, behind [`Shared::recover`]: a panicking job is
+    /// logged under `planner` and the next one runs on schedule.
     fn run_due(&mut self, shared: &Shared, executors: &[Arc<Executor>]) {
-        let woke = Instant::now();
-        let tick = woke >= self.next_tick;
-        let pass = self.next_pass.is_some_and(|at| woke >= at);
-        if !tick && !pass {
+        if Instant::now() < self.next {
             return;
         }
         shared.recover("planner", || {
             if let Some(chaos) = &mut self.chaos {
                 chaos.on_beat();
             }
-            if tick {
-                health_tick(shared, executors, self.pass.is_none().then_some(self.gpus));
-            }
-            if pass {
+            if self.coordinate {
                 coordinate_once(shared, executors, self.gpus);
+            } else {
+                reallocate_once(shared, &executors[0], self.gpus);
             }
         });
-        let done = Instant::now();
-        if tick {
-            self.next_tick = done + self.tick;
-        }
-        if pass {
-            self.next_pass = self.pass.map(|every| done + every);
-        }
+        self.next = Instant::now() + self.every;
     }
 }
 
-/// Health-tick every tenant engine; without a coordinator (a
-/// [`Server::spawn`] server, one tenant), also run the Runtime Scheduler's
-/// reallocation check over `reallocate_gpus`. On a re-granting server the
-/// coordinator pass is the sole `apply_allocation` caller (generation
-/// plans must land in order).
-fn health_tick(shared: &Shared, executors: &[Arc<Executor>], reallocate_gpus: Option<u32>) {
-    let now = shared.clock.now();
-    for tenant in &shared.tenants {
-        tenant.engine.health_tick(now);
-    }
-    if let Some(gpus) = reallocate_gpus {
-        let tenant = &shared.tenants[0];
-        if let Some(replacement) = tenant.engine.maybe_reallocate(now, gpus) {
-            // The executor's per-instance clocks for the new generation
-            // start idle; the engine switches dispatch atomically.
-            tenant.engine.apply_allocation(&replacement);
-            // Evict superseded generations' coalescer state so the key map
-            // stays bounded on long-running servers (keys still holding
-            // unsealed jobs survive until their seal drains them).
-            executors[0].prune_before(replacement.generation);
-            shared.reallocations.fetch_add(1, Ordering::Relaxed);
-        }
+/// A [`Server::spawn`] server's one tenant: run the Runtime Scheduler's
+/// reallocation check over `gpus` and apply any plan it returns.
+fn reallocate_once(shared: &Shared, executor: &Executor, gpus: u32) {
+    let tenant = &shared.tenants[0];
+    if let Some(replacement) = tenant.engine.maybe_reallocate(shared.clock.now(), gpus) {
+        // The executor's per-instance clocks for the new generation
+        // start idle; the engine switches dispatch atomically.
+        tenant.engine.apply_allocation(&replacement);
+        // Evict superseded generations' coalescer state so the key map
+        // stays bounded on long-running servers (keys still holding
+        // unsealed jobs survive until their seal drains them).
+        executor.prune_before(replacement.generation);
+        shared.reallocations.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1754,7 +1733,7 @@ impl Shard<'_> {
 /// deadlines and run the planner's due work (shard 0); on shutdown (or
 /// panic — see [`Shard`]) close everything it owns. It sleeps until the
 /// earliest of its next sweep, its heaps' next deadline and the planner's
-/// next tick or pass, and beats its heartbeat once per pass, drawing from
+/// next job, and beats its heartbeat once per pass, drawing from
 /// its `chaos` schedule there.
 fn shard_loop(
     shared: &Shared,
@@ -1855,7 +1834,7 @@ fn shard_loop(
         // inbox is empty once it returns — nothing below posts or parks.
         next_fire = shard.fire_heaps();
 
-        // Shard 0: the planner's tick or coordinator pass, if due.
+        // Shard 0: the planner's job, if due.
         if let Some(planner) = planner.as_mut() {
             planner.run_due(shared, &cfg.executors);
         }

@@ -2,8 +2,8 @@
 //!
 //! The big test drives 10k+ requests from four open-loop clients through
 //! the full stack — wire protocol, epoll shards placing inline, executor,
-//! engine health hooks, the timer-driven Runtime Scheduler
-//! — at 100× virtual time, then drains. It asserts the properties the
+//! engine completion reports, the timer-driven Runtime Scheduler — at 100×
+//! virtual time, then drains. It asserts the properties the
 //! stack exists to provide: every request answered exactly once, at least
 //! one reallocation applied mid-run, and a clean drain with nothing
 //! outstanding and every thread joined (drain blocks on the joins, so its
@@ -178,7 +178,7 @@ fn drain_protocol_refuses_new_work_and_flushes() {
 }
 
 #[test]
-fn injected_failures_flow_through_health_hooks() {
+fn injected_failures_are_answered_failed_and_accounted() {
     let mut cfg = config();
     cfg.fail_one_in = Some(4);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");

@@ -1,7 +1,7 @@
 //! End-to-end supervision: component chaos against a live server.
 //!
 //! The server's threads — the epoll shards — each beat a heartbeat on
-//! their handle, and shard 0 runs the planner's ticks under a per-tick
+//! their handle, and shard 0 runs the planner's job under a per-job
 //! panic boundary; these tests inject deterministic panics and stalls into
 //! them through real sockets under real client load, and assert what
 //! supervision is for:
@@ -10,10 +10,10 @@
 //!    into a drain, once, and the drain fires whatever the dead shard's
 //!    deadline heaps still held: `submits == served + shed +
 //!    unserviceable + failed`, nothing outstanding at close.
-//! 2. **Per-tick recovery.** A panicking planner tick is logged and the
-//!    next tick runs: health ticks and reallocation carry on, and so do
-//!    the coordinator's re-granting passes. Every panic the server caught
-//!    is counted once and logged once.
+//! 2. **Per-job recovery.** A panicking planner job is logged and the
+//!    next one runs: a single-tenant server's reallocation checks carry
+//!    on, and so do a multi-tenant server's re-granting passes. Every
+//!    panic the server caught is counted once and logged once.
 //! 3. **Stall detection.** A shard frozen while unparked is flagged by the
 //!    server's stall check; an idle, dying or dead shard never is; and a shard
 //!    catching up after a stall never outruns a client that is reading.
@@ -128,8 +128,8 @@ fn with_stall_checks<T>(server: &Server, load: impl FnOnce() -> T) -> T {
 
 /// A panicking planner tick is caught and logged, and the ticks after it
 /// still run: periodic reallocation lands *after* a recorded planner panic
-/// (an uncaught one would end the planner, and with it every health tick
-/// and reallocation), and nothing escalates.
+/// (an uncaught one would end the planner, and with it every
+/// reallocation), and nothing escalates.
 #[test]
 fn planner_tick_panic_is_caught_and_reallocation_still_happens() {
     // A lopsided deployment (everything but one GPU on the largest
